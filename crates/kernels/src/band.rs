@@ -27,9 +27,11 @@ pub struct BandScorer {
 impl BandScorer {
     /// Builds a scorer for the band holding query slice `band_s`, or `None`
     /// when the striped path does not apply: the caller asked for `scalar`,
-    /// asked for `auto` on a machine with no SIMD win, or the *full*
-    /// problem (`full_dims`, whose border values flow through this band)
-    /// does not fit i16 lanes. `None` means "run the scalar loop you
+    /// asked for `auto` on a machine with no SIMD win, the `threshold` is
+    /// not positive (every cell is then a hit, which the striped hit
+    /// counter cannot express), or the *full* problem (`full_dims`, whose
+    /// border values flow through this band) does not fit i16 lanes.
+    /// `None` means "run the scalar loop you
     /// already have" — the scorer never silently approximates.
     ///
     /// `save_every` mirrors the pre-process save interleave: columns whose
@@ -55,12 +57,12 @@ impl BandScorer {
                 best
             }
         };
-        if band_s.is_empty() || !fits_i16(full_dims.0, full_dims.1, scoring) {
+        if band_s.is_empty() || threshold < 1 || !fits_i16(full_dims.0, full_dims.1, scoring) {
             return None;
         }
         let prof = StripedProfile::new(band_s, scoring, isa.lanes());
         let st = StripedState::new(prof.p, prof.lanes, true);
-        let thr_minus_1 = if threshold > 0 && threshold <= i32::from(i16::MAX) {
+        let thr_minus_1 = if threshold <= i32::from(i16::MAX) {
             Some((threshold - 1) as i16)
         } else {
             None

@@ -15,12 +15,11 @@
 //! Table 3's *blocking multiplier* `a × h` maps to `blocks = a·P` and
 //! `bands = h·P`.
 
-use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
 use crate::hcell_data::HCellData;
-use crate::ring::ChunkRing;
+use crate::wavefront::{concat, span, Grid, Stage, Wavefront};
 use crate::Phase1Outcome;
-use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmError, DsmSystem, Node};
+use genomedsm_core::{HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
+use genomedsm_dsm::{DsmConfig, DsmSystem, Node};
 use std::time::Instant;
 
 /// How the matrix is cut into bands and blocks.
@@ -48,7 +47,7 @@ impl GridPlan {
     /// applying the plan's edge refinement.
     pub fn bounds(&self, total: usize, parts: usize) -> Vec<(usize, usize)> {
         let uniform: Vec<(usize, usize)> =
-            (0..parts).map(|k| slice_bounds(total, parts, k)).collect();
+            (0..parts).map(|k| Grid::slice(total, parts, k)).collect();
         match *self {
             GridPlan::Uniform => uniform,
             GridPlan::Ramped { edge_splits } => {
@@ -114,53 +113,120 @@ impl BlockedConfig {
     }
 }
 
-/// 1-based inclusive bounds of slice `k` of `total` items cut into
-/// `parts`.
-fn slice_bounds(total: usize, parts: usize, k: usize) -> (usize, usize) {
-    (k * total / parts + 1, (k + 1) * total / parts)
+/// The §4.1 cell kernel over one band × block tile: stage = band, unit =
+/// block, border = the tile's bottom row (`width + 1` cells, index 0 the
+/// diagonal corner). The sink is the candidate queue.
+pub(crate) struct Tiles<'a> {
+    kernel: &'a RowKernel,
+    s: &'a [u8],
+    t: &'a [u8],
+    bands: &'a [(usize, usize)],
+    blocks: &'a [(usize, usize)],
+    /// The band's column left of the current block (index 0 unused):
+    /// the `(b, k-1)` dependency.
+    left_col: Vec<HCell>,
+    prev: Vec<HCell>,
+    cur: Vec<HCell>,
+    /// Candidate regions found so far.
+    pub(crate) queue: Vec<LocalRegion>,
 }
 
-/// Computes one block of one band. `top` is the passage row above the
-/// block (`width + 1` cells, index 0 = diagonal corner); `left_col[r]`
-/// holds the block's left-border cell for band row `r` (updated in place
-/// to this block's right column). Returns the block's bottom row
-/// (`width + 1` cells) to pass to the band below.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_block(
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    i0: usize,
-    i1: usize,
-    c_lo: usize,
-    width: usize,
-    top: Vec<HCell>,
-    left_col: &mut [HCell],
-    queue: &mut Vec<LocalRegion>,
-) -> Vec<HCell> {
-    let h = (i1 + 1).saturating_sub(i0);
-    if h == 0 {
-        return top; // empty band: the passage row flows through
+impl<'a> Tiles<'a> {
+    pub(crate) fn new(
+        kernel: &'a RowKernel,
+        s: &'a [u8],
+        t: &'a [u8],
+        bands: &'a [(usize, usize)],
+        blocks: &'a [(usize, usize)],
+    ) -> Self {
+        Self {
+            kernel,
+            s,
+            t,
+            bands,
+            blocks,
+            left_col: Vec::new(),
+            prev: Vec::new(),
+            cur: Vec::new(),
+            queue: Vec::new(),
+        }
     }
-    if width == 0 {
-        // Empty block: its "bottom row" is the single border cell of the
-        // band's last row, already computed by the previous block.
-        return vec![left_col[h]];
-    }
-    debug_assert_eq!(top.len(), width + 1);
-    let mut prev = top;
-    let mut cur = vec![HCell::fresh(); width + 1];
-    for r in 1..=h {
-        let i = i0 + r - 1;
-        cur[0] = left_col[r];
-        kernel.process_row_segment(i, s[i - 1], t, c_lo, &prev, &mut cur, queue);
-        left_col[r] = cur[width];
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev
 }
 
-/// Runs strategy 2 on a simulated cluster.
+impl<H> Stage<H> for Tiles<'_> {
+    type Cell = HCellData;
+
+    fn begin(&mut self, stage: usize) {
+        self.left_col.clear();
+        self.left_col
+            .resize(span(self.bands[stage]) + 1, HCell::fresh());
+    }
+
+    fn unit(
+        &mut self,
+        _: &mut H,
+        stage: usize,
+        k: usize,
+        top: &[HCellData],
+        bottom: &mut Vec<HCellData>,
+    ) -> usize {
+        let (m, n) = (self.s.len(), self.t.len());
+        let ((i0, _), (c_lo, _)) = (self.bands[stage], self.blocks[k]);
+        let (h, width) = (span(self.bands[stage]), span(self.blocks[k]));
+        if h == 0 {
+            bottom.extend_from_slice(top); // empty band: the passage row flows through
+        } else if width == 0 {
+            // Empty block: its "bottom row" is the single border cell of
+            // the band's last row, already computed by the previous block.
+            bottom.push(HCellData(self.left_col[h]));
+        } else {
+            debug_assert_eq!(top.len(), width + 1);
+            self.prev.clear();
+            self.prev.extend(top.iter().map(|c| c.0));
+            self.cur.clear();
+            self.cur.resize(width + 1, HCell::fresh());
+            for r in 1..=h {
+                let i = i0 + r - 1;
+                self.cur[0] = self.left_col[r];
+                self.kernel.process_row_segment(
+                    i,
+                    self.s[i - 1],
+                    self.t,
+                    c_lo,
+                    &self.prev,
+                    &mut self.cur,
+                    &mut self.queue,
+                );
+                self.left_col[r] = self.cur[width];
+                std::mem::swap(&mut self.prev, &mut self.cur);
+            }
+            bottom.extend(self.prev.iter().copied().map(HCellData));
+        }
+        // Right edge of the matrix: flush open candidates row by row
+        // (mirrors the serial driver's per-row flush).
+        if k + 1 == self.blocks.len() {
+            for r in 1..=h {
+                self.kernel
+                    .flush_open(&self.left_col[r], i0 + r - 1, n, &mut self.queue);
+            }
+        }
+        // Bottom row of the matrix: flush (column n excluded, the
+        // right-edge rule above already covered it).
+        if stage + 1 == self.bands.len() {
+            for (idx, cell) in bottom.iter().enumerate().skip(1) {
+                let j = c_lo - 1 + idx;
+                if j < n {
+                    self.kernel.flush_open(&cell.0, m, j, &mut self.queue);
+                }
+            }
+        }
+        h * width
+    }
+}
+
+/// Runs strategy 2 on a simulated cluster. Under supervision
+/// ([`DsmConfig::supervise`]) a surviving node adopts a dead node's
+/// cyclic band set and re-executes it (see [`crate::wavefront`]).
 pub fn heuristic_block_align(
     s: &[u8],
     t: &[u8],
@@ -169,283 +235,32 @@ pub fn heuristic_block_align(
     config: &BlockedConfig,
 ) -> Phase1Outcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
     let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
-    let band_bounds = config.plan.bounds(m, config.bands);
-    let block_bounds = config.plan.bounds(n, config.blocks);
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
-    let band_bounds = &band_bounds;
-    let block_bounds = &block_bounds;
-    let max_chunk = block_bounds
-        .iter()
-        .map(|&(lo, hi)| (hi + 1).saturating_sub(lo) + 1)
-        .max()
-        .unwrap_or(1);
-
+    let bands = config.plan.bounds(s.len(), config.bands);
+    let blocks = config.plan.bounds(t.len(), config.blocks);
+    let grid = Grid::tiled(bands.len(), &blocks, config.dsm.nprocs);
+    let wavefront = Wavefront {
+        grid: &grid,
+        cell_cost: config.cell_cost,
+        unit_cells: grid.tile_cells(s.len(), t.len()),
+        rounds: 1,
+        restart: None,
+        finish_barriers: 0,
+    };
     let run = DsmSystem::run_wire(config.dsm.clone(), |node: &mut Node| {
-        if node.supervised() {
-            return crate::wire::WireRegions(tolerant_worker(
-                node,
-                &kernel,
-                s,
-                t,
-                band_bounds,
-                block_bounds,
-                nprocs,
-                max_chunk,
-                cell_cost,
-            ));
-        }
-        let p = node.id();
-        // One ring per ordered neighbour pair (q -> q+1 mod P); ring `q`
-        // is produced by q. Capacity = one band of blocks, so a producer
-        // can finish a whole band before its consumer starts.
-        let mut rings: Vec<ChunkRing<HCellData>> = (0..nprocs)
-            .map(|q| {
-                ChunkRing::new(
-                    node,
-                    blocks,
-                    max_chunk,
-                    q,
-                    (2 * q) as u32,
-                    (2 * q + 1) as u32,
-                )
-            })
-            .collect();
-        node.barrier();
-
-        let mut queue: Vec<LocalRegion> = Vec::new();
-        let from_ring = (p + nprocs - 1) % nprocs;
-        let mut band = p;
-        while band < bands {
-            let (i0, i1) = band_bounds[band];
-            let h = (i1 + 1).saturating_sub(i0);
-            let mut left_col = vec![HCell::fresh(); h + 1];
-            for k in 0..blocks {
-                let (c_lo, c_hi) = block_bounds[k];
-                let width = (c_hi + 1).saturating_sub(c_lo);
-                let top: Vec<HCell> = if band == 0 {
-                    vec![HCell::fresh(); width + 1]
-                } else {
-                    rings[from_ring]
-                        .pop(node, width + 1)
-                        .into_iter()
-                        .map(HCell::from)
-                        .collect()
-                };
-                let bottom = process_block(
-                    &kernel,
-                    s,
-                    t,
-                    i0,
-                    i1,
-                    c_lo,
-                    width,
-                    top,
-                    &mut left_col,
-                    &mut queue,
-                );
-                node.advance(crate::costs::cells(cell_cost, h * width));
-                // Right edge of the matrix: flush open candidates row by
-                // row (mirrors the serial driver's per-row flush).
-                if k + 1 == blocks {
-                    for r in 1..=h {
-                        kernel.flush_open(&left_col[r], i0 + r - 1, n, &mut queue);
-                    }
-                }
-                if band + 1 < bands {
-                    let chunk: Vec<HCellData> = bottom.iter().copied().map(HCellData).collect();
-                    rings[p].push(node, &chunk);
-                } else {
-                    // Bottom row of the matrix: flush (column n excluded,
-                    // the right-edge rule above already covered it).
-                    for (idx, cell) in bottom.iter().enumerate().skip(1) {
-                        let j = c_lo - 1 + idx;
-                        if j < n {
-                            kernel.flush_open(cell, m, j, &mut queue);
-                        }
-                    }
-                }
-            }
-            band += nprocs;
-        }
-        node.barrier();
-        crate::wire::WireRegions(queue)
+        let mut rounds = wavefront.run(
+            node,
+            |_| Tiles::new(&kernel, s, t, &bands, &blocks),
+            |_, round| regions_of(round.pieces),
+        );
+        crate::wire::WireRegions(rounds.pop().unwrap_or_default())
     });
-
-    let all: Vec<LocalRegion> = run.results.into_iter().flat_map(|w| w.0).collect();
-    let wall = run.stats.iter().map(|s| s.total).max().unwrap_or_default();
-    Phase1Outcome {
-        regions: finalize_queue(all),
-        per_node: run.stats,
-        wall,
-        host_wall: t0.elapsed(),
-    }
+    Phase1Outcome::gather(run, t0)
 }
 
-/// Strategy 2 worker in tolerant mode (supervision enabled): border
-/// chunks flow through a per-role [`Ledger`] log instead of ring slots.
-/// A role here is a node's cyclic band set; a surviving node adopts a
-/// dead role and re-executes its bands, replaying recorded chunks. The
-/// plain path above is untouched when supervision is off.
-#[allow(clippy::too_many_arguments)]
-fn tolerant_worker(
-    node: &mut Node,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    band_bounds: &[(usize, usize)],
-    block_bounds: &[(usize, usize)],
-    nprocs: usize,
-    max_chunk: usize,
-    cell_cost: std::time::Duration,
-) -> Vec<LocalRegion> {
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
-    // Role r pushes at most one chunk per block of each of its bands.
-    let log_entries = bands.div_ceil(nprocs) * blocks;
-    let ledger = Ledger::<HCellData>::new(node, nprocs, log_entries, max_chunk);
-    node.barrier();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
-
-    // One work unit is one band×block tile; a scheduled rejoin's virtual
-    // downtime is priced at that granularity.
-    let tile_cells = (s.len() / bands.max(1)).max(1) * (t.len() / blocks.max(1)).max(1);
-    let unit_time = cell_cost.saturating_mul(tile_cells.min(u32::MAX as usize) as u32);
-    // A single workload wrapped in the elastic driver: a victim with a
-    // scheduled rejoin is re-admitted at the closing boundary, so the run
-    // always ends with full membership.
-    let mut rounds = run_elastic(node, 1, nprocs.max(1) + 2, unit_time, |node, _| {
-        run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-            run_bands(
-                node,
-                &ledger,
-                kernel,
-                s,
-                t,
-                band_bounds,
-                block_bounds,
-                nprocs,
-                cell_cost,
-                execute,
-                resume,
-                crash_at,
-                &mut units,
-                queue,
-            )
-        })
-    });
-    match rounds.pop().flatten() {
-        Some(qs) => qs.into_iter().flatten().collect(),
-        None => Vec::new(), // this worker fail-stopped
-    }
-}
-
-/// Executes every band whose role is in `execute`, in ascending band
-/// order — the wavefront order: band `b` consumes only band `b-1`'s
-/// chunks, which are either recorded earlier in this very loop (internal
-/// role) or produced in real time by a live external role.
-#[allow(clippy::too_many_arguments)]
-fn run_bands(
-    node: &mut Node,
-    ledger: &Ledger<HCellData>,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    band_bounds: &[(usize, usize)],
-    block_bounds: &[(usize, usize)],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-    execute: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
-    queue: &mut Vec<LocalRegion>,
-) -> Result<(), DsmError> {
-    let m = s.len();
-    let n = t.len();
-    let bands = band_bounds.len();
-    let blocks = block_bounds.len();
-    // Ring q carries chunks from role q to role (q+1) mod P.
-    let mut channels: Vec<FlowChannel> = (0..nprocs)
-        .map(|q| {
-            FlowChannel::new(
-                node,
-                ledger,
-                q,
-                (q + 1) % nprocs,
-                (2 * q) as u32,
-                (2 * q + 1) as u32,
-                blocks as u64,
-                resume,
-            )
-        })
-        .collect();
-    // Per-role running chunk ordinals (pops and pushes are dense within
-    // a role: every band but the first pops, every band but the last
-    // pushes, in ascending band order).
-    let mut pops = vec![0u64; nprocs];
-    let mut pushes = vec![0u64; nprocs];
-    for band in 0..bands {
-        let role = band % nprocs;
-        if !execute.contains(&role) {
-            continue;
-        }
-        let in_ring = (role + nprocs - 1) % nprocs;
-        let (i0, i1) = band_bounds[band];
-        let h = (i1 + 1).saturating_sub(i0);
-        let mut left_col = vec![HCell::fresh(); h + 1];
-        for k in 0..blocks {
-            let (c_lo, c_hi) = block_bounds[k];
-            let width = (c_hi + 1).saturating_sub(c_lo);
-            let top: Vec<HCell> = if band == 0 {
-                vec![HCell::fresh(); width + 1]
-            } else {
-                let ord = pops[role];
-                pops[role] += 1;
-                channels[in_ring]
-                    .consume(node, ledger, execute, ord, width + 1)?
-                    .into_iter()
-                    .map(HCell::from)
-                    .collect()
-            };
-            let bottom =
-                process_block(kernel, s, t, i0, i1, c_lo, width, top, &mut left_col, queue);
-            node.advance(crate::costs::cells(cell_cost, h * width));
-            *units += 1;
-            if crash_at == Some(*units) {
-                node.fail_stop();
-                return Err(DsmError::Disconnected("injected fail-stop"));
-            }
-            if (*units).is_multiple_of(64) {
-                node.heartbeat();
-            }
-            if k + 1 == blocks {
-                for r in 1..=h {
-                    kernel.flush_open(&left_col[r], i0 + r - 1, n, queue);
-                }
-            }
-            if band + 1 < bands {
-                let chunk: Vec<HCellData> = bottom.iter().copied().map(HCellData).collect();
-                let ord = pushes[role];
-                pushes[role] += 1;
-                channels[role].produce(node, ledger, execute, ord, &chunk)?;
-            } else {
-                for (idx, cell) in bottom.iter().enumerate().skip(1) {
-                    let j = c_lo - 1 + idx;
-                    if j < n {
-                        kernel.flush_open(cell, m, j, queue);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
+/// The queues of a round's kernels (none for a fail-stopped worker).
+pub(crate) fn regions_of(pieces: Option<Vec<Tiles<'_>>>) -> Vec<LocalRegion> {
+    concat(pieces.into_iter().flatten().map(|tiles| tiles.queue))
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! The supervision layer (crate `genomedsm-dsm`) turns a fail-stopped
 //! node into typed [`DsmError::NodeFailed`] errors at every blocked
 //! synchronization point. This module supplies the *application-level*
-//! half of fault tolerance that all three phase-1 strategies (and the
-//! phase-2 gather) build on:
+//! half of fault tolerance that the wavefront driver
+//! ([`crate::wavefront`]) builds on:
 //!
 //! * a [`Ledger`] — per-role `[pushes, pops, done]` meta plus a push
 //!   *log* of every border chunk a role has produced, all living in DSM
@@ -25,7 +25,7 @@
 //!   corrupted files with typed [`std::io::ErrorKind::InvalidData`]
 //!   errors instead of silently yielding garbage.
 //!
-//! The replay rules the strategies implement on top (see
+//! The replay rules [`FlowChannel`] implements on top (see
 //! `DESIGN.md` §5.8): a chunk whose ordinal is below the recorded
 //! `pushes` of its producer is read back from the log instead of the
 //! ring; a pop whose ordinal is below the recorded `pops` of its
@@ -216,11 +216,6 @@ impl<T: DsmData + Copy> Ledger<T> {
         }
     }
 
-    /// Elements per log entry.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Records that `role` pushed `data` as chunk `ordinal`: the chunk is
     /// appended to the log and the published push count advances to
     /// `ordinal + 1`. Log before meta, so a readable meta always covers
@@ -403,18 +398,17 @@ pub struct FlowChannel {
 }
 
 impl FlowChannel {
-    /// Builds the channel for ring `producer → consumer`. With `resume`
+    /// Builds the channel for ring `producer → consumer`, signaling data
+    /// on `data_cv` and acknowledgements on `data_cv + 1`. With `resume`
     /// set (takeover or restart) the counters are initialized from the
     /// published ledger metas; a fresh channel starts from zero without
     /// touching the network.
-    #[allow(clippy::too_many_arguments)]
     pub fn new<T: DsmData + Copy>(
         node: &mut Node,
         ledger: &Ledger<T>,
         producer: usize,
         consumer: usize,
         data_cv: u32,
-        ack_cv: u32,
         capacity: u64,
         resume: bool,
     ) -> Self {
@@ -431,7 +425,7 @@ impl FlowChannel {
             producer,
             consumer,
             data_cv,
-            ack_cv,
+            ack_cv: data_cv + 1,
             capacity,
             recorded_pushes: pushes,
             recorded_pops: pops,
@@ -567,16 +561,15 @@ impl FlowChannel {
 
 /// The attempt/sweep skeleton every tolerant strategy runs.
 ///
-/// `body(node, execute, resume, acc)` must fully execute the given role
-/// set (in the strategy's dependency order) and accumulate its results
-/// into `acc`; with `resume` set it replays recorded progress from the
-/// ledger. The driver:
+/// `body(node, execute, resume)` must fully execute the given role set
+/// (in the strategy's dependency order) and return its results; with
+/// `resume` set it replays recorded progress from the ledger. The driver:
 ///
 /// 1. **Attempts**: runs the node's merged role set; a
 ///    [`DsmError::NodeFailed`] that body propagates (the merged set
-///    changed) restarts the attempt from scratch with a fresh
-///    accumulator — recorded chunks replay from the log, recomputation
-///    models the real cost of checkpoint-free takeover.
+///    changed) restarts the attempt from scratch — recorded chunks
+///    replay from the log, recomputation models the real cost of
+///    checkpoint-free takeover.
 /// 2. **Sweep**: loops on [`Node::barrier_wait`]; while the dead set
 ///    keeps growing, roles not yet handled by this node are re-executed
 ///    by pure replay (every producer has finished or died by then, so
@@ -597,10 +590,10 @@ impl FlowChannel {
 /// boundary, never mid-workload, because a joiner re-entering
 /// mid-stream would race its own adopter on the flow-control condition
 /// variables and desynchronize the anonymous barrier rounds.
-pub fn run_with_takeover<R: Default>(
+pub fn run_with_takeover<R>(
     node: &mut Node,
     nprocs: usize,
-    mut body: impl FnMut(&mut Node, &[usize], bool, &mut R) -> Result<(), DsmError>,
+    mut body: impl FnMut(&mut Node, &[usize], bool) -> Result<R, DsmError>,
 ) -> Option<Vec<R>> {
     if node.failed() {
         // A fail-stopped rank must not execute the body at all: its sync
@@ -614,11 +607,9 @@ pub fn run_with_takeover<R: Default>(
     let completed = loop {
         let dead = node.known_dead();
         let roles = merged_roles(p, nprocs, &dead);
-        let resume = !dead.is_empty();
-        let mut acc = R::default();
-        match body(node, &roles, resume, &mut acc) {
-            Ok(()) => {
-                pieces.push(acc);
+        match body(node, &roles, !dead.is_empty()) {
+            Ok(piece) => {
+                pieces.push(piece);
                 break roles;
             }
             Err(_) if node.failed() => return None,
@@ -645,10 +636,9 @@ pub fn run_with_takeover<R: Default>(
             .filter(|r| !handled.contains(r))
             .collect();
         if !todo.is_empty() {
-            let mut acc = R::default();
-            match body(node, &todo, true, &mut acc) {
-                Ok(()) => {
-                    pieces.push(acc);
+            match body(node, &todo, true) {
+                Ok(piece) => {
+                    pieces.push(piece);
                     for &r in &todo {
                         handled.insert(r);
                         if r != p {
@@ -1036,7 +1026,7 @@ mod tests {
             let ledger = Ledger::<i32>::new(node, 2, 40, 3);
             node.barrier();
             let roles = [node.id()];
-            let mut ch = FlowChannel::new(node, &ledger, 0, 1, 0, 1, 2, false);
+            let mut ch = FlowChannel::new(node, &ledger, 0, 1, 0, 2, false);
             let mut got = Vec::new();
             if node.id() == 0 {
                 for c in 0..40 {
@@ -1063,7 +1053,7 @@ mod tests {
             let ledger = Ledger::<i64>::new(node, 1, 8, 1);
             node.barrier();
             let roles = [0];
-            let mut ch = FlowChannel::new(node, &ledger, 0, 0, 0, 1, 1, false);
+            let mut ch = FlowChannel::new(node, &ledger, 0, 0, 0, 1, false);
             for c in 0..8u64 {
                 ch.produce(node, &ledger, &roles, c, &[c as i64 * 3])
                     .unwrap();
@@ -1095,7 +1085,7 @@ mod tests {
             match node.id() {
                 0 => {
                     let roles = [0];
-                    let mut out = FlowChannel::new(node, &ledger, 0, 1, 0, 1, 6, false);
+                    let mut out = FlowChannel::new(node, &ledger, 0, 1, 0, 6, false);
                     for c in 0..6 {
                         out.produce(node, &ledger, &roles, c, &[10 + c as i32])
                             .unwrap();
@@ -1106,8 +1096,8 @@ mod tests {
                 }
                 1 => {
                     let roles = [1];
-                    let mut inp = FlowChannel::new(node, &ledger, 0, 1, 0, 1, 6, false);
-                    let mut out = FlowChannel::new(node, &ledger, 1, 2, 2, 3, 6, false);
+                    let mut inp = FlowChannel::new(node, &ledger, 0, 1, 0, 6, false);
+                    let mut out = FlowChannel::new(node, &ledger, 1, 2, 2, 6, false);
                     for c in 0..2 {
                         let v = inp.consume(node, &ledger, &roles, c, 1).unwrap()[0];
                         out.produce(node, &ledger, &roles, c, &[v * 2]).unwrap();
@@ -1118,7 +1108,7 @@ mod tests {
                 _ => {
                     let mut got = Vec::new();
                     let mut roles = vec![2];
-                    let mut inp = FlowChannel::new(node, &ledger, 1, 2, 2, 3, 6, false);
+                    let mut inp = FlowChannel::new(node, &ledger, 1, 2, 2, 6, false);
                     let mut c = 0u64;
                     while c < 6 {
                         match inp.consume(node, &ledger, &roles, c, 1) {
@@ -1131,15 +1121,14 @@ mod tests {
                                 // re-produce; restart our own consume.
                                 roles = merged_roles(2, 3, &node.known_dead());
                                 assert_eq!(roles, vec![1, 2]);
-                                let mut r_in = FlowChannel::new(node, &ledger, 0, 1, 0, 1, 6, true);
-                                let mut r_out =
-                                    FlowChannel::new(node, &ledger, 1, 2, 2, 3, 6, true);
+                                let mut r_in = FlowChannel::new(node, &ledger, 0, 1, 0, 6, true);
+                                let mut r_out = FlowChannel::new(node, &ledger, 1, 2, 2, 6, true);
                                 for k in 0..6 {
                                     let v = r_in.consume(node, &ledger, &roles, k, 1).unwrap()[0];
                                     r_out.produce(node, &ledger, &roles, k, &[v * 2]).unwrap();
                                 }
                                 got.clear();
-                                inp = FlowChannel::new(node, &ledger, 1, 2, 2, 3, 6, true);
+                                inp = FlowChannel::new(node, &ledger, 1, 2, 2, 6, true);
                                 // Replayed pops of our own role: consume
                                 // resumes where the meta says we left off.
                                 let resumed = inp.recorded_pops;
@@ -1302,7 +1291,7 @@ mod tests {
             // Replay-to-cursor-zero: a resume channel over the empty
             // ledger starts from ordinal 0 like a fresh one.
             let roles = [0usize];
-            let mut ch = FlowChannel::new(node, &ledger, 0, 0, 0, 1, 1, true);
+            let mut ch = FlowChannel::new(node, &ledger, 0, 0, 0, 1, true);
             for c in 0..3u64 {
                 ch.produce(node, &ledger, &roles, c, &[c as i32 + 1])
                     .unwrap();
@@ -1319,7 +1308,7 @@ mod tests {
             // log; a second sequential adoption resumes at the new
             // cursor (5) — nothing is replayed twice, nothing skipped.
             for round in 0..2u64 {
-                let mut adopted = FlowChannel::new(node, &ledger, 0, 0, 0, 1, 1, true);
+                let mut adopted = FlowChannel::new(node, &ledger, 0, 0, 0, 1, true);
                 let base = 3 + round * 2;
                 for c in base..base + 2 {
                     adopted

@@ -14,13 +14,12 @@
 //!
 //! Barriers are used only at the beginning and end of the computation.
 
-use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
 use crate::hcell_data::HCellData;
-use crate::ring::ChunkRing;
+use crate::wavefront::{concat, span, Grid, Stage, Wavefront};
 use crate::Phase1Outcome;
 use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmError, DsmSystem, Node};
-use std::time::Instant;
+use genomedsm_dsm::{DsmConfig, DsmSystem, Node};
+use std::time::{Duration, Instant};
 
 /// Configuration of the non-blocked heuristic strategy.
 #[derive(Debug, Clone)]
@@ -29,7 +28,7 @@ pub struct HeuristicDsmConfig {
     pub dsm: DsmConfig,
     /// Virtual cost of one heuristic cell update (era-calibrated default,
     /// see [`crate::costs`]).
-    pub cell_cost: std::time::Duration,
+    pub cell_cost: Duration,
 }
 
 impl HeuristicDsmConfig {
@@ -43,15 +42,128 @@ impl HeuristicDsmConfig {
     }
 }
 
-/// Column range of processor `p` (1-based matrix columns, inclusive).
-fn column_slice(n: usize, nprocs: usize, p: usize) -> (usize, usize) {
-    let lo = p * n / nprocs + 1;
-    let hi = (p + 1) * n / nprocs;
-    (lo, hi)
+/// The §4.1 cell kernel over one row of a column slice: stage = the
+/// slice of processor `p` (Fig. 8), unit = one row, border = the slice's
+/// last cell — "each value of the border column is passed individually".
+/// Two local rows are the `(b, k-1)` state; the sink is the queue.
+struct Rows<'a> {
+    kernel: &'a RowKernel,
+    s: &'a [u8],
+    t: &'a [u8],
+    slices: usize,
+    /// First column of the current slice (1-based).
+    j_lo: usize,
+    prev: Vec<HCell>,
+    cur: Vec<HCell>,
+    queue: Vec<LocalRegion>,
+}
+
+impl<H> Stage<H> for Rows<'_> {
+    type Cell = HCellData;
+
+    fn begin(&mut self, stage: usize) {
+        let slice = Grid::slice(self.t.len(), self.slices, stage);
+        // Empty when there are more processors than columns; its owner
+        // still relays border cells so the pipeline stays connected.
+        let width = span(slice);
+        self.j_lo = slice.0;
+        self.prev.clear();
+        self.prev.resize(width + 1, HCell::fresh());
+        self.cur.clone_from(&self.prev);
+    }
+
+    fn unit(
+        &mut self,
+        _: &mut H,
+        stage: usize,
+        k: usize,
+        left: &[HCellData],
+        right: &mut Vec<HCellData>,
+    ) -> usize {
+        let (i, n) = (k + 1, self.t.len());
+        let width = self.cur.len() - 1;
+        self.cur[0] = left[0].0;
+        if width > 0 {
+            self.kernel.process_row_segment(
+                i,
+                self.s[i - 1],
+                self.t,
+                self.j_lo,
+                &self.prev,
+                &mut self.cur,
+                &mut self.queue,
+            );
+        }
+        right.push(HCellData(self.cur[width]));
+        if stage + 1 == self.slices {
+            // Rightmost column of the whole matrix: flush candidates
+            // running off the right edge (mirrors the serial driver).
+            self.kernel
+                .flush_open(&self.cur[width], i, n, &mut self.queue);
+        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        width
+    }
+
+    fn end(&mut self, _: &mut H, _: usize) {
+        // Bottom row: flush open candidates. Column n is excluded — the
+        // right-edge rule already flushed it on the last slice.
+        for (k, cell) in self.prev.iter().enumerate().skip(1) {
+            let j = self.j_lo - 1 + k;
+            if j < self.t.len() {
+                self.kernel
+                    .flush_open(cell, self.s.len(), j, &mut self.queue);
+            }
+        }
+    }
+}
+
+/// Runs `rounds` strategy-1 workloads on `node`: the grid `stages = P,
+/// units = m, chunk = 1`, one-slot window (every border value is acked
+/// before the next). Returns each round's start time and queue.
+fn run_rounds(
+    node: &mut Node,
+    kernel: &RowKernel,
+    s: &[u8],
+    t: &[u8],
+    config: &HeuristicDsmConfig,
+    rounds: usize,
+) -> Vec<(Duration, Vec<LocalRegion>)> {
+    let nprocs = config.dsm.nprocs;
+    let grid = Grid {
+        stages: nprocs,
+        roles: nprocs,
+        chunks: vec![1; s.len()],
+        window: 1,
+    };
+    let wavefront = Wavefront {
+        grid: &grid,
+        cell_cost: config.cell_cost,
+        unit_cells: grid.tile_cells(t.len(), s.len()),
+        rounds,
+        restart: None,
+        finish_barriers: 0,
+    };
+    let rows = |_: &[usize]| Rows {
+        kernel,
+        s,
+        t,
+        slices: nprocs,
+        j_lo: 1,
+        prev: Vec::new(),
+        cur: Vec::new(),
+        queue: Vec::new(),
+    };
+    wavefront.run(node, rows, |_, round| {
+        let pieces = round.pieces.into_iter().flatten();
+        (round.start, concat(pieces.map(|rows| rows.queue)))
+    })
 }
 
 /// Runs strategy 1 on a simulated cluster and returns the finalized queue
-/// of candidate alignments plus execution statistics.
+/// of candidate alignments plus execution statistics. With supervision
+/// enabled a surviving node adopts a dead neighbour's column slice and
+/// re-executes it (see [`crate::wavefront`]).
 pub fn heuristic_align_dsm(
     s: &[u8],
     t: &[u8],
@@ -60,78 +172,14 @@ pub fn heuristic_align_dsm(
     config: &HeuristicDsmConfig,
 ) -> Phase1Outcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
     let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
-
     let run = DsmSystem::run_wire(config.dsm.clone(), |node| {
-        if node.supervised() {
-            return crate::wire::WireRegions(tolerant_worker(
-                node, &kernel, s, t, nprocs, cell_cost,
-            ));
-        }
-        let p = node.id();
-        // Border rings: ring `b` moves cells from processor b to b+1.
-        // Collective allocation: every node builds every ring handle.
-        let mut rings: Vec<ChunkRing<HCellData>> = (0..nprocs.saturating_sub(1))
-            .map(|b| ChunkRing::new(node, 1, 1, b, (2 * b) as u32, (2 * b + 1) as u32))
-            .collect();
-        node.barrier();
-
-        let (j_lo, j_hi) = column_slice(n, nprocs, p);
-        // A slice can be empty when nprocs > n; such a node still relays
-        // border cells so the pipeline stays connected.
-        let width = (j_hi + 1).saturating_sub(j_lo);
-        let mut queue: Vec<LocalRegion> = Vec::new();
-        let mut prev = vec![HCell::fresh(); width + 1];
-        let mut cur = vec![HCell::fresh(); width + 1];
-
-        for i in 1..=m {
-            // Receive this row's left-border cell from the left neighbour
-            // (or the zero column if we are processor 0).
-            cur[0] = if p == 0 {
-                HCell::fresh()
-            } else {
-                rings[p - 1].pop(node, 1)[0].into()
-            };
-            if width > 0 {
-                kernel.process_row_segment(i, s[i - 1], t, j_lo, &prev, &mut cur, &mut queue);
-                node.advance(crate::costs::cells(cell_cost, width));
-            }
-            // Pass our border cell (the slice's last column) to the right
-            // neighbour, one value per row — the strategy's signature.
-            if p + 1 < nprocs {
-                rings[p].push(node, &[HCellData(cur[width])]);
-            } else {
-                // Rightmost column of the whole matrix: flush candidates
-                // running off the right edge (mirrors the serial driver).
-                kernel.flush_open(&cur[width], i, n, &mut queue);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        // Bottom row: flush open candidates. Column n is excluded — the
-        // right-edge rule above already flushed it on the last processor.
-        for (k, cell) in prev.iter().enumerate().skip(1) {
-            let j = j_lo - 1 + k;
-            if j < n {
-                kernel.flush_open(cell, m, j, &mut queue);
-            }
-        }
-        node.barrier();
+        let (_, queue) = run_rounds(node, &kernel, s, t, config, 1)
+            .pop()
+            .unwrap_or_default();
         crate::wire::WireRegions(queue)
     });
-
-    let mut all: Vec<LocalRegion> = run.results.into_iter().flat_map(|w| w.0).collect();
-    all = finalize_queue(all);
-    let wall = run.stats.iter().map(|s| s.total).max().unwrap_or_default();
-    Phase1Outcome {
-        regions: all,
-        per_node: run.stats,
-        wall,
-        host_wall: t0.elapsed(),
-    }
+    Phase1Outcome::gather(run, t0)
 }
 
 /// Per-round result of an elastic campaign (see [`heuristic_campaign`]).
@@ -142,7 +190,7 @@ pub struct CampaignRound {
     /// Virtual wall of the round: the slowest node's elapsed virtual
     /// time across the workload, its boundary padding, and any rejoin
     /// downtime charged at the following boundary.
-    pub wall: std::time::Duration,
+    pub wall: Duration,
 }
 
 /// Outcome of [`heuristic_campaign`].
@@ -153,7 +201,7 @@ pub struct CampaignOutcome {
     /// Final per-node DSM statistics (cumulative over the campaign).
     pub per_node: Vec<genomedsm_dsm::NodeStats>,
     /// Real host time of the whole campaign.
-    pub host_wall: std::time::Duration,
+    pub host_wall: Duration,
 }
 
 /// Runs `rounds` back-to-back strategy-1 workloads on one supervised
@@ -175,43 +223,11 @@ pub fn heuristic_campaign(
     rounds: usize,
 ) -> CampaignOutcome {
     let t0 = Instant::now();
-    let nprocs = config.dsm.nprocs;
-    let cell_cost = config.cell_cost;
     let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let unit_time = cell_cost.saturating_mul((t.len() / nprocs.max(1)).max(1) as u32);
-    // Per-round barrier budget: 1 for the ledger barrier plus the
-    // takeover sweep's worst case of 1 + (nprocs − 1) rounds.
-    let budget = nprocs.max(1) + 2;
-
     let run = DsmSystem::run(config.dsm.clone(), |node| {
         assert!(node.supervised(), "elastic campaigns require supervision");
-        let crash_at = node.crash_point();
-        let mut units = 0u64;
-        let mut marks: Vec<std::time::Duration> = Vec::with_capacity(rounds + 1);
-        let per_round = run_elastic(node, rounds, budget, unit_time, |node, w| {
-            marks.push(node.now());
-            // Fresh ledger and cv range per round: a prior round's push
-            // log or leftover ack-signal surplus must not leak forward.
-            let ledger = Ledger::<HCellData>::new(node, nprocs, m.max(1), 1);
-            node.barrier();
-            let cv_base = (2 * nprocs * w) as u32;
-            let pieces = run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-                for &r in execute {
-                    run_role(
-                        node, &ledger, &kernel, s, t, nprocs, cell_cost, r, cv_base, execute,
-                        resume, crash_at, &mut units, queue,
-                    )?;
-                }
-                Ok(())
-            });
-            match pieces {
-                Some(qs) => qs.into_iter().flatten().collect::<Vec<LocalRegion>>(),
-                None => Vec::new(), // dead for the rest of this round
-            }
-        });
-        marks.push(node.now());
-        (per_round, marks)
+        let per_round = run_rounds(node, &kernel, s, t, config, rounds);
+        (per_round, node.now())
     });
 
     let mut results = run.results;
@@ -219,11 +235,16 @@ pub fn heuristic_campaign(
     for w in 0..rounds {
         let regions: Vec<LocalRegion> = results
             .iter_mut()
-            .flat_map(|(r, _)| std::mem::take(&mut r[w]))
+            .flat_map(|(r, _)| std::mem::take(&mut r[w].1))
             .collect();
+        // A round lasts until the next starts (or the campaign ends).
         let wall = results
             .iter()
-            .map(|(_, marks)| marks[w + 1].saturating_sub(marks[w]))
+            .map(|(r, end)| {
+                r.get(w + 1)
+                    .map_or(*end, |next| next.0)
+                    .saturating_sub(r[w].0)
+            })
             .max()
             .unwrap_or_default();
         out.push(CampaignRound {
@@ -236,147 +257,6 @@ pub fn heuristic_campaign(
         per_node: run.stats,
         host_wall: t0.elapsed(),
     }
-}
-
-/// Strategy 1 worker in tolerant mode (supervision enabled): border
-/// cells flow through a per-role [`Ledger`] log instead of ring slots,
-/// so a surviving node can adopt a dead neighbour's column slice and
-/// re-execute it, replaying the corpse's recorded input/output chunks
-/// bit-for-bit. The plain path above is untouched when supervision is
-/// off, so a fault-free unsupervised run pays nothing.
-fn tolerant_worker(
-    node: &mut Node,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-) -> Vec<LocalRegion> {
-    let m = s.len();
-    // Role r's push log holds its border cell for every row.
-    let ledger = Ledger::<HCellData>::new(node, nprocs, m.max(1), 1);
-    node.barrier();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
-
-    // One work unit is one row of a role's column slice; a scheduled
-    // rejoin's virtual downtime is priced at that granularity.
-    let unit_time = cell_cost.saturating_mul((t.len() / nprocs.max(1)).max(1) as u32);
-    // A single workload wrapped in the elastic driver: a victim with a
-    // scheduled rejoin is re-admitted at the closing boundary, so the run
-    // always ends with full membership. Budget: the takeover sweep costs
-    // at most 1 + deaths barrier rounds.
-    let mut rounds = run_elastic(node, 1, nprocs.max(1) + 2, unit_time, |node, _| {
-        // Roles execute in ascending order: role r's input producer is
-        // r-1, so earlier merged roles fully feed later ones through the
-        // log.
-        run_with_takeover(node, nprocs, |node, execute, resume, queue| {
-            for &r in execute {
-                run_role(
-                    node, &ledger, kernel, s, t, nprocs, cell_cost, r, 0, execute, resume,
-                    crash_at, &mut units, queue,
-                )?;
-            }
-            Ok(())
-        })
-    });
-    match rounds.pop().flatten() {
-        Some(qs) => qs.into_iter().flatten().collect(),
-        None => Vec::new(), // this worker fail-stopped
-    }
-}
-
-/// One role's complete row loop on the tolerant path. `roles` is the
-/// executing node's current merged role set (decides which channel
-/// endpoints are internal); `resume` replays recorded progress;
-/// `cv_base` offsets the flow cv ids so campaign rounds sharing a node
-/// never alias a prior round's leftover signal surplus.
-#[allow(clippy::too_many_arguments)]
-fn run_role(
-    node: &mut Node,
-    ledger: &Ledger<HCellData>,
-    kernel: &RowKernel,
-    s: &[u8],
-    t: &[u8],
-    nprocs: usize,
-    cell_cost: std::time::Duration,
-    r: usize,
-    cv_base: u32,
-    roles: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
-    queue: &mut Vec<LocalRegion>,
-) -> Result<(), DsmError> {
-    let m = s.len();
-    let n = t.len();
-    let (j_lo, j_hi) = column_slice(n, nprocs, r);
-    let width = (j_hi + 1).saturating_sub(j_lo);
-    let mut input = (r > 0).then(|| {
-        let b = r - 1;
-        FlowChannel::new(
-            node,
-            ledger,
-            b,
-            r,
-            cv_base + (2 * b) as u32,
-            cv_base + (2 * b + 1) as u32,
-            1,
-            resume,
-        )
-    });
-    let mut output = (r + 1 < nprocs).then(|| {
-        FlowChannel::new(
-            node,
-            ledger,
-            r,
-            r + 1,
-            cv_base + (2 * r) as u32,
-            cv_base + (2 * r + 1) as u32,
-            1,
-            resume,
-        )
-    });
-    let mut prev = vec![HCell::fresh(); width + 1];
-    let mut cur = vec![HCell::fresh(); width + 1];
-    for i in 1..=m {
-        cur[0] = match input.as_mut() {
-            None => HCell::fresh(),
-            Some(ch) => ch.consume(node, ledger, roles, (i - 1) as u64, 1)?[0].into(),
-        };
-        if width > 0 {
-            kernel.process_row_segment(i, s[i - 1], t, j_lo, &prev, &mut cur, queue);
-            node.advance(crate::costs::cells(cell_cost, width));
-        }
-        *units += 1;
-        if crash_at == Some(*units) {
-            node.fail_stop();
-            return Err(DsmError::Disconnected("injected fail-stop"));
-        }
-        if (*units).is_multiple_of(64) {
-            node.heartbeat();
-        }
-        match output.as_mut() {
-            Some(ch) => ch.produce(
-                node,
-                ledger,
-                roles,
-                (i - 1) as u64,
-                &[HCellData(cur[width])],
-            )?,
-            None => kernel.flush_open(&cur[width], i, n, queue),
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    // Bottom row: flush open candidates (column n excluded — the
-    // right-edge rule already flushed it on the last role).
-    for (k, cell) in prev.iter().enumerate().skip(1) {
-        let j = j_lo - 1 + k;
-        if j < n {
-            kernel.flush_open(cell, m, j, queue);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -400,14 +280,14 @@ mod tests {
         let n = 103;
         let mut covered = 0;
         for p in 0..8 {
-            let (lo, hi) = column_slice(n, 8, p);
+            let (lo, hi) = Grid::slice(n, 8, p);
             covered += hi + 1 - lo;
             if p > 0 {
-                assert_eq!(lo, column_slice(n, 8, p - 1).1 + 1);
+                assert_eq!(lo, Grid::slice(n, 8, p - 1).1 + 1);
             }
         }
         assert_eq!(covered, n);
-        assert_eq!(column_slice(n, 8, 7).1, n);
+        assert_eq!(Grid::slice(n, 8, 7).1, n);
     }
 
     #[test]

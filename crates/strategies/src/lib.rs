@@ -9,6 +9,9 @@
 //! | phase 2 | §4.4 | [`phase2`] | scattered-mapping global alignment of the phase-1 regions, no locks/cvs |
 //! | rayon ports | (ablation) | [`rayon_port`] | the same blocked wavefront on plain shared memory — quantifies the DSM protocol overhead |
 //!
+//! All of them are (grid, kernel, sink) triples run by the one driver in
+//! [`wavefront`], which also owns checkpoint/restart, takeover and rejoin.
+//!
 //! All strategies drive the *same* [`genomedsm_core::RowKernel`] (or plain
 //! SW recurrence for `pre_process`) that the serial reference uses, so
 //! parallel and serial results are identical cell-for-cell; the
@@ -28,6 +31,7 @@ pub mod preprocess;
 pub mod rayon_port;
 pub mod reverse_parallel;
 pub mod ring;
+pub mod wavefront;
 pub mod wire;
 
 pub use blocked::{heuristic_block_align, BlockedConfig, GridPlan};
@@ -47,9 +51,9 @@ pub use rayon_port::{
 pub use reverse_parallel::reverse_align_all_parallel;
 pub use wire::{WireIndexed, WireRegions};
 
-use genomedsm_core::LocalRegion;
-use genomedsm_dsm::NodeStats;
-use std::time::Duration;
+use genomedsm_core::{finalize_queue, LocalRegion};
+use genomedsm_dsm::{DsmRun, NodeStats};
+use std::time::{Duration, Instant};
 
 /// Result of a phase-1 strategy run: the finalized queue of candidate
 /// alignments plus execution measurements.
@@ -68,6 +72,17 @@ pub struct Phase1Outcome {
 }
 
 impl Phase1Outcome {
+    /// Merges the per-node candidate queues of a DSM run started at `t0`.
+    pub(crate) fn gather(run: DsmRun<WireRegions>, t0: Instant) -> Self {
+        let all = run.results.into_iter().flat_map(|w| w.0).collect();
+        Self {
+            regions: finalize_queue(all),
+            wall: run.stats.iter().map(|s| s.total).max().unwrap_or_default(),
+            per_node: run.stats,
+            host_wall: t0.elapsed(),
+        }
+    }
+
     /// Aggregated statistics over all nodes.
     pub fn aggregate(&self) -> NodeStats {
         let mut agg = NodeStats::default();

@@ -10,11 +10,11 @@
 //! and condition variables"; barriers are used only at the beginning and
 //! the end.
 
-use crate::checkpoint::{merged_roles, StrategyError, StrategyResult};
-use crate::Phase1Outcome;
+use crate::checkpoint::{StrategyError, StrategyResult};
+use crate::wavefront::{concat, lowest_alive, Grid, Stage, Wavefront};
 use genomedsm_core::nw::{align_region, RegionAlignment};
 use genomedsm_core::{LocalRegion, Scoring};
-use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats};
+use genomedsm_dsm::{DsmConfig, DsmSystem, GlobalVec, Node, NodeStats};
 use std::time::{Duration, Instant};
 
 /// Result of a phase-2 run.
@@ -38,6 +38,57 @@ impl Phase2Outcome {
             agg.merge(s);
         }
         agg
+    }
+}
+
+/// Which queue positions a processor aligns.
+#[derive(Clone, Copy)]
+enum Mapping {
+    /// `Pi` takes positions `i, i+P, i+2P, …`.
+    Scattered,
+    /// `Pi` takes the `i`-th contiguous block.
+    Block,
+}
+
+/// Global alignment as a borderless [`Stage`]: "role `b mod P` does stage
+/// `b`". Scattered, a stage is one queue position; block-mapped, one
+/// processor's whole block. The sink is the indexed alignment list.
+struct Aligner<'a> {
+    s: &'a [u8],
+    t: &'a [u8],
+    regions: &'a [LocalRegion],
+    scoring: Scoring,
+    mapping: Mapping,
+    nprocs: usize,
+    /// The similarity scores, at the same positions in shared memory.
+    scores: &'a GlobalVec<i32>,
+    mine: Vec<(usize, RegionAlignment)>,
+}
+
+impl Stage<Node> for Aligner<'_> {
+    type Cell = i32;
+
+    fn unit(
+        &mut self,
+        node: &mut Node,
+        stage: usize,
+        _: usize,
+        _: &[i32],
+        _: &mut Vec<i32>,
+    ) -> usize {
+        let (lo, hi) = match self.mapping {
+            Mapping::Scattered => (stage + 1, stage + 1),
+            Mapping::Block => Grid::slice(self.regions.len(), self.nprocs, stage),
+        };
+        let mut cells = 0;
+        for idx in lo - 1..hi {
+            let r = &self.regions[idx];
+            let ra = align_region(self.s, self.t, r, &self.scoring);
+            node.vec_set(self.scores, idx, ra.alignment.score);
+            self.mine.push((idx, ra));
+            cells += r.s_len() * r.t_len();
+        }
+        cells
     }
 }
 
@@ -65,10 +116,11 @@ pub fn phase2_scattered(
 /// With supervision enabled the run tolerates fail-stop deaths: the
 /// scattered mapping has no mid-run synchronization, so deaths surface at
 /// the end-of-compute barrier, where survivors deterministically adopt
-/// the dead roles' scattered indices (see [`merged_roles`]) and re-align
-/// them — duplicates across rounds overwrite with identical alignments.
-/// The cross-check falls to the lowest *alive* node. Locks and condition
-/// variables stay unused either way.
+/// the dead roles' scattered indices (the driver's takeover sweep, see
+/// [`crate::wavefront`]) and re-align them — duplicates across rounds
+/// overwrite with identical alignments. The cross-check falls to the
+/// lowest *alive* node. Locks and condition variables stay unused either
+/// way.
 ///
 /// # Errors
 ///
@@ -82,135 +134,81 @@ pub fn phase2_scattered_with(
     scoring: &Scoring,
     config: &DsmConfig,
 ) -> StrategyResult<Phase2Outcome> {
+    run_mapping(s, t, regions, scoring, config, Mapping::Scattered)
+}
+
+fn run_mapping(
+    s: &[u8],
+    t: &[u8],
+    regions: &[LocalRegion],
+    scoring: &Scoring,
+    config: &DsmConfig,
+    mapping: Mapping,
+) -> StrategyResult<Phase2Outcome> {
     let t0 = Instant::now();
-    let scoring = *scoring;
-    // One work unit is one region alignment; a scheduled rejoin's
-    // virtual downtime is priced at the mean region cost.
-    let avg_cells =
-        regions.iter().map(|r| r.s_len() * r.t_len()).sum::<usize>() / regions.len().max(1);
+    let nprocs = config.nprocs;
+    let grid = Grid {
+        stages: match mapping {
+            Mapping::Scattered => regions.len(),
+            Mapping::Block => nprocs,
+        },
+        roles: nprocs,
+        chunks: vec![0],
+        window: 1,
+    };
+    // A scheduled rejoin's downtime is priced at the mean stage cost.
+    let total_cells: usize = regions.iter().map(|r| r.s_len() * r.t_len()).sum();
+    let wavefront = Wavefront {
+        grid: &grid,
+        cell_cost: crate::costs::NW_CELL,
+        unit_cells: grid.tile_cells(total_cells, 1),
+        rounds: 1,
+        restart: None,
+        finish_barriers: 1,
+    };
     let run = DsmSystem::run_wire(config.clone(), |node| {
-        let p = node.id();
-        let nprocs = node.nprocs();
-        let shared_scores = node.alloc_vec::<i32>(regions.len().max(1));
-        node.barrier();
-        let crash_at = if node.supervised() {
-            node.crash_point()
-        } else {
-            None
+        let scores = node.alloc_vec::<i32>(regions.len().max(1));
+        let aligner = |_: &[usize]| Aligner {
+            s,
+            t,
+            regions,
+            scoring: *scoring,
+            mapping,
+            nprocs,
+            scores: &scores,
+            mine: Vec::new(),
         };
-        let mut units = 0u64;
-        // Aligns every scattered index of `role` into `mine`; false means
-        // this node fail-stopped mid-role (its memory, `mine` included,
-        // is lost). Textual macro: `node` and `mine` bind at the
-        // expansion site, so both the plain path and the elastic body
-        // below use their own.
-        macro_rules! run_role {
-            ($node:expr, $mine:expr, $role:expr) => {{
-                let mut idx = $role;
-                let mut ok = true;
-                while idx < regions.len() {
-                    let r = &regions[idx];
-                    let ra = align_region(s, t, r, &scoring);
-                    $node.advance(crate::costs::cells(
-                        crate::costs::NW_CELL,
-                        r.s_len() * r.t_len(),
-                    ));
-                    $node.vec_set(&shared_scores, idx, ra.alignment.score);
-                    $mine.push((idx, ra));
-                    units += 1;
-                    if crash_at == Some(units) {
-                        $node.fail_stop();
-                        ok = false;
-                        break;
-                    }
-                    $node.heartbeat();
-                    idx += nprocs;
+        let mut rounds = wavefront.run(node, aligner, |node, round| {
+            let Some(pieces) = round.pieces else {
+                return Vec::new(); // fail-stopped: its memory is lost
+            };
+            // Cross-check the shared vector on the lowest alive node (every
+            // score must have come through the multiple-writer protocol).
+            if lowest_alive(node) {
+                for i in 0..regions.len() {
+                    let _ = node.vec_get(&scores, i);
                 }
-                ok
-            }};
-        }
-        if node.supervised() {
-            // The tolerant path runs as a one-round elastic campaign: a
-            // victim with a scheduled rejoin is re-admitted at the
-            // closing boundary, after the survivors' cross-check. Budget:
-            // takeover sweep (at most nprocs rounds) + the final barrier.
-            let unit_time = crate::costs::cells(crate::costs::NW_CELL, avg_cells.max(1));
-            let mut rounds =
-                crate::checkpoint::run_elastic(node, 1, nprocs.max(1) + 3, unit_time, |node, _| {
-                    let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-                    if node.failed() || !run_role!(node, mine, p) {
-                        return Vec::new();
-                    }
-                    // Takeover sweep: the scattered mapping has no locks
-                    // or cvs, so deaths are only discovered here. Loop
-                    // until a barrier reports no new corpses; each round
-                    // re-runs the dead roles this node adopts. Re-aligning
-                    // an index twice is harmless — the alignment is
-                    // deterministic and overwrites itself.
-                    let mut handled: std::collections::BTreeSet<usize> = [p].into();
-                    let mut seen_dead: Vec<usize> = Vec::new();
-                    loop {
-                        let dead = node.barrier_wait();
-                        if dead.iter().all(|d| seen_dead.contains(d)) {
-                            break;
-                        }
-                        for role in merged_roles(p, nprocs, &dead) {
-                            if handled.contains(&role) {
-                                continue;
-                            }
-                            if !run_role!(node, mine, role) {
-                                return Vec::new();
-                            }
-                            handled.insert(role);
-                            node.note_takeover();
-                        }
-                        seen_dead = dead;
-                    }
-                    // Cross-check the shared vector on the lowest alive
-                    // node (every score must have been merged through the
-                    // multiple-writer protocol).
-                    let dead = node.known_dead();
-                    let checker = (0..nprocs).find(|q| !dead.contains(q)).unwrap_or(0);
-                    if p == checker {
-                        for i in 0..regions.len() {
-                            let _ = node.vec_get(&shared_scores, i);
-                        }
-                    }
-                    node.barrier_wait();
-                    mine
-                });
-            return crate::wire::WireIndexed(rounds.pop().unwrap_or_default());
-        }
-        let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-        if !run_role!(node, mine, p) {
-            return crate::wire::WireIndexed(Vec::new());
-        }
-        node.barrier();
-        // Cross-check the shared vector on node 0 (every score must have
-        // been merged through the multiple-writer protocol).
-        if p == 0 {
-            for i in 0..regions.len() {
-                let _ = node.vec_get(&shared_scores, i);
             }
-        }
-        node.barrier();
-        crate::wire::WireIndexed(mine)
+            node.barrier_wait();
+            // Re-aligning an index twice is harmless — the alignment is
+            // deterministic and overwrites itself.
+            concat(pieces.into_iter().map(|a| a.mine))
+        });
+        crate::wire::WireIndexed(rounds.pop().unwrap_or_default())
     });
 
     let mut alignments: Vec<Option<RegionAlignment>> = vec![None; regions.len()];
-    for per_node in run.results {
-        for (idx, ra) in per_node.0 {
-            alignments[idx] = Some(ra);
-        }
+    for (idx, ra) in run.results.into_iter().flat_map(|w| w.0) {
+        alignments[idx] = Some(ra);
     }
-    let mut out = Vec::with_capacity(alignments.len());
-    for (idx, a) in alignments.into_iter().enumerate() {
-        out.push(
-            a.ok_or_else(|| StrategyError::Worker(format!("region {idx} was never aligned")))?,
-        );
-    }
+    let missing = |idx| StrategyError::Worker(format!("region {idx} was never aligned"));
+    let alignments: Vec<RegionAlignment> = alignments
+        .into_iter()
+        .enumerate()
+        .map(|(idx, a)| a.ok_or_else(|| missing(idx)))
+        .collect::<Result<_, _>>()?;
     Ok(Phase2Outcome {
-        alignments: out,
+        alignments,
         wall: run.stats.iter().map(|s| s.total).max().unwrap_or_default(),
         host_wall: t0.elapsed(),
         per_node: run.stats,
@@ -262,57 +260,8 @@ pub fn phase2_block_mapping(
     scoring: &Scoring,
     nprocs: usize,
 ) -> StrategyResult<Phase2Outcome> {
-    let t0 = Instant::now();
-    let scoring = *scoring;
     let config = DsmConfig::new(nprocs).network(genomedsm_dsm::NetworkModel::paper_cluster());
-    let run = DsmSystem::run_wire(config, |node| {
-        let p = node.id();
-        let total = regions.len();
-        let nprocs = node.nprocs();
-        let lo = p * total / nprocs;
-        let hi = (p + 1) * total / nprocs;
-        node.barrier();
-        let mut mine: Vec<(usize, RegionAlignment)> = Vec::new();
-        for (idx, r) in regions.iter().enumerate().take(hi).skip(lo) {
-            let ra = align_region(s, t, r, &scoring);
-            node.advance(crate::costs::cells(
-                crate::costs::NW_CELL,
-                r.s_len() * r.t_len(),
-            ));
-            mine.push((idx, ra));
-        }
-        node.barrier();
-        crate::wire::WireIndexed(mine)
-    });
-    let mut alignments: Vec<Option<RegionAlignment>> = vec![None; regions.len()];
-    for per_node in run.results {
-        for (idx, ra) in per_node.0 {
-            alignments[idx] = Some(ra);
-        }
-    }
-    let mut out = Vec::with_capacity(alignments.len());
-    for (idx, a) in alignments.into_iter().enumerate() {
-        out.push(
-            a.ok_or_else(|| StrategyError::Worker(format!("region {idx} was never aligned")))?,
-        );
-    }
-    Ok(Phase2Outcome {
-        alignments: out,
-        wall: run.stats.iter().map(|s| s.total).max().unwrap_or_default(),
-        host_wall: t0.elapsed(),
-        per_node: run.stats,
-    })
-}
-
-/// Convenience: runs phase 1 (any strategy) then phase 2 over its regions.
-pub fn phase2_from_phase1(
-    s: &[u8],
-    t: &[u8],
-    phase1: &Phase1Outcome,
-    scoring: &Scoring,
-    nprocs: usize,
-) -> StrategyResult<Phase2Outcome> {
-    phase2_scattered(s, t, &phase1.regions, scoring, nprocs)
+    run_mapping(s, t, regions, scoring, &config, Mapping::Block)
 }
 
 #[cfg(test)]

@@ -25,22 +25,17 @@
 //! first barrier), **core** (score-matrix computation; "the largest of
 //! the measured times"), **term** (deferred I/O + final barrier).
 //!
-//! With supervision enabled ([`genomedsm_dsm::DsmConfig::supervise`]) the
-//! strategy runs in **tolerant mode**: border chunks flow through a
-//! per-role [`Ledger`] log, a surviving node adopts a dead node's bands
-//! (see [`crate::checkpoint`]), saved columns are buffered per role and
-//! written crash-safely at termination (so an adopter reproduces the dead
-//! node's `node_r.cols` byte for byte), and the result matrix is gathered
-//! by the lowest *alive* node. Saved-column files always carry the
-//! checksummed [`crate::checkpoint::FILE_MAGIC`] footer, written via
-//! temp-file + fsync + atomic rename, and [`read_saved_columns`] rejects
-//! truncated or corrupted files with a typed error.
+//! The traversal, and what happens when a node crashes, belong to
+//! [`crate::wavefront`]. Saved columns are buffered per role and written
+//! crash-safely at termination (an adopter reproduces a dead node's
+//! `node_r.cols` byte for byte); the lowest *alive* node gathers the
+//! result matrix. The files carry the checksummed
+//! [`crate::checkpoint::FILE_MAGIC`] footer (temp file + fsync + atomic
+//! rename), and [`read_saved_columns`] rejects truncated or corrupted
+//! ones with a typed error.
 
-use crate::checkpoint::{
-    read_verified, run_elastic, run_with_takeover, AtomicFileWriter, FlowChannel, Ledger,
-    StrategyError, StrategyResult,
-};
-use crate::ring::ChunkRing;
+use crate::checkpoint::{read_verified, AtomicFileWriter, StrategyError, StrategyResult};
+use crate::wavefront::{lowest_alive, Grid, Stage, Wavefront};
 use genomedsm_core::Scoring;
 use genomedsm_dsm::{
     DsmConfig, DsmError, DsmSystem, FrameReader, FrameWriter, GlobalVec, Node, NodeStats, Wire,
@@ -174,8 +169,8 @@ impl ChunkPlan {
 pub enum IoMode {
     /// "The simplest is the disabling of any storing operation."
     None,
-    /// Write each selected column with a blocking operation as soon as it
-    /// is ready.
+    /// Charge each selected column's blocking write as soon as it is
+    /// ready (the file itself appears atomically at termination).
     Immediate,
     /// Keep selected columns in memory and write them after the whole
     /// matrix has been calculated.
@@ -344,6 +339,287 @@ impl Wire for NodeOut {
     }
 }
 
+/// Where the output of a [`Bands`] kernel goes.
+pub(crate) trait BandSink<H> {
+    /// `hits` cells of column `col` reached the threshold.
+    fn hits(&mut self, col: usize, hits: u64);
+    /// Column `col` of band `stage` was selected by the save interleave.
+    fn column(&mut self, _host: &mut H, _stage: usize, _col: usize, _values: Vec<i32>) {}
+    /// Band `stage` is complete; `best` is its best score.
+    fn end(&mut self, host: &mut H, stage: usize, best: i32);
+    /// See [`Stage::checkpoint`].
+    fn checkpoint(&mut self, _host: &mut H) {}
+    /// See [`Stage::rollback`].
+    fn rollback(&mut self) {}
+    /// See [`Stage::word`].
+    fn word(&self, _role: usize) -> i64 {
+        0
+    }
+}
+
+/// The exact SW cell kernel over one band × chunk tile: stage = band,
+/// unit = column chunk of the passage band, border = the diagonal corner
+/// plus the tile's bottom row. The inner loop is the striped
+/// [`BandScorer`] when `choice`, the ISA and the problem's i16 head-room
+/// allow it, the scalar recurrence otherwise — the same cells either way.
+pub(crate) struct Bands<'a, S> {
+    s: &'a [u8],
+    t: &'a [u8],
+    scoring: &'a Scoring,
+    /// Supplies `threshold`, `kernel` and the save interleave.
+    config: &'a PreprocessConfig,
+    bands: &'a [(usize, usize)],
+    chunks: &'a [(usize, usize)],
+    scorer: Option<BandScorer>,
+    /// The band's column left of the current chunk (index 0 = the border
+    /// row): the `(b, k-1)` dependency. The striped path uses only its
+    /// last entry, the next chunk's corner.
+    left_col: Vec<i32>,
+    cur_col: Vec<i32>,
+    col_hits: Vec<u64>,
+    saved: Vec<(usize, Vec<i32>)>,
+    /// Best score of the current band's scalar chunks.
+    best: i32,
+    /// Name of the striped engine the last such band ran on.
+    pub(crate) engine: &'static str,
+    /// Where hits, saved columns and best scores go.
+    pub(crate) sink: S,
+}
+
+impl<'a, S> Bands<'a, S> {
+    pub(crate) fn new(
+        s: &'a [u8],
+        t: &'a [u8],
+        scoring: &'a Scoring,
+        config: &'a PreprocessConfig,
+        bands: &'a [(usize, usize)],
+        chunks: &'a [(usize, usize)],
+        sink: S,
+    ) -> Self {
+        Self {
+            s,
+            t,
+            scoring,
+            config,
+            bands,
+            chunks,
+            scorer: None,
+            left_col: Vec::new(),
+            cur_col: Vec::new(),
+            col_hits: Vec::new(),
+            saved: Vec::new(),
+            best: 0,
+            engine: "scalar",
+            sink,
+        }
+    }
+
+    /// Columns whose index is a multiple of it go to the sink in full.
+    fn save_every(&self) -> Option<usize> {
+        let saving = self.config.io_mode != IoMode::None && self.config.save_interleave > 0;
+        saving.then_some(self.config.save_interleave)
+    }
+}
+
+impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
+    type Cell = i32;
+
+    fn begin(&mut self, stage: usize) {
+        let (i0, i1) = self.bands[stage];
+        // `None` whenever the striped kernel does not apply (choice, ISA,
+        // i16 head-room, empty band, non-positive threshold).
+        self.scorer = BandScorer::new(
+            self.config.kernel,
+            &self.s[i0 - 1..i1],
+            (self.s.len(), self.t.len()),
+            self.scoring,
+            self.config.threshold,
+            self.save_every(),
+        );
+        if let Some(scorer) = &self.scorer {
+            self.engine = scorer.isa().name();
+        }
+        self.left_col.clear();
+        self.left_col.resize(i1 + 2 - i0, 0);
+        self.best = 0;
+    }
+
+    fn unit(
+        &mut self,
+        host: &mut H,
+        stage: usize,
+        k: usize,
+        top: &[i32],
+        bottom: &mut Vec<i32>,
+    ) -> usize {
+        let (i0, i1) = self.bands[stage];
+        let (c_lo, c_hi) = self.chunks[k];
+        let h = i1 + 1 - i0;
+        bottom.push(self.left_col[h]); // H[i1][c_lo - 1]; 0 at the left border
+        if let Some(scorer) = self.scorer.as_mut() {
+            // Striped SIMD inner loop: the same cells, vectorized.
+            self.col_hits.clear();
+            scorer.advance(
+                &self.t[c_lo - 1..c_hi],
+                top,
+                c_lo,
+                bottom,
+                &mut self.col_hits,
+                &mut self.saved,
+            );
+            for (idx, &hits) in self.col_hits.iter().enumerate() {
+                self.sink.hits(c_lo + idx, hits);
+            }
+            for (col, values) in self.saved.drain(..) {
+                self.sink.column(host, stage, col, values);
+            }
+            self.left_col[h] = bottom[bottom.len() - 1];
+        } else {
+            // Column by column, top to bottom. `left_col` doubles as the
+            // previous column: its border entry comes from `top`.
+            self.left_col[0] = top[0];
+            self.cur_col.resize(h + 1, 0);
+            let band_s = &self.s[i0 - 1..i1];
+            let (scoring, threshold) = (*self.scoring, self.config.threshold);
+            let save_every = self.save_every();
+            for j in c_lo..=c_hi {
+                let (prev, cur) = (&self.left_col[..=h], &mut self.cur_col[..=h]);
+                let tc = self.t[j - 1];
+                cur[0] = top[j - c_lo + 1];
+                // Two passes, because written as one the `max`es compile to
+                // branches that random DNA mispredicts: first everything
+                // but the `up` dependency (vectorizes), then the serial
+                // chain.
+                for ((e, &sc), w) in cur[1..].iter_mut().zip(band_s).zip(prev.windows(2)) {
+                    *e = (w[0] + scoring.subst(sc, tc))
+                        .max(w[1] + scoring.gap)
+                        .max(0);
+                }
+                let (mut up, mut hits, mut best) = (cur[0], 0u64, self.best);
+                for e in &mut cur[1..] {
+                    up = (*e).max(up + scoring.gap);
+                    *e = up;
+                    hits += u64::from(up >= threshold);
+                    best = best.max(up);
+                }
+                self.best = best;
+                self.sink.hits(j, hits);
+                bottom.push(self.cur_col[h]);
+                if save_every.is_some_and(|every| j % every == 0) {
+                    self.sink.column(host, stage, j, self.cur_col[1..].to_vec());
+                }
+                std::mem::swap(&mut self.left_col, &mut self.cur_col);
+            }
+        }
+        h * (c_hi + 1 - c_lo)
+    }
+
+    fn end(&mut self, host: &mut H, stage: usize) {
+        let striped = self.scorer.as_ref().map_or(0, BandScorer::best_score);
+        self.sink.end(host, stage, self.best.max(striped));
+    }
+
+    fn checkpoint(&mut self, host: &mut H) {
+        self.sink.checkpoint(host);
+    }
+
+    fn rollback(&mut self) {
+        self.sink.rollback();
+    }
+
+    fn word(&self, role: usize) -> i64 {
+        self.sink.word(role)
+    }
+}
+
+/// The DSM sink: threshold hits become the band's row of the result
+/// matrix, selected columns are buffered for the role's column file.
+struct Scoreboard<'a> {
+    config: &'a PreprocessConfig,
+    /// The result matrix, one row per band (see [`preprocess_align`]).
+    rows: &'a [GlobalVec<i64>],
+    hits_row: Vec<i64>,
+    /// The roles executed; each gets a column file, even with no band.
+    roles: Vec<usize>,
+    /// Best score per role.
+    best: Vec<i32>,
+    /// Selected columns in execution order — per role, band then column,
+    /// so an adopter reproduces a dead owner's file byte for byte.
+    saved: Vec<SavedColumn>,
+    /// Save events so far, in logical order, and how many of them
+    /// immediate I/O has put on disk: a restart replays the former from
+    /// its checkpoint but must neither re-charge nor duplicate the latter,
+    /// so the file stays bit-identical to a fault-free run's.
+    cols_seen: u64,
+    cols_written: u64,
+    /// `best`, `saved.len()` and `cols_seen` at the last checkpoint.
+    durable: (Vec<i32>, usize, u64),
+}
+
+impl BandSink<Node> for Scoreboard<'_> {
+    fn hits(&mut self, col: usize, hits: u64) {
+        self.hits_row[(col - 1) / self.config.result_interleave] += hits as i64;
+    }
+
+    fn column(&mut self, node: &mut Node, stage: usize, col: usize, values: Vec<i32>) {
+        let (band, col) = (stage as u32, col as u32);
+        let column = SavedColumn { band, col, values };
+        let immediate = self.config.io_mode == IoMode::Immediate;
+        if !immediate || self.cols_seen >= self.cols_written {
+            if immediate {
+                // The blocking write is charged as the column completes;
+                // the file itself appears, crash-safely, at termination.
+                let bytes = column.encoded_len();
+                node.advance(crate::costs::cells(self.config.io_byte_cost, bytes));
+                self.cols_written += 1;
+            }
+            self.saved.push(column);
+        }
+        self.cols_seen += 1;
+    }
+
+    fn end(&mut self, node: &mut Node, stage: usize, best: i32) {
+        let role = stage % self.best.len();
+        self.best[role] = self.best[role].max(best);
+        // Publish the band's result-matrix row and flush it to its home
+        // (a self-send for the owner; a remote write only during
+        // takeover) so it survives this worker's later death.
+        if !self.hits_row.is_empty() {
+            node.vec_write_range(&self.rows[stage], 0, &self.hits_row);
+            node.flush_vec(&self.rows[stage]);
+        }
+        self.hits_row.fill(0);
+    }
+
+    /// Band-boundary checkpoint (DESIGN.md §5.7): the result row is
+    /// already home (durable on a surviving machine); persist the
+    /// deferred columns appended since the last checkpoint, plus the
+    /// cursors, to local stable storage.
+    fn checkpoint(&mut self, node: &mut Node) {
+        node.flush_modified();
+        let mut bytes = 32 + self.hits_row.len() * 8;
+        if self.config.io_mode == IoMode::Deferred {
+            let fresh = &self.saved[self.durable.1..];
+            bytes += fresh.iter().map(SavedColumn::encoded_len).sum::<usize>();
+        }
+        node.advance(crate::costs::cells(self.config.io_byte_cost, bytes));
+        self.durable = (self.best.clone(), self.saved.len(), self.cols_seen);
+    }
+
+    fn rollback(&mut self) {
+        self.best.clone_from(&self.durable.0);
+        if self.config.io_mode == IoMode::Deferred {
+            self.saved.truncate(self.durable.1);
+        }
+        self.cols_seen = self.durable.2;
+        self.hits_row.fill(0);
+    }
+
+    fn word(&self, role: usize) -> i64 {
+        i64::from(self.best[role])
+    }
+}
+
 /// Runs the pre-process strategy: exact SW scores over a banded wavefront,
 /// producing the result matrix of threshold hits and (optionally) saved
 /// columns.
@@ -366,368 +642,107 @@ pub fn preprocess_align(
     );
     let t_start = Instant::now();
     let nprocs = config.dsm.nprocs;
-    let m = s.len();
-    let n = t.len();
+    let (m, n) = (s.len(), t.len());
     let bands = config.band.bands(m, nprocs);
     let nbands = bands.len();
     let chunks = config.chunk.chunks(n);
-    let nchunks = chunks.len();
-    let groups = if n == 0 {
-        0
-    } else {
-        (n - 1) / config.result_interleave + 1
+    let groups = n.div_ceil(config.result_interleave);
+    let grid = Grid::tiled(nbands, &chunks, nprocs);
+    let wavefront = Wavefront {
+        grid: &grid,
+        cell_cost: config.cell_cost,
+        unit_cells: grid.tile_cells(m, n),
+        rounds: 1,
+        restart: config.checkpoint.then_some(config.restart_cost),
+        finish_barriers: 1,
     };
-    let max_chunk = chunks
-        .iter()
-        .map(|&(lo, hi)| hi + 1 - lo + 1)
-        .max()
-        .unwrap_or(1);
 
     let run = DsmSystem::run_wire(config.dsm.clone(), |node: &mut Node| {
-        if node.supervised() {
-            let ctx = PpCtx {
-                s,
-                t,
-                scoring,
-                config,
-                bands: &bands,
-                chunks: &chunks,
-                groups,
-                nprocs,
-                max_chunk,
-            };
-            return tolerant_pp_worker(node, &ctx);
-        }
-        let p = node.id();
-        let mut rings: Vec<ChunkRing<i32>> = (0..nprocs)
-            .map(|q| {
-                ChunkRing::new(
-                    node,
-                    nchunks.max(1),
-                    max_chunk,
-                    q,
-                    (2 * q) as u32,
-                    (2 * q + 1) as u32,
-                )
-            })
-            .collect();
         // The result matrix, one row per band, each homed on the band's
         // owner so writes are local ("allocated in such a way as to allow
         // each node to handle writes locally", §5.1).
-        let result_rows: Vec<genomedsm_dsm::GlobalVec<i64>> = (0..nbands)
-            .map(|b| node.alloc_vec_on::<i64>(groups.max(1), b % node.nprocs()))
+        let rows: Vec<GlobalVec<i64>> = (0..nbands)
+            .map(|b| node.alloc_vec_on::<i64>(groups.max(1), b % nprocs))
             .collect();
-        node.barrier();
-        let init = node.now();
-
-        let core_start = node.now();
-        let from_ring = (p + nprocs - 1) % nprocs;
-        let mut best_score = 0i32;
-        let mut saved: Vec<SavedColumn> = Vec::new();
-        let mut io_err: Option<(String, io::Error)> = None;
-        let mut writer = match (config.io_mode, &config.save_dir) {
-            (IoMode::Immediate, Some(dir)) => {
-                let path = dir.join(format!("node_{p}.cols"));
-                match AtomicFileWriter::create(&path) {
-                    Ok(w) => Some(w),
-                    Err(e) => {
-                        io_err = Some((format!("create saved-column file {}", path.display()), e));
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        let save_every = if config.io_mode != IoMode::None && config.save_interleave > 0 {
-            Some(config.save_interleave)
-        } else {
-            None
-        };
-        // --- Crash-recovery state (DESIGN.md §5.7) -------------------
-        // The fail-stop model is cooperative: the injector names a chunk
-        // ordinal, and when this node completes that many chunks it
-        // "crashes" — the DSM cache and all volatile band state are lost
-        // and the band loop restarts from the last checkpoint. Durable
-        // state (modeled as surviving the crash): the checkpoint cursors
-        // below, the per-band log of popped top borders, the count of
-        // chunks already pushed downstream, and columns already written
-        // by immediate I/O.
-        let crash_at = if config.checkpoint {
-            node.crash_point()
-        } else {
-            None
-        };
-        let mut chunks_done = 0u64;
-        let mut crashed = false;
-        let mut ckpt_band = p; // band to resume from
-        let mut ckpt_best = 0i32;
-        let mut ckpt_saved_len = 0usize; // deferred columns in the checkpoint
-        let mut ckpt_cols_seen = 0u64;
-        let mut cols_seen = 0u64; // save events so far (logical order)
-        let mut cols_saved = 0u64; // columns durably written (immediate I/O)
-        let mut top_log: Vec<Vec<i32>> = Vec::new(); // borders popped this band
-        let mut pushed = 0usize; // chunks already sent downstream this band
-
-        let mut band = p;
-        'bands: while band < nbands {
-            let (i0, i1) = bands[band];
-            let h = i1 + 1 - i0;
-            let mut hits_row = vec![0i64; groups];
-            // The striped kernel counts hits only for positive thresholds
-            // (a non-positive threshold makes every cell a hit, which only
-            // the scalar loop reproduces), so gate on that before asking
-            // for a scorer; `BandScorer::new` handles every other
-            // applicability condition (choice, ISA, i16 head-room).
-            let mut scorer = if config.threshold >= 1 {
-                BandScorer::new(
-                    config.kernel,
-                    &s[i0 - 1..i1],
-                    (m, n),
-                    scoring,
-                    config.threshold,
-                    save_every,
-                )
-            } else {
-                None
+        let kernel = |roles: &[usize]| {
+            let sink = Scoreboard {
+                config,
+                rows: &rows,
+                hits_row: vec![0; groups],
+                roles: roles.to_vec(),
+                best: vec![0; nprocs],
+                saved: Vec::new(),
+                cols_seen: 0,
+                cols_written: 0,
+                durable: (vec![0; nprocs], 0, 0),
             };
-            // Saves a selected column, honoring the durable-write cursor:
-            // during post-crash replay, columns immediate I/O already put
-            // on disk are skipped (and not re-charged) so the file stays
-            // bit-identical to a fault-free run.
-            macro_rules! save_column {
-                ($column:expr) => {{
-                    let column: SavedColumn = $column;
-                    match config.io_mode {
-                        IoMode::Immediate => {
-                            if cols_seen >= cols_saved {
-                                let mut buf = Vec::with_capacity(12 + 4 * column.values.len());
-                                encode_column(&mut buf, &column);
-                                let failed = match writer.as_mut() {
-                                    Some(w) => w.write_all(&buf).err(),
-                                    None => None, // already failed; keep computing
-                                };
-                                if let Some(e) = failed {
-                                    writer = None;
-                                    io_err.get_or_insert((
-                                        format!("write saved-column file node_{p}.cols"),
-                                        e,
-                                    ));
-                                }
-                                node.advance(crate::costs::cells(config.io_byte_cost, buf.len()));
-                                cols_saved += 1;
-                            }
-                        }
-                        IoMode::Deferred => saved.push(column),
-                        IoMode::None => unreachable!("save_every is None without I/O"),
-                    }
-                    cols_seen += 1;
-                }};
-            }
-            // Fail-stop crash at a chunk boundary: lose all volatile band
-            // state, charge the downtime, and resume from the checkpoint.
-            macro_rules! crash_check {
-                () => {{
-                    chunks_done += 1;
-                    if !crashed && crash_at == Some(chunks_done) {
-                        crashed = true;
-                        node.crash_restart(config.restart_cost);
-                        best_score = ckpt_best;
-                        saved.truncate(ckpt_saved_len);
-                        cols_seen = ckpt_cols_seen;
-                        band = ckpt_band;
-                        continue 'bands;
-                    }
-                }};
-            }
-            // Fetches the chunk's top border: band 0 regenerates zeros;
-            // otherwise a replayed chunk reads the logged border, and a
-            // fresh chunk pops the ring (logging the border when
-            // checkpointing is on, so a later replay can reproduce it
-            // without re-consuming the ring).
-            macro_rules! top_border {
-                ($k:expr, $width:expr) => {{
-                    if band == 0 {
-                        vec![0i32; $width + 1]
-                    } else if $k < top_log.len() {
-                        top_log[$k].clone()
-                    } else {
-                        let border = rings[from_ring].pop(node, $width + 1);
-                        if config.checkpoint {
-                            top_log.push(border.clone());
-                        }
-                        border
-                    }
-                }};
-            }
-            // Sends the chunk's bottom border downstream, unless a
-            // pre-crash execution already delivered it (the consumer's pop
-            // cursor has moved past it; re-pushing would corrupt the ring).
-            macro_rules! push_bottom {
-                ($k:expr, $bottom:expr) => {{
-                    if band + 1 < nbands && $k >= pushed {
-                        rings[p].push(node, $bottom);
-                        pushed = $k + 1;
-                    }
-                }};
-            }
-
-            if let Some(scorer) = scorer.as_mut() {
-                // Striped SIMD inner loop: the same cells, vectorized.
-                let mut corner = 0i32; // H[i1][c_lo - 1]; 0 at the left border
-                for (k, &(c_lo, c_hi)) in chunks.iter().enumerate() {
-                    let width = c_hi + 1 - c_lo;
-                    let top: Vec<i32> = top_border!(k, width);
-                    let mut bottom_vals = Vec::with_capacity(width);
-                    let mut col_hits = Vec::with_capacity(width);
-                    let mut saved_cols = Vec::new();
-                    scorer.advance(
-                        &t[c_lo - 1..c_hi],
-                        &top,
-                        c_lo,
-                        &mut bottom_vals,
-                        &mut col_hits,
-                        &mut saved_cols,
-                    );
-                    for (idx, &hits) in col_hits.iter().enumerate() {
-                        let j = c_lo + idx;
-                        hits_row[(j - 1) / config.result_interleave] += hits as i64;
-                    }
-                    for (col, values) in saved_cols {
-                        save_column!(SavedColumn {
-                            band: band as u32,
-                            col: col as u32,
-                            values,
-                        });
-                    }
-                    let mut bottom = Vec::with_capacity(width + 1);
-                    bottom.push(corner);
-                    bottom.append(&mut bottom_vals);
-                    let Some(&last) = bottom.last() else {
-                        unreachable!("bottom always carries the corner plus the chunk")
-                    };
-                    corner = last;
-                    node.advance(crate::costs::cells(config.cell_cost, h * width));
-                    push_bottom!(k, &bottom);
-                    crash_check!();
-                }
-                best_score = best_score.max(scorer.best_score());
-            } else {
-                // Left border column (column 0 of the band): zeros.
-                let mut left_col = vec![0i32; h + 1];
-                for (k, &(c_lo, c_hi)) in chunks.iter().enumerate() {
-                    let width = c_hi + 1 - c_lo;
-                    let top: Vec<i32> = top_border!(k, width);
-                    // Process the chunk column by column, top to bottom.
-                    let mut bottom = vec![0i32; width + 1];
-                    bottom[0] = left_col[h];
-                    let mut prev_col = left_col.clone();
-                    prev_col[0] = top[0];
-                    let mut cur_col = vec![0i32; h + 1];
-                    for j in c_lo..=c_hi {
-                        cur_col[0] = top[j - c_lo + 1];
-                        let tc = t[j - 1];
-                        let mut col_best = 0i32;
-                        for r in 1..=h {
-                            let i = i0 + r - 1;
-                            let diag = prev_col[r - 1] + scoring.subst(s[i - 1], tc);
-                            let up = cur_col[r - 1] + scoring.gap;
-                            let left = prev_col[r] + scoring.gap;
-                            let v = diag.max(up).max(left).max(0);
-                            cur_col[r] = v;
-                            if v >= config.threshold {
-                                hits_row[(j - 1) / config.result_interleave] += 1;
-                            }
-                            col_best = col_best.max(v);
-                        }
-                        best_score = best_score.max(col_best);
-                        bottom[j - c_lo + 1] = cur_col[h];
-                        // Column saving (save interleave).
-                        if config.io_mode != IoMode::None
-                            && config.save_interleave > 0
-                            && j % config.save_interleave == 0
-                        {
-                            save_column!(SavedColumn {
-                                band: band as u32,
-                                col: j as u32,
-                                values: cur_col[1..].to_vec(),
-                            });
-                        }
-                        std::mem::swap(&mut prev_col, &mut cur_col);
-                    }
-                    left_col.copy_from_slice(&prev_col);
-                    node.advance(crate::costs::cells(config.cell_cost, h * width));
-                    push_bottom!(k, &bottom);
-                    crash_check!();
-                }
-            }
-            // Publish this band's result-matrix row (local-home write).
-            if groups > 0 {
-                node.vec_write_range(&result_rows[band], 0, &hits_row);
-            }
-            if config.checkpoint {
-                // Band-boundary checkpoint: flush the result row to its
-                // home (durable on a surviving machine) and persist the
-                // deferred columns appended since the last checkpoint,
-                // plus the cursors, to local stable storage.
-                node.flush_modified();
-                let ckpt_bytes = 32
-                    + groups * 8
-                    + saved[ckpt_saved_len..]
-                        .iter()
-                        .map(|c| 12 + 4 * c.values.len())
-                        .sum::<usize>();
-                node.advance(crate::costs::cells(config.io_byte_cost, ckpt_bytes));
-                ckpt_band = band + nprocs;
-                ckpt_best = best_score;
-                ckpt_saved_len = saved.len();
-                ckpt_cols_seen = cols_seen;
-            }
-            top_log.clear();
-            pushed = 0;
-            band += nprocs;
-        }
-        let core = node.now() - core_start;
-
-        // Termination: deferred I/O, then the final barrier.
-        let term_start = node.now();
-        if config.io_mode == IoMode::Deferred {
-            let Some(dir) = config.save_dir.as_ref() else {
-                unreachable!("deferred IoMode is only configured with a save_dir")
-            };
-            let path = dir.join(format!("node_{p}.cols"));
-            let mut bytes = 0usize;
-            if let Err(e) = write_role_file(&path, &saved, &mut bytes) {
-                io_err.get_or_insert((format!("write saved-column file {}", path.display()), e));
-            }
-            node.advance(crate::costs::cells(config.io_byte_cost, bytes));
-        }
-        if let Some(w) = writer.take() {
-            if let Err(e) = w.finish() {
-                io_err.get_or_insert((format!("finish saved-column file node_{p}.cols"), e));
-            }
-        }
-        node.barrier();
-        // Node 0 gathers the result matrix for reporting.
-        let gathered = if p == 0 && groups > 0 {
-            let mut flat = Vec::with_capacity(nbands * groups);
-            for row in &result_rows {
-                flat.extend(node.vec_read_range(row, 0..groups));
-            }
-            flat
-        } else {
-            Vec::new()
+            Bands::new(s, t, scoring, config, &bands, &chunks, sink)
         };
-        node.barrier();
-        let term = node.now() - term_start;
-        NodeOut {
-            init,
-            core,
-            term,
-            best: best_score,
-            gathered,
-            io_err,
-        }
+        let mut rounds = wavefront.run(node, kernel, |node, round| {
+            let Some(pieces) = round.pieces.as_ref() else {
+                return NodeOut::default(); // this worker fail-stopped
+            };
+            let core = node.now() - round.start;
+            let term_start = node.now();
+
+            // At most one *surviving* node holds a role's results (adoption
+            // only changes when the adopter dies); duplicates replayed
+            // within this node are identical — last wins.
+            let mut by_role = std::collections::BTreeMap::new();
+            for sink in pieces.iter().map(|bands| &bands.sink) {
+                by_role.extend(sink.roles.iter().map(|&role| (role, sink)));
+            }
+            let mut best = 0i32;
+            let mut io_err: Option<(String, io::Error)> = None;
+            let saving = config.io_mode != IoMode::None;
+            for (&role, sink) in &by_role {
+                best = best.max(sink.best[role]);
+                let Some(dir) = config.save_dir.as_ref().filter(|_| saving) else {
+                    continue;
+                };
+                let path = dir.join(format!("node_{role}.cols"));
+                let owned = |c: &&SavedColumn| c.band as usize % nprocs == role;
+                let mut bytes = 0usize;
+                let res = write_role_file(&path, sink.saved.iter().filter(owned), &mut bytes);
+                if config.io_mode == IoMode::Deferred {
+                    // Immediate mode charged each column as selected;
+                    // deferred pays for the whole file here.
+                    node.advance(crate::costs::cells(config.io_byte_cost, bytes));
+                }
+                if let Err(e) = res {
+                    io_err
+                        .get_or_insert((format!("write saved-column file {}", path.display()), e));
+                }
+            }
+
+            // The lowest alive node gathers the result matrix; every row
+            // went home before the barrier that closed the compute.
+            let mut gathered = Vec::new();
+            if lowest_alive(node) {
+                if groups > 0 {
+                    for row in &rows {
+                        // A dead writer's flush carried no write notice.
+                        node.invalidate_vec(row);
+                        gathered.extend(node.vec_read_range(row, 0..groups));
+                    }
+                }
+                // The ledger words cover a role whose worker completed,
+                // published, and only then died: its memory is gone.
+                for word in round.words(node, nprocs) {
+                    best = best.max(word as i32);
+                }
+            }
+            node.barrier_wait();
+            NodeOut {
+                init: round.start,
+                core,
+                term: node.now() - term_start,
+                best,
+                gathered,
+                io_err,
+            }
+        });
+        rounds.pop().unwrap_or_default()
     });
 
     let mut init = Vec::new();
@@ -774,409 +789,39 @@ pub fn preprocess_align(
 }
 
 // ---------------------------------------------------------------------------
-// Tolerant (takeover-capable) worker
-// ---------------------------------------------------------------------------
-
-/// Shared read-only inputs of the tolerant worker.
-struct PpCtx<'a> {
-    s: &'a [u8],
-    t: &'a [u8],
-    scoring: &'a Scoring,
-    config: &'a PreprocessConfig,
-    bands: &'a [(usize, usize)],
-    chunks: &'a [(usize, usize)],
-    groups: usize,
-    nprocs: usize,
-    max_chunk: usize,
-}
-
-/// One executed role's results: the bands' best score and the columns it
-/// selected for disk, in deterministic band-then-column order (an adopter
-/// reproduces the dead owner's file byte for byte).
-struct RoleRun {
-    role: usize,
-    best: i32,
-    saved: Vec<SavedColumn>,
-}
-
-/// Accumulator of one takeover attempt (see
-/// [`crate::checkpoint::run_with_takeover`]).
-#[derive(Default)]
-struct PpAcc {
-    runs: Vec<RoleRun>,
-}
-
-fn entry(acc: &mut PpAcc, role: usize) -> &mut RoleRun {
-    if let Some(i) = acc.runs.iter().position(|r| r.role == role) {
-        return &mut acc.runs[i];
-    }
-    acc.runs.push(RoleRun {
-        role,
-        best: 0,
-        saved: Vec::new(),
-    });
-    let Some(run) = acc.runs.last_mut() else {
-        unreachable!("a run record was pushed just above")
-    };
-    run
-}
-
-/// Strategy 3 worker in tolerant mode: bands flow through the per-role
-/// [`Ledger`] log and [`run_with_takeover`] re-executes dead roles on
-/// survivors. Saved columns are buffered per role and written atomically
-/// at termination; the result matrix is gathered by the lowest alive
-/// node; each role's best score is published in its ledger user word so a
-/// completed-then-died role still contributes.
-fn tolerant_pp_worker(node: &mut Node, ctx: &PpCtx<'_>) -> NodeOut {
-    let nprocs = ctx.nprocs;
-    let nbands = ctx.bands.len();
-    let nchunks = ctx.chunks.len();
-    // Role r pushes at most one chunk per passage-band chunk of each of
-    // its bands.
-    let log_entries = nbands.div_ceil(nprocs.max(1)) * nchunks.max(1);
-    let ledger = Ledger::<i32>::new(node, nprocs, log_entries, ctx.max_chunk);
-    let result_rows: Vec<GlobalVec<i64>> = (0..nbands)
-        .map(|b| node.alloc_vec_on::<i64>(ctx.groups.max(1), b % nprocs))
-        .collect();
-    node.barrier();
-    let init = node.now();
-    let core_start = node.now();
-    let crash_at = node.crash_point();
-    let mut units = 0u64;
-
-    // One work unit is one band×chunk tile; a scheduled rejoin's virtual
-    // downtime is priced at that granularity.
-    let tile_cells = (ctx.s.len() / nbands.max(1)).max(1) * (ctx.t.len() / nchunks.max(1)).max(1);
-    let unit_time = crate::costs::cells(ctx.config.cell_cost, tile_cells.min(u32::MAX as usize));
-    // A single workload wrapped in the elastic driver: a victim with a
-    // scheduled rejoin is re-admitted at the closing boundary, after the
-    // survivors have gathered the results. Budget: takeover sweep (at
-    // most nprocs rounds) plus the two termination barriers.
-    let mut rounds = run_elastic(node, 1, nprocs.max(1) + 3, unit_time, |node, _| {
-        let pieces = run_with_takeover(node, nprocs, |node, execute, resume, acc: &mut PpAcc| {
-            run_pp_bands(
-                node,
-                ctx,
-                &ledger,
-                &result_rows,
-                execute,
-                resume,
-                crash_at,
-                &mut units,
-                acc,
-            )
-        });
-        let Some(pieces) = pieces else {
-            return NodeOut::default(); // this worker fail-stopped
-        };
-        let core = node.now() - core_start;
-        let term_start = node.now();
-
-        // Merge role runs: at most one *surviving* node holds a given
-        // role (adoption only changes when the adopter itself dies), and
-        // replayed duplicates within this node are identical — last wins.
-        let mut by_role: std::collections::BTreeMap<usize, RoleRun> = Default::default();
-        for run in pieces.into_iter().flat_map(|a| a.runs) {
-            by_role.insert(run.role, run);
-        }
-        let mut best = 0i32;
-        let mut io_err: Option<(String, io::Error)> = None;
-        for run in by_role.values() {
-            best = best.max(run.best);
-            if ctx.config.io_mode != IoMode::None {
-                let Some(dir) = ctx.config.save_dir.as_ref() else {
-                    unreachable!("io_mode != None is only configured with a save_dir")
-                };
-                let path = dir.join(format!("node_{}.cols", run.role));
-                let mut bytes = 0usize;
-                let res = write_role_file(&path, &run.saved, &mut bytes);
-                if ctx.config.io_mode == IoMode::Deferred {
-                    // Immediate mode already charged each column as it
-                    // was selected; deferred pays for the whole file
-                    // here.
-                    node.advance(crate::costs::cells(ctx.config.io_byte_cost, bytes));
-                }
-                if let Err(e) = res {
-                    io_err
-                        .get_or_insert((format!("write saved-column file {}", path.display()), e));
-                }
-            }
-        }
-
-        let dead = node.barrier_wait();
-        let gatherer = (0..nprocs).find(|q| !dead.contains(q)).unwrap_or(0);
-        let mut gathered = Vec::new();
-        if node.id() == gatherer {
-            if ctx.groups > 0 {
-                for row in &result_rows {
-                    node.invalidate_vec(row);
-                    gathered.extend(node.vec_read_range(row, 0..ctx.groups));
-                }
-            }
-            // Fold the per-role best scores published in the ledger: this
-            // covers a role whose worker completed, published, and only
-            // then died — its memory is gone but its user word survives.
-            for r in 0..nprocs {
-                best = best.max(ledger.snapshot(node, r).user as i32);
-            }
-        }
-        node.barrier_wait();
-        let term = node.now() - term_start;
-        NodeOut {
-            init,
-            core,
-            term,
-            best,
-            gathered,
-            io_err,
-        }
-    });
-    rounds.pop().unwrap_or_default()
-}
-
-/// Executes every band whose role is in `execute`, ascending — the
-/// wavefront order; band `b` consumes band `b-1`'s chunks either from
-/// this very loop (internal role) or from a live external producer.
-#[allow(clippy::too_many_arguments)]
-fn run_pp_bands(
-    node: &mut Node,
-    ctx: &PpCtx<'_>,
-    ledger: &Ledger<i32>,
-    result_rows: &[GlobalVec<i64>],
-    execute: &[usize],
-    resume: bool,
-    crash_at: Option<u64>,
-    units: &mut u64,
-    acc: &mut PpAcc,
-) -> Result<(), DsmError> {
-    let config = ctx.config;
-    let nprocs = ctx.nprocs;
-    let nbands = ctx.bands.len();
-    let (m, n) = (ctx.s.len(), ctx.t.len());
-    // Ring q carries passage-band chunks from role q to role (q+1) mod P;
-    // capacity = one whole passage band, as in the plain path's rings.
-    let mut channels: Vec<FlowChannel> = (0..nprocs)
-        .map(|q| {
-            FlowChannel::new(
-                node,
-                ledger,
-                q,
-                (q + 1) % nprocs,
-                (2 * q) as u32,
-                (2 * q + 1) as u32,
-                ctx.chunks.len().max(1) as u64,
-                resume,
-            )
-        })
-        .collect();
-    // Per-role dense chunk ordinals: every band but the first pops, every
-    // band but the last pushes, in ascending band order.
-    let mut pops = vec![0u64; nprocs];
-    let mut pushes = vec![0u64; nprocs];
-    // Every executed role gets an entry (and so a column file) even if it
-    // owns no bands, mirroring the plain path's one-file-per-node.
-    for &r in execute {
-        entry(acc, r);
-    }
-    let save_every = if config.io_mode != IoMode::None && config.save_interleave > 0 {
-        Some(config.save_interleave)
-    } else {
-        None
-    };
-    for band in 0..nbands {
-        let role = band % nprocs;
-        if !execute.contains(&role) {
-            continue;
-        }
-        let in_ring = (role + nprocs - 1) % nprocs;
-        let (i0, i1) = ctx.bands[band];
-        let h = i1 + 1 - i0;
-        let mut hits_row = vec![0i64; ctx.groups];
-        let mut band_best = 0i32;
-        let mut scorer = if config.threshold >= 1 {
-            BandScorer::new(
-                config.kernel,
-                &ctx.s[i0 - 1..i1],
-                (m, n),
-                ctx.scoring,
-                config.threshold,
-                save_every,
-            )
-        } else {
-            None
-        };
-        macro_rules! save_col {
-            ($column:expr) => {{
-                let column: SavedColumn = $column;
-                if config.io_mode == IoMode::Immediate {
-                    let bytes = 12 + 4 * column.values.len();
-                    node.advance(crate::costs::cells(config.io_byte_cost, bytes));
-                }
-                entry(acc, role).saved.push(column);
-            }};
-        }
-        macro_rules! unit_done {
-            () => {{
-                *units += 1;
-                if crash_at == Some(*units) {
-                    node.fail_stop();
-                    return Err(DsmError::Disconnected("injected fail-stop"));
-                }
-                if (*units).is_multiple_of(64) {
-                    node.heartbeat();
-                }
-            }};
-        }
-        if let Some(scorer) = scorer.as_mut() {
-            let mut corner = 0i32;
-            for (k, &(c_lo, c_hi)) in ctx.chunks.iter().enumerate() {
-                let width = c_hi + 1 - c_lo;
-                let top: Vec<i32> = if band == 0 {
-                    vec![0i32; width + 1]
-                } else {
-                    let ord = pops[role];
-                    pops[role] += 1;
-                    channels[in_ring].consume(node, ledger, execute, ord, width + 1)?
-                };
-                let mut bottom_vals = Vec::with_capacity(width);
-                let mut col_hits = Vec::with_capacity(width);
-                let mut saved_cols = Vec::new();
-                scorer.advance(
-                    &ctx.t[c_lo - 1..c_hi],
-                    &top,
-                    c_lo,
-                    &mut bottom_vals,
-                    &mut col_hits,
-                    &mut saved_cols,
-                );
-                for (idx, &hits) in col_hits.iter().enumerate() {
-                    let j = c_lo + idx;
-                    hits_row[(j - 1) / config.result_interleave] += hits as i64;
-                }
-                for (col, values) in saved_cols {
-                    save_col!(SavedColumn {
-                        band: band as u32,
-                        col: col as u32,
-                        values,
-                    });
-                }
-                let mut bottom = Vec::with_capacity(width + 1);
-                bottom.push(corner);
-                bottom.append(&mut bottom_vals);
-                let Some(&last) = bottom.last() else {
-                    unreachable!("bottom always carries the corner plus the chunk")
-                };
-                corner = last;
-                node.advance(crate::costs::cells(config.cell_cost, h * width));
-                unit_done!();
-                if band + 1 < nbands {
-                    let ord = pushes[role];
-                    pushes[role] += 1;
-                    channels[role].produce(node, ledger, execute, ord, &bottom)?;
-                }
-                let _ = k;
-            }
-            band_best = band_best.max(scorer.best_score());
-        } else {
-            let mut left_col = vec![0i32; h + 1];
-            for (k, &(c_lo, c_hi)) in ctx.chunks.iter().enumerate() {
-                let width = c_hi + 1 - c_lo;
-                let top: Vec<i32> = if band == 0 {
-                    vec![0i32; width + 1]
-                } else {
-                    let ord = pops[role];
-                    pops[role] += 1;
-                    channels[in_ring].consume(node, ledger, execute, ord, width + 1)?
-                };
-                let mut bottom = vec![0i32; width + 1];
-                bottom[0] = left_col[h];
-                let mut prev_col = left_col.clone();
-                prev_col[0] = top[0];
-                let mut cur_col = vec![0i32; h + 1];
-                for j in c_lo..=c_hi {
-                    cur_col[0] = top[j - c_lo + 1];
-                    let tc = ctx.t[j - 1];
-                    let mut col_best = 0i32;
-                    for r in 1..=h {
-                        let i = i0 + r - 1;
-                        let diag = prev_col[r - 1] + ctx.scoring.subst(ctx.s[i - 1], tc);
-                        let up = cur_col[r - 1] + ctx.scoring.gap;
-                        let left = prev_col[r] + ctx.scoring.gap;
-                        let v = diag.max(up).max(left).max(0);
-                        cur_col[r] = v;
-                        if v >= config.threshold {
-                            hits_row[(j - 1) / config.result_interleave] += 1;
-                        }
-                        col_best = col_best.max(v);
-                    }
-                    band_best = band_best.max(col_best);
-                    bottom[j - c_lo + 1] = cur_col[h];
-                    if config.io_mode != IoMode::None
-                        && config.save_interleave > 0
-                        && j % config.save_interleave == 0
-                    {
-                        save_col!(SavedColumn {
-                            band: band as u32,
-                            col: j as u32,
-                            values: cur_col[1..].to_vec(),
-                        });
-                    }
-                    std::mem::swap(&mut prev_col, &mut cur_col);
-                }
-                left_col.copy_from_slice(&prev_col);
-                node.advance(crate::costs::cells(config.cell_cost, h * width));
-                unit_done!();
-                if band + 1 < nbands {
-                    let ord = pushes[role];
-                    pushes[role] += 1;
-                    channels[role].produce(node, ledger, execute, ord, &bottom)?;
-                }
-                let _ = k;
-            }
-        }
-        let run = entry(acc, role);
-        run.best = run.best.max(band_best);
-        // Publish the band's result-matrix row and flush it to its home
-        // (a self-send for the owner; a remote write only during
-        // takeover) so it survives this worker's later death.
-        if ctx.groups > 0 {
-            node.vec_write_range(&result_rows[band], 0, &hits_row);
-            node.flush_vec(&result_rows[band]);
-        }
-    }
-    // Publish completion: the user word (best score) strictly before the
-    // done flag, so a death in between re-executes rather than trusting a
-    // stale word.
-    for run in &acc.runs {
-        ledger.set_user(node, run.role, run.best as i64);
-        ledger.mark_done(node, run.role);
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Saved-column files
 // ---------------------------------------------------------------------------
 
-/// Serializes one column record (band, col, len, values — all LE).
-fn encode_column(buf: &mut Vec<u8>, c: &SavedColumn) {
-    buf.extend_from_slice(&c.band.to_le_bytes());
-    buf.extend_from_slice(&c.col.to_le_bytes());
-    buf.extend_from_slice(&(c.values.len() as u32).to_le_bytes());
-    for v in &c.values {
-        buf.extend_from_slice(&v.to_le_bytes());
+impl SavedColumn {
+    /// Bytes of the column's file record.
+    fn encoded_len(&self) -> usize {
+        12 + 4 * self.values.len()
+    }
+
+    /// Serializes the record (band, col, len, values — all LE).
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.band.to_le_bytes());
+        buf.extend_from_slice(&self.col.to_le_bytes());
+        buf.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
+        for v in &self.values {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
 /// Writes a whole saved-column file crash-safely (temp file + checksummed
 /// footer + fsync + atomic rename), reporting the payload size in
 /// `bytes`.
-fn write_role_file(path: &Path, cols: &[SavedColumn], bytes: &mut usize) -> io::Result<()> {
+fn write_role_file<'c>(
+    path: &Path,
+    cols: impl Iterator<Item = &'c SavedColumn>,
+    bytes: &mut usize,
+) -> io::Result<()> {
     let mut w = AtomicFileWriter::create(path)?;
     let mut buf = Vec::new();
     for c in cols {
         buf.clear();
-        encode_column(&mut buf, c);
+        c.encode(&mut buf);
         w.write_all(&buf)?;
         *bytes += buf.len();
     }

@@ -10,20 +10,17 @@
 //! [`score_bands_shm`] runs the pre-process band pipeline on threads with
 //! the vectorized [`genomedsm_kernels`] score kernel.
 
-use crate::blocked::process_block;
+use crate::blocked::{regions_of, GridPlan, Tiles};
+use crate::preprocess::{BandSink, Bands, ChunkPlan, PreprocessConfig};
+use crate::wavefront::{run_shm, Grid};
 use crate::Phase1Outcome;
 use genomedsm_core::{finalize_queue, HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
 use genomedsm_dsm::NodeStats;
-use genomedsm_kernels::{BandScorer, KernelChoice};
+use genomedsm_kernels::KernelChoice;
 use std::time::Instant;
-
-fn slice_bounds(total: usize, parts: usize, k: usize) -> (usize, usize) {
-    (k * total / parts + 1, (k + 1) * total / parts)
-}
 
 /// The blocked wavefront on plain threads + channels (no DSM). Identical
 /// results to [`crate::heuristic_block_align`], minus the protocol.
-#[allow(clippy::too_many_arguments)]
 pub fn heuristic_block_align_shm(
     s: &[u8],
     t: &[u8],
@@ -36,95 +33,12 @@ pub fn heuristic_block_align_shm(
     assert!(nprocs >= 1 && bands >= 1 && blocks >= 1);
     let t0 = Instant::now();
     let kernel = RowKernel::new(*scoring, *params);
-    let m = s.len();
-    let n = t.len();
-
-    // Channel q carries bottom-row chunks from processor q to q+1 mod P.
-    // Unbounded: the ring flow control is unnecessary off-DSM because
-    // memory is shared and chunks are owned Vecs.
-    let mut senders = Vec::with_capacity(nprocs);
-    let mut receivers = Vec::with_capacity(nprocs);
-    for _ in 0..nprocs {
-        let (tx, rx) = crossbeam::channel::unbounded::<Vec<HCell>>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-
-    // Processor p receives from channel (p-1) mod P and produces on
-    // channel p (consumed by p+1 mod P): rotate the receivers by one.
-    receivers.rotate_right(1);
-
-    let queues: Vec<Vec<LocalRegion>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for (p, from_rx) in receivers.into_iter().enumerate() {
-            let to_tx = senders[p].clone();
-            handles.push(scope.spawn(move || {
-                let mut queue: Vec<LocalRegion> = Vec::new();
-                let mut band = p;
-                while band < bands {
-                    let (i0, i1) = slice_bounds(m, bands, band);
-                    let h = (i1 + 1).saturating_sub(i0);
-                    let mut left_col = vec![HCell::fresh(); h + 1];
-                    for k in 0..blocks {
-                        let (c_lo, c_hi) = slice_bounds(n, blocks, k);
-                        let width = (c_hi + 1).saturating_sub(c_lo);
-                        let top: Vec<HCell> = if band == 0 {
-                            vec![HCell::fresh(); width + 1]
-                        } else {
-                            match from_rx.recv() {
-                                Ok(top) => top,
-                                Err(_) => {
-                                    panic!("band {band}: upstream worker hung up mid-wavefront")
-                                }
-                            }
-                        };
-                        let bottom = process_block(
-                            &kernel,
-                            s,
-                            t,
-                            i0,
-                            i1,
-                            c_lo,
-                            width,
-                            top,
-                            &mut left_col,
-                            &mut queue,
-                        );
-                        if k + 1 == blocks {
-                            for r in 1..=h {
-                                kernel.flush_open(&left_col[r], i0 + r - 1, n, &mut queue);
-                            }
-                        }
-                        if band + 1 < bands {
-                            if to_tx.send(bottom).is_err() {
-                                panic!("band {band}: downstream worker hung up mid-wavefront");
-                            }
-                        } else {
-                            for (idx, cell) in bottom.iter().enumerate().skip(1) {
-                                let j = c_lo - 1 + idx;
-                                if j < n {
-                                    kernel.flush_open(cell, m, j, &mut queue);
-                                }
-                            }
-                        }
-                    }
-                    band += nprocs;
-                }
-                queue
-            }));
-        }
-        drop(senders);
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
+    let bands = GridPlan::Uniform.bounds(s.len(), bands);
+    let blocks = GridPlan::Uniform.bounds(t.len(), blocks);
+    let grid = Grid::tiled(bands.len(), &blocks, nprocs);
+    let done = run_shm(&grid, |_| Tiles::new(&kernel, s, t, &bands, &blocks));
     Phase1Outcome {
-        regions: finalize_queue(queues.into_iter().flatten().collect()),
+        regions: finalize_queue(regions_of(Some(done))),
         per_node: vec![NodeStats::default(); nprocs],
         // No virtual clock off-DSM: report the host's real wall for both.
         wall: t0.elapsed(),
@@ -146,57 +60,29 @@ pub struct ShmScoreOutcome {
     pub host_wall: std::time::Duration,
 }
 
-/// Scalar fallback for one column chunk of a band: the plain SW recurrence
-/// with a non-zero top border, mirroring what [`BandScorer::advance`]
-/// computes. `left_col` holds the band's previous column (index 0 = the
-/// border row) and is updated in place; `bottom` receives the corner
-/// followed by one last-row value per column.
-#[allow(clippy::too_many_arguments)]
-fn scalar_band_chunk(
-    band_s: &[u8],
-    chunk_t: &[u8],
-    top: &[i32],
-    left_col: &mut [i32],
-    scoring: &Scoring,
-    threshold: i32,
-    bottom: &mut Vec<i32>,
-) -> (u64, i32) {
-    let h = band_s.len();
-    let mut prev_col = left_col.to_vec();
-    prev_col[0] = top[0];
-    let mut cur_col = vec![0i32; h + 1];
-    let mut hits = 0u64;
-    let mut best = 0i32;
-    bottom.push(left_col[h]);
-    for (jj, &tc) in chunk_t.iter().enumerate() {
-        cur_col[0] = top[jj + 1];
-        for r in 1..=h {
-            let diag = prev_col[r - 1] + scoring.subst(band_s[r - 1], tc);
-            let v = diag
-                .max(cur_col[r - 1] + scoring.gap)
-                .max(prev_col[r] + scoring.gap)
-                .max(0);
-            cur_col[r] = v;
-            if v >= threshold {
-                hits += 1;
-            }
-            best = best.max(v);
-        }
-        bottom.push(cur_col[h]);
-        std::mem::swap(&mut prev_col, &mut cur_col);
+/// Sink of [`score_bands_shm`]: a hit count and a best score.
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    best: i32,
+}
+
+impl BandSink<()> for Tally {
+    fn hits(&mut self, _: usize, hits: u64) {
+        self.hits += hits;
     }
-    left_col.copy_from_slice(&prev_col);
-    (hits, best)
+
+    fn end(&mut self, _: &mut (), _: usize, best: i32) {
+        self.best = self.best.max(best);
+    }
 }
 
 /// The pre-process band pipeline on plain threads + channels with the
 /// vectorized score kernel: exact SW best score and threshold-hit count,
 /// no DSM, no virtual clock. Bands of query rows are assigned cyclically
 /// to `nprocs` threads; each band streams left-to-right in column chunks,
-/// handing its bottom row to the band below through a channel. Inside a
-/// band the inner loop is [`BandScorer`] (striped SSE2/AVX2) when
-/// `choice` and the problem's i16 head-room allow it, the plain scalar
-/// recurrence otherwise — results are identical either way.
+/// handing its bottom row to the band below through a channel — the
+/// [`crate::preprocess`] kernel over a queue border.
 pub fn score_bands_shm(
     s: &[u8],
     t: &[u8],
@@ -209,121 +95,27 @@ pub fn score_bands_shm(
     assert!(nprocs >= 1 && bands >= 1);
     assert!(threshold >= 1, "hit threshold must be positive");
     let t0 = Instant::now();
-    let m = s.len();
-    let n = t.len();
-    const CHUNK: usize = 2048;
-
-    let mut senders = Vec::with_capacity(nprocs);
-    let mut receivers = Vec::with_capacity(nprocs);
-    for _ in 0..nprocs {
-        let (tx, rx) = crossbeam::channel::unbounded::<Vec<i32>>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    receivers.rotate_right(1);
-
-    let per_thread: Vec<(u64, i32, &'static str)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for (p, from_rx) in receivers.into_iter().enumerate() {
-            let to_tx = senders[p].clone();
-            handles.push(scope.spawn(move || {
-                let mut hits = 0u64;
-                let mut best = 0i32;
-                let mut kernel_name = "scalar";
-                let mut band = p;
-                while band < bands {
-                    let i0 = band * m / bands + 1;
-                    let i1 = (band + 1) * m / bands;
-                    let h = (i1 + 1).saturating_sub(i0);
-                    let band_s = &s[i0 - 1..i1];
-                    let mut scorer =
-                        BandScorer::new(choice, band_s, (m, n), scoring, threshold, None);
-                    if let Some(sc) = &scorer {
-                        kernel_name = sc.isa().name();
-                    }
-                    let mut left_col = vec![0i32; h + 1];
-                    let mut c_lo = 1usize;
-                    while c_lo <= n {
-                        let c_hi = (c_lo + CHUNK - 1).min(n);
-                        let width = c_hi + 1 - c_lo;
-                        let top: Vec<i32> = if band == 0 {
-                            vec![0; width + 1]
-                        } else {
-                            match from_rx.recv() {
-                                Ok(top) => top,
-                                Err(_) => {
-                                    panic!("band {band}: upstream worker hung up mid-wavefront")
-                                }
-                            }
-                        };
-                        let mut bottom = Vec::with_capacity(width + 1);
-                        match scorer.as_mut() {
-                            Some(sc) => {
-                                let mut col_hits = Vec::with_capacity(width);
-                                let mut saved = Vec::new();
-                                bottom.push(left_col[h]);
-                                sc.advance(
-                                    &t[c_lo - 1..c_hi],
-                                    &top,
-                                    c_lo,
-                                    &mut bottom,
-                                    &mut col_hits,
-                                    &mut saved,
-                                );
-                                hits += col_hits.iter().sum::<u64>();
-                                let Some(&chunk_bottom) = bottom.last() else {
-                                    unreachable!("advance produced a non-empty chunk bottom")
-                                };
-                                left_col[h] = chunk_bottom;
-                            }
-                            None => {
-                                let (ch, cb) = scalar_band_chunk(
-                                    band_s,
-                                    &t[c_lo - 1..c_hi],
-                                    &top,
-                                    &mut left_col,
-                                    scoring,
-                                    threshold,
-                                    &mut bottom,
-                                );
-                                hits += ch;
-                                best = best.max(cb);
-                            }
-                        }
-                        if band + 1 < bands && to_tx.send(bottom).is_err() {
-                            panic!("band {band}: downstream worker hung up mid-wavefront");
-                        }
-                        c_lo = c_hi + 1;
-                    }
-                    if let Some(sc) = &scorer {
-                        best = best.max(sc.best_score());
-                    }
-                    band += nprocs;
-                }
-                (hits, best, kernel_name)
-            }));
-        }
-        drop(senders);
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let bands = GridPlan::Uniform.bounds(s.len(), bands);
+    let chunks = ChunkPlan::Fixed(2048).chunks(t.len());
+    let grid = Grid::tiled(bands.len(), &chunks, nprocs);
+    // The kernel's knobs travel in a strategy config; no column is saved.
+    let mut config = PreprocessConfig::new(nprocs);
+    (config.threshold, config.kernel) = (threshold, choice);
+    let sink = Tally::default;
+    let done = run_shm(&grid, |_| {
+        Bands::new(s, t, scoring, &config, &bands, &chunks, sink())
     });
-
     let mut out = ShmScoreOutcome {
         best_score: 0,
         hits: 0,
         kernel: "scalar",
         host_wall: t0.elapsed(),
     };
-    for (hits, best, name) in per_thread {
-        out.hits += hits;
-        out.best_score = out.best_score.max(best);
-        if name != "scalar" {
-            out.kernel = name;
+    for bands in done {
+        out.hits += bands.sink.hits;
+        out.best_score = out.best_score.max(bands.sink.best);
+        if bands.engine != "scalar" {
+            out.kernel = bands.engine;
         }
     }
     out.host_wall = t0.elapsed();

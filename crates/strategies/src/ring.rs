@@ -15,7 +15,7 @@
 //! The condition variables count (semaphore semantics), so producer and
 //! consumer may be the same node (single-processor degenerate runs).
 
-use genomedsm_dsm::{DsmData, DsmError, GlobalVec, Node};
+use genomedsm_dsm::{DsmData, GlobalVec, Node};
 
 /// One directional ring between a fixed producer and consumer node.
 ///
@@ -64,35 +64,6 @@ impl<T: DsmData + Copy> ChunkRing<T> {
         }
     }
 
-    /// Maximum elements per chunk.
-    pub fn slot_len(&self) -> usize {
-        self.slot_len
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The data-available condition variable id.
-    pub fn data_cv(&self) -> u32 {
-        self.data_cv
-    }
-
-    /// The slot-acknowledged condition variable id.
-    pub fn ack_cv(&self) -> u32 {
-        self.ack_cv
-    }
-
-    /// Repositions the consumer cursor (takeover: an adopter that replayed
-    /// the first `seq` chunks from the producer's push log resumes real
-    /// pops at ordinal `seq`). The pending data signals at the cv manager
-    /// already account for the dead consumer's consumed waits, so counting
-    /// semantics stay consistent.
-    pub fn set_consumer_cursor(&mut self, seq: u64) {
-        self.seq_cons = seq;
-    }
-
     /// Producer: writes `data` (at most `slot_len` elements) into the next
     /// slot and signals the consumer. Blocks while the ring is full.
     pub fn push(&mut self, node: &mut Node, data: &[T]) {
@@ -118,52 +89,6 @@ impl<T: DsmData + Copy> ChunkRing<T> {
         node.setcv(self.ack_cv);
         self.seq_cons += 1;
         out
-    }
-
-    /// [`ChunkRing::push`] that surfaces a [`DsmError::NodeFailed`] from
-    /// the full-ring wait instead of panicking, so a tolerant strategy can
-    /// unwind into takeover. The slot is only written once the credit wait
-    /// succeeds, so an erroring push leaves the ring untouched.
-    pub fn try_push(&mut self, node: &mut Node, data: &[T]) -> Result<(), DsmError> {
-        assert!(data.len() <= self.slot_len, "chunk exceeds slot");
-        if self.credits == 0 {
-            node.try_waitcv(self.ack_cv)?;
-            self.credits += 1;
-        }
-        self.credits -= 1;
-        let base = (self.seq_prod as usize % self.capacity) * self.slot_len;
-        node.vec_write_range(&self.slots, base, data);
-        node.setcv(self.data_cv);
-        self.seq_prod += 1;
-        Ok(())
-    }
-
-    /// [`ChunkRing::pop`] that surfaces a [`DsmError::NodeFailed`] from the
-    /// empty-ring wait instead of panicking. An erroring pop leaves the
-    /// cursor untouched, so the caller may retry after recovery.
-    pub fn try_pop(&mut self, node: &mut Node, len: usize) -> Result<Vec<T>, DsmError> {
-        assert!(len <= self.slot_len, "read exceeds slot");
-        node.try_waitcv(self.data_cv)?;
-        let base = (self.seq_cons as usize % self.capacity) * self.slot_len;
-        let out = node.vec_read_range(&self.slots, base..base + len);
-        node.setcv(self.ack_cv);
-        self.seq_cons += 1;
-        Ok(out)
-    }
-
-    /// Takeover producer: writes the chunk for absolute ordinal `ordinal`
-    /// and signals the consumer, bypassing the credit protocol entirely.
-    ///
-    /// An adopter pushing on a *dead* producer's ring cannot know how many
-    /// ack signals the corpse consumed, so credits are unusable; instead
-    /// the caller gates on the consumer's recorded pop count (its ledger
-    /// meta) to guarantee `ordinal < pops + capacity` before writing —
-    /// ack signals then serve as wake-ups only.
-    pub fn push_at(&mut self, node: &mut Node, ordinal: u64, data: &[T]) {
-        assert!(data.len() <= self.slot_len, "chunk exceeds slot");
-        let base = (ordinal as usize % self.capacity) * self.slot_len;
-        node.vec_write_range(&self.slots, base, data);
-        node.setcv(self.data_cv);
     }
 }
 

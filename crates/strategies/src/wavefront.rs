@@ -1,0 +1,486 @@
+//! The one wavefront driver: every strategy, recovery mode and
+//! shared-memory port runs this stage × unit loop (DESIGN.md §5.3).
+//!
+//! `heuristic` (§4.2) is `heuristic_block` (§4.3) without a blocking
+//! factor and `pre_process` (§5) the same bands × chunks pipeline over a
+//! cheaper cell: one dependency graph, a [`Grid`]. Stage `b` unit `k`
+//! depends on `(b-1, k)` through a **border** chunk and on `(b, k-1)`
+//! through state the [`Stage`] kernel keeps to itself; stage `b` belongs
+//! to role `b mod P`. A strategy is a (grid, kernel, sink) triple; phase 2
+//! is a grid whose chunks are empty, so nothing crosses a border.
+//!
+//! `traverse` is the only code that walks a grid. It pops and pushes
+//! through one [`Border`] trait with exactly three implementations:
+//! [`ChunkRing`]s on an unsupervised DSM node, [`FlowChannel`]s over the
+//! [`Ledger`] push log when `node.supervised()`, a crossbeam queue under
+//! a `_shm` entry point ([`run_shm`]). Three recovery policies are
+//! written here once: **restart** ([`Wavefront::restart`], unsupervised),
+//! **takeover** ([`run_with_takeover`]) and **rejoin** ([`run_elastic`]).
+//!
+//! A unit ordinal — what `--kill node:unit` and `FaultPlan::with_crash`
+//! name — counts the units a worker has *completed*, over every role,
+//! takeover replay and campaign round. Takeover crashes after the unit's
+//! compute and **before** its chunk is pushed; restart **after** the push.
+
+use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
+use crate::costs;
+use crate::ring::ChunkRing;
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use genomedsm_dsm::{DsmData, DsmError, Node};
+use std::time::Duration;
+
+/// The shape of a wavefront.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    /// Pipeline stages (row bands; column slices for `heuristic`).
+    pub stages: usize,
+    /// Roles `P`: stage `b` belongs to role `b mod P`.
+    pub roles: usize,
+    /// Border elements unit `k` of a stage hands to unit `k` of the next;
+    /// zero means nothing crosses and nothing synchronizes.
+    pub chunks: Vec<usize>,
+    /// Chunks a producer may run ahead of its consumer (ring slots); a
+    /// lone role feeds itself and needs a whole stage's worth.
+    pub window: usize,
+}
+
+impl Grid {
+    /// 1-based inclusive bounds of slice `k` of `total` cut into `parts`.
+    pub fn slice(total: usize, parts: usize, k: usize) -> (usize, usize) {
+        (k * total / parts + 1, (k + 1) * total / parts)
+    }
+
+    /// `stages` row bands cut into column `blocks` (1-based inclusive):
+    /// a block of width `w` hands `w + 1` cells down — the diagonal corner
+    /// plus its bottom row — and a producer may run a whole band ahead of
+    /// its consumer (the pipelining Fig. 11 illustrates).
+    pub fn tiled(stages: usize, blocks: &[(usize, usize)], roles: usize) -> Self {
+        Self {
+            stages,
+            roles,
+            chunks: blocks.iter().map(|&block| span(block) + 1).collect(),
+            window: blocks.len(),
+        }
+    }
+
+    /// Cells of a typical unit of an `across_stages` × `across_units`
+    /// matrix, at least one: what prices a scheduled rejoin's downtime.
+    pub fn tile_cells(&self, across_stages: usize, across_units: usize) -> usize {
+        (across_stages / self.stages.max(1)).max(1)
+            * (across_units / self.chunks.len().max(1)).max(1)
+    }
+}
+
+/// Items in a 1-based inclusive range (none when `hi < lo`).
+pub(crate) fn span((lo, hi): (usize, usize)) -> usize {
+    (hi + 1).saturating_sub(lo)
+}
+
+/// Whether `node` is the lowest alive one: the rank that gathers and
+/// cross-checks once the compute's closing barrier has fixed the dead set.
+pub fn lowest_alive(node: &Node) -> bool {
+    let dead = node.known_dead();
+    (0..node.nprocs()).find(|q| !dead.contains(q)) == Some(node.id())
+}
+
+/// Where a wavefront executes: a DSM [`Node`], or a bare thread (`()`)
+/// with no clock and no fault plan.
+pub trait Host {
+    /// Charges modeled computation time.
+    fn advance(&mut self, _cost: Duration) {}
+    /// Liveness heartbeat (supervised nodes only).
+    fn heartbeat(&mut self) {}
+    /// The injected crash: restart after `downtime`, or fail-stop.
+    fn crash(&mut self, _downtime: Option<Duration>) {}
+}
+
+impl Host for () {}
+
+impl Host for Node {
+    fn advance(&mut self, cost: Duration) {
+        Node::advance(self, cost);
+    }
+    fn heartbeat(&mut self) {
+        Node::heartbeat(self);
+    }
+    fn crash(&mut self, downtime: Option<Duration>) {
+        match downtime {
+            Some(d) => self.crash_restart(d),
+            None => self.fail_stop(),
+        }
+    }
+}
+
+/// A strategy's cell kernel plus its result sink, driven stage by stage.
+pub trait Stage<H> {
+    /// What crosses a border.
+    type Cell: DsmData + Copy + Default;
+
+    /// Resets the `(b, k-1)` state for `stage` (again on a restart).
+    fn begin(&mut self, _stage: usize) {}
+
+    /// Computes unit `k` of `stage` from the stage above's chunk
+    /// (`Default` cells on stage 0), appends the chunk for the stage below
+    /// to `outbound`, and returns the cells computed.
+    fn unit(
+        &mut self,
+        host: &mut H,
+        stage: usize,
+        k: usize,
+        inbound: &[Self::Cell],
+        outbound: &mut Vec<Self::Cell>,
+    ) -> usize;
+
+    /// Delivers the finished stage to the sink.
+    fn end(&mut self, _host: &mut H, _stage: usize) {}
+
+    /// Restart policy: makes the sink durable at a stage boundary.
+    fn checkpoint(&mut self, _host: &mut H) {}
+
+    /// Restart policy: discards what the sink took in since then.
+    fn rollback(&mut self) {}
+
+    /// A word per executed role that outlives this worker (published in
+    /// the ledger once the role completes).
+    fn word(&self, _role: usize) -> i64 {
+        0
+    }
+}
+
+/// How border chunks travel between roles; a producer's chunks arrive in
+/// push order.
+pub trait Border<T> {
+    /// The [`Host`] the border lives on.
+    type Host: Host;
+
+    /// Obtains the next chunk (`len` elements) role `from` pushed.
+    fn pop(&mut self, host: &mut Self::Host, from: usize, len: usize) -> Result<Vec<T>, DsmError>;
+
+    /// Delivers `data` as the next chunk of role `role`.
+    fn push(&mut self, host: &mut Self::Host, role: usize, data: &[T]) -> Result<(), DsmError>;
+}
+
+/// Unsupervised DSM border: ring `q` carries chunks from role `q` to role
+/// `(q+1) mod P`.
+impl<T: DsmData + Copy> Border<T> for Vec<ChunkRing<T>> {
+    type Host = Node;
+
+    fn pop(&mut self, node: &mut Node, from: usize, len: usize) -> Result<Vec<T>, DsmError> {
+        Ok(self[from].pop(node, len))
+    }
+
+    fn push(&mut self, node: &mut Node, role: usize, data: &[T]) -> Result<(), DsmError> {
+        self[role].push(node, data);
+        Ok(())
+    }
+}
+
+/// Supervised DSM border of a worker executing `roles`: per role, a
+/// [`FlowChannel`] over the shared [`Ledger`] and the ordinals of the
+/// next chunk to pop from and to push onto it.
+struct LedgerBorder<'a, T: DsmData> {
+    ledger: &'a Ledger<T>,
+    channels: Vec<(FlowChannel, u64, u64)>,
+    roles: &'a [usize],
+}
+
+impl<T: DsmData + Copy> Border<T> for LedgerBorder<'_, T> {
+    type Host = Node;
+
+    fn pop(&mut self, node: &mut Node, from: usize, len: usize) -> Result<Vec<T>, DsmError> {
+        let (channel, next, _) = &mut self.channels[from];
+        let chunk = channel.consume(node, self.ledger, self.roles, *next, len)?;
+        *next += 1;
+        Ok(chunk)
+    }
+
+    fn push(&mut self, node: &mut Node, role: usize, data: &[T]) -> Result<(), DsmError> {
+        let (channel, _, next) = &mut self.channels[role];
+        channel.produce(node, self.ledger, self.roles, *next, data)?;
+        *next += 1;
+        Ok(())
+    }
+}
+
+/// Off-DSM border of one [`run_shm`] thread, `(from upstream, to
+/// downstream)`: memory is shared and chunks are owned `Vec`s, so an
+/// unbounded queue needs no flow control.
+type Queue<T> = (Receiver<Vec<T>>, Sender<Vec<T>>);
+
+impl<T: Clone> Border<T> for Queue<T> {
+    type Host = ();
+
+    fn pop(&mut self, _: &mut (), _: usize, _: usize) -> Result<Vec<T>, DsmError> {
+        let hung_up = |_| DsmError::Disconnected("upstream worker hung up mid-wavefront");
+        self.0.recv().map_err(hung_up)
+    }
+
+    fn push(&mut self, _: &mut (), _: usize, data: &[T]) -> Result<(), DsmError> {
+        let hung_up = |_| DsmError::Disconnected("downstream worker hung up mid-wavefront");
+        self.1.send(data.to_vec()).map_err(hung_up)
+    }
+}
+
+/// What a worker carries through every `traverse` it runs: the price of
+/// a cell, its unit count, and what an injected crash means to it.
+#[derive(Default)]
+struct Worker {
+    cell_cost: Duration,
+    crash_at: Option<u64>,
+    units: u64,
+    /// `Some(downtime)`: restart policy. `None`: a crash is a fail-stop.
+    restart: Option<Duration>,
+}
+
+impl Worker {
+    /// Counts a completed unit; true when the plan crashes the worker.
+    fn tick(&mut self, host: &mut impl Host) -> bool {
+        self.units += 1;
+        if self.crash_at == Some(self.units) {
+            return true;
+        }
+        if self.units.is_multiple_of(64) {
+            host.heartbeat();
+        }
+        false
+    }
+}
+
+/// Executes every stage whose role is in `execute`, ascending — the
+/// wavefront order: stage `b` consumes only stage `b-1`'s chunks, which
+/// this very loop produced earlier, a log replays, or a live neighbour
+/// sends in real time.
+fn traverse<H, K, B>(
+    host: &mut H,
+    grid: &Grid,
+    kernel: &mut K,
+    border: &mut B,
+    execute: &[usize],
+    worker: &mut Worker,
+) -> Result<(), DsmError>
+where
+    H: Host,
+    K: Stage<H>,
+    B: Border<K::Cell, Host = H>,
+{
+    let (p, restart) = (grid.roles, worker.restart);
+    let mut outbound: Vec<K::Cell> = Vec::new();
+    for stage in (0..grid.stages).filter(|b| execute.contains(&(b % p))) {
+        let role = stage % p;
+        // The stage's inbound chunks, and how many of its outbound ones
+        // went downstream already: what a restart replays it from (modeled
+        // as durable; re-pushing would corrupt the ring).
+        let mut log: Vec<Vec<K::Cell>> = Vec::new();
+        let mut pushed = 0usize;
+        'replay: loop {
+            kernel.begin(stage);
+            for (k, &len) in grid.chunks.iter().enumerate() {
+                if k == log.len() {
+                    log.push(if stage == 0 || len == 0 {
+                        vec![K::Cell::default(); len]
+                    } else {
+                        border.pop(host, (role + p - 1) % p, len)?
+                    });
+                }
+                outbound.clear();
+                let cells = kernel.unit(host, stage, k, &log[k], &mut outbound);
+                if restart.is_none() {
+                    log[k] = Vec::new(); // only a restart reads it again
+                }
+                host.advance(costs::cells(worker.cell_cost, cells));
+                if restart.is_none() && worker.tick(host) {
+                    host.crash(None);
+                    return Err(DsmError::Disconnected("injected fail-stop"));
+                }
+                if stage + 1 < grid.stages && len > 0 && k >= pushed {
+                    border.push(host, role, &outbound)?;
+                    pushed = k + 1;
+                }
+                if restart.is_some() && worker.tick(host) {
+                    host.crash(restart);
+                    kernel.rollback();
+                    continue 'replay;
+                }
+            }
+            break;
+        }
+        kernel.end(host, stage);
+        if restart.is_some() {
+            kernel.checkpoint(host);
+        }
+    }
+    Ok(())
+}
+
+/// One round of a DSM wavefront as its `finish` step sees it.
+pub struct Round<'a, K: Stage<Node>> {
+    /// Virtual time at which the round's compute began.
+    pub start: Duration,
+    /// The kernels this worker completed — its own role's plus one per
+    /// sweep that adopted more — or `None` if it fail-stopped.
+    pub pieces: Option<Vec<K>>,
+    ledger: Option<&'a Ledger<K::Cell>>,
+}
+
+impl<K: Stage<Node>> Round<'_, K> {
+    /// Every role's published [`Stage::word`] (none unsupervised): what
+    /// a role that completed and only then died still contributes.
+    pub fn words(&self, node: &mut Node, roles: usize) -> Vec<i64> {
+        let Some(ledger) = self.ledger else {
+            return Vec::new();
+        };
+        (0..roles).map(|r| ledger.snapshot(node, r).user).collect()
+    }
+}
+
+/// Concatenates the sinks of a round's kernels, moving the first —
+/// normally the only — one instead of copying it.
+pub fn concat<T>(parts: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let mut all = parts.next().unwrap_or_default();
+    all.extend(parts.flatten());
+    all
+}
+
+/// A wavefront run on the DSM: the grid, its prices, its recovery.
+#[derive(Debug, Clone)]
+pub struct Wavefront<'a> {
+    /// The dependency grid.
+    pub grid: &'a Grid,
+    /// Virtual cost of one cell update.
+    pub cell_cost: Duration,
+    /// Cells of a typical unit ([`Grid::tile_cells`]).
+    pub unit_cells: usize,
+    /// Workloads run back to back on the same cluster (a campaign).
+    pub rounds: usize,
+    /// Crash-restart downtime; `Some` enables the checkpoint/restart
+    /// policy on an unsupervised cluster, `None` ignores crash points.
+    pub restart: Option<Duration>,
+    /// Barriers `finish` takes, for the rejoin protocol's round budget.
+    pub finish_barriers: usize,
+}
+
+impl Wavefront<'_> {
+    /// Runs the wavefront on this node, once per round: allocates the
+    /// border (the ledger when `node.supervised()`, rings otherwise),
+    /// executes this node's role and any it must adopt with kernels from
+    /// `kernel(roles)`, and hands them to `finish`, which runs on every
+    /// node, dead ones included, after the barrier that follows the last
+    /// unit. Returns `finish`'s result per round (`R::default()` for one
+    /// a late joiner missed).
+    pub fn run<K, R>(
+        &self,
+        node: &mut Node,
+        mut kernel: impl FnMut(&[usize]) -> K,
+        mut finish: impl FnMut(&mut Node, Round<'_, K>) -> R,
+    ) -> Vec<R>
+    where
+        K: Stage<Node>,
+        R: Default,
+    {
+        let grid = self.grid;
+        let (p, window) = (grid.roles, grid.window.max(1));
+        let stride = grid.chunks.iter().copied().max().unwrap_or(0);
+        let supervised = node.supervised();
+        let faulty = supervised || self.restart.is_some();
+        let mut worker = Worker {
+            cell_cost: self.cell_cost,
+            crash_at: node.crash_point().filter(|_| faulty),
+            units: 0,
+            restart: self.restart.filter(|_| !supervised),
+        };
+        let mut round = |node: &mut Node, w: usize| {
+            // Fresh border and cvs per round: a prior round's push log or
+            // signal surplus must not leak forward.
+            let cv = |q: usize| (2 * (p * w + q)) as u32;
+            // A role pushes at most one chunk per unit of each stage.
+            let entries = grid.stages.div_ceil(p) * grid.chunks.len();
+            let ledger = (supervised && stride > 0)
+                .then(|| Ledger::<K::Cell>::new(node, p, entries, stride));
+            let mut rings: Vec<ChunkRing<K::Cell>> = (0..p)
+                .filter(|_| !supervised && stride > 0)
+                .map(|q| ChunkRing::new(node, window, stride, q, cv(q), cv(q) + 1))
+                .collect();
+            node.barrier();
+            let start = node.now();
+            let pieces = run_with_takeover(node, p, |node, roles, resume| {
+                let mut k = kernel(roles);
+                let Some(ledger) = &ledger else {
+                    traverse(node, grid, &mut k, &mut rings, roles, &mut worker)?;
+                    return Ok(k);
+                };
+                let link = |q| {
+                    let flow = window as u64;
+                    let channel =
+                        FlowChannel::new(node, ledger, q, (q + 1) % p, cv(q), flow, resume);
+                    (channel, 0, 0)
+                };
+                let channels = (0..p).map(link).collect();
+                let mut border = LedgerBorder {
+                    ledger,
+                    channels,
+                    roles,
+                };
+                traverse(node, grid, &mut k, &mut border, roles, &mut worker)?;
+                // Word before done flag: a death in between re-executes
+                // the role rather than trusting a stale word.
+                for &r in roles {
+                    ledger.set_user(node, r, k.word(r));
+                    ledger.mark_done(node, r);
+                }
+                Ok(k)
+            });
+            let ledger = ledger.as_ref();
+            finish(
+                node,
+                Round {
+                    start,
+                    pieces,
+                    ledger,
+                },
+            )
+        };
+        if !supervised {
+            return (0..self.rounds).map(|w| round(node, w)).collect();
+        }
+        // Barrier budget: membership refresh, border barrier, a takeover
+        // sweep of at most one round per node, and `finish`'s own.
+        let budget = p + 2 + self.finish_barriers;
+        let unit_time = costs::cells(self.cell_cost, self.unit_cells);
+        run_elastic(node, self.rounds, budget, unit_time, round)
+    }
+}
+
+/// Runs the wavefront on `grid.roles` plain threads joined by queues —
+/// no DSM, no clock, no faults — and returns the kernels in role order.
+pub fn run_shm<K>(grid: &Grid, kernel: impl Fn(&[usize]) -> K + Sync) -> Vec<K>
+where
+    K: Stage<()> + Send,
+    K::Cell: Send,
+{
+    // Queue q runs from role q to role q+1, so role p reads queue p-1.
+    let (senders, mut receivers): (Vec<_>, Vec<_>) =
+        (0..grid.roles).map(|_| unbounded::<Vec<K::Cell>>()).unzip();
+    receivers.rotate_right(1);
+    let kernel = &kernel;
+    let work = |role: usize, mut border: Queue<K::Cell>| {
+        let mut k = kernel(&[role]);
+        let mut worker = Worker::default();
+        match traverse(&mut (), grid, &mut k, &mut border, &[role], &mut worker) {
+            Ok(()) => k,
+            Err(e) => panic!("role {role}: {e}"),
+        }
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = std::iter::zip(receivers, senders)
+            .enumerate()
+            .map(|(role, border)| scope.spawn(move || work(role, border)))
+            .collect();
+        let join = |w: std::thread::ScopedJoinHandle<'_, K>| match w.join() {
+            Ok(k) => k,
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        workers.into_iter().map(join).collect()
+    })
+}
