@@ -16,7 +16,7 @@
 //! singles. Results come back in input order, bit-exact per pair.
 
 use crate::db::SeqDatabase;
-use crate::planner::{plan_lane_groups_fitting, LanePlan};
+use crate::planner::{plan_lane_groups, LanePlan};
 use crate::scheduler::{run_jobs, SchedulerConfig};
 use crate::topk::{Hit, TopK};
 use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
@@ -24,8 +24,7 @@ use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    effective_lanes, fits_i16_affine_query, fits_i16_query, score_batch, score_batch_packed,
-    score_batch_packed_affine, Isa, KernelChoice, PackedAffineProfile, PackedProfile,
+    effective_lanes, score_batch, score_batch_packed, Isa, KernelChoice, PackedProfile, Scheme,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,11 +32,13 @@ use std::ops::Range;
 /// Which alignment arithmetic a search runs.
 ///
 /// `Dna` is the original linear-gap path over [`Scoring`] (the config's
-/// `scoring` field); `Protein` switches every layer — planner admission,
-/// packed kernels, scalar spill, and the `--check` oracle — to the
-/// affine-gap (Gotoh) recurrence over a substitution matrix. The variant
-/// carries the full scoring scheme so a [`BatchConfig`] remains one plain
-/// `Copy` value that completely determines the search arithmetic.
+/// `scoring` field); `Protein` runs the same engine — planner admission,
+/// packed kernels, scalar spill, and the `--check` oracle — under the
+/// affine-gap (Gotoh) recurrence over a substitution matrix: the mode is
+/// resolved once into the [`Scheme`] every layer is generic over. The
+/// variant carries the full scoring scheme so a [`BatchConfig`] remains
+/// one plain `Copy` value that completely determines the search
+/// arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 // The 1.2 kB matrix lives inline by design: boxing it would cost `Copy`,
 // and configs are copied, not stored in bulk.
@@ -159,6 +160,21 @@ impl BatchEngine {
         &self,
         db: &SeqDatabase,
         queries: &[&[u8]],
+        on_query: impl FnMut(usize, Vec<Hit>),
+    ) -> BatchStats {
+        match &self.config.mode {
+            ScoreMode::Dna => self.search_with(&self.config.scoring, db, queries, on_query),
+            ScoreMode::Protein(ms) => self.search_with(ms, db, queries, on_query),
+        }
+    }
+
+    /// [`search_streaming`](Self::search_streaming) under one scheme:
+    /// plan, packed jobs and scalar spill are the same code for both.
+    fn search_with<S: Scheme>(
+        &self,
+        scheme: &S,
+        db: &SeqDatabase,
+        queries: &[&[u8]],
         mut on_query: impl FnMut(usize, Vec<Hit>),
     ) -> BatchStats {
         let cfg = &self.config;
@@ -176,14 +192,7 @@ impl BatchEngine {
             return stats;
         }
         let lanes = effective_lanes(cfg.kernel);
-        let plan = match &cfg.mode {
-            ScoreMode::Dna => {
-                plan_lane_groups_fitting(queries, lanes, |len| fits_i16_query(len, &cfg.scoring))
-            }
-            ScoreMode::Protein(ms) => {
-                plan_lane_groups_fitting(queries, lanes, |len| fits_i16_affine_query(len, ms))
-            }
-        };
+        let plan = plan_lane_groups(queries, lanes, scheme);
         stats.lane_groups = plan.groups.len();
         stats.scalar_queries = plan.scalar.len();
         stats.padding_rows = plan.padding_rows;
@@ -213,7 +222,7 @@ impl BatchEngine {
         run_jobs(
             jobs,
             &cfg.scheduler,
-            |_, job| exec_job(&job, db, queries, cfg, isa),
+            |_, job| exec_job(&job, db, queries, scheme, cfg.top_k, isa),
             |j, partials: Vec<(usize, TopK)>| {
                 for (q, tk) in partials {
                     best[q].merge(tk);
@@ -287,37 +296,19 @@ fn build_jobs(plan: &LanePlan, records: usize, slab: usize) -> Vec<Job> {
 }
 
 /// Runs one job: profile built once, scored against every slab record.
-fn exec_job(
+fn exec_job<S: Scheme>(
     job: &Job,
     db: &SeqDatabase,
     queries: &[&[u8]],
-    cfg: &BatchConfig,
+    scheme: &S,
+    top_k: usize,
     isa: Isa,
 ) -> Vec<(usize, TopK)> {
-    let mut collectors: Vec<(usize, TopK)> = job
-        .queries
-        .iter()
-        .map(|&q| (q, TopK::new(cfg.top_k)))
-        .collect();
-    match &cfg.mode {
-        ScoreMode::Dna => exec_job_dna(job, db, queries, &cfg.scoring, isa, &mut collectors),
-        ScoreMode::Protein(ms) => exec_job_protein(job, db, queries, ms, isa, &mut collectors),
-    }
-    collectors
-}
-
-/// The linear-gap DNA execution path of one job.
-fn exec_job_dna(
-    job: &Job,
-    db: &SeqDatabase,
-    queries: &[&[u8]],
-    scoring: &Scoring,
-    isa: Isa,
-    collectors: &mut [(usize, TopK)],
-) {
+    let mut collectors: Vec<(usize, TopK)> =
+        job.queries.iter().map(|&q| (q, TopK::new(top_k))).collect();
     let packed_prof = if job.packed {
         let qs: Vec<&[u8]> = job.queries.iter().map(|&q| queries[q]).collect();
-        PackedProfile::new(&qs, scoring, isa)
+        PackedProfile::new(&qs, scheme, isa)
     } else {
         None
     };
@@ -337,50 +328,13 @@ fn exec_job_dna(
             // for planner-admitted groups, but fall back rather than trust).
             for (t, target) in db.slab(job.targets.clone()) {
                 for (lane, &q) in job.queries.iter().enumerate() {
-                    let r = sw_score_linear(queries[q], target, scoring, 0);
+                    let r = scheme.oracle(queries[q], target, 0);
                     offer(&mut collectors[lane].1, t, &r);
                 }
             }
         }
     }
-}
-
-/// The affine-gap protein execution path of one job: same shape as the
-/// DNA path with the Gotoh packed kernel and the scalar Gotoh oracle.
-fn exec_job_protein(
-    job: &Job,
-    db: &SeqDatabase,
-    queries: &[&[u8]],
-    ms: &MatrixScoring,
-    isa: Isa,
-    collectors: &mut [(usize, TopK)],
-) {
-    let packed_prof = if job.packed {
-        let qs: Vec<&[u8]> = job.queries.iter().map(|&q| queries[q]).collect();
-        PackedAffineProfile::new(&qs, ms, isa)
-    } else {
-        None
-    };
-    match packed_prof {
-        Some(mut prof) => {
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, r) in score_batch_packed_affine(&mut prof, target, 0)
-                    .into_iter()
-                    .enumerate()
-                {
-                    offer(&mut collectors[lane].1, t, &r);
-                }
-            }
-        }
-        None => {
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, &q) in job.queries.iter().enumerate() {
-                    let r = sw_score_profile(queries[q], target, ms, 0);
-                    offer(&mut collectors[lane].1, t, &r);
-                }
-            }
-        }
-    }
+    collectors
 }
 
 /// Offers one pair result to a collector (shared with the prefiltered

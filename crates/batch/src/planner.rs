@@ -14,8 +14,7 @@
 //! exactly and are spilled to the scalar list; the engine runs them through
 //! the scalar oracle so results stay bit-exact.
 
-use genomedsm_core::scoring::Scoring;
-use genomedsm_kernels::fits_i16_query;
+use genomedsm_kernels::{fits_i16_query, Scheme};
 
 /// The planner's output: packed lane groups plus the scalar spill list.
 ///
@@ -36,8 +35,7 @@ pub struct LanePlan {
 
 /// Bins `queries` into lane groups of width `lanes`, admitting a query to
 /// lane packing iff `fits(len)` holds (the i16-envelope predicate of the
-/// scoring mode in use: [`fits_i16_query`] for DNA,
-/// [`genomedsm_kernels::fits_i16_affine_query`] for protein).
+/// scoring scheme in use: [`fits_i16_query`]).
 ///
 /// `lanes <= 1` means the caller has no packed kernel (scalar choice or no
 /// SIMD); everything spills to the scalar list.
@@ -71,14 +69,15 @@ pub fn plan_lane_groups_fitting(
     }
 }
 
-/// [`plan_lane_groups_fitting`] with the DNA (linear-gap) envelope.
-pub fn plan_lane_groups(queries: &[&[u8]], lanes: usize, scoring: &Scoring) -> LanePlan {
-    plan_lane_groups_fitting(queries, lanes, |len| fits_i16_query(len, scoring))
+/// [`plan_lane_groups_fitting`] with `scheme`'s i16 envelope.
+pub fn plan_lane_groups<S: Scheme>(queries: &[&[u8]], lanes: usize, scheme: &S) -> LanePlan {
+    plan_lane_groups_fitting(queries, lanes, |len| fits_i16_query(len, scheme))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::scoring::Scoring;
 
     const SC: Scoring = Scoring::paper();
 

@@ -1,4 +1,6 @@
-//! Affine-gap (Gotoh) striped and packed kernels for the protein path.
+//! Affine-gap (Gotoh) scoring as a [`Scheme`]: the protein path's two
+//! column kernels and its admission rule — everything around them
+//! (profiles, drivers, batching, ISA dispatch) is the shared skeleton.
 //!
 //! The linear-gap kernels in [`crate::engine`]/[`crate::batch`] collapse
 //! the horizontal gap state (`E[i][j] = H[i][j-1] - gap` exactly). With
@@ -12,8 +14,8 @@
 //! ```
 //!
 //! with `go`/`ge` the (negative) open/extend penalties and `s` a full
-//! substitution matrix ([`MatrixScoring`]). This module provides both
-//! parallel decompositions, exactly mirroring their linear counterparts:
+//! substitution matrix ([`MatrixScoring`]). One column function per
+//! layout, each mirroring its linear counterpart:
 //!
 //! * **Striped** (one query across all lanes, SSW-style): the `E` values
 //!   live in a per-element striped buffer written one column ahead; `F`
@@ -33,98 +35,85 @@
 //!   independent alignments, so `F` is computed exactly on the way down
 //!   the rows — no lazy loop at all. Only the extra `E` buffer is new.
 //!
-//! Exactness: every routine here is bit-identical to
+//! Exactness: a pass over these columns is bit-identical to
 //! [`sw_score_profile`] (score, row-major-first end point tie-break,
-//! threshold hit count) whenever [`crate::fits_i16_affine`] /
-//! [`crate::fits_i16_affine_query`] admits the problem; public wrappers
+//! threshold hit count) whenever [`crate::fits_i16`] /
+//! [`crate::fits_i16_query`] admits the problem; the public entry points
 //! fall back to the scalar Gotoh oracle otherwise. Saturating i16
 //! arithmetic cannot corrupt admitted problems: `H` is bounded by
 //! `min(m, n) * max_matrix_score <= 32 000`, and `E`/`F` values that
 //! saturate toward `i16::MIN` are already dominated by the `H + go`
 //! re-open branch (`>= -28 000`) everywhere they are consumed.
 
-use crate::batch::{packed_stats, PackedState};
-use crate::engine::{stats, Engine, StripedState};
-use crate::profile::NEG_INF;
-use crate::{fits_i16_affine_query, Isa, KernelChoice};
+use crate::batch::PackedState;
+use crate::engine::{Engine, StripedState};
+use crate::profile::{Scheme, I16_PARAM_CEILING, NEG_INF};
 use genomedsm_core::linear::LinearSwResult;
-use genomedsm_core::submat::{MatrixScoring, SubstMatrix};
+use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 
-/// Striped substitution profile for one query under a [`MatrixScoring`].
-///
-/// Layout is identical to the linear [`crate::profile::StripedProfile`]
-/// (query element `q` → stripe `q % p`, lane `q / p`); only the row fill
-/// differs: `prof[c][k*lanes + l] = matrix.score(s[l*p + k], c)`. Rows
-/// are built lazily per observed target symbol — the 24-letter protein
-/// alphabet touches at most 24 (plus folded aliases) of the 256 slots.
-pub(crate) struct AffineStripedProfile {
-    /// Query length.
-    pub m: usize,
-    /// Segment length: number of stripes, `ceil(m / lanes)`.
-    pub p: usize,
-    /// Vector width in i16 lanes.
-    pub lanes: usize,
-    /// Gap-open penalty as a positive i16 (`-gap_open`).
-    pub go: i16,
-    /// Gap-extend penalty as a positive i16 (`-gap_extend`).
-    pub ge: i16,
-    /// Per-stripe live-lane mask (2 bits per live lane).
-    pub valid: Vec<u64>,
-    rows: Vec<Option<Box<[i16]>>>,
-    seq: Box<[u8]>,
-    matrix: SubstMatrix,
+/// Gap state of one affine pass: both penalties as positive i16s and the
+/// per-element `E` column, written one target column ahead.
+pub struct AffineGap {
+    go: i16,
+    ge: i16,
+    pe: Vec<i16>,
 }
 
-impl AffineStripedProfile {
-    /// Builds the profile skeleton; rows are filled on first use.
-    ///
-    /// Caller must have checked [`crate::fits_i16_affine`] so all scores
-    /// and penalties are representable.
-    pub fn new(s: &[u8], scoring: &MatrixScoring, lanes: usize) -> Self {
-        debug_assert!(!s.is_empty());
-        let m = s.len();
-        let p = m.div_ceil(lanes);
-        let mut valid = Vec::with_capacity(p);
-        for k in 0..p {
-            let mut mask = 0u64;
-            for l in 0..lanes {
-                if l * p + k < m {
-                    mask |= 0b11 << (2 * l);
-                }
-            }
-            valid.push(mask);
-        }
-        Self {
-            m,
-            p,
-            lanes,
-            go: (-scoring.gap_open) as i16,
-            ge: (-scoring.gap_extend) as i16,
-            valid,
-            rows: vec![None; 256],
-            seq: s.into(),
-            matrix: scoring.matrix,
-        }
-    }
+impl Scheme for MatrixScoring {
+    type Gap = AffineGap;
 
-    /// The striped profile row for target symbol `c` (`p * lanes` values).
-    pub fn row(&mut self, c: u8) -> &[i16] {
-        let slot = &mut self.rows[c as usize];
-        if slot.is_none() {
-            let mut row = vec![NEG_INF; self.p * self.lanes];
-            for (q, &sc) in self.seq.iter().enumerate() {
-                row[(q % self.p) * self.lanes + q / self.p] = self.matrix.score(sc, c);
-            }
-            *slot = Some(row.into_boxed_slice());
-        }
-        slot.as_deref().unwrap()
-    }
-
-    /// Striped buffer index of query element `q`.
     #[inline(always)]
-    pub fn index_of(&self, q: usize) -> usize {
-        (q % self.p) * self.lanes + q / self.p
+    fn subst(&self, q: u8, c: u8) -> i16 {
+        self.matrix.score(q, c)
+    }
+
+    fn column_cap(&self) -> Option<i32> {
+        // Both penalties negative and bounded; open at least as costly as
+        // extend (signed `gap_open <= gap_extend`) — the affine lazy-F loop's
+        // "extension dominates re-opening" argument requires it, and every
+        // standard protein scheme satisfies it.
+        let gaps_ok = self.gap_extend < 0
+            && self.gap_open <= self.gap_extend
+            && self.gap_open >= -I16_PARAM_CEILING;
+        // Matrix entries must stay clear of the padding sentinel and offer a
+        // positive score somewhere (otherwise every result is the zero result
+        // and the scalar oracle is free anyway).
+        let maxs = i32::from(self.matrix.max_score());
+        let mins = i32::from(self.matrix.min_score());
+        (gaps_ok && (1..=I16_PARAM_CEILING).contains(&maxs) && mins >= -I16_PARAM_CEILING)
+            .then_some(maxs)
+    }
+
+    fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult {
+        sw_score_profile(s, t, self, threshold)
+    }
+
+    fn gap_state(&self, cells: usize) -> AffineGap {
+        // E entering the first real column is exactly `gap_open` for every
+        // element (opened from the zero boundary column).
+        AffineGap {
+            go: (-self.gap_open) as i16,
+            ge: (-self.gap_extend) as i16,
+            pe: vec![self.gap_open as i16; cells],
+        }
+    }
+
+    // SAFETY: same contract as `affine_column`, which the caller upholds.
+    #[inline(always)]
+    unsafe fn striped_column<E: Engine>(gap: &mut AffineGap, st: &mut StripedState, row: &[i16]) {
+        affine_column::<E>(st, &mut gap.pe, row, gap.go, gap.ge)
+    }
+
+    // SAFETY: same contract as `packed_affine_column`, which the caller upholds.
+    #[inline(always)]
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut AffineGap,
+        st: &mut PackedState,
+        rows: usize,
+        row: &[i16],
+    ) {
+        packed_affine_column::<E>(st, &mut gap.pe, rows, row, gap.go, gap.ge)
     }
 }
 
@@ -210,138 +199,6 @@ unsafe fn affine_column<E: Engine>(
     }
 }
 
-/// Full striped affine pass, exact against [`sw_score_profile`].
-///
-/// # Safety
-/// The caller must guarantee the engine's ISA is available on the running
-/// CPU (or call this through a `#[target_feature]` wrapper).
-#[inline(always)]
-pub(crate) unsafe fn striped_affine_score<E: Engine>(
-    prof: &mut AffineStripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> LinearSwResult {
-    let (go, ge) = (prof.go, prof.ge);
-    let m = prof.m;
-    let mut st = StripedState::new(prof.p, prof.lanes, true);
-    // E entering the first real column is exactly `gap_open` for every
-    // element (opened from the zero boundary column).
-    let mut pe = vec![-go; prof.p * prof.lanes];
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
-    for (j0, &c) in t.iter().enumerate() {
-        let row = prof.row(c);
-        affine_column::<E>(&mut st, &mut pe, row, go, ge);
-        stats::<E>(&mut st, &prof.valid, thr, true, j0);
-        st.flip();
-    }
-    // Same final reduction as the linear kernel: live elements in query
-    // order with strict `>` reproduce the oracle's row-major-first
-    // tie-break.
-    let mut best = LinearSwResult {
-        best_score: 0,
-        best_end: (0, 0),
-        hits: st.hits,
-    };
-    for q in 0..m {
-        let idx = prof.index_of(q);
-        let v = i32::from(st.vmax[idx]);
-        if v > best.best_score {
-            best.best_score = v;
-            best.best_end = (q + 1, st.first_j[idx] as usize + 1);
-        }
-    }
-    best
-}
-
-/// A batch of up to `lanes` queries packed one-per-lane for the affine
-/// recurrence under a shared [`MatrixScoring`] — the protein counterpart
-/// of [`crate::PackedProfile`], reusable across a whole database scan.
-pub struct PackedAffineProfile {
-    isa: Isa,
-    lanes: usize,
-    rows: usize,
-    lens: Vec<usize>,
-    valid: Vec<u64>,
-    sym_rows: Vec<Option<Box<[i16]>>>,
-    seqs: Vec<Box<[u8]>>,
-    matrix: SubstMatrix,
-    go: i16,
-    ge: i16,
-}
-
-impl PackedAffineProfile {
-    /// Packs `queries` (at most `isa.lanes()` of them) for `isa`.
-    ///
-    /// Returns `None` when the pack is not exactly representable: the ISA
-    /// is unavailable, too many queries, or the scoring scheme / a query
-    /// length fails [`fits_i16_affine_query`].
-    pub fn new(queries: &[&[u8]], scoring: &MatrixScoring, isa: Isa) -> Option<Self> {
-        if !isa.available() || queries.len() > isa.lanes() {
-            return None;
-        }
-        if queries
-            .iter()
-            .any(|q| !fits_i16_affine_query(q.len(), scoring))
-        {
-            return None;
-        }
-        let lanes = isa.lanes();
-        let lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
-        let rows = lens.iter().copied().max().unwrap_or(0);
-        let mut valid = Vec::with_capacity(rows);
-        for i in 0..rows {
-            let mut mask = 0u64;
-            for (l, &len) in lens.iter().enumerate() {
-                if i < len {
-                    mask |= 0b11 << (2 * l);
-                }
-            }
-            valid.push(mask);
-        }
-        Some(Self {
-            isa,
-            lanes,
-            rows,
-            lens,
-            valid,
-            sym_rows: vec![None; 256],
-            seqs: queries.iter().map(|&q| q.into()).collect(),
-            matrix: scoring.matrix,
-            go: (-scoring.gap_open) as i16,
-            ge: (-scoring.gap_extend) as i16,
-        })
-    }
-
-    /// Number of queries packed into this profile.
-    pub fn width(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// The ISA this profile is laid out for.
-    pub fn isa(&self) -> Isa {
-        self.isa
-    }
-
-    /// The profile row for target symbol `c` (`rows * lanes` values).
-    fn row(&mut self, c: u8) -> &[i16] {
-        let slot = &mut self.sym_rows[c as usize];
-        if slot.is_none() {
-            let mut row = vec![NEG_INF; self.rows * self.lanes];
-            for (l, q) in self.seqs.iter().enumerate() {
-                for (i, &qc) in q.iter().enumerate() {
-                    row[i * self.lanes + l] = self.matrix.score(qc, c);
-                }
-            }
-            *slot = Some(row.into_boxed_slice());
-        }
-        slot.as_deref().unwrap()
-    }
-}
-
 /// One target column of the packed affine recurrence. Lanes are
 /// independent alignments, so `F` is exact on the way down the rows: the
 /// first row's `F` is `max(NEG_INF + ge, 0 + go) = go`, precisely the
@@ -386,138 +243,25 @@ unsafe fn packed_affine_column<E: Engine>(
     }
 }
 
-/// Full packed affine pass: one result per packed query, oracle-exact.
-///
-/// # Safety
-/// The caller must guarantee the engine's ISA is available on the running
-/// CPU (or call this through a `#[target_feature]` wrapper).
-#[inline(always)]
-pub(crate) unsafe fn packed_affine_score<E: Engine>(
-    prof: &mut PackedAffineProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    debug_assert_eq!(E::LANES, prof.lanes);
-    let rows = prof.rows;
-    let (go, ge) = (prof.go, prof.ge);
-    let mut st = PackedState::new(rows, prof.lanes);
-    // E entering the first real column is exactly `gap_open` everywhere.
-    let mut pe = vec![-go; rows * prof.lanes];
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
-    for (j0, &c) in t.iter().enumerate() {
-        let row = prof.row(c);
-        packed_affine_column::<E>(&mut st, &mut pe, rows, row, go, ge);
-        packed_stats::<E>(&mut st, &prof.valid, thr, j0);
-        st.flip();
-    }
-    prof.lens
-        .iter()
-        .enumerate()
-        .map(|(l, &len)| {
-            let mut best = LinearSwResult {
-                best_score: 0,
-                best_end: (0, 0),
-                hits: st.hits[l],
-            };
-            for i in 0..len {
-                let idx = i * prof.lanes + l;
-                let v = i32::from(st.vmax[idx]);
-                if v > best.best_score {
-                    best.best_score = v;
-                    best.best_end = (i + 1, st.first_j[idx] as usize + 1);
-                }
-            }
-            best
-        })
-        .collect()
-}
-
-/// Scores every query packed in `prof` against `t` under the affine
-/// scheme, one oracle-exact [`LinearSwResult`] per query in pack order.
-pub fn score_batch_packed_affine(
-    prof: &mut PackedAffineProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    match prof.isa {
-        // SAFETY: the portable engine has no ISA requirement.
-        Isa::Portable => unsafe {
-            packed_affine_score::<crate::scalar::Portable>(prof, t, threshold)
-        },
-        // SAFETY: prof.isa is only Sse2 when runtime detection admitted it.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => unsafe { crate::x86::packed_affine_sse2(prof, t, threshold) },
-        // SAFETY: prof.isa is only Avx2 when runtime detection admitted it.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { crate::x86::packed_affine_avx2(prof, t, threshold) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Sse2 | Isa::Avx2 => unreachable!("PackedAffineProfile::new checks Isa::available"),
-    }
-}
-
-/// Scores many queries against one shared target under a shared
-/// [`MatrixScoring`], packing a different query into each i16 lane —
-/// the affine counterpart of [`crate::score_batch`]. Results are in
-/// query order, bit-identical to [`sw_score_profile`] per pair; queries
-/// outside the i16 envelope (and everything under `scalar`/portable
-/// `auto`) run on the scalar Gotoh oracle instead.
-pub fn score_batch_affine(
-    choice: KernelChoice,
-    queries: &[&[u8]],
-    t: &[u8],
-    scoring: &MatrixScoring,
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    let isa = match choice {
-        KernelChoice::Scalar => None,
-        KernelChoice::Simd => Some(Isa::best_available()),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            (best != Isa::Portable).then_some(best)
-        }
-    };
-    let zero = LinearSwResult {
-        best_score: 0,
-        best_end: (0, 0),
-        hits: 0,
-    };
-    let mut out = vec![zero; queries.len()];
-    let Some(isa) = isa else {
-        for (slot, q) in out.iter_mut().zip(queries) {
-            *slot = sw_score_profile(q, t, scoring, threshold);
-        }
-        return out;
-    };
-    let (packable, scalar): (Vec<usize>, Vec<usize>) =
-        (0..queries.len()).partition(|&i| fits_i16_affine_query(queries[i].len(), scoring));
-    for group in packable.chunks(isa.lanes()) {
-        let qs: Vec<&[u8]> = group.iter().map(|&i| queries[i]).collect();
-        let mut prof = PackedAffineProfile::new(&qs, scoring, isa)
-            .expect("members passed fits_i16_affine_query");
-        for (&i, r) in group
-            .iter()
-            .zip(score_batch_packed_affine(&mut prof, t, threshold))
-        {
-            out[i] = r;
-        }
-    }
-    for i in scalar {
-        out[i] = sw_score_profile(queries[i], t, scoring, threshold);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fits_i16_affine;
+    use crate::engine::{dispatch, StripedScore};
+    use crate::profile::StripedProfile;
+    use crate::{
+        fits_i16_affine, score_batch, score_batch_packed_affine, Isa, KernelChoice,
+        PackedAffineProfile,
+    };
+    use genomedsm_core::submat::SubstMatrix;
 
     fn bl62() -> MatrixScoring {
         MatrixScoring::blosum62()
+    }
+
+    /// The striped pass on `isa`, through the one dispatch.
+    fn striped(isa: Isa, s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) -> LinearSwResult {
+        let prof = &mut StripedProfile::new(s, ms, isa.lanes());
+        dispatch(isa, StripedScore { prof, t, threshold })
     }
 
     fn oracle_each(
@@ -536,7 +280,7 @@ mod tests {
     fn striped_profile_rows_match_matrix() {
         let ms = bl62();
         let s = b"MKVLAWQHKRW";
-        let mut prof = AffineStripedProfile::new(s, &ms, 4);
+        let mut prof = StripedProfile::new(s, &ms, 4);
         for c in [b'W', b'A', b'X', b'*'] {
             let row: Vec<i16> = prof.row(c).to_vec();
             for (q, &sc) in s.iter().enumerate() {
@@ -557,20 +301,7 @@ mod tests {
                 if !isa.available() {
                     continue;
                 }
-                let mut prof = AffineStripedProfile::new(s, &ms, isa.lanes());
-                // SAFETY: availability checked; each dispatch goes through
-                // the matching target_feature wrapper.
-                let got = match isa {
-                    Isa::Portable => unsafe {
-                        striped_affine_score::<crate::scalar::Portable>(&mut prof, t, thr)
-                    },
-                    #[cfg(target_arch = "x86_64")]
-                    Isa::Sse2 => unsafe { crate::x86::affine_sse2(&mut prof, t, thr) },
-                    #[cfg(target_arch = "x86_64")]
-                    Isa::Avx2 => unsafe { crate::x86::affine_avx2(&mut prof, t, thr) },
-                    #[cfg(not(target_arch = "x86_64"))]
-                    _ => unreachable!(),
-                };
+                let got = striped(isa, s, t, &ms, thr);
                 assert_eq!(got, want, "isa {} thr {thr}", isa.name());
             }
         }
@@ -616,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_affine_spills_oversized_queries_to_scalar() {
+    fn score_batch_spills_oversized_affine_queries_to_scalar() {
         let ms = bl62();
         // 40k residues exceed the i16 ceiling (40_000 * 11 cells); the
         // big query must fall back while its neighbours stay packed.
@@ -624,7 +355,7 @@ mod tests {
         let queries: Vec<&[u8]> = vec![b"MKVLAWQ", &long, b"GAVD"];
         let t = vec![b'W'; 500];
         for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
-            let got = score_batch_affine(choice, &queries, &t, &ms, 1);
+            let got = score_batch(choice, &queries, &t, &ms, 1);
             assert_eq!(got, oracle_each(&queries, &t, &ms, 1), "choice {choice}");
         }
     }
@@ -646,19 +377,7 @@ mod tests {
                 continue;
             }
             let want = sw_score_profile(&s, &t, &ms, 3);
-            let mut prof = AffineStripedProfile::new(&s, &ms, isa.lanes());
-            // SAFETY: availability checked above.
-            let got = match isa {
-                Isa::Portable => unsafe {
-                    striped_affine_score::<crate::scalar::Portable>(&mut prof, &t, 3)
-                },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Sse2 => unsafe { crate::x86::affine_sse2(&mut prof, &t, 3) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { crate::x86::affine_avx2(&mut prof, &t, 3) },
-                #[cfg(not(target_arch = "x86_64"))]
-                _ => unreachable!(),
-            };
+            let got = striped(isa, &s, &t, &ms, 3);
             assert_eq!(got, want, "isa {}", isa.name());
         }
     }

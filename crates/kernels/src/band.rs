@@ -8,9 +8,8 @@
 //! per-element max alive across [`advance`](BandScorer::advance) calls and
 //! injects the border values the caller computed for the band above.
 
-use crate::engine::{self, BandChunkOut, StripedState};
+use crate::engine::{dispatch, hit_floor, BandAdvance, StripedState};
 use crate::profile::StripedProfile;
-use crate::scalar::Portable;
 use crate::{fits_i16, Isa, KernelChoice};
 use genomedsm_core::scoring::Scoring;
 
@@ -18,7 +17,7 @@ use genomedsm_core::scoring::Scoring;
 pub struct BandScorer {
     isa: Isa,
     st: StripedState,
-    prof: StripedProfile,
+    prof: StripedProfile<Scoring>,
     thr_minus_1: Option<i16>,
     save_every: Option<usize>,
     band_rows: usize,
@@ -45,33 +44,17 @@ impl BandScorer {
         threshold: i32,
         save_every: Option<usize>,
     ) -> Option<Self> {
-        let isa = match choice {
-            KernelChoice::Scalar => return None,
-            KernelChoice::Simd => Isa::best_available(),
-            KernelChoice::Auto => {
-                let best = Isa::best_available();
-                if best == Isa::Portable {
-                    // Striped-on-arrays is slower than the plain scalar loop.
-                    return None;
-                }
-                best
-            }
-        };
+        let isa = choice.isa()?;
         if band_s.is_empty() || threshold < 1 || !fits_i16(full_dims.0, full_dims.1, scoring) {
             return None;
         }
         let prof = StripedProfile::new(band_s, scoring, isa.lanes());
         let st = StripedState::new(prof.p, prof.lanes, true);
-        let thr_minus_1 = if threshold <= i32::from(i16::MAX) {
-            Some((threshold - 1) as i16)
-        } else {
-            None
-        };
         Some(Self {
             isa,
             st,
             prof,
-            thr_minus_1,
+            thr_minus_1: hit_floor(threshold),
             save_every,
             band_rows: band_s.len(),
         })
@@ -105,55 +88,23 @@ impl BandScorer {
             chunk.len() + 1,
             "top border must cover the chunk plus its corner"
         );
-        let mut out = BandChunkOut {
-            bottom,
-            col_hits,
-            first_col,
-            save_every: self.save_every,
-            saved,
-        };
-        match self.isa {
-            // SAFETY: the portable engine has no ISA requirement; state and
-            // profile were built together for its lane width.
-            Isa::Portable => unsafe {
-                engine::band_advance::<Portable>(
-                    &mut self.st,
-                    &mut self.prof,
-                    chunk,
-                    top,
-                    self.thr_minus_1,
-                    &mut out,
-                )
+        // `isa` was detected at construction, and `st` and `prof` were built
+        // together for its lane width.
+        dispatch(
+            self.isa,
+            BandAdvance {
+                st: &mut self.st,
+                prof: &mut self.prof,
+                chunk,
+                top,
+                thr_minus_1: self.thr_minus_1,
+                bottom,
+                col_hits,
+                first_col,
+                save_every: self.save_every,
+                saved,
             },
-            // SAFETY: self.isa is only set to Sse2 after runtime detection
-            // (Isa::available), satisfying the target_feature contract.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe {
-                crate::x86::band_advance_sse2(
-                    &mut self.st,
-                    &mut self.prof,
-                    chunk,
-                    top,
-                    self.thr_minus_1,
-                    &mut out,
-                )
-            },
-            // SAFETY: as above — Avx2 is only selected when
-            // is_x86_feature_detected!("avx2") held at construction.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe {
-                crate::x86::band_advance_avx2(
-                    &mut self.st,
-                    &mut self.prof,
-                    chunk,
-                    top,
-                    self.thr_minus_1,
-                    &mut out,
-                )
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => unreachable!("x86 ISA selected on a non-x86 target"),
-        }
+        )
     }
 
     /// Best local score seen anywhere in this band so far.

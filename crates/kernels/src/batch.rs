@@ -16,19 +16,22 @@
 //! computes sequentially anyway. No striping, no lazy-F loop — every
 //! instruction is useful work.
 //!
-//! Exactness contract: each lane's result is bit-identical to
-//! [`sw_score_linear`] on that (query, target) pair — same best score,
-//! same row-major-first end-point tie-break, same threshold hit count.
-//! Queries outside the i16 envelope ([`fits_i16_query`]) transparently
-//! fall back to the scalar oracle in [`score_batch`].
+//! Exactness contract: each lane's result is bit-identical to the
+//! scheme's scalar oracle ([`Scheme::oracle`]) on that (query, target)
+//! pair — same best score, same row-major-first end-point tie-break,
+//! same threshold hit count. Queries outside the i16 envelope
+//! ([`fits_i16_query`]) transparently fall back to the scalar oracle in
+//! [`score_batch`].
 
-use crate::engine::Engine;
-use crate::profile::NEG_INF;
+use crate::engine::{dispatch, hit_floor, Engine, Pass};
+use crate::profile::{Scheme, NEG_INF};
 use crate::{fits_i16_query, Isa, KernelChoice};
-use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
+use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::scoring::Scoring;
 
-/// A batch of up to `lanes` queries packed one-per-lane for a fixed ISA.
+/// A batch of up to `lanes` queries packed one-per-lane for a fixed ISA
+/// under scheme `S` (linear-gap [`Scoring`] unless named otherwise;
+/// [`crate::PackedAffineProfile`] is the protein instance).
 ///
 /// The profile precomputes, for each target symbol `c`, the row-major
 /// vector sequence `prof[c][i * lanes + l] = subst(q_l[i], c)` (the
@@ -37,7 +40,7 @@ use genomedsm_core::scoring::Scoring;
 /// per observed symbol. A profile is built **once per lane group** and
 /// reused across every database record it is scored against — that
 /// amortization is the batch engine's main launch-overhead win.
-pub struct PackedProfile {
+pub struct PackedProfile<S = Scoring> {
     isa: Isa,
     /// Vector width in i16 lanes.
     lanes: usize,
@@ -52,12 +55,10 @@ pub struct PackedProfile {
     /// Lazily built profile rows, one per target symbol.
     sym_rows: Vec<Option<Box<[i16]>>>,
     seqs: Vec<Box<[u8]>>,
-    match_score: i16,
-    mismatch: i16,
-    gap: i16,
+    scheme: S,
 }
 
-impl PackedProfile {
+impl<S: Scheme> PackedProfile<S> {
     /// Packs `queries` (at most `isa.lanes()` of them) for `isa`.
     ///
     /// Returns `None` when the pack is not exactly representable: the ISA
@@ -65,11 +66,11 @@ impl PackedProfile {
     /// scheme / a query length fails [`fits_i16_query`]. Callers that
     /// need a never-fails path use [`score_batch`], which routes
     /// rejected queries to the scalar oracle instead.
-    pub fn new(queries: &[&[u8]], scoring: &Scoring, isa: Isa) -> Option<Self> {
+    pub fn new(queries: &[&[u8]], scheme: &S, isa: Isa) -> Option<Self> {
         if !isa.available() || queries.len() > isa.lanes() {
             return None;
         }
-        if queries.iter().any(|q| !fits_i16_query(q.len(), scoring)) {
+        if queries.iter().any(|q| !fits_i16_query(q.len(), scheme)) {
             return None;
         }
         let lanes = isa.lanes();
@@ -93,9 +94,7 @@ impl PackedProfile {
             valid,
             sym_rows: vec![None; 256],
             seqs: queries.iter().map(|&q| q.into()).collect(),
-            match_score: scoring.matches as i16,
-            mismatch: scoring.mismatch as i16,
-            gap: (-scoring.gap) as i16,
+            scheme: *scheme,
         })
     }
 
@@ -116,24 +115,47 @@ impl PackedProfile {
             let mut row = vec![NEG_INF; self.rows * self.lanes];
             for (l, q) in self.seqs.iter().enumerate() {
                 for (i, &qc) in q.iter().enumerate() {
-                    row[i * self.lanes + l] = if qc == c {
-                        self.match_score
-                    } else {
-                        self.mismatch
-                    };
+                    row[i * self.lanes + l] = self.scheme.subst(qc, c);
                 }
             }
             *slot = Some(row.into_boxed_slice());
         }
         slot.as_deref().unwrap()
     }
+
+    /// Final reduction of a finished pass, one result per packed query:
+    /// scanning each lane's live rows in query order with a strict `>`
+    /// reproduces the oracle's row-major-first tie-break — `first_j` holds
+    /// each row's first column reaching its max, and the lowest such row
+    /// wins.
+    fn reduce(&self, st: &PackedState) -> Vec<LinearSwResult> {
+        self.lens
+            .iter()
+            .enumerate()
+            .map(|(l, &len)| {
+                let mut best = LinearSwResult {
+                    best_score: 0,
+                    best_end: (0, 0),
+                    hits: st.hits[l],
+                };
+                for i in 0..len {
+                    let idx = i * self.lanes + l;
+                    let v = i32::from(st.vmax[idx]);
+                    if v > best.best_score {
+                        best.best_score = v;
+                        best.best_end = (i + 1, st.first_j[idx] as usize + 1);
+                    }
+                }
+                best
+            })
+            .collect()
+    }
 }
 
 /// Mutable per-scan state: two column buffers plus the per-element
-/// running-max bookkeeping that reproduces the oracle's tie-break.
-/// Shared with the affine packed kernel ([`crate::affine`]), which adds
-/// its own `E` buffer alongside.
-pub(crate) struct PackedState {
+/// running-max bookkeeping that reproduces the oracle's tie-break (an
+/// affine scheme's `E` buffer rides alongside in its [`Scheme::Gap`]).
+pub struct PackedState {
     /// Previous column's `H` (`rows * lanes`, row-major).
     pub(crate) ph: Vec<i16>,
     /// Current column's `H`.
@@ -178,7 +200,12 @@ impl PackedState {
 /// `prof_row` must be packed for `E::LANES` lanes with at least `rows`
 /// rows.
 #[inline(always)]
-unsafe fn packed_column<E: Engine>(st: &mut PackedState, rows: usize, prof_row: &[i16], gap: i16) {
+pub(crate) unsafe fn packed_column<E: Engine>(
+    st: &mut PackedState,
+    rows: usize,
+    prof_row: &[i16],
+    gap: i16,
+) {
     let l = E::LANES;
     let vzero = E::splat(0);
     let vgap = E::splat(gap);
@@ -239,59 +266,35 @@ pub(crate) unsafe fn packed_stats<E: Engine>(
     }
 }
 
-/// Full batch pass: one result per packed query, oracle-exact.
-///
-/// # Safety
-/// The caller must guarantee the engine's ISA is available on the running
-/// CPU (or call this through a `#[target_feature]` wrapper).
-#[inline(always)]
-pub(crate) unsafe fn packed_score<E: Engine>(
-    prof: &mut PackedProfile,
-    t: &[u8],
+/// Full batch pass of every query packed in `prof` over `t`: one
+/// oracle-exact result per query.
+struct PackedScore<'a, S> {
+    prof: &'a mut PackedProfile<S>,
+    t: &'a [u8],
     threshold: i32,
-) -> Vec<LinearSwResult> {
-    debug_assert_eq!(E::LANES, prof.lanes);
-    let rows = prof.rows;
-    let gap = prof.gap;
-    let mut st = PackedState::new(rows, prof.lanes);
-    // Hits are only counted for positive thresholds (matching the scalar
-    // oracle); a threshold above the i16 range can never be reached by an
-    // admitted problem, so it degenerates to "count nothing".
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
-    for (j0, &c) in t.iter().enumerate() {
-        let row = prof.row(c);
-        packed_column::<E>(&mut st, rows, row, gap);
-        packed_stats::<E>(&mut st, &prof.valid, thr, j0);
-        st.flip();
+}
+
+impl<S: Scheme> Pass for PackedScore<'_, S> {
+    type Out = Vec<LinearSwResult>;
+
+    // SAFETY: the caller enables E's ISA; the assert pins the lane width
+    // every buffer below is packed for.
+    #[inline(always)]
+    unsafe fn run<E: Engine>(self) -> Vec<LinearSwResult> {
+        let Self { prof, t, threshold } = self;
+        assert_eq!(E::LANES, prof.lanes);
+        let rows = prof.rows;
+        let mut st = PackedState::new(rows, prof.lanes);
+        let mut gap = prof.scheme.gap_state(rows * prof.lanes);
+        let thr = hit_floor(threshold);
+        for (j0, &c) in t.iter().enumerate() {
+            let row = prof.row(c);
+            S::packed_column::<E>(&mut gap, &mut st, rows, row);
+            packed_stats::<E>(&mut st, &prof.valid, thr, j0);
+            st.flip();
+        }
+        prof.reduce(&st)
     }
-    // Final reduction: scanning each lane's live rows in query order with
-    // a strict `>` reproduces the oracle's row-major-first tie-break —
-    // `first_j` holds each row's first column reaching its max, and the
-    // lowest such row wins.
-    prof.lens
-        .iter()
-        .enumerate()
-        .map(|(l, &len)| {
-            let mut best = LinearSwResult {
-                best_score: 0,
-                best_end: (0, 0),
-                hits: st.hits[l],
-            };
-            for i in 0..len {
-                let idx = i * prof.lanes + l;
-                let v = i32::from(st.vmax[idx]);
-                if v > best.best_score {
-                    best.best_score = v;
-                    best.best_end = (i + 1, st.first_j[idx] as usize + 1);
-                }
-            }
-            best
-        })
-        .collect()
 }
 
 /// Scores every query packed in `prof` against `t`, one oracle-exact
@@ -299,86 +302,55 @@ pub(crate) unsafe fn packed_score<E: Engine>(
 ///
 /// The profile is reusable: scoring mutates only its lazy symbol-row
 /// cache, so one profile can scan an entire database of targets.
-pub fn score_batch_packed(
-    prof: &mut PackedProfile,
+pub fn score_batch_packed<S: Scheme>(
+    prof: &mut PackedProfile<S>,
     t: &[u8],
     threshold: i32,
 ) -> Vec<LinearSwResult> {
-    match prof.isa {
-        // SAFETY: the portable engine has no ISA requirement.
-        Isa::Portable => unsafe { packed_score::<crate::scalar::Portable>(prof, t, threshold) },
-        // SAFETY: prof.isa is only Sse2 when runtime detection admitted it.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => unsafe { crate::x86::packed_sse2(prof, t, threshold) },
-        // SAFETY: prof.isa is only Avx2 when runtime detection admitted it.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { crate::x86::packed_avx2(prof, t, threshold) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Sse2 | Isa::Avx2 => unreachable!("PackedProfile::new checks Isa::available"),
-    }
+    dispatch(prof.isa, PackedScore { prof, t, threshold })
 }
 
 /// Number of queries one kernel invocation carries for `choice` on this
 /// host: the i16 lane width for the SIMD paths, 1 for the scalar oracle.
 /// Batch planners size their lane groups with this.
 pub fn effective_lanes(choice: KernelChoice) -> usize {
-    match choice {
-        KernelChoice::Scalar => 1,
-        KernelChoice::Simd => Isa::best_available().lanes(),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            if best == Isa::Portable {
-                1
-            } else {
-                best.lanes()
-            }
-        }
-    }
+    choice.isa().map_or(1, Isa::lanes)
 }
 
 /// Scores many queries against one shared target, packing a different
 /// query into each i16 lane: the batch drop-in for a loop of single-pair
-/// `score` calls. Results are in query order and bit-identical to
-/// [`sw_score_linear`] per pair.
+/// `score` calls, for either scheme. Results are in query order and
+/// bit-identical to the scheme's scalar oracle per pair.
 ///
 /// Queries are packed [`effective_lanes`]`(choice)` at a time in the
 /// given order (pre-sort by length to minimize padding); queries outside
 /// the i16 envelope — and every query under `KernelChoice::Scalar` or
 /// when no real SIMD is available under `Auto` — run on the scalar
 /// oracle instead.
-pub fn score_batch(
+pub fn score_batch<S: Scheme>(
     choice: KernelChoice,
     queries: &[&[u8]],
     t: &[u8],
-    scoring: &Scoring,
+    scheme: &S,
     threshold: i32,
 ) -> Vec<LinearSwResult> {
-    let isa = match choice {
-        KernelChoice::Scalar => None,
-        KernelChoice::Simd => Some(Isa::best_available()),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            (best != Isa::Portable).then_some(best)
-        }
-    };
     let zero = LinearSwResult {
         best_score: 0,
         best_end: (0, 0),
         hits: 0,
     };
     let mut out = vec![zero; queries.len()];
-    let Some(isa) = isa else {
+    let Some(isa) = choice.isa() else {
         for (slot, q) in out.iter_mut().zip(queries) {
-            *slot = sw_score_linear(q, t, scoring, threshold);
+            *slot = scheme.oracle(q, t, threshold);
         }
         return out;
     };
     let (packable, scalar): (Vec<usize>, Vec<usize>) =
-        (0..queries.len()).partition(|&i| fits_i16_query(queries[i].len(), scoring));
+        (0..queries.len()).partition(|&i| fits_i16_query(queries[i].len(), scheme));
     for group in packable.chunks(isa.lanes()) {
         let qs: Vec<&[u8]> = group.iter().map(|&i| queries[i]).collect();
-        let mut prof =
-            PackedProfile::new(&qs, scoring, isa).expect("members passed fits_i16_query");
+        let mut prof = PackedProfile::new(&qs, scheme, isa).expect("members passed fits_i16_query");
         for (&i, r) in group
             .iter()
             .zip(score_batch_packed(&mut prof, t, threshold))
@@ -387,7 +359,7 @@ pub fn score_batch(
         }
     }
     for i in scalar {
-        out[i] = sw_score_linear(queries[i], t, scoring, threshold);
+        out[i] = scheme.oracle(queries[i], t, threshold);
     }
     out
 }
@@ -395,6 +367,7 @@ pub fn score_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::linear::sw_score_linear;
 
     const SC: Scoring = Scoring::paper();
 

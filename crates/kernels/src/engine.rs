@@ -1,9 +1,11 @@
 //! The engine abstraction and the generic striped Smith–Waterman recurrence.
 //!
 //! Everything algorithmic lives here, written once against the tiny
-//! [`Engine`] vector vocabulary. The ISA backends ([`crate::scalar`],
-//! [`crate::x86`]) only implement `Engine` and wrap the generic routines in
-//! `#[target_feature]` shells so the compiler can use the wide instructions.
+//! [`Engine`] vector vocabulary and the [`Scheme`] being scored. The ISA
+//! backends ([`crate::scalar`], [`crate::x86`]) only implement `Engine`;
+//! [`dispatch`] is the one place a runtime [`Isa`] becomes an engine type,
+//! through one `#[target_feature]` shell per x86 engine that a whole
+//! [`Pass`] monomorphizes inside.
 //!
 //! # Why the linear-gap recurrence needs no `E` array
 //!
@@ -21,7 +23,11 @@
 //! back to the scalar oracle otherwise, so saturation can never corrupt a
 //! result.
 
-use crate::profile::{StripedProfile, NEG_INF};
+use crate::profile::{Scheme, StripedProfile, NEG_INF};
+use crate::scalar::Portable;
+use crate::Isa;
+use genomedsm_core::linear::LinearSwResult;
+use genomedsm_core::scoring::Scoring;
 
 /// Minimal SIMD vocabulary the striped recurrence needs.
 ///
@@ -33,7 +39,11 @@ use crate::profile::{StripedProfile, NEG_INF};
 /// ISA is enabled in the calling context (via runtime detection plus a
 /// `#[target_feature]` wrapper, as the backends do), and `load`/`store`
 /// pointers must be valid for `LANES` consecutive `i16` reads/writes.
-pub(crate) trait Engine: Copy {
+///
+/// `pub` (like the two state types) only so the public [`Scheme`] trait may
+/// name it in its column signatures; this module is private, so none of
+/// them is reachable from outside the crate.
+pub trait Engine: Copy {
     /// Number of i16 lanes per vector.
     const LANES: usize;
     /// Vector register type.
@@ -87,10 +97,54 @@ pub(crate) trait Engine: Copy {
     unsafe fn shift_in(v: Self::V, first: i16) -> Self::V;
 }
 
+/// A whole kernel pass, generic over the engine it will run on: the unit
+/// [`dispatch`] hands to an ISA.
+pub(crate) trait Pass {
+    /// What the pass returns.
+    type Out;
+
+    /// Runs the pass on engine `E`. Implementations are `#[inline(always)]`
+    /// so the body compiles inside the calling `#[target_feature]` shell.
+    ///
+    /// # Safety
+    /// `E`'s ISA must be enabled in the calling context.
+    unsafe fn run<E: Engine>(self) -> Self::Out;
+}
+
+/// Runs `pass` on `isa`'s engine.
+///
+/// # Panics
+/// If the running CPU lacks `isa` (every caller picks it from
+/// [`Isa::best_available`] or checks [`Isa::available`] first).
+pub(crate) fn dispatch<P: Pass>(isa: Isa, pass: P) -> P::Out {
+    assert!(isa.available(), "{} is not available here", isa.name());
+    match isa {
+        // SAFETY: the portable engine has no ISA requirement.
+        Isa::Portable => unsafe { pass.run::<Portable>() },
+        // SAFETY: available() above detected SSE2 at runtime, which is the
+        // shell's target_feature contract.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Sse2 => unsafe { crate::x86::run_sse2(pass) },
+        // SAFETY: as above — available() detected AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { crate::x86::run_avx2(pass) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Sse2 | Isa::Avx2 => unreachable!("Isa::available is false off x86_64"),
+    }
+}
+
+/// The hit test `H > threshold - 1` as an i16 operand. Hits are only
+/// counted for positive thresholds (matching the scalar oracle); a
+/// threshold above the i16 range can never be reached by an admitted
+/// problem, so it degenerates to "count nothing".
+pub(crate) fn hit_floor(threshold: i32) -> Option<i16> {
+    (threshold > 0 && threshold <= i32::from(i16::MAX)).then(|| (threshold - 1) as i16)
+}
+
 /// Mutable per-alignment state shared by all engines (plain i16 buffers in
 /// striped order; the engine only dictates the lane width they are read
 /// with).
-pub(crate) struct StripedState {
+pub struct StripedState {
     /// Stripes per column.
     pub p: usize,
     /// Lane width the buffers are striped for.
@@ -263,58 +317,46 @@ pub(crate) unsafe fn destripe_column<E: Engine>(st: &StripedState, m: usize, out
     }
 }
 
-/// Full striped local-alignment pass, exact against `sw_score_linear`.
-///
-/// # Safety
-/// The caller must guarantee the engine's ISA is available on the running
-/// CPU (or call this through a `#[target_feature]` wrapper).
-#[inline(always)]
-pub(crate) unsafe fn striped_score<E: Engine>(
-    prof: &mut StripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> genomedsm_core::linear::LinearSwResult {
-    use genomedsm_core::linear::LinearSwResult;
-    let gap = prof.gap;
-    let m = prof.m;
-    let mut st = StripedState::new(prof.p, prof.lanes, true);
-    // Hits are only counted for positive thresholds (matching the scalar
-    // oracle); a threshold above the i16 range can never be reached by an
-    // admitted problem, so it degenerates to "count nothing".
-    let thr = if threshold > 0 && threshold <= i32::from(i16::MAX) {
-        Some((threshold - 1) as i16)
-    } else {
-        None
-    };
-    for (j0, &c) in t.iter().enumerate() {
-        let row = prof.row(c);
-        // Zero top row: diagonal boundary 0, vertical-gap boundary -gap.
-        column::<E>(&mut st, row, gap, 0, -gap);
-        stats::<E>(&mut st, &prof.valid, thr, true, j0);
-        st.flip();
-    }
-    // Final reduction: scanning live elements in query order with a strict
-    // `>` reproduces the oracle's row-major-first tie-break — `first_j`
-    // holds each row's first column reaching its max, and the lowest such
-    // row wins.
-    let mut best = LinearSwResult {
-        best_score: 0,
-        best_end: (0, 0),
-        hits: st.hits,
-    };
-    for q in 0..m {
-        let idx = prof.index_of(q);
-        let v = i32::from(st.vmax[idx]);
-        if v > best.best_score {
-            best.best_score = v;
-            best.best_end = (q + 1, st.first_j[idx] as usize + 1);
-        }
-    }
-    best
+/// Full striped local-alignment pass of `prof`'s query over `t`, exact
+/// against the scheme's oracle.
+pub(crate) struct StripedScore<'a, S> {
+    pub prof: &'a mut StripedProfile<S>,
+    pub t: &'a [u8],
+    pub threshold: i32,
 }
 
-/// Outputs of one [`band_advance`] call.
-pub(crate) struct BandChunkOut<'a> {
+impl<S: Scheme> Pass for StripedScore<'_, S> {
+    type Out = LinearSwResult;
+
+    // SAFETY: the caller enables E's ISA; the assert pins the lane width
+    // every buffer below is striped for.
+    #[inline(always)]
+    unsafe fn run<E: Engine>(self) -> LinearSwResult {
+        let Self { prof, t, threshold } = self;
+        assert_eq!(E::LANES, prof.lanes);
+        let mut st = StripedState::new(prof.p, prof.lanes, true);
+        let mut gap = prof.scheme.gap_state(prof.p * prof.lanes);
+        let thr = hit_floor(threshold);
+        for (j0, &c) in t.iter().enumerate() {
+            let row = prof.row(c);
+            S::striped_column::<E>(&mut gap, &mut st, row);
+            stats::<E>(&mut st, &prof.valid, thr, true, j0);
+            st.flip();
+        }
+        prof.reduce(&st)
+    }
+}
+
+/// Advances a banded wavefront state across one horizontal chunk of the
+/// database sequence, injecting the top border row computed by the band
+/// above (`top[0]` is the corner `H[row0][first_col-1]`). Linear gaps
+/// only: no caller has an affine band.
+pub(crate) struct BandAdvance<'a> {
+    pub st: &'a mut StripedState,
+    pub prof: &'a mut StripedProfile<Scoring>,
+    pub chunk: &'a [u8],
+    pub top: &'a [i32],
+    pub thr_minus_1: Option<i16>,
     /// Per chunk column: `H` of the band's last query row (the bottom
     /// border handed to the next band of the wavefront).
     pub bottom: &'a mut Vec<i32>,
@@ -331,41 +373,47 @@ pub(crate) struct BandChunkOut<'a> {
     pub saved: &'a mut Vec<(usize, Vec<i32>)>,
 }
 
-/// Advances a banded wavefront state across one horizontal chunk of the
-/// database sequence, injecting the top border row computed by the band
-/// above (`top[0]` is the corner `H[row0][first_col-1]`).
-///
-/// # Safety
-/// Same contract as [`striped_score`].
-#[inline(always)]
-pub(crate) unsafe fn band_advance<E: Engine>(
-    st: &mut StripedState,
-    prof: &mut StripedProfile,
-    chunk: &[u8],
-    top: &[i32],
-    thr_minus_1: Option<i16>,
-    out: &mut BandChunkOut<'_>,
-) {
-    debug_assert_eq!(top.len(), chunk.len() + 1);
-    let gap = prof.gap;
-    let m = prof.m;
-    for (jj, &c) in chunk.iter().enumerate() {
-        let row = prof.row(c);
-        let diag0 = top[jj] as i16;
-        let f0 = (top[jj + 1] as i16).saturating_sub(gap);
-        column::<E>(st, row, gap, diag0, f0);
-        let hits_before = st.hits;
-        stats::<E>(st, &prof.valid, thr_minus_1, true, 0);
-        out.col_hits.push(st.hits - hits_before);
-        out.bottom.push(i32::from(extract::<E>(st, m - 1)));
-        if let Some(every) = out.save_every {
-            let abs = out.first_col + jj;
-            if abs.is_multiple_of(every) {
-                let mut col = vec![0i32; m];
-                destripe_column::<E>(st, m, &mut col);
-                out.saved.push((abs, col));
+impl Pass for BandAdvance<'_> {
+    type Out = ();
+
+    // SAFETY: the caller enables E's ISA; the assert pins the lane width
+    // `st` and `prof` were built for.
+    #[inline(always)]
+    unsafe fn run<E: Engine>(self) {
+        let Self {
+            st,
+            prof,
+            chunk,
+            top,
+            thr_minus_1,
+            bottom,
+            col_hits,
+            first_col,
+            save_every,
+            saved,
+        } = self;
+        assert_eq!(E::LANES, prof.lanes);
+        debug_assert_eq!(top.len(), chunk.len() + 1);
+        let gap: i16 = prof.scheme.gap_state(0);
+        let m = prof.m;
+        for (jj, &c) in chunk.iter().enumerate() {
+            let row = prof.row(c);
+            let diag0 = top[jj] as i16;
+            let f0 = (top[jj + 1] as i16).saturating_sub(gap);
+            column::<E>(st, row, gap, diag0, f0);
+            let hits_before = st.hits;
+            stats::<E>(st, &prof.valid, thr_minus_1, true, 0);
+            col_hits.push(st.hits - hits_before);
+            bottom.push(i32::from(extract::<E>(st, m - 1)));
+            if let Some(every) = save_every {
+                let abs = first_col + jj;
+                if abs.is_multiple_of(every) {
+                    let mut col = vec![0i32; m];
+                    destripe_column::<E>(st, m, &mut col);
+                    saved.push((abs, col));
+                }
             }
+            st.flip();
         }
-        st.flip();
     }
 }

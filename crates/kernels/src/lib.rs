@@ -12,11 +12,20 @@
 //! | `striped-sse2`       | 8 × i16      | SSE2 (any x86_64)    |
 //! | `striped-avx2`       | 16 × i16     | AVX2, detected at runtime |
 //!
-//! All kernels are **bit-exact** against `sw_score_linear`: same best
-//! score, same end point (including the row-major-first tie-break), same
-//! threshold hit count. Problems that could saturate the i16 lanes (see
-//! [`fits_i16`]) transparently fall back to the scalar oracle, so callers
-//! never trade correctness for speed.
+//! The crate is one skeleton with three orthogonal parameters: the scoring
+//! [`Scheme`] (linear-gap `Scoring`, affine-gap `MatrixScoring`; chosen by
+//! the type of the scoring value passed), the lane layout (striped: one
+//! query over all lanes, [`ScoreKernel`] and [`BandScorer`]; packed: a
+//! different query per lane, [`score_batch`]) and the ISA above. Only the
+//! per-column recurrence differs between schemes; profiles, drivers and
+//! the ISA dispatch are written once (DESIGN.md §5.5).
+//!
+//! All kernels are **bit-exact** against the scheme's scalar oracle
+//! (`sw_score_linear` / `sw_score_profile`): same best score, same end
+//! point (including the row-major-first tie-break), same threshold hit
+//! count. Problems that could saturate the i16 lanes (see [`fits_i16`])
+//! transparently fall back to that oracle, so callers never trade
+//! correctness for speed.
 //!
 //! Selection is by [`KernelChoice`] (`scalar | simd | auto`): `auto` picks
 //! the fastest exact kernel for the host, `simd` forces the striped path
@@ -31,24 +40,25 @@ mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use affine::{score_batch_affine, score_batch_packed_affine, PackedAffineProfile};
 pub use band::BandScorer;
-pub use batch::{effective_lanes, score_batch, score_batch_packed, PackedProfile};
+pub use batch::{
+    effective_lanes, score_batch, score_batch_packed,
+    score_batch_packed as score_batch_packed_affine, PackedProfile,
+};
 pub use genomedsm_core::linear::LinearSwResult;
+pub use profile::Scheme;
 
-use affine::AffineStripedProfile;
-use genomedsm_core::linear::sw_score_linear;
+use engine::{dispatch, StripedScore};
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
-use genomedsm_core::sw_score_profile;
 use profile::StripedProfile;
+
+/// [`PackedProfile`] under an affine-gap protein scheme.
+pub type PackedAffineProfile = PackedProfile<MatrixScoring>;
 
 /// Highest cell value the striped kernels accept, with margin below
 /// `i16::MAX` so transient sums cannot saturate.
 const I16_SCORE_CEILING: i64 = 32_000;
-/// Largest magnitude accepted for the three scoring parameters, with margin
-/// above the profile's padding sentinel.
-const I16_PARAM_CEILING: i32 = 28_000;
 
 /// Instruction set a striped kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,6 +149,18 @@ impl KernelChoice {
             Self::Auto => "auto",
         }
     }
+
+    /// The engine this choice runs the i16 kernels on here, or `None` for
+    /// the scalar oracle. `auto` is scalar when no real SIMD is available:
+    /// the portable engine exists for correctness coverage, and
+    /// striped-on-arrays is slower than the plain scalar loop.
+    pub fn isa(self) -> Option<Isa> {
+        match self {
+            KernelChoice::Scalar => None,
+            KernelChoice::Simd => Some(Isa::best_available()),
+            KernelChoice::Auto => Some(Isa::best_available()).filter(|&isa| isa != Isa::Portable),
+        }
+    }
 }
 
 impl std::str::FromStr for KernelChoice {
@@ -156,97 +178,38 @@ impl std::fmt::Display for KernelChoice {
 }
 
 /// Whether a problem of these dimensions is exactly representable in the
-/// i16 striped kernels.
+/// i16 kernels under `scheme`.
 ///
-/// Local scores are bounded by `min(m, n) * matches` (each of the at most
-/// `min(m, n)` aligned columns contributes at most `matches`), so keeping
-/// that product under the internal `I16_SCORE_CEILING` (32 000) rules out
-/// saturation of every intermediate value. Degenerate scoring schemes (non-negative gap, huge
-/// magnitudes, mismatch above match) are routed to scalar rather than
-/// reasoned about.
-pub fn fits_i16(m: usize, n: usize, scoring: &Scoring) -> bool {
-    if m == 0 || n == 0 {
-        return false; // trivial; let the scalar oracle return its zero result
-    }
-    if scoring.gap >= 0 || scoring.gap < -I16_PARAM_CEILING {
-        return false;
-    }
-    if scoring.matches <= 0
-        || scoring.mismatch > scoring.matches
-        || scoring.mismatch < -I16_PARAM_CEILING
-    {
-        return false;
-    }
-    (m.min(n) as i64).saturating_mul(i64::from(scoring.matches)) <= I16_SCORE_CEILING
+/// Local scores are bounded by `min(m, n) * cap`, where `cap` is the most
+/// one aligned column can add ([`Scheme::column_cap`]: the match score, or
+/// the largest matrix entry — gaps only subtract), so keeping that product
+/// under the internal `I16_SCORE_CEILING` (32 000) rules out saturation of
+/// every `H`. Affine `E`/`F` values that saturate low are dominated by the
+/// `H + gap_open` re-open branch everywhere they are consumed, so they
+/// cannot corrupt an admitted result. Degenerate schemes (non-negative
+/// gap, huge magnitudes, mismatch above match, open milder than extend)
+/// are routed to scalar rather than reasoned about.
+pub fn fits_i16<S: Scheme>(m: usize, n: usize, scheme: &S) -> bool {
+    // Empty sides are trivial; let the scalar oracle return its zero result.
+    m != 0 && n != 0 && fits_i16_query(m.min(n), scheme)
 }
 
 /// [`fits_i16`] for a query whose target length is not yet known — the
 /// admission rule for packing a query into a [`PackedProfile`] that will be
 /// reused across a whole database of targets.
 ///
-/// Local scores are bounded by `min(m, n) * matches <= m * matches` for any
-/// target length `n`, so `m * matches <= I16_SCORE_CEILING` rules out
-/// saturation against every possible target. Unlike [`fits_i16`], an empty
-/// query is admitted: its lane is fully masked and yields the oracle's zero
-/// result for free.
-pub fn fits_i16_query(m: usize, scoring: &Scoring) -> bool {
-    if scoring.gap >= 0 || scoring.gap < -I16_PARAM_CEILING {
-        return false;
-    }
-    if scoring.matches <= 0
-        || scoring.mismatch > scoring.matches
-        || scoring.mismatch < -I16_PARAM_CEILING
-    {
-        return false;
-    }
-    (m as i64).saturating_mul(i64::from(scoring.matches)) <= I16_SCORE_CEILING
+/// `min(m, n) * cap <= m * cap` for any target length `n`, so bounding
+/// `m * cap` rules out saturation against every possible target. Unlike
+/// [`fits_i16`], an empty query is admitted: its lane is fully masked and
+/// yields the oracle's zero result for free.
+pub fn fits_i16_query<S: Scheme>(m: usize, scheme: &S) -> bool {
+    scheme
+        .column_cap()
+        .is_some_and(|cap| (m as i64).saturating_mul(i64::from(cap)) <= I16_SCORE_CEILING)
 }
 
-fn affine_params_ok(scoring: &MatrixScoring) -> bool {
-    // Both penalties negative and bounded; open at least as costly as
-    // extend (signed `gap_open <= gap_extend`) — the affine lazy-F loop's
-    // "extension dominates re-opening" argument requires it, and every
-    // standard protein scheme satisfies it.
-    if scoring.gap_open >= 0 || scoring.gap_extend >= 0 {
-        return false;
-    }
-    if scoring.gap_open > scoring.gap_extend || scoring.gap_open < -I16_PARAM_CEILING {
-        return false;
-    }
-    // Matrix entries must stay clear of the padding sentinel and offer a
-    // positive score somewhere (otherwise every result is the zero result
-    // and the scalar oracle is free anyway).
-    let maxs = scoring.matrix.max_score();
-    let mins = scoring.matrix.min_score();
-    maxs >= 1 && i32::from(maxs) <= I16_PARAM_CEILING && i32::from(mins) >= -I16_PARAM_CEILING
-}
-
-/// Whether a problem of these dimensions is exactly representable in the
-/// i16 striped *affine* kernels under `scoring` — the protein-path
-/// counterpart of [`fits_i16`].
-///
-/// Local scores are bounded by `min(m, n) * max_matrix_score` (gaps only
-/// subtract), so keeping that product under the internal ceiling rules
-/// out saturation of every `H`; `E`/`F` values that saturate low are
-/// dominated by the `H + gap_open` re-open branch everywhere they are
-/// consumed, so they cannot corrupt an admitted result.
-pub fn fits_i16_affine(m: usize, n: usize, scoring: &MatrixScoring) -> bool {
-    if m == 0 || n == 0 {
-        return false; // trivial; let the scalar oracle return its zero result
-    }
-    affine_params_ok(scoring)
-        && (m.min(n) as i64).saturating_mul(i64::from(scoring.matrix.max_score()))
-            <= I16_SCORE_CEILING
-}
-
-/// [`fits_i16_affine`] for a query whose target length is not yet known —
-/// the admission rule for packing a query into a [`PackedAffineProfile`]
-/// reused across a whole database. Empty queries are admitted (their lane
-/// is fully masked and yields the zero result for free).
-pub fn fits_i16_affine_query(m: usize, scoring: &MatrixScoring) -> bool {
-    affine_params_ok(scoring)
-        && (m as i64).saturating_mul(i64::from(scoring.matrix.max_score())) <= I16_SCORE_CEILING
-}
+/// The same two rules, under the names protein callers know them by.
+pub use self::{fits_i16 as fits_i16_affine, fits_i16_query as fits_i16_affine_query};
 
 /// A drop-in replacement for `sw_score_linear`: same inputs, same exact
 /// outputs, possibly much faster.
@@ -260,7 +223,7 @@ pub trait ScoreKernel: Send + Sync {
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult;
 
     /// Affine-gap (Gotoh) scoring under a full substitution matrix — the
-    /// protein path. Exact per [`sw_score_profile`]'s contract, with the
+    /// protein path. Exact per `sw_score_profile`'s contract, with the
     /// same transparent scalar fallback outside the i16 envelope.
     fn score_affine(
         &self,
@@ -281,7 +244,7 @@ impl ScoreKernel for ScalarKernel {
     }
 
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        sw_score_linear(s, t, scoring, threshold)
+        scoring.oracle(s, t, threshold)
     }
 
     fn score_affine(
@@ -291,7 +254,7 @@ impl ScoreKernel for ScalarKernel {
         scoring: &MatrixScoring,
         threshold: i32,
     ) -> LinearSwResult {
-        sw_score_profile(s, t, scoring, threshold)
+        scoring.oracle(s, t, threshold)
     }
 }
 
@@ -319,6 +282,16 @@ impl StripedKernel {
     pub fn isa(&self) -> Isa {
         self.isa
     }
+
+    /// One pair under either scheme: the striped pass inside the i16
+    /// envelope, the scheme's scalar oracle outside it.
+    fn run<S: Scheme>(&self, s: &[u8], t: &[u8], scheme: &S, threshold: i32) -> LinearSwResult {
+        if !fits_i16(s.len(), t.len(), scheme) || !self.isa.available() {
+            return scheme.oracle(s, t, threshold);
+        }
+        let prof = &mut StripedProfile::new(s, scheme, self.isa.lanes());
+        dispatch(self.isa, StripedScore { prof, t, threshold })
+    }
 }
 
 impl ScoreKernel for StripedKernel {
@@ -327,26 +300,7 @@ impl ScoreKernel for StripedKernel {
     }
 
     fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        if !fits_i16(s.len(), t.len(), scoring) || !self.isa.available() {
-            return sw_score_linear(s, t, scoring, threshold);
-        }
-        let mut prof = StripedProfile::new(s, scoring, self.isa.lanes());
-        match self.isa {
-            // SAFETY: the portable engine has no ISA requirement; the
-            // profile above was built for its lane width.
-            Isa::Portable => unsafe {
-                engine::striped_score::<scalar::Portable>(&mut prof, t, threshold)
-            },
-            // SAFETY: self.isa.available() was checked above, so the
-            // target_feature contract of the wrapper holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { x86::score_sse2(&mut prof, t, threshold) },
-            // SAFETY: as above — available() verified AVX2 at runtime.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::score_avx2(&mut prof, t, threshold) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => unreachable!("guarded by Isa::available"),
-        }
+        self.run(s, t, scoring, threshold)
     }
 
     fn score_affine(
@@ -356,26 +310,7 @@ impl ScoreKernel for StripedKernel {
         scoring: &MatrixScoring,
         threshold: i32,
     ) -> LinearSwResult {
-        if !fits_i16_affine(s.len(), t.len(), scoring) || !self.isa.available() {
-            return sw_score_profile(s, t, scoring, threshold);
-        }
-        let mut prof = AffineStripedProfile::new(s, scoring, self.isa.lanes());
-        match self.isa {
-            // SAFETY: the portable engine has no ISA requirement; the
-            // profile above was built for its lane width.
-            Isa::Portable => unsafe {
-                affine::striped_affine_score::<scalar::Portable>(&mut prof, t, threshold)
-            },
-            // SAFETY: self.isa.available() was checked above, so the
-            // target_feature contract of the wrapper holds.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { x86::affine_sse2(&mut prof, t, threshold) },
-            // SAFETY: as above — available() verified AVX2 at runtime.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { x86::affine_avx2(&mut prof, t, threshold) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => unreachable!("guarded by Isa::available"),
-        }
+        self.run(s, t, scoring, threshold)
     }
 }
 
@@ -392,22 +327,12 @@ fn striped_static(isa: Isa) -> &'static StripedKernel {
     }
 }
 
-/// Resolves a [`KernelChoice`] to a concrete kernel for this host.
-///
-/// `auto` returns the plain scalar kernel when no real SIMD is available —
-/// the portable striped engine exists for correctness coverage, not speed.
+/// Resolves a [`KernelChoice`] to a concrete kernel for this host (the
+/// policy is [`KernelChoice::isa`]).
 pub fn kernel_for(choice: KernelChoice) -> &'static dyn ScoreKernel {
-    match choice {
-        KernelChoice::Scalar => &SCALAR,
-        KernelChoice::Simd => striped_static(Isa::best_available()),
-        KernelChoice::Auto => {
-            let best = Isa::best_available();
-            if best == Isa::Portable {
-                &SCALAR
-            } else {
-                striped_static(best)
-            }
-        }
+    match choice.isa() {
+        Some(isa) => striped_static(isa),
+        None => &SCALAR,
     }
 }
 
@@ -426,6 +351,7 @@ pub fn available_kernels() -> Vec<&'static dyn ScoreKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genomedsm_core::linear::sw_score_linear;
 
     const SC: Scoring = Scoring::paper();
 

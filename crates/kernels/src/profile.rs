@@ -1,4 +1,4 @@
-//! Farrar striped query profile.
+//! Scoring schemes and the Farrar striped query profile.
 //!
 //! The striped layout (Farrar 2007, see PAPERS.md: the SSW library and the
 //! Knights Landing study both build on it) places query element `q` in
@@ -11,8 +11,14 @@
 //! The profile precomputes, for each database symbol `c`, the striped vector
 //! sequence `prof[c][k*LANES + l] = subst(s[l*p + k], c)` so the inner loop
 //! is a single saturating add per stripe. Rows are built lazily per observed
-//! symbol (the DNA alphabet only ever touches 4–5 of the 256 slots).
+//! symbol (DNA touches 4–5 of the 256 slots, protein at most 24 plus folded
+//! aliases). What `subst` is — and everything else that differs between
+//! linear-gap DNA and affine-gap protein scoring — comes from the
+//! [`Scheme`] the profile is built over.
 
+use crate::batch::{packed_column, PackedState};
+use crate::engine::{column, Engine, StripedState};
+use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
 use genomedsm_core::scoring::Scoring;
 
 /// Sentinel for padding lanes (`q >= m`) and "no value" boundaries.
@@ -23,32 +29,132 @@ use genomedsm_core::scoring::Scoring;
 /// [`fits_i16`](crate::fits_i16).
 pub(crate) const NEG_INF: i16 = -30_000;
 
+/// Largest magnitude accepted for any scoring parameter, with margin
+/// above the padding sentinel.
+pub(crate) const I16_PARAM_CEILING: i32 = 28_000;
+
+/// A scoring scheme the kernel skeleton can run: everything that differs
+/// between linear-gap DNA ([`Scoring`]) and affine-gap protein
+/// ([`MatrixScoring`](genomedsm_core::submat::MatrixScoring)) scoring.
+/// Profiles, drivers, batching and ISA dispatch are written once over it;
+/// it cannot be implemented outside this crate (the column functions name
+/// crate-private state).
+pub trait Scheme: Copy + Send + Sync {
+    /// Gap state of one pass: the penalties as positive i16s, plus
+    /// whatever per-element buffer the gap model carries between columns
+    /// (nothing for linear gaps, the `E` column for affine).
+    type Gap;
+
+    /// Substitution score of query symbol `q` against target symbol `c`.
+    fn subst(&self, q: u8, c: u8) -> i16;
+
+    /// The largest score one alignment column can add, or `None` when the
+    /// parameters are outside what the i16 kernels handle exactly
+    /// (degenerate or huge values are routed to [`oracle`](Self::oracle)
+    /// rather than reasoned about).
+    fn column_cap(&self) -> Option<i32>;
+
+    /// The scalar i32 reference every kernel must equal bit for bit, and
+    /// the fallback outside the i16 envelope.
+    fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult;
+
+    /// Fresh gap state for a pass over columns of `cells` i16 elements,
+    /// entering from the zero boundary column.
+    fn gap_state(&self, cells: usize) -> Self::Gap;
+
+    /// One target column of the striped layout under a zero top row:
+    /// `st.ch` from `st.ph` and the profile row.
+    ///
+    /// # Safety
+    /// The engine's ISA must be enabled in the calling context, and `st`,
+    /// `gap` and `row` must be striped for `E::LANES` lanes with `st.p`
+    /// stripes.
+    unsafe fn striped_column<E: Engine>(gap: &mut Self::Gap, st: &mut StripedState, row: &[i16]);
+
+    /// One target column of the packed (query-per-lane) layout.
+    ///
+    /// # Safety
+    /// The engine's ISA must be enabled in the calling context, and `st`,
+    /// `gap` and `row` must be packed for `E::LANES` lanes with at least
+    /// `rows` rows.
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut Self::Gap,
+        st: &mut PackedState,
+        rows: usize,
+        row: &[i16],
+    );
+}
+
+impl Scheme for Scoring {
+    /// The gap penalty as a positive i16; with open == extend the
+    /// horizontal state is exactly `H[i][j-1] - gap`, so no buffer.
+    type Gap = i16;
+
+    #[inline(always)]
+    fn subst(&self, q: u8, c: u8) -> i16 {
+        Scoring::subst(self, q, c) as i16
+    }
+
+    fn column_cap(&self) -> Option<i32> {
+        let params_ok = self.gap < 0
+            && self.gap >= -I16_PARAM_CEILING
+            && self.matches > 0
+            && self.mismatch <= self.matches
+            && self.mismatch >= -I16_PARAM_CEILING;
+        params_ok.then_some(self.matches)
+    }
+
+    fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult {
+        sw_score_linear(s, t, self, threshold)
+    }
+
+    fn gap_state(&self, _cells: usize) -> i16 {
+        (-self.gap) as i16
+    }
+
+    // SAFETY: same contract as `column`, which the caller upholds.
+    #[inline(always)]
+    unsafe fn striped_column<E: Engine>(gap: &mut i16, st: &mut StripedState, row: &[i16]) {
+        // Zero top row: diagonal boundary 0, vertical-gap boundary -gap.
+        column::<E>(st, row, *gap, 0, -*gap)
+    }
+
+    // SAFETY: same contract as the linear `packed_column`, which the caller upholds.
+    #[inline(always)]
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut i16,
+        st: &mut PackedState,
+        rows: usize,
+        row: &[i16],
+    ) {
+        packed_column::<E>(st, rows, row, *gap)
+    }
+}
+
 /// Striped substitution profile for one query sequence at a fixed lane width.
-pub(crate) struct StripedProfile {
+pub(crate) struct StripedProfile<S> {
     /// Query length.
     pub m: usize,
     /// Segment length: number of stripes, `ceil(m / lanes)`.
     pub p: usize,
     /// Vector width in i16 lanes.
     pub lanes: usize,
-    /// Linear gap penalty as a positive i16 (`-scoring.gap`).
-    pub gap: i16,
+    /// The scheme the rows are scored under.
+    pub scheme: S,
     /// Per-stripe byte-granularity validity mask (2 bits per live lane),
     /// matching the `movemask_epi8` convention of [`Engine::gt_bytes`].
     pub valid: Vec<u64>,
     /// Lazily built profile rows, one per database symbol.
     rows: Vec<Option<Box<[i16]>>>,
     seq: Box<[u8]>,
-    match_score: i16,
-    mismatch: i16,
 }
 
-impl StripedProfile {
+impl<S: Scheme> StripedProfile<S> {
     /// Builds the profile skeleton; rows are filled on first use.
     ///
-    /// Caller must have checked [`fits_i16`](crate::fits_i16) so the three
-    /// scoring values are representable.
-    pub fn new(s: &[u8], scoring: &Scoring, lanes: usize) -> Self {
+    /// Caller must have checked [`fits_i16`](crate::fits_i16) so every
+    /// score and penalty is representable.
+    pub fn new(s: &[u8], scheme: &S, lanes: usize) -> Self {
         debug_assert!(!s.is_empty());
         let m = s.len();
         let p = m.div_ceil(lanes);
@@ -66,12 +172,10 @@ impl StripedProfile {
             m,
             p,
             lanes,
-            gap: (-scoring.gap) as i16,
+            scheme: *scheme,
             valid,
             rows: vec![None; 256],
             seq: s.into(),
-            match_score: scoring.matches as i16,
-            mismatch: scoring.mismatch as i16,
         }
     }
 
@@ -81,13 +185,7 @@ impl StripedProfile {
         if slot.is_none() {
             let mut row = vec![NEG_INF; self.p * self.lanes];
             for (q, &sc) in self.seq.iter().enumerate() {
-                let k = q % self.p;
-                let l = q / self.p;
-                row[k * self.lanes + l] = if sc == c {
-                    self.match_score
-                } else {
-                    self.mismatch
-                };
+                row[(q % self.p) * self.lanes + q / self.p] = self.scheme.subst(sc, c);
             }
             *slot = Some(row.into_boxed_slice());
         }
@@ -98,6 +196,27 @@ impl StripedProfile {
     #[inline(always)]
     pub fn index_of(&self, q: usize) -> usize {
         (q % self.p) * self.lanes + q / self.p
+    }
+
+    /// Final reduction of a finished pass: scanning live elements in query
+    /// order with a strict `>` reproduces the oracle's row-major-first
+    /// tie-break — `first_j` holds each row's first column reaching its
+    /// max, and the lowest such row wins.
+    pub fn reduce(&self, st: &StripedState) -> LinearSwResult {
+        let mut best = LinearSwResult {
+            best_score: 0,
+            best_end: (0, 0),
+            hits: st.hits,
+        };
+        for q in 0..self.m {
+            let idx = self.index_of(q);
+            let v = i32::from(st.vmax[idx]);
+            if v > best.best_score {
+                best.best_score = v;
+                best.best_end = (q + 1, st.first_j[idx] as usize + 1);
+            }
+        }
+        best
     }
 }
 

@@ -1,11 +1,11 @@
 //! SSE2 and AVX2 backends via `std::arch::x86_64` (no external crates).
 //!
 //! Each engine implements the [`Engine`] vocabulary with raw intrinsics and
-//! exposes `#[target_feature]` wrappers around the generic routines in
-//! [`crate::engine`]; the `#[inline(always)]` generic bodies monomorphize
-//! *inside* the wrapper, so the whole recurrence compiles with the wide
-//! instruction set enabled. Callers must gate on
-//! `is_x86_feature_detected!` before invoking a wrapper.
+//! exposes one `#[target_feature]` shell that runs any [`Pass`]; the
+//! `#[inline(always)]` generic bodies monomorphize *inside* the shell, so
+//! the whole recurrence compiles with the wide instruction set enabled.
+//! [`crate::engine::dispatch`] gates on runtime detection before entering
+//! a shell.
 //!
 //! The only non-obvious operation is [`Engine::shift_in`] on AVX2: a 256-bit
 //! register is two 128-bit halves and `vpslldq` cannot shift across them, so
@@ -17,13 +17,7 @@
 
 use std::arch::x86_64::*;
 
-use crate::affine::{
-    packed_affine_score, striped_affine_score, AffineStripedProfile, PackedAffineProfile,
-};
-use crate::batch::{packed_score, PackedProfile};
-use crate::engine::{band_advance, striped_score, BandChunkOut, Engine, StripedState};
-use crate::profile::StripedProfile;
-use genomedsm_core::linear::LinearSwResult;
+use crate::engine::{Engine, Pass};
 
 /// 128-bit engine: 8 × i16 lanes.
 #[derive(Debug, Clone, Copy)]
@@ -150,117 +144,15 @@ impl Engine for Avx2 {
 /// Caller must have verified SSE2 is available (always true on x86_64, but
 /// kept symmetric with AVX2).
 #[target_feature(enable = "sse2")]
-pub(crate) unsafe fn score_sse2(
-    prof: &mut StripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> LinearSwResult {
-    striped_score::<Sse2>(prof, t, threshold)
+pub(crate) unsafe fn run_sse2<P: Pass>(pass: P) -> P::Out {
+    pass.run::<Sse2>()
 }
 
 /// # Safety
 /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn score_avx2(
-    prof: &mut StripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> LinearSwResult {
-    striped_score::<Avx2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified SSE2 availability.
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn band_advance_sse2(
-    st: &mut StripedState,
-    prof: &mut StripedProfile,
-    chunk: &[u8],
-    top: &[i32],
-    thr_minus_1: Option<i16>,
-    out: &mut BandChunkOut<'_>,
-) {
-    band_advance::<Sse2>(st, prof, chunk, top, thr_minus_1, out)
-}
-
-/// # Safety
-/// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn band_advance_avx2(
-    st: &mut StripedState,
-    prof: &mut StripedProfile,
-    chunk: &[u8],
-    top: &[i32],
-    thr_minus_1: Option<i16>,
-    out: &mut BandChunkOut<'_>,
-) {
-    band_advance::<Avx2>(st, prof, chunk, top, thr_minus_1, out)
-}
-
-/// # Safety
-/// Caller must have verified SSE2 availability.
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn packed_sse2(
-    prof: &mut PackedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    packed_score::<Sse2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn packed_avx2(
-    prof: &mut PackedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    packed_score::<Avx2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified SSE2 availability.
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn affine_sse2(
-    prof: &mut AffineStripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> LinearSwResult {
-    striped_affine_score::<Sse2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn affine_avx2(
-    prof: &mut AffineStripedProfile,
-    t: &[u8],
-    threshold: i32,
-) -> LinearSwResult {
-    striped_affine_score::<Avx2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified SSE2 availability.
-#[target_feature(enable = "sse2")]
-pub(crate) unsafe fn packed_affine_sse2(
-    prof: &mut PackedAffineProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    packed_affine_score::<Sse2>(prof, t, threshold)
-}
-
-/// # Safety
-/// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn packed_affine_avx2(
-    prof: &mut PackedAffineProfile,
-    t: &[u8],
-    threshold: i32,
-) -> Vec<LinearSwResult> {
-    packed_affine_score::<Avx2>(prof, t, threshold)
+pub(crate) unsafe fn run_avx2<P: Pass>(pass: P) -> P::Out {
+    pass.run::<Avx2>()
 }
 
 #[cfg(test)]

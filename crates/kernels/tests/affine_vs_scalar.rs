@@ -1,5 +1,5 @@
 //! Property suite: every affine kernel path (per-pair `score_affine` on
-//! each `KernelChoice`, plus the lane-packed `score_batch_affine`) must
+//! each `KernelChoice`, plus the lane-packed `score_batch`) must
 //! reproduce the scalar Gotoh oracle (`sw_score_profile`) exactly — best
 //! score, best end position (including the row-major-first tie-break),
 //! and threshold-hit count — on random residue sequences and adversarial
@@ -8,13 +8,18 @@
 //! scalar path and stay exact).
 //!
 //! Matrices covered: BLOSUM62, PAM250, and random symmetric custom
-//! matrices with random (valid) affine penalties.
+//! matrices with random (valid) affine penalties — and match/mismatch
+//! matrices with `gap_open == gap_extend`, for which the harness also
+//! demands the linear-gap kernels' answer under the equivalent `Scoring`
+//! (linear gap is the degenerate affine gap, through both layouts on
+//! every ISA).
 
+use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    available_kernels, fits_i16_affine, fits_i16_affine_query, kernel_for, score_batch_affine,
-    KernelChoice,
+    available_kernels, fits_i16_affine, fits_i16_affine_query, kernel_for, score_batch,
+    score_batch_packed, Isa, KernelChoice, PackedProfile,
 };
 use proptest::prelude::*;
 
@@ -57,9 +62,31 @@ fn random_scheme(seed: u64) -> MatrixScoring {
     MatrixScoring::new(SubstMatrix::from_scores(scores), go, ge)
 }
 
+/// The match/mismatch matrix with equal open and extend penalties that
+/// scores residue sequences exactly as `lin` does.
+fn linear_as_affine(lin: &Scoring) -> MatrixScoring {
+    let mut scores = [[lin.mismatch as i16; AA_N]; AA_N];
+    for (a, row) in scores.iter_mut().enumerate() {
+        row[a] = lin.matches as i16;
+    }
+    MatrixScoring::new(SubstMatrix::from_scores(scores), lin.gap, lin.gap)
+}
+
+/// The linear-gap `Scoring` that `ms` degenerates to, if it does.
+fn linear_twin(ms: &MatrixScoring) -> Option<Scoring> {
+    let table = ms.matrix.table();
+    let lin = Scoring {
+        matches: i32::from(table[0][0]),
+        mismatch: i32::from(table[0][1]),
+        gap: ms.gap_open,
+    };
+    (ms.gap_open == ms.gap_extend && linear_as_affine(&lin) == *ms).then_some(lin)
+}
+
 /// One pair through every runnable kernel object and choice.
 fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) {
     let want = sw_score_profile(s, t, ms, threshold);
+    let twin = linear_twin(ms);
     for k in available_kernels() {
         assert_eq!(
             k.score_affine(s, t, ms, threshold),
@@ -69,6 +96,14 @@ fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) {
             s.len(),
             t.len()
         );
+        if let Some(lin) = &twin {
+            assert_eq!(
+                k.score(s, t, lin, threshold),
+                want,
+                "linear twin on {}",
+                k.name()
+            );
+        }
     }
     for choice in CHOICES {
         assert_eq!(
@@ -82,8 +117,29 @@ fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) {
 /// One query set through the lane-packed batch path for every choice.
 fn check_batch(queries: &[Vec<u8>], t: &[u8], ms: &MatrixScoring, threshold: i32) {
     let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    if let Some(lin) = linear_twin(ms) {
+        for choice in CHOICES {
+            assert_eq!(
+                score_batch(choice, &refs, t, &lin, threshold),
+                score_batch(choice, &refs, t, ms, threshold),
+                "{choice} linear twin"
+            );
+        }
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            for pack in refs.chunks(isa.lanes()) {
+                let mut linear = PackedProfile::new(pack, &lin, isa).expect("short queries fit");
+                let mut affine = PackedProfile::new(pack, ms, isa).expect("short queries fit");
+                assert_eq!(
+                    score_batch_packed(&mut linear, t, threshold),
+                    score_batch_packed(&mut affine, t, threshold),
+                    "{} linear twin",
+                    isa.name()
+                );
+            }
+        }
+    }
     for choice in CHOICES {
-        let got = score_batch_affine(choice, &refs, t, ms, threshold);
+        let got = score_batch(choice, &refs, t, ms, threshold);
         assert_eq!(got.len(), queries.len());
         for (q, (query, result)) in queries.iter().zip(&got).enumerate() {
             let oracle = sw_score_profile(query, t, ms, threshold);
@@ -138,6 +194,18 @@ proptest! {
         check_batch(&queries, &t, &MatrixScoring::blosum62(), thr);
         let pam = MatrixScoring::new(SubstMatrix::pam250(), -11, -1);
         check_batch(&queries, &t, &pam, thr);
+    }
+
+    #[test]
+    fn linear_gap_is_the_degenerate_affine_gap(s in residues(120), mut queries in query_set(),
+                                               t in residues(110), shape in 0u64..u64::MAX,
+                                               matches in 1i32..6, mismatch in -5i32..1,
+                                               gap in -6i32..0, thr in 0i32..20) {
+        let ms = linear_as_affine(&Scoring::new(matches, mismatch, gap));
+        prop_assert!(linear_twin(&ms).is_some());
+        check_pair(&s, &t, &ms, thr);
+        degrade(&mut queries, shape);
+        check_batch(&queries, &t, &ms, thr);
     }
 
     #[test]

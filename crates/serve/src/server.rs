@@ -485,11 +485,21 @@ fn serve_job(shared: &Arc<Shared>, job: SearchJob) {
     } else {
         job.top_k
     };
-    // A request-level scoring override switches this job to protein mode
-    // under its own matrix; otherwise the server's configured mode runs.
-    let mode = match job.scoring {
-        Some(ms) => ScoreMode::Protein(ms),
-        None => shared.config.engine.mode,
+    // A request-level scoring override replaces a protein server's matrix
+    // for this job; otherwise the server's configured mode runs. A DNA
+    // server holds nucleotide records, which no protein matrix can score.
+    let mode = match (job.scoring, shared.config.engine.mode) {
+        (Some(_), ScoreMode::Dna) => {
+            job.reply
+                .send(Response::Error {
+                    id: job.id,
+                    message: "scoring override sent to a server in DNA mode".into(),
+                })
+                .ok();
+            return;
+        }
+        (Some(ms), ScoreMode::Protein(_)) => ScoreMode::Protein(ms),
+        (None, mode) => mode,
     };
     let params = mode_fingerprint(&mode);
     let keys: Vec<QueryKey> = job.queries.iter().map(|q| QueryKey::of(q)).collect();

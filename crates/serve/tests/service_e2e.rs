@@ -384,6 +384,31 @@ fn protein_mode_serves_gotoh_answers_with_params_keyed_caching() {
 }
 
 #[test]
+fn scoring_override_on_a_dna_server_is_a_typed_error() {
+    use genomedsm_core::submat::MatrixScoring;
+    let db_path = tmp("dna-override-db.fa");
+    let db = write_db(&db_path, 6, 40, 31);
+    let server = Server::start(ServerConfig::new(tmp("dna-override.sock"), &db_path)).unwrap();
+    let qs = queries(3, 30, 9);
+
+    let mut client = ServeClient::connect(server.socket()).unwrap();
+    client.hello("mixed-up", 1).unwrap();
+    // Nucleotide records must never be scored under a protein matrix.
+    let refused = client.search_scored(&qs, 3, Some(MatrixScoring::blosum62()), |_| {});
+    assert!(
+        matches!(refused, Err(ServeError::Server(ref m)) if m.contains("DNA mode")),
+        "got {refused:?}"
+    );
+    // The connection and the DNA path are unharmed.
+    let plain = client.search(&qs, 3, |_| {}).unwrap();
+    assert_eq!(plain.hit_lists(), local_answer(&db, &qs, 3));
+
+    let stats = server.stop();
+    assert_eq!(stats.protocol_errors, 0);
+    std::fs::remove_file(&db_path).ok();
+}
+
+#[test]
 fn malformed_lines_are_counted_and_answered_not_fatal() {
     use std::io::{BufRead, BufReader, Write};
     let db_path = tmp("garbage-db.fa");
