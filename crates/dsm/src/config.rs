@@ -65,10 +65,13 @@ pub struct DsmConfig {
     /// exactly one node that is not its home migrates to that writer.
     pub home_migration: bool,
     /// Deterministic network fault injector (`None` = perfect links).
-    /// Shared by every node and daemon of the run.
+    /// In-process its link fates are priced into virtual time
+    /// ([`crate::net::loss_price`]); over sockets the UDP transport
+    /// applies them to the real datagrams. Workers read its crash/rejoin
+    /// schedule either way.
     pub faults: Option<Arc<dyn FaultInjector>>,
-    /// Timeout/backoff policy of the reliability sublayer; only exercised
-    /// when `faults` is set.
+    /// Timeout/backoff policy of that price and of the UDP transport's
+    /// real timers.
     pub retransmit: RetransmitPolicy,
     /// Cluster supervision layer (failure detection + recovery). Disabled
     /// by default.
@@ -148,7 +151,7 @@ impl DsmConfig {
         self
     }
 
-    /// Overrides the retransmission policy of the reliability sublayer.
+    /// Overrides the retransmission timeout/backoff policy.
     pub fn retransmit(mut self, policy: RetransmitPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
         self.retransmit = policy;

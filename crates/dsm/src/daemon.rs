@@ -23,14 +23,11 @@
 //! The reply's network cost is added on top, so the worker's clock lands
 //! exactly where a real cluster's would (modulo the cost model).
 
-use crate::codec;
-use crate::config::SupervisionConfig;
+use crate::config::{DsmConfig, SupervisionConfig};
 use crate::msg::{Envelope, Msg, Notice, Patch, Reply, ReplyEnvelope, SYSTEM_SRC};
-use crate::net::{
-    FaultInjector, LinkMsg, NetworkModel, RetransmitPolicy, TransmitFate, CHAN_DAEMON,
-};
+use crate::net::{self, FaultInjector, NetworkModel, RetransmitPolicy, CHAN_DAEMON};
 use crate::page::apply_patches;
-use crate::stats::DaemonStats;
+use crate::stats::NodeStats;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -99,21 +96,19 @@ pub struct Daemon {
     incoming: std::collections::HashSet<u64>,
     /// Requests parked until an epoch bump or a page adoption.
     parked: Vec<Envelope>,
-    /// Fault injector for outbound daemon links (`None` = perfect).
+    /// Link fates priced into daemon → daemon control traffic (`None` =
+    /// perfect links, or a transport that takes its losses for real).
     faults: Option<Arc<dyn FaultInjector>>,
-    /// Retransmission policy for daemon → daemon control traffic.
+    /// Timeout policy the loss price is computed with.
     retransmit: RetransmitPolicy,
-    /// Receiver half of duplicate suppression: next expected transport
-    /// sequence number per source link.
+    /// Detect-only guard on the transport's exactly-once contract: next
+    /// expected request id per source link.
     req_next: HashMap<usize, u64>,
-    /// Last reply sent per worker, keyed by the request's transport seq —
-    /// resent verbatim when a retransmitted request proves the original
-    /// reply (or its ack) was lost.
-    reply_cache: HashMap<usize, (u64, Reply)>,
-    /// Next transport sequence number per outbound daemon link.
+    /// Next request id per outbound daemon link.
     daemon_seq: Vec<u64>,
-    /// Transport counters, returned by [`Daemon::run`].
-    stats: DaemonStats,
+    /// What this daemon adds to its machine's [`NodeStats`], returned by
+    /// [`Daemon::run`].
+    stats: NodeStats,
     /// Supervision layer configuration (failure detection + recovery).
     supervision: SupervisionConfig,
     /// Nodes this daemon has seen obituaries for (the failure detector's
@@ -152,27 +147,24 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Creates a daemon for node `id`.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the daemon of node `id`. `measured` says the fabric behind
+    /// the channels is a real network, which takes the fault plan's link
+    /// fates itself; nothing is priced here then.
     pub fn new(
         id: usize,
-        nprocs: usize,
-        page_size: usize,
-        network: NetworkModel,
-        home_migration: bool,
+        config: &DsmConfig,
+        measured: bool,
         inbox: Receiver<Envelope>,
         reply_tx: Vec<Sender<ReplyEnvelope>>,
         daemon_tx: Vec<Sender<Envelope>>,
-        faults: Option<Arc<dyn FaultInjector>>,
-        retransmit: RetransmitPolicy,
-        supervision: SupervisionConfig,
     ) -> Self {
+        let nprocs = config.nprocs;
         Self {
             id,
             nprocs,
-            page_size,
-            network,
-            home_migration,
+            page_size: config.page_size,
+            network: config.network,
+            home_migration: config.home_migration,
             inbox,
             reply_tx,
             daemon_tx,
@@ -183,13 +175,12 @@ impl Daemon {
             epoch: 0,
             incoming: std::collections::HashSet::new(),
             parked: Vec::new(),
-            faults,
-            retransmit,
+            faults: config.faults.clone().filter(|_| !measured),
+            retransmit: config.retransmit,
             req_next: HashMap::new(),
-            reply_cache: HashMap::new(),
             daemon_seq: vec![0; nprocs],
-            stats: DaemonStats::default(),
-            supervision,
+            stats: NodeStats::default(),
+            supervision: config.supervision,
             dead: BTreeSet::new(),
             ever_died: BTreeSet::new(),
             last_heard: vec![Duration::ZERO; nprocs],
@@ -200,116 +191,34 @@ impl Daemon {
         }
     }
 
-    /// Sends a protocol message to another daemon, departing at `when`,
-    /// through the same reliability loop workers use: the deterministic
-    /// fate of every copy and ack is resolved up front, lost copies are
-    /// retransmitted with backed-off virtual timers, and the final
-    /// attempt is delivered unconditionally.
+    /// Sends a protocol message to another daemon, departing at `when`:
+    /// number it, price it (as [`crate::Node`] does its requests; nobody
+    /// blocks on control traffic, so the stall is nobody's), push one
+    /// envelope.
     fn send_daemon(&mut self, to: usize, when: Duration, msg: Msg) {
         let seq = self.daemon_seq[to];
         self.daemon_seq[to] += 1;
         let src = self.nprocs + self.id;
         let cost = self.network.cost(self.id, to, msg.wire_size());
-        let injector = match (&self.faults, to == self.id) {
-            (Some(f), false) => Some(Arc::clone(f)),
-            _ => None,
-        };
-        let Some(injector) = injector else {
-            let _ = self.daemon_tx[to].send(Envelope {
-                msg,
-                arrive: when + cost,
-                src,
-                seq,
-            });
-            return;
-        };
-        let max = self.retransmit.max_attempts.max(1);
-        let mut t = when;
-        for attempt in 0..max {
-            let forced = attempt + 1 >= max;
-            let fwd = LinkMsg {
-                from: src,
-                to: self.nprocs + to,
-                chan: CHAN_DAEMON,
-                seq,
-                attempt,
-            };
-            let mut sent = false;
-            if let Some((extra_delay, duplicates)) =
-                self.resolve_fate(injector.fate(&fwd), forced, Some(&msg))
-            {
-                let arrive = t + cost + extra_delay;
-                for _ in 0..=duplicates {
-                    let _ = self.daemon_tx[to].send(Envelope {
-                        msg: msg.clone(),
-                        arrive,
-                        src,
-                        seq,
-                    });
-                }
-                sent = true;
-            }
-            if sent {
-                let ack = LinkMsg {
-                    from: self.nprocs + to,
-                    to: src,
-                    chan: CHAN_DAEMON,
-                    seq,
-                    attempt,
-                };
-                if forced
-                    || self
-                        .resolve_fate(injector.fate(&ack), forced, None)
-                        .is_some()
-                {
-                    return;
-                }
-            }
-            t += self.retransmit.rto(attempt);
-            self.stats.retransmits += 1;
-        }
+        let lossy = self.faults.as_deref().filter(|_| to != self.id);
+        let link = (src, self.nprocs + to, CHAN_DAEMON, seq);
+        let price = net::loss_price(lossy, &self.retransmit, link, cost, when);
+        self.stats.retransmits += price.retransmits;
+        self.stats.dups_dropped += price.dups_dropped;
+        self.stats.corrupt_dropped += price.corrupt_dropped;
+        let _ = self.daemon_tx[to].send(Envelope {
+            msg,
+            arrive: price.arrive,
+            src,
+            seq,
+        });
     }
 
-    /// Resolves one transmission fate (see `Node::resolve_fate`): corrupt
-    /// request copies are proven undecodable against the real wire frame
-    /// and then treated as losses.
-    fn resolve_fate(
-        &mut self,
-        fate: TransmitFate,
-        forced: bool,
-        msg: Option<&Msg>,
-    ) -> Option<(Duration, u8)> {
-        match fate {
-            TransmitFate::Deliver {
-                extra_delay,
-                duplicates,
-            } => Some((extra_delay, duplicates)),
-            _ if forced => Some((Duration::ZERO, 0)),
-            TransmitFate::Drop => None,
-            TransmitFate::Corrupt => {
-                if let Some(msg) = msg {
-                    let mut frame = codec::encode_msg(msg);
-                    let idx = self.stats.corrupt_dropped as usize % frame.len();
-                    frame[idx] ^= 0x40;
-                    debug_assert!(
-                        codec::decode_msg(&frame).is_err(),
-                        "corrupted frame must not decode"
-                    );
-                }
-                self.stats.corrupt_dropped += 1;
-                None
-            }
-        }
-    }
-
-    /// Receiver half of the reliability layer: per-source-link sequence
-    /// dedup. Returns true when the message is fresh and must be
-    /// dispatched; duplicates are suppressed here, resending the cached
-    /// reply when the duplicate proves a reply (or ack) was lost.
+    /// Detect-only guard on the transport's contract (exactly once, in
+    /// order per link): a request id below the source's watermark is
+    /// counted and dropped, never answered; a gap trips the debug
+    /// assertion. Returns true when the message must be dispatched.
     fn accept(&mut self, env: &Envelope) -> bool {
-        if env.src == SYSTEM_SRC {
-            return true;
-        }
         let next = self.req_next.entry(env.src).or_insert(0);
         if env.seq >= *next {
             debug_assert_eq!(env.seq, *next, "per-link sends are in order");
@@ -317,15 +226,6 @@ impl Daemon {
             return true;
         }
         self.stats.dups_dropped += 1;
-        if env.src < self.nprocs {
-            if let Some((seq, reply)) = self.reply_cache.get(&env.src) {
-                if *seq == env.seq {
-                    let (seq, reply) = (*seq, reply.clone());
-                    self.stats.retransmits += 1;
-                    self.reply(env.src, env.arrive, seq, reply);
-                }
-            }
-        }
         false
     }
 
@@ -344,13 +244,10 @@ impl Daemon {
         }
     }
 
-    /// Sends `reply` to node `to`, departing (virtually) at `when`. The
-    /// reply is stamped with the request's transport sequence `seq` (the
-    /// worker matches on it) and cached for resending if the worker's
-    /// retransmission timer proves it lost.
+    /// Sends `reply` to node `to`, departing (virtually) at `when`,
+    /// stamped with the request's id `seq` (the worker matches on it).
     fn reply(&mut self, to: usize, when: Duration, seq: u64, reply: Reply) {
         let arrive = when + self.network.cost(self.id, to, reply.wire_size());
-        self.reply_cache.insert(to, (seq, reply.clone()));
         // A closed reply channel means the worker panicked; the daemon
         // keeps servicing others so the run can tear down cleanly.
         let _ = self.reply_tx[to].send(ReplyEnvelope {
@@ -375,14 +272,17 @@ impl Daemon {
             .collect()
     }
 
-    /// Runs the service loop until `Shutdown`, returning the daemon's
-    /// transport counters.
-    pub fn run(mut self) -> DaemonStats {
+    /// Runs the service loop until the launcher's `Shutdown`, returning
+    /// the daemon's counters. `Shutdown` is harness-internal: it ends the
+    /// loop only when it comes from [`SYSTEM_SRC`], which no peer can
+    /// claim to be.
+    pub fn run(mut self) -> NodeStats {
         while let Ok(env) = self.inbox.recv() {
-            if matches!(env.msg, Msg::Shutdown) {
-                break;
-            }
-            if self.accept(&env) {
+            if env.src == SYSTEM_SRC {
+                if matches!(env.msg, Msg::Shutdown) {
+                    break;
+                }
+            } else if self.accept(&env) {
                 self.dispatch(env);
             }
         }
@@ -475,7 +375,8 @@ impl Daemon {
                 self.incoming.remove(&page);
                 self.drain_parked(arrive);
             }
-            Msg::Shutdown => unreachable!("handled by run()"),
+            // Only the launcher's own (see `run`) means anything.
+            Msg::Shutdown => {}
             Msg::Heartbeat { node } => {
                 if node < self.nprocs {
                     self.last_heard[node] = self.last_heard[node].max(arrive);

@@ -77,11 +77,11 @@ pub use lock_order::{
     LockOrderEdge, LockOrderGraph, LockOrderMode, LockOrderViolation, LOCK_ORDER_ENABLED,
 };
 pub use net::{
-    FaultInjector, LinkMsg, NetworkModel, RetransmitPolicy, ScheduleOnly, TransmitFate,
-    CHAN_DAEMON, CHAN_REPLY, CHAN_REQ,
+    FaultInjector, LinkMsg, NetworkModel, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY,
+    CHAN_REQ,
 };
 pub use node::Node;
-pub use stats::{breakdown_many, DaemonStats, NodeStats, StatsBreakdown};
+pub use stats::{breakdown_many, NodeStats, StatsBreakdown};
 pub use system::{DsmRun, DsmSystem};
 pub use transport::clock::Clock;
 pub use transport::manifest::{ClusterCtx, ClusterManifest, CLUSTER_ENV};

@@ -53,13 +53,13 @@ pub struct Envelope {
     /// Transport source: worker index (`< nprocs`), daemon index
     /// (`nprocs + d`), or [`SYSTEM_SRC`] for harness-internal messages.
     pub src: usize,
-    /// Per-(source, destination) link sequence number, used by the
-    /// reliability layer for duplicate suppression and reply caching.
+    /// Per-(source, destination) link request id: the worker matches
+    /// replies on it, the daemon's detect-only watermark checks it.
     pub seq: u64,
 }
 
 /// Transport source id for harness-internal messages (shutdown sentinel);
-/// exempt from the reliability layer's per-link sequencing.
+/// exempt from per-link request numbering. No wire source decodes to it.
 pub const SYSTEM_SRC: usize = usize::MAX;
 
 /// A reply with its virtual arrival time at the worker.

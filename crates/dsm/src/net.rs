@@ -161,41 +161,13 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// An injector view exposing only another injector's crash/rejoin
-/// schedule: every transmission fate is a clean delivery.
-///
-/// The wire path uses this to split one configured injector in two:
-/// link fates go to the [`crate::UdpTransport`], which
-/// applies them to the real datagrams, while the fail-stop/rejoin
-/// schedule stays with the protocol layer (the worker consults
-/// `crash_point`/`rejoin_point` itself). Without the split, simulated
-/// fates in virtual time would compound the transport's real ones.
-#[derive(Debug)]
-pub struct ScheduleOnly(pub std::sync::Arc<dyn FaultInjector>);
-
-impl FaultInjector for ScheduleOnly {
-    fn fate(&self, _link: &LinkMsg) -> TransmitFate {
-        TransmitFate::Deliver {
-            extra_delay: Duration::ZERO,
-            duplicates: 0,
-        }
-    }
-
-    fn crash_point(&self, node: usize) -> Option<u64> {
-        self.0.crash_point(node)
-    }
-
-    fn rejoin_point(&self, node: usize) -> Option<u64> {
-        self.0.rejoin_point(node)
-    }
-}
-
-/// Timeout/retransmission policy of the reliability sublayer.
+/// Timeout/retransmission policy: the UDP transport's real timers and
+/// the in-process [`loss_price`] read the same three numbers.
 ///
 /// Mirrors a classic UDP request/ack scheme: an attempt that is not
 /// acknowledged within the current RTO is retransmitted with the RTO
 /// doubled, up to `max_attempts`, after which the transport escalates
-/// (here: the simulation delivers the final attempt unconditionally, so a
+/// (the price model delivers the final attempt unconditionally, so a
 /// pathological plan cannot wedge a run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitPolicy {
@@ -235,6 +207,101 @@ impl Default for RetransmitPolicy {
     fn default() -> Self {
         Self::paper_cluster()
     }
+}
+
+/// What a lossy link costs one in-process send, in virtual time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LossPrice {
+    /// Virtual arrival of the one copy the receiver gets: the first
+    /// attempt whose data leg got through.
+    pub arrive: Duration,
+    /// RTOs a blocking sender sits out before an attempt's data and ack
+    /// legs both get through (fire-and-forget senders ignore it: a
+    /// background timer retransmits for them).
+    pub stall: Duration,
+    /// Copies that left the sender, lost and duplicated ones included.
+    pub copies: u64,
+    /// Retransmission timer fires.
+    pub retransmits: u64,
+    /// Delivered copies past the first (a real receiver window discards
+    /// them).
+    pub dups_dropped: u64,
+    /// Data or ack copies the receiving checksum rejected.
+    pub corrupt_dropped: u64,
+}
+
+/// Prices one send on an in-process link. The channel fabric loses
+/// nothing, so what a fault plan costs there is only *time*: the whole
+/// attempt schedule of a UDP-style request/ack exchange is resolved up
+/// front from the deterministic injector and the sender pushes a single
+/// envelope stamped with the result. `(from, to, chan, seq)` names the
+/// data leg as in [`LinkMsg`] (the ack leg is the reverse link), `cost`
+/// is the one-way [`NetworkModel::cost`], `depart` the virtual time of
+/// the first transmission. Callers pass no injector for loopback links
+/// and for runs whose transport takes real losses.
+pub fn loss_price(
+    injector: Option<&dyn FaultInjector>,
+    policy: &RetransmitPolicy,
+    (from, to, chan, seq): (usize, usize, u8, u64),
+    cost: Duration,
+    depart: Duration,
+) -> LossPrice {
+    let mut price = LossPrice {
+        arrive: depart + cost,
+        stall: Duration::ZERO,
+        copies: 0,
+        retransmits: 0,
+        dups_dropped: 0,
+        corrupt_dropped: 0,
+    };
+    let Some(injector) = injector else {
+        return LossPrice { copies: 1, ..price };
+    };
+    // Requests are acknowledged by their reply; daemon control traffic
+    // by a dedicated ack on its own channel.
+    let ack_chan = if chan == CHAN_REQ { CHAN_REPLY } else { chan };
+    let mut delivered = 0u64;
+    for attempt in 0.. {
+        // The last attempt is delivered whatever the injector says.
+        let forced = attempt + 1 >= policy.max_attempts;
+        let mut through = |from, to, chan| {
+            let leg = LinkMsg {
+                from,
+                to,
+                chan,
+                seq,
+                attempt,
+            };
+            match injector.fate(&leg) {
+                TransmitFate::Deliver {
+                    extra_delay,
+                    duplicates,
+                } => Some((extra_delay, u64::from(duplicates))),
+                _ if forced => Some((Duration::ZERO, 0)),
+                TransmitFate::Drop => None,
+                TransmitFate::Corrupt => {
+                    price.corrupt_dropped += 1;
+                    None
+                }
+            }
+        };
+        price.copies += 1;
+        if let Some((extra_delay, duplicates)) = through(from, to, chan) {
+            price.copies += duplicates;
+            if delivered == 0 {
+                price.arrive = depart + price.stall + cost + extra_delay;
+            }
+            delivered += 1 + duplicates;
+            if forced || through(to, from, ack_chan).is_some() {
+                break;
+            }
+        }
+        // Timer fires: back off and retransmit.
+        price.stall += policy.rto(attempt);
+        price.retransmits += 1;
+    }
+    price.dups_dropped = delivered - 1;
+    price
 }
 
 #[cfg(test)]
@@ -282,5 +349,158 @@ mod tests {
         assert_eq!(p.rto(2), Duration::from_millis(8));
         assert_eq!(p.rto(3), Duration::from_millis(10));
         assert_eq!(p.rto(30), Duration::from_millis(10));
+    }
+
+    /// Scripted injector: `(chan, attempt)` of a leg picks its fate,
+    /// every other leg gets `rest`.
+    #[derive(Debug)]
+    struct Script {
+        rest: TransmitFate,
+        legs: Vec<((u8, u32), TransmitFate)>,
+    }
+
+    impl FaultInjector for Script {
+        fn fate(&self, link: &LinkMsg) -> TransmitFate {
+            let leg = (link.chan, link.attempt);
+            self.legs
+                .iter()
+                .find(|(k, _)| *k == leg)
+                .map_or(self.rest, |(_, fate)| *fate)
+        }
+    }
+
+    const CLEAN: TransmitFate = TransmitFate::Deliver {
+        extra_delay: Duration::ZERO,
+        duplicates: 0,
+    };
+
+    /// The policy of `total_blackout_is_survived_by_forced_delivery`.
+    const BLACKOUT_POLICY: RetransmitPolicy = RetransmitPolicy {
+        initial_rto: Duration::from_millis(1),
+        max_rto: Duration::from_millis(4),
+        max_attempts: 4,
+    };
+
+    #[test]
+    fn loss_price_resolves_the_attempt_schedule() {
+        let us = Duration::from_micros;
+        let (cost, t0) = (us(100), us(10_000));
+        let late = TransmitFate::Deliver {
+            extra_delay: us(30),
+            duplicates: 2,
+        };
+        // (case, fate of unscripted legs, scripted legs) ->
+        // (arrive - t0, stall, copies, retransmits, dups, corrupt).
+        // The data leg rides CHAN_REQ, its ack leg CHAN_REPLY.
+        use TransmitFate::{Corrupt, Drop};
+        let table = [
+            ("clean", CLEAN, vec![], (us(100), us(0), 1, 0, 0, 0)),
+            (
+                "data lost, then delivered",
+                CLEAN,
+                vec![((CHAN_REQ, 0), Drop)],
+                (us(1_100), us(1_000), 2, 1, 0, 0),
+            ),
+            (
+                "data delivered, ack lost: arrive stays at the first copy",
+                CLEAN,
+                vec![((CHAN_REPLY, 0), Drop), ((CHAN_REPLY, 1), Drop)],
+                (us(100), us(3_000), 3, 2, 2, 0),
+            ),
+            (
+                "corrupt data",
+                CLEAN,
+                vec![((CHAN_REQ, 0), Corrupt)],
+                (us(1_100), us(1_000), 2, 1, 0, 1),
+            ),
+            (
+                "corrupt ack",
+                CLEAN,
+                vec![((CHAN_REPLY, 0), Corrupt)],
+                (us(100), us(1_000), 2, 1, 1, 1),
+            ),
+            (
+                "late copy with two duplicates",
+                CLEAN,
+                vec![((CHAN_REQ, 0), late)],
+                (us(130), us(0), 3, 0, 2, 0),
+            ),
+            (
+                "blackout: the last attempt is forced, its ack unasked",
+                Drop,
+                vec![],
+                (us(7_100), us(7_000), 4, 3, 0, 0),
+            ),
+        ];
+        for (case, rest, legs, (arrive, stall, copies, retransmits, dups, corrupt)) in table {
+            let script = Script { rest, legs };
+            assert_eq!(
+                loss_price(
+                    Some(&script),
+                    &BLACKOUT_POLICY,
+                    (0, 3, CHAN_REQ, 7),
+                    cost,
+                    t0
+                ),
+                LossPrice {
+                    arrive: t0 + arrive,
+                    stall,
+                    copies,
+                    retransmits,
+                    dups_dropped: dups,
+                    corrupt_dropped: corrupt,
+                },
+                "{case}"
+            );
+        }
+        // No injector — a perfect network, a loopback link, a fabric that
+        // takes real losses: one copy, on time.
+        let free = loss_price(None, &BLACKOUT_POLICY, (0, 3, CHAN_REQ, 7), cost, t0);
+        assert_eq!(
+            (free.arrive, free.stall, free.copies),
+            (t0 + cost, us(0), 1)
+        );
+        // Daemon control traffic is acknowledged on its own channel.
+        let script = Script {
+            rest: CLEAN,
+            legs: vec![((CHAN_DAEMON, 0), Drop)],
+        };
+        let control = loss_price(
+            Some(&script),
+            &BLACKOUT_POLICY,
+            (2, 3, CHAN_DAEMON, 0),
+            cost,
+            t0,
+        );
+        assert_eq!((control.copies, control.retransmits), (2, 1));
+    }
+
+    #[test]
+    fn fire_and_forget_sends_leave_the_callers_clock_alone() {
+        // A blocking sender sits the stall out; a release-type send is
+        // retransmitted by a background timer, so only the copy's stamp
+        // moves. cv 1 is managed by node 1: node 0's signal is remote.
+        let blackout = Script {
+            rest: TransmitFate::Drop,
+            legs: vec![],
+        };
+        let config = crate::DsmConfig::new(2)
+            .faults(std::sync::Arc::new(blackout))
+            .retransmit(BLACKOUT_POLICY);
+        let run = crate::DsmSystem::run(config, |node| {
+            let before = node.now();
+            if node.id() == 0 {
+                node.setcv(1);
+            }
+            let elapsed = node.now() - before;
+            if node.id() == 1 {
+                node.waitcv(1);
+            }
+            (elapsed, node.now())
+        });
+        assert_eq!(run.results[0].0, Duration::ZERO);
+        assert_eq!(run.stats[0].retransmits, 3);
+        // The waiter is woken at the forced copy's arrival: three RTOs late.
+        assert!(run.results[1].1 >= Duration::from_millis(7));
     }
 }

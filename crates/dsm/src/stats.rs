@@ -52,13 +52,15 @@ pub struct NodeStats {
     pub msgs_sent: u64,
     /// Estimated bytes sent.
     pub bytes_sent: u64,
-    /// Retransmissions performed by the reliability sublayer (worker
-    /// request timers plus daemon reply-cache resends).
+    /// Retransmission timer fires: priced by `net::loss_price`
+    /// in-process, performed by the socket transport's pump over UDP.
     pub retransmits: u64,
-    /// Duplicate messages suppressed (daemon request dedup plus worker
-    /// stale-reply dedup).
+    /// Duplicate copies discarded (priced in-process, dropped by the
+    /// socket transport's receive window over UDP), plus the unmatched
+    /// messages the protocol layer's detect-only guards skipped.
     pub dups_dropped: u64,
-    /// Frames rejected by the wire-codec checksum (injected corruption).
+    /// Frames rejected by a checksum (injected corruption; priced
+    /// in-process, real over UDP).
     pub corrupt_dropped: u64,
     /// Fail-stop crashes this node recovered from.
     pub recoveries: u64,
@@ -103,6 +105,7 @@ impl NodeStats {
 
     /// Merges another node's stats into an aggregate (sums everything;
     /// `total` becomes the max, matching "overall time for all nodes").
+    /// Also how a machine's daemon counters join its worker's.
     pub fn merge(&mut self, other: &NodeStats) {
         self.communication += other.communication;
         self.lock_cv += other.lock_cv;
@@ -132,39 +135,6 @@ impl NodeStats {
         self.obituaries += other.obituaries;
         self.waiters_woken += other.waiters_woken;
     }
-
-    /// Folds a daemon's transport counters into this (same-machine)
-    /// node's stats, so the reported per-node totals cover both halves of
-    /// the reliability layer.
-    pub fn absorb_daemon(&mut self, d: &DaemonStats) {
-        self.retransmits += d.retransmits;
-        self.dups_dropped += d.dups_dropped;
-        self.corrupt_dropped += d.corrupt_dropped;
-        self.leases_broken += d.leases_broken;
-        self.obituaries += d.obituaries;
-        self.waiters_woken += d.waiters_woken;
-    }
-}
-
-/// Transport counters of one daemon (the receiver half of the
-/// reliability layer), returned by the daemon thread at shutdown and
-/// folded into its machine's [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Retransmissions performed by the daemon: cached replies resent in
-    /// response to retransmitted requests, plus daemon-to-daemon control
-    /// messages retransmitted by its own timers.
-    pub retransmits: u64,
-    /// Duplicate request copies suppressed by sequence-number dedup.
-    pub dups_dropped: u64,
-    /// Frames rejected by the wire-codec checksum.
-    pub corrupt_dropped: u64,
-    /// Lock leases broken because their holder was declared dead.
-    pub leases_broken: u64,
-    /// Obituaries processed (one per dead node per daemon).
-    pub obituaries: u64,
-    /// Blocked cv waiters woken with `NodeFailed` by obituary handling.
-    pub waiters_woken: u64,
 }
 
 /// Fractional breakdown over a set of nodes: category sums divided by the

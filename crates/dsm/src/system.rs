@@ -59,6 +59,17 @@ impl<R> DsmRun<R> {
         }
         agg
     }
+
+    /// The same run with other per-node vectors.
+    fn with<T>(self, results: Vec<T>, stats: Vec<NodeStats>) -> DsmRun<T> {
+        DsmRun {
+            results,
+            stats,
+            wall: self.wall,
+            lock_order_violations: self.lock_order_violations,
+            lock_order_edges: self.lock_order_edges,
+        }
+    }
 }
 
 /// The DSM system entry point.
@@ -80,125 +91,16 @@ impl DsmSystem {
         R: Send,
         F: Fn(&mut Node) -> R + Send + Sync,
     {
-        let nprocs = config.nprocs;
-        let mut transport = ChannelTransport::new(nprocs);
-        let wirings: Vec<RankWiring> = (0..nprocs).map(|r| transport.wiring(r)).collect();
-        // Keep a direct sender to each daemon's inbox for teardown.
-        let shutdown_tx: Vec<_> = wirings
-            .iter()
-            .enumerate()
-            .map(|(r, w)| w.daemon_tx[r].clone())
-            .collect();
-
-        // One acquisition-order graph for the whole run, shared by every
-        // worker; compiled out of the hot path in plain release builds.
-        let lock_order =
-            LOCK_ORDER_ENABLED.then(|| Arc::new(LockOrderGraph::new(config.lock_order)));
-        // One cancellable sleep source for the run (`network.simulate`).
-        let clock = Clock::new();
-
-        let t0 = std::time::Instant::now();
-        let (results, stats) = std::thread::scope(|scope| {
-            // Daemons first: they must be servicing before any worker
-            // faults a page.
-            let mut daemon_handles = Vec::with_capacity(nprocs);
-            let mut worker_parts = Vec::with_capacity(nprocs);
-            for (id, wiring) in wirings.into_iter().enumerate() {
-                let RankWiring {
-                    daemon_tx,
-                    reply_tx,
-                    daemon_rx,
-                    reply_rx,
-                } = wiring;
-                let daemon = Daemon::new(
-                    id,
-                    nprocs,
-                    config.page_size,
-                    config.network,
-                    config.home_migration,
-                    daemon_rx,
-                    reply_tx,
-                    daemon_tx.clone(),
-                    config.faults.clone(),
-                    config.retransmit,
-                    config.supervision,
-                );
-                daemon_handles.push(scope.spawn(move || daemon.run()));
-                worker_parts.push((daemon_tx, reply_rx));
-            }
-
-            let f = &f;
-            let config_ref = &config;
-            let lock_order_ref = &lock_order;
-            let clock_ref = &clock;
-            let mut worker_handles = Vec::with_capacity(nprocs);
-            for (id, (daemon_tx, reply_rx)) in worker_parts.into_iter().enumerate() {
-                worker_handles.push(scope.spawn(move || {
-                    let mut node = Node::new(
-                        id,
-                        config_ref,
-                        daemon_tx,
-                        reply_rx,
-                        lock_order_ref.clone(),
-                        clock_ref.clone(),
-                    );
-                    let result = f(&mut node);
-                    let stats = node.finish_stats();
-                    (result, stats)
-                }));
-            }
-
-            let mut results = Vec::with_capacity(nprocs);
-            let mut stats = Vec::with_capacity(nprocs);
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in worker_handles {
-                match handle.join() {
-                    Ok((r, s)) => {
-                        results.push(r);
-                        stats.push(s);
-                    }
-                    Err(e) => panic = panic.or(Some(e)),
-                }
-            }
-            // Tear down daemons regardless of worker outcome, folding
-            // each daemon's transport counters into its machine's node
-            // stats (both halves of the reliability layer run on the same
-            // simulated host).
-            for tx in &shutdown_tx {
-                let _ = tx.send(Envelope {
-                    msg: Msg::Shutdown,
-                    arrive: std::time::Duration::ZERO,
-                    src: SYSTEM_SRC,
-                    seq: 0,
-                });
-            }
-            for (id, handle) in daemon_handles.into_iter().enumerate() {
-                if let Ok(dstats) = handle.join() {
-                    if let Some(s) = stats.get_mut(id) {
-                        s.absorb_daemon(&dstats);
-                    }
-                }
-            }
-            if let Some(e) = panic {
-                // Release any worker parked in a simulated sleep before
-                // propagating (they have all joined already on the happy
-                // path; this is belt-and-braces for teardown paths).
-                clock.cancel();
-                std::panic::resume_unwind(e);
-            }
-            (results, stats)
+        let mut transport = ChannelTransport::new(config.nprocs);
+        let mut run = launch(&config, &mut transport, 0..config.nprocs, false, |node| {
+            let result = f(node);
+            (result, node.finish_stats())
         });
-        transport.shutdown();
-        DsmRun {
-            results,
-            stats,
-            wall: t0.elapsed(),
-            lock_order_violations: lock_order
-                .as_ref()
-                .map(|g| g.violations())
-                .unwrap_or_default(),
-            lock_order_edges: lock_order.map(|g| g.edges()).unwrap_or_default(),
+        let (results, mut stats): (Vec<R>, Vec<NodeStats>) = run.results.drain(..).unzip();
+        for (s, daemon) in stats.iter_mut().zip(&run.stats) {
+            s.merge(daemon);
         }
+        run.with(results, stats)
     }
 
     /// Transport-generic run: like [`DsmSystem::run`] when
@@ -224,8 +126,10 @@ impl DsmSystem {
 
     /// One rank of a multi-process cluster: local daemon + local worker
     /// over a [`UdpTransport`], with the result gather of
-    /// [`DsmSystem::run_wire`].
-    fn run_rank<R, F>(mut config: DsmConfig, ctx: &ClusterCtx, f: F) -> DsmRun<R>
+    /// [`DsmSystem::run_wire`]. The fault plan's link fates go to the
+    /// transport, which applies them to the real datagrams; the protocol
+    /// layer above it prices nothing.
+    fn run_rank<R, F>(config: DsmConfig, ctx: &ClusterCtx, f: F) -> DsmRun<R>
     where
         R: Wire + Send,
         F: Fn(&mut Node) -> R + Send + Sync,
@@ -237,112 +141,132 @@ impl DsmSystem {
             "manifest rank count must equal nprocs"
         );
         let rank = ctx.rank;
-        // The chaos injector's link fates move from the protocol layer
-        // (where they would simulate faults in virtual time) to the
-        // transport, which applies the same seeded fates to the real
-        // datagrams. The crash/rejoin schedule stays with the protocol
-        // layer: the worker consults it for its own fail-stop and
-        // elastic-membership rejoin points.
-        let faults = config.faults.take();
-        if let Some(f) = &faults {
-            config.faults = Some(Arc::new(crate::net::ScheduleOnly(Arc::clone(f))));
-        }
-        let mut transport = match UdpTransport::bind(ctx, config.retransmit, faults) {
+        let mut transport = match UdpTransport::bind(ctx, config.retransmit, config.faults.clone())
+        {
             Ok(t) => t,
             Err(e) => panic!("cannot start UDP transport: {e}"),
         };
-        let RankWiring {
-            daemon_tx,
-            reply_tx,
-            daemon_rx,
-            reply_rx,
-        } = transport.wiring(rank);
-        let shutdown_tx = daemon_tx[rank].clone();
-        let lock_order =
-            LOCK_ORDER_ENABLED.then(|| Arc::new(LockOrderGraph::new(config.lock_order)));
-        let clock = Clock::new();
+        let mut run = launch(&config, &mut transport, rank..rank + 1, true, |node| {
+            let result = f(node);
+            // Snapshot this rank's app-phase stats before the gather
+            // adds its own traffic, so every rank publishes the same
+            // cut of the run.
+            let snapshot = node.finish_stats();
+            gather_results(node, rank, nprocs, result, snapshot)
+        });
+        let (results, mut stats): (Vec<R>, Vec<NodeStats>) =
+            run.results.drain(..).flatten().unzip();
+        // Daemon and transport counters are local knowledge: they land
+        // in this rank's slot only (each process owns one line of the
+        // final table).
+        stats[rank].merge(&run.stats[0]);
+        transport.stats().fold_into(&mut stats[rank]);
+        run.with(results, stats)
+    }
+}
 
-        let t0 = std::time::Instant::now();
-        let (results, mut stats) = std::thread::scope(|scope| {
+/// The one per-rank body of every launch: for each rank in `ranks`, takes
+/// its wiring from `transport` and runs a daemon thread plus a worker
+/// thread executing `work`; joins the workers, ends the daemons with the
+/// launcher's `Shutdown`, and shuts the transport down. `measured` says
+/// what the launcher built: a real network (waits are charged as measured
+/// wall time, sends are not priced) or the in-process fabric (virtual
+/// time). In the returned run `results` holds each rank's `work` output
+/// and `stats` each rank's daemon counters.
+///
+/// # Panics
+/// Propagates the first worker panic after tearing down the daemons.
+fn launch<T, W>(
+    config: &DsmConfig,
+    transport: &mut impl Transport,
+    ranks: std::ops::Range<usize>,
+    measured: bool,
+    work: W,
+) -> DsmRun<T>
+where
+    T: Send,
+    W: Fn(&mut Node) -> T + Sync,
+{
+    let wirings: Vec<(usize, RankWiring)> = ranks.map(|r| (r, transport.wiring(r))).collect();
+    // One acquisition-order graph for the whole run, shared by every
+    // worker; compiled out of the hot path in plain release builds.
+    let lock_order = LOCK_ORDER_ENABLED.then(|| Arc::new(LockOrderGraph::new(config.lock_order)));
+    // One cancellable sleep source for the run (`network.simulate`).
+    let clock = Clock::new();
+
+    let t0 = std::time::Instant::now();
+    let (results, stats) = std::thread::scope(|scope| {
+        let mut spawned = Vec::with_capacity(wirings.len());
+        for (rank, wiring) in wirings {
+            let RankWiring {
+                daemon_tx,
+                reply_tx,
+                daemon_rx,
+                reply_rx,
+            } = wiring;
+            // A direct sender to the daemon's inbox for teardown.
+            let shutdown_tx = daemon_tx[rank].clone();
             let daemon = Daemon::new(
                 rank,
-                nprocs,
-                config.page_size,
-                config.network,
-                config.home_migration,
+                config,
+                measured,
                 daemon_rx,
                 reply_tx,
                 daemon_tx.clone(),
-                None,
-                config.retransmit,
-                config.supervision,
             );
-            let daemon_handle = scope.spawn(move || daemon.run());
-
-            let f = &f;
-            let config_ref = &config;
-            let lock_order_ref = &lock_order;
-            let clock_ref = &clock;
+            let daemon = scope.spawn(move || daemon.run());
+            let (work, lock_order, clock) = (&work, lock_order.clone(), clock.clone());
             let worker = scope.spawn(move || {
                 let mut node = Node::new(
-                    rank,
-                    config_ref,
-                    daemon_tx,
-                    reply_rx,
-                    lock_order_ref.clone(),
-                    clock_ref.clone(),
+                    rank, config, measured, daemon_tx, reply_rx, lock_order, clock,
                 );
-                let result = f(&mut node);
-                // Snapshot this rank's app-phase stats before the gather
-                // adds its own traffic, so every rank publishes the same
-                // cut of the run.
-                let snapshot = node.finish_stats();
-                gather_results(&mut node, rank, nprocs, result, snapshot)
+                work(&mut node)
             });
-            let joined = worker.join();
+            spawned.push((worker, shutdown_tx, daemon));
+        }
+
+        // Every worker is joined before any daemon is told to stop: a
+        // daemon serves all ranks' workers, not just its own.
+        let joined: Vec<_> = spawned
+            .into_iter()
+            .map(|(worker, shutdown_tx, daemon)| (worker.join(), shutdown_tx, daemon))
+            .collect();
+        let mut results = Vec::with_capacity(joined.len());
+        let mut stats = Vec::with_capacity(joined.len());
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        // Tear down daemons regardless of worker outcome.
+        for (result, shutdown_tx, daemon) in joined {
             let _ = shutdown_tx.send(Envelope {
                 msg: Msg::Shutdown,
                 arrive: std::time::Duration::ZERO,
                 src: SYSTEM_SRC,
                 seq: 0,
             });
-            let dstats = daemon_handle.join();
-            match joined {
-                Ok(gathered) => {
-                    let mut results = Vec::with_capacity(nprocs);
-                    let mut stats = Vec::with_capacity(nprocs);
-                    for (r, s) in gathered {
-                        results.push(r);
-                        stats.push(s);
-                    }
-                    // Daemon counters are local knowledge: they land in
-                    // this rank's slot only (each process owns one line
-                    // of the final table).
-                    if let Ok(ds) = dstats {
-                        if let Some(s) = stats.get_mut(rank) {
-                            s.absorb_daemon(&ds);
-                        }
-                    }
-                    (results, stats)
-                }
-                Err(e) => {
-                    clock.cancel();
-                    std::panic::resume_unwind(e);
-                }
+            stats.push(daemon.join().unwrap_or_default());
+            match result {
+                Ok(r) => results.push(r),
+                Err(e) => panic = panic.or(Some(e)),
             }
-        });
-        transport.shutdown();
-        transport.stats().fold_into(&mut stats[rank]);
-        DsmRun {
-            results,
-            stats,
-            wall: t0.elapsed(),
-            lock_order_violations: lock_order
-                .as_ref()
-                .map(|g| g.violations())
-                .unwrap_or_default(),
-            lock_order_edges: lock_order.map(|g| g.edges()).unwrap_or_default(),
         }
+        if let Some(e) = panic {
+            // Release any worker parked in a simulated sleep before
+            // propagating (they have all joined already on the happy
+            // path; this is belt-and-braces for teardown paths).
+            clock.cancel();
+            std::panic::resume_unwind(e);
+        }
+        (results, stats)
+    });
+    transport.shutdown();
+    DsmRun {
+        results,
+        stats,
+        wall: t0.elapsed(),
+        lock_order_violations: lock_order
+            .as_ref()
+            .map(|g| g.violations())
+            .unwrap_or_default(),
+        lock_order_edges: lock_order.map(|g| g.edges()).unwrap_or_default(),
     }
 }
 
@@ -398,6 +322,24 @@ mod tests {
             (0..100).map(|i| node.vec_get(&v, i)).sum::<i32>()
         });
         assert_eq!(run.results, vec![3 * 4950]);
+    }
+
+    #[test]
+    fn in_process_run_keeps_virtual_time_whatever_the_config_carries() {
+        // `run` wires every rank over channels, so a `ClusterCtx` left in
+        // the config must not switch the nodes to measured wall time.
+        let manifest = crate::ClusterManifest::loopback(2, 9);
+        let ctx = ClusterCtx::new(0, manifest, 1).expect("ctx");
+        let second = std::time::Duration::from_secs(1);
+        let run = DsmSystem::run(DsmConfig::new(2).cluster(ctx), |node| {
+            node.advance(second);
+            node.barrier();
+        });
+        for s in &run.stats {
+            assert!(s.total >= second, "total {:?} is host time", s.total);
+            let buckets = s.communication + s.lock_cv + s.barrier;
+            assert_eq!(s.computation() + buckets, s.total);
+        }
     }
 
     #[test]

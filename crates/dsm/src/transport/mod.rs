@@ -4,14 +4,14 @@
 //! A [`Transport`] produces, per rank, the four channel endpoints the
 //! protocol layer runs on ([`RankWiring`]): senders toward every
 //! daemon, senders toward every worker's reply channel, and this rank's
-//! own two inboxes. `Node` and `Daemon` are transport-oblivious — they
-//! speak `Envelope`/`ReplyEnvelope` over these channels exactly as they
-//! always have, and the transport decides whether a send crosses a
-//! thread boundary or a real network:
+//! own two inboxes. The contract: **every envelope is delivered exactly
+//! once, in order per `(peer, channel)` link**. `Node` and `Daemon` are
+//! written against it (DESIGN.md §5.7) and never retransmit or dedup; the
+//! transport decides whether a send crosses a thread or a real network:
 //!
 //! * [`ChannelTransport`] wires all ranks of one process directly
-//!   together — the deterministic test double, and the transport behind
-//!   [`DsmSystem::run`](crate::DsmSystem::run);
+//!   together (a channel keeps the contract trivially) — the transport
+//!   behind [`DsmSystem::run`](crate::DsmSystem::run);
 //! * [`udp::UdpTransport`] wires **one** rank into a multi-process
 //!   cluster described by a [`manifest::ClusterManifest`]: remote sends
 //!   are encoded through the wire codec, framed into sequenced,
@@ -97,7 +97,7 @@ pub struct TransportStats {
 
 impl TransportStats {
     /// Folds these counters into the owning machine's [`NodeStats`]
-    /// (the socket-path analogue of `NodeStats::absorb_daemon`).
+    /// (as the daemon's counters are, by `NodeStats::merge`).
     pub fn fold_into(&self, stats: &mut NodeStats) {
         stats.measured_network += self.rtt_total;
         stats.datagrams_sent += self.datagrams_sent;

@@ -50,7 +50,7 @@ use super::manifest::ClusterCtx;
 use super::{RankWiring, Transport, TransportStats};
 use crate::codec::{decode_msg, decode_reply, FrameReader, FrameWriter};
 use crate::error::DsmError;
-use crate::msg::{Envelope, ReplyEnvelope};
+use crate::msg::{Envelope, Msg, ReplyEnvelope};
 use crate::net::{
     FaultInjector, LinkMsg, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ,
 };
@@ -287,9 +287,9 @@ impl UdpTransport {
     /// Binds `ctx.rank`'s socket and spawns the transport threads.
     ///
     /// `faults` is the chaos injector applied to outbound data
-    /// datagrams; in a cluster run the system strips it from the
-    /// protocol layer's config (which would otherwise simulate the same
-    /// faults a second time in virtual time) and installs it here.
+    /// datagrams. Its link fates are this transport's alone: the
+    /// protocol layer above a measured fabric prices nothing, and reads
+    /// the injector only for its crash/rejoin schedule.
     pub fn bind(
         ctx: &ClusterCtx,
         policy: RetransmitPolicy,
@@ -1004,6 +1004,9 @@ fn accept_in_order(
             Err(_) => shared.stats().malformed_dropped += 1,
         },
         _ => match decode_msg(&payload) {
+            // Harness-internal: a launcher ends its own daemon in-process;
+            // from the wire it could only be forged.
+            Ok(Msg::Shutdown) | Err(_) => shared.stats().malformed_dropped += 1,
             Ok(msg) => {
                 let src = if data.chan == CHAN_REQ {
                     data.from
@@ -1017,7 +1020,6 @@ fn accept_in_order(
                     seq: data.env_seq,
                 });
             }
-            Err(_) => shared.stats().malformed_dropped += 1,
         },
     }
 }

@@ -4,8 +4,12 @@
 //! never a hang — both through the pure parser and through a real
 //! socket being blasted mid-run.
 
+use genomedsm_dsm::codec::encode_msg;
+use genomedsm_dsm::msg::Msg;
 use genomedsm_dsm::transport::udp::{parse_datagram, Datagram, TPT_ACK, TPT_DATA};
-use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FrameWriter, Node};
+use genomedsm_dsm::{
+    ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FrameWriter, Node, CHAN_DAEMON,
+};
 use proptest::prelude::*;
 use std::net::UdpSocket;
 
@@ -159,6 +163,11 @@ fn live_socket_survives_garbage_blast() {
         valid_data_frame(SESSION, 1, 7, 0, b"badchan"),          // unknown channel
         valid_ack_frame(SESSION + 2, 1, 0, 0),                   // stale ack
         FrameWriter::new(0x13).finish(),                         // unknown tag
+        // Well-formed in every layer, on a link (daemon 1 → daemon 0) this
+        // run never uses, so seq 0 is in order: a forged launcher
+        // `Shutdown`. Delivered, it would end rank 0's daemon and hang
+        // both ranks.
+        valid_data_frame(SESSION, 1, CHAN_DAEMON, 0, &encode_msg(&Msg::Shutdown)),
     ];
     for _ in 0..40 {
         for v in &volleys {

@@ -144,43 +144,84 @@ fn large_payloads_fragment_and_reassemble() {
     }
 }
 
+/// `reliability.rs`'s producer/consumer border protocol, returning what
+/// the consumer saw: a duplicated `SetCv` datagram must not wake it
+/// twice, a lost one must be retransmitted. The transport's window is
+/// the only dedup there is, so this is where the property is checked.
+fn producer_consumer_workload(node: &mut Node) -> Vec<i64> {
+    let slot = node.alloc_vec::<i64>(1);
+    node.barrier();
+    let mut seen = Vec::new();
+    for i in 0..30 {
+        if node.id() == 0 {
+            node.vec_set(&slot, 0, i * i);
+            node.setcv(0);
+            node.waitcv(1);
+        } else {
+            node.waitcv(0);
+            let v = node.vec_get(&slot, 0);
+            assert_eq!(v, i * i, "consumer saw a stale or double-signalled slot");
+            seen.push(v);
+            node.setcv(1);
+        }
+    }
+    node.barrier();
+    seen
+}
+
+fn chaos_config(n: usize, plan: &str) -> DsmConfig {
+    let plan = genomedsm_chaos::FaultPlan::parse(plan).expect("plan");
+    let injector = Arc::new(genomedsm_chaos::SeededFaults::new(plan, n));
+    DsmConfig::new(n)
+        .network(NetworkModel::zero())
+        .faults(injector)
+}
+
 #[test]
 fn chaos_over_real_datagrams_is_exactly_once() {
-    // 15% datagram loss plus corruption/duplication/reordering on the
-    // wire: the reliability layer must still deliver exactly-once and
-    // the results must match a clean run bit for bit.
-    fn make_config(n: usize) -> DsmConfig {
-        let plan =
-            genomedsm_chaos::FaultPlan::parse("seed=7,drop=0.15,corrupt=0.03,dup=0.05,reorder=0.1")
-                .expect("plan");
-        let injector = Arc::new(genomedsm_chaos::SeededFaults::new(plan, n));
-        DsmConfig::new(n)
-            .network(NetworkModel::zero())
-            .faults(injector)
-    }
-    let clean = run_cluster(
-        3,
-        4,
-        |n| DsmConfig::new(n).network(NetworkModel::zero()),
-        lock_counter_workload,
-    );
-    let chaotic = run_cluster(3, 5, make_config, lock_counter_workload);
-    for (c, k) in clean.iter().zip(&chaotic) {
-        assert_eq!(c.results, k.results, "chaos changed the computed results");
-    }
-    // The adversity must actually have happened and been repaired.
-    let total: u64 = chaotic
-        .iter()
-        .map(|r| {
-            let s = &r.stats[r
-                .stats
+    // Datagram loss plus corruption/duplication/reordering on the wire:
+    // the transport must still deliver exactly-once and the results must
+    // match a clean run bit for bit.
+    type Input = (usize, fn(usize) -> DsmConfig, fn(&mut Node) -> Vec<i64>);
+    let inputs: [Input; 2] = [
+        (
+            3,
+            |n| chaos_config(n, "seed=7,drop=0.15,corrupt=0.03,dup=0.05,reorder=0.1"),
+            lock_counter_workload,
+        ),
+        (
+            2,
+            |n| chaos_config(n, "seed=7,dup=0.2,drop=0.1,reorder=0.1"),
+            producer_consumer_workload,
+        ),
+    ];
+    for (i, (n, chaos, workload)) in inputs.into_iter().enumerate() {
+        let session = 4 + 2 * i as u64;
+        let clean = run_cluster(
+            n,
+            session,
+            |n| DsmConfig::new(n).network(NetworkModel::zero()),
+            workload,
+        );
+        let chaotic = run_cluster(n, session + 1, chaos, workload);
+        for (c, k) in clean.iter().zip(&chaotic) {
+            assert_eq!(c.results, k.results, "chaos changed the computed results");
+        }
+        // The adversity must actually have happened and been repaired
+        // (transport counters land in each rank's own slot).
+        let local = |f: fn(&genomedsm_dsm::NodeStats) -> u64| -> u64 {
+            chaotic
                 .iter()
-                .position(|s| s.datagrams_sent > 0)
-                .unwrap_or(0)];
-            s.retransmits
-        })
-        .sum();
-    assert!(total > 0, "chaos plan injected nothing (no retransmits)");
+                .enumerate()
+                .map(|(rank, run)| f(&run.stats[rank]))
+                .sum()
+        };
+        assert!(
+            local(|s| s.retransmits) > 0,
+            "chaos plan injected nothing (no retransmits)"
+        );
+        assert!(local(|s| s.dups_dropped) > 0, "no duplicate was dropped");
+    }
 }
 
 #[test]

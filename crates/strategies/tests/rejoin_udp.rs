@@ -4,7 +4,7 @@
 //! rank mid-run, readmits it at the next workload boundary, and must
 //! produce results bit-identical to a clean in-process run. The `Rejoin`
 //! announcement, the deferred admission, and the `RejoinAck` all travel
-//! as real datagrams through the reliability sublayer here.
+//! as real datagrams through the UDP transport's window here.
 
 use genomedsm_core::{HeuristicParams, Scoring};
 use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, SupervisionConfig};

@@ -7,7 +7,10 @@
 //! The adversary may additionally duplicate in-flight datagrams
 //! (`dup_budget`) and swap adjacent ones (`swap_budget`) — the loopback
 //! chaos the socket tests inject for real. The receiver mirrors the
-//! transport + daemon dedup discipline:
+//! transport's window — the only retransmit/dedup there is; the protocol
+//! layer above assumes exactly-once delivery (DESIGN.md §5.7). The
+//! model's cached reply is the pump's `unacked` entry of the reply
+//! datagram, which lives until that datagram's ack:
 //!
 //! * a fresh in-order request (`seq == next`) is **executed** (applied to
 //!   the app state), its reply is cached, and the reply is sent;
