@@ -2,18 +2,22 @@
 //!
 //! [`BatchEngine::search`] is the serving entry point: every query against
 //! every database record, top-k hits per query. The work unit is a
-//! *(lane group × target slab)* job: one [`PackedProfile`] is built per
+//! *(lane group × target slab)* job: one [`GroupProfile`] is built per
 //! job and re-scored against a contiguous slab of records, so the profile
 //! build (the launch overhead the per-pair path pays per record) amortizes
-//! over the whole slab. Jobs flow through the work-stealing scheduler;
+//! over the whole slab. The profile picks the group's lane layout from its
+//! occupancy — a full group packs a query per lane, the lone query of a
+//! one-query request is striped over all of them — without the plan or
+//! the job grid changing. Jobs flow through the work-stealing scheduler;
 //! per-job partial top-ks merge in fixed job order, and the strict total
 //! order on [`Hit`]s makes the final top-k independent of worker count
 //! and interleaving.
 //!
 //! [`score_pairs`] is the drop-in for loops of single-pair kernel calls
 //! (BlastN refinement windows, phase-2 style pair lists): pairs sharing an
-//! identical target byte-string are lane-packed together; the rest run as
-//! singles. Results come back in input order, bit-exact per pair.
+//! identical target byte-string share a lane group; the rest run as
+//! one-query (striped) groups. Results come back in input order, bit-exact
+//! per pair.
 
 use crate::db::SeqDatabase;
 use crate::planner::{plan_lane_groups, LanePlan};
@@ -24,7 +28,7 @@ use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    effective_lanes, score_batch, score_batch_packed, Isa, KernelChoice, PackedProfile, Scheme,
+    effective_lanes, score_batch, score_group, GroupProfile, Isa, KernelChoice, Scheme,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -90,7 +94,10 @@ pub struct BatchStats {
     pub cells: u64,
     /// Lane groups the planner formed.
     pub lane_groups: usize,
-    /// Queries that ran on the scalar oracle instead of a packed lane.
+    /// Lane groups whose jobs ran striped (each query over all lanes)
+    /// rather than packed, as their [`GroupProfile`] chose.
+    pub striped_groups: usize,
+    /// Queries that ran on the scalar oracle instead of in a lane group.
     pub scalar_queries: usize,
     /// Scheduler jobs executed.
     pub jobs: usize,
@@ -110,10 +117,18 @@ pub struct BatchOutcome {
 
 /// One scheduler job: a set of queries against a slab of records.
 struct Job {
-    /// Caller query indices; packed into lanes iff `packed`.
+    /// Caller query indices; one lane group iff `packed`, else scalar spill.
     queries: Vec<usize>,
     targets: Range<usize>,
     packed: bool,
+}
+
+/// What a job hands to the merge.
+struct JobOutput {
+    /// Per job query: its partial top-k over the job's slab.
+    partials: Vec<(usize, TopK)>,
+    /// Whether the job's group profile chose the striped layout.
+    striped: bool,
 }
 
 /// The multi-query database search engine.
@@ -223,11 +238,14 @@ impl BatchEngine {
             jobs,
             &cfg.scheduler,
             |_, job| exec_job(&job, db, queries, scheme, cfg.top_k, isa),
-            |j, partials: Vec<(usize, TopK)>| {
-                for (q, tk) in partials {
+            |j, out: JobOutput| {
+                for (q, tk) in out.partials {
                     best[q].merge(tk);
                 }
                 if (j + 1) % slabs == 0 {
+                    // The layout depends on the group alone, so its last
+                    // job speaks for all of them.
+                    stats.striped_groups += usize::from(out.striped);
                     for &q in &units[j / slabs] {
                         let done = std::mem::replace(&mut best[q], TopK::new(0));
                         finalized[q] = Some(done.into_sorted());
@@ -303,38 +321,36 @@ fn exec_job<S: Scheme>(
     scheme: &S,
     top_k: usize,
     isa: Isa,
-) -> Vec<(usize, TopK)> {
-    let mut collectors: Vec<(usize, TopK)> =
+) -> JobOutput {
+    let mut partials: Vec<(usize, TopK)> =
         job.queries.iter().map(|&q| (q, TopK::new(top_k))).collect();
-    let packed_prof = if job.packed {
+    let group = if job.packed {
         let qs: Vec<&[u8]> = job.queries.iter().map(|&q| queries[q]).collect();
-        PackedProfile::new(&qs, scheme, isa)
+        GroupProfile::new(&qs, scheme, isa)
     } else {
         None
     };
-    match packed_prof {
-        Some(mut prof) => {
+    let striped = group.as_ref().is_some_and(GroupProfile::is_striped);
+    match group {
+        Some(mut group) => {
             for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, r) in score_batch_packed(&mut prof, target, 0)
-                    .into_iter()
-                    .enumerate()
-                {
-                    offer(&mut collectors[lane].1, t, &r);
+                for (lane, r) in score_group(&mut group, target, 0).into_iter().enumerate() {
+                    offer(&mut partials[lane].1, t, &r);
                 }
             }
         }
         None => {
-            // Scalar spill — or a pack the kernel rejected (cannot happen
+            // Scalar spill — or a group the kernel rejected (cannot happen
             // for planner-admitted groups, but fall back rather than trust).
             for (t, target) in db.slab(job.targets.clone()) {
                 for (lane, &q) in job.queries.iter().enumerate() {
                     let r = scheme.oracle(queries[q], target, 0);
-                    offer(&mut collectors[lane].1, t, &r);
+                    offer(&mut partials[lane].1, t, &r);
                 }
             }
         }
     }
-    collectors
+    JobOutput { partials, striped }
 }
 
 /// Offers one pair result to a collector (shared with the prefiltered
@@ -353,11 +369,11 @@ pub(crate) fn offer(tk: &mut TopK, target: usize, r: &LinearSwResult) {
 /// [`LinearSwResult`] per pair in input order — the batch drop-in for a
 /// loop of single-pair kernel calls.
 ///
-/// Pairs sharing a byte-identical target are grouped and lane-packed (a
-/// BlastN run refining many windows of the same subject, phase-2 regions
-/// against a common reference); remaining pairs run one query per
-/// invocation through [`score_batch`], which still lane-packs nothing but
-/// keeps the exact single-pair semantics. Each target group is one
+/// Pairs sharing a byte-identical target are grouped and share lane
+/// groups (a BlastN run refining many windows of the same subject,
+/// phase-2 regions against a common reference); a pair whose target
+/// nobody shares is a group of one, which [`score_batch`] runs striped
+/// over all lanes, as the per-pair kernel would. Each target group is one
 /// scheduler job.
 pub fn score_pairs(
     kernel: KernelChoice,
@@ -570,6 +586,70 @@ mod tests {
             for (i, (q, hits)) in seen.iter().enumerate() {
                 assert_eq!(*q, i);
                 assert_eq!(hits, &want[i], "workers {workers} query {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn few_queries_and_a_tail_keep_the_job_grid_and_the_answers() {
+        use genomedsm_seq::{random_protein, ProteinRecord};
+        // Equal lengths, so which groups stripe is known: a lone query
+        // does, a group one short of full does not.
+        let lanes = effective_lanes(KernelChoice::Simd);
+        let dna: Vec<Vec<u8>> = (0..=lanes)
+            .map(|i| random_dna(48, 300 + i as u64).into_bytes())
+            .collect();
+        let protein: Vec<Vec<u8>> = (0..=lanes)
+            .map(|i| random_protein(40, 500 + i as u64).into_bytes())
+            .collect();
+        let protein_db = SeqDatabase::from_protein_records(
+            (0..21)
+                .map(|i| ProteinRecord {
+                    id: format!("p{i}"),
+                    seq: random_protein(30 + (i * 13) % 50, 400 + i as u64),
+                })
+                .collect(),
+        );
+        let blosum = ScoreMode::Protein(MatrixScoring::blosum62());
+        for (db, pool, mode) in [
+            (&test_db(23, 60, 7), &dna, ScoreMode::Dna),
+            (&protein_db, &protein, blosum),
+        ] {
+            // One query, a few, one short of a full group, a full group
+            // plus a one-query tail.
+            for (n, striped) in [
+                (1, Some(1)),
+                (3, None),
+                (lanes - 1, Some(0)),
+                (lanes + 1, Some(1)),
+            ] {
+                let refs: Vec<&[u8]> = pool[..n].iter().map(Vec::as_slice).collect();
+                let want = oracle_search_mode(db, &refs, &mode, &SC, 4);
+                for workers in [1usize, 2] {
+                    let engine = BatchEngine::new(BatchConfig {
+                        kernel: KernelChoice::Simd,
+                        mode,
+                        top_k: 4,
+                        scheduler: SchedulerConfig { workers, window: 2 },
+                        slab: 5,
+                        ..BatchConfig::default()
+                    });
+                    let got = engine.search(db, &refs);
+                    assert_eq!(got.hits, want, "{n} queries, {workers} workers");
+                    let mut seen: Vec<(usize, Vec<Hit>)> = Vec::new();
+                    let stats = engine.search_streaming(db, &refs, |q, hits| seen.push((q, hits)));
+                    let (order, streamed): (Vec<usize>, Vec<Vec<Hit>>) = seen.into_iter().unzip();
+                    assert_eq!(order, (0..n).collect::<Vec<_>>());
+                    assert_eq!(streamed, want);
+                    // The grid is the planner's alone: layout moves nothing.
+                    assert_eq!(stats, got.stats);
+                    assert_eq!(stats.lane_groups, n.div_ceil(lanes));
+                    assert_eq!(stats.jobs, n.div_ceil(lanes) * db.len().div_ceil(5));
+                    assert_eq!((stats.scalar_queries, stats.padding_rows), (0, 0));
+                    if let Some(striped) = striped {
+                        assert_eq!(stats.striped_groups, striped, "{n} queries");
+                    }
+                }
             }
         }
     }

@@ -6,7 +6,9 @@
 //! register file per pair. This crate turns the workload sideways, the way
 //! DSA and SWIPE do (see PAPERS.md): pack a **different query into every
 //! i16 lane**, score the whole pack against each database record, and keep
-//! per-query top-k hits.
+//! per-query top-k hits. A lane group too small to fill the vector — the
+//! whole of a one-query search — is striped over all lanes instead
+//! (`genomedsm_kernels::GroupProfile` decides, per group).
 //!
 //! Four layers, bottom up:
 //!

@@ -23,14 +23,15 @@
 //!
 //! The driver is sequential per query (the per-record kernel calls are
 //! where the time goes, and pruning decisions are inherently ordered);
-//! parallel callers run queries, not records, in parallel.
+//! parallel callers run queries, not records, in parallel. Each query is a
+//! one-query lane group: its profile is built once, outside the scan.
 
 use crate::db::SeqDatabase;
 use crate::engine::offer;
 use crate::topk::{Hit, TopK};
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_index::{PrefilterStats, ProteinIndex, QueryBound};
-use genomedsm_kernels::{kernel_for, KernelChoice};
+use genomedsm_kernels::{kernel_for, score_group, GroupProfile, KernelChoice};
 
 /// One prefiltered top-k protein search: every query against every
 /// record, with index-pruned DP. Returns per-query hit lists (input
@@ -56,6 +57,12 @@ pub fn prefiltered_search(
         .iter()
         .map(|q| {
             let qb = QueryBound::new(q, ms);
+            // One profile and one DP state per query, reused down the scan.
+            // A query past the i16 envelope gets none and is admitted pair
+            // by pair, against each record's length.
+            let mut group = kernel
+                .isa()
+                .and_then(|isa| GroupProfile::new(&[q], ms, isa));
             let mut tk = TopK::new(top_k);
             for (t, bound) in index.scan_order(&qb) {
                 // Bounds are non-increasing down the scan, so the first
@@ -67,7 +74,10 @@ pub fn prefiltered_search(
                     break;
                 }
                 stats.scored += 1;
-                let r = k.score_affine(q, db.seq(t), ms, 0);
+                let r = match &mut group {
+                    Some(group) => score_group(group, db.seq(t), 0).swap_remove(0),
+                    None => k.score_affine(q, db.seq(t), ms, 0),
+                };
                 offer(&mut tk, t, &r);
             }
             tk.into_sorted()

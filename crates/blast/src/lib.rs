@@ -241,7 +241,8 @@ impl BlastN {
     /// The SW re-scores for *all* windows go through one
     /// [`genomedsm_batch::score_pairs`] call instead of per-window kernel
     /// launches: windows over a byte-identical subject slice share a lane
-    /// pack, and singles keep the exact single-pair path.
+    /// group, and a window with a subject of its own is a group of one,
+    /// striped over all lanes as the single-pair kernel would run it.
     fn refine_gapped_batch(&self, s: &[u8], t: &[u8], hsps: Vec<LocalRegion>) -> Vec<LocalRegion> {
         let p = &self.params;
         let pairs: Vec<(&[u8], &[u8])> = hsps
@@ -411,6 +412,7 @@ mod tests {
 
     #[test]
     fn kernel_choices_give_identical_results() {
+        use genomedsm_core::sw_score_linear;
         use genomedsm_kernels::KernelChoice;
         let plan = HomologyPlan {
             region_count: 5,
@@ -434,6 +436,33 @@ mod tests {
         assert_eq!(runs[0], runs[1], "scalar vs simd");
         assert_eq!(runs[0], runs[2], "scalar vs auto");
         assert!(!runs[0].is_empty());
+
+        // The all-singles shape: every window has a subject slice of its
+        // own, so each is a lane group of one. From a zero seed score the
+        // refined score is the window's exact local score.
+        let windows: Vec<LocalRegion> = (0..6)
+            .map(|i| LocalRegion {
+                s_begin: 400 * i,
+                s_end: 400 * i + 150 + 9 * i,
+                t_begin: 700 * i + 13,
+                t_end: 700 * i + 190,
+                score: 0,
+            })
+            .collect();
+        for kernel in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
+            let blast = BlastN::new(BlastParams {
+                kernel,
+                ..Default::default()
+            })
+            .unwrap();
+            let (s, t) = (s.as_bytes(), t.as_bytes());
+            let refined = blast.refine_gapped_batch(s, t, windows.clone());
+            for (w, r) in windows.iter().zip(&refined) {
+                let (ws, wt) = (&s[w.s_begin..w.s_end], &t[w.t_begin..w.t_end]);
+                let want = sw_score_linear(ws, wt, &blast.params.scoring, 0).best_score;
+                assert_eq!(r.score, want, "{kernel} window at s={}", w.s_begin);
+            }
+        }
     }
 
     #[test]

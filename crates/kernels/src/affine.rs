@@ -99,6 +99,11 @@ impl Scheme for MatrixScoring {
         }
     }
 
+    fn reset_gap(&self, gap: &mut AffineGap, cells: usize) {
+        gap.pe.clear();
+        gap.pe.resize(cells, self.gap_open as i16);
+    }
+
     // SAFETY: same contract as `affine_column`, which the caller upholds.
     #[inline(always)]
     unsafe fn striped_column<E: Engine>(gap: &mut AffineGap, st: &mut StripedState, row: &[i16]) {
@@ -246,7 +251,7 @@ unsafe fn packed_affine_column<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{dispatch, StripedScore};
+    use crate::group::StripedGroup;
     use crate::profile::StripedProfile;
     use crate::{
         fits_i16_affine, score_batch, score_batch_packed_affine, Isa, KernelChoice,
@@ -260,8 +265,9 @@ mod tests {
 
     /// The striped pass on `isa`, through the one dispatch.
     fn striped(isa: Isa, s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) -> LinearSwResult {
-        let prof = &mut StripedProfile::new(s, ms, isa.lanes());
-        dispatch(isa, StripedScore { prof, t, threshold })
+        StripedGroup::new(&[s], ms, isa)
+            .score(t, threshold)
+            .swap_remove(0)
     }
 
     fn oracle_each(

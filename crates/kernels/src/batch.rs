@@ -24,6 +24,7 @@
 //! [`score_batch`].
 
 use crate::engine::{dispatch, hit_floor, Engine, Pass};
+use crate::group::{score_group, GroupProfile};
 use crate::profile::{Scheme, NEG_INF};
 use crate::{fits_i16_query, Isa, KernelChoice};
 use genomedsm_core::linear::LinearSwResult;
@@ -67,10 +68,7 @@ impl<S: Scheme> PackedProfile<S> {
     /// need a never-fails path use [`score_batch`], which routes
     /// rejected queries to the scalar oracle instead.
     pub fn new(queries: &[&[u8]], scheme: &S, isa: Isa) -> Option<Self> {
-        if !isa.available() || queries.len() > isa.lanes() {
-            return None;
-        }
-        if queries.iter().any(|q| !fits_i16_query(q.len(), scheme)) {
+        if !admits(queries, scheme, isa) {
             return None;
         }
         let lanes = isa.lanes();
@@ -150,6 +148,15 @@ impl<S: Scheme> PackedProfile<S> {
             })
             .collect()
     }
+}
+
+/// Whether `queries` can share one lane group on `isa`, in either layout:
+/// the ISA runs here, there is a lane per query, and every query passes
+/// [`fits_i16_query`].
+pub(crate) fn admits<S: Scheme>(queries: &[&[u8]], scheme: &S, isa: Isa) -> bool {
+    isa.available()
+        && queries.len() <= isa.lanes()
+        && queries.iter().all(|q| fits_i16_query(q.len(), scheme))
 }
 
 /// Mutable per-scan state: two column buffers plus the per-element
@@ -317,16 +324,18 @@ pub fn effective_lanes(choice: KernelChoice) -> usize {
     choice.isa().map_or(1, Isa::lanes)
 }
 
-/// Scores many queries against one shared target, packing a different
-/// query into each i16 lane: the batch drop-in for a loop of single-pair
-/// `score` calls, for either scheme. Results are in query order and
-/// bit-identical to the scheme's scalar oracle per pair.
+/// Scores many queries against one shared target, a lane group at a
+/// time: the batch drop-in for a loop of single-pair `score` calls, for
+/// either scheme. Results are in query order and bit-identical to the
+/// scheme's scalar oracle per pair.
 ///
-/// Queries are packed [`effective_lanes`]`(choice)` at a time in the
-/// given order (pre-sort by length to minimize padding); queries outside
-/// the i16 envelope — and every query under `KernelChoice::Scalar` or
-/// when no real SIMD is available under `Auto` — run on the scalar
-/// oracle instead.
+/// Queries are grouped [`effective_lanes`]`(choice)` at a time in the
+/// given order (pre-sort by length to minimize padding) and each group
+/// runs in the layout [`GroupProfile`] picks for it — a full group packed
+/// one query per lane, a lone query striped over all of them; queries
+/// outside the i16 envelope — and every query under
+/// `KernelChoice::Scalar` or when no real SIMD is available under `Auto`
+/// — run on the scalar oracle instead.
 pub fn score_batch<S: Scheme>(
     choice: KernelChoice,
     queries: &[&[u8]],
@@ -348,13 +357,10 @@ pub fn score_batch<S: Scheme>(
     };
     let (packable, scalar): (Vec<usize>, Vec<usize>) =
         (0..queries.len()).partition(|&i| fits_i16_query(queries[i].len(), scheme));
-    for group in packable.chunks(isa.lanes()) {
-        let qs: Vec<&[u8]> = group.iter().map(|&i| queries[i]).collect();
-        let mut prof = PackedProfile::new(&qs, scheme, isa).expect("members passed fits_i16_query");
-        for (&i, r) in group
-            .iter()
-            .zip(score_batch_packed(&mut prof, t, threshold))
-        {
+    for members in packable.chunks(isa.lanes()) {
+        let qs: Vec<&[u8]> = members.iter().map(|&i| queries[i]).collect();
+        let mut group = GroupProfile::new(&qs, scheme, isa).expect("members passed fits_i16_query");
+        for (&i, r) in members.iter().zip(score_group(&mut group, t, threshold)) {
             out[i] = r;
         }
     }

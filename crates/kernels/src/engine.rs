@@ -178,6 +178,27 @@ impl StripedState {
         }
     }
 
+    /// Returns an argmax-tracking state to what `new(p, lanes, true)`
+    /// builds, for a fresh pass of a `p`-stripe query: the buffers are
+    /// re-zeroed in place, so a state built for a group's longest query
+    /// serves every member and every target without reallocating.
+    pub fn reset(&mut self, p: usize) {
+        let n = p * self.lanes;
+        self.p = p;
+        self.hits = 0;
+        for buf in [
+            &mut self.ph,
+            &mut self.ch,
+            &mut self.vmax,
+            &mut self.scratch,
+        ] {
+            buf.clear();
+            buf.resize(n, 0);
+        }
+        self.first_j.clear();
+        self.first_j.resize(n, 0);
+    }
+
     /// Makes the just-computed column the "previous" one.
     #[inline(always)]
     pub fn flip(&mut self) {
@@ -317,33 +338,48 @@ pub(crate) unsafe fn destripe_column<E: Engine>(st: &StripedState, m: usize, out
     }
 }
 
-/// Full striped local-alignment pass of `prof`'s query over `t`, exact
-/// against the scheme's oracle.
-pub(crate) struct StripedScore<'a, S> {
-    pub prof: &'a mut StripedProfile<S>,
+/// Full striped local-alignment passes of a lane group's queries over `t`,
+/// one after the other through the same state: one result per profile, in
+/// order, each exact against the scheme's oracle.
+pub(crate) struct StripedScore<'a, S: Scheme> {
+    pub profs: &'a mut [StripedProfile<S>],
+    /// Reset per profile, never reallocated once it has held the longest.
+    pub st: &'a mut StripedState,
+    pub gap: &'a mut S::Gap,
     pub t: &'a [u8],
     pub threshold: i32,
 }
 
 impl<S: Scheme> Pass for StripedScore<'_, S> {
-    type Out = LinearSwResult;
+    type Out = Vec<LinearSwResult>;
 
-    // SAFETY: the caller enables E's ISA; the assert pins the lane width
+    // SAFETY: the caller enables E's ISA; the asserts pin the lane width
     // every buffer below is striped for.
     #[inline(always)]
-    unsafe fn run<E: Engine>(self) -> LinearSwResult {
-        let Self { prof, t, threshold } = self;
-        assert_eq!(E::LANES, prof.lanes);
-        let mut st = StripedState::new(prof.p, prof.lanes, true);
-        let mut gap = prof.scheme.gap_state(prof.p * prof.lanes);
+    unsafe fn run<E: Engine>(self) -> Vec<LinearSwResult> {
+        let Self {
+            profs,
+            st,
+            gap,
+            t,
+            threshold,
+        } = self;
+        assert_eq!(E::LANES, st.lanes);
         let thr = hit_floor(threshold);
-        for (j0, &c) in t.iter().enumerate() {
-            let row = prof.row(c);
-            S::striped_column::<E>(&mut gap, &mut st, row);
-            stats::<E>(&mut st, &prof.valid, thr, true, j0);
-            st.flip();
+        let mut out = Vec::with_capacity(profs.len());
+        for prof in profs {
+            assert_eq!(E::LANES, prof.lanes);
+            st.reset(prof.p);
+            prof.scheme.reset_gap(gap, prof.p * prof.lanes);
+            for (j0, &c) in t.iter().enumerate() {
+                let row = prof.row(c);
+                S::striped_column::<E>(gap, st, row);
+                stats::<E>(st, &prof.valid, thr, true, j0);
+                st.flip();
+            }
+            out.push(prof.reduce(st));
         }
-        prof.reduce(&st)
+        out
     }
 }
 

@@ -14,11 +14,13 @@
 //!
 //! The crate is one skeleton with three orthogonal parameters: the scoring
 //! [`Scheme`] (linear-gap `Scoring`, affine-gap `MatrixScoring`; chosen by
-//! the type of the scoring value passed), the lane layout (striped: one
+//! the type of the scoring value passed), the lane layout (striped: each
 //! query over all lanes, [`ScoreKernel`] and [`BandScorer`]; packed: a
-//! different query per lane, [`score_batch`]) and the ISA above. Only the
-//! per-column recurrence differs between schemes; profiles, drivers and
-//! the ISA dispatch are written once (DESIGN.md §5.5).
+//! different query per lane, [`PackedProfile`]; a [`GroupProfile`], and
+//! so [`score_batch`], picks per lane group whichever keeps the vector
+//! busier) and the ISA above. Only the per-column recurrence differs
+//! between schemes; profiles, drivers and the ISA dispatch are written
+//! once (DESIGN.md §5.5).
 //!
 //! All kernels are **bit-exact** against the scheme's scalar oracle
 //! (`sw_score_linear` / `sw_score_profile`): same best score, same end
@@ -35,6 +37,7 @@ mod affine;
 mod band;
 mod batch;
 mod engine;
+mod group;
 mod profile;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -46,12 +49,12 @@ pub use batch::{
     score_batch_packed as score_batch_packed_affine, PackedProfile,
 };
 pub use genomedsm_core::linear::LinearSwResult;
+pub use group::{score_group, GroupProfile};
 pub use profile::Scheme;
 
-use engine::{dispatch, StripedScore};
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
-use profile::StripedProfile;
+use group::StripedGroup;
 
 /// [`PackedProfile`] under an affine-gap protein scheme.
 pub type PackedAffineProfile = PackedProfile<MatrixScoring>;
@@ -283,14 +286,15 @@ impl StripedKernel {
         self.isa
     }
 
-    /// One pair under either scheme: the striped pass inside the i16
-    /// envelope, the scheme's scalar oracle outside it.
+    /// One pair under either scheme: a one-query striped group inside the
+    /// i16 envelope, the scheme's scalar oracle outside it.
     fn run<S: Scheme>(&self, s: &[u8], t: &[u8], scheme: &S, threshold: i32) -> LinearSwResult {
         if !fits_i16(s.len(), t.len(), scheme) || !self.isa.available() {
             return scheme.oracle(s, t, threshold);
         }
-        let prof = &mut StripedProfile::new(s, scheme, self.isa.lanes());
-        dispatch(self.isa, StripedScore { prof, t, threshold })
+        StripedGroup::new(&[s], scheme, self.isa)
+            .score(t, threshold)
+            .swap_remove(0)
     }
 }
 

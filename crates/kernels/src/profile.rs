@@ -62,6 +62,13 @@ pub trait Scheme: Copy + Send + Sync {
     /// entering from the zero boundary column.
     fn gap_state(&self, cells: usize) -> Self::Gap;
 
+    /// Returns `gap` to what [`gap_state`](Self::gap_state)`(cells)`
+    /// builds, so one gap state serves every target a reused profile is
+    /// scored against; schemes that carry a buffer override this to keep it.
+    fn reset_gap(&self, gap: &mut Self::Gap, cells: usize) {
+        *gap = self.gap_state(cells);
+    }
+
     /// One target column of the striped layout under a zero top row:
     /// `st.ch` from `st.ph` and the profile row.
     ///

@@ -12,8 +12,13 @@
 //! matrices with `gap_open == gap_extend`, for which the harness also
 //! demands the linear-gap kernels' answer under the equivalent `Scoring`
 //! (linear gap is the degenerate affine gap, through both layouts on
-//! every ISA).
+//! every ISA). The group-size axis runs every lane group from one query
+//! to a full vector on every ISA, in whichever layout its `GroupProfile`
+//! picks.
 
+mod common;
+
+use common::sweep_group_sizes;
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
 use genomedsm_core::sw_score_profile;
@@ -297,4 +302,41 @@ fn invalid_schemes_are_rejected_by_admission() {
     // Rejection still yields exact results through the public kernels.
     let ms = MatrixScoring::new(ok, -1, -2);
     check_pair(b"AAAA", b"AAAA", &ms, 1);
+}
+
+#[test]
+fn every_group_size_matches_the_oracle_in_either_layout() {
+    // One protein the long target also contains, so lanes score real
+    // matches; the same profile then meets a target shorter than most
+    // queries and an empty one.
+    let protein = genomedsm_seq::random_protein(60, 1).into_bytes();
+    let targets: [&[u8]; 3] = [&protein[5..50], &protein[20..24], b""];
+    let pool_of = |lens: &[usize; 16]| -> Vec<&[u8]> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| &protein[i..i + len])
+            .collect()
+    };
+    let ragged = [40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6];
+    let mut short_first = ragged;
+    short_first.swap(0, 8); // a lone 5-residue query: one stripe, mostly padding
+    let mut with_empty = ragged;
+    with_empty[1] = 0;
+    let pam = MatrixScoring::new(SubstMatrix::pam250(), -10, -2);
+    for lens in [[24; 16], ragged, short_first, with_empty] {
+        for (ms, thr) in [(MatrixScoring::blosum62(), 0), (pam, 5)] {
+            let seen = sweep_group_sizes(&pool_of(&lens), &targets, &ms, thr);
+            assert!(seen.striped > 0 && seen.packed > 0, "{lens:?}: {seen:?}");
+        }
+    }
+    // BLOSUM62 x 100 (best entry 1100) puts the 33- and 37-residue members
+    // past the envelope: groups holding one are refused, and score_batch
+    // spills only them.
+    let mut scaled = *MatrixScoring::blosum62().matrix.table();
+    for v in scaled.iter_mut().flatten() {
+        *v *= 100;
+    }
+    let steep = MatrixScoring::new(SubstMatrix::from_scores(scaled), -1100, -100);
+    assert!(fits_i16_affine_query(29, &steep) && !fits_i16_affine_query(30, &steep));
+    sweep_group_sizes(&pool_of(&ragged), &targets, &steep, 900);
 }

@@ -4,11 +4,18 @@
 //! and threshold-hit count — on random query sets and on adversarial
 //! shapes: empty queries, one-character queries, queries too long for
 //! the i16 envelope (which must spill to the scalar path), and ragged
-//! mixes of all of the above sharing one pack.
+//! mixes of all of the above sharing one pack. The group-size axis runs
+//! every lane group from one query to a full vector on every ISA, so both
+//! layouts a [`GroupProfile`] can pick are held to the same oracle, and
+//! one test pins the rule that picks.
 
+mod common;
+
+use common::sweep_group_sizes;
 use genomedsm_core::linear::sw_score_linear;
 use genomedsm_core::Scoring;
-use genomedsm_kernels::{fits_i16_query, score_batch, KernelChoice};
+use genomedsm_kernels::{fits_i16_query, score_batch, GroupProfile, Isa, KernelChoice};
+use genomedsm_seq::random_dna;
 use proptest::prelude::*;
 
 const SC: Scoring = Scoring::paper();
@@ -137,5 +144,77 @@ fn empty_target_and_empty_query_list() {
         assert!(score_batch(choice, &[], b"ACGT", &SC, 0).is_empty());
         let queries: Vec<Vec<u8>> = vec![b"ACGT".to_vec(), Vec::new()];
         check(choice, &queries, b"", &SC, 0);
+    }
+}
+
+/// A pool of 16 queries with the given lengths, cut from one sequence the
+/// long target also contains, so lanes score real matches.
+fn pool_of(lens: &[usize], genome: &[u8]) -> Vec<Vec<u8>> {
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let mut q = genome[i..i + len].to_vec();
+            if len > 4 {
+                q[len / 2] = b'N';
+            }
+            q
+        })
+        .collect()
+}
+
+const RAGGED: [usize; 16] = [40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6];
+
+#[test]
+fn every_group_size_matches_the_oracle_in_either_layout() {
+    let genome = random_dna(60, 1).into_bytes();
+    // The same profile meets a long target, one shorter than most queries,
+    // and an empty one, in that order.
+    let targets: [&[u8]; 3] = [&genome[5..50], &genome[20..24], b""];
+    let mut short_first = RAGGED;
+    short_first.swap(0, 8); // a lone 5-base query: one stripe, mostly padding
+    let mut with_empty = RAGGED;
+    with_empty[1] = 0;
+    for lens in [[24; 16], RAGGED, short_first, with_empty] {
+        let pool = pool_of(&lens, &genome);
+        let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
+        for thr in [0, 3] {
+            let seen = sweep_group_sizes(&refs, &targets, &SC, thr);
+            assert!(seen.striped > 0 && seen.packed > 0, "{lens:?}: {seen:?}");
+        }
+    }
+    // match = 1000 puts the 33- and 37-base members past the envelope:
+    // groups holding one are refused, and score_batch spills only them.
+    let steep = Scoring::new(1000, -1000, -2000);
+    assert!(fits_i16_query(32, &steep) && !fits_i16_query(33, &steep));
+    let pool = pool_of(&RAGGED, &genome);
+    let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
+    sweep_group_sizes(&refs, &targets, &steep, 1500);
+}
+
+#[test]
+fn layout_follows_occupancy() {
+    let striped = |m: usize, g: usize, isa: Isa| {
+        let q = vec![b'A'; m];
+        GroupProfile::new(&vec![q.as_slice(); g], &SC, isa)
+            .expect("short queries fit")
+            .is_striped()
+    };
+    for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+        let lanes = isa.lanes();
+        for m in [1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 150] {
+            // Equal lengths: adding a member never turns packed into striped.
+            for g in 1..lanes {
+                assert!(
+                    !striped(m, g + 1, isa) || striped(m, g, isa),
+                    "{}: |q|={m} is striped at g={} but not at g={g}",
+                    isa.name(),
+                    g + 1
+                );
+            }
+            assert!(!striped(m, lanes, isa), "{}: full group of {m}", isa.name());
+            if m >= lanes {
+                assert!(striped(m, 1, isa), "{}: lone query of {m}", isa.name());
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! failed in-flight requests, typed overload rejection (never a hang),
 //! per-client fairness in the stats ledger, and zero protocol errors.
 
-use genomedsm_batch::{BatchConfig, BatchEngine, SchedulerConfig, SeqDatabase};
+use genomedsm_batch::{oracle_search, BatchConfig, BatchEngine, SchedulerConfig, SeqDatabase};
+use genomedsm_core::Scoring;
 use genomedsm_seq::fasta::{write_fasta_file, FastaRecord};
 use genomedsm_seq::random_dna;
 use genomedsm_serve::{ServeClient, ServeError, Server, ServerConfig};
@@ -83,6 +84,32 @@ fn cached_and_recomputed_answers_are_bit_identical() {
         })
         .unwrap();
     assert_eq!(third.hit_lists(), want);
+
+    // A one-query request is a lane group of one, which the engine runs
+    // striped over the whole vector: same answer as the scalar scan, and
+    // the replay comes from the cache.
+    let scan = |qs: &[Vec<u8>]| {
+        let refs: Vec<&[u8]> = qs.iter().map(Vec::as_slice).collect();
+        oracle_search(&db, &refs, &Scoring::paper(), 5)
+    };
+    let fresh = queries(3, 120, 41);
+    let one = &fresh[..1];
+    let cold = client.search(one, 5, |_| {}).unwrap();
+    assert!(!cold.answers[0].cached);
+    assert_eq!(cold.hit_lists(), scan(one));
+    let replay = client.search(one, 5, |_| {}).unwrap();
+    assert!(replay.answers[0].cached);
+    assert_eq!(replay.hit_lists(), scan(one));
+
+    // Three queries with the middle one cached: the two misses are one
+    // (striped) group, and the answers still stream in ascending order.
+    let trio = vec![fresh[1].clone(), fresh[0].clone(), fresh[2].clone()];
+    let mut order = Vec::new();
+    let mixed = client.search(&trio, 5, |qh| order.push(qh.query)).unwrap();
+    assert_eq!(order, [0, 1, 2]);
+    let from_cache: Vec<bool> = mixed.answers.iter().map(|a| a.cached).collect();
+    assert_eq!(from_cache, [false, true, false]);
+    assert_eq!(mixed.hit_lists(), scan(&trio));
 
     let stats = server.stop();
     assert_eq!(stats.protocol_errors, 0);

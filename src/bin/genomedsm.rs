@@ -61,10 +61,13 @@
 //! simulation), timed, using the selected vectorized kernel.
 //!
 //! batch: multi-query database search — every query of --queries against
-//! every record of --db, lane-packed (a different query per SIMD lane)
-//! and work-stolen across --workers threads, reporting the --top-k hits
-//! per query and aggregate GCUPS. --check re-runs the search with
-//! sequential per-pair kernel calls and verifies the hits are identical.
+//! every record of --db, in lane groups (a full group packs a different
+//! query per SIMD lane; a group with few queries, down to the single
+//! query of a one-query file, is striped over all lanes instead) that are
+//! work-stolen across --workers threads, reporting the --top-k hits per
+//! query, aggregate GCUPS and how many groups ran striped. --check
+//! re-runs the search with sequential per-pair kernel calls and verifies
+//! the hits are identical.
 //! --mode protein scores with the affine-gap Gotoh recurrence under a
 //! substitution matrix (--matrix: blosum62|blosum50|pam250 or an
 //! NCBI-format file; --gap-open/--gap-extend, defaults -11/-1), parsing
@@ -78,8 +81,10 @@
 //! bounded admission queue (--queue, refused-not-hung overload), a
 //! result cache keyed by (query digest, db epoch) (--cache answers),
 //! per-client weighted fair scheduling across --service-workers request
-//! workers, and hot-reloadable databases (client --reload). Runs until a
-//! client sends --shutdown.
+//! workers, and hot-reloadable databases (client --reload). A request's
+//! cache misses are one batch search, so a one-query request runs its
+//! query striped over all SIMD lanes. Runs until a client sends
+//! --shutdown.
 //!
 //! client: one interaction with a running server — a search streamed
 //! answer by answer (each query's final top-k arrives as soon as it is
@@ -734,10 +739,11 @@ fn batch(args: &[String]) {
     let elapsed = t0.elapsed();
     println!(
         "\n{} cells in {elapsed:.2?}: {:.3} aggregate GCUPS \
-         ({} lane groups, {} scalar spill, {} jobs)",
+         ({} lane groups, {} striped, {} scalar spill, {} jobs)",
         out.stats.cells,
         out.stats.cells as f64 / elapsed.as_secs_f64().max(1e-9) / 1e9,
         out.stats.lane_groups,
+        out.stats.striped_groups,
         out.stats.scalar_queries,
         out.stats.jobs
     );
