@@ -58,8 +58,8 @@ pub fn prefiltered_search(
         .map(|q| {
             let qb = QueryBound::new(q, ms);
             // One profile and one DP state per query, reused down the scan.
-            // A query past the i16 envelope gets none and is admitted pair
-            // by pair, against each record's length.
+            // A query past the a-priori i16 envelope gets none and goes
+            // pair by pair through the per-pair lane-width ladder.
             let mut group = kernel
                 .isa()
                 .and_then(|isa| GroupProfile::new(&[q], ms, isa));

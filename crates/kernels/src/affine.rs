@@ -37,31 +37,31 @@
 //!
 //! Exactness: a pass over these columns is bit-identical to
 //! [`sw_score_profile`] (score, row-major-first end point tie-break,
-//! threshold hit count) whenever [`crate::fits_i16`] /
-//! [`crate::fits_i16_query`] admits the problem; the public entry points
-//! fall back to the scalar Gotoh oracle otherwise. Saturating i16
-//! arithmetic cannot corrupt admitted problems: `H` is bounded by
-//! `min(m, n) * max_matrix_score <= 32 000`, and `E`/`F` values that
-//! saturate toward `i16::MIN` are already dominated by the `H + go`
-//! re-open branch (`>= -28 000`) everywhere they are consumed.
+//! threshold hit count) whenever no `H` it writes exceeds the lane
+//! width's ceiling — known beforehand for what [`crate::fits_i16_query`]
+//! admits (the batch path), checked afterwards by the per-pair ladder,
+//! which re-runs on `i32` lanes what saturated `i16` (see
+//! [`crate::engine`]). `E`/`F` values that saturate toward `i16::MIN`
+//! need no check: they are already dominated by the `H + go` re-open
+//! branch (`>= -28 000`) everywhere they are consumed.
 
 use crate::batch::PackedState;
-use crate::engine::{Engine, StripedState};
-use crate::profile::{Scheme, I16_PARAM_CEILING, NEG_INF};
+use crate::engine::{Elem, Engine, StripedState};
+use crate::profile::{Scheme, I16_PARAM_CEILING};
 use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 
-/// Gap state of one affine pass: both penalties as positive i16s and the
-/// per-element `E` column, written one target column ahead.
-pub struct AffineGap {
-    go: i16,
-    ge: i16,
-    pe: Vec<i16>,
+/// Gap state of one affine pass: both penalties as positive lane values and
+/// the per-element `E` column, written one target column ahead.
+pub struct AffineGap<T> {
+    go: T,
+    ge: T,
+    pe: Vec<T>,
 }
 
 impl Scheme for MatrixScoring {
-    type Gap = AffineGap;
+    type Gap<T: Elem> = AffineGap<T>;
 
     #[inline(always)]
     fn subst(&self, q: u8, c: u8) -> i16 {
@@ -89,31 +89,35 @@ impl Scheme for MatrixScoring {
         sw_score_profile(s, t, self, threshold)
     }
 
-    fn gap_state(&self, cells: usize) -> AffineGap {
+    fn gap_state<T: Elem>(&self, cells: usize) -> AffineGap<T> {
         // E entering the first real column is exactly `gap_open` for every
         // element (opened from the zero boundary column).
         AffineGap {
-            go: (-self.gap_open) as i16,
-            ge: (-self.gap_extend) as i16,
-            pe: vec![self.gap_open as i16; cells],
+            go: T::from_i32(-self.gap_open),
+            ge: T::from_i32(-self.gap_extend),
+            pe: vec![T::from_i32(self.gap_open); cells],
         }
     }
 
-    fn reset_gap(&self, gap: &mut AffineGap, cells: usize) {
+    fn reset_gap<T: Elem>(&self, gap: &mut AffineGap<T>, cells: usize) {
         gap.pe.clear();
-        gap.pe.resize(cells, self.gap_open as i16);
+        gap.pe.resize(cells, T::from_i32(self.gap_open));
     }
 
     // SAFETY: same contract as `affine_column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn striped_column<E: Engine>(gap: &mut AffineGap, st: &mut StripedState, row: &[i16]) {
+    unsafe fn striped_column<E: Engine>(
+        gap: &mut AffineGap<E::T>,
+        st: &mut StripedState<E::T>,
+        row: &[E::T],
+    ) {
         affine_column::<E>(st, &mut gap.pe, row, gap.go, gap.ge)
     }
 
     // SAFETY: same contract as `packed_affine_column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn packed_column<E: Engine>(
-        gap: &mut AffineGap,
+    unsafe fn packed_column<E: Engine<T = i16>>(
+        gap: &mut AffineGap<i16>,
         st: &mut PackedState,
         rows: usize,
         row: &[i16],
@@ -137,11 +141,11 @@ impl Scheme for MatrixScoring {
 /// stripes.
 #[inline(always)]
 unsafe fn affine_column<E: Engine>(
-    st: &mut StripedState,
-    pe: &mut [i16],
-    prof_row: &[i16],
-    go: i16,
-    ge: i16,
+    st: &mut StripedState<E::T>,
+    pe: &mut [E::T],
+    prof_row: &[E::T],
+    go: E::T,
+    ge: E::T,
 ) {
     let p = st.p;
     let l = E::LANES;
@@ -150,11 +154,11 @@ unsafe fn affine_column<E: Engine>(
     debug_assert_eq!(pe.len(), p * l);
     let vgo = E::splat(go);
     let vge = E::splat(ge);
-    let vzero = E::splat(0);
-    let mut vf = E::splat(NEG_INF);
+    let vzero = E::splat(E::T::ZERO);
+    let mut vf = E::splat(E::T::NEG_INF);
     // Diagonal feed for stripe 0: last stripe of the previous column,
     // rotated one lane, with the zero top-left boundary in lane 0.
-    let mut vh = E::shift_in(E::load(st.ph.as_ptr().add((p - 1) * l)), 0);
+    let mut vh = E::shift_in(E::load(st.ph.as_ptr().add((p - 1) * l)), E::T::ZERO);
     for k in 0..p {
         let off = k * l;
         let ve = E::load(pe.as_ptr().add(off));
@@ -181,7 +185,7 @@ unsafe fn affine_column<E: Engine>(
     // complete because `go >= ge` makes extension dominate re-opening
     // from a lazily-raised H (that H *is* this F). Termination: F drops
     // by `ge >= 1` per stripe while `H - go >= -go` is fixed from below.
-    vf = E::shift_in(vf, NEG_INF);
+    vf = E::shift_in(vf, E::T::NEG_INF);
     let mut k = 0;
     loop {
         let off = k * l;
@@ -199,7 +203,7 @@ unsafe fn affine_column<E: Engine>(
         k += 1;
         if k == p {
             k = 0;
-            vf = E::shift_in(vf, NEG_INF);
+            vf = E::shift_in(vf, E::T::NEG_INF);
         }
     }
 }
@@ -214,7 +218,7 @@ unsafe fn affine_column<E: Engine>(
 /// enabled and `st`/`pe`/`prof_row` packed for `E::LANES` lanes with at
 /// least `rows` rows.
 #[inline(always)]
-unsafe fn packed_affine_column<E: Engine>(
+unsafe fn packed_affine_column<E: Engine<T = i16>>(
     st: &mut PackedState,
     pe: &mut [i16],
     rows: usize,
@@ -228,7 +232,7 @@ unsafe fn packed_affine_column<E: Engine>(
     let vge = E::splat(ge);
     let mut diag = vzero; // H[i-1][j-1]
     let mut up_h = vzero; // H[i-1][j]
-    let mut vf = E::splat(NEG_INF); // F[i-1][j]
+    let mut vf = E::splat(i16::NEG_INF); // F[i-1][j]
     for i in 0..rows {
         let off = i * l;
         let left = E::load(st.ph.as_ptr().add(off)); // H[i][j-1]
@@ -263,11 +267,13 @@ mod tests {
         MatrixScoring::blosum62()
     }
 
-    /// The striped pass on `isa`, through the one dispatch.
+    /// The striped pass on `isa`, through the one dispatch, at both lane
+    /// widths (which must agree: nothing here comes near either ceiling).
     fn striped(isa: Isa, s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) -> LinearSwResult {
-        StripedGroup::new(&[s], ms, isa)
-            .score(t, threshold)
-            .swap_remove(0)
+        let mut narrow = StripedGroup::<_, i16>::new(&[s], ms, isa).score(t, threshold);
+        let wide = StripedGroup::<_, i32>::new(&[s], ms, isa).score(t, threshold);
+        assert_eq!(narrow, wide, "{}: i16 and i32 lanes disagree", isa.name());
+        narrow.swap_remove(0)
     }
 
     fn oracle_each(
@@ -286,7 +292,7 @@ mod tests {
     fn striped_profile_rows_match_matrix() {
         let ms = bl62();
         let s = b"MKVLAWQHKRW";
-        let mut prof = StripedProfile::new(s, &ms, 4);
+        let mut prof = StripedProfile::<_, i16>::new(s, &ms, 4);
         for c in [b'W', b'A', b'X', b'*'] {
             let row: Vec<i16> = prof.row(c).to_vec();
             for (q, &sc) in s.iter().enumerate() {
@@ -360,10 +366,14 @@ mod tests {
         let long = vec![b'W'; 40_000];
         let queries: Vec<&[u8]> = vec![b"MKVLAWQ", &long, b"GAVD"];
         let t = vec![b'W'; 500];
+        let want = oracle_each(&queries, &t, &ms, 1);
         for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
             let got = score_batch(choice, &queries, &t, &ms, 1);
-            assert_eq!(got, oracle_each(&queries, &t, &ms, 1), "choice {choice}");
+            assert_eq!(got, want, "choice {choice}");
         }
+        // The per-pair ladder knows the target: 500 * 11 fits i16 lanes.
+        let per_pair = crate::kernel_for(KernelChoice::Simd).score_affine_on(&long, &t, &ms, 1);
+        assert_eq!(per_pair, (want[1].clone(), crate::Rung::I16));
     }
 
     #[test]

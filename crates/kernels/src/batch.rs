@@ -23,9 +23,9 @@
 //! ([`fits_i16_query`]) transparently fall back to the scalar oracle in
 //! [`score_batch`].
 
-use crate::engine::{dispatch, hit_floor, Engine, Pass};
+use crate::engine::{dispatch, hit_floor, Elem, Engine, Pass};
 use crate::group::{score_group, GroupProfile};
-use crate::profile::{Scheme, NEG_INF};
+use crate::profile::Scheme;
 use crate::{fits_i16_query, Isa, KernelChoice};
 use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::scoring::Scoring;
@@ -110,7 +110,7 @@ impl<S: Scheme> PackedProfile<S> {
     fn row(&mut self, c: u8) -> &[i16] {
         let slot = &mut self.sym_rows[c as usize];
         if slot.is_none() {
-            let mut row = vec![NEG_INF; self.rows * self.lanes];
+            let mut row = vec![i16::NEG_INF; self.rows * self.lanes];
             for (l, q) in self.seqs.iter().enumerate() {
                 for (i, &qc) in q.iter().enumerate() {
                     row[i * self.lanes + l] = self.scheme.subst(qc, c);
@@ -207,7 +207,7 @@ impl PackedState {
 /// `prof_row` must be packed for `E::LANES` lanes with at least `rows`
 /// rows.
 #[inline(always)]
-pub(crate) unsafe fn packed_column<E: Engine>(
+pub(crate) unsafe fn packed_column<E: Engine<T = i16>>(
     st: &mut PackedState,
     rows: usize,
     prof_row: &[i16],
@@ -240,7 +240,7 @@ pub(crate) unsafe fn packed_column<E: Engine>(
 /// Same contract as [`packed_column`]; `valid` must cover every packed
 /// row of `st`.
 #[inline(always)]
-pub(crate) unsafe fn packed_stats<E: Engine>(
+pub(crate) unsafe fn packed_stats<E: Engine<T = i16>>(
     st: &mut PackedState,
     valid: &[u64],
     thr_minus_1: Option<i16>,
@@ -282,12 +282,13 @@ struct PackedScore<'a, S> {
 }
 
 impl<S: Scheme> Pass for PackedScore<'_, S> {
+    type T = i16;
     type Out = Vec<LinearSwResult>;
 
     // SAFETY: the caller enables E's ISA; the assert pins the lane width
     // every buffer below is packed for.
     #[inline(always)]
-    unsafe fn run<E: Engine>(self) -> Vec<LinearSwResult> {
+    unsafe fn run<E: Engine<T = i16>>(self) -> Vec<LinearSwResult> {
         let Self { prof, t, threshold } = self;
         assert_eq!(E::LANES, prof.lanes);
         let rows = prof.rows;
@@ -437,10 +438,16 @@ mod tests {
         let long = vec![b'A'; 40_000];
         let queries: Vec<&[u8]> = vec![b"GATTACA", &long, b"ACGT"];
         let t = vec![b'A'; 1000];
+        let want = oracle_each(&queries, &t, 1);
         for choice in [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto] {
             let got = score_batch(choice, &queries, &t, &SC, 1);
-            assert_eq!(got, oracle_each(&queries, &t, 1), "choice {choice}");
+            assert_eq!(got, want, "choice {choice}");
         }
+        // Batch admission is a priori because a group's targets are not
+        // known yet. The per-pair ladder sees this one — 1000 is all it can
+        // score — and keeps the same query on i16 lanes.
+        let per_pair = crate::kernel_for(KernelChoice::Simd).score_on(&long, &t, &SC, 1);
+        assert_eq!(per_pair, (want[1].clone(), crate::Rung::I16));
     }
 
     #[test]

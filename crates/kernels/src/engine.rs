@@ -15,19 +15,147 @@
 //! chain (`F`) needs Farrar's lazy-loop fixup, because it runs *within* the
 //! current column across stripe boundaries.
 //!
-//! # Exactness
+//! # Exactness and the width ladder
 //!
-//! The routines here are bit-exact against `sw_score_linear` (score, end
-//! point with the same row-major-first tie-break, and threshold hit count)
-//! whenever [`crate::fits_i16`] admits the problem; the public wrappers fall
-//! back to the scalar oracle otherwise, so saturation can never corrupt a
-//! result.
+//! Lane width is the engine's element type ([`Elem`]): `i16` (saturating
+//! arithmetic, twice the lanes) or `i32`. A pass is bit-exact against the
+//! scheme's oracle (score, end point with the same row-major-first
+//! tie-break, threshold hit count) whenever every value that entered it and
+//! every `H` it wrote is at most [`Elem::CEILING`], and that is checked
+//! *after* the pass, from the values themselves: `H` is a `max` over its
+//! candidates, so a saturating add that clipped leaves `i16::MAX` in the
+//! `H` it fed and in the running maximum the statistics pass keeps anyway.
+//! No `H` above the ceiling therefore means no add ever clipped. (Values
+//! that saturate *low* — the `NEG_INF` chains of `F`, an affine `E` — are
+//! negative before and after clipping and lose to `0` or to the
+//! `H + gap_open` re-open branch wherever they are consumed.) The callers
+//! ([`crate::BandScorer`] per wavefront unit, [`crate::StripedKernel`] per
+//! pair) run `i16` first and re-run at `i32` what failed the check; only
+//! the widest rung is admitted a priori, from `min(m, n) · column_cap`.
 
-use crate::profile::{Scheme, StripedProfile, NEG_INF};
-use crate::scalar::Portable;
+use crate::profile::{Scheme, StripedProfile};
 use crate::Isa;
 use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::scoring::Scoring;
+
+/// A lane element type: one rung of the width ladder.
+///
+/// `pub` for the same reason as [`Engine`]; implemented for `i16` and
+/// `i32` only.
+pub trait Elem: Copy + Ord + std::fmt::Debug {
+    /// The portable engine at this width.
+    type Portable: Engine<T = Self>;
+    /// The 128-bit engine at this width.
+    #[cfg(target_arch = "x86_64")]
+    type Sse2: Engine<T = Self>;
+    /// The 256-bit engine at this width.
+    #[cfg(target_arch = "x86_64")]
+    type Avx2: Engine<T = Self>;
+
+    /// Bytes per element, which is also the bits per lane of an
+    /// [`Engine::gt_bytes`] mask.
+    const BYTES: usize;
+    /// The zero boundary.
+    const ZERO: Self;
+    /// Sentinel for padding lanes (`q >= m`) and "no value" boundaries:
+    /// low enough that adding any cell value to it stays negative, and far
+    /// enough above the type's minimum that the gap chains subtracted from
+    /// it neither wrap (`i32`) nor matter once they saturate (`i16`).
+    const NEG_INF: Self;
+    /// Highest cell value a pass at this width is exact for. Below
+    /// `i16::MAX` by a margin nothing depends on; far enough below
+    /// `i32::MAX` that `i32` lanes, which have no saturating instructions,
+    /// cannot wrap: a lazy-`F` chain dies within `CEILING / gap` steps of
+    /// its origin, so nothing ever falls below `NEG_INF - CEILING -` a
+    /// penalty or two.
+    const CEILING: i32;
+
+    /// `x` at this width; `x` must be representable (a penalty or profile
+    /// score within `I16_PARAM_CEILING`, or a border value the caller
+    /// checked against [`CEILING`](Self::CEILING)).
+    fn from_i32(x: i32) -> Self;
+    /// Widens back to the oracle's cell type.
+    fn to_i32(self) -> i32;
+    /// Lane addition as the engines do it: saturating for `i16`, plain for
+    /// `i32` (whose head-room is `CEILING`'s job).
+    fn add(self, other: Self) -> Self;
+    /// Lane subtraction, likewise.
+    fn sub(self, other: Self) -> Self;
+}
+
+impl Elem for i16 {
+    type Portable = crate::scalar::Portable<i16, 8>;
+    #[cfg(target_arch = "x86_64")]
+    type Sse2 = crate::x86::Sse2<i16>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx2 = crate::x86::Avx2<i16>;
+
+    const BYTES: usize = 2;
+    const ZERO: i16 = 0;
+    const NEG_INF: i16 = -30_000;
+    const CEILING: i32 = 32_000;
+
+    #[inline(always)]
+    fn from_i32(x: i32) -> i16 {
+        debug_assert!(i16::try_from(x).is_ok(), "{x} does not fit an i16 lane");
+        x as i16
+    }
+    #[inline(always)]
+    fn to_i32(self) -> i32 {
+        i32::from(self)
+    }
+    #[inline(always)]
+    fn add(self, other: i16) -> i16 {
+        self.saturating_add(other)
+    }
+    #[inline(always)]
+    fn sub(self, other: i16) -> i16 {
+        self.saturating_sub(other)
+    }
+}
+
+impl Elem for i32 {
+    type Portable = crate::scalar::Portable<i32, 4>;
+    #[cfg(target_arch = "x86_64")]
+    type Sse2 = crate::x86::Sse2<i32>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx2 = crate::x86::Avx2<i32>;
+
+    const BYTES: usize = 4;
+    const ZERO: i32 = 0;
+    const NEG_INF: i32 = i32::MIN / 2;
+    const CEILING: i32 = 1_000_000_000;
+
+    #[inline(always)]
+    fn from_i32(x: i32) -> i32 {
+        x
+    }
+    #[inline(always)]
+    fn to_i32(self) -> i32 {
+        self
+    }
+    // Plain operators: a debug build panics on the overflow CEILING rules out.
+    #[inline(always)]
+    fn add(self, other: i32) -> i32 {
+        self + other
+    }
+    #[inline(always)]
+    fn sub(self, other: i32) -> i32 {
+        self - other
+    }
+}
+
+/// Lanes per vector of `isa` at element width `T` ([`Isa::lanes`] counts
+/// `i16` lanes).
+pub(crate) fn lanes_of<T: Elem>(isa: Isa) -> usize {
+    isa.lanes() * <i16 as Elem>::BYTES / T::BYTES
+}
+
+/// The [`Engine::gt_bytes`] bits of lane `lane`.
+#[inline(always)]
+pub(crate) fn lane_bits<T: Elem>(lane: usize) -> u64 {
+    ((1u64 << T::BYTES) - 1) << (lane * T::BYTES)
+}
 
 /// Minimal SIMD vocabulary the striped recurrence needs.
 ///
@@ -38,13 +166,15 @@ use genomedsm_core::scoring::Scoring;
 /// Every method shares one contract: the caller must ensure the engine's
 /// ISA is enabled in the calling context (via runtime detection plus a
 /// `#[target_feature]` wrapper, as the backends do), and `load`/`store`
-/// pointers must be valid for `LANES` consecutive `i16` reads/writes.
+/// pointers must be valid for `LANES` consecutive `T` reads/writes.
 ///
 /// `pub` (like the two state types) only so the public [`Scheme`] trait may
 /// name it in its column signatures; this module is private, so none of
 /// them is reachable from outside the crate.
 pub trait Engine: Copy {
-    /// Number of i16 lanes per vector.
+    /// Lane element type.
+    type T: Elem;
+    /// Number of `T` lanes per vector.
     const LANES: usize;
     /// Vector register type.
     type V: Copy;
@@ -53,25 +183,26 @@ pub trait Engine: Copy {
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.
-    unsafe fn splat(x: i16) -> Self::V;
-    /// Unaligned load of `LANES` i16 values.
+    unsafe fn splat(x: Self::T) -> Self::V;
+    /// Unaligned load of `LANES` values.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold and `src` must be valid for
-    /// `LANES` consecutive `i16` reads.
-    unsafe fn load(src: *const i16) -> Self::V;
-    /// Unaligned store of `LANES` i16 values.
+    /// `LANES` consecutive `T` reads.
+    unsafe fn load(src: *const Self::T) -> Self::V;
+    /// Unaligned store of `LANES` values.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold and `dst` must be valid for
-    /// `LANES` consecutive `i16` writes.
-    unsafe fn store(dst: *mut i16, v: Self::V);
-    /// Lane-wise saturating add.
+    /// `LANES` consecutive `T` writes.
+    unsafe fn store(dst: *mut Self::T, v: Self::V);
+    /// Lane-wise [`Elem::add`]: saturating where the width has the
+    /// instruction (`i16`), plain otherwise.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.
     unsafe fn adds(a: Self::V, b: Self::V) -> Self::V;
-    /// Lane-wise saturating subtract.
+    /// Lane-wise [`Elem::sub`], likewise.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.
@@ -81,8 +212,9 @@ pub trait Engine: Copy {
     /// # Safety
     /// The trait-level ISA contract must hold.
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
-    /// `movemask_epi8`-style byte mask of `a > b` (two bits per i16 lane,
-    /// lane `l` occupying bits `2l` and `2l+1`). Zero iff no lane is greater.
+    /// `movemask_epi8`-style byte mask of `a > b` ([`Elem::BYTES`] bits per
+    /// lane, lane `l` occupying [`lane_bits`]`(l)`). Zero iff no lane is
+    /// greater.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.
@@ -94,12 +226,14 @@ pub trait Engine: Copy {
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.
-    unsafe fn shift_in(v: Self::V, first: i16) -> Self::V;
+    unsafe fn shift_in(v: Self::V, first: Self::T) -> Self::V;
 }
 
-/// A whole kernel pass, generic over the engine it will run on: the unit
-/// [`dispatch`] hands to an ISA.
+/// A whole kernel pass at one lane width, generic over the engine it will
+/// run on: the unit [`dispatch`] hands to an ISA.
 pub(crate) trait Pass {
+    /// The lane width the pass's buffers are laid out for.
+    type T: Elem;
     /// What the pass returns.
     type Out;
 
@@ -108,10 +242,10 @@ pub(crate) trait Pass {
     ///
     /// # Safety
     /// `E`'s ISA must be enabled in the calling context.
-    unsafe fn run<E: Engine>(self) -> Self::Out;
+    unsafe fn run<E: Engine<T = Self::T>>(self) -> Self::Out;
 }
 
-/// Runs `pass` on `isa`'s engine.
+/// Runs `pass` on `isa`'s engine for the pass's lane width.
 ///
 /// # Panics
 /// If the running CPU lacks `isa` (every caller picks it from
@@ -120,7 +254,7 @@ pub(crate) fn dispatch<P: Pass>(isa: Isa, pass: P) -> P::Out {
     assert!(isa.available(), "{} is not available here", isa.name());
     match isa {
         // SAFETY: the portable engine has no ISA requirement.
-        Isa::Portable => unsafe { pass.run::<Portable>() },
+        Isa::Portable => unsafe { pass.run::<<P::T as Elem>::Portable>() },
         // SAFETY: available() above detected SSE2 at runtime, which is the
         // shell's target_feature contract.
         #[cfg(target_arch = "x86_64")]
@@ -133,48 +267,51 @@ pub(crate) fn dispatch<P: Pass>(isa: Isa, pass: P) -> P::Out {
     }
 }
 
-/// The hit test `H > threshold - 1` as an i16 operand. Hits are only
-/// counted for positive thresholds (matching the scalar oracle); a
-/// threshold above the i16 range can never be reached by an admitted
-/// problem, so it degenerates to "count nothing".
-pub(crate) fn hit_floor(threshold: i32) -> Option<i16> {
-    (threshold > 0 && threshold <= i32::from(i16::MAX)).then(|| (threshold - 1) as i16)
+/// The hit test `H > threshold - 1` as an operand of width `T`. Hits are
+/// only counted for positive thresholds (matching the scalar oracle). A
+/// threshold above `T`'s ceiling degenerates to "count nothing" *on this
+/// rung*: no cell of a pass that is exact at this width reaches it, and a
+/// pass that is not gets re-run one rung up, with that rung's floor.
+pub(crate) fn hit_floor<T: Elem>(threshold: i32) -> Option<T> {
+    (1..=T::CEILING)
+        .contains(&threshold)
+        .then(|| T::from_i32(threshold - 1))
 }
 
-/// Mutable per-alignment state shared by all engines (plain i16 buffers in
-/// striped order; the engine only dictates the lane width they are read
-/// with).
-pub struct StripedState {
+/// Mutable per-alignment state shared by all engines (plain buffers of the
+/// lane element type in striped order; the engine only dictates the lane
+/// width they are read with).
+pub struct StripedState<T> {
     /// Stripes per column.
     pub p: usize,
     /// Lane width the buffers are striped for.
     pub lanes: usize,
     /// Previous column's `H` (the "load" buffer).
-    pub ph: Vec<i16>,
+    pub ph: Vec<T>,
     /// Current column's `H` (the "store" buffer).
-    pub ch: Vec<i16>,
+    pub ch: Vec<T>,
     /// Running per-element maximum over all columns seen so far.
-    pub vmax: Vec<i16>,
+    pub vmax: Vec<T>,
     /// Column index (0-based) of the first strict improvement that set the
     /// current `vmax` value for each element; tracked only in argmax mode.
     pub first_j: Vec<u64>,
     /// Accumulated threshold hits over live elements.
     pub hits: u64,
-    scratch: Vec<i16>,
+    scratch: Vec<T>,
 }
 
-impl StripedState {
+impl<T: Elem> StripedState<T> {
     pub fn new(p: usize, lanes: usize, track_argmax: bool) -> Self {
         let n = p * lanes;
         Self {
             p,
             lanes,
-            ph: vec![0; n],
-            ch: vec![0; n],
-            vmax: vec![0; n],
+            ph: vec![T::ZERO; n],
+            ch: vec![T::ZERO; n],
+            vmax: vec![T::ZERO; n],
             first_j: if track_argmax { vec![0; n] } else { Vec::new() },
             hits: 0,
-            scratch: vec![0; n],
+            scratch: vec![T::ZERO; n],
         }
     }
 
@@ -193,7 +330,7 @@ impl StripedState {
             &mut self.scratch,
         ] {
             buf.clear();
-            buf.resize(n, 0);
+            buf.resize(n, T::ZERO);
         }
         self.first_j.clear();
         self.first_j.resize(n, 0);
@@ -203,6 +340,14 @@ impl StripedState {
     #[inline(always)]
     pub fn flip(&mut self) {
         std::mem::swap(&mut self.ph, &mut self.ch);
+    }
+
+    /// Whether some `H` written since the state was fresh exceeds `T`'s
+    /// ceiling, i.e. whether the pass so far may have clipped (module
+    /// docs). Padding elements are scanned too: they only ever hold
+    /// gap-decayed copies of live values.
+    pub fn saturated(&self) -> bool {
+        self.vmax.iter().any(|v| v.to_i32() > T::CEILING)
     }
 }
 
@@ -220,19 +365,19 @@ impl StripedState {
 /// have been built for `E::LANES` lanes with `p` stripes.
 #[inline(always)]
 pub(crate) unsafe fn column<E: Engine>(
-    st: &mut StripedState,
-    prof_row: &[i16],
-    gap: i16,
-    diag0: i16,
-    f0: i16,
+    st: &mut StripedState<E::T>,
+    prof_row: &[E::T],
+    gap: E::T,
+    diag0: E::T,
+    f0: E::T,
 ) {
     let p = st.p;
     let l = E::LANES;
     debug_assert_eq!(l, st.lanes);
     debug_assert_eq!(prof_row.len(), p * l);
     let vgap = E::splat(gap);
-    let vzero = E::splat(0);
-    let mut vf = E::splat(NEG_INF);
+    let vzero = E::splat(E::T::ZERO);
+    let mut vf = E::splat(E::T::NEG_INF);
     // Diagonal feed for stripe 0: last stripe of the previous column,
     // rotated one lane, with the top-left boundary in lane 0.
     let mut vh = E::shift_in(E::load(st.ph.as_ptr().add((p - 1) * l)), diag0);
@@ -263,7 +408,7 @@ pub(crate) unsafe fn column<E: Engine>(
         k += 1;
         if k == p {
             k = 0;
-            vf = E::shift_in(vf, NEG_INF);
+            vf = E::shift_in(vf, E::T::NEG_INF);
         }
     }
 }
@@ -277,21 +422,22 @@ pub(crate) unsafe fn column<E: Engine>(
 /// stripes of `st`.
 #[inline(always)]
 pub(crate) unsafe fn stats<E: Engine>(
-    st: &mut StripedState,
+    st: &mut StripedState<E::T>,
     valid: &[u64],
-    thr_minus_1: Option<i16>,
+    thr_minus_1: Option<E::T>,
     track_argmax: bool,
     j0: usize,
 ) {
     let p = st.p;
     let l = E::LANES;
+    let lane_width = E::T::BYTES as u32;
     let vthr = thr_minus_1.map(|x| E::splat(x));
     for (k, &vmask) in valid.iter().enumerate().take(p) {
         let off = k * l;
         let vh = E::load(st.ch.as_ptr().add(off));
         if let Some(vt) = vthr {
             let m = E::gt_bytes(vh, vt) & vmask;
-            st.hits += u64::from(m.count_ones() / 2);
+            st.hits += u64::from(m.count_ones() / lane_width);
         }
         if track_argmax {
             let vm = E::load(st.vmax.as_ptr().add(off));
@@ -302,9 +448,9 @@ pub(crate) unsafe fn stats<E: Engine>(
                 // running max changed in (strict `>` keeps the earliest).
                 let mut bits = improved;
                 while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize / 2;
+                    let lane = (bits.trailing_zeros() / lane_width) as usize;
                     st.first_j[off + lane] = j0 as u64;
-                    bits &= !(0b11u64 << (lane * 2));
+                    bits &= !lane_bits::<E::T>(lane);
                 }
             }
         }
@@ -317,7 +463,7 @@ pub(crate) unsafe fn stats<E: Engine>(
 /// Same contract as [`column`]; `q` must be a valid query index
 /// (`q < p * lanes`).
 #[inline(always)]
-pub(crate) unsafe fn extract<E: Engine>(st: &mut StripedState, q: usize) -> i16 {
+pub(crate) unsafe fn extract<E: Engine>(st: &mut StripedState<E::T>, q: usize) -> E::T {
     let k = q % st.p;
     let l = q / st.p;
     let v = E::load(st.ch.as_ptr().add(k * E::LANES));
@@ -331,32 +477,38 @@ pub(crate) unsafe fn extract<E: Engine>(st: &mut StripedState, q: usize) -> i16 
 /// Same contract as [`column`]; `m` must not exceed the profile's query
 /// length and `out` must hold at least `m` elements.
 #[inline(always)]
-pub(crate) unsafe fn destripe_column<E: Engine>(st: &StripedState, m: usize, out: &mut [i32]) {
+pub(crate) unsafe fn destripe_column<E: Engine>(
+    st: &StripedState<E::T>,
+    m: usize,
+    out: &mut [i32],
+) {
     debug_assert!(out.len() >= m);
     for (q, slot) in out.iter_mut().enumerate().take(m) {
-        *slot = i32::from(st.ch[(q % st.p) * st.lanes + q / st.p]);
+        *slot = st.ch[(q % st.p) * st.lanes + q / st.p].to_i32();
     }
 }
 
 /// Full striped local-alignment passes of a lane group's queries over `t`,
 /// one after the other through the same state: one result per profile, in
-/// order, each exact against the scheme's oracle.
-pub(crate) struct StripedScore<'a, S: Scheme> {
-    pub profs: &'a mut [StripedProfile<S>],
+/// order, each exact against the scheme's oracle unless its best score
+/// exceeds `T`'s ceiling (module docs).
+pub(crate) struct StripedScore<'a, S: Scheme, T: Elem> {
+    pub profs: &'a mut [StripedProfile<S, T>],
     /// Reset per profile, never reallocated once it has held the longest.
-    pub st: &'a mut StripedState,
-    pub gap: &'a mut S::Gap,
+    pub st: &'a mut StripedState<T>,
+    pub gap: &'a mut S::Gap<T>,
     pub t: &'a [u8],
     pub threshold: i32,
 }
 
-impl<S: Scheme> Pass for StripedScore<'_, S> {
+impl<S: Scheme, T: Elem> Pass for StripedScore<'_, S, T> {
+    type T = T;
     type Out = Vec<LinearSwResult>;
 
     // SAFETY: the caller enables E's ISA; the asserts pin the lane width
     // every buffer below is striped for.
     #[inline(always)]
-    unsafe fn run<E: Engine>(self) -> Vec<LinearSwResult> {
+    unsafe fn run<E: Engine<T = T>>(self) -> Vec<LinearSwResult> {
         let Self {
             profs,
             st,
@@ -383,16 +535,15 @@ impl<S: Scheme> Pass for StripedScore<'_, S> {
     }
 }
 
-/// Advances a banded wavefront state across one horizontal chunk of the
-/// database sequence, injecting the top border row computed by the band
-/// above (`top[0]` is the corner `H[row0][first_col-1]`). Linear gaps
-/// only: no caller has an affine band.
-pub(crate) struct BandAdvance<'a> {
-    pub st: &'a mut StripedState,
-    pub prof: &'a mut StripedProfile<Scoring>,
+/// One wavefront unit of a band, independent of the lane width it runs at:
+/// a horizontal chunk of the database sequence, the border row computed by
+/// the band above, and where the results go.
+pub(crate) struct BandUnit<'a> {
     pub chunk: &'a [u8],
+    /// `top[0]` is the corner `H[row0][first_col-1]`, `top[1..]` the row
+    /// above the chunk's columns.
     pub top: &'a [i32],
-    pub thr_minus_1: Option<i16>,
+    pub threshold: i32,
     /// Per chunk column: `H` of the band's last query row (the bottom
     /// border handed to the next band of the wavefront).
     pub bottom: &'a mut Vec<i32>,
@@ -409,44 +560,48 @@ pub(crate) struct BandAdvance<'a> {
     pub saved: &'a mut Vec<(usize, Vec<i32>)>,
 }
 
-impl Pass for BandAdvance<'_> {
+/// Advances a banded wavefront state across one [`BandUnit`] at lane width
+/// `T`. Linear gaps only: no caller has an affine band. Every `top` value
+/// must be at most `T`'s ceiling — an entry condition the caller checks,
+/// because a border is the one input the post-hoc saturation test cannot
+/// see.
+pub(crate) struct BandAdvance<'a, 'u, T: Elem> {
+    pub st: &'a mut StripedState<T>,
+    pub prof: &'a mut StripedProfile<Scoring, T>,
+    pub unit: &'a mut BandUnit<'u>,
+}
+
+impl<T: Elem> Pass for BandAdvance<'_, '_, T> {
+    type T = T;
     type Out = ();
 
     // SAFETY: the caller enables E's ISA; the assert pins the lane width
     // `st` and `prof` were built for.
     #[inline(always)]
-    unsafe fn run<E: Engine>(self) {
-        let Self {
-            st,
-            prof,
-            chunk,
-            top,
-            thr_minus_1,
-            bottom,
-            col_hits,
-            first_col,
-            save_every,
-            saved,
-        } = self;
+    unsafe fn run<E: Engine<T = T>>(self) {
+        let Self { st, prof, unit } = self;
+        let (chunk, top) = (unit.chunk, unit.top);
         assert_eq!(E::LANES, prof.lanes);
         debug_assert_eq!(top.len(), chunk.len() + 1);
-        let gap: i16 = prof.scheme.gap_state(0);
+        debug_assert!(top.iter().all(|&v| v <= T::CEILING));
+        let thr_minus_1 = hit_floor::<T>(unit.threshold);
+        let gap: T = prof.scheme.gap_state(0);
         let m = prof.m;
         for (jj, &c) in chunk.iter().enumerate() {
             let row = prof.row(c);
-            let diag0 = top[jj] as i16;
-            let f0 = (top[jj + 1] as i16).saturating_sub(gap);
+            let diag0 = T::from_i32(top[jj]);
+            let f0 = T::from_i32(top[jj + 1]).sub(gap);
             column::<E>(st, row, gap, diag0, f0);
             let hits_before = st.hits;
             stats::<E>(st, &prof.valid, thr_minus_1, true, 0);
-            col_hits.push(st.hits - hits_before);
-            bottom.push(i32::from(extract::<E>(st, m - 1)));
-            if let Some(every) = save_every {
-                let abs = first_col + jj;
+            unit.col_hits.push(st.hits - hits_before);
+            unit.bottom.push(extract::<E>(st, m - 1).to_i32());
+            if let Some(every) = unit.save_every {
+                let abs = unit.first_col + jj;
                 if abs.is_multiple_of(every) {
                     let mut col = vec![0i32; m];
                     destripe_column::<E>(st, m, &mut col);
-                    saved.push((abs, col));
+                    unit.saved.push((abs, col));
                 }
             }
             st.flip();

@@ -13,7 +13,7 @@
 //! (DESIGN.md §5.5).
 
 use crate::batch::{admits, score_batch_packed, PackedProfile};
-use crate::engine::{dispatch, StripedScore, StripedState};
+use crate::engine::{dispatch, lanes_of, Elem, StripedScore, StripedState};
 use crate::profile::{Scheme, StripedProfile};
 use crate::Isa;
 use genomedsm_core::linear::LinearSwResult;
@@ -33,22 +33,24 @@ fn stripes_win(lens: &[usize], lanes: usize) -> bool {
     !lens.contains(&0) && STRIPED_ROW_COST * striped_rows < longest
 }
 
-/// Queries striped one after the other over all lanes: a reusable profile
-/// each, and one state and gap buffer sized for the longest and re-zeroed
-/// per pass.
-pub(crate) struct StripedGroup<S: Scheme> {
+/// Queries striped one after the other over all lanes of element type `T`:
+/// a reusable profile each, and one state and gap buffer sized for the
+/// longest and re-zeroed per pass.
+pub(crate) struct StripedGroup<S: Scheme, T: Elem = i16> {
     isa: Isa,
-    profs: Vec<StripedProfile<S>>,
-    st: StripedState,
-    gap: S::Gap,
+    profs: Vec<StripedProfile<S, T>>,
+    st: StripedState<T>,
+    gap: S::Gap<T>,
 }
 
-impl<S: Scheme> StripedGroup<S> {
+impl<S: Scheme, T: Elem> StripedGroup<S, T> {
     /// Stripes `queries` for `isa`. The caller has checked that `isa` is
-    /// available, that no query is empty, and admission: [`crate::fits_i16`]
-    /// for the one pair it will score, or [`crate::fits_i16_query`] per query.
+    /// available, that no query is empty and that the scheme has a
+    /// [`Scheme::column_cap`]. Results are exact whenever admission says so
+    /// a priori ([`crate::fits_i16_query`] per query, at `i16`) — or, after
+    /// the fact, for every result whose best score is within `T`'s ceiling.
     pub(crate) fn new(queries: &[&[u8]], scheme: &S, isa: Isa) -> Self {
-        let lanes = isa.lanes();
+        let lanes = lanes_of::<T>(isa);
         let profs: Vec<_> = queries
             .iter()
             .map(|q| StripedProfile::new(q, scheme, lanes))
@@ -62,7 +64,7 @@ impl<S: Scheme> StripedGroup<S> {
         }
     }
 
-    /// One oracle-exact result per query, in order.
+    /// One result per query, in order.
     pub(crate) fn score(&mut self, t: &[u8], threshold: i32) -> Vec<LinearSwResult> {
         dispatch(
             self.isa,

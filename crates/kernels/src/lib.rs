@@ -5,28 +5,33 @@
 //! layout (the approach behind the SSW library — see PAPERS.md) and offers
 //! it three ways behind one trait:
 //!
-//! | kernel               | width        | requires             |
-//! |----------------------|--------------|----------------------|
-//! | `scalar`             | 1 × i32      | nothing (the oracle) |
-//! | `striped-portable`   | 8 × i16      | nothing              |
-//! | `striped-sse2`       | 8 × i16      | SSE2 (any x86_64)    |
-//! | `striped-avx2`       | 16 × i16     | AVX2, detected at runtime |
+//! | kernel               | lanes: i16 rung / i32 rung | requires             |
+//! |----------------------|----------------------------|----------------------|
+//! | `scalar`             | 1 × i32                    | nothing (the oracle) |
+//! | `striped-portable`   | 8 × i16 / 4 × i32          | nothing              |
+//! | `striped-sse2`       | 8 × i16 / 4 × i32          | SSE2 (any x86_64)    |
+//! | `striped-avx2`       | 16 × i16 / 8 × i32         | AVX2, detected at runtime |
 //!
-//! The crate is one skeleton with three orthogonal parameters: the scoring
+//! The crate is one skeleton with four orthogonal parameters: the scoring
 //! [`Scheme`] (linear-gap `Scoring`, affine-gap `MatrixScoring`; chosen by
 //! the type of the scoring value passed), the lane layout (striped: each
 //! query over all lanes, [`ScoreKernel`] and [`BandScorer`]; packed: a
 //! different query per lane, [`PackedProfile`]; a [`GroupProfile`], and
 //! so [`score_batch`], picks per lane group whichever keeps the vector
-//! busier) and the ISA above. Only the per-column recurrence differs
-//! between schemes; profiles, drivers and the ISA dispatch are written
-//! once (DESIGN.md §5.5).
+//! busier), the ISA above and the lane width ([`Rung`]). Only the
+//! per-column recurrence differs between schemes; profiles, drivers and
+//! the ISA dispatch are written once, generic over the lane element
+//! (DESIGN.md §5.5).
 //!
 //! All kernels are **bit-exact** against the scheme's scalar oracle
 //! (`sw_score_linear` / `sw_score_profile`): same best score, same end
 //! point (including the row-major-first tie-break), same threshold hit
-//! count. Problems that could saturate the i16 lanes (see [`fits_i16`])
-//! transparently fall back to that oracle, so callers never trade
+//! count. Lane width is a ladder, not a gate: the per-pair kernels and
+//! [`BandScorer`] run on `i16` lanes, prove from the values produced that
+//! nothing saturated, and re-run on `i32` lanes the pair — or the one
+//! wavefront unit — that did; the scalar oracle is left with degenerate
+//! schemes and what even `i32` could not hold. Only the batch path still
+//! admits a priori (see [`fits_i16_query`]). Callers never trade
 //! correctness for speed.
 //!
 //! Selection is by [`KernelChoice`] (`scalar | simd | auto`): `auto` picks
@@ -59,10 +64,6 @@ use group::StripedGroup;
 /// [`PackedProfile`] under an affine-gap protein scheme.
 pub type PackedAffineProfile = PackedProfile<MatrixScoring>;
 
-/// Highest cell value the striped kernels accept, with margin below
-/// `i16::MAX` so transient sums cannot saturate.
-const I16_SCORE_CEILING: i64 = 32_000;
-
 /// Instruction set a striped kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
@@ -78,7 +79,7 @@ impl Isa {
     /// All ISAs, strongest last.
     pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Sse2, Isa::Avx2];
 
-    /// i16 lanes per vector.
+    /// i16 lanes per vector (the i32 rung has half as many).
     pub const fn lanes(self) -> usize {
         match self {
             Isa::Portable | Isa::Sse2 => 8,
@@ -180,21 +181,67 @@ impl std::fmt::Display for KernelChoice {
     }
 }
 
-/// Whether a problem of these dimensions is exactly representable in the
-/// i16 kernels under `scheme`.
+/// Which rung of the lane-width ladder produced a result: the narrowest
+/// one whose arithmetic was exact for the values that actually arose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rung {
+    /// Saturating `i16` lanes, nothing above 32 000 seen.
+    I16,
+    /// `i32` lanes, after (or instead of) an `i16` attempt that saturated.
+    I32,
+    /// The scalar i32 oracle: the caller asked for it, the scheme is
+    /// degenerate, or a side is empty.
+    Scalar,
+}
+
+impl Rung {
+    /// All rungs in declaration order (so `ALL[r as usize] == r`, which is
+    /// how per-rung counters are indexed): narrowest vector first, the
+    /// oracle last.
+    pub const ALL: [Rung; 3] = [Rung::I16, Rung::I32, Rung::Scalar];
+
+    /// Name for reports.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Rung::Scalar => "scalar",
+            Rung::I16 => "i16",
+            Rung::I32 => "i32",
+        }
+    }
+}
+
+/// Whether no cell of an `m × n` problem under `scheme` can exceed lane
+/// width `T`'s ceiling, whatever the sequences hold.
 ///
 /// Local scores are bounded by `min(m, n) * cap`, where `cap` is the most
 /// one aligned column can add ([`Scheme::column_cap`]: the match score, or
-/// the largest matrix entry — gaps only subtract), so keeping that product
-/// under the internal `I16_SCORE_CEILING` (32 000) rules out saturation of
-/// every `H`. Affine `E`/`F` values that saturate low are dominated by the
-/// `H + gap_open` re-open branch everywhere they are consumed, so they
-/// cannot corrupt an admitted result. Degenerate schemes (non-negative
-/// gap, huge magnitudes, mismatch above match, open milder than extend)
-/// are routed to scalar rather than reasoned about.
+/// the largest matrix entry — gaps only subtract). Degenerate schemes
+/// (non-negative gap, huge magnitudes, mismatch above match, open milder
+/// than extend) have no cap and fit nowhere: they are routed to scalar
+/// rather than reasoned about. So are empty sides, whose zero result the
+/// oracle returns for free.
+fn fits<T: engine::Elem, S: Scheme>(m: usize, n: usize, scheme: &S) -> bool {
+    m != 0 && n != 0 && fits_query::<T, S>(m.min(n), scheme)
+}
+
+/// [`fits`] for a query whose target length is not yet known:
+/// `min(m, n) * cap <= m * cap` for any target length `n`.
+fn fits_query<T: engine::Elem, S: Scheme>(m: usize, scheme: &S) -> bool {
+    scheme
+        .column_cap()
+        .is_some_and(|cap| (m as i64).saturating_mul(i64::from(cap)) <= i64::from(T::CEILING))
+}
+
+/// Whether a problem of these dimensions cannot saturate `i16` lanes under
+/// `scheme`, whatever the sequences hold: `min(m, n) * cap <= 32 000` (see
+/// [`Scheme::column_cap`]).
+///
+/// This is a worst-case bound, and no longer a gate for the per-pair
+/// kernels or [`BandScorer`]: they run `i16` lanes on any problem `i32`
+/// lanes could hold and check the values afterwards. A problem that passes
+/// simply never needs the check to fire.
 pub fn fits_i16<S: Scheme>(m: usize, n: usize, scheme: &S) -> bool {
-    // Empty sides are trivial; let the scalar oracle return its zero result.
-    m != 0 && n != 0 && fits_i16_query(m.min(n), scheme)
+    fits::<i16, S>(m, n, scheme)
 }
 
 /// [`fits_i16`] for a query whose target length is not yet known — the
@@ -206,9 +253,7 @@ pub fn fits_i16<S: Scheme>(m: usize, n: usize, scheme: &S) -> bool {
 /// [`fits_i16`], an empty query is admitted: its lane is fully masked and
 /// yields the oracle's zero result for free.
 pub fn fits_i16_query<S: Scheme>(m: usize, scheme: &S) -> bool {
-    scheme
-        .column_cap()
-        .is_some_and(|cap| (m as i64).saturating_mul(i64::from(cap)) <= I16_SCORE_CEILING)
+    fits_query::<i16, S>(m, scheme)
 }
 
 /// The same two rules, under the names protein callers know them by.
@@ -222,19 +267,42 @@ pub trait ScoreKernel: Send + Sync {
 
     /// Scores `s` (rows) against `t` (columns); exact per the scalar
     /// oracle's contract (best score, row-major-first end point, threshold
-    /// hit count with `threshold > 0` gating).
-    fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult;
+    /// hit count with `threshold > 0` gating). Also says which [`Rung`]
+    /// produced the answer.
+    fn score_on(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scoring: &Scoring,
+        threshold: i32,
+    ) -> (LinearSwResult, Rung);
 
     /// Affine-gap (Gotoh) scoring under a full substitution matrix — the
-    /// protein path. Exact per `sw_score_profile`'s contract, with the
-    /// same transparent scalar fallback outside the i16 envelope.
+    /// protein path. Exact per `sw_score_profile`'s contract, through the
+    /// same width ladder.
+    fn score_affine_on(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scoring: &MatrixScoring,
+        threshold: i32,
+    ) -> (LinearSwResult, Rung);
+
+    /// [`score_on`](Self::score_on) without the rung.
+    fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
+        self.score_on(s, t, scoring, threshold).0
+    }
+
+    /// [`score_affine_on`](Self::score_affine_on) without the rung.
     fn score_affine(
         &self,
         s: &[u8],
         t: &[u8],
         scoring: &MatrixScoring,
         threshold: i32,
-    ) -> LinearSwResult;
+    ) -> LinearSwResult {
+        self.score_affine_on(s, t, scoring, threshold).0
+    }
 }
 
 /// The plain two-row i32 recurrence (the oracle itself).
@@ -246,23 +314,29 @@ impl ScoreKernel for ScalarKernel {
         "scalar"
     }
 
-    fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        scoring.oracle(s, t, threshold)
+    fn score_on(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scoring: &Scoring,
+        threshold: i32,
+    ) -> (LinearSwResult, Rung) {
+        (scoring.oracle(s, t, threshold), Rung::Scalar)
     }
 
-    fn score_affine(
+    fn score_affine_on(
         &self,
         s: &[u8],
         t: &[u8],
         scoring: &MatrixScoring,
         threshold: i32,
-    ) -> LinearSwResult {
-        scoring.oracle(s, t, threshold)
+    ) -> (LinearSwResult, Rung) {
+        (scoring.oracle(s, t, threshold), Rung::Scalar)
     }
 }
 
-/// Farrar striped kernel on a fixed engine, with automatic scalar fallback
-/// for problems outside the i16 envelope.
+/// Farrar striped kernel on a fixed engine, climbing the lane-width ladder
+/// per pair.
 #[derive(Debug, Clone, Copy)]
 pub struct StripedKernel {
     isa: Isa,
@@ -286,13 +360,38 @@ impl StripedKernel {
         self.isa
     }
 
-    /// One pair under either scheme: a one-query striped group inside the
-    /// i16 envelope, the scheme's scalar oracle outside it.
-    fn run<S: Scheme>(&self, s: &[u8], t: &[u8], scheme: &S, threshold: i32) -> LinearSwResult {
-        if !fits_i16(s.len(), t.len(), scheme) || !self.isa.available() {
-            return scheme.oracle(s, t, threshold);
+    /// One pair under either scheme, as a one-query striped group: on
+    /// `i16` lanes first, again on `i32` lanes if that pass's best score
+    /// says it saturated (the best score is the maximum `H` written, which
+    /// is the whole test — DESIGN.md §5.5), and on the scheme's scalar
+    /// oracle only for what no lane width holds.
+    pub fn score_under<S: Scheme>(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scheme: &S,
+        threshold: i32,
+    ) -> (LinearSwResult, Rung) {
+        if !self.isa.available() || !fits::<i32, S>(s.len(), t.len(), scheme) {
+            return (scheme.oracle(s, t, threshold), Rung::Scalar);
         }
-        StripedGroup::new(&[s], scheme, self.isa)
+        let narrow = self.pass::<i16, S>(s, t, scheme, threshold);
+        if narrow.best_score <= <i16 as engine::Elem>::CEILING {
+            return (narrow, Rung::I16);
+        }
+        (self.pass::<i32, S>(s, t, scheme, threshold), Rung::I32)
+    }
+
+    /// One striped pass on lanes of `T`, exact iff its best score is
+    /// within `T`'s ceiling.
+    fn pass<T: engine::Elem, S: Scheme>(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scheme: &S,
+        threshold: i32,
+    ) -> LinearSwResult {
+        StripedGroup::<S, T>::new(&[s], scheme, self.isa)
             .score(t, threshold)
             .swap_remove(0)
     }
@@ -303,18 +402,24 @@ impl ScoreKernel for StripedKernel {
         self.isa.name()
     }
 
-    fn score(&self, s: &[u8], t: &[u8], scoring: &Scoring, threshold: i32) -> LinearSwResult {
-        self.run(s, t, scoring, threshold)
+    fn score_on(
+        &self,
+        s: &[u8],
+        t: &[u8],
+        scoring: &Scoring,
+        threshold: i32,
+    ) -> (LinearSwResult, Rung) {
+        self.score_under(s, t, scoring, threshold)
     }
 
-    fn score_affine(
+    fn score_affine_on(
         &self,
         s: &[u8],
         t: &[u8],
         scoring: &MatrixScoring,
         threshold: i32,
-    ) -> LinearSwResult {
-        self.run(s, t, scoring, threshold)
+    ) -> (LinearSwResult, Rung) {
+        self.score_under(s, t, scoring, threshold)
     }
 }
 
@@ -382,6 +487,15 @@ mod tests {
         // 1000 * 40 > 32_000 even though each sequence is short.
         assert!(!fits_i16(1000, 1000, &Scoring::new(40, -1, -2)));
         assert!(fits_i16(100, 100, &Scoring::new(40, -1, -2)));
+        // The widest rung is the only one admitted a priori; it holds
+        // anything the paper evaluates, and no degenerate scheme.
+        assert!(fits::<i32, _>(400_000, 400_000, &SC));
+        assert!(!fits::<i32, _>(
+            400_000,
+            400_000,
+            &Scoring::new(20_000, -1, -2)
+        ));
+        assert!(!fits::<i32, _>(10, 10, &Scoring::new(40_000, -1, -2)));
     }
 
     #[test]
@@ -402,16 +516,24 @@ mod tests {
     }
 
     #[test]
-    fn striped_kernels_fall_back_for_saturating_problems() {
-        // With match = 2000, a 17-length identity run would hit 34_000 and
-        // saturate i16; the guard must route to scalar and stay exact.
+    fn striped_kernels_climb_to_i32_for_saturating_problems() {
+        // With match = 2000, a 17-length identity run hits 34_000 and
+        // saturates i16: every striped kernel must notice, answer exactly
+        // on i32 lanes, and say so — one base fewer stays on i16.
         let sc = Scoring::new(2000, -1000, -2000);
         let s = vec![b'A'; 17];
-        let t = vec![b'A'; 17];
-        let want = sw_score_linear(&s, &t, &sc, 1);
+        let want = sw_score_linear(&s, &s, &sc, 1);
         assert_eq!(want.best_score, 34_000);
         for k in available_kernels() {
-            assert_eq!(k.score(&s, &t, &sc, 1), want, "kernel {}", k.name());
+            let striped = k.name() != ScalarKernel.name();
+            let rung = |len| k.score_on(&s[..len], &s[..len], &sc, 1).1;
+            assert_eq!(k.score_on(&s, &s, &sc, 1).0, want, "kernel {}", k.name());
+            let want_rungs = if striped {
+                (Rung::I16, Rung::I32)
+            } else {
+                (Rung::Scalar, Rung::Scalar)
+            };
+            assert_eq!((rung(16), rung(17)), want_rungs, "kernel {}", k.name());
         }
     }
 

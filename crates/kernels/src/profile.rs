@@ -17,20 +17,12 @@
 //! [`Scheme`] the profile is built over.
 
 use crate::batch::{packed_column, PackedState};
-use crate::engine::{column, Engine, StripedState};
+use crate::engine::{column, lane_bits, Elem, Engine, StripedState};
 use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
 use genomedsm_core::scoring::Scoring;
 
-/// Sentinel for padding lanes (`q >= m`) and "no value" boundaries.
-///
-/// Chosen well above `i16::MIN` so that saturating arithmetic on top of it
-/// cannot wrap, and low enough that `NEG_INF + max_profile_score` stays
-/// far below zero for every scoring scheme admitted by
-/// [`fits_i16`](crate::fits_i16).
-pub(crate) const NEG_INF: i16 = -30_000;
-
 /// Largest magnitude accepted for any scoring parameter, with margin
-/// above the padding sentinel.
+/// above the i16 padding sentinel ([`Elem::NEG_INF`]).
 pub(crate) const I16_PARAM_CEILING: i32 = 28_000;
 
 /// A scoring scheme the kernel skeleton can run: everything that differs
@@ -40,32 +32,32 @@ pub(crate) const I16_PARAM_CEILING: i32 = 28_000;
 /// it cannot be implemented outside this crate (the column functions name
 /// crate-private state).
 pub trait Scheme: Copy + Send + Sync {
-    /// Gap state of one pass: the penalties as positive i16s, plus
-    /// whatever per-element buffer the gap model carries between columns
-    /// (nothing for linear gaps, the `E` column for affine).
-    type Gap;
+    /// Gap state of one pass at lane width `T`: the penalties as positive
+    /// lane values, plus whatever per-element buffer the gap model carries
+    /// between columns (nothing for linear gaps, the `E` column for affine).
+    type Gap<T: Elem>;
 
     /// Substitution score of query symbol `q` against target symbol `c`.
     fn subst(&self, q: u8, c: u8) -> i16;
 
     /// The largest score one alignment column can add, or `None` when the
-    /// parameters are outside what the i16 kernels handle exactly
-    /// (degenerate or huge values are routed to [`oracle`](Self::oracle)
-    /// rather than reasoned about).
+    /// parameters are outside what the vector kernels handle exactly at
+    /// any lane width (degenerate or huge values are routed to
+    /// [`oracle`](Self::oracle) rather than reasoned about).
     fn column_cap(&self) -> Option<i32>;
 
     /// The scalar i32 reference every kernel must equal bit for bit, and
-    /// the fallback outside the i16 envelope.
+    /// the fallback for what no rung of the width ladder holds.
     fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult;
 
-    /// Fresh gap state for a pass over columns of `cells` i16 elements,
+    /// Fresh gap state for a pass over columns of `cells` elements,
     /// entering from the zero boundary column.
-    fn gap_state(&self, cells: usize) -> Self::Gap;
+    fn gap_state<T: Elem>(&self, cells: usize) -> Self::Gap<T>;
 
     /// Returns `gap` to what [`gap_state`](Self::gap_state)`(cells)`
     /// builds, so one gap state serves every target a reused profile is
     /// scored against; schemes that carry a buffer override this to keep it.
-    fn reset_gap(&self, gap: &mut Self::Gap, cells: usize) {
+    fn reset_gap<T: Elem>(&self, gap: &mut Self::Gap<T>, cells: usize) {
         *gap = self.gap_state(cells);
     }
 
@@ -76,16 +68,22 @@ pub trait Scheme: Copy + Send + Sync {
     /// The engine's ISA must be enabled in the calling context, and `st`,
     /// `gap` and `row` must be striped for `E::LANES` lanes with `st.p`
     /// stripes.
-    unsafe fn striped_column<E: Engine>(gap: &mut Self::Gap, st: &mut StripedState, row: &[i16]);
+    unsafe fn striped_column<E: Engine>(
+        gap: &mut Self::Gap<E::T>,
+        st: &mut StripedState<E::T>,
+        row: &[E::T],
+    );
 
-    /// One target column of the packed (query-per-lane) layout.
+    /// One target column of the packed (query-per-lane) layout, which
+    /// exists at `i16` only: batch admission is a priori
+    /// ([`fits_i16_query`](crate::fits_i16_query)).
     ///
     /// # Safety
     /// The engine's ISA must be enabled in the calling context, and `st`,
     /// `gap` and `row` must be packed for `E::LANES` lanes with at least
     /// `rows` rows.
-    unsafe fn packed_column<E: Engine>(
-        gap: &mut Self::Gap,
+    unsafe fn packed_column<E: Engine<T = i16>>(
+        gap: &mut Self::Gap<i16>,
         st: &mut PackedState,
         rows: usize,
         row: &[i16],
@@ -93,9 +91,9 @@ pub trait Scheme: Copy + Send + Sync {
 }
 
 impl Scheme for Scoring {
-    /// The gap penalty as a positive i16; with open == extend the
+    /// The gap penalty as a positive lane value; with open == extend the
     /// horizontal state is exactly `H[i][j-1] - gap`, so no buffer.
-    type Gap = i16;
+    type Gap<T: Elem> = T;
 
     #[inline(always)]
     fn subst(&self, q: u8, c: u8) -> i16 {
@@ -105,7 +103,7 @@ impl Scheme for Scoring {
     fn column_cap(&self) -> Option<i32> {
         let params_ok = self.gap < 0
             && self.gap >= -I16_PARAM_CEILING
-            && self.matches > 0
+            && (1..=I16_PARAM_CEILING).contains(&self.matches)
             && self.mismatch <= self.matches
             && self.mismatch >= -I16_PARAM_CEILING;
         params_ok.then_some(self.matches)
@@ -115,20 +113,20 @@ impl Scheme for Scoring {
         sw_score_linear(s, t, self, threshold)
     }
 
-    fn gap_state(&self, _cells: usize) -> i16 {
-        (-self.gap) as i16
+    fn gap_state<T: Elem>(&self, _cells: usize) -> T {
+        T::from_i32(-self.gap)
     }
 
     // SAFETY: same contract as `column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn striped_column<E: Engine>(gap: &mut i16, st: &mut StripedState, row: &[i16]) {
+    unsafe fn striped_column<E: Engine>(gap: &mut E::T, st: &mut StripedState<E::T>, row: &[E::T]) {
         // Zero top row: diagonal boundary 0, vertical-gap boundary -gap.
-        column::<E>(st, row, *gap, 0, -*gap)
+        column::<E>(st, row, *gap, E::T::ZERO, E::T::ZERO.sub(*gap))
     }
 
     // SAFETY: same contract as the linear `packed_column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn packed_column<E: Engine>(
+    unsafe fn packed_column<E: Engine<T = i16>>(
         gap: &mut i16,
         st: &mut PackedState,
         rows: usize,
@@ -138,29 +136,31 @@ impl Scheme for Scoring {
     }
 }
 
-/// Striped substitution profile for one query sequence at a fixed lane width.
-pub(crate) struct StripedProfile<S> {
+/// Striped substitution profile for one query sequence at a fixed lane
+/// count of element type `T`.
+pub(crate) struct StripedProfile<S, T> {
     /// Query length.
     pub m: usize,
     /// Segment length: number of stripes, `ceil(m / lanes)`.
     pub p: usize,
-    /// Vector width in i16 lanes.
+    /// Vector width in `T` lanes.
     pub lanes: usize,
     /// The scheme the rows are scored under.
     pub scheme: S,
-    /// Per-stripe byte-granularity validity mask (2 bits per live lane),
-    /// matching the `movemask_epi8` convention of [`Engine::gt_bytes`].
+    /// Per-stripe byte-granularity validity mask ([`lane_bits`] per live
+    /// lane), matching the `movemask_epi8` convention of
+    /// [`Engine::gt_bytes`].
     pub valid: Vec<u64>,
     /// Lazily built profile rows, one per database symbol.
-    rows: Vec<Option<Box<[i16]>>>,
+    rows: Vec<Option<Box<[T]>>>,
     seq: Box<[u8]>,
 }
 
-impl<S: Scheme> StripedProfile<S> {
+impl<S: Scheme, T: Elem> StripedProfile<S, T> {
     /// Builds the profile skeleton; rows are filled on first use.
     ///
-    /// Caller must have checked [`fits_i16`](crate::fits_i16) so every
-    /// score and penalty is representable.
+    /// Caller must have checked [`Scheme::column_cap`] so every score and
+    /// penalty is representable.
     pub fn new(s: &[u8], scheme: &S, lanes: usize) -> Self {
         debug_assert!(!s.is_empty());
         let m = s.len();
@@ -170,7 +170,7 @@ impl<S: Scheme> StripedProfile<S> {
             let mut mask = 0u64;
             for l in 0..lanes {
                 if l * p + k < m {
-                    mask |= 0b11 << (2 * l);
+                    mask |= lane_bits::<T>(l);
                 }
             }
             valid.push(mask);
@@ -186,13 +186,19 @@ impl<S: Scheme> StripedProfile<S> {
         }
     }
 
+    /// The query the profile was built over.
+    pub fn seq(&self) -> &[u8] {
+        &self.seq
+    }
+
     /// The striped profile row for database symbol `c` (`p * lanes` values).
-    pub fn row(&mut self, c: u8) -> &[i16] {
+    pub fn row(&mut self, c: u8) -> &[T] {
         let slot = &mut self.rows[c as usize];
         if slot.is_none() {
-            let mut row = vec![NEG_INF; self.p * self.lanes];
+            let mut row = vec![T::NEG_INF; self.p * self.lanes];
             for (q, &sc) in self.seq.iter().enumerate() {
-                row[(q % self.p) * self.lanes + q / self.p] = self.scheme.subst(sc, c);
+                row[(q % self.p) * self.lanes + q / self.p] =
+                    T::from_i32(i32::from(self.scheme.subst(sc, c)));
             }
             *slot = Some(row.into_boxed_slice());
         }
@@ -209,7 +215,7 @@ impl<S: Scheme> StripedProfile<S> {
     /// order with a strict `>` reproduces the oracle's row-major-first
     /// tie-break — `first_j` holds each row's first column reaching its
     /// max, and the lowest such row wins.
-    pub fn reduce(&self, st: &StripedState) -> LinearSwResult {
+    pub fn reduce(&self, st: &StripedState<T>) -> LinearSwResult {
         let mut best = LinearSwResult {
             best_score: 0,
             best_end: (0, 0),
@@ -217,7 +223,7 @@ impl<S: Scheme> StripedProfile<S> {
         };
         for q in 0..self.m {
             let idx = self.index_of(q);
-            let v = i32::from(st.vmax[idx]);
+            let v = st.vmax[idx].to_i32();
             if v > best.best_score {
                 best.best_score = v;
                 best.best_end = (q + 1, st.first_j[idx] as usize + 1);
@@ -234,7 +240,7 @@ mod tests {
     #[test]
     fn layout_round_trips_every_query_position() {
         let s = b"ACGTACGTACG"; // 11 elements, lanes=4 -> p=3, one padding lane slot
-        let prof = StripedProfile::new(s, &Scoring::paper(), 4);
+        let prof = StripedProfile::<_, i16>::new(s, &Scoring::paper(), 4);
         assert_eq!(prof.p, 3);
         let mut seen = vec![false; prof.p * prof.lanes];
         for q in 0..s.len() {
@@ -249,7 +255,7 @@ mod tests {
     fn profile_row_scores_match_subst() {
         let s = b"ACGTT";
         let sc = Scoring::paper();
-        let mut prof = StripedProfile::new(s, &sc, 4);
+        let mut prof = StripedProfile::<_, i16>::new(s, &sc, 4);
         let row: Vec<i16> = prof.row(b'T').to_vec();
         for (q, &ch) in s.iter().enumerate() {
             assert_eq!(
@@ -262,16 +268,20 @@ mod tests {
         let live: Vec<usize> = (0..s.len()).map(|q| prof.index_of(q)).collect();
         for (idx, &slot) in row.iter().enumerate() {
             if !live.contains(&idx) {
-                assert_eq!(slot, NEG_INF);
+                assert_eq!(slot, i16::NEG_INF);
             }
         }
     }
 
     #[test]
     fn valid_masks_cover_exactly_the_live_lanes() {
-        let prof = StripedProfile::new(b"ACGTA", &Scoring::paper(), 4); // p=2, q=0..5
-                                                                        // stripe 0 holds q = 0,2,4 (lanes 0,1,2); stripe 1 holds q = 1,3 (lanes 0,1).
+        // p=2, q=0..5: stripe 0 holds q = 0,2,4 (lanes 0,1,2); stripe 1
+        // holds q = 1,3 (lanes 0,1).
+        let prof = StripedProfile::<_, i16>::new(b"ACGTA", &Scoring::paper(), 4);
         assert_eq!(prof.valid[0], 0b00_11_11_11);
         assert_eq!(prof.valid[1], 0b00_00_11_11);
+        // An i32 lane is four mask bits wide.
+        let wide = StripedProfile::<_, i32>::new(b"ACGTA", &Scoring::paper(), 4);
+        assert_eq!(wide.valid, [0x0fff, 0x00ff]);
     }
 }

@@ -3,50 +3,50 @@
 //! This serves two purposes: it is the fallback on targets without
 //! `std::arch::x86_64`, and it exercises the exact same striped control flow
 //! as the SIMD engines in tests, so layout bugs cannot hide behind an ISA
-//! check. Eight lanes keep the striped geometry (padding, rotation,
-//! lazy-F wrap) identical to SSE2's.
+//! check. A 128-bit vector's worth of lanes (eight `i16`, four `i32`) keeps
+//! the striped geometry (padding, rotation, lazy-F wrap) identical to
+//! SSE2's at either width.
 
-use crate::engine::Engine;
+use crate::engine::{lane_bits, Elem, Engine};
+use std::marker::PhantomData;
 
-/// Lane width of the portable engine (matches SSE2 for i16).
-pub(crate) const PORTABLE_LANES: usize = 8;
-
-/// Portable array-based engine.
+/// Portable array-based engine: `N` lanes of `T`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Portable;
+pub struct Portable<T, const N: usize>(PhantomData<T>);
 
-impl Engine for Portable {
-    const LANES: usize = PORTABLE_LANES;
-    type V = [i16; PORTABLE_LANES];
+impl<T: Elem, const N: usize> Engine for Portable<T, N> {
+    type T = T;
+    const LANES: usize = N;
+    type V = [T; N];
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
     #[inline(always)]
-    unsafe fn splat(x: i16) -> Self::V {
-        [x; PORTABLE_LANES]
+    unsafe fn splat(x: T) -> Self::V {
+        [x; N]
     }
 
-    // SAFETY: the Engine contract guarantees the pointer is valid for LANES i16s; unaligned access is explicit.
+    // SAFETY: the Engine contract guarantees the pointer is valid for LANES elements; unaligned access is explicit.
     #[inline(always)]
-    unsafe fn load(src: *const i16) -> Self::V {
+    unsafe fn load(src: *const T) -> Self::V {
         std::ptr::read_unaligned(src.cast::<Self::V>())
     }
 
-    // SAFETY: the Engine contract guarantees the pointer is valid for LANES i16s; unaligned access is explicit.
+    // SAFETY: the Engine contract guarantees the pointer is valid for LANES elements; unaligned access is explicit.
     #[inline(always)]
-    unsafe fn store(dst: *mut i16, v: Self::V) {
+    unsafe fn store(dst: *mut T, v: Self::V) {
         std::ptr::write_unaligned(dst.cast::<Self::V>(), v);
     }
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
     #[inline(always)]
     unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
-        std::array::from_fn(|l| a[l].saturating_add(b[l]))
+        std::array::from_fn(|l| a[l].add(b[l]))
     }
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
     #[inline(always)]
     unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
-        std::array::from_fn(|l| a[l].saturating_sub(b[l]))
+        std::array::from_fn(|l| a[l].sub(b[l]))
     }
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
@@ -59,9 +59,9 @@ impl Engine for Portable {
     #[inline(always)]
     unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
         let mut mask = 0u64;
-        for l in 0..PORTABLE_LANES {
+        for l in 0..N {
             if a[l] > b[l] {
-                mask |= 0b11 << (2 * l);
+                mask |= lane_bits::<T>(l);
             }
         }
         mask
@@ -69,7 +69,7 @@ impl Engine for Portable {
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
     #[inline(always)]
-    unsafe fn shift_in(v: Self::V, first: i16) -> Self::V {
+    unsafe fn shift_in(v: Self::V, first: T) -> Self::V {
         std::array::from_fn(|l| if l == 0 { first } else { v[l - 1] })
     }
 }
@@ -78,32 +78,46 @@ impl Engine for Portable {
 mod tests {
     use super::*;
 
+    type P16 = <i16 as Elem>::Portable;
+    type P32 = <i32 as Elem>::Portable;
+
     #[test]
     fn shift_in_rotates_up_and_inserts() {
         unsafe {
             let v: [i16; 8] = [10, 11, 12, 13, 14, 15, 16, 17];
-            assert_eq!(Portable::shift_in(v, -7), [-7, 10, 11, 12, 13, 14, 15, 16]);
+            assert_eq!(P16::shift_in(v, -7), [-7, 10, 11, 12, 13, 14, 15, 16]);
+            assert_eq!(P32::shift_in([10, 11, 12, 13], -7), [-7, 10, 11, 12]);
         }
     }
 
     #[test]
-    fn gt_bytes_sets_two_bits_per_lane() {
+    fn gt_bytes_sets_a_lanes_worth_of_bits_per_lane() {
         unsafe {
             let a: [i16; 8] = [1, 0, 5, 0, 0, 0, 0, 9];
             let b: [i16; 8] = [0; 8];
-            let m = Portable::gt_bytes(a, b);
+            let m = P16::gt_bytes(a, b);
             assert_eq!(m, 0b11 | (0b11 << 4) | (0b11 << 14));
-            assert_eq!(Portable::gt_bytes(b, b), 0);
+            assert_eq!(P16::gt_bytes(b, b), 0);
+            assert_eq!(P32::gt_bytes([1, 0, 5, 0], [0; 4]), 0xf | (0xf << 8));
         }
     }
 
     #[test]
-    fn saturating_ops_saturate() {
+    fn i16_ops_saturate() {
         unsafe {
-            let lo = Portable::splat(i16::MIN);
-            let hi = Portable::splat(i16::MAX);
-            assert_eq!(Portable::subs(lo, Portable::splat(100))[0], i16::MIN);
-            assert_eq!(Portable::adds(hi, Portable::splat(100))[0], i16::MAX);
+            let lo = P16::splat(i16::MIN);
+            let hi = P16::splat(i16::MAX);
+            assert_eq!(P16::subs(lo, P16::splat(100))[0], i16::MIN);
+            assert_eq!(P16::adds(hi, P16::splat(100))[0], i16::MAX);
         }
+    }
+
+    #[test]
+    fn i32_head_room_covers_the_deepest_chain() {
+        // No saturating i32 instructions: the sentinel, less a whole
+        // ceiling's worth of gap steps and a few penalties, must not wrap.
+        let floor = i64::from(i32::NEG_INF) - i64::from(<i32 as Elem>::CEILING) - 4 * 28_000;
+        assert!(floor > i64::from(i32::MIN));
+        assert!(i64::from(<i32 as Elem>::CEILING) + 28_000 < i64::from(i32::MAX));
     }
 }

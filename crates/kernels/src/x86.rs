@@ -1,29 +1,35 @@
 //! SSE2 and AVX2 backends via `std::arch::x86_64` (no external crates).
 //!
-//! Each engine implements the [`Engine`] vocabulary with raw intrinsics and
-//! exposes one `#[target_feature]` shell that runs any [`Pass`]; the
-//! `#[inline(always)]` generic bodies monomorphize *inside* the shell, so
-//! the whole recurrence compiles with the wide instruction set enabled.
-//! [`crate::engine::dispatch`] gates on runtime detection before entering
-//! a shell.
+//! Each engine implements the [`Engine`] vocabulary with raw intrinsics at
+//! both lane widths (`Sse2<i16>`, `Sse2<i32>`, …), and each ISA exposes one
+//! `#[target_feature]` shell that runs any [`Pass`] on the engine of the
+//! pass's width; the `#[inline(always)]` generic bodies monomorphize
+//! *inside* the shell, so the whole recurrence compiles with the wide
+//! instruction set enabled. [`crate::engine::dispatch`] gates on runtime
+//! detection before entering a shell.
 //!
 //! The only non-obvious operation is [`Engine::shift_in`] on AVX2: a 256-bit
 //! register is two 128-bit halves and `vpslldq` cannot shift across them, so
 //! the lane rotation is `vperm2i128` (to place the low half under the high
 //! half) followed by `vpalignr`, then an OR to drop the boundary value into
-//! the zeroed lane 0.
+//! the zeroed lane 0. The `i32` engines use plain `add`/`sub` — x86 has no
+//! saturating 32-bit forms; [`Elem::CEILING`] is what keeps them from
+//! wrapping — and SSE2 builds its `i32` max from a compare and a blend
+//! (`pmaxsd` is SSE4.1).
 
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
+use std::marker::PhantomData;
 
-use crate::engine::{Engine, Pass};
+use crate::engine::{Elem, Engine, Pass};
 
-/// 128-bit engine: 8 × i16 lanes.
+/// 128-bit engine: 8 × i16 or 4 × i32 lanes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Sse2;
+pub struct Sse2<T>(PhantomData<T>);
 
-impl Engine for Sse2 {
+impl Engine for Sse2<i16> {
+    type T = i16;
     const LANES: usize = 8;
     type V = __m128i;
 
@@ -78,11 +84,69 @@ impl Engine for Sse2 {
     }
 }
 
-/// 256-bit engine: 16 × i16 lanes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx2;
+impl Engine for Sse2<i32> {
+    type T = i32;
+    const LANES: usize = 4;
+    type V = __m128i;
 
-impl Engine for Avx2 {
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i32) -> Self::V {
+        _mm_set1_epi32(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i32) -> Self::V {
+        _mm_loadu_si128(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i32, v: Self::V) {
+        _mm_storeu_si128(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm_add_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm_sub_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        let a_wins = _mm_cmpgt_epi32(a, b);
+        _mm_or_si128(_mm_and_si128(a_wins, a), _mm_andnot_si128(a_wins, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        _mm_movemask_epi8(_mm_cmpgt_epi32(a, b)) as u32 as u64
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i32) -> Self::V {
+        // As at i16, one lane being four bytes.
+        let shifted = _mm_slli_si128::<4>(v);
+        _mm_or_si128(shifted, _mm_setr_epi32(first, 0, 0, 0))
+    }
+}
+
+/// 256-bit engine: 16 × i16 or 8 × i32 lanes.
+#[derive(Debug, Clone, Copy)]
+pub struct Avx2<T>(PhantomData<T>);
+
+impl Engine for Avx2<i16> {
+    type T = i16;
     const LANES: usize = 16;
     type V = __m256i;
 
@@ -140,76 +204,135 @@ impl Engine for Avx2 {
     }
 }
 
+impl Engine for Avx2<i32> {
+    type T = i32;
+    const LANES: usize = 8;
+    type V = __m256i;
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i32) -> Self::V {
+        _mm256_set1_epi32(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i32) -> Self::V {
+        _mm256_loadu_si256(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i32, v: Self::V) {
+        _mm256_storeu_si256(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_add_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_sub_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_max_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        _mm256_movemask_epi8(_mm256_cmpgt_epi32(a, b)) as u32 as u64
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i32) -> Self::V {
+        // As at i16, one lane being four bytes.
+        let carry = _mm256_permute2x128_si256::<0x08>(v, v);
+        let shifted = _mm256_alignr_epi8::<12>(v, carry);
+        _mm256_or_si256(shifted, _mm256_setr_epi32(first, 0, 0, 0, 0, 0, 0, 0))
+    }
+}
+
 /// # Safety
 /// Caller must have verified SSE2 is available (always true on x86_64, but
 /// kept symmetric with AVX2).
 #[target_feature(enable = "sse2")]
 pub(crate) unsafe fn run_sse2<P: Pass>(pass: P) -> P::Out {
-    pass.run::<Sse2>()
+    pass.run::<<P::T as Elem>::Sse2>()
 }
 
 /// # Safety
 /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn run_avx2<P: Pass>(pass: P) -> P::Out {
-    pass.run::<Avx2>()
+    pass.run::<<P::T as Elem>::Avx2>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `E::shift_in` and `E::gt_bytes` on `E::LANES` distinct values must
+    /// agree with the portable engine of the same width.
+    unsafe fn agrees_with_portable<E: Engine>()
+    where
+        E::T: From<i16>,
+    {
+        let src: Vec<E::T> = (0..E::LANES).map(|i| E::T::from(100 + i as i16)).collect();
+        let first = E::T::from(-3);
+        let mut out = vec![E::T::ZERO; E::LANES];
+        E::store(out.as_mut_ptr(), E::shift_in(E::load(src.as_ptr()), first));
+        let mut want = vec![first];
+        want.extend_from_slice(&src[..E::LANES - 1]);
+        assert_eq!(out, want, "every lane must receive the one below it");
+
+        let mut a = vec![E::T::ZERO; E::LANES];
+        let live = [0, E::LANES / 2 + 1, E::LANES - 1];
+        for l in live {
+            a[l] = E::T::from(1 + l as i16);
+        }
+        let m = E::gt_bytes(E::load(a.as_ptr()), E::splat(E::T::ZERO));
+        let want = live
+            .iter()
+            .fold(0, |m, &l| m | crate::engine::lane_bits::<E::T>(l));
+        assert_eq!(m, want);
+    }
+
     #[test]
-    fn sse2_shift_in_matches_portable_semantics() {
+    fn sse2_matches_portable_semantics_at_both_widths() {
         if !is_x86_feature_detected!("sse2") {
             return;
         }
         unsafe {
-            let mut src = [0i16; 8];
-            for (i, s) in src.iter_mut().enumerate() {
-                *s = 10 + i as i16;
-            }
-            let v = Sse2::load(src.as_ptr());
-            let mut out = [0i16; 8];
-            Sse2::store(out.as_mut_ptr(), Sse2::shift_in(v, -7));
-            assert_eq!(out, [-7, 10, 11, 12, 13, 14, 15, 16]);
+            agrees_with_portable::<Sse2<i16>>();
+            agrees_with_portable::<Sse2<i32>>();
+            // SSE2 has no pmaxsd: the compare-and-blend must pick per lane.
+            let max = Sse2::<i32>::max(
+                _mm_setr_epi32(5, -9, 7, i32::MIN),
+                _mm_setr_epi32(-5, 9, 7, 0),
+            );
+            let mut out = [0i32; 4];
+            Sse2::<i32>::store(out.as_mut_ptr(), max);
+            assert_eq!(out, [5, 9, 7, 0]);
         }
     }
 
     #[test]
-    fn avx2_shift_in_crosses_the_128_bit_boundary() {
+    fn avx2_shift_in_crosses_the_128_bit_boundary_at_both_widths() {
         if !is_x86_feature_detected!("avx2") {
             return;
         }
         unsafe {
-            let mut src = [0i16; 16];
-            for (i, s) in src.iter_mut().enumerate() {
-                *s = 100 + i as i16;
-            }
-            let v = Avx2::load(src.as_ptr());
-            let mut out = [0i16; 16];
-            Avx2::store(out.as_mut_ptr(), Avx2::shift_in(v, -3));
-            let mut want = [0i16; 16];
-            want[0] = -3;
-            for (l, w) in want.iter_mut().enumerate().skip(1) {
-                *w = 100 + (l as i16 - 1);
-            }
-            assert_eq!(out, want, "lane 8 must receive lane 7 across the halves");
-        }
-    }
-
-    #[test]
-    fn movemask_convention_matches_portable() {
-        if !is_x86_feature_detected!("avx2") {
-            return;
-        }
-        unsafe {
-            let mut a = [0i16; 16];
-            a[0] = 1;
-            a[9] = 4;
-            a[15] = 2;
-            let m = Avx2::gt_bytes(Avx2::load(a.as_ptr()), Avx2::splat(0));
-            assert_eq!(m, 0b11 | (0b11 << 18) | (0b11 << 30));
+            agrees_with_portable::<Avx2<i16>>();
+            agrees_with_portable::<Avx2<i32>>();
         }
     }
 }

@@ -4,8 +4,9 @@
 //! score, best end position (including the row-major-first tie-break),
 //! and threshold-hit count — on random residue sequences and adversarial
 //! shapes: empty sequences, one-character sequences, ragged packs, and
-//! problems past the i16 saturation boundary (which must spill to the
-//! scalar path and stay exact).
+//! problems past the i16 saturation boundary — where a packed query must
+//! spill to the scalar path, and a pair must be answered by the rung of
+//! the lane-width ladder its values call for (asserted on every ISA).
 //!
 //! Matrices covered: BLOSUM62, PAM250, and random symmetric custom
 //! matrices with random (valid) affine penalties — and match/mismatch
@@ -18,13 +19,13 @@
 
 mod common;
 
-use common::sweep_group_sizes;
+use common::{check_ladder, sweep_group_sizes};
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
     available_kernels, fits_i16_affine, fits_i16_affine_query, kernel_for, score_batch,
-    score_batch_packed, Isa, KernelChoice, PackedProfile,
+    score_batch_packed, Isa, KernelChoice, PackedProfile, Rung,
 };
 use proptest::prelude::*;
 
@@ -88,10 +89,18 @@ fn linear_twin(ms: &MatrixScoring) -> Option<Scoring> {
     (ms.gap_open == ms.gap_extend && linear_as_affine(&lin) == *ms).then_some(lin)
 }
 
-/// One pair through every runnable kernel object and choice.
-fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) {
-    let want = sw_score_profile(s, t, ms, threshold);
+/// One pair through every runnable kernel object and choice, and through
+/// the width ladder of every ISA; returns the rung the ladder answered on.
+fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) -> Rung {
+    let (want, rung) = check_ladder(s, t, ms, threshold);
     let twin = linear_twin(ms);
+    if let Some(lin) = &twin {
+        assert_eq!(
+            check_ladder(s, t, lin, threshold),
+            (want.clone(), rung),
+            "twin"
+        );
+    }
     for k in available_kernels() {
         assert_eq!(
             k.score_affine(s, t, ms, threshold),
@@ -117,6 +126,7 @@ fn check_pair(s: &[u8], t: &[u8], ms: &MatrixScoring, threshold: i32) {
             "choice {choice}"
         );
     }
+    rung
 }
 
 /// One query set through the lane-packed batch path for every choice.
@@ -222,12 +232,13 @@ proptest! {
 }
 
 #[test]
-fn saturation_boundary_spills_to_scalar_exactly() {
+fn saturation_boundary_escalates_the_pair_and_spills_the_pack() {
     // BLOSUM62's best entry is 11 (W/W), so queries longer than
-    // 32_000 / 11 = 2909 residues leave the i16 envelope. A W-run of
-    // 3000 against a W-run target really would exceed i16::MAX (score
-    // 33_000), so the kernel must detect it and fall back — and a query
-    // one residue under the boundary must stay admitted.
+    // 32_000 / 11 = 2909 residues leave the a-priori i16 envelope. A W-run
+    // of 3000 against a W-run target really does exceed i16::MAX (score
+    // 33_000): every striped engine must detect that from its i16 pass and
+    // answer on i32 lanes — not hand the pair to the oracle, as the
+    // a-priori gate used to.
     let ms = MatrixScoring::blosum62();
     let boundary = 32_000 / 11; // 2909: largest admitted query length
     assert!(fits_i16_affine_query(boundary, &ms));
@@ -236,26 +247,28 @@ fn saturation_boundary_spills_to_scalar_exactly() {
     let s = vec![b'W'; 3000];
     let t = vec![b'W'; 3000];
     assert!(!fits_i16_affine(s.len(), t.len(), &ms));
-    let want = sw_score_profile(&s, &t, &ms, 1);
-    assert_eq!(want.best_score, 33_000, "sanity: past i16::MAX");
-    for k in available_kernels() {
-        assert_eq!(k.score_affine(&s, &t, &ms, 1), want, "kernel {}", k.name());
-    }
-    // The packed path must spill the same way.
+    assert_eq!(check_pair(&s, &t, &ms, 32_500), Rung::I32);
+    assert_eq!(sw_score_profile(&s, &t, &ms, 1).best_score, 33_000);
+    // The same dimensions over unrelated residues saturate nothing: the
+    // ladder follows the data and stays on i16 lanes.
+    let a = genomedsm_seq::random_protein(3000, 7).into_bytes();
+    let b = genomedsm_seq::random_protein(3000, 8).into_bytes();
+    assert_eq!(check_pair(&a, &b, &ms, 40), Rung::I16);
+    // The packed path admits a priori and must still spill.
     let queries: Vec<Vec<u8>> = vec![s.clone(), vec![b'W'; 10], Vec::new()];
     check_batch(&queries, &t, &ms, 1);
 }
 
 #[test]
-fn admitted_problem_just_under_the_ceiling_uses_i16_exactly() {
-    // min(m, n) * 11 = 31_999 < 32_000: admitted, and every engine must
-    // produce the exact (large) score without saturating.
+fn problem_just_under_the_ceiling_stays_on_i16_exactly() {
+    // min(m, n) * 11 = 31_999 < 32_000: every engine must produce the
+    // exact (large) score on i16 lanes without saturating.
     let ms = MatrixScoring::blosum62();
     let m = 2909;
     let s = vec![b'W'; m];
     let t = vec![b'W'; 4000];
     assert!(fits_i16_affine(s.len(), t.len(), &ms));
-    check_pair(&s, &t, &ms, 100);
+    assert_eq!(check_pair(&s, &t, &ms, 100), Rung::I16);
 }
 
 #[test]
@@ -299,9 +312,10 @@ fn invalid_schemes_are_rejected_by_admission() {
     assert!(!fits_i16_affine_query(5, &MatrixScoring::new(ok, -1, -2)));
     // Equal penalties (the linear degenerate case) are admitted.
     assert!(fits_i16_affine_query(5, &MatrixScoring::new(ok, -2, -2)));
-    // Rejection still yields exact results through the public kernels.
+    // Rejection still yields exact results through the public kernels,
+    // from the oracle: no lane width reasons about such a scheme.
     let ms = MatrixScoring::new(ok, -1, -2);
-    check_pair(b"AAAA", b"AAAA", &ms, 1);
+    assert_eq!(check_pair(b"AAAA", b"AAAA", &ms, 1), Rung::Scalar);
 }
 
 #[test]

@@ -1,10 +1,57 @@
-//! The group-size axis shared by the linear and affine differential
-//! suites: every prefix of a query pool as one lane group, on every
-//! runnable ISA, each lane against the scheme's oracle.
+//! The axes shared by the linear and affine differential suites. Lane
+//! width: one pair through the per-pair ladder on every runnable ISA,
+//! asserting the oracle's answer *and* the rung that produced it. Group
+//! size: every prefix of a query pool as one lane group, on every runnable
+//! ISA, each lane against the scheme's oracle.
+
+// Each suite uses its own subset.
+#![allow(dead_code)]
 
 use genomedsm_kernels::{
-    fits_i16_query, score_batch, score_group, GroupProfile, Isa, KernelChoice, Scheme,
+    fits_i16_query, score_batch, score_group, GroupProfile, Isa, KernelChoice, LinearSwResult,
+    Rung, Scheme, StripedKernel,
 };
+
+/// The striped kernel of every ISA this host runs.
+pub fn engines() -> Vec<StripedKernel> {
+    Isa::ALL
+        .into_iter()
+        .filter_map(StripedKernel::new)
+        .collect()
+}
+
+/// Scores one pair through the per-pair ladder on every engine. Each must
+/// return the oracle's result, and from the rung the data calls for: `I16`
+/// when no cell passes 32 000 — whatever the dimensions would have allowed
+/// — `I32` when one does, `Scalar` for an empty side or a scheme without a
+/// [`Scheme::column_cap`]. Returns the oracle's result and that rung.
+pub fn check_ladder<S: Scheme>(
+    s: &[u8],
+    t: &[u8],
+    scheme: &S,
+    threshold: i32,
+) -> (LinearSwResult, Rung) {
+    let oracle = scheme.oracle(s, t, threshold);
+    let want = if s.is_empty() || t.is_empty() || scheme.column_cap().is_none() {
+        Rung::Scalar
+    } else if oracle.best_score <= 32_000 {
+        Rung::I16
+    } else {
+        Rung::I32
+    };
+    for kernel in engines() {
+        let (got, rung) = kernel.score_under(s, t, scheme, threshold);
+        let what = format!(
+            "{} on |s|={} |t|={} thr={threshold}",
+            kernel.isa().name(),
+            s.len(),
+            t.len()
+        );
+        assert_eq!(got, oracle, "{what}");
+        assert_eq!(rung, want, "{what}: best score {}", oracle.best_score);
+    }
+    (oracle, want)
+}
 
 /// How many groups of a sweep ran in each layout.
 #[derive(Debug, Default, PartialEq, Eq)]

@@ -40,7 +40,7 @@ use genomedsm_core::Scoring;
 use genomedsm_dsm::{
     DsmConfig, DsmError, DsmSystem, FrameReader, FrameWriter, GlobalVec, Node, NodeStats, Wire,
 };
-use genomedsm_kernels::{BandScorer, KernelChoice};
+use genomedsm_kernels::{BandScorer, KernelChoice, Rung};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -203,10 +203,11 @@ pub struct PreprocessConfig {
     /// `io_mode == None`).
     pub save_dir: Option<PathBuf>,
     /// Score-kernel selection for the per-band inner loop: the striped
-    /// SIMD kernel when it applies ([`genomedsm_kernels::BandScorer`]),
-    /// otherwise the plain scalar recurrence. Either way the results are
-    /// bit-identical; only host time changes (the simulated cluster time
-    /// is driven by `cell_cost` regardless).
+    /// SIMD kernel when it applies ([`genomedsm_kernels::BandScorer`], at
+    /// whatever lane width each unit's values need), otherwise the plain
+    /// scalar recurrence. Either way the results are bit-identical; only
+    /// host time changes (the simulated cluster time is driven by
+    /// `cell_cost` regardless).
     pub kernel: KernelChoice,
     /// Enables band-boundary checkpointing plus border message logging so
     /// a node can recover from a fail-stop crash (DESIGN.md §5.7). A
@@ -283,6 +284,10 @@ pub struct PreprocessOutcome {
     pub host_wall: Duration,
     /// Files written (empty when I/O is disabled).
     pub files: Vec<PathBuf>,
+    /// Wavefront units per kernel rung (indexed by `Rung as usize`), over
+    /// the bands the surviving nodes completed: which lane width the cells
+    /// were actually scored at.
+    pub rung_units: [u64; 3],
 }
 
 impl PreprocessOutcome {
@@ -306,6 +311,8 @@ struct NodeOut {
     term: Duration,
     best: i32,
     gathered: Vec<i64>,
+    /// See [`PreprocessOutcome::rung_units`].
+    rung_units: [u64; 3],
     /// First I/O failure, deferred to the end of the run so the worker
     /// keeps lockstep with its peers instead of deadlocking them.
     io_err: Option<(String, io::Error)>,
@@ -318,6 +325,8 @@ impl Wire for NodeOut {
         self.term.encode(w);
         self.best.encode(w);
         self.gathered.encode(w);
+        let [narrow, wide, scalar] = self.rung_units;
+        (narrow, wide, scalar).encode(w);
         // An `io::Error` does not round-trip structurally; what the
         // gather consumer needs is the message, so that is what travels.
         let flat = self
@@ -333,9 +342,17 @@ impl Wire for NodeOut {
             term: Duration::decode(r)?,
             best: i32::decode(r)?,
             gathered: Vec::<i64>::decode(r)?,
+            rung_units: <(u64, u64, u64)>::decode(r).map(|(a, b, c)| [a, b, c])?,
             io_err: Option::<(String, String)>::decode(r)?
                 .map(|(ctx, msg)| (ctx, io::Error::other(msg))),
         })
+    }
+}
+
+/// Adds per-rung unit counts (`Rung as usize`).
+fn add_units(sum: &mut [u64; 3], units: [u64; 3]) {
+    for (sum, n) in sum.iter_mut().zip(units) {
+        *sum += n;
     }
 }
 
@@ -360,8 +377,9 @@ pub(crate) trait BandSink<H> {
 /// The exact SW cell kernel over one band × chunk tile: stage = band,
 /// unit = column chunk of the passage band, border = the diagonal corner
 /// plus the tile's bottom row. The inner loop is the striped
-/// [`BandScorer`] when `choice`, the ISA and the problem's i16 head-room
-/// allow it, the scalar recurrence otherwise — the same cells either way.
+/// [`BandScorer`] when `choice` and the ISA allow it — which picks each
+/// unit's lane width from the unit's own values — and the scalar
+/// recurrence otherwise: the same cells either way.
 pub(crate) struct Bands<'a, S> {
     s: &'a [u8],
     t: &'a [u8],
@@ -382,6 +400,8 @@ pub(crate) struct Bands<'a, S> {
     best: i32,
     /// Name of the striped engine the last such band ran on.
     pub(crate) engine: &'static str,
+    /// Units of the completed bands per rung (`Rung as usize`).
+    pub(crate) rung_units: [u64; 3],
     /// Where hits, saved columns and best scores go.
     pub(crate) sink: S,
 }
@@ -410,6 +430,7 @@ impl<'a, S> Bands<'a, S> {
             saved: Vec::new(),
             best: 0,
             engine: "scalar",
+            rung_units: [0; 3],
             sink,
         }
     }
@@ -427,7 +448,7 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
     fn begin(&mut self, stage: usize) {
         let (i0, i1) = self.bands[stage];
         // `None` whenever the striped kernel does not apply (choice, ISA,
-        // i16 head-room, empty band, non-positive threshold).
+        // degenerate scheme, empty band, non-positive threshold).
         self.scorer = BandScorer::new(
             self.config.kernel,
             &self.s[i0 - 1..i1],
@@ -515,7 +536,13 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
     }
 
     fn end(&mut self, host: &mut H, stage: usize) {
-        let striped = self.scorer.as_ref().map_or(0, BandScorer::best_score);
+        let mut units = [0; 3];
+        units[Rung::Scalar as usize] = self.chunks.len() as u64;
+        let (striped, units) = self
+            .scorer
+            .as_ref()
+            .map_or((0, units), |scorer| (scorer.best_score(), scorer.units()));
+        add_units(&mut self.rung_units, units);
         self.sink.end(host, stage, self.best.max(striped));
     }
 
@@ -692,6 +719,10 @@ pub fn preprocess_align(
             for sink in pieces.iter().map(|bands| &bands.sink) {
                 by_role.extend(sink.roles.iter().map(|&role| (role, sink)));
             }
+            let mut rung_units = [0u64; 3];
+            for bands in pieces {
+                add_units(&mut rung_units, bands.rung_units);
+            }
             let mut best = 0i32;
             let mut io_err: Option<(String, io::Error)> = None;
             let saving = config.io_mode != IoMode::None;
@@ -739,6 +770,7 @@ pub fn preprocess_align(
                 term: node.now() - term_start,
                 best,
                 gathered,
+                rung_units,
                 io_err,
             }
         });
@@ -749,6 +781,7 @@ pub fn preprocess_align(
     let mut core = Vec::new();
     let mut term = Vec::new();
     let mut best_score = 0;
+    let mut rung_units = [0u64; 3];
     let mut flat = Vec::new();
     for out in run.results {
         if let Some((context, source)) = out.io_err {
@@ -758,6 +791,7 @@ pub fn preprocess_align(
         core.push(out.core);
         term.push(out.term);
         best_score = best_score.max(out.best);
+        add_units(&mut rung_units, out.rung_units);
         if !out.gathered.is_empty() {
             flat = out.gathered;
         }
@@ -785,6 +819,7 @@ pub fn preprocess_align(
         host_wall: t_start.elapsed(),
         per_node: run.stats,
         files,
+        rung_units,
     })
 }
 

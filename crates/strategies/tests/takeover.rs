@@ -5,6 +5,7 @@
 //! files, whose dead owners' contents are reproduced by the adopters.
 
 use genomedsm_core::{HeuristicParams, Scoring};
+use genomedsm_kernels::{KernelChoice, Rung};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, phase2_scattered_with, preprocess_align,
@@ -135,6 +136,82 @@ fn preprocess_degrades_bit_identically_including_saved_files() {
         assert_eq!(files, expect_files, "k={k}: saved-column files diverged");
         let takeovers: u64 = out.per_node.iter().map(|st| st.takeovers).sum();
         assert!(takeovers >= k as u64, "k={k}: too few takeovers");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn preprocess_past_the_i16_ceiling_is_kernel_blind_clean_and_under_takeover() {
+    // 6 650 shared bases at 5 a match: the diagonal passes 32 000 near
+    // row and column 6 750, inside band 13 of 14 and chunk 13 of 18. Unit
+    // (13, 13) is the first to saturate i16 lanes, re-runs on i32, and
+    // the four units right of it stay wide; the other 247 never leave
+    // i16. The scalar loop is the reference for every byte.
+    let steep = Scoring::new(5, -4, -8);
+    let dna = |len, seed| genomedsm_seq::random_dna(len, seed).into_bytes();
+    let shared = dna(6_650, 1);
+    let s = [dna(350, 2), shared.clone()].concat();
+    let t = [dna(350, 3), shared, dna(2_000, 4)].concat();
+    let dir = std::env::temp_dir().join("genomedsm_takeover_pp_wide");
+    let run = |sub: &str, kernel: KernelChoice, kill: Option<(usize, u64)>| {
+        let d = dir.join(sub);
+        std::fs::create_dir_all(&d).unwrap();
+        let mut config = PreprocessConfig::new(4);
+        config.band = BandScheme::Fixed(500);
+        config.chunk = ChunkPlan::Fixed(500);
+        config.threshold = 30_000;
+        config.result_interleave = 500;
+        config.save_interleave = 250;
+        config.io_mode = IoMode::Deferred;
+        config.save_dir = Some(d);
+        config.kernel = kernel;
+        if let Some((victim, units)) = kill {
+            let plan = Arc::new(KillPlan::new().kill(victim, units));
+            config.dsm = supervise(config.dsm).faults(plan);
+        }
+        let out = preprocess_align(&s, &t, &steep, &config).unwrap();
+        let files: Vec<Vec<u8>> = out
+            .files
+            .iter()
+            .map(|f| std::fs::read(f).unwrap())
+            .collect();
+        (out, files)
+    };
+    let (scalar, scalar_files) = run("scalar", KernelChoice::Scalar, None);
+    assert!(scalar.best_score > 32_000 && scalar.total_hits() > 0);
+    assert_eq!(scalar_files.len(), 4, "every node saves columns");
+    assert_eq!(scalar.rung_units, [0, 0, 14 * 18]);
+
+    // `auto` is what the CLI runs; `simd` makes a host without vector
+    // units climb the portable ladder instead of comparing the scalar loop
+    // with itself.
+    let (auto, auto_files) = run("auto", KernelChoice::Auto, None);
+    let ladder = [14 * 18 - 5, 5, 0];
+    let auto_units = KernelChoice::Auto
+        .isa()
+        .map_or(scalar.rung_units, |_| ladder);
+    assert_eq!(auto.rung_units, auto_units);
+    let (clean, clean_files) = run("clean", KernelChoice::Simd, None);
+    assert_eq!(clean.rung_units, ladder);
+    // Node 1 owns bands 1, 5, 9 and 13: its 70th unit is unit 15 of band
+    // 13, two past the escalation. The adopter replays the band from its
+    // boundary checkpoint and must escalate at the same unit.
+    let (killed, killed_files) = run("killed", KernelChoice::Simd, Some((1, 3 * 18 + 15)));
+    assert!(killed.per_node.iter().map(|st| st.takeovers).sum::<u64>() >= 1);
+    assert_eq!(
+        killed.rung_units[Rung::I32 as usize],
+        5,
+        "{:?}",
+        killed.rung_units
+    );
+    for (what, out, files) in [
+        ("auto", auto, auto_files),
+        ("clean", clean, clean_files),
+        ("killed", killed, killed_files),
+    ] {
+        assert_eq!(out.result, scalar.result, "{what}: result matrix diverged");
+        assert_eq!(out.best_score, scalar.best_score, "{what}");
+        assert_eq!(files, scalar_files, "{what}: saved-column files diverged");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

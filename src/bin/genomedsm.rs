@@ -103,6 +103,7 @@
 use genomedsm::prelude::*;
 use genomedsm_core::nw::render_region_alignment;
 use genomedsm_dotplot::{svg_plot, PlotSpec};
+use genomedsm_kernels::Rung;
 use genomedsm_seq::fasta::{read_fasta_file, write_fasta_file, FastaRecord};
 use genomedsm_strategies::{reverse_align_all_parallel, BandScheme, ChunkPlan};
 use std::process::exit;
@@ -448,6 +449,11 @@ fn align(args: &[String]) {
                 out.total_hits(),
                 out.core_time()
             );
+            let units: Vec<String> = Rung::ALL
+                .iter()
+                .map(|&rung| format!("{} {}", out.rung_units[rung as usize], rung.name()))
+                .collect();
+            println!("kernel rungs, in wavefront units: {}", units.join(", "));
             if tolerate {
                 print_supervision(&out.per_node);
             }
@@ -517,7 +523,7 @@ fn score(args: &[String]) {
         kernel.name()
     );
     let t0 = std::time::Instant::now();
-    let result = kernel.score(&s, &t, &Scoring::paper(), threshold);
+    let (result, rung) = kernel.score_on(&s, &t, &Scoring::paper(), threshold);
     let elapsed = t0.elapsed();
     let cells = s.len() as f64 * t.len() as f64;
     println!(
@@ -525,9 +531,10 @@ fn score(args: &[String]) {
         result.best_score, result.best_end.0, result.best_end.1, result.hits
     );
     println!(
-        "{} cells in {elapsed:.2?} on '{}' ({:.3} GCUPS)",
+        "{} cells in {elapsed:.2?} on '{}', answered on the {} rung ({:.3} GCUPS)",
         cells as u64,
         kernel.name(),
+        rung.name(),
         cells / elapsed.as_secs_f64().max(1e-9) / 1e9
     );
 }
