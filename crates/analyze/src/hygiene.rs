@@ -1,6 +1,7 @@
-//! The lint rules and the per-file rule engine.
+//! The token-level hygiene pass: the lint rules and the per-file rule
+//! engine (formerly the separate `genomedsm-lint` crate).
 //!
-//! Four rules, mirroring the workspace's concurrency-hygiene policy:
+//! Five rules, mirroring the workspace's concurrency-hygiene policy:
 //!
 //! * **safety-comment** (every first-party file): each `unsafe` keyword
 //!   must carry a `// SAFETY:` comment on the same line or the contiguous
@@ -26,36 +27,9 @@
 //! `benches/` are never walked, and `#[cfg(test)]` items inside `src/`
 //! are span-skipped by brace matching on the masked source.
 
-use crate::lexer::{scan, Scanned};
-use std::fmt;
+use crate::lexer::{is_ident, scan, skip_balanced, skip_ws, Scanned};
+use crate::Finding;
 use std::ops::Range;
-use std::path::PathBuf;
-
-/// One rule violation.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// File the violation is in.
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// Stable rule slug (`safety-comment`, `no-unwrap`, …).
-    pub rule: &'static str,
-    /// Human-readable explanation.
-    pub message: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
-    }
-}
 
 /// Which rule families apply to a file.
 #[derive(Debug, Clone, Copy)]
@@ -66,87 +40,32 @@ pub struct RuleScope {
 
 /// Byte ranges of `#[cfg(test)]`-gated items in masked code.
 ///
-/// Public so structural consumers (`genomedsm-analyze`) share exactly
-/// the lint engine's notion of what counts as test code.
+/// Public so the structural parse shares exactly the rule engine's
+/// notion of what counts as test code.
 pub fn test_spans(code: &str) -> Vec<Range<usize>> {
     let bytes = code.as_bytes();
     let mut spans = Vec::new();
     let mut i = 0usize;
     while let Some(rel) = code[i..].find("#[") {
         let attr_start = i + rel;
-        // Parse the attribute's balanced brackets.
-        let mut j = attr_start + 1;
-        let mut depth = 0usize;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'[' => depth += 1,
-                b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let attr = &code[attr_start..=j.min(bytes.len() - 1)];
-        i = j + 1;
+        i = skip_balanced(bytes, attr_start + 1, b'[', b']');
+        let attr = &code[attr_start..i];
         if !(attr.contains("cfg") && has_word(attr, "test")) {
             continue;
         }
         // Skip whitespace and any further attributes, then span the item:
         // a `{…}` block (brace-matched) or up to the first `;`.
-        let mut k = i;
-        loop {
-            while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                k += 1;
-            }
-            if code[k..].starts_with("#[") {
-                let mut d = 0usize;
-                while k < bytes.len() {
-                    match bytes[k] {
-                        b'[' => d += 1,
-                        b']' => {
-                            d -= 1;
-                            if d == 0 {
-                                k += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                continue;
-            }
-            break;
+        let mut k = skip_ws(bytes, i);
+        while code[k..].starts_with("#[") {
+            k = skip_ws(bytes, skip_balanced(bytes, k + 1, b'[', b']'));
         }
-        let mut brace_depth = 0usize;
-        let mut entered = false;
-        while k < bytes.len() {
-            match bytes[k] {
-                b'{' => {
-                    brace_depth += 1;
-                    entered = true;
-                }
-                b'}' => {
-                    brace_depth -= 1;
-                    if entered && brace_depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                b';' if !entered => {
-                    k += 1;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        spans.push(attr_start..k);
-        i = k;
+        let opens = bytes[k..].iter().position(|&b| b == b'{' || b == b';');
+        i = match opens.map(|rel| k + rel) {
+            Some(at) if bytes[at] == b'{' => skip_balanced(bytes, at, b'{', b'}'),
+            Some(at) => at + 1,
+            None => bytes.len(),
+        };
+        spans.push(attr_start..i);
     }
     spans
 }
@@ -175,10 +94,6 @@ fn word_positions(hay: &str, word: &str) -> Vec<usize> {
 
 fn has_word(hay: &str, word: &str) -> bool {
     !word_positions(hay, word).is_empty()
-}
-
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// True if a masked code line is "transparent" for the SAFETY
@@ -227,7 +142,7 @@ pub fn lint_source(file: &std::path::Path, src: &str, scope: RuleScope) -> Vec<F
         findings.push(Finding {
             file: file.to_path_buf(),
             line: s.line_of(at) + 1,
-            rule,
+            analysis: rule,
             message,
         });
     };
@@ -364,7 +279,7 @@ pub unsafe fn f(p: *const u8) {}
         let src = "fn f(p: *const u8) {\n    let x = unsafe { *p };\n}\n";
         let f = lint(src, PLAIN);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "safety-comment");
+        assert_eq!(f[0].analysis, "safety-comment");
         assert_eq!(f[0].line, 2);
     }
 
@@ -386,7 +301,7 @@ pub unsafe fn f(p: *const u8) {}
         assert!(lint(src, PLAIN).is_empty());
         let f = lint(src, PROTO);
         assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|f| f.rule == "no-unwrap"));
+        assert!(f.iter().all(|f| f.analysis == "no-unwrap"));
     }
 
     #[test]
@@ -427,8 +342,8 @@ fn live() { y.unwrap(); }
         let src = "fn f() { a.store(1, Ordering::Relaxed); std::thread::sleep(d); }\n";
         let f = lint(src, PROTO);
         assert_eq!(f.len(), 2);
-        assert_eq!(f[0].rule, "no-relaxed");
-        assert_eq!(f[1].rule, "no-sleep");
+        assert_eq!(f[0].analysis, "no-relaxed");
+        assert_eq!(f[1].analysis, "no-sleep");
     }
 
     #[test]
@@ -444,7 +359,7 @@ fn live() { y.unwrap(); }
         assert!(lint(src, PLAIN).is_empty());
         let f = lint(src, PROTO);
         assert_eq!(f.len(), 3);
-        assert!(f.iter().all(|f| f.rule == "no-todo"));
+        assert!(f.iter().all(|f| f.analysis == "no-todo"));
         assert_eq!((f[0].line, f[1].line, f[2].line), (1, 2, 3));
     }
 

@@ -35,8 +35,35 @@ impl Scanned {
 }
 
 /// True if `b` can be part of an identifier.
-fn is_ident(b: u8) -> bool {
+pub(crate) fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Skips a balanced `open`…`close` group of masked code starting at `i`
+/// (which must point at `open`); returns the offset just past the
+/// closing delimiter (or `len` if unterminated).
+pub(crate) fn skip_balanced(bytes: &[u8], mut i: usize, open: u8, close: u8) -> usize {
+    let mut depth = 0usize;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b == open {
+            depth += 1;
+        } else if b == close {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
+pub(crate) fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
+    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    i
 }
 
 /// Byte length of the UTF-8 sequence starting with leading byte `b`.

@@ -1,11 +1,18 @@
-//! Structural whole-workspace static analysis for GenomeDSM.
+//! Whole-workspace static analysis for GenomeDSM: one lexer, one
+//! workspace walker, one [`Finding`], one binary.
 //!
-//! `genomedsm-lint` polices token-level hygiene; this crate goes one
-//! layer up: a brace-aware, item-aware parse ([`parse`]) of every
-//! protocol crate, an intra-crate call graph ([`callgraph`]), and four
-//! analyses that prove properties over *all* source — including paths
-//! no test schedule has visited:
+//! A token-surface scanner ([`lexer`]) separates code from comments and
+//! literals (the build is hermetic, so there is no `syn`). On top of it
+//! sit a brace-aware, item-aware parse ([`parse`]) of every protocol
+//! crate, an intra-crate call graph ([`callgraph`]), and five passes
+//! that prove properties over *all* source — including paths no test
+//! schedule has visited:
 //!
+//! * [`hygiene`] — token-level policy on every first-party `src/`:
+//!   SAFETY comments on every `unsafe`, and in the
+//!   [`PROTOCOL_CRATES`] no `unwrap()`/`expect()`, no
+//!   `Ordering::Relaxed`, no `thread::sleep`, no
+//!   `todo!`/`unimplemented!`/`dbg!`, all outside test code;
 //! * [`lockorder`] — static may-hold-while-acquiring graph over every
 //!   DSM lock site, cycle detection, and the superset cross-check
 //!   against the runtime `dsm::lock_order` edge dump;
@@ -18,14 +25,16 @@
 //!   the protocol decode entry points, reported with the call chain.
 //!
 //! Run it with `cargo run -p genomedsm-analyze` (CI runs it in the
-//! `analyze` job). Like the linter there is **no allowlist**: the
-//! workspace must be clean, and seeded-bad fixtures under `fixtures/`
-//! prove each analysis actually fires.
+//! `analyze` job). There is **no allowlist**: the workspace must be
+//! clean, and seeded-bad fixtures under `fixtures/` prove each
+//! structural analysis actually fires.
 
 #![warn(missing_docs)]
 
 pub mod blocking;
 pub mod callgraph;
+pub mod hygiene;
+pub mod lexer;
 pub mod lockorder;
 pub mod panics;
 pub mod parse;
@@ -35,8 +44,13 @@ use parse::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates the analyses cover (`src/` and `tests/`).
+/// Crates the structural analyses cover (`src/` and `tests/`).
 pub const SCOPE_CRATES: &[&str] = &["dsm", "strategies", "batch", "serve"];
+
+/// Crates whose `src/` is subject to the protocol hygiene rules
+/// (`no-unwrap`, `no-relaxed`, `no-sleep`, `no-todo`) in addition to
+/// `safety-comment`, which applies to every first-party `src/`.
+pub const PROTOCOL_CRATES: &[&str] = &["dsm", "strategies", "batch", "index", "serve"];
 
 /// One analysis finding.
 #[derive(Debug, Clone)]
@@ -46,7 +60,8 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     /// Stable analysis slug (`lock-order`, `blocking-while-locked`,
-    /// `wire-exhaustiveness`, `panic-surface`, `lock-order-crosscheck`).
+    /// `wire-exhaustiveness`, `panic-surface`, `lock-order-crosscheck`)
+    /// or hygiene rule slug (`safety-comment`, `no-unwrap`, …).
     pub analysis: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -71,6 +86,9 @@ pub struct Model {
     pub files: Vec<SourceFile>,
     /// The name-resolution tables over `files`.
     pub graph: callgraph::CallGraph,
+    /// What the [`hygiene`] rules found on the walk that built the model
+    /// (empty for a model built from bare sources).
+    pub hygiene: Vec<Finding>,
 }
 
 impl Model {
@@ -88,43 +106,58 @@ impl Model {
             .collect();
         files.sort_by(|a, b| a.path.cmp(&b.path));
         let graph = callgraph::CallGraph::build(&files);
-        Self { files, graph }
+        Self {
+            files,
+            graph,
+            hygiene: Vec::new(),
+        }
     }
 
-    /// Walks the workspace at `root` and parses every in-scope file:
+    /// Walks the workspace at `root` once: the root package's `src/` and
+    /// every `crates/*/src` go through the [`hygiene`] rules (vendored
+    /// shims, `tests/` and `benches/` are out of their scope), and the
     /// `src/` and `tests/` of each [`SCOPE_CRATES`] member, plus
     /// `crates/analyze/tests/` (its cross-check harness contains DSM
-    /// lock sites the runtime graph will witness).
+    /// lock sites the runtime graph will witness), are parsed for the
+    /// structural analyses.
     ///
     /// # Errors
     /// Propagates I/O errors from walking or reading the tree.
     pub fn from_workspace(root: &Path) -> std::io::Result<Self> {
-        let mut sources = Vec::new();
-        let mut dirs: Vec<(PathBuf, String)> = Vec::new();
-        for name in SCOPE_CRATES {
-            let base = root.join("crates").join(name);
-            dirs.push((base.join("src"), (*name).to_string()));
-            dirs.push((base.join("tests"), (*name).to_string()));
-        }
-        dirs.push((root.join("crates/analyze/tests"), "analyze".to_string()));
-        for (dir, crate_name) in dirs {
-            if !dir.is_dir() {
-                continue;
+        // (directory, crate name); the root package goes by "".
+        let mut crates: Vec<(PathBuf, String)> = std::fs::read_dir(root.join("crates"))?
+            .filter_map(Result::ok)
+            .filter(|e| e.path().is_dir())
+            .map(|e| (e.path(), e.file_name().to_string_lossy().into_owned()))
+            .collect();
+        crates.sort();
+        crates.insert(0, (root.to_path_buf(), String::new()));
+
+        let mut hygiene = Vec::new();
+        let mut structural = Vec::new();
+        for (dir, name) in crates {
+            let scope = hygiene::RuleScope {
+                protocol: PROTOCOL_CRATES.contains(&name.as_str()),
+            };
+            let src = read_sources(root, &dir.join("src"), &name)?;
+            for (path, _, text) in &src {
+                hygiene.extend(hygiene::lint_source(path, text, scope));
             }
-            let mut files = Vec::new();
-            rust_files(&dir, &mut files)?;
-            for file in files {
-                let text = std::fs::read_to_string(&file)?;
-                let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-                sources.push((rel, crate_name.clone(), text));
+            if SCOPE_CRATES.contains(&name.as_str()) {
+                structural.extend(src);
+            }
+            if SCOPE_CRATES.contains(&name.as_str()) || name == "analyze" {
+                structural.extend(read_sources(root, &dir.join("tests"), &name)?);
             }
         }
-        Ok(Self::from_sources(sources))
+        let mut model = Self::from_sources(structural);
+        model.hygiene = hygiene;
+        Ok(model)
     }
 
     /// Runs every analysis and returns the sorted findings.
     pub fn analyze(&self) -> Vec<Finding> {
-        let mut findings = Vec::new();
+        let mut findings = self.hygiene.clone();
         findings.extend(lockorder::findings(self));
         findings.extend(blocking::findings(self));
         findings.extend(wire::findings(self));
@@ -132,6 +165,27 @@ impl Model {
         findings.sort_by(|a, b| (&a.file, a.line, a.analysis).cmp(&(&b.file, b.line, b.analysis)));
         findings
     }
+}
+
+/// Reads every `.rs` file under `dir` (if it exists) as a
+/// (workspace-relative path, crate name, text) source triple.
+fn read_sources(
+    root: &Path,
+    dir: &Path,
+    crate_name: &str,
+) -> std::io::Result<Vec<(PathBuf, String, String)>> {
+    let mut files = Vec::new();
+    if dir.is_dir() {
+        rust_files(dir, &mut files)?;
+    }
+    files
+        .into_iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(&file)?;
+            let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
+            Ok((rel, crate_name.to_string(), text))
+        })
+        .collect()
 }
 
 /// Recursively collects `.rs` files under `dir` (sorted for determinism).

@@ -1,5 +1,5 @@
-//! The `analyze` binary: run every structural analysis over the
-//! workspace and fail on any finding.
+//! The `analyze` binary: run the hygiene rules and every structural
+//! analysis over the workspace and fail on any finding.
 //!
 //! ```text
 //! genomedsm-analyze [ROOT] [--crosscheck EDGE_FILE]

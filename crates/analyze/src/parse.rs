@@ -1,6 +1,6 @@
 //! The structural parse: items, fn bodies, and call sites.
 //!
-//! Built on `genomedsm_lint::lexer::scan`, which blanks comments and
+//! Built on [`crate::lexer::scan`], which blanks comments and
 //! literal interiors while preserving byte offsets — so everything here
 //! operates on *masked* source where every remaining byte is code. On
 //! top of that surface this module recovers the structure the analyses
@@ -16,8 +16,8 @@
 //! places (macro bodies, const generics) where token-level structure is
 //! all we have.
 
-use genomedsm_lint::lexer::scan;
-use genomedsm_lint::rules::test_spans;
+use crate::hygiene::test_spans;
+use crate::lexer::{is_ident, scan, skip_balanced, skip_ws};
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -149,37 +149,6 @@ impl SourceFile {
         }
         best
     }
-}
-
-fn is_ident(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Skips a balanced `open`…`close` group starting at `i` (which must
-/// point at `open`); returns the offset just past the closing delimiter
-/// (or `len` if unterminated).
-fn skip_balanced(bytes: &[u8], mut i: usize, open: u8, close: u8) -> usize {
-    let mut depth = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == open {
-            depth += 1;
-        } else if b == close {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    bytes.len()
-}
-
-fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
 }
 
 /// The identifier ending just before `end` (exclusive), if any.

@@ -1,14 +1,14 @@
-//! Runs the lexer over the fixture corpus in `tests/corpus/`.
+//! Runs the lexer over the fixture corpus in `fixtures/lexer_corpus/`.
 //!
-//! Each corpus file is plain data (subdirectories of `tests/` are not
-//! compiled as test targets) carrying a self-describing contract:
+//! Each corpus file is plain data (`fixtures/` is neither compiled nor
+//! walked by the analyzer) carrying a self-describing contract:
 //! every identifier matching `MUST_SURVIVE_<word>` sits in code
-//! position and must remain in [`genomedsm_lint::lexer::scan`]'s masked
+//! position and must remain in [`genomedsm_analyze::lexer::scan`]'s masked
 //! output, and every identifier matching `MUST_VANISH_<word>` sits
 //! inside a comment or literal and must be blanked. Marker mentions in
 //! prose use a trailing `*` so they never match the identifier pattern.
 
-use genomedsm_lint::lexer::scan;
+use genomedsm_analyze::lexer::scan;
 use std::path::PathBuf;
 
 /// Extracts every maximal identifier starting with `prefix` from `src`.
@@ -39,7 +39,7 @@ fn markers(src: &str, prefix: &str) -> Vec<String> {
 
 #[test]
 fn corpus_contract_holds() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/lexer_corpus");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("corpus dir exists")
         .filter_map(Result::ok)
@@ -83,7 +83,7 @@ fn corpus_contract_holds() {
 
 #[test]
 fn comment_text_is_captured_per_line() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/lexer_corpus");
     let src = std::fs::read_to_string(dir.join("comments.rs")).expect("read comments corpus");
     let s = scan(&src);
     let joined = s.comments.join("\n");

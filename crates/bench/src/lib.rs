@@ -1,13 +1,14 @@
-//! Shared machinery for the `paper` harness: workload generation, timing,
+//! The `paper` harness: the experiment registry, workload generation,
 //! table rendering, and CSV artifacts.
 //!
 //! The binary `paper` (src/bin/paper.rs) regenerates every table and
-//! figure of the paper's evaluation; see DESIGN.md's per-experiment index
-//! for the mapping and EXPERIMENTS.md for recorded paper-vs-measured
-//! results.
+//! figure of the paper's evaluation by running entries of
+//! [`experiments::REGISTRY`]; see DESIGN.md's per-experiment index for
+//! the mapping and EXPERIMENTS.md for recorded paper-vs-measured results.
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod report;
 pub mod workloads;
 
@@ -39,6 +40,16 @@ impl HarnessArgs {
     /// Scales one of the paper's sequence sizes (at least 64 bp).
     pub fn size(&self, paper_bp: usize) -> usize {
         (paper_bp / self.scale.max(1)).max(64)
+    }
+
+    /// The largest processor count of the sweep.
+    pub fn max_procs(&self) -> usize {
+        *self.procs.iter().max().expect("procs")
+    }
+
+    /// The processor counts above one, in the order given.
+    pub fn parallel_procs(&self) -> Vec<usize> {
+        self.procs.iter().copied().filter(|&p| p > 1).collect()
     }
 
     /// Ensures the artifact directory exists and returns a path inside it.

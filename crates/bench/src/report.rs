@@ -1,7 +1,81 @@
-//! Plain-text table rendering and CSV artifacts.
+//! Plain-text table rendering, CSV artifacts, and the [`Report`] every
+//! experiment returns: its tables, its notes and its headline claims.
 
+use crate::HarnessArgs;
 use std::fmt::Write as _;
 use std::path::Path;
+
+/// One headline claim of the reproduction gate, as checked by the
+/// experiment that measures it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Claim {
+    /// The claim, as `paper summary` prints it.
+    pub text: &'static str,
+    /// Whether the measurement met the claim's threshold.
+    pub pass: bool,
+    /// The measured numbers the verdict rests on.
+    pub evidence: String,
+}
+
+/// A piece of an experiment's output, in print order.
+#[derive(Debug, Clone)]
+enum Section {
+    /// A table, printed and saved as `csv` in the artifact directory.
+    Table { csv: &'static str, table: Table },
+    /// Free text printed as-is.
+    Note(String),
+}
+
+/// What one experiment produced.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    sections: Vec<Section>,
+    /// The claims the experiment checked, in gate order.
+    pub claims: Vec<Claim>,
+    /// Set when the run itself went wrong (a diverged row, a missing
+    /// binary): the harness exits non-zero after emitting the report.
+    pub failure: Option<String>,
+}
+
+impl Report {
+    /// Adds a table, saved as `csv` under the artifact directory.
+    pub fn table(&mut self, csv: &'static str, table: Table) {
+        self.sections.push(Section::Table { csv, table });
+    }
+
+    /// Adds free text, printed after what was added before it.
+    pub fn note(&mut self, text: impl Into<String>) {
+        self.sections.push(Section::Note(text.into()));
+    }
+
+    /// Records one checked claim.
+    pub fn claim(&mut self, text: &'static str, pass: bool, evidence: String) {
+        self.claims.push(Claim {
+            text,
+            pass,
+            evidence,
+        });
+    }
+
+    /// Prints every section in order, writes each table's CSV, and
+    /// reports the failure, if any, on stderr. Returns whether the run
+    /// was clean.
+    pub fn emit(&self, args: &HarnessArgs) -> bool {
+        for section in &self.sections {
+            match section {
+                Section::Table { csv, table } => {
+                    println!("{}", table.render());
+                    table.save_csv(&args.artifact(csv)).expect("csv");
+                }
+                Section::Note(text) => println!("{text}\n"),
+            }
+        }
+        if let Some(failure) = &self.failure {
+            eprintln!("{failure}");
+        }
+        self.failure.is_none()
+    }
+}
 
 /// A simple column-aligned text table that can also be saved as CSV.
 #[derive(Debug, Clone)]
@@ -13,10 +87,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: &str, header: &[S]) -> Self {
         Self {
             title: title.to_string(),
-            header: header.iter().map(ToString::to_string).collect(),
+            header: header.iter().map(|h| h.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -25,22 +99,6 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience for building a row from display values.
-    pub fn push<I: IntoIterator<Item = String>>(&mut self, cells: I) {
-        let v: Vec<String> = cells.into_iter().collect();
-        self.row(&v);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the aligned text table.

@@ -4,7 +4,11 @@
 //! "mitochondrial" density (123 similar regions of ~253 bp per 50 kBP),
 //! seeded per size so runs are reproducible.
 
-use genomedsm_seq::{planted_pair, DnaSeq, HomologyPlan, MutationProfile, PlantedRegion};
+use genomedsm_core::LocalRegion;
+use genomedsm_seq::fasta::FastaRecord;
+use genomedsm_seq::{
+    planted_pair, random_dna, DnaSeq, HomologyPlan, MutationProfile, PlantedRegion,
+};
 
 /// The standard harness plan for a sequence of `len` bp.
 pub fn plan_for(len: usize) -> HomologyPlan {
@@ -42,6 +46,42 @@ pub fn subsequence_pairs(count: usize, mean: usize, seed: u64) -> Vec<(DnaSeq, D
                 ),
                 None => (s, t),
             }
+        })
+        .collect()
+}
+
+/// [`subsequence_pairs`] concatenated into one pair of sequences plus one
+/// region per pair, so phase 2 sees the same scattered work the paper
+/// describes.
+pub fn scattered_regions(
+    count: usize,
+    mean: usize,
+    seed: u64,
+) -> (Vec<u8>, Vec<u8>, Vec<LocalRegion>) {
+    let mut s = Vec::new();
+    let mut t = Vec::new();
+    let mut regions = Vec::with_capacity(count);
+    for (ps, pt) in subsequence_pairs(count, mean, seed) {
+        regions.push(LocalRegion {
+            s_begin: s.len(),
+            s_end: s.len() + ps.len(),
+            t_begin: t.len(),
+            t_end: t.len() + pt.len(),
+            score: 0,
+        });
+        s.extend_from_slice(ps.as_bytes());
+        t.extend_from_slice(pt.as_bytes());
+    }
+    (s, t, regions)
+}
+
+/// `records` random DNA database records of ragged lengths around
+/// `t_len` (the batch engine's database and the service's FASTA files).
+pub fn dna_records(records: usize, t_len: usize, seed: u64) -> Vec<FastaRecord> {
+    (0..records)
+        .map(|i| FastaRecord {
+            id: format!("rec{i}"),
+            seq: random_dna(t_len / 2 + (i * 29) % t_len, seed + i as u64),
         })
         .collect()
 }

@@ -7,7 +7,7 @@
 //! | `heuristic_block` | §4.3 | [`blocked`] | bands × blocks with a blocking multiplier; border rows cross in **chunks** — approximate, much faster |
 //! | `pre_process` | §5 | [`preprocess`] | exact SW scores, no candidate tracking; result matrix of threshold hits + selected columns saved to disk |
 //! | phase 2 | §4.4 | [`phase2`] | scattered-mapping global alignment of the phase-1 regions, no locks/cvs |
-//! | rayon ports | (ablation) | [`rayon_port`] | the same blocked wavefront on plain shared memory — quantifies the DSM protocol overhead |
+//! | shared-memory ports | (ablation) | [`rayon_port`] | the same blocked wavefront on plain shared memory — quantifies the DSM protocol overhead |
 //!
 //! All of them are (grid, kernel, sink) triples run by the one driver in
 //! [`wavefront`], which also owns checkpoint/restart, takeover and rejoin.

@@ -220,7 +220,7 @@ fn run_mapping(
 /// ([`genomedsm_batch::run_jobs`]), which steals the lowest-indexed job
 /// when idle and merges results strictly in input order — so the output
 /// is identical for any `threads` (ablation baseline for the DSM
-/// version; previously a plain rayon pool without stealing).
+/// version).
 ///
 /// # Errors
 ///

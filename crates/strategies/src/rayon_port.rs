@@ -5,8 +5,8 @@
 //! *same* band × block wavefront with plain scoped threads and channels —
 //! no pages, no diffs, no write notices — so benchmarks can separate the
 //! algorithmic cost of the wavefront from the DSM protocol overhead.
-//! A rayon-based antidiagonal variant is provided as a second reference
-//! point for the classic wave-front formulation (Fig. 7), and
+//! An antidiagonal variant on the batch scheduler is provided as a second
+//! reference point for the classic wave-front formulation (Fig. 7), and
 //! [`score_bands_shm`] runs the pre-process band pipeline on threads with
 //! the vectorized [`genomedsm_kernels`] score kernel.
 
@@ -122,9 +122,11 @@ pub fn score_bands_shm(
     out
 }
 
-/// The classic Fig. 7 wave-front on rayon: cells of each antidiagonal are
+/// The classic Fig. 7 wave-front on the batch scheduler
+/// ([`genomedsm_batch::run_jobs`]): cells of each antidiagonal are
 /// independent (cell `(i, j)` needs only diagonals `d-1` and `d-2`), so
-/// every antidiagonal is a `par_iter` over its cells. This is the
+/// every antidiagonal is cut into one contiguous run of cells per worker
+/// and the runs are merged in cell order. This is the
 /// textbook formulation the paper contrasts with its column/band
 /// assignments; results are identical to the serial driver because the
 /// same [`RowKernel::update_cell`] runs per cell.
@@ -135,18 +137,12 @@ pub fn heuristic_antidiagonal_rayon(
     params: &HeuristicParams,
     threads: usize,
 ) -> Phase1Outcome {
-    use rayon::prelude::*;
     let t0 = Instant::now();
     let kernel = RowKernel::new(*scoring, *params);
     let m = s.len();
     let n = t.len();
-    let pool = match rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-    {
-        Ok(pool) => pool,
-        Err(e) => panic!("rayon pool construction cannot fail for >= 1 threads: {e}"),
-    };
+    let workers = threads.max(1);
+    let scheduler = genomedsm_batch::SchedulerConfig { workers, window: 0 };
 
     // Antidiagonal d holds cells (i, j) with i + j == d, 1 <= i <= m,
     // 1 <= j <= n. Buffers are indexed by i; index 0 stands for the zero
@@ -155,56 +151,65 @@ pub fn heuristic_antidiagonal_rayon(
     let mut prev1: Vec<HCell> = vec![HCell::fresh(); m + 1]; // diagonal d-1
     let mut queue: Vec<LocalRegion> = Vec::new();
 
-    pool.install(|| {
-        for d in 2..=(m + n) {
-            let i_lo = 1.max(d.saturating_sub(n));
-            let i_hi = m.min(d - 1);
-            if i_lo > i_hi {
-                // Degenerate axis: nothing on this antidiagonal.
-                std::mem::swap(&mut prev2, &mut prev1);
-                prev1.iter_mut().for_each(|c| *c = HCell::fresh());
-                continue;
-            }
-            let p2 = &prev2;
-            let p1 = &prev1;
-            let results: Vec<(usize, HCell, Vec<LocalRegion>)> = (i_lo..=i_hi)
-                .into_par_iter()
-                .map(|i| {
-                    let j = d - i;
-                    // Predecessors: diag = (i-1, j-1) on d-2; up = (i-1, j)
-                    // and left = (i, j-1) on d-1. Border cells are fresh.
-                    let diag = p2[i - 1]; // (i-1, j-1): fresh border when on the rim
-                    let up = p1[i - 1]; // (i-1, j): the zero border row when i == 1
-                    let left = p1[i];
-                    let mut local_queue = Vec::new();
-                    let cell = kernel.update_cell(
-                        s[i - 1],
-                        t[j - 1],
-                        i,
-                        j,
-                        &diag,
-                        &up,
-                        &left,
-                        &mut local_queue,
-                    );
-                    // Edge flushes mirror the serial driver: rightmost
-                    // column per row, bottom row (corner once).
-                    if j == n {
-                        kernel.flush_open(&cell, i, n, &mut local_queue);
-                    } else if i == m {
-                        kernel.flush_open(&cell, m, j, &mut local_queue);
-                    }
-                    (i, cell, local_queue)
-                })
-                .collect();
+    for d in 2..=(m + n) {
+        let i_lo = 1.max(d.saturating_sub(n));
+        let i_hi = m.min(d - 1);
+        if i_lo > i_hi {
+            // Degenerate axis: nothing on this antidiagonal.
             std::mem::swap(&mut prev2, &mut prev1);
             prev1.iter_mut().for_each(|c| *c = HCell::fresh());
-            for (i, cell, mut local_queue) in results {
-                prev1[i] = cell;
-                queue.append(&mut local_queue);
-            }
+            continue;
         }
-    });
+        let p2 = &prev2;
+        let p1 = &prev1;
+        let cell_at = |i: usize| {
+            let j = d - i;
+            // Predecessors: diag = (i-1, j-1) on d-2; up = (i-1, j)
+            // and left = (i, j-1) on d-1. Border cells are fresh.
+            let diag = p2[i - 1]; // (i-1, j-1): fresh border when on the rim
+            let up = p1[i - 1]; // (i-1, j): the zero border row when i == 1
+            let left = p1[i];
+            let mut local_queue = Vec::new();
+            let cell = kernel.update_cell(
+                s[i - 1],
+                t[j - 1],
+                i,
+                j,
+                &diag,
+                &up,
+                &left,
+                &mut local_queue,
+            );
+            // Edge flushes mirror the serial driver: rightmost
+            // column per row, bottom row (corner once).
+            if j == n {
+                kernel.flush_open(&cell, i, n, &mut local_queue);
+            } else if i == m {
+                kernel.flush_open(&cell, m, j, &mut local_queue);
+            }
+            (i, cell, local_queue)
+        };
+        // One contiguous run of cells per worker; the in-order merge
+        // hands the runs back in cell order.
+        let run_len = (i_hi - i_lo + 1).div_ceil(workers);
+        let runs: Vec<std::ops::Range<usize>> = (i_lo..=i_hi)
+            .step_by(run_len)
+            .map(|lo| lo..(lo + run_len).min(i_hi + 1))
+            .collect();
+        let mut results: Vec<(usize, HCell, Vec<LocalRegion>)> = Vec::new();
+        genomedsm_batch::run_jobs(
+            runs,
+            &scheduler,
+            |_, run| run.map(&cell_at).collect::<Vec<_>>(),
+            |_, mut cells| results.append(&mut cells),
+        );
+        std::mem::swap(&mut prev2, &mut prev1);
+        prev1.iter_mut().for_each(|c| *c = HCell::fresh());
+        for (i, cell, mut local_queue) in results {
+            prev1[i] = cell;
+            queue.append(&mut local_queue);
+        }
+    }
 
     Phase1Outcome {
         regions: finalize_queue(queue),

@@ -4,18 +4,19 @@
 //!
 //! Stage 1 (the linear-space end-point scan) is a single wavefront-free
 //! pass; stage 2 recovers each end point independently over the reversed
-//! prefixes — embarrassingly parallel, so a rayon pool maps directly onto
-//! it. The greedy covered-end filter runs after all recoveries and yields
+//! prefixes — embarrassingly parallel, so the batch scheduler
+//! ([`genomedsm_batch::run_jobs`]) maps directly onto it: one job per run
+//! of end points, merged in input order. The greedy covered-end filter runs after
+//! all recoveries and yields
 //! exactly the set the serial [`genomedsm_core::reverse::reverse_align_all`]
 //! produces (the filter only consults regions that sort earlier).
 
 use genomedsm_core::reverse::{filter_covered, recover_end, sorted_ends, RecoveredAlignment};
 use genomedsm_core::Scoring;
-use rayon::prelude::*;
 
 /// Parallel version of [`genomedsm_core::reverse::reverse_align_all`]:
-/// recovers every end point scoring at least `min_score` on a rayon pool
-/// of `threads` workers.
+/// recovers every end point scoring at least `min_score` on `threads`
+/// scheduler workers.
 pub fn reverse_align_all_parallel(
     s: &[u8],
     t: &[u8],
@@ -24,18 +25,22 @@ pub fn reverse_align_all_parallel(
     threads: usize,
 ) -> Vec<RecoveredAlignment> {
     let ends = sorted_ends(s, t, scoring, min_score);
-    let pool = match rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-    {
-        Ok(pool) => pool,
-        Err(e) => panic!("rayon pool construction cannot fail for >= 1 threads: {e}"),
-    };
-    let recovered: Vec<RecoveredAlignment> = pool.install(|| {
-        ends.par_iter()
-            .filter_map(|&end| recover_end(s, t, scoring, end))
-            .collect()
-    });
+    let workers = threads.max(1);
+    let scheduler = genomedsm_batch::SchedulerConfig { workers, window: 0 };
+    // End points are many and most recover in microseconds, so a job is a
+    // run of them — several per worker, because the score-sorted list
+    // puts the long recoveries first.
+    let run_len = ends.len().div_ceil(workers * 16).max(1);
+    let mut recovered = Vec::new();
+    genomedsm_batch::run_jobs(
+        ends.chunks(run_len).collect(),
+        &scheduler,
+        |_, run: &[(usize, usize, i32)]| {
+            let recover = |&end| recover_end(s, t, scoring, end);
+            run.iter().filter_map(recover).collect::<Vec<_>>()
+        },
+        |_, mut recs| recovered.append(&mut recs),
+    );
     filter_covered(recovered)
 }
 
