@@ -27,8 +27,6 @@
 //!   linear gaps when open == extend), including the scalar
 //!   [`sw_score_affine`]/[`sw_score_profile`] oracles the striped affine
 //!   kernels are bit-checked against.
-//! * [`myers_miller`] — linear-space affine-gap global alignment
-//!   (the Hirschberg idea repaired for gap runs crossing the midline).
 //! * [`submat`] — protein substitution matrices (BLOSUM62/BLOSUM50/PAM250
 //!   baked in, NCBI-format text loadable) and the canonical 24-letter
 //!   amino-acid alphabet.
@@ -44,7 +42,6 @@ pub mod heuristic;
 pub mod hirschberg;
 pub mod linear;
 pub mod matrix;
-pub mod myers_miller;
 pub mod nw;
 pub mod reverse;
 pub mod scoring;

@@ -116,7 +116,7 @@ impl BlockedConfig {
 /// The §4.1 cell kernel over one band × block tile: stage = band, unit =
 /// block, border = the tile's bottom row (`width + 1` cells, index 0 the
 /// diagonal corner). The sink is the candidate queue.
-pub(crate) struct Tiles<'a> {
+struct Tiles<'a> {
     kernel: &'a RowKernel,
     s: &'a [u8],
     t: &'a [u8],
@@ -128,11 +128,11 @@ pub(crate) struct Tiles<'a> {
     prev: Vec<HCell>,
     cur: Vec<HCell>,
     /// Candidate regions found so far.
-    pub(crate) queue: Vec<LocalRegion>,
+    queue: Vec<LocalRegion>,
 }
 
 impl<'a> Tiles<'a> {
-    pub(crate) fn new(
+    fn new(
         kernel: &'a RowKernel,
         s: &'a [u8],
         t: &'a [u8],
@@ -153,7 +153,7 @@ impl<'a> Tiles<'a> {
     }
 }
 
-impl<H> Stage<H> for Tiles<'_> {
+impl Stage for Tiles<'_> {
     type Cell = HCellData;
 
     fn begin(&mut self, stage: usize) {
@@ -164,7 +164,7 @@ impl<H> Stage<H> for Tiles<'_> {
 
     fn unit(
         &mut self,
-        _: &mut H,
+        _: &mut Node,
         stage: usize,
         k: usize,
         top: &[HCellData],
@@ -259,7 +259,7 @@ pub fn heuristic_block_align(
 }
 
 /// The queues of a round's kernels (none for a fail-stopped worker).
-pub(crate) fn regions_of(pieces: Option<Vec<Tiles<'_>>>) -> Vec<LocalRegion> {
+fn regions_of(pieces: Option<Vec<Tiles<'_>>>) -> Vec<LocalRegion> {
     concat(pieces.into_iter().flatten().map(|tiles| tiles.queue))
 }
 

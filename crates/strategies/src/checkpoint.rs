@@ -144,22 +144,6 @@ pub fn merged_roles(me: usize, nprocs: usize, dead: &[usize]) -> Vec<usize> {
     roles
 }
 
-/// The inverse of [`adopter_of`] for elastic membership: the survivor
-/// that carried `joiner`'s role while it was dead and hands it back at
-/// the admission barrier. `dead` is the dead set *after* the joiner's
-/// admission (i.e. not containing the joiner); the carrying adopter is
-/// whoever the adoption assignment named while the joiner was still
-/// counted dead. Like the adoption map itself, every node computes this
-/// identically from the barrier round's dead vector, so handback needs
-/// no coordination beyond the round grant.
-pub fn handback_of(joiner: usize, nprocs: usize, dead: &[usize]) -> usize {
-    let mut while_dead = dead.to_vec();
-    if !while_dead.contains(&joiner) {
-        while_dead.push(joiner);
-    }
-    adopter_of(joiner, nprocs, &while_dead)
-}
-
 // ---------------------------------------------------------------------------
 // DSM progress ledger
 // ---------------------------------------------------------------------------
@@ -312,11 +296,6 @@ impl KillPlan {
     /// The scheduled victims, in insertion order.
     pub fn victims(&self) -> Vec<usize> {
         self.kills.iter().map(|&(n, _)| n).collect()
-    }
-
-    /// The victims scheduled to rejoin, in insertion order.
-    pub fn joiners(&self) -> Vec<usize> {
-        self.rejoins.iter().map(|&(n, _)| n).collect()
     }
 }
 
@@ -810,7 +789,8 @@ pub fn fnv1a_fold(mut state: u64, bytes: &[u8]) -> u64 {
 /// `payload_len | checksum | magic` footer, fsyncs, and atomically
 /// renames over the final path. A crash at any earlier point leaves
 /// either the old file or a `.tmp` that [`read_verified`] rejects —
-/// never a silently truncated checkpoint.
+/// never a silently truncated checkpoint. A writer dropped unfinished
+/// (an I/O error mid-stream) unlinks its `.tmp`.
 ///
 /// [`finish`]: AtomicFileWriter::finish
 #[derive(Debug)]
@@ -820,6 +800,8 @@ pub struct AtomicFileWriter {
     out: BufWriter<File>,
     len: u64,
     fnv: u64,
+    /// Whether [`finish`](Self::finish) moved the temp file into place.
+    renamed: bool,
 }
 
 impl AtomicFileWriter {
@@ -833,6 +815,7 @@ impl AtomicFileWriter {
             out,
             len: 0,
             fnv: FNV_OFFSET,
+            renamed: false,
         })
     }
 
@@ -863,8 +846,19 @@ impl AtomicFileWriter {
         self.out.write_all(&footer)?;
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
-        drop(self.out);
-        std::fs::rename(&self.tmp_path, &self.final_path)
+        std::fs::rename(&self.tmp_path, &self.final_path)?;
+        self.renamed = true;
+        Ok(())
+    }
+}
+
+impl Drop for AtomicFileWriter {
+    fn drop(&mut self) {
+        if !self.renamed {
+            // Nothing useful to do with a failure here: the caller is
+            // already returning the error that abandoned the write.
+            let _ = std::fs::remove_file(&self.tmp_path);
+        }
     }
 }
 
@@ -872,14 +866,6 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
-}
-
-/// Writes `payload` crash-safely to `path` in one shot (see
-/// [`AtomicFileWriter`]).
-pub fn write_verified(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut w = AtomicFileWriter::create(path)?;
-    w.write_all(payload)?;
-    w.finish()
 }
 
 /// Reads a file written by [`AtomicFileWriter`], verifying the footer:
@@ -930,6 +916,13 @@ pub fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use genomedsm_dsm::{DsmConfig, DsmSystem};
+
+    /// Writes `payload` crash-safely to `path` in one shot.
+    fn write_verified(path: &Path, payload: &[u8]) -> io::Result<()> {
+        let mut w = AtomicFileWriter::create(path)?;
+        w.write_all(payload)?;
+        w.finish()
+    }
 
     #[test]
     fn adopters_fold_contiguous_dead_runs() {
@@ -1202,48 +1195,35 @@ mod tests {
     }
 
     #[test]
-    fn handback_is_the_inverse_of_adoption() {
-        // Property: for every cluster size, joiner, and dead set not
-        // containing the joiner, the rank handing a role back is exactly
-        // the rank that adopted it when the joiner was dead.
-        for nprocs in 1..=8usize {
-            for joiner in 0..nprocs {
-                for mask in 0u32..(1 << nprocs) {
-                    let dead: Vec<usize> = (0..nprocs).filter(|&n| mask & (1 << n) != 0).collect();
-                    if dead.contains(&joiner) || dead.len() == nprocs {
-                        continue;
-                    }
-                    let mut while_dead = dead.clone();
-                    while_dead.push(joiner);
-                    while_dead.sort_unstable();
-                    if while_dead.len() == nprocs {
-                        continue; // nobody left alive to adopt
-                    }
-                    assert_eq!(
-                        handback_of(joiner, nprocs, &dead),
-                        adopter_of(joiner, nprocs, &while_dead),
-                        "nprocs={nprocs} joiner={joiner} dead={dead:?}"
-                    );
-                }
-            }
-        }
-    }
+    fn unfinished_writer_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join(format!("ckpt_drop_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cols.bin");
+        let tmp = path.with_file_name("cols.bin.tmp");
 
-    #[test]
-    fn handback_comes_from_a_live_rank_that_held_the_role() {
-        // 8 ranks, 1 and 2 still dead, 3 rejoining: while 3 was dead the
-        // contiguous run {1,2,3} folded onto 4, so 4 hands the role back.
-        assert_eq!(handback_of(3, 8, &[1, 2]), 4);
-        // Healthy cluster: the joiner's role was held by its adopter.
-        assert_eq!(handback_of(5, 8, &[]), 6);
-        assert_eq!(handback_of(7, 8, &[]), 0, "handback wraps cyclically");
+        // Abandoned before any final file exists: nothing is left behind.
+        let mut w = AtomicFileWriter::create(&path).unwrap();
+        w.write_all(b"half a column").unwrap();
+        assert!(tmp.exists());
+        drop(w);
+        assert!(!tmp.exists(), "abandoned temp file survived the writer");
+        assert!(!path.exists());
+
+        // Abandoned over an earlier complete file: that file is untouched.
+        write_verified(&path, b"complete").unwrap();
+        let mut w = AtomicFileWriter::create(&path).unwrap();
+        w.write_all(b"half a rewrite").unwrap();
+        drop(w);
+        assert!(!tmp.exists());
+        assert_eq!(read_verified(&path).unwrap(), b"complete");
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn kill_plan_schedules_rejoins() {
         let plan = KillPlan::new().kill(2, 5).rejoin(2, 7).kill(4, 9);
         assert_eq!(plan.victims(), vec![2, 4]);
-        assert_eq!(plan.joiners(), vec![2]);
         assert_eq!(FaultInjector::crash_point(&plan, 2), Some(5));
         assert_eq!(FaultInjector::rejoin_point(&plan, 2), Some(7));
         assert_eq!(

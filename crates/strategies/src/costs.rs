@@ -18,11 +18,7 @@
 //!   directly reported; we take 250 ns (between the two, as NW keeps the
 //!   full matrix but no candidate metadata). Fig. 15 reports only
 //!   speed-ups, which are insensitive to this constant.
-//!
-//! [`measured_hcell_cost`] and [`measured_plain_cost`] calibrate the
-//! *host's* real kernel speed instead, for modern-hardware what-if runs.
 
-use genomedsm_core::{HCell, HeuristicParams, RowKernel, Scoring};
 use std::time::Duration;
 
 /// Era cost of one heuristic (§4.1) cell update.
@@ -38,48 +34,6 @@ pub const NW_CELL: Duration = Duration::from_nanos(250);
 #[inline]
 pub fn cells(per_cell: Duration, cells: usize) -> Duration {
     Duration::from_nanos(per_cell.as_nanos() as u64 * cells as u64)
-}
-
-/// Measures this host's real heuristic-kernel speed (ns/cell) by timing a
-/// ~1M-cell run. Use for modern-hardware simulations.
-pub fn measured_hcell_cost() -> Duration {
-    let kernel = RowKernel::new(
-        Scoring::paper(),
-        HeuristicParams {
-            open_threshold: 10,
-            close_threshold: 10,
-            min_score: 1000,
-        },
-    );
-    let n = 1024usize;
-    let rows = 1024usize;
-    let t: Vec<u8> = (0..n).map(|i| b"ACGT"[i % 4]).collect();
-    let mut prev = vec![HCell::fresh(); n + 1];
-    let mut cur = vec![HCell::fresh(); n + 1];
-    let mut queue = Vec::new();
-    let t0 = std::time::Instant::now();
-    for i in 1..=rows {
-        cur[0] = HCell::fresh();
-        kernel.process_row_segment(i, b"ACGT"[i % 4], &t, 1, &prev, &mut cur, &mut queue);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let dt = t0.elapsed();
-    std::hint::black_box(&prev);
-    Duration::from_nanos((dt.as_nanos() as u64 / (rows * n) as u64).max(1))
-}
-
-/// Measures this host's real plain-SW-kernel speed (ns/cell).
-pub fn measured_plain_cost() -> Duration {
-    let scoring = Scoring::paper();
-    let n = 1024usize;
-    let rows = 1024usize;
-    let s: Vec<u8> = (0..rows).map(|i| b"ACGT"[(i * 3) % 4]).collect();
-    let t: Vec<u8> = (0..n).map(|i| b"ACGT"[i % 4]).collect();
-    let t0 = std::time::Instant::now();
-    let r = genomedsm_core::linear::sw_score_linear(&s, &t, &scoring, i32::MAX);
-    let dt = t0.elapsed();
-    std::hint::black_box(r);
-    Duration::from_nanos((dt.as_nanos() as u64 / (rows * n) as u64).max(1))
 }
 
 #[cfg(test)]
@@ -100,15 +54,5 @@ mod tests {
         // The metadata-heavy kernel must cost more than the plain one.
         assert!(HCELL_CELL > NW_CELL);
         assert!(NW_CELL > PLAIN_CELL);
-    }
-
-    #[test]
-    fn host_calibration_returns_something_sane() {
-        let h = measured_hcell_cost();
-        assert!(h >= Duration::from_nanos(1));
-        assert!(
-            h < Duration::from_micros(50),
-            "kernel unreasonably slow: {h:?}"
-        );
     }
 }

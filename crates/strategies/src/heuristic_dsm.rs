@@ -58,7 +58,7 @@ struct Rows<'a> {
     queue: Vec<LocalRegion>,
 }
 
-impl<H> Stage<H> for Rows<'_> {
+impl Stage for Rows<'_> {
     type Cell = HCellData;
 
     fn begin(&mut self, stage: usize) {
@@ -74,7 +74,7 @@ impl<H> Stage<H> for Rows<'_> {
 
     fn unit(
         &mut self,
-        _: &mut H,
+        _: &mut Node,
         stage: usize,
         k: usize,
         left: &[HCellData],
@@ -105,7 +105,7 @@ impl<H> Stage<H> for Rows<'_> {
         width
     }
 
-    fn end(&mut self, _: &mut H, _: usize) {
+    fn end(&mut self, _: &mut Node, _: usize) {
         // Bottom row: flush open candidates. Column n is excluded — the
         // right-edge rule already flushed it on the last slice.
         for (k, cell) in self.prev.iter().enumerate().skip(1) {

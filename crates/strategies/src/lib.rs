@@ -1,5 +1,5 @@
 //! The paper's three parallel strategies for local sequence alignment on
-//! the DSM substrate, plus phase 2 and modern shared-memory ports.
+//! the DSM substrate, plus phase 2.
 //!
 //! | Strategy | Paper | Module | Character |
 //! |----------|-------|--------|-----------|
@@ -7,7 +7,6 @@
 //! | `heuristic_block` | §4.3 | [`blocked`] | bands × blocks with a blocking multiplier; border rows cross in **chunks** — approximate, much faster |
 //! | `pre_process` | §5 | [`preprocess`] | exact SW scores, no candidate tracking; result matrix of threshold hits + selected columns saved to disk |
 //! | phase 2 | §4.4 | [`phase2`] | scattered-mapping global alignment of the phase-1 regions, no locks/cvs |
-//! | shared-memory ports | (ablation) | [`rayon_port`] | the same blocked wavefront on plain shared memory — quantifies the DSM protocol overhead |
 //!
 //! All of them are (grid, kernel, sink) triples run by the one driver in
 //! [`wavefront`], which also owns checkpoint/restart, takeover and rejoin.
@@ -28,8 +27,6 @@ pub mod hcell_data;
 pub mod heuristic_dsm;
 pub mod phase2;
 pub mod preprocess;
-pub mod rayon_port;
-pub mod reverse_parallel;
 pub mod ring;
 pub mod wavefront;
 pub mod wire;
@@ -39,16 +36,10 @@ pub use checkpoint::{KillPlan, StrategyError, StrategyResult};
 pub use heuristic_dsm::{
     heuristic_align_dsm, heuristic_campaign, CampaignOutcome, CampaignRound, HeuristicDsmConfig,
 };
-pub use phase2::{
-    phase2_block_mapping, phase2_scattered, phase2_scattered_pool, phase2_scattered_with,
-};
+pub use phase2::{phase2_scattered, phase2_scattered_with};
 pub use preprocess::{
     preprocess_align, BandScheme, ChunkPlan, IoMode, PreprocessConfig, PreprocessOutcome,
 };
-pub use rayon_port::{
-    heuristic_antidiagonal_rayon, heuristic_block_align_shm, score_bands_shm, ShmScoreOutcome,
-};
-pub use reverse_parallel::reverse_align_all_parallel;
 pub use wire::{WireIndexed, WireRegions};
 
 use genomedsm_core::{finalize_queue, LocalRegion};

@@ -41,31 +41,20 @@ impl Phase2Outcome {
     }
 }
 
-/// Which queue positions a processor aligns.
-#[derive(Clone, Copy)]
-enum Mapping {
-    /// `Pi` takes positions `i, i+P, i+2P, …`.
-    Scattered,
-    /// `Pi` takes the `i`-th contiguous block.
-    Block,
-}
-
 /// Global alignment as a borderless [`Stage`]: "role `b mod P` does stage
-/// `b`". Scattered, a stage is one queue position; block-mapped, one
-/// processor's whole block. The sink is the indexed alignment list.
+/// `b`", a stage being one queue position — the scattered mapping. The
+/// sink is the indexed alignment list.
 struct Aligner<'a> {
     s: &'a [u8],
     t: &'a [u8],
     regions: &'a [LocalRegion],
     scoring: Scoring,
-    mapping: Mapping,
-    nprocs: usize,
     /// The similarity scores, at the same positions in shared memory.
     scores: &'a GlobalVec<i32>,
     mine: Vec<(usize, RegionAlignment)>,
 }
 
-impl Stage<Node> for Aligner<'_> {
+impl Stage for Aligner<'_> {
     type Cell = i32;
 
     fn unit(
@@ -76,19 +65,11 @@ impl Stage<Node> for Aligner<'_> {
         _: &[i32],
         _: &mut Vec<i32>,
     ) -> usize {
-        let (lo, hi) = match self.mapping {
-            Mapping::Scattered => (stage + 1, stage + 1),
-            Mapping::Block => Grid::slice(self.regions.len(), self.nprocs, stage),
-        };
-        let mut cells = 0;
-        for idx in lo - 1..hi {
-            let r = &self.regions[idx];
-            let ra = align_region(self.s, self.t, r, &self.scoring);
-            node.vec_set(self.scores, idx, ra.alignment.score);
-            self.mine.push((idx, ra));
-            cells += r.s_len() * r.t_len();
-        }
-        cells
+        let r = &self.regions[stage];
+        let ra = align_region(self.s, self.t, r, &self.scoring);
+        node.vec_set(self.scores, stage, ra.alignment.score);
+        self.mine.push((stage, ra));
+        r.s_len() * r.t_len()
     }
 }
 
@@ -134,25 +115,10 @@ pub fn phase2_scattered_with(
     scoring: &Scoring,
     config: &DsmConfig,
 ) -> StrategyResult<Phase2Outcome> {
-    run_mapping(s, t, regions, scoring, config, Mapping::Scattered)
-}
-
-fn run_mapping(
-    s: &[u8],
-    t: &[u8],
-    regions: &[LocalRegion],
-    scoring: &Scoring,
-    config: &DsmConfig,
-    mapping: Mapping,
-) -> StrategyResult<Phase2Outcome> {
     let t0 = Instant::now();
-    let nprocs = config.nprocs;
     let grid = Grid {
-        stages: match mapping {
-            Mapping::Scattered => regions.len(),
-            Mapping::Block => nprocs,
-        },
-        roles: nprocs,
+        stages: regions.len(),
+        roles: config.nprocs,
         chunks: vec![0],
         window: 1,
     };
@@ -173,8 +139,6 @@ fn run_mapping(
             t,
             regions,
             scoring: *scoring,
-            mapping,
-            nprocs,
             scores: &scores,
             mine: Vec::new(),
         };
@@ -215,55 +179,6 @@ fn run_mapping(
     })
 }
 
-/// The modern shared-memory port: the same scattered unit of work on the
-/// batch subsystem's work-stealing scheduler
-/// ([`genomedsm_batch::run_jobs`]), which steals the lowest-indexed job
-/// when idle and merges results strictly in input order — so the output
-/// is identical for any `threads` (ablation baseline for the DSM
-/// version).
-///
-/// # Errors
-///
-/// Infallible today; keeps [`StrategyResult`] so the signature matches
-/// the other phase-2 entry points.
-pub fn phase2_scattered_pool(
-    s: &[u8],
-    t: &[u8],
-    regions: &[LocalRegion],
-    scoring: &Scoring,
-    threads: usize,
-) -> StrategyResult<Vec<RegionAlignment>> {
-    let scheduler = genomedsm_batch::SchedulerConfig {
-        workers: threads.max(1),
-        window: 0,
-    };
-    let mut out = Vec::with_capacity(regions.len());
-    genomedsm_batch::run_jobs(
-        (0..regions.len()).collect(),
-        &scheduler,
-        |_, i: usize| align_region(s, t, &regions[i], scoring),
-        |_, ra| out.push(ra),
-    );
-    Ok(out)
-}
-
-/// The ablation foil for the scattered mapping: contiguous **block
-/// mapping** (node `i` takes the `i`-th block of the size-sorted queue).
-/// The paper chose scattered mapping because the queue is sorted by
-/// subsequence size — a block mapping hands all the big alignments to
-/// the first node and idles the rest; the harness quantifies exactly
-/// that imbalance.
-pub fn phase2_block_mapping(
-    s: &[u8],
-    t: &[u8],
-    regions: &[LocalRegion],
-    scoring: &Scoring,
-    nprocs: usize,
-) -> StrategyResult<Phase2Outcome> {
-    let config = DsmConfig::new(nprocs).network(genomedsm_dsm::NetworkModel::paper_cluster());
-    run_mapping(s, t, regions, scoring, &config, Mapping::Block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,20 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn dsm_and_pool_agree() {
-        let (s, t, regions) = regions_for_test(500, 32);
-        let dsm = phase2_scattered(&s, &t, &regions, &SC, 3).unwrap();
-        let pool = phase2_scattered_pool(&s, &t, &regions, &SC, 3).unwrap();
-        assert_eq!(dsm.alignments, pool);
-        // The scheduler's in-order merge makes the pool output identical
-        // for any worker count.
-        for threads in [1, 2, 8] {
-            let again = phase2_scattered_pool(&s, &t, &regions, &SC, threads).unwrap();
-            assert_eq!(again, pool, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn no_locks_are_used() {
         let (s, t, regions) = regions_for_test(400, 33);
         let out = phase2_scattered(&s, &t, &regions, &SC, 4).unwrap();
@@ -325,21 +226,6 @@ mod tests {
             // lock_cv time must be zero: no locks or cvs at all.
             assert_eq!(s.lock_cv, Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn block_mapping_agrees_but_balances_worse_on_sorted_queues() {
-        // A size-sorted queue (phase 1's output order): the scattered
-        // mapping interleaves big and small alignments; the block mapping
-        // gives node 0 all the big ones.
-        let (s, t, mut regions) = regions_for_test(700, 35);
-        regions.sort_by_key(|r| std::cmp::Reverse(r.size()));
-        // Skew the sizes so imbalance is visible even with few regions.
-        let scattered = phase2_scattered(&s, &t, &regions, &SC, 4).unwrap();
-        let block = phase2_block_mapping(&s, &t, &regions, &SC, 4).unwrap();
-        assert_eq!(scattered.alignments, block.alignments);
-        // Scattered's critical path is at most block's (usually shorter).
-        assert!(scattered.wall <= block.wall + Duration::from_millis(50));
     }
 
     #[test]

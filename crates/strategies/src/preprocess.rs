@@ -356,31 +356,13 @@ fn add_units(sum: &mut [u64; 3], units: [u64; 3]) {
     }
 }
 
-/// Where the output of a [`Bands`] kernel goes.
-pub(crate) trait BandSink<H> {
-    /// `hits` cells of column `col` reached the threshold.
-    fn hits(&mut self, col: usize, hits: u64);
-    /// Column `col` of band `stage` was selected by the save interleave.
-    fn column(&mut self, _host: &mut H, _stage: usize, _col: usize, _values: Vec<i32>) {}
-    /// Band `stage` is complete; `best` is its best score.
-    fn end(&mut self, host: &mut H, stage: usize, best: i32);
-    /// See [`Stage::checkpoint`].
-    fn checkpoint(&mut self, _host: &mut H) {}
-    /// See [`Stage::rollback`].
-    fn rollback(&mut self) {}
-    /// See [`Stage::word`].
-    fn word(&self, _role: usize) -> i64 {
-        0
-    }
-}
-
 /// The exact SW cell kernel over one band × chunk tile: stage = band,
 /// unit = column chunk of the passage band, border = the diagonal corner
 /// plus the tile's bottom row. The inner loop is the striped
 /// [`BandScorer`] when `choice` and the ISA allow it — which picks each
 /// unit's lane width from the unit's own values — and the scalar
 /// recurrence otherwise: the same cells either way.
-pub(crate) struct Bands<'a, S> {
+struct Bands<'a> {
     s: &'a [u8],
     t: &'a [u8],
     scoring: &'a Scoring,
@@ -398,23 +380,21 @@ pub(crate) struct Bands<'a, S> {
     saved: Vec<(usize, Vec<i32>)>,
     /// Best score of the current band's scalar chunks.
     best: i32,
-    /// Name of the striped engine the last such band ran on.
-    pub(crate) engine: &'static str,
     /// Units of the completed bands per rung (`Rung as usize`).
-    pub(crate) rung_units: [u64; 3],
+    rung_units: [u64; 3],
     /// Where hits, saved columns and best scores go.
-    pub(crate) sink: S,
+    sink: Scoreboard<'a>,
 }
 
-impl<'a, S> Bands<'a, S> {
-    pub(crate) fn new(
+impl<'a> Bands<'a> {
+    fn new(
         s: &'a [u8],
         t: &'a [u8],
         scoring: &'a Scoring,
         config: &'a PreprocessConfig,
         bands: &'a [(usize, usize)],
         chunks: &'a [(usize, usize)],
-        sink: S,
+        sink: Scoreboard<'a>,
     ) -> Self {
         Self {
             s,
@@ -429,7 +409,6 @@ impl<'a, S> Bands<'a, S> {
             col_hits: Vec::new(),
             saved: Vec::new(),
             best: 0,
-            engine: "scalar",
             rung_units: [0; 3],
             sink,
         }
@@ -442,7 +421,7 @@ impl<'a, S> Bands<'a, S> {
     }
 }
 
-impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
+impl Stage for Bands<'_> {
     type Cell = i32;
 
     fn begin(&mut self, stage: usize) {
@@ -457,9 +436,6 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
             self.config.threshold,
             self.save_every(),
         );
-        if let Some(scorer) = &self.scorer {
-            self.engine = scorer.isa().name();
-        }
         self.left_col.clear();
         self.left_col.resize(i1 + 2 - i0, 0);
         self.best = 0;
@@ -467,7 +443,7 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
 
     fn unit(
         &mut self,
-        host: &mut H,
+        node: &mut Node,
         stage: usize,
         k: usize,
         top: &[i32],
@@ -492,7 +468,7 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
                 self.sink.hits(c_lo + idx, hits);
             }
             for (col, values) in self.saved.drain(..) {
-                self.sink.column(host, stage, col, values);
+                self.sink.column(node, stage, col, values);
             }
             self.left_col[h] = bottom[bottom.len() - 1];
         } else {
@@ -527,7 +503,7 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
                 self.sink.hits(j, hits);
                 bottom.push(self.cur_col[h]);
                 if save_every.is_some_and(|every| j % every == 0) {
-                    self.sink.column(host, stage, j, self.cur_col[1..].to_vec());
+                    self.sink.column(node, stage, j, self.cur_col[1..].to_vec());
                 }
                 std::mem::swap(&mut self.left_col, &mut self.cur_col);
             }
@@ -535,7 +511,7 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
         h * (c_hi + 1 - c_lo)
     }
 
-    fn end(&mut self, host: &mut H, stage: usize) {
+    fn end(&mut self, node: &mut Node, stage: usize) {
         let mut units = [0; 3];
         units[Rung::Scalar as usize] = self.chunks.len() as u64;
         let (striped, units) = self
@@ -543,11 +519,11 @@ impl<H, S: BandSink<H>> Stage<H> for Bands<'_, S> {
             .as_ref()
             .map_or((0, units), |scorer| (scorer.best_score(), scorer.units()));
         add_units(&mut self.rung_units, units);
-        self.sink.end(host, stage, self.best.max(striped));
+        self.sink.end(node, stage, self.best.max(striped));
     }
 
-    fn checkpoint(&mut self, host: &mut H) {
-        self.sink.checkpoint(host);
+    fn checkpoint(&mut self, node: &mut Node) {
+        self.sink.checkpoint(node);
     }
 
     fn rollback(&mut self) {
@@ -583,11 +559,13 @@ struct Scoreboard<'a> {
     durable: (Vec<i32>, usize, u64),
 }
 
-impl BandSink<Node> for Scoreboard<'_> {
+impl Scoreboard<'_> {
+    /// `hits` cells of column `col` reached the threshold.
     fn hits(&mut self, col: usize, hits: u64) {
         self.hits_row[(col - 1) / self.config.result_interleave] += hits as i64;
     }
 
+    /// Column `col` of band `stage` was selected by the save interleave.
     fn column(&mut self, node: &mut Node, stage: usize, col: usize, values: Vec<i32>) {
         let (band, col) = (stage as u32, col as u32);
         let column = SavedColumn { band, col, values };
@@ -605,6 +583,7 @@ impl BandSink<Node> for Scoreboard<'_> {
         self.cols_seen += 1;
     }
 
+    /// Band `stage` is complete; `best` is its best score.
     fn end(&mut self, node: &mut Node, stage: usize, best: i32) {
         let role = stage % self.best.len();
         self.best[role] = self.best[role].max(best);
@@ -633,6 +612,7 @@ impl BandSink<Node> for Scoreboard<'_> {
         self.durable = (self.best.clone(), self.saved.len(), self.cols_seen);
     }
 
+    /// See [`Stage::rollback`].
     fn rollback(&mut self) {
         self.best.clone_from(&self.durable.0);
         if self.config.io_mode == IoMode::Deferred {
@@ -642,6 +622,7 @@ impl BandSink<Node> for Scoreboard<'_> {
         self.hits_row.fill(0);
     }
 
+    /// See [`Stage::word`].
     fn word(&self, role: usize) -> i64 {
         i64::from(self.best[role])
     }

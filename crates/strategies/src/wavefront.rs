@@ -1,5 +1,5 @@
-//! The one wavefront driver: every strategy, recovery mode and
-//! shared-memory port runs this stage × unit loop (DESIGN.md §5.3).
+//! The one wavefront driver: every strategy and recovery mode runs this
+//! stage × unit loop on a DSM [`Node`] (DESIGN.md §5.3).
 //!
 //! `heuristic` (§4.2) is `heuristic_block` (§4.3) without a blocking
 //! factor and `pre_process` (§5) the same bands × chunks pipeline over a
@@ -10,10 +10,9 @@
 //! is a grid whose chunks are empty, so nothing crosses a border.
 //!
 //! `traverse` is the only code that walks a grid. It pops and pushes
-//! through one [`Border`] trait with exactly three implementations:
-//! [`ChunkRing`]s on an unsupervised DSM node, [`FlowChannel`]s over the
-//! [`Ledger`] push log when `node.supervised()`, a crossbeam queue under
-//! a `_shm` entry point ([`run_shm`]). Three recovery policies are
+//! through one [`Border`] trait with exactly two implementations:
+//! [`ChunkRing`]s on an unsupervised node, [`FlowChannel`]s over the
+//! [`Ledger`] push log when `node.supervised()`. Three recovery policies are
 //! written here once: **restart** ([`Wavefront::restart`], unsupervised),
 //! **takeover** ([`run_with_takeover`]) and **rejoin** ([`run_elastic`]).
 //!
@@ -25,7 +24,6 @@
 use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
 use crate::costs;
 use crate::ring::ChunkRing;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use genomedsm_dsm::{DsmData, DsmError, Node};
 use std::time::Duration;
 
@@ -83,36 +81,8 @@ pub fn lowest_alive(node: &Node) -> bool {
     (0..node.nprocs()).find(|q| !dead.contains(q)) == Some(node.id())
 }
 
-/// Where a wavefront executes: a DSM [`Node`], or a bare thread (`()`)
-/// with no clock and no fault plan.
-pub trait Host {
-    /// Charges modeled computation time.
-    fn advance(&mut self, _cost: Duration) {}
-    /// Liveness heartbeat (supervised nodes only).
-    fn heartbeat(&mut self) {}
-    /// The injected crash: restart after `downtime`, or fail-stop.
-    fn crash(&mut self, _downtime: Option<Duration>) {}
-}
-
-impl Host for () {}
-
-impl Host for Node {
-    fn advance(&mut self, cost: Duration) {
-        Node::advance(self, cost);
-    }
-    fn heartbeat(&mut self) {
-        Node::heartbeat(self);
-    }
-    fn crash(&mut self, downtime: Option<Duration>) {
-        match downtime {
-            Some(d) => self.crash_restart(d),
-            None => self.fail_stop(),
-        }
-    }
-}
-
 /// A strategy's cell kernel plus its result sink, driven stage by stage.
-pub trait Stage<H> {
+pub trait Stage {
     /// What crosses a border.
     type Cell: DsmData + Copy + Default;
 
@@ -124,7 +94,7 @@ pub trait Stage<H> {
     /// to `outbound`, and returns the cells computed.
     fn unit(
         &mut self,
-        host: &mut H,
+        node: &mut Node,
         stage: usize,
         k: usize,
         inbound: &[Self::Cell],
@@ -132,10 +102,10 @@ pub trait Stage<H> {
     ) -> usize;
 
     /// Delivers the finished stage to the sink.
-    fn end(&mut self, _host: &mut H, _stage: usize) {}
+    fn end(&mut self, _node: &mut Node, _stage: usize) {}
 
     /// Restart policy: makes the sink durable at a stage boundary.
-    fn checkpoint(&mut self, _host: &mut H) {}
+    fn checkpoint(&mut self, _node: &mut Node) {}
 
     /// Restart policy: discards what the sink took in since then.
     fn rollback(&mut self) {}
@@ -150,21 +120,16 @@ pub trait Stage<H> {
 /// How border chunks travel between roles; a producer's chunks arrive in
 /// push order.
 pub trait Border<T> {
-    /// The [`Host`] the border lives on.
-    type Host: Host;
-
     /// Obtains the next chunk (`len` elements) role `from` pushed.
-    fn pop(&mut self, host: &mut Self::Host, from: usize, len: usize) -> Result<Vec<T>, DsmError>;
+    fn pop(&mut self, node: &mut Node, from: usize, len: usize) -> Result<Vec<T>, DsmError>;
 
     /// Delivers `data` as the next chunk of role `role`.
-    fn push(&mut self, host: &mut Self::Host, role: usize, data: &[T]) -> Result<(), DsmError>;
+    fn push(&mut self, node: &mut Node, role: usize, data: &[T]) -> Result<(), DsmError>;
 }
 
 /// Unsupervised DSM border: ring `q` carries chunks from role `q` to role
 /// `(q+1) mod P`.
 impl<T: DsmData + Copy> Border<T> for Vec<ChunkRing<T>> {
-    type Host = Node;
-
     fn pop(&mut self, node: &mut Node, from: usize, len: usize) -> Result<Vec<T>, DsmError> {
         Ok(self[from].pop(node, len))
     }
@@ -185,8 +150,6 @@ struct LedgerBorder<'a, T: DsmData> {
 }
 
 impl<T: DsmData + Copy> Border<T> for LedgerBorder<'_, T> {
-    type Host = Node;
-
     fn pop(&mut self, node: &mut Node, from: usize, len: usize) -> Result<Vec<T>, DsmError> {
         let (channel, next, _) = &mut self.channels[from];
         let chunk = channel.consume(node, self.ledger, self.roles, *next, len)?;
@@ -202,28 +165,8 @@ impl<T: DsmData + Copy> Border<T> for LedgerBorder<'_, T> {
     }
 }
 
-/// Off-DSM border of one [`run_shm`] thread, `(from upstream, to
-/// downstream)`: memory is shared and chunks are owned `Vec`s, so an
-/// unbounded queue needs no flow control.
-type Queue<T> = (Receiver<Vec<T>>, Sender<Vec<T>>);
-
-impl<T: Clone> Border<T> for Queue<T> {
-    type Host = ();
-
-    fn pop(&mut self, _: &mut (), _: usize, _: usize) -> Result<Vec<T>, DsmError> {
-        let hung_up = |_| DsmError::Disconnected("upstream worker hung up mid-wavefront");
-        self.0.recv().map_err(hung_up)
-    }
-
-    fn push(&mut self, _: &mut (), _: usize, data: &[T]) -> Result<(), DsmError> {
-        let hung_up = |_| DsmError::Disconnected("downstream worker hung up mid-wavefront");
-        self.1.send(data.to_vec()).map_err(hung_up)
-    }
-}
-
 /// What a worker carries through every `traverse` it runs: the price of
 /// a cell, its unit count, and what an injected crash means to it.
-#[derive(Default)]
 struct Worker {
     cell_cost: Duration,
     crash_at: Option<u64>,
@@ -234,13 +177,13 @@ struct Worker {
 
 impl Worker {
     /// Counts a completed unit; true when the plan crashes the worker.
-    fn tick(&mut self, host: &mut impl Host) -> bool {
+    fn tick(&mut self, node: &mut Node) -> bool {
         self.units += 1;
         if self.crash_at == Some(self.units) {
             return true;
         }
         if self.units.is_multiple_of(64) {
-            host.heartbeat();
+            node.heartbeat();
         }
         false
     }
@@ -250,8 +193,8 @@ impl Worker {
 /// wavefront order: stage `b` consumes only stage `b-1`'s chunks, which
 /// this very loop produced earlier, a log replays, or a live neighbour
 /// sends in real time.
-fn traverse<H, K, B>(
-    host: &mut H,
+fn traverse<K, B>(
+    node: &mut Node,
     grid: &Grid,
     kernel: &mut K,
     border: &mut B,
@@ -259,9 +202,8 @@ fn traverse<H, K, B>(
     worker: &mut Worker,
 ) -> Result<(), DsmError>
 where
-    H: Host,
-    K: Stage<H>,
-    B: Border<K::Cell, Host = H>,
+    K: Stage,
+    B: Border<K::Cell>,
 {
     let (p, restart) = (grid.roles, worker.restart);
     let mut outbound: Vec<K::Cell> = Vec::new();
@@ -279,41 +221,43 @@ where
                     log.push(if stage == 0 || len == 0 {
                         vec![K::Cell::default(); len]
                     } else {
-                        border.pop(host, (role + p - 1) % p, len)?
+                        border.pop(node, (role + p - 1) % p, len)?
                     });
                 }
                 outbound.clear();
-                let cells = kernel.unit(host, stage, k, &log[k], &mut outbound);
+                let cells = kernel.unit(node, stage, k, &log[k], &mut outbound);
                 if restart.is_none() {
                     log[k] = Vec::new(); // only a restart reads it again
                 }
-                host.advance(costs::cells(worker.cell_cost, cells));
-                if restart.is_none() && worker.tick(host) {
-                    host.crash(None);
+                node.advance(costs::cells(worker.cell_cost, cells));
+                if restart.is_none() && worker.tick(node) {
+                    node.fail_stop();
                     return Err(DsmError::Disconnected("injected fail-stop"));
                 }
                 if stage + 1 < grid.stages && len > 0 && k >= pushed {
-                    border.push(host, role, &outbound)?;
+                    border.push(node, role, &outbound)?;
                     pushed = k + 1;
                 }
-                if restart.is_some() && worker.tick(host) {
-                    host.crash(restart);
-                    kernel.rollback();
-                    continue 'replay;
+                if let Some(downtime) = restart {
+                    if worker.tick(node) {
+                        node.crash_restart(downtime);
+                        kernel.rollback();
+                        continue 'replay;
+                    }
                 }
             }
             break;
         }
-        kernel.end(host, stage);
+        kernel.end(node, stage);
         if restart.is_some() {
-            kernel.checkpoint(host);
+            kernel.checkpoint(node);
         }
     }
     Ok(())
 }
 
 /// One round of a DSM wavefront as its `finish` step sees it.
-pub struct Round<'a, K: Stage<Node>> {
+pub struct Round<'a, K: Stage> {
     /// Virtual time at which the round's compute began.
     pub start: Duration,
     /// The kernels this worker completed — its own role's plus one per
@@ -322,7 +266,7 @@ pub struct Round<'a, K: Stage<Node>> {
     ledger: Option<&'a Ledger<K::Cell>>,
 }
 
-impl<K: Stage<Node>> Round<'_, K> {
+impl<K: Stage> Round<'_, K> {
     /// Every role's published [`Stage::word`] (none unsupervised): what
     /// a role that completed and only then died still contributes.
     pub fn words(&self, node: &mut Node, roles: usize) -> Vec<i64> {
@@ -375,7 +319,7 @@ impl Wavefront<'_> {
         mut finish: impl FnMut(&mut Node, Round<'_, K>) -> R,
     ) -> Vec<R>
     where
-        K: Stage<Node>,
+        K: Stage,
         R: Default,
     {
         let grid = self.grid;
@@ -449,38 +393,4 @@ impl Wavefront<'_> {
         let unit_time = costs::cells(self.cell_cost, self.unit_cells);
         run_elastic(node, self.rounds, budget, unit_time, round)
     }
-}
-
-/// Runs the wavefront on `grid.roles` plain threads joined by queues —
-/// no DSM, no clock, no faults — and returns the kernels in role order.
-pub fn run_shm<K>(grid: &Grid, kernel: impl Fn(&[usize]) -> K + Sync) -> Vec<K>
-where
-    K: Stage<()> + Send,
-    K::Cell: Send,
-{
-    // Queue q runs from role q to role q+1, so role p reads queue p-1.
-    let (senders, mut receivers): (Vec<_>, Vec<_>) =
-        (0..grid.roles).map(|_| unbounded::<Vec<K::Cell>>()).unzip();
-    receivers.rotate_right(1);
-    let kernel = &kernel;
-    let work = |role: usize, mut border: Queue<K::Cell>| {
-        let mut k = kernel(&[role]);
-        let mut worker = Worker::default();
-        match traverse(&mut (), grid, &mut k, &mut border, &[role], &mut worker) {
-            Ok(()) => k,
-            Err(e) => panic!("role {role}: {e}"),
-        }
-    };
-    let work = &work;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = std::iter::zip(receivers, senders)
-            .enumerate()
-            .map(|(role, border)| scope.spawn(move || work(role, border)))
-            .collect();
-        let join = |w: std::thread::ScopedJoinHandle<'_, K>| match w.join() {
-            Ok(k) => k,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        workers.into_iter().map(join).collect()
-    })
 }

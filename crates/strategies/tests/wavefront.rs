@@ -1,10 +1,10 @@
 //! Driver-level property: on random grids, a toy additive kernel run by
-//! `strategies::wavefront` over each of the three borders — and, on the
-//! ledger border, through a kill and a kill + rejoin, and on the ring
-//! through a checkpoint restart — computes exactly the serial fold.
+//! `strategies::wavefront` over both borders — and, on the ledger
+//! border, through a kill and a kill + rejoin, and on the ring through a
+//! checkpoint restart — computes exactly the serial fold.
 
-use genomedsm_dsm::{DsmConfig, DsmSystem, SupervisionConfig};
-use genomedsm_strategies::wavefront::{run_shm, Grid, Stage, Wavefront};
+use genomedsm_dsm::{DsmConfig, DsmSystem, Node, SupervisionConfig};
+use genomedsm_strategies::wavefront::{Grid, Stage, Wavefront};
 use genomedsm_strategies::KillPlan;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ struct Toy<'a> {
     durable: usize,
 }
 
-impl<H> Stage<H> for Toy<'_> {
+impl Stage for Toy<'_> {
     type Cell = i64;
 
     fn begin(&mut self, _: usize) {
@@ -39,7 +39,7 @@ impl<H> Stage<H> for Toy<'_> {
 
     fn unit(
         &mut self,
-        _: &mut H,
+        _: &mut Node,
         stage: usize,
         k: usize,
         inbound: &[i64],
@@ -58,7 +58,7 @@ impl<H> Stage<H> for Toy<'_> {
         1
     }
 
-    fn checkpoint(&mut self, _: &mut H) {
+    fn checkpoint(&mut self, _: &mut Node) {
         self.durable = self.trace.len();
     }
 
@@ -188,12 +188,6 @@ fn every_border_and_recovery_policy_equals_the_serial_fold() {
         let expect = serial_fold(&grid);
         let case = format!("seed {seed}: {grid:?}");
 
-        let queue = run_shm(&grid, |_| toy(&grid));
-        assert_eq!(
-            merged(queue.into_iter().map(|toy| toy.trace)),
-            expect,
-            "queue, {case}"
-        );
         let (ring, _) = on_dsm(&grid, DsmConfig::new(roles), false);
         assert_eq!(ring, expect, "ring, {case}");
         let (ledger, [takeovers, ..]) = on_dsm(&grid, supervised(roles), false);

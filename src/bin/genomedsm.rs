@@ -101,11 +101,12 @@
 //! ```
 
 use genomedsm::prelude::*;
+use genomedsm::reverse_parallel::reverse_align_all_parallel;
 use genomedsm_core::nw::render_region_alignment;
 use genomedsm_dotplot::{svg_plot, PlotSpec};
 use genomedsm_kernels::Rung;
 use genomedsm_seq::fasta::{read_fasta_file, write_fasta_file, FastaRecord};
-use genomedsm_strategies::{reverse_align_all_parallel, BandScheme, ChunkPlan};
+use genomedsm_strategies::{BandScheme, ChunkPlan};
 use std::process::exit;
 
 fn main() {

@@ -31,7 +31,7 @@
 //!   composition profiles and an exact score upper bound that prunes DP
 //!   launches without ever changing the top-k.
 //! * [`strategies`] — the paper's three parallel strategies plus the
-//!   phase-2 scattered-mapping global aligner and shared-memory ports.
+//!   phase-2 scattered-mapping global aligner, on one wavefront driver.
 //! * [`serve`] — the always-on alignment service: the batch engine
 //!   behind a checksummed line protocol on a Unix socket, with bounded
 //!   admission control, per-client weighted fair scheduling, an
@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+pub mod reverse_parallel;
 
 pub use genomedsm_batch as batch;
 pub use genomedsm_blast as blast;

@@ -6,7 +6,7 @@ use genomedsm_core::heuristic_align;
 use genomedsm_core::linear::sw_score_linear;
 use genomedsm_core::nw::nw_score;
 use genomedsm_dotplot::{ascii_plot, svg_plot, PlotSpec};
-use genomedsm_strategies::{heuristic_block_align_shm, BandScheme, ChunkPlan, HeuristicDsmConfig};
+use genomedsm_strategies::{BandScheme, ChunkPlan, HeuristicDsmConfig};
 
 const SC: Scoring = Scoring::paper();
 
@@ -45,8 +45,6 @@ fn all_strategies_agree_on_all_cluster_sizes() {
             &BlockedConfig::new(nprocs, 2 * nprocs, 2 * nprocs),
         );
         assert_eq!(s2.regions, serial, "strategy 2, P={nprocs}");
-        let shm = heuristic_block_align_shm(&s, &t, &SC, &params(), nprocs, 8, 8);
-        assert_eq!(shm.regions, serial, "shm port, P={nprocs}");
     }
 }
 
