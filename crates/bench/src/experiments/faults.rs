@@ -2,7 +2,7 @@
 //! fabric (DESIGN.md §5.7), fail-stop takeover (§5.8) and elastic rejoin
 //! (§5.13). Every row is checked against the fault-free run.
 
-use super::measure::{aggregate, blocked, heuristic, params, percent_over, preprocess_1k, SC};
+use super::measure::{blocked, heuristic, params, percent_over, preprocess_1k, SC};
 use super::Points;
 use crate::report::{Report, Table};
 use crate::{secs, speedup, workloads, HarnessArgs};
@@ -10,14 +10,21 @@ use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::LocalRegion;
 use genomedsm_dsm::{DsmConfig, NodeStats};
 use genomedsm_strategies::{
-    heuristic_campaign, preprocess_align, BlockedConfig, HeuristicDsmConfig, KillPlan,
-    Phase1Outcome,
+    heuristic_campaign, preprocess_align, BlockedConfig, HeuristicDsmConfig, Phase1Outcome,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
 fn yes_no(ok: bool) -> String {
     if ok { "yes" } else { "NO" }.to_string()
+}
+
+/// `dsm` under `plan`, if any; a crash in it turns supervision on.
+fn under(dsm: DsmConfig, plan: Option<FaultPlan>) -> DsmConfig {
+    match plan {
+        Some(plan) => dsm.faults(Arc::new(SeededFaults::new(plan))),
+        None => dsm,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -60,7 +67,7 @@ pub fn chaos(args: &HarnessArgs, points: Points, report: &mut Report) {
             "retransmits",
             "dups dropped",
             "corrupt dropped",
-            "recoveries",
+            "takeovers",
             "time (s)",
             "overhead",
         ],
@@ -72,11 +79,10 @@ pub fn chaos(args: &HarnessArgs, points: Points, report: &mut Report) {
             plan = plan.with_crash(1 % nprocs, 2);
         }
         let mut config = preprocess_1k(args, nprocs);
-        config.checkpoint = true;
-        config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(plan, nprocs)));
+        config.dsm = under(config.dsm, Some(plan));
         let out = preprocess_align(&s, &t, &SC, &config).unwrap();
         let identical = out.result == clean.result && out.best_score == clean.best_score;
-        let agg = aggregate(&out.per_node);
+        let agg = NodeStats::aggregate(&out.per_node);
         tab.row(&[
             format!("{:.0}%", drop * 100.0),
             if crash { "1@2".into() } else { "-".to_string() },
@@ -84,17 +90,17 @@ pub fn chaos(args: &HarnessArgs, points: Points, report: &mut Report) {
             agg.retransmits.to_string(),
             agg.dups_dropped.to_string(),
             agg.corrupt_dropped.to_string(),
-            agg.recoveries.to_string(),
+            agg.takeovers.to_string(),
             secs(out.wall),
             format!("{:+.1}%", percent_over(out.wall, clean.wall)),
         ]);
         if points == Points::Gate {
             report.claim(
                 "exactly-once under 5% loss + crash, bit-identical scoreboard (§5.7)",
-                identical && agg.retransmits > 0 && agg.dups_dropped > 0 && agg.recoveries > 0,
+                identical && agg.retransmits > 0 && agg.dups_dropped > 0 && agg.takeovers > 0,
                 format!(
-                    "{} retransmits, {} dups dropped, {} recovery",
-                    agg.retransmits, agg.dups_dropped, agg.recoveries
+                    "{} retransmits, {} dups dropped, {} takeover",
+                    agg.retransmits, agg.dups_dropped, agg.takeovers
                 ),
             );
         }
@@ -119,24 +125,10 @@ struct Survived {
 impl Survived {
     fn phase1(out: Phase1Outcome) -> Self {
         Self {
-            agg: out.aggregate(),
+            agg: NodeStats::aggregate(&out.per_node),
             wall: out.wall,
             result: (out.regions, Vec::new(), 0),
         }
-    }
-}
-
-/// `dsm` with supervision on if `tolerant` and the fail-stop plan, if
-/// any, installed.
-fn supervised(dsm: DsmConfig, plan: Option<Arc<KillPlan>>, tolerant: bool) -> DsmConfig {
-    let dsm = if tolerant {
-        dsm.tolerate_failures()
-    } else {
-        dsm
-    };
-    match plan {
-        Some(plan) => dsm.faults(plan as _),
-        None => dsm,
     }
 }
 
@@ -155,32 +147,34 @@ pub fn takeover(args: &HarnessArgs, points: Points, report: &mut Report) {
     let (s, t, _) = workloads::pair(len, 53);
     let (s, t) = (&s, &t);
 
-    // Each runner takes the fail-stop plan and whether supervision is on.
-    let run_heuristic = |plan: Option<Arc<KillPlan>>, tolerant: bool| {
+    // Each runner takes what the run does to its cluster configuration:
+    // nothing, supervision alone, or a fail-stop plan.
+    type Dsm<'a> = &'a dyn Fn(DsmConfig) -> DsmConfig;
+    let run_heuristic = |dsm: Dsm| {
         let mut config = HeuristicDsmConfig::new(nprocs);
-        config.dsm = supervised(config.dsm, plan, tolerant);
+        config.dsm = dsm(config.dsm);
         Survived::phase1(heuristic(s, t, &config))
     };
-    let run_blocked = |plan: Option<Arc<KillPlan>>, tolerant: bool| {
+    let run_blocked = |dsm: Dsm| {
         let mut config = BlockedConfig::new(nprocs, 24, 12);
-        config.dsm = supervised(config.dsm, plan, tolerant);
+        config.dsm = dsm(config.dsm);
         Survived::phase1(blocked(s, t, &config))
     };
-    let run_preprocess = |plan: Option<Arc<KillPlan>>, tolerant: bool| {
+    let run_preprocess = |dsm: Dsm| {
         let mut config = preprocess_1k(args, nprocs);
-        config.dsm = supervised(config.dsm, plan, tolerant);
+        config.dsm = dsm(config.dsm);
         let out = preprocess_align(s, t, &SC, &config).expect("preprocess");
         Survived {
-            agg: aggregate(&out.per_node),
+            agg: NodeStats::aggregate(&out.per_node),
             wall: out.wall,
             result: (Vec::new(), out.result, out.best_score),
         }
     };
 
     if points == Points::Gate {
-        let clean = run_blocked(None, false);
-        let plan = KillPlan::new().kill(1 % nprocs, 7);
-        let degraded = run_blocked(Some(Arc::new(plan)), true);
+        let clean = run_blocked(&|dsm| dsm);
+        let plan = FaultPlan::quiet(0).with_crash(1 % nprocs, 7);
+        let degraded = run_blocked(&|dsm| under(dsm, Some(plan.clone())));
         let agg = &degraded.agg;
         report.claim(
             "N-1 run matches fault-free output exactly (§5.8 takeover)",
@@ -211,7 +205,7 @@ pub fn takeover(args: &HarnessArgs, points: Points, report: &mut Report) {
     // (strategy name, work-unit stagger, runner): the fail-stops are
     // staggered across work-unit depths so the deaths land at different
     // stages of the wavefront.
-    type Run<'a> = &'a dyn Fn(Option<Arc<KillPlan>>, bool) -> Survived;
+    type Run<'a> = &'a dyn Fn(Dsm) -> Survived;
     let rows = s.len() as u64;
     let strategies: [(&str, [u64; 3], Run); 3] = [
         (
@@ -223,12 +217,13 @@ pub fn takeover(args: &HarnessArgs, points: Points, report: &mut Report) {
         ("preprocess", [3, 5, 7], &run_preprocess),
     ];
     for (name, stagger, run) in strategies {
-        let clean = run(None, false);
+        let clean = run(&|dsm| dsm);
         for k in 0..=max_killed {
-            let plan = (1..=k).fold(KillPlan::new(), |plan, victim| {
-                plan.kill(victim, stagger[(victim - 1) % stagger.len()])
+            let plan = (1..=k).fold(FaultPlan::quiet(0), |plan, victim| {
+                plan.with_crash(victim, stagger[(victim - 1) % stagger.len()])
             });
-            let out = run((k > 0).then(|| Arc::new(plan)), true);
+            // The `killed=0` row is supervision with nothing to do.
+            let out = run(&|dsm| under(dsm.tolerate_failures(), (k > 0).then(|| plan.clone())));
             tab.row(&[
                 name.to_string(),
                 k.to_string(),
@@ -274,12 +269,9 @@ pub fn rejoin(args: &HarnessArgs, points: Points, report: &mut Report) {
     let stagger = [per_node_rows / 5, per_node_rows / 2];
     let downtime = 8u64;
 
-    let campaign = |plan: Option<KillPlan>| {
+    let campaign = |plan: Option<FaultPlan>| {
         let mut config = HeuristicDsmConfig::new(nprocs);
-        config.dsm = config.dsm.tolerate_failures();
-        if let Some(plan) = plan {
-            config.dsm = config.dsm.faults(Arc::new(plan));
-        }
+        config.dsm = under(config.dsm.tolerate_failures(), plan);
         heuristic_campaign(&s, &t, &SC, &params(), &config, rounds)
     };
     let clean = campaign(None);
@@ -298,12 +290,14 @@ pub fn rejoin(args: &HarnessArgs, points: Points, report: &mut Report) {
         ],
     );
     for k in 1..=max_killed {
-        let mut rejoining = KillPlan::new();
-        let mut permanent = KillPlan::new();
+        let mut rejoining = FaultPlan::quiet(0);
+        let mut permanent = FaultPlan::quiet(0);
         for i in 0..k {
             let (victim, at) = ((i + 1) % nprocs, stagger[i % stagger.len()]);
-            rejoining = rejoining.kill(victim, at).rejoin(victim, downtime);
-            permanent = permanent.kill(victim, at);
+            rejoining = rejoining
+                .with_crash(victim, at)
+                .with_rejoin(victim, downtime);
+            permanent = permanent.with_crash(victim, at);
         }
         let elastic = campaign(Some(rejoining));
         let degraded = campaign(Some(permanent));

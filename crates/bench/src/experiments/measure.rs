@@ -3,7 +3,6 @@
 
 use crate::HarnessArgs;
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::NodeStats;
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, BandScheme, BlockedConfig, ChunkPlan,
     HeuristicDsmConfig, Phase1Outcome, PreprocessConfig,
@@ -37,14 +36,6 @@ pub(crate) fn preprocess_1k(args: &HarnessArgs, nprocs: usize) -> PreprocessConf
     config.band = BandScheme::Balanced(args.size(1024));
     config.chunk = ChunkPlan::Fixed(args.size(1024));
     config
-}
-
-pub(crate) fn aggregate(per_node: &[NodeStats]) -> NodeStats {
-    let mut agg = NodeStats::default();
-    for stats in per_node {
-        agg.merge(stats);
-    }
-    agg
 }
 
 /// `(a / b - 1)` as a signed percentage.

@@ -678,7 +678,7 @@ pub fn ablation(args: &HarnessArgs, _: Points, report: &mut Report) {
                 node.barrier();
             }
         });
-        let agg = super::measure::aggregate(&run.stats);
+        let agg = genomedsm_dsm::NodeStats::aggregate(&run.stats);
         mig.row(&[
             if on {
                 "migration ON"

@@ -3,8 +3,8 @@
 //! The paper's JIAJIA DSM ran over UDP on an 8-machine cluster, where
 //! message loss, duplication, reordering, and machine failure are facts of
 //! life. This crate supplies the *adversary* for the reliability layer in
-//! `genomedsm-dsm`: a [`FaultPlan`] describes per-link fault rates and
-//! scheduled node crashes, and [`SeededFaults`] turns it into a
+//! `genomedsm-dsm`: a [`FaultPlan`] describes the links' fault rates and
+//! the scheduled node crashes and rejoins, and [`SeededFaults`] turns it into a
 //! [`FaultInjector`] whose every verdict is a pure hash of
 //! `(seed, link, sequence number, attempt)` — so a chaos run is exactly
 //! reproducible from its seed, regardless of host thread scheduling.
@@ -15,7 +15,7 @@
 //! use std::sync::Arc;
 //!
 //! let plan = FaultPlan::paper_chaos(42); // 5% drop + dup + reorder + corrupt
-//! let config = DsmConfig::new(4).faults(Arc::new(SeededFaults::new(plan, 4)));
+//! let config = DsmConfig::new(4).faults(Arc::new(SeededFaults::new(plan)));
 //! # let _ = config;
 //! ```
 
@@ -55,14 +55,6 @@ impl LinkFaults {
             duplicate: 0.0,
             reorder: 0.0,
             max_extra_delay: Duration::ZERO,
-        }
-    }
-
-    /// Loss-only link with the given drop probability.
-    pub fn drop_rate(p: f64) -> Self {
-        Self {
-            drop: p,
-            ..Self::none()
         }
     }
 
@@ -115,8 +107,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Fault rates applied to every inter-machine link.
     pub link: LinkFaults,
-    /// Overrides for specific directed machine pairs `(from, to)`.
-    pub per_link: Vec<((usize, usize), LinkFaults)>,
     /// Scheduled node crashes.
     pub crashes: Vec<CrashEvent>,
     /// Scheduled rejoins of crashed nodes.
@@ -129,18 +119,8 @@ impl FaultPlan {
         Self {
             seed,
             link: LinkFaults::none(),
-            per_link: Vec::new(),
             crashes: Vec::new(),
             rejoins: Vec::new(),
-        }
-    }
-
-    /// Uniform loss: every inter-machine link drops copies with
-    /// probability `p`.
-    pub fn drop_rate(seed: u64, p: f64) -> Self {
-        Self {
-            link: LinkFaults::drop_rate(p),
-            ..Self::quiet(seed)
         }
     }
 
@@ -176,13 +156,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the fault rates of the directed machine link
-    /// `from → to` (builder-style).
-    pub fn with_link(mut self, from: usize, to: usize, faults: LinkFaults) -> Self {
-        self.per_link.push(((from, to), faults));
-        self
-    }
-
     /// Parses a plan specification.
     ///
     /// Accepts a named preset (`none`, `paper`) or a comma-separated list
@@ -215,6 +188,16 @@ impl FaultPlan {
                     .parse::<f64>()
                     .map_err(|_| format!("bad number for {key}: '{value}'"))
             };
+            let event = || -> Result<(usize, u64), String> {
+                let (node, unit) = value
+                    .split_once('@')
+                    .ok_or_else(|| format!("{key} wants NODE@UNIT, got '{value}'"))?;
+                let node = node.parse();
+                let unit = unit.parse();
+                node.ok()
+                    .zip(unit.ok())
+                    .ok_or_else(|| format!("bad {key}: '{value}'"))
+            };
             match key {
                 "seed" => {
                     plan.seed = value.parse().map_err(|_| format!("bad seed: '{value}'"))?;
@@ -231,30 +214,12 @@ impl FaultPlan {
                     );
                 }
                 "crash" => {
-                    let (node, unit) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("crash wants NODE@UNIT, got '{value}'"))?;
-                    plan.crashes.push(CrashEvent {
-                        node: node
-                            .parse()
-                            .map_err(|_| format!("bad crash node: '{node}'"))?,
-                        after_unit: unit
-                            .parse()
-                            .map_err(|_| format!("bad crash unit: '{unit}'"))?,
-                    });
+                    let (node, after_unit) = event()?;
+                    plan.crashes.push(CrashEvent { node, after_unit });
                 }
                 "rejoin" => {
-                    let (node, unit) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("rejoin wants NODE@UNIT, got '{value}'"))?;
-                    plan.rejoins.push(RejoinEvent {
-                        node: node
-                            .parse()
-                            .map_err(|_| format!("bad rejoin node: '{node}'"))?,
-                        after_unit: unit
-                            .parse()
-                            .map_err(|_| format!("bad rejoin unit: '{unit}'"))?,
-                    });
+                    let (node, after_unit) = event()?;
+                    plan.rejoins.push(RejoinEvent { node, after_unit });
                 }
                 other => return Err(format!("unknown fault-plan key '{other}'")),
             }
@@ -272,14 +237,6 @@ impl FaultPlan {
         }
         plan.link.validate()?;
         Ok(plan)
-    }
-
-    /// Whether the plan injects any fault at all.
-    pub fn is_quiet(&self) -> bool {
-        let quiet = |l: &LinkFaults| {
-            l.drop == 0.0 && l.corrupt == 0.0 && l.duplicate == 0.0 && l.reorder == 0.0
-        };
-        quiet(&self.link) && self.per_link.iter().all(|(_, l)| quiet(l)) && self.crashes.is_empty()
     }
 }
 
@@ -307,41 +264,13 @@ fn unit(h: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct SeededFaults {
     plan: FaultPlan,
-    nprocs: usize,
 }
 
 impl SeededFaults {
-    /// Wraps a plan for a cluster of `nprocs` machines (needed to map
-    /// transport endpoint ids — worker `w`, daemon `nprocs + d` — back to
-    /// machines for per-link overrides).
-    pub fn new(plan: FaultPlan, nprocs: usize) -> Self {
-        assert!(nprocs >= 1, "need at least one machine");
-        plan.link.validate().expect("invalid default link faults");
-        for ((f, t), l) in &plan.per_link {
-            assert!(*f < nprocs && *t < nprocs, "per-link override out of range");
-            l.validate().expect("invalid per-link faults");
-        }
-        Self { plan, nprocs }
-    }
-
-    /// The plan driving this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn machine(&self, endpoint: usize) -> usize {
-        endpoint % self.nprocs
-    }
-
-    fn link_faults(&self, from: usize, to: usize) -> LinkFaults {
-        let key = (self.machine(from), self.machine(to));
-        self.plan
-            .per_link
-            .iter()
-            .rev() // later overrides win
-            .find(|(k, _)| *k == key)
-            .map(|(_, l)| *l)
-            .unwrap_or(self.plan.link)
+    /// Wraps a plan; its link rates must be valid probabilities.
+    pub fn new(plan: FaultPlan) -> Self {
+        plan.link.validate().expect("invalid link faults");
+        Self { plan }
     }
 
     /// One independent hash stream per (link message, purpose salt).
@@ -362,7 +291,7 @@ impl SeededFaults {
 
 impl FaultInjector for SeededFaults {
     fn fate(&self, link: &LinkMsg) -> TransmitFate {
-        let lf = self.link_faults(link.from, link.to);
+        let lf = self.plan.link;
         let loss = unit(self.draw(link, 1));
         if loss < lf.drop {
             return TransmitFate::Drop;
@@ -417,8 +346,8 @@ mod tests {
 
     #[test]
     fn fates_are_deterministic() {
-        let a = SeededFaults::new(FaultPlan::paper_chaos(7), 8);
-        let b = SeededFaults::new(FaultPlan::paper_chaos(7), 8);
+        let a = SeededFaults::new(FaultPlan::paper_chaos(7));
+        let b = SeededFaults::new(FaultPlan::paper_chaos(7));
         for l in links(500) {
             assert_eq!(a.fate(&l), b.fate(&l));
         }
@@ -426,15 +355,15 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = SeededFaults::new(FaultPlan::paper_chaos(1), 8);
-        let b = SeededFaults::new(FaultPlan::paper_chaos(2), 8);
+        let a = SeededFaults::new(FaultPlan::paper_chaos(1));
+        let b = SeededFaults::new(FaultPlan::paper_chaos(2));
         let diff = links(500).filter(|l| a.fate(l) != b.fate(l)).count();
         assert!(diff > 0, "seed must matter");
     }
 
     #[test]
     fn empirical_rates_track_configured_rates() {
-        let inj = SeededFaults::new(FaultPlan::drop_rate(11, 0.2), 8);
+        let inj = SeededFaults::new(FaultPlan::parse("seed=11,drop=0.2").unwrap());
         let n = 20_000u64;
         let drops = links(n)
             .filter(|l| matches!(inj.fate(l), TransmitFate::Drop))
@@ -445,7 +374,7 @@ mod tests {
 
     #[test]
     fn quiet_plan_always_delivers_clean() {
-        let inj = SeededFaults::new(FaultPlan::quiet(3), 4);
+        let inj = SeededFaults::new(FaultPlan::quiet(3));
         for l in links(200) {
             assert_eq!(
                 inj.fate(&l),
@@ -458,33 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override_wins() {
-        let plan = FaultPlan::quiet(5).with_link(0, 1, LinkFaults::drop_rate(1.0));
-        let inj = SeededFaults::new(plan, 4);
-        // Worker 0 → daemon 1 (endpoint 5 in a 4-proc cluster).
-        let bad = LinkMsg {
-            from: 0,
-            to: 5,
-            chan: 0,
-            seq: 0,
-            attempt: 0,
-        };
-        assert_eq!(inj.fate(&bad), TransmitFate::Drop);
-        // The reverse direction stays healthy.
-        let ok = LinkMsg {
-            from: 5,
-            to: 0,
-            chan: 1,
-            seq: 0,
-            attempt: 0,
-        };
-        assert!(matches!(inj.fate(&ok), TransmitFate::Deliver { .. }));
-    }
-
-    #[test]
     fn crash_point_reports_earliest_event() {
         let plan = FaultPlan::quiet(0).with_crash(2, 40).with_crash(2, 10);
-        let inj = SeededFaults::new(plan, 8);
+        let inj = SeededFaults::new(plan);
         assert_eq!(inj.crash_point(2), Some(10));
         assert_eq!(inj.crash_point(3), None);
     }
@@ -540,14 +445,14 @@ mod tests {
             .with_crash(2, 10)
             .with_rejoin(2, 8)
             .with_rejoin(2, 4);
-        let inj = SeededFaults::new(plan, 8);
+        let inj = SeededFaults::new(plan);
         assert_eq!(inj.rejoin_point(2), Some(4));
         assert_eq!(inj.rejoin_point(3), None);
     }
 
     #[test]
     fn parse_presets() {
-        assert!(FaultPlan::parse("none").unwrap().is_quiet());
+        assert_eq!(FaultPlan::parse("none").unwrap(), FaultPlan::quiet(0));
         assert_eq!(
             FaultPlan::parse("paper").unwrap(),
             FaultPlan::paper_chaos(42)

@@ -145,8 +145,19 @@ impl DsmConfig {
     }
 
     /// Installs a deterministic fault injector on every inter-machine
-    /// link of the run.
+    /// link of the run. A scheduled crash is a fail-stop the survivors
+    /// take over, so a plan that crashes any rank turns supervision on —
+    /// a crash cannot be installed and ignored — and one that crashes
+    /// every rank is refused: nobody would be left to hold the answer.
     pub fn faults(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        let crashes = |n: &usize| injector.crash_point(*n).is_some();
+        let victims = (0..self.nprocs).filter(crashes).count();
+        assert!(
+            victims < self.nprocs,
+            "the fault plan crashes all {} ranks: no survivor to take over",
+            self.nprocs
+        );
+        self.supervision.enabled |= victims > 0;
         self.faults = Some(injector);
         self
     }
@@ -208,6 +219,43 @@ mod tests {
         assert_eq!(c.nprocs, 8);
         assert_eq!(c.page_size, 1024);
         assert_eq!(c.cache_pages, 7);
+    }
+
+    /// A perfect network that fail-stops the ranks below `victims`.
+    #[derive(Debug)]
+    struct Crashes {
+        victims: usize,
+    }
+
+    impl FaultInjector for Crashes {
+        fn fate(&self, _: &crate::LinkMsg) -> crate::TransmitFate {
+            crate::TransmitFate::Deliver {
+                extra_delay: Duration::ZERO,
+                duplicates: 0,
+            }
+        }
+        fn crash_point(&self, node: usize) -> Option<u64> {
+            (node < self.victims).then_some(3)
+        }
+    }
+
+    #[test]
+    fn a_scheduled_crash_turns_supervision_on() {
+        let quiet = DsmConfig::new(3).faults(Arc::new(Crashes { victims: 0 }));
+        assert!(!quiet.supervision.enabled, "no crash, no supervision");
+        let crashing = DsmConfig::new(3).faults(Arc::new(Crashes { victims: 2 }));
+        assert!(crashing.supervision.enabled);
+        assert_eq!(
+            crashing.supervision.watchdog,
+            SupervisionConfig::default().watchdog,
+            "only the switch moves"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "crashes all 2 ranks")]
+    fn a_plan_with_no_survivor_is_rejected() {
+        let _ = DsmConfig::new(2).faults(Arc::new(Crashes { victims: 2 }));
     }
 
     #[test]

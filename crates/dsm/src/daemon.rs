@@ -121,6 +121,12 @@ pub struct Daemon {
     /// (its chunks stop at the crash point — the joiner idles until the
     /// handback barrier) and block forever.
     ever_died: BTreeSet<usize>,
+    /// Per worker, the deaths this daemon has reported to it (`NodeFailed`,
+    /// `FailureReport`, `BarrierDone.dead`) or heard it list as known. A
+    /// `WaitCv` that would park is answered with a death not in here at
+    /// once: an obituary wakes only the waiters parked at that moment, and
+    /// a later one would otherwise sit out a whole stall watchdog period.
+    told: Vec<BTreeSet<usize>>,
     /// Heartbeat gossip table: virtual time each node was last heard
     /// from (heartbeats plus any request traffic).
     last_heard: Vec<Duration>,
@@ -183,6 +189,7 @@ impl Daemon {
             supervision: config.supervision,
             dead: BTreeSet::new(),
             ever_died: BTreeSet::new(),
+            told: vec![BTreeSet::new(); nprocs],
             last_heard: vec![Duration::ZERO; nprocs],
             membership_epoch: 0,
             migration_log: Vec::new(),
@@ -495,6 +502,12 @@ impl Daemon {
                     seq,
                 },
             );
+        } else if let Some(&node) = self.ever_died.iter().find(|n| !self.told[from].contains(n)) {
+            // The signal may have died with `node` before this wait
+            // arrived: the obituary's wake-up, for a waiter it missed.
+            self.told[from].insert(node);
+            self.stats.waiters_woken += 1;
+            self.reply(from, arrive, rseq, Reply::NodeFailed { node });
         } else {
             st.waiters.push_back((from, last_seq, arrive, rseq));
         }
@@ -556,6 +569,7 @@ impl Daemon {
             }
             let dead: Vec<usize> = self.dead.iter().copied().collect();
             for (node, rseq) in round.arrived {
+                self.told[node].extend(&dead);
                 self.reply(
                     node,
                     round.latest,
@@ -651,6 +665,7 @@ impl Daemon {
             let woken: Vec<(usize, u64, Duration, u64)> = std::mem::take(&mut st.waiters).into();
             for (waiter, _last_seq, wait_arrive, rseq) in woken {
                 self.stats.waiters_woken += 1;
+                self.told[waiter].insert(node);
                 self.reply(
                     waiter,
                     wait_arrive.max(arrive),
@@ -727,6 +742,7 @@ impl Daemon {
                 dead.sort_unstable();
             }
         }
+        self.told[from].extend(known.iter().chain(&dead));
         self.reply(
             from,
             arrive,
@@ -808,6 +824,12 @@ impl Daemon {
         if node < self.nprocs {
             self.last_heard[node] = self.last_heard[node].max(arrive);
             self.admitted_inc[node] = self.admitted_inc[node].max(incarnation);
+            // A healed death is history: nobody unwinds a wait for it any
+            // more, nor the joiner for any death before its new life.
+            for told in &mut self.told {
+                told.insert(node);
+            }
+            self.told[node].extend(&self.ever_died);
         }
         if was_dead {
             self.membership_epoch += 1;

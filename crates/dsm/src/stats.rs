@@ -62,9 +62,7 @@ pub struct NodeStats {
     /// Frames rejected by a checksum (injected corruption; priced
     /// in-process, real over UDP).
     pub corrupt_dropped: u64,
-    /// Fail-stop crashes this node recovered from.
-    pub recoveries: u64,
-    /// Virtual time spent down and restoring checkpoints. Reported
+    /// Virtual time this node spent down before a rejoin. Reported
     /// separately; within Fig. 10 it is part of the derived computation
     /// remainder.
     pub recovery_time: Duration,
@@ -126,7 +124,6 @@ impl NodeStats {
         self.retransmits += other.retransmits;
         self.dups_dropped += other.dups_dropped;
         self.corrupt_dropped += other.corrupt_dropped;
-        self.recoveries += other.recoveries;
         self.recovery_time += other.recovery_time;
         self.heartbeats += other.heartbeats;
         self.takeovers += other.takeovers;
@@ -134,6 +131,16 @@ impl NodeStats {
         self.leases_broken += other.leases_broken;
         self.obituaries += other.obituaries;
         self.waiters_woken += other.waiters_woken;
+    }
+
+    /// The aggregate of a run's per-node stats ([`NodeStats::merge`] over
+    /// all of them: sums, with `total` the critical path).
+    pub fn aggregate(per_node: &[NodeStats]) -> NodeStats {
+        let mut agg = NodeStats::default();
+        for stats in per_node {
+            agg.merge(stats);
+        }
+        agg
     }
 }
 

@@ -50,16 +50,6 @@ pub struct DsmRun<R> {
 }
 
 impl<R> DsmRun<R> {
-    /// Aggregated statistics over all nodes (durations summed, `total` is
-    /// the maximum — the critical path).
-    pub fn aggregate_stats(&self) -> NodeStats {
-        let mut agg = NodeStats::default();
-        for s in &self.stats {
-            agg.merge(s);
-        }
-        agg
-    }
-
     /// The same run with other per-node vectors.
     fn with<T>(self, results: Vec<T>, stats: Vec<NodeStats>) -> DsmRun<T> {
         DsmRun {
@@ -503,7 +493,7 @@ mod tests {
             total
         });
         assert_eq!(run.results, vec![2048, 2048]);
-        let agg = run.aggregate_stats();
+        let agg = NodeStats::aggregate(&run.stats);
         assert!(agg.page_fetches > 0);
         assert!(agg.diffs_sent > 0);
         assert!(agg.invalidations > 0, "write notices must invalidate");

@@ -227,7 +227,6 @@ impl Wire for NodeStats {
         w.u64(self.retransmits);
         w.u64(self.dups_dropped);
         w.u64(self.corrupt_dropped);
-        w.u64(self.recoveries);
         self.recovery_time.encode(w);
         w.u64(self.heartbeats);
         w.u64(self.takeovers);
@@ -257,7 +256,6 @@ impl Wire for NodeStats {
             retransmits: r.u64()?,
             dups_dropped: r.u64()?,
             corrupt_dropped: r.u64()?,
-            recoveries: r.u64()?,
             recovery_time: Duration::decode(r)?,
             heartbeats: r.u64()?,
             takeovers: r.u64()?,

@@ -7,7 +7,7 @@
 mod common;
 
 use common::TestFaults;
-use genomedsm_dsm::{DsmConfig, DsmSystem, RetransmitPolicy};
+use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats, RetransmitPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,7 +33,7 @@ fn lock_counter_is_exact_under_loss_and_duplication() {
     };
     let run = DsmSystem::run(faulty(N, TestFaults::harsh(1)), workload);
     assert_eq!(run.results, vec![N as i64 * ITERS; N]);
-    let agg = run.aggregate_stats();
+    let agg = NodeStats::aggregate(&run.stats);
     assert!(agg.retransmits > 0, "loss must force retransmissions");
     assert!(agg.dups_dropped > 0, "duplicates must be suppressed");
 }
@@ -101,7 +101,7 @@ fn corruption_is_detected_and_counted() {
     });
     let expect: i64 = (0..512i64).sum();
     assert_eq!(run.results, vec![expect; 4]);
-    let agg = run.aggregate_stats();
+    let agg = NodeStats::aggregate(&run.stats);
     assert!(
         agg.corrupt_dropped > 0,
         "checksum rejections must be counted"
@@ -134,7 +134,7 @@ fn total_blackout_is_survived_by_forced_delivery() {
         node.vec_get(&v, 3)
     });
     assert_eq!(run.results, vec![99, 99]);
-    let agg = run.aggregate_stats();
+    let agg = NodeStats::aggregate(&run.stats);
     assert!(agg.retransmits > 0);
 }
 
@@ -171,8 +171,8 @@ fn retransmission_overhead_is_charged_to_virtual_time() {
     let clean = DsmSystem::run(DsmConfig::new(2), workload);
     let chaotic = DsmSystem::run(faulty(2, TestFaults::drop_rate(7, 0.3)), workload);
     assert_eq!(clean.results, chaotic.results);
-    let ct = clean.aggregate_stats();
-    let ft = chaotic.aggregate_stats();
+    let ct = NodeStats::aggregate(&clean.stats);
+    let ft = NodeStats::aggregate(&chaotic.stats);
     assert!(
         ft.communication + ft.lock_cv + ft.barrier > ct.communication + ct.lock_cv + ct.barrier,
         "fault recovery must cost virtual time (clean {:?} vs faulty {:?})",

@@ -133,6 +133,77 @@ fn pending_signals_survive_a_node_failed_wakeup() {
     assert_eq!(run.results, vec![2, 1, 0]);
 }
 
+/// Supervision whose stall watchdog outlasts any test: what still ends
+/// ends on the obituary, not on the backstop.
+fn supervised_without_backstop(nprocs: usize) -> DsmConfig {
+    DsmConfig::new(nprocs).supervise(SupervisionConfig {
+        enabled: true,
+        detect_after: Duration::from_millis(100),
+        watchdog: Duration::from_secs(60),
+    })
+}
+
+#[test]
+fn a_wait_that_arrives_after_the_obituary_fails_at_once() {
+    // Node 1 dies while node 0 is busy elsewhere, so the obituary finds
+    // nobody parked on cv 7. The wait that reaches the manager afterwards
+    // must learn of the death from the manager itself — not sit out a
+    // watchdog period (here: a minute) until its own probe cancels it.
+    // The flag orders the two frames in the manager's one FIFO inbox: the
+    // obituary is enqueued before the store, the wait after the load.
+    let died = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&died);
+    let run = DsmSystem::run(supervised_without_backstop(2), move |node| {
+        node.barrier();
+        if node.id() == 1 {
+            node.fail_stop();
+            flag.store(true, Ordering::Release);
+            return 0;
+        }
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let t0 = std::time::Instant::now();
+        match node.try_waitcv(7) {
+            Err(DsmError::NodeFailed { node: dead }) => assert_eq!(dead, 1),
+            other => panic!("expected NodeFailed, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(10), "waited out a stall");
+        assert_eq!(node.known_dead(), vec![1]);
+        // Told once: a banked signal still satisfies the next wait.
+        node.setcv(7);
+        node.try_waitcv(7).expect("the banked signal");
+        1
+    });
+    assert_eq!(run.results[0], 1);
+    assert!(run.stats.iter().map(|s| s.waiters_woken).sum::<u64>() >= 1);
+}
+
+#[test]
+fn a_death_the_waiter_knows_of_does_not_fail_its_wait() {
+    // Node 0 learns of node 2's death from the barrier (daemon 0), then
+    // waits on a cv managed by daemon 1, which has told it nothing. The
+    // manager's `NodeFailed` names a death node 0 has unwound for
+    // already, so the wait must stand until node 1's signal — an adopter
+    // blocking on a live producer must not be failed again.
+    let run = DsmSystem::run(supervised_without_backstop(3), |node| {
+        node.barrier();
+        if node.id() == 2 {
+            node.fail_stop();
+            return 0;
+        }
+        assert_eq!(node.barrier_wait(), vec![2]);
+        if node.id() == 1 {
+            std::thread::sleep(Duration::from_millis(50)); // wait first
+            node.setcv(1);
+        } else {
+            node.try_waitcv(1).expect("a live producer's signal");
+        }
+        1
+    });
+    assert_eq!(run.results, vec![1, 1, 0]);
+}
+
 #[test]
 fn barrier_completes_over_survivors_and_reports_dead() {
     let run = DsmSystem::run(supervised(4), |node| {
@@ -211,17 +282,27 @@ fn admission_is_deferred_to_the_agreed_boundary_round() {
     // rounds complete under dead-credit (their grants still report the
     // rank dead), and the admission takes effect exactly when the
     // boundary round starts — the joiner's first arrival lands there.
-    let run = DsmSystem::run(supervised(3), |node| {
+    // The survivors hold round 2 until the joiner is about to announce:
+    // left alone they can finish both rounds while it is descheduled
+    // between its obituary and its announcement, which then arrives late
+    // and is (rightly) admitted one round on.
+    let announcing = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&announcing);
+    let run = DsmSystem::run(supervised(3), move |node| {
         node.barrier();
         let base = node.round();
         if node.id() == 2 {
             node.fail_stop();
+            flag.store(true, Ordering::Release);
             let dead = node.rejoin(Duration::from_millis(100), base + 2, 0);
             assert!(dead.is_empty(), "joiner's post-admission dead view");
             assert_eq!(node.round(), base + 2, "epoch resyncs to the boundary");
             node.barrier_wait()
         } else {
             assert_eq!(node.barrier_wait(), vec![2], "mid-workload round 1");
+            while !flag.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             assert_eq!(node.barrier_wait(), vec![2], "mid-workload round 2");
             node.barrier_wait()
         }

@@ -171,7 +171,7 @@ fn producer_consumer_workload(node: &mut Node) -> Vec<i64> {
 
 fn chaos_config(n: usize, plan: &str) -> DsmConfig {
     let plan = genomedsm_chaos::FaultPlan::parse(plan).expect("plan");
-    let injector = Arc::new(genomedsm_chaos::SeededFaults::new(plan, n));
+    let injector = Arc::new(genomedsm_chaos::SeededFaults::new(plan));
     DsmConfig::new(n)
         .network(NetworkModel::zero())
         .faults(injector)

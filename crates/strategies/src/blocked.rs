@@ -244,7 +244,6 @@ pub fn heuristic_block_align(
         cell_cost: config.cell_cost,
         unit_cells: grid.tile_cells(s.len(), t.len()),
         rounds: 1,
-        restart: None,
         finish_barriers: 0,
     };
     let run = DsmSystem::run_wire(config.dsm.clone(), |node: &mut Node| {
@@ -267,6 +266,7 @@ fn regions_of(pieces: Option<Vec<Tiles<'_>>>) -> Vec<LocalRegion> {
 mod tests {
     use super::*;
     use genomedsm_core::heuristic_align;
+    use genomedsm_dsm::NodeStats;
     use genomedsm_seq::{planted_pair, HomologyPlan, MutationProfile};
 
     const SC: Scoring = Scoring::paper();
@@ -360,8 +360,8 @@ mod tests {
         let blocked = heuristic_block_align(&s, &t, &SC, &params(), &BlockedConfig::new(4, 8, 8));
         let unblocked =
             crate::heuristic_align_dsm(&s, &t, &SC, &params(), &crate::HeuristicDsmConfig::new(4));
-        let mb = blocked.aggregate().msgs_sent;
-        let mu = unblocked.aggregate().msgs_sent;
+        let mb = NodeStats::aggregate(&blocked.per_node).msgs_sent;
+        let mu = NodeStats::aggregate(&unblocked.per_node).msgs_sent;
         assert!(mb * 2 < mu, "blocked should message far less: {mb} vs {mu}");
         assert_eq!(blocked.regions, unblocked.regions);
     }
@@ -398,12 +398,10 @@ mod tests {
         let (s, t) = workload(300, 22);
         let serial = heuristic_align(&s, &t, &SC, &params());
         let mut cfg = tolerant(3, 9, 6);
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 8)));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 8)], &[]));
         let out = heuristic_block_align(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
-        assert!(out.aggregate().takeovers >= 1);
+        assert!(NodeStats::aggregate(&out.per_node).takeovers >= 1);
     }
 
     #[test]
@@ -415,9 +413,7 @@ mod tests {
         let mut cfg = tolerant(3, 6, 4);
         // Node 2 owns bands 2 and 5 (the last): 8 blocks total, die on
         // its very last block.
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(2, 8)));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(2, 8)], &[]));
         let out = heuristic_block_align(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
     }
@@ -427,9 +423,7 @@ mod tests {
         let (s, t) = workload(280, 24);
         let serial = heuristic_align(&s, &t, &SC, &params());
         let mut cfg = tolerant(4, 8, 8).ramped(1);
-        cfg.dsm = cfg.dsm.faults(std::sync::Arc::new(
-            crate::KillPlan::new().kill(1, 11).kill(2, 23),
-        ));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 11), (2, 23)], &[]));
         let out = heuristic_block_align(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
     }

@@ -35,7 +35,7 @@
 //! meta that publishes it, a torn death loses at most the last
 //! unpublished unit — which the adopter then recomputes.
 
-use genomedsm_dsm::{DsmData, DsmError, FaultInjector, GlobalVec, LinkMsg, Node, TransmitFate};
+use genomedsm_dsm::{DsmData, DsmError, GlobalVec, Node};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Write as _};
@@ -255,70 +255,6 @@ impl<T: DsmData + Copy> Ledger<T> {
         node.invalidate_vec(&self.logs[role]);
         let base = ordinal as usize * self.stride;
         node.vec_read_range(&self.logs[role], base..base + len)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fail-stop fault plans
-// ---------------------------------------------------------------------------
-
-/// A fault plan that fail-stops selected workers after fixed work-unit
-/// ordinals and leaves the network perfect. Shared by the takeover
-/// tests, the CLI's `--kill` option, and the degradation benchmark.
-#[derive(Debug, Clone, Default)]
-pub struct KillPlan {
-    kills: Vec<(usize, u64)>,
-    rejoins: Vec<(usize, u64)>,
-}
-
-impl KillPlan {
-    /// An empty plan (no node dies).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `node` to fail-stop after completing `after_units` work
-    /// units (strategy-defined: rows for strategy 1, blocks/chunks for
-    /// the banded strategies, regions for phase 2).
-    pub fn kill(mut self, node: usize, after_units: u64) -> Self {
-        self.kills.push((node, after_units));
-        self
-    }
-
-    /// Schedules a killed `node` to rejoin the run after `units` work
-    /// units of virtual downtime (elastic membership). Has no effect on a
-    /// node without a scheduled kill.
-    pub fn rejoin(mut self, node: usize, units: u64) -> Self {
-        self.rejoins.push((node, units));
-        self
-    }
-
-    /// The scheduled victims, in insertion order.
-    pub fn victims(&self) -> Vec<usize> {
-        self.kills.iter().map(|&(n, _)| n).collect()
-    }
-}
-
-impl FaultInjector for KillPlan {
-    fn fate(&self, _link: &LinkMsg) -> TransmitFate {
-        TransmitFate::Deliver {
-            extra_delay: std::time::Duration::ZERO,
-            duplicates: 0,
-        }
-    }
-
-    fn crash_point(&self, node: usize) -> Option<u64> {
-        self.kills
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, u)| u)
-    }
-
-    fn rejoin_point(&self, node: usize) -> Option<u64> {
-        self.rejoins
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, u)| u)
     }
 }
 
@@ -1221,20 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_plan_schedules_rejoins() {
-        let plan = KillPlan::new().kill(2, 5).rejoin(2, 7).kill(4, 9);
-        assert_eq!(plan.victims(), vec![2, 4]);
-        assert_eq!(FaultInjector::crash_point(&plan, 2), Some(5));
-        assert_eq!(FaultInjector::rejoin_point(&plan, 2), Some(7));
-        assert_eq!(
-            FaultInjector::rejoin_point(&plan, 4),
-            None,
-            "no rejoin scheduled for node 4"
-        );
-        assert_eq!(FaultInjector::crash_point(&plan, 0), None);
-    }
-
-    #[test]
     fn rejoin_downtime_is_units_times_unit_cost() {
         use std::time::Duration;
         assert_eq!(
@@ -1325,7 +1247,7 @@ mod tests {
                 detect_after: std::time::Duration::from_millis(50),
                 watchdog: std::time::Duration::from_millis(400),
             })
-            .faults(std::sync::Arc::new(KillPlan::new().kill(2, 1).rejoin(2, 4)));
+            .faults(crate::crashes(&[(2, 1)], &[(2, 4)]));
         let run = DsmSystem::run(cfg, |node| {
             node.barrier();
             let base = node.round();
@@ -1374,7 +1296,7 @@ mod tests {
                 detect_after: std::time::Duration::from_millis(50),
                 watchdog: std::time::Duration::from_millis(400),
             })
-            .faults(std::sync::Arc::new(KillPlan::new().kill(2, 1)));
+            .faults(crate::crashes(&[(2, 1)], &[]));
         let run = DsmSystem::run(cfg, |node| {
             node.barrier();
             run_elastic(

@@ -141,7 +141,6 @@ fn run_rounds(
         cell_cost: config.cell_cost,
         unit_cells: grid.tile_cells(t.len(), s.len()),
         rounds,
-        restart: None,
         finish_barriers: 0,
     };
     let rows = |_: &[usize]| Rows {
@@ -263,6 +262,7 @@ pub fn heuristic_campaign(
 mod tests {
     use super::*;
     use genomedsm_core::heuristic_align;
+    use genomedsm_dsm::NodeStats;
     use genomedsm_seq::{planted_pair, HomologyPlan};
 
     const SC: Scoring = Scoring::paper();
@@ -370,12 +370,10 @@ mod tests {
         let (s, t) = test_pair();
         let serial = heuristic_align(&s, &t, &SC, &params());
         let mut cfg = tolerant(3);
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 97)));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 97)], &[]));
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
-        let agg = out.aggregate();
+        let agg = NodeStats::aggregate(&out.per_node);
         assert!(agg.takeovers >= 1, "takeovers {}", agg.takeovers);
     }
 
@@ -387,9 +385,7 @@ mod tests {
         let (s, t) = test_pair();
         let serial = heuristic_align(&s, &t, &SC, &params());
         let mut cfg = tolerant(3);
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(2, 150)));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(2, 150)], &[]));
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
     }
@@ -399,9 +395,7 @@ mod tests {
         let (s, t) = test_pair();
         let serial = heuristic_align(&s, &t, &SC, &params());
         let mut cfg = tolerant(4);
-        cfg.dsm = cfg.dsm.faults(std::sync::Arc::new(
-            crate::KillPlan::new().kill(1, 60).kill(2, 120),
-        ));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 60), (2, 120)], &[]));
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &cfg);
         assert_eq!(out.regions, serial);
     }
@@ -410,7 +404,7 @@ mod tests {
     fn stats_reflect_heavy_synchronization() {
         let (s, t, _) = planted_pair(400, 400, &HomologyPlan::paper_density(400), 6);
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &HeuristicDsmConfig::new(4));
-        let agg = out.aggregate();
+        let agg = NodeStats::aggregate(&out.per_node);
         // 400 rows x 3 boundaries x (data + ack) = at least 2400 cv ops.
         assert!(agg.msgs_sent > 2000, "msgs {}", agg.msgs_sent);
     }

@@ -9,7 +9,7 @@
 //! | phase 2 | §4.4 | [`phase2`] | scattered-mapping global alignment of the phase-1 regions, no locks/cvs |
 //!
 //! All of them are (grid, kernel, sink) triples run by the one driver in
-//! [`wavefront`], which also owns checkpoint/restart, takeover and rejoin.
+//! [`wavefront`], which also owns what a crash means: takeover and rejoin.
 //!
 //! All strategies drive the *same* [`genomedsm_core::RowKernel`] (or plain
 //! SW recurrence for `pre_process`) that the serial reference uses, so
@@ -32,7 +32,7 @@ pub mod wavefront;
 pub mod wire;
 
 pub use blocked::{heuristic_block_align, BlockedConfig, GridPlan};
-pub use checkpoint::{KillPlan, StrategyError, StrategyResult};
+pub use checkpoint::{StrategyError, StrategyResult};
 pub use heuristic_dsm::{
     heuristic_align_dsm, heuristic_campaign, CampaignOutcome, CampaignRound, HeuristicDsmConfig,
 };
@@ -74,17 +74,24 @@ impl Phase1Outcome {
         }
     }
 
-    /// Aggregated statistics over all nodes.
-    pub fn aggregate(&self) -> NodeStats {
-        let mut agg = NodeStats::default();
-        for s in &self.per_node {
-            agg.merge(s);
-        }
-        agg
-    }
-
     /// The Fig. 10 execution-time breakdown over all nodes.
     pub fn breakdown(&self) -> genomedsm_dsm::StatsBreakdown {
         genomedsm_dsm::breakdown_many(&self.per_node)
     }
+}
+
+/// A fault plan over perfect links: `(node, unit)` crashes and rejoins.
+#[cfg(test)]
+pub(crate) fn crashes(
+    crashes: &[(usize, u64)],
+    rejoins: &[(usize, u64)],
+) -> std::sync::Arc<genomedsm_chaos::SeededFaults> {
+    use genomedsm_chaos::FaultPlan;
+    let plan = crashes
+        .iter()
+        .fold(FaultPlan::quiet(0), |plan, &(n, u)| plan.with_crash(n, u));
+    let plan = rejoins
+        .iter()
+        .fold(plan, |plan, &(n, u)| plan.with_rejoin(n, u));
+    std::sync::Arc::new(genomedsm_chaos::SeededFaults::new(plan))
 }

@@ -30,17 +30,6 @@ pub struct Phase2Outcome {
     pub host_wall: Duration,
 }
 
-impl Phase2Outcome {
-    /// Aggregated statistics over all nodes.
-    pub fn aggregate(&self) -> NodeStats {
-        let mut agg = NodeStats::default();
-        for s in &self.per_node {
-            agg.merge(s);
-        }
-        agg
-    }
-}
-
 /// Global alignment as a borderless [`Stage`]: "role `b mod P` does stage
 /// `b`", a stage being one queue position — the scattered mapping. The
 /// sink is the indexed alignment list.
@@ -129,7 +118,6 @@ pub fn phase2_scattered_with(
         cell_cost: crate::costs::NW_CELL,
         unit_cells: grid.tile_cells(total_cells, 1),
         rounds: 1,
-        restart: None,
         finish_barriers: 1,
     };
     let run = DsmSystem::run_wire(config.clone(), |node| {
@@ -269,11 +257,13 @@ mod tests {
         let (s, t, regions) = regions_for_test(900, 31);
         assert!(regions.len() >= 6, "need enough regions to kill mid-role");
         let expect = phase2_scattered(&s, &t, &regions, &SC, 3).unwrap();
-        let config =
-            tolerant_config(3).faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 2)));
+        let config = tolerant_config(3).faults(crate::crashes(&[(1, 2)], &[]));
         let out = phase2_scattered_with(&s, &t, &regions, &SC, &config).unwrap();
         assert_eq!(out.alignments, expect.alignments);
-        assert!(out.aggregate().takeovers >= 1, "no takeover recorded");
+        assert!(
+            NodeStats::aggregate(&out.per_node).takeovers >= 1,
+            "no takeover recorded"
+        );
     }
 
     #[test]
@@ -281,8 +271,7 @@ mod tests {
         let (s, t, regions) = regions_for_test(900, 32);
         assert!(regions.len() >= 4);
         let expect = phase2_scattered(&s, &t, &regions, &SC, 2).unwrap();
-        let config =
-            tolerant_config(2).faults(std::sync::Arc::new(crate::KillPlan::new().kill(0, 1)));
+        let config = tolerant_config(2).faults(crate::crashes(&[(0, 1)], &[]));
         let out = phase2_scattered_with(&s, &t, &regions, &SC, &config).unwrap();
         assert_eq!(out.alignments, expect.alignments);
     }

@@ -209,19 +209,6 @@ pub struct PreprocessConfig {
     /// host time changes (the simulated cluster time is driven by
     /// `cell_cost` regardless).
     pub kernel: KernelChoice,
-    /// Enables band-boundary checkpointing plus border message logging so
-    /// a node can recover from a fail-stop crash (DESIGN.md §5.7). A
-    /// checkpoint flushes the band's result-matrix row home and durably
-    /// records the deferred-column buffer and save cursors; popped top
-    /// borders of the in-flight band are logged so a restarted node can
-    /// replay the band without re-consuming the ring. Off by default —
-    /// fault-free runs skip the checkpoint overhead, and crash points
-    /// reported by the injector are ignored.
-    pub checkpoint: bool,
-    /// Virtual downtime charged when a node crash-restarts (failure
-    /// detection + checkpoint reload). Lands in the derived computation
-    /// remainder and in [`NodeStats::recovery_time`].
-    pub restart_cost: Duration,
     /// DSM cluster configuration.
     pub dsm: DsmConfig,
 }
@@ -241,8 +228,6 @@ impl PreprocessConfig {
             io_byte_cost: Duration::from_nanos(50), // ~20 MB/s buffered
             save_dir: None,
             kernel: KernelChoice::Auto,
-            checkpoint: false,
-            restart_cost: Duration::from_millis(250),
             dsm: DsmConfig::new(nprocs).network(genomedsm_dsm::NetworkModel::paper_cluster()),
         }
     }
@@ -522,14 +507,6 @@ impl Stage for Bands<'_> {
         self.sink.end(node, stage, self.best.max(striped));
     }
 
-    fn checkpoint(&mut self, node: &mut Node) {
-        self.sink.checkpoint(node);
-    }
-
-    fn rollback(&mut self) {
-        self.sink.rollback();
-    }
-
     fn word(&self, role: usize) -> i64 {
         self.sink.word(role)
     }
@@ -549,14 +526,6 @@ struct Scoreboard<'a> {
     /// Selected columns in execution order — per role, band then column,
     /// so an adopter reproduces a dead owner's file byte for byte.
     saved: Vec<SavedColumn>,
-    /// Save events so far, in logical order, and how many of them
-    /// immediate I/O has put on disk: a restart replays the former from
-    /// its checkpoint but must neither re-charge nor duplicate the latter,
-    /// so the file stays bit-identical to a fault-free run's.
-    cols_seen: u64,
-    cols_written: u64,
-    /// `best`, `saved.len()` and `cols_seen` at the last checkpoint.
-    durable: (Vec<i32>, usize, u64),
 }
 
 impl Scoreboard<'_> {
@@ -569,18 +538,13 @@ impl Scoreboard<'_> {
     fn column(&mut self, node: &mut Node, stage: usize, col: usize, values: Vec<i32>) {
         let (band, col) = (stage as u32, col as u32);
         let column = SavedColumn { band, col, values };
-        let immediate = self.config.io_mode == IoMode::Immediate;
-        if !immediate || self.cols_seen >= self.cols_written {
-            if immediate {
-                // The blocking write is charged as the column completes;
-                // the file itself appears, crash-safely, at termination.
-                let bytes = column.encoded_len();
-                node.advance(crate::costs::cells(self.config.io_byte_cost, bytes));
-                self.cols_written += 1;
-            }
-            self.saved.push(column);
+        if self.config.io_mode == IoMode::Immediate {
+            // The blocking write is charged as the column completes;
+            // the file itself appears, crash-safely, at termination.
+            let bytes = column.encoded_len();
+            node.advance(crate::costs::cells(self.config.io_byte_cost, bytes));
         }
-        self.cols_seen += 1;
+        self.saved.push(column);
     }
 
     /// Band `stage` is complete; `best` is its best score.
@@ -594,31 +558,6 @@ impl Scoreboard<'_> {
             node.vec_write_range(&self.rows[stage], 0, &self.hits_row);
             node.flush_vec(&self.rows[stage]);
         }
-        self.hits_row.fill(0);
-    }
-
-    /// Band-boundary checkpoint (DESIGN.md §5.7): the result row is
-    /// already home (durable on a surviving machine); persist the
-    /// deferred columns appended since the last checkpoint, plus the
-    /// cursors, to local stable storage.
-    fn checkpoint(&mut self, node: &mut Node) {
-        node.flush_modified();
-        let mut bytes = 32 + self.hits_row.len() * 8;
-        if self.config.io_mode == IoMode::Deferred {
-            let fresh = &self.saved[self.durable.1..];
-            bytes += fresh.iter().map(SavedColumn::encoded_len).sum::<usize>();
-        }
-        node.advance(crate::costs::cells(self.config.io_byte_cost, bytes));
-        self.durable = (self.best.clone(), self.saved.len(), self.cols_seen);
-    }
-
-    /// See [`Stage::rollback`].
-    fn rollback(&mut self) {
-        self.best.clone_from(&self.durable.0);
-        if self.config.io_mode == IoMode::Deferred {
-            self.saved.truncate(self.durable.1);
-        }
-        self.cols_seen = self.durable.2;
         self.hits_row.fill(0);
     }
 
@@ -661,7 +600,6 @@ pub fn preprocess_align(
         cell_cost: config.cell_cost,
         unit_cells: grid.tile_cells(m, n),
         rounds: 1,
-        restart: config.checkpoint.then_some(config.restart_cost),
         finish_barriers: 1,
     };
 
@@ -680,9 +618,6 @@ pub fn preprocess_align(
                 roles: roles.to_vec(),
                 best: vec![0; nprocs],
                 saved: Vec::new(),
-                cols_seen: 0,
-                cols_written: 0,
-                durable: (vec![0; nprocs], 0, 0),
             };
             Bands::new(s, t, scoring, config, &bands, &chunks, sink)
         };
@@ -1203,9 +1138,7 @@ mod tests {
         let plain = preprocess_align(&s, &t, &SC, &plain_cfg).unwrap();
         let mut cfg = tolerant(base_config(3, &d_tol));
         cfg.io_mode = IoMode::Immediate;
-        cfg.dsm = cfg
-            .dsm
-            .faults(std::sync::Arc::new(crate::KillPlan::new().kill(1, 4)));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 4)], &[]));
         let tol = preprocess_align(&s, &t, &SC, &cfg).unwrap();
         assert_identical(&plain, &tol, 3);
         let takeovers: u64 = tol.per_node.iter().map(|s| s.takeovers).sum();
@@ -1223,9 +1156,7 @@ mod tests {
         std::fs::create_dir_all(&d_tol).unwrap();
         let plain = preprocess_align(&s, &t, &SC, &base_config(4, &d_plain)).unwrap();
         let mut cfg = tolerant(base_config(4, &d_tol));
-        cfg.dsm = cfg.dsm.faults(std::sync::Arc::new(
-            crate::KillPlan::new().kill(1, 3).kill(2, 5),
-        ));
+        cfg.dsm = cfg.dsm.faults(crate::crashes(&[(1, 3), (2, 5)], &[]));
         let tol = preprocess_align(&s, &t, &SC, &cfg).unwrap();
         assert_identical(&plain, &tol, 4);
         std::fs::remove_dir_all(&dir).ok();

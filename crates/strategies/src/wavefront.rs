@@ -12,14 +12,17 @@
 //! `traverse` is the only code that walks a grid. It pops and pushes
 //! through one [`Border`] trait with exactly two implementations:
 //! [`ChunkRing`]s on an unsupervised node, [`FlowChannel`]s over the
-//! [`Ledger`] push log when `node.supervised()`. Three recovery policies are
-//! written here once: **restart** ([`Wavefront::restart`], unsupervised),
-//! **takeover** ([`run_with_takeover`]) and **rejoin** ([`run_elastic`]).
+//! [`Ledger`] push log when `node.supervised()`. A crash means one thing:
+//! a fail-stop whose roles the survivors adopt from the push ledger
+//! (**takeover**, [`run_with_takeover`]), the victim free to come back at
+//! the next workload boundary (**rejoin**, [`run_elastic`]). A fault plan
+//! that schedules one has turned supervision on (`DsmConfig::faults`).
 //!
-//! A unit ordinal — what `--kill node:unit` and `FaultPlan::with_crash`
-//! name — counts the units a worker has *completed*, over every role,
-//! takeover replay and campaign round. Takeover crashes after the unit's
-//! compute and **before** its chunk is pushed; restart **after** the push.
+//! A unit ordinal — what `--plan crash=node@unit` and
+//! `FaultPlan::with_crash` name — counts the units a worker has
+//! *completed*, over every role, takeover replay and campaign round. The
+//! crash point is after the unit's compute and **before** its chunk is
+//! pushed.
 
 use crate::checkpoint::{run_elastic, run_with_takeover, FlowChannel, Ledger};
 use crate::costs;
@@ -86,7 +89,7 @@ pub trait Stage {
     /// What crosses a border.
     type Cell: DsmData + Copy + Default;
 
-    /// Resets the `(b, k-1)` state for `stage` (again on a restart).
+    /// Resets the `(b, k-1)` state for `stage`.
     fn begin(&mut self, _stage: usize) {}
 
     /// Computes unit `k` of `stage` from the stage above's chunk
@@ -103,12 +106,6 @@ pub trait Stage {
 
     /// Delivers the finished stage to the sink.
     fn end(&mut self, _node: &mut Node, _stage: usize) {}
-
-    /// Restart policy: makes the sink durable at a stage boundary.
-    fn checkpoint(&mut self, _node: &mut Node) {}
-
-    /// Restart policy: discards what the sink took in since then.
-    fn rollback(&mut self) {}
 
     /// A word per executed role that outlives this worker (published in
     /// the ledger once the role completes).
@@ -166,13 +163,11 @@ impl<T: DsmData + Copy> Border<T> for LedgerBorder<'_, T> {
 }
 
 /// What a worker carries through every `traverse` it runs: the price of
-/// a cell, its unit count, and what an injected crash means to it.
+/// a cell, its unit count, and the ordinal the fault plan crashes it at.
 struct Worker {
     cell_cost: Duration,
     crash_at: Option<u64>,
     units: u64,
-    /// `Some(downtime)`: restart policy. `None`: a crash is a fail-stop.
-    restart: Option<Duration>,
 }
 
 impl Worker {
@@ -191,8 +186,8 @@ impl Worker {
 
 /// Executes every stage whose role is in `execute`, ascending — the
 /// wavefront order: stage `b` consumes only stage `b-1`'s chunks, which
-/// this very loop produced earlier, a log replays, or a live neighbour
-/// sends in real time.
+/// this very loop produced earlier, the ledger replays, or a live
+/// neighbour sends in real time.
 fn traverse<K, B>(
     node: &mut Node,
     grid: &Grid,
@@ -205,53 +200,29 @@ where
     K: Stage,
     B: Border<K::Cell>,
 {
-    let (p, restart) = (grid.roles, worker.restart);
+    let p = grid.roles;
     let mut outbound: Vec<K::Cell> = Vec::new();
     for stage in (0..grid.stages).filter(|b| execute.contains(&(b % p))) {
         let role = stage % p;
-        // The stage's inbound chunks, and how many of its outbound ones
-        // went downstream already: what a restart replays it from (modeled
-        // as durable; re-pushing would corrupt the ring).
-        let mut log: Vec<Vec<K::Cell>> = Vec::new();
-        let mut pushed = 0usize;
-        'replay: loop {
-            kernel.begin(stage);
-            for (k, &len) in grid.chunks.iter().enumerate() {
-                if k == log.len() {
-                    log.push(if stage == 0 || len == 0 {
-                        vec![K::Cell::default(); len]
-                    } else {
-                        border.pop(node, (role + p - 1) % p, len)?
-                    });
-                }
-                outbound.clear();
-                let cells = kernel.unit(node, stage, k, &log[k], &mut outbound);
-                if restart.is_none() {
-                    log[k] = Vec::new(); // only a restart reads it again
-                }
-                node.advance(costs::cells(worker.cell_cost, cells));
-                if restart.is_none() && worker.tick(node) {
-                    node.fail_stop();
-                    return Err(DsmError::Disconnected("injected fail-stop"));
-                }
-                if stage + 1 < grid.stages && len > 0 && k >= pushed {
-                    border.push(node, role, &outbound)?;
-                    pushed = k + 1;
-                }
-                if let Some(downtime) = restart {
-                    if worker.tick(node) {
-                        node.crash_restart(downtime);
-                        kernel.rollback();
-                        continue 'replay;
-                    }
-                }
+        kernel.begin(stage);
+        for (k, &len) in grid.chunks.iter().enumerate() {
+            let inbound = if stage == 0 || len == 0 {
+                vec![K::Cell::default(); len]
+            } else {
+                border.pop(node, (role + p - 1) % p, len)?
+            };
+            outbound.clear();
+            let cells = kernel.unit(node, stage, k, &inbound, &mut outbound);
+            node.advance(costs::cells(worker.cell_cost, cells));
+            if worker.tick(node) {
+                node.fail_stop();
+                return Err(DsmError::Disconnected("injected fail-stop"));
             }
-            break;
+            if stage + 1 < grid.stages && len > 0 {
+                border.push(node, role, &outbound)?;
+            }
         }
         kernel.end(node, stage);
-        if restart.is_some() {
-            kernel.checkpoint(node);
-        }
     }
     Ok(())
 }
@@ -286,7 +257,7 @@ pub fn concat<T>(parts: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
     all
 }
 
-/// A wavefront run on the DSM: the grid, its prices, its recovery.
+/// A wavefront run on the DSM: the grid, its prices, its campaign.
 #[derive(Debug, Clone)]
 pub struct Wavefront<'a> {
     /// The dependency grid.
@@ -297,9 +268,6 @@ pub struct Wavefront<'a> {
     pub unit_cells: usize,
     /// Workloads run back to back on the same cluster (a campaign).
     pub rounds: usize,
-    /// Crash-restart downtime; `Some` enables the checkpoint/restart
-    /// policy on an unsupervised cluster, `None` ignores crash points.
-    pub restart: Option<Duration>,
     /// Barriers `finish` takes, for the rejoin protocol's round budget.
     pub finish_barriers: usize,
 }
@@ -326,12 +294,10 @@ impl Wavefront<'_> {
         let (p, window) = (grid.roles, grid.window.max(1));
         let stride = grid.chunks.iter().copied().max().unwrap_or(0);
         let supervised = node.supervised();
-        let faulty = supervised || self.restart.is_some();
         let mut worker = Worker {
             cell_cost: self.cell_cost,
-            crash_at: node.crash_point().filter(|_| faulty),
+            crash_at: node.crash_point(),
             units: 0,
-            restart: self.restart.filter(|_| !supervised),
         };
         let mut round = |node: &mut Node, w: usize| {
             // Fresh border and cvs per round: a prior round's push log or

@@ -2,17 +2,18 @@
 //! strategies and phase 2 must complete under ≥5% per-link drop plus
 //! corruption, duplication, and reordering, with scores, hit
 //! scoreboards, and alignments **bit-identical** to a fault-free run —
-//! and a mid-run node crash in the pre-process strategy must recover
-//! from its checkpoint to the identical result matrix.
+//! and stay so when the same plan also fail-stops a node mid-run (the
+//! survivors take its role over) and readmits it between workloads.
 
 use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::DsmConfig;
+use genomedsm_dsm::{DsmConfig, NodeStats};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::preprocess::{read_saved_columns, SavedColumn};
 use genomedsm_strategies::{
-    heuristic_align_dsm, heuristic_block_align, phase2_scattered_with, preprocess_align,
-    BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode, PreprocessConfig,
+    heuristic_align_dsm, heuristic_block_align, heuristic_campaign, phase2_scattered_with,
+    preprocess_align, BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode,
+    PreprocessConfig,
 };
 use std::sync::Arc;
 
@@ -31,14 +32,24 @@ fn params() -> HeuristicParams {
     }
 }
 
-/// The ISSUE's floor: at least 5% loss on every link, plus reordering.
-fn chaos(seed: u64, nprocs: usize) -> Arc<SeededFaults> {
-    Arc::new(SeededFaults::new(FaultPlan::paper_chaos(seed), nprocs))
+/// The ISSUE's floor: at least 5% loss on every link, plus reordering —
+/// and, with `crash`, node 1 fail-stopping after that many work units.
+fn chaos(seed: u64, crash: Option<u64>) -> Arc<SeededFaults> {
+    let plan = FaultPlan::paper_chaos(seed);
+    let plan = crash
+        .into_iter()
+        .fold(plan, |p, unit| p.with_crash(1, unit));
+    Arc::new(SeededFaults::new(plan))
 }
 
-fn assert_reliability_worked(agg: &genomedsm_dsm::NodeStats) {
+/// Every test runs its plan without and with this crash of node 1.
+const CRASHES: [Option<u64>; 2] = [None, Some(5)];
+
+fn assert_reliability_worked(per_node: &[NodeStats], crash: Option<u64>) {
+    let agg = NodeStats::aggregate(per_node);
     assert!(agg.retransmits > 0, "chaos run never retransmitted");
     assert!(agg.dups_dropped > 0, "chaos run never deduplicated");
+    assert_eq!(agg.takeovers, u64::from(crash.is_some()), "{crash:?}");
 }
 
 #[test]
@@ -46,11 +57,33 @@ fn heuristic_strategy_is_bit_identical_under_chaos() {
     let (s, t) = workload(400, 91);
     let nprocs = 3;
     let clean = heuristic_align_dsm(&s, &t, &SC, &params(), &HeuristicDsmConfig::new(nprocs));
+    for crash in CRASHES {
+        let mut config = HeuristicDsmConfig::new(nprocs);
+        config.dsm = config.dsm.faults(chaos(11, crash));
+        let chaotic = heuristic_align_dsm(&s, &t, &SC, &params(), &config);
+        assert_eq!(clean.regions, chaotic.regions, "{crash:?}");
+        assert_reliability_worked(&chaotic.per_node, crash);
+    }
+}
+
+#[test]
+fn heuristic_campaign_under_chaos_readmits_a_crashed_node() {
+    // Loss, a kill and a rejoin in one plan: node 1 dies in round 0, the
+    // survivors finish it, and rounds 1 and 2 run with it back.
+    let (s, t) = workload(400, 91);
+    let nprocs = 3;
+    let clean = heuristic_align_dsm(&s, &t, &SC, &params(), &HeuristicDsmConfig::new(nprocs));
+    let plan = FaultPlan::paper_chaos(11)
+        .with_crash(1, 5)
+        .with_rejoin(1, 2);
     let mut config = HeuristicDsmConfig::new(nprocs);
-    config.dsm = config.dsm.faults(chaos(11, nprocs));
-    let chaotic = heuristic_align_dsm(&s, &t, &SC, &params(), &config);
-    assert_eq!(clean.regions, chaotic.regions);
-    assert_reliability_worked(&chaotic.aggregate());
+    config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(plan)));
+    let campaign = heuristic_campaign(&s, &t, &SC, &params(), &config, 3);
+    for (w, round) in campaign.rounds.iter().enumerate() {
+        assert_eq!(round.regions, clean.regions, "round {w} diverged");
+    }
+    assert_reliability_worked(&campaign.per_node, Some(5));
+    assert_eq!(NodeStats::aggregate(&campaign.per_node).rejoins, 1);
 }
 
 #[test]
@@ -58,11 +91,13 @@ fn blocked_strategy_is_bit_identical_under_chaos() {
     let (s, t) = workload(500, 92);
     let nprocs = 4;
     let clean = heuristic_block_align(&s, &t, &SC, &params(), &BlockedConfig::new(nprocs, 8, 8));
-    let mut config = BlockedConfig::new(nprocs, 8, 8);
-    config.dsm = config.dsm.faults(chaos(12, nprocs));
-    let chaotic = heuristic_block_align(&s, &t, &SC, &params(), &config);
-    assert_eq!(clean.regions, chaotic.regions);
-    assert_reliability_worked(&chaotic.aggregate());
+    for crash in CRASHES {
+        let mut config = BlockedConfig::new(nprocs, 8, 8);
+        config.dsm = config.dsm.faults(chaos(12, crash));
+        let chaotic = heuristic_block_align(&s, &t, &SC, &params(), &config);
+        assert_eq!(clean.regions, chaotic.regions, "{crash:?}");
+        assert_reliability_worked(&chaotic.per_node, crash);
+    }
 }
 
 fn pp_config(nprocs: usize) -> PreprocessConfig {
@@ -79,65 +114,61 @@ fn preprocess_scoreboard_is_bit_identical_under_chaos() {
     let (s, t) = workload(300, 93);
     let nprocs = 3;
     let clean = preprocess_align(&s, &t, &SC, &pp_config(nprocs)).unwrap();
-    let mut config = pp_config(nprocs);
-    config.dsm = config.dsm.faults(chaos(13, nprocs));
-    let chaotic = preprocess_align(&s, &t, &SC, &config).unwrap();
-    assert_eq!(clean.result, chaotic.result, "hit scoreboard diverged");
-    assert_eq!(clean.best_score, chaotic.best_score);
-    let mut agg = genomedsm_dsm::NodeStats::default();
-    for st in &chaotic.per_node {
-        agg.merge(st);
+    for crash in CRASHES {
+        let mut config = pp_config(nprocs);
+        config.dsm = config.dsm.faults(chaos(13, crash));
+        let chaotic = preprocess_align(&s, &t, &SC, &config).unwrap();
+        assert_eq!(clean.result, chaotic.result, "hit scoreboard diverged");
+        assert_eq!(clean.best_score, chaotic.best_score);
+        assert_reliability_worked(&chaotic.per_node, crash);
     }
-    assert_reliability_worked(&agg);
 }
 
 #[test]
 fn phase2_alignments_are_bit_identical_under_chaos() {
     let (s, t) = workload(600, 94);
     let regions = genomedsm_core::heuristic_align(&s, &t, &SC, &params());
-    assert!(!regions.is_empty(), "need regions for phase 2");
+    assert!(regions.len() >= 2, "need a region for node 1 to die on");
     let nprocs = 4;
     let clean_cfg = DsmConfig::new(nprocs).network(genomedsm_dsm::NetworkModel::paper_cluster());
     let clean = phase2_scattered_with(&s, &t, &regions, &SC, &clean_cfg).unwrap();
-    let chaotic_cfg = clean_cfg.faults(chaos(14, nprocs));
-    let chaotic = phase2_scattered_with(&s, &t, &regions, &SC, &chaotic_cfg).unwrap();
-    assert_eq!(clean.alignments, chaotic.alignments);
-    assert_reliability_worked(&chaotic.aggregate());
+    for crash in [None, Some(1)] {
+        let chaotic_cfg = clean_cfg.clone().faults(chaos(14, crash));
+        let chaotic = phase2_scattered_with(&s, &t, &regions, &SC, &chaotic_cfg).unwrap();
+        assert_eq!(clean.alignments, chaotic.alignments, "{crash:?}");
+        assert_reliability_worked(&chaotic.per_node, crash);
+    }
 }
 
-fn recoveries(out: &genomedsm_strategies::PreprocessOutcome) -> u64 {
-    out.per_node.iter().map(|s| s.recoveries).sum()
+fn takeovers(out: &genomedsm_strategies::PreprocessOutcome) -> u64 {
+    NodeStats::aggregate(&out.per_node).takeovers
 }
 
 #[test]
 fn preprocess_crash_recovers_from_checkpoint_to_identical_matrix() {
     let (s, t) = workload(300, 95);
     let nprocs = 3;
-    // Fault-free reference (no checkpointing at all).
+    // Fault-free reference (unsupervised).
     let clean = preprocess_align(&s, &t, &SC, &pp_config(nprocs)).unwrap();
     // Crash node 1 after it completes its 4th chunk; quiet links so the
     // only disturbance is the fail-stop itself.
     let mut config = pp_config(nprocs);
-    config.checkpoint = true;
-    config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(
-        FaultPlan::quiet(7).with_crash(1, 4),
-        nprocs,
-    )));
+    let plan = FaultPlan::quiet(7).with_crash(1, 4);
+    config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(plan)));
     let crashed = preprocess_align(&s, &t, &SC, &config).unwrap();
     assert_eq!(clean.result, crashed.result, "recovery diverged");
     assert_eq!(clean.best_score, crashed.best_score);
-    assert_eq!(recoveries(&crashed), 1, "the crash must have fired");
-    let rt: std::time::Duration = crashed.per_node.iter().map(|s| s.recovery_time).sum();
-    assert!(rt > std::time::Duration::ZERO);
-    // And the downtime must be visible in the recovering node's clock.
+    assert_eq!(takeovers(&crashed), 1, "the crash must have fired");
+    // And the detection latency plus the adopter's replay must be
+    // visible in the cluster's clock.
     assert!(crashed.wall > clean.wall);
 }
 
 #[test]
 fn preprocess_crash_under_chaos_keeps_saved_columns_bit_identical() {
     // The hardest combination: lossy, reordering links AND a mid-run
-    // crash, with immediate column I/O. The durable-write cursor must
-    // keep the files free of duplicates and holes.
+    // crash, with immediate column I/O. The adopter must reproduce the
+    // dead owner's file free of duplicates and holes.
     let (s, t) = workload(250, 96);
     let nprocs = 2;
     let dir = std::env::temp_dir().join("genomedsm_chaos_crash_cols");
@@ -149,11 +180,7 @@ fn preprocess_crash_under_chaos_keeps_saved_columns_bit_identical() {
         config.io_mode = IoMode::Immediate;
         config.save_dir = Some(d);
         if faulty {
-            config.checkpoint = true;
-            config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(
-                FaultPlan::paper_chaos(17).with_crash(1, 2),
-                nprocs,
-            )));
+            config.dsm = config.dsm.faults(chaos(17, Some(2)));
         }
         let out = preprocess_align(&s, &t, &SC, &config).unwrap();
         let mut cols: Vec<SavedColumn> = out
@@ -169,7 +196,8 @@ fn preprocess_crash_under_chaos_keeps_saved_columns_bit_identical() {
     assert_eq!(clean.result, crashed.result);
     assert_eq!(clean_cols, crashed_cols, "saved columns diverged");
     assert!(!clean_cols.is_empty(), "test needs saved columns");
-    assert_eq!(recoveries(&crashed), 1);
+    assert_eq!(takeovers(&crashed), 1);
+    assert!(crashed.wall > clean.wall);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -184,7 +212,7 @@ fn chaos_suite_is_deterministic_across_runs() {
     let nprocs = 3;
     let run = || {
         let mut config = pp_config(nprocs);
-        config.dsm = config.dsm.faults(chaos(23, nprocs));
+        config.dsm = config.dsm.faults(chaos(23, None));
         preprocess_align(&s, &t, &SC, &config).unwrap()
     };
     let a = run();

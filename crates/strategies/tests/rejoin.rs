@@ -6,11 +6,13 @@
 //! throughput after the boundary handback instead of staying degraded
 //! at N−k.
 
+use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
+use genomedsm_dsm::NodeStats;
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, heuristic_campaign, phase2_scattered_with,
-    preprocess_align, BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode, KillPlan,
+    preprocess_align, BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode,
     PreprocessConfig,
 };
 use std::sync::Arc;
@@ -41,12 +43,14 @@ fn supervise(dsm: genomedsm_dsm::DsmConfig) -> genomedsm_dsm::DsmConfig {
 
 /// Kills nodes `1..=k` at staggered work-unit counts and schedules each
 /// to rejoin after a short virtual downtime.
-fn kill_rejoin(k: usize, stagger: &[u64]) -> Arc<KillPlan> {
-    let mut plan = KillPlan::new();
+fn kill_rejoin(k: usize, stagger: &[u64]) -> Arc<SeededFaults> {
+    let mut plan = FaultPlan::quiet(0);
     for victim in 1..=k {
-        plan = plan.kill(victim, stagger[victim - 1]).rejoin(victim, 8);
+        plan = plan
+            .with_crash(victim, stagger[victim - 1])
+            .with_rejoin(victim, 8);
     }
-    Arc::new(plan)
+    Arc::new(SeededFaults::new(plan))
 }
 
 #[test]
@@ -59,7 +63,7 @@ fn heuristic_kill_then_rejoin_is_bit_identical_and_readmits() {
         config.dsm = supervise(config.dsm).faults(kill_rejoin(k, &[40, 90]));
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &config);
         assert_eq!(out.regions, expect.regions, "k={k}: regions diverged");
-        let agg = out.aggregate();
+        let agg = NodeStats::aggregate(&out.per_node);
         assert_eq!(agg.rejoins, k as u64, "k={k}: every victim rejoins");
         assert!(agg.takeovers >= k as u64, "k={k}: too few takeovers");
     }
@@ -75,7 +79,11 @@ fn blocked_kill_then_rejoin_is_bit_identical_and_readmits() {
         config.dsm = supervise(config.dsm).faults(kill_rejoin(k, &[5, 9]));
         let out = heuristic_block_align(&s, &t, &SC, &params(), &config);
         assert_eq!(out.regions, expect.regions, "k={k}: regions diverged");
-        assert_eq!(out.aggregate().rejoins, k as u64, "k={k}");
+        assert_eq!(
+            NodeStats::aggregate(&out.per_node).rejoins,
+            k as u64,
+            "k={k}"
+        );
     }
 }
 
@@ -83,7 +91,7 @@ fn blocked_kill_then_rejoin_is_bit_identical_and_readmits() {
 fn preprocess_kill_then_rejoin_keeps_saved_files_bit_identical() {
     let (s, t) = workload(300, 43);
     let dir = std::env::temp_dir().join("genomedsm_rejoin_pp");
-    let run = |sub: String, plan: Option<Arc<KillPlan>>| {
+    let run = |sub: String, plan: Option<Arc<SeededFaults>>| {
         let d = dir.join(sub);
         std::fs::create_dir_all(&d).unwrap();
         let mut config = PreprocessConfig::new(NPROCS);
@@ -164,13 +172,16 @@ fn campaign_recovers_throughput_after_the_boundary_handback() {
         "workload finds regions"
     );
 
+    let kill_2_at_40 = FaultPlan::quiet(0).with_crash(2, 40);
     let mut elastic_cfg = HeuristicDsmConfig::new(NPROCS);
-    elastic_cfg.dsm =
-        supervise(elastic_cfg.dsm).faults(Arc::new(KillPlan::new().kill(2, 40).rejoin(2, 8)));
+    elastic_cfg.dsm = supervise(elastic_cfg.dsm).faults(Arc::new(SeededFaults::new(
+        kill_2_at_40.clone().with_rejoin(2, 8),
+    )));
     let elastic = heuristic_campaign(&s, &t, &SC, &params(), &elastic_cfg, rounds);
 
     let mut degraded_cfg = HeuristicDsmConfig::new(NPROCS);
-    degraded_cfg.dsm = supervise(degraded_cfg.dsm).faults(Arc::new(KillPlan::new().kill(2, 40)));
+    degraded_cfg.dsm =
+        supervise(degraded_cfg.dsm).faults(Arc::new(SeededFaults::new(kill_2_at_40)));
     let degraded = heuristic_campaign(&s, &t, &SC, &params(), &degraded_cfg, rounds);
 
     for w in 0..rounds {

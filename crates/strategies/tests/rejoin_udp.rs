@@ -6,10 +6,11 @@
 //! announcement, the deferred admission, and the `RejoinAck` all travel
 //! as real datagrams through the UDP transport's window here.
 
+use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
 use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, SupervisionConfig};
 use genomedsm_seq::{planted_pair, HomologyPlan};
-use genomedsm_strategies::{heuristic_block_align, BlockedConfig, KillPlan};
+use genomedsm_strategies::{heuristic_block_align, BlockedConfig};
 use std::net::UdpSocket;
 use std::sync::Arc;
 
@@ -60,7 +61,8 @@ fn four_ranks_over_udp_kill_then_rejoin_bit_identical() {
     // the kill plan is part of the deterministic config, so each process
     // consults the same schedule for its own worker.
     let manifest = fresh_manifest(NPROCS);
-    let plan = Arc::new(KillPlan::new().kill(2, 5).rejoin(2, 8));
+    let plan = FaultPlan::quiet(0).with_crash(2, 5).with_rejoin(2, 8);
+    let plan = Arc::new(SeededFaults::new(plan));
     let mut handles = Vec::new();
     for rank in 0..NPROCS {
         let manifest = manifest.clone();

@@ -4,12 +4,14 @@
 //! fault-free run — including the pre-process strategy's saved-column
 //! files, whose dead owners' contents are reproduced by the adopters.
 
+use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
+use genomedsm_dsm::NodeStats;
 use genomedsm_kernels::{KernelChoice, Rung};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, phase2_scattered_with, preprocess_align,
-    BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode, KillPlan, PreprocessConfig,
+    BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode, PreprocessConfig,
 };
 use std::sync::Arc;
 
@@ -39,12 +41,12 @@ fn supervise(dsm: genomedsm_dsm::DsmConfig) -> genomedsm_dsm::DsmConfig {
 
 /// Kills nodes `1..=k` at staggered work-unit counts so the deaths land
 /// mid-run, at different depths of the wavefront.
-fn kills(k: usize, stagger: &[u64]) -> Arc<KillPlan> {
-    let mut plan = KillPlan::new();
+fn kills(k: usize, stagger: &[u64]) -> Arc<SeededFaults> {
+    let mut plan = FaultPlan::quiet(0);
     for victim in 1..=k {
-        plan = plan.kill(victim, stagger[victim - 1]);
+        plan = plan.with_crash(victim, stagger[victim - 1]);
     }
-    Arc::new(plan)
+    Arc::new(SeededFaults::new(plan))
 }
 
 #[test]
@@ -60,7 +62,7 @@ fn heuristic_degrades_bit_identically_with_1_to_3_deaths() {
         }
         let out = heuristic_align_dsm(&s, &t, &SC, &params(), &config);
         assert_eq!(out.regions, expect.regions, "k={k}: regions diverged");
-        let agg = out.aggregate();
+        let agg = NodeStats::aggregate(&out.per_node);
         if k > 0 {
             assert!(agg.takeovers >= k as u64, "k={k}: too few takeovers");
             assert_eq!(agg.obituaries % NPROCS as u64, 0);
@@ -85,7 +87,7 @@ fn blocked_degrades_bit_identically_with_1_to_3_deaths() {
         assert_eq!(out.regions, expect.regions, "k={k}: regions diverged");
         if k > 0 {
             assert!(
-                out.aggregate().takeovers >= k as u64,
+                NodeStats::aggregate(&out.per_node).takeovers >= k as u64,
                 "k={k}: too few takeovers"
             );
         }
@@ -166,8 +168,8 @@ fn preprocess_past_the_i16_ceiling_is_kernel_blind_clean_and_under_takeover() {
         config.save_dir = Some(d);
         config.kernel = kernel;
         if let Some((victim, units)) = kill {
-            let plan = Arc::new(KillPlan::new().kill(victim, units));
-            config.dsm = supervise(config.dsm).faults(plan);
+            let plan = FaultPlan::quiet(0).with_crash(victim, units);
+            config.dsm = supervise(config.dsm).faults(Arc::new(SeededFaults::new(plan)));
         }
         let out = preprocess_align(&s, &t, &steep, &config).unwrap();
         let files: Vec<Vec<u8>> = out
@@ -233,7 +235,7 @@ fn phase2_degrades_bit_identically_with_1_to_3_deaths() {
             "k={k}: alignments diverged"
         );
         assert!(
-            out.aggregate().takeovers >= k as u64,
+            NodeStats::aggregate(&out.per_node).takeovers >= k as u64,
             "k={k}: too few takeovers"
         );
     }

@@ -1,11 +1,11 @@
 //! Driver-level property: on random grids, a toy additive kernel run by
 //! `strategies::wavefront` over both borders — and, on the ledger
-//! border, through a kill and a kill + rejoin, and on the ring through a
-//! checkpoint restart — computes exactly the serial fold.
+//! border, through a kill and a kill + rejoin — computes exactly the
+//! serial fold.
 
+use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_dsm::{DsmConfig, DsmSystem, Node, SupervisionConfig};
 use genomedsm_strategies::wavefront::{Grid, Stage, Wavefront};
-use genomedsm_strategies::KillPlan;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +27,6 @@ struct Toy<'a> {
     grid: &'a Grid,
     carry: i64,
     trace: Vec<((usize, usize), i64)>,
-    durable: usize,
 }
 
 impl Stage for Toy<'_> {
@@ -57,14 +56,6 @@ impl Stage for Toy<'_> {
         out.extend(chunk_of(self.carry, self.grid.chunks[k]));
         1
     }
-
-    fn checkpoint(&mut self, _: &mut Node) {
-        self.durable = self.trace.len();
-    }
-
-    fn rollback(&mut self) {
-        self.trace.truncate(self.durable);
-    }
 }
 
 fn toy(grid: &Grid) -> Toy<'_> {
@@ -72,7 +63,6 @@ fn toy(grid: &Grid) -> Toy<'_> {
         grid,
         carry: 0,
         trace: Vec::new(),
-        durable: 0,
     }
 }
 
@@ -108,18 +98,13 @@ fn merged(
 }
 
 /// Runs the toy on a simulated cluster; returns the merged trace and the
-/// cluster's `(takeovers, rejoins, recoveries)`.
-fn on_dsm(
-    grid: &Grid,
-    config: DsmConfig,
-    restart: bool,
-) -> (BTreeMap<(usize, usize), i64>, [u64; 3]) {
+/// cluster's `(takeovers, rejoins)`.
+fn on_dsm(grid: &Grid, config: DsmConfig) -> (BTreeMap<(usize, usize), i64>, [u64; 2]) {
     let wavefront = Wavefront {
         grid,
         cell_cost: Duration::from_micros(1),
         unit_cells: 1,
         rounds: 1,
-        restart: restart.then_some(Duration::from_millis(5)),
         finish_barriers: 0,
     };
     let run = DsmSystem::run(config, |node| {
@@ -131,11 +116,7 @@ fn on_dsm(
         rounds.pop().unwrap_or_default()
     });
     let sum = |f: fn(&genomedsm_dsm::NodeStats) -> u64| run.stats.iter().map(f).sum();
-    let stats = [
-        sum(|s| s.takeovers),
-        sum(|s| s.rejoins),
-        sum(|s| s.recoveries),
-    ];
+    let stats = [sum(|s| s.takeovers), sum(|s| s.rejoins)];
     (merged(run.results), stats)
 }
 
@@ -188,9 +169,9 @@ fn every_border_and_recovery_policy_equals_the_serial_fold() {
         let expect = serial_fold(&grid);
         let case = format!("seed {seed}: {grid:?}");
 
-        let (ring, _) = on_dsm(&grid, DsmConfig::new(roles), false);
+        let (ring, _) = on_dsm(&grid, DsmConfig::new(roles));
         assert_eq!(ring, expect, "ring, {case}");
-        let (ledger, [takeovers, ..]) = on_dsm(&grid, supervised(roles), false);
+        let (ledger, [takeovers, _]) = on_dsm(&grid, supervised(roles));
         assert_eq!(ledger, expect, "ledger, {case}");
         assert_eq!(takeovers, 0, "fault-free ledger run took over work, {case}");
 
@@ -199,26 +180,19 @@ fn every_border_and_recovery_policy_equals_the_serial_fold() {
         let victim = rng.below(roles.min(stages));
         let owned = (stages - victim).div_ceil(roles) * grid.chunks.len();
         let at = 1 + rng.below(owned) as u64;
-        let kill = KillPlan::new().kill(victim, at);
-        let restarted = DsmConfig::new(roles).faults(Arc::new(kill.clone()));
-        let (ring, [.., recoveries]) = on_dsm(&grid, restarted, true);
-        assert_eq!(ring, expect, "ring restart {victim}:{at}, {case}");
-        assert_eq!(recoveries, 1, "restart {victim}:{at} never fired, {case}");
         if roles == 1 {
             continue; // nobody left to take over
         }
-        let (ledger, [takeovers, ..]) = on_dsm(
-            &grid,
-            supervised(roles).faults(Arc::new(kill.clone())),
-            false,
-        );
+        let kill = FaultPlan::quiet(seed).with_crash(victim, at);
+        let faults = |plan: &FaultPlan| Arc::new(SeededFaults::new(plan.clone()));
+        let (ledger, [takeovers, _]) = on_dsm(&grid, supervised(roles).faults(faults(&kill)));
         assert_eq!(ledger, expect, "kill {victim}:{at}, {case}");
         assert!(
             takeovers >= 1,
             "kill {victim}:{at} never taken over, {case}"
         );
-        let rejoin = Arc::new(kill.rejoin(victim, 2));
-        let (ledger, [_, rejoins, _]) = on_dsm(&grid, supervised(roles).faults(rejoin), false);
+        let rejoin = faults(&kill.with_rejoin(victim, 2));
+        let (ledger, [_, rejoins]) = on_dsm(&grid, supervised(roles).faults(rejoin));
         assert_eq!(ledger, expect, "kill + rejoin {victim}:{at}, {case}");
         assert_eq!(rejoins, 1, "victim {victim} never rejoined, {case}");
     }

@@ -38,7 +38,7 @@ fn main() {
     );
 
     // Fig. 10-style execution-time breakdown.
-    let agg = phase1.aggregate();
+    let agg = genomedsm::dsm::NodeStats::aggregate(&phase1.per_node);
     let b = phase1.breakdown();
     println!(
         "  breakdown: computation {:.1}%  communication {:.1}%  lock+cv {:.1}%  barrier {:.1}%",

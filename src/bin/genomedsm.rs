@@ -8,6 +8,7 @@
 //! genomedsm exact s.fa t.fa [--min-score N]
 //! genomedsm score s.fa t.fa [--threshold N] [--kernel scalar|simd|auto]
 //! genomedsm chaos s.fa t.fa [--plan SPEC] [--strategy S] [--procs N]
+//!                 [--bands N] [--blocks N] [--kernel K]
 //! genomedsm batch --db db.fa --queries q.fa [--top-k N] [--kernel K]
 //!                 [--workers N] [--check] [--mode dna|protein]
 //!                 [--matrix M] [--gap-open N] [--gap-extend N]
@@ -37,12 +38,13 @@
 //!   --alignments N     print the N best phase-2 alignments (default 3)
 //!   --tolerate-failures  enable the cluster supervision layer
 //!                      (heartbeats, lock-lease recovery, work takeover)
-//!   --kill NODE:UNITS  fail-stop NODE after UNITS work units
-//!                      (repeatable; implies --tolerate-failures)
-//!   --rejoin NODE:UNITS  readmit a --kill'ed NODE after UNITS work
-//!                      units of downtime, at the next workload boundary
-//!                      (repeatable; the boundary must fall inside the
-//!                      run — see DESIGN.md §5.13)
+//!   --plan SPEC        run under a fault plan (the `chaos` syntax below):
+//!                      `crash=NODE@UNIT` fail-stops NODE after UNIT work
+//!                      units and the survivors take its role over (this
+//!                      implies --tolerate-failures); `rejoin=NODE@UNIT`
+//!                      readmits it after UNIT work units of downtime, at
+//!                      the next workload boundary (DESIGN.md §5.13). A
+//!                      plan that crashes every node is refused.
 //!
 //! node: one rank of a real multi-process cluster. Binds the UDP socket
 //! the manifest assigns to --rank, runs all three phase-1 strategies and
@@ -93,20 +95,22 @@
 //! chaos: runs the selected strategy twice — fault-free and under the
 //! fault plan — verifies the results are bit-identical, and reports the
 //! reliability layer's work (retransmits, duplicates dropped, corrupt
-//! frames, crash recoveries) plus the virtual-time overhead.
+//! frames), what supervision did about a scheduled crash, and the
+//! virtual-time overhead.
 //!   --plan SPEC   "none", "paper", or key=value list:
 //!                 seed=N drop=P corrupt=P dup=P reorder=P delay_us=N
-//!                 crash=NODE@UNIT          (default "paper")
+//!                 crash=NODE@UNIT rejoin=NODE@UNIT  (default "paper")
 //!   --strategy heuristic|blocked|preprocess  (default preprocess)
 //! ```
 
+use genomedsm::dsm::{DsmConfig, NetworkModel, NodeStats};
 use genomedsm::prelude::*;
 use genomedsm::reverse_parallel::reverse_align_all_parallel;
 use genomedsm_core::nw::render_region_alignment;
 use genomedsm_dotplot::{svg_plot, PlotSpec};
 use genomedsm_kernels::Rung;
 use genomedsm_seq::fasta::{read_fasta_file, write_fasta_file, FastaRecord};
-use genomedsm_strategies::{BandScheme, ChunkPlan};
+use genomedsm_strategies::{BandScheme, ChunkPlan, Phase1Outcome, PreprocessOutcome};
 use std::process::exit;
 
 fn main() {
@@ -210,72 +214,23 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn opt_all(args: &[String], name: &str) -> Vec<String> {
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i + 1 < args.len() {
-        if args[i] == name {
-            values.push(args[i + 1].clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
+/// Parses a `--plan` spec for a cluster of `procs` nodes, refusing one
+/// that leaves no survivor to hold the answer.
+fn parse_plan(spec: &str, procs: usize) -> FaultPlan {
+    let plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
+        eprintln!("invalid --plan '{spec}': {e}");
+        exit(2);
+    });
+    if (0..procs).all(|n| plan.crashes.iter().any(|c| c.node == n)) {
+        eprintln!("--plan '{spec}' crashes all {procs} nodes (no survivor to take over)");
+        exit(2);
     }
-    values
-}
-
-/// Parses one `NODE:UNITS` spec.
-fn node_units(spec: &str) -> Option<(usize, u64)> {
-    spec.split_once(':')
-        .and_then(|(n, u)| Some((n.parse::<usize>().ok()?, u.parse::<u64>().ok()?)))
-}
-
-/// Parses the repeatable `--kill NODE:UNITS` and `--rejoin NODE:UNITS`
-/// specs into a fault injector.
-fn kill_plan(args: &[String]) -> Option<std::sync::Arc<genomedsm_strategies::KillPlan>> {
-    let kills = opt_all(args, "--kill");
-    let rejoins = opt_all(args, "--rejoin");
-    if kills.is_empty() {
-        if !rejoins.is_empty() {
-            eprintln!("--rejoin needs a matching --kill (nothing to rejoin)");
-            exit(2);
-        }
-        return None;
-    }
-    let mut plan = genomedsm_strategies::KillPlan::new();
-    for spec in &kills {
-        match node_units(spec) {
-            Some((node, units)) => plan = plan.kill(node, units),
-            None => {
-                eprintln!("invalid --kill '{spec}' (expected NODE:UNITS)");
-                exit(2);
-            }
-        }
-    }
-    for spec in &rejoins {
-        match node_units(spec) {
-            Some((node, units)) => {
-                if !plan.victims().contains(&node) {
-                    eprintln!("--rejoin {spec}: node {node} has no scheduled --kill");
-                    exit(2);
-                }
-                plan = plan.rejoin(node, units);
-            }
-            None => {
-                eprintln!("invalid --rejoin '{spec}' (expected NODE:UNITS)");
-                exit(2);
-            }
-        }
-    }
-    Some(std::sync::Arc::new(plan))
+    plan
 }
 
 /// Reports what the supervision layer did during a tolerant run.
-fn print_supervision(per_node: &[genomedsm::dsm::NodeStats]) {
-    let mut agg = genomedsm::dsm::NodeStats::default();
-    for st in per_node {
-        agg.merge(st);
-    }
+fn print_supervision(per_node: &[NodeStats]) {
+    let agg = NodeStats::aggregate(per_node);
     println!(
         "supervision: {} obituaries, {} lease(s) broken, {} role takeover(s), \
          {} waiter(s) woken, {} heartbeats",
@@ -384,54 +339,64 @@ fn load_pair(args: &[String]) -> (Vec<u8>, Vec<u8>) {
     (s, t)
 }
 
-fn align(args: &[String]) {
-    let (s, t) = load_pair(args);
-    let strategy = opt(args, "--strategy").unwrap_or_else(|| "blocked".into());
-    let procs: usize = opt_num(args, "--procs", 8);
-    let bands: usize = opt_num(args, "--bands", 40);
-    let blocks: usize = opt_num(args, "--blocks", 40);
+/// What phase 1 of the chosen strategy produced.
+enum Phase1 {
+    /// `heuristic` / `blocked`: candidate similar regions.
+    Regions(Phase1Outcome),
+    /// `preprocess`: the exact hit scoreboard.
+    Scoreboard(PreprocessOutcome),
+}
+
+impl Phase1 {
+    fn per_node(&self) -> &[NodeStats] {
+        match self {
+            Phase1::Regions(out) => &out.per_node,
+            Phase1::Scoreboard(out) => &out.per_node,
+        }
+    }
+
+    fn wall(&self) -> std::time::Duration {
+        match self {
+            Phase1::Regions(out) => out.wall,
+            Phase1::Scoreboard(out) => out.wall,
+        }
+    }
+
+    /// What a run under faults must reproduce bit for bit.
+    fn answer(&self) -> (&[LocalRegion], &[Vec<i64>], i32) {
+        match self {
+            Phase1::Regions(out) => (&out.regions, &[], 0),
+            Phase1::Scoreboard(out) => (&[], &out.result, out.best_score),
+        }
+    }
+}
+
+/// Builds the `strategy` the command line describes for `procs` nodes and
+/// runs it on a cluster configured by `dsm`.
+fn run_strategy(
+    args: &[String],
+    (strategy, procs): (&str, usize),
+    (s, t): (&[u8], &[u8]),
+    dsm: &dyn Fn(DsmConfig) -> DsmConfig,
+) -> Phase1 {
     let scoring = Scoring::paper();
     let params = HeuristicParams {
         open_threshold: opt_num(args, "--open", 15),
         close_threshold: opt_num(args, "--close", 15),
         min_score: opt_num(args, "--min-score", 50),
     };
-
-    let kills = kill_plan(args);
-    let tolerate = has_flag(args, "--tolerate-failures") || kills.is_some();
-    let fortify = |mut dsm: genomedsm::dsm::DsmConfig| {
-        if tolerate {
-            dsm = dsm.tolerate_failures();
-        }
-        if let Some(plan) = &kills {
-            dsm = dsm.faults(std::sync::Arc::clone(plan) as _);
-        }
-        dsm
-    };
-
-    eprintln!(
-        "aligning {} bp x {} bp with strategy '{strategy}' on {procs} simulated nodes...",
-        s.len(),
-        t.len()
-    );
-    let (regions, cluster_time) = match strategy.as_str() {
+    match strategy {
         "heuristic" => {
             let mut config = HeuristicDsmConfig::new(procs);
-            config.dsm = fortify(config.dsm);
-            let out = heuristic_align_dsm(&s, &t, &scoring, &params, &config);
-            if tolerate {
-                print_supervision(&out.per_node);
-            }
-            (out.regions, out.wall)
+            config.dsm = dsm(config.dsm);
+            Phase1::Regions(heuristic_align_dsm(s, t, &scoring, &params, &config))
         }
         "blocked" => {
+            let bands: usize = opt_num(args, "--bands", 40);
+            let blocks: usize = opt_num(args, "--blocks", 40);
             let mut config = BlockedConfig::new(procs, bands, blocks);
-            config.dsm = fortify(config.dsm);
-            let out = heuristic_block_align(&s, &t, &scoring, &params, &config);
-            if tolerate {
-                print_supervision(&out.per_node);
-            }
-            (out.regions, out.wall)
+            config.dsm = dsm(config.dsm);
+            Phase1::Regions(heuristic_block_align(s, t, &scoring, &params, &config))
         }
         "preprocess" => {
             let mut config = PreprocessConfig::new(procs);
@@ -439,11 +404,45 @@ fn align(args: &[String]) {
             config.chunk = ChunkPlan::Fixed(1024.min(t.len().max(1)));
             config.threshold = params.min_score;
             config.kernel = opt_kernel(args);
-            config.dsm = fortify(config.dsm);
-            let out = preprocess_align(&s, &t, &scoring, &config).unwrap_or_else(|e| {
+            config.dsm = dsm(config.dsm);
+            let out = preprocess_align(s, t, &scoring, &config).unwrap_or_else(|e| {
                 eprintln!("preprocess failed: {e}");
                 exit(1);
             });
+            Phase1::Scoreboard(out)
+        }
+        other => {
+            eprintln!("unknown strategy '{other}' (heuristic|blocked|preprocess)");
+            exit(2);
+        }
+    }
+}
+
+fn align(args: &[String]) {
+    let (s, t) = load_pair(args);
+    let strategy = opt(args, "--strategy").unwrap_or_else(|| "blocked".into());
+    let procs: usize = opt_num(args, "--procs", 8);
+    let injector = opt(args, "--plan")
+        .map(|spec| std::sync::Arc::new(SeededFaults::new(parse_plan(&spec, procs))));
+    let fortify = |mut dsm: DsmConfig| {
+        if has_flag(args, "--tolerate-failures") {
+            dsm = dsm.tolerate_failures();
+        }
+        match &injector {
+            Some(injector) => dsm.faults(injector.clone()),
+            None => dsm,
+        }
+    };
+    let tolerate = fortify(DsmConfig::new(procs)).supervision.enabled;
+
+    eprintln!(
+        "aligning {} bp x {} bp with strategy '{strategy}' on {procs} simulated nodes...",
+        s.len(),
+        t.len()
+    );
+    let out = match run_strategy(args, (&strategy, procs), (&s, &t), &fortify) {
+        Phase1::Regions(out) => out,
+        Phase1::Scoreboard(out) => {
             println!(
                 "pre-process: best score {}, {} threshold hits, simulated core time {:.2?}",
                 out.best_score,
@@ -461,16 +460,16 @@ fn align(args: &[String]) {
             println!("(exact strategy keeps a hit scoreboard; use `exact` to retrieve alignments)");
             return;
         }
-        other => {
-            eprintln!("unknown strategy '{other}' (heuristic|blocked|preprocess)");
-            exit(2);
-        }
     };
+    if tolerate {
+        print_supervision(&out.per_node);
+    }
+    let regions = out.regions;
 
     println!(
         "phase 1: {} candidate similar regions (simulated cluster time {:.2?})",
         regions.len(),
-        cluster_time
+        out.wall
     );
     for r in regions.iter().take(10) {
         println!("  {r}");
@@ -490,10 +489,8 @@ fn align(args: &[String]) {
 
     let show: usize = opt_num(args, "--alignments", 3);
     if show > 0 && !regions.is_empty() {
-        let p2_config = fortify(
-            genomedsm::dsm::DsmConfig::new(procs)
-                .network(genomedsm::dsm::NetworkModel::paper_cluster()),
-        );
+        let p2_config = fortify(DsmConfig::new(procs).network(NetworkModel::paper_cluster()));
+        let scoring = Scoring::paper();
         let phase2 =
             genomedsm_strategies::phase2_scattered_with(&s, &t, &regions, &scoring, &p2_config)
                 .unwrap_or_else(|e| {
@@ -543,99 +540,26 @@ fn score(args: &[String]) {
 fn chaos(args: &[String]) {
     let (s, t) = load_pair(args);
     let spec = opt(args, "--plan").unwrap_or_else(|| "paper".into());
-    let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| {
-        eprintln!("invalid --plan '{spec}': {e}");
-        exit(2);
-    });
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "preprocess".into());
     let procs: usize = opt_num(args, "--procs", 4);
-    let scoring = Scoring::paper();
-    let params = HeuristicParams {
-        open_threshold: opt_num(args, "--open", 15),
-        close_threshold: opt_num(args, "--close", 15),
-        min_score: opt_num(args, "--min-score", 50),
-    };
-    let injector = std::sync::Arc::new(SeededFaults::new(plan.clone(), procs));
+    let plan = parse_plan(&spec, procs);
+    let crashes = !plan.crashes.is_empty();
+    let injector = std::sync::Arc::new(SeededFaults::new(plan));
     eprintln!(
         "chaos run: {} bp x {} bp, strategy '{strategy}', {procs} nodes, plan '{spec}'",
         s.len(),
         t.len()
     );
 
-    // (identical?, clean stats, faulty stats, clean wall, faulty wall)
-    let (identical, clean_stats, faulty_stats, clean_wall, faulty_wall) = match strategy.as_str() {
-        "heuristic" => {
-            let clean =
-                heuristic_align_dsm(&s, &t, &scoring, &params, &HeuristicDsmConfig::new(procs));
-            let mut config = HeuristicDsmConfig::new(procs);
-            config.dsm = config.dsm.faults(injector);
-            let faulty = heuristic_align_dsm(&s, &t, &scoring, &params, &config);
-            (
-                clean.regions == faulty.regions,
-                clean.aggregate(),
-                faulty.aggregate(),
-                clean.wall,
-                faulty.wall,
-            )
-        }
-        "blocked" => {
-            let bands: usize = opt_num(args, "--bands", 40);
-            let blocks: usize = opt_num(args, "--blocks", 40);
-            let clean = heuristic_block_align(
-                &s,
-                &t,
-                &scoring,
-                &params,
-                &BlockedConfig::new(procs, bands, blocks),
-            );
-            let mut config = BlockedConfig::new(procs, bands, blocks);
-            config.dsm = config.dsm.faults(injector);
-            let faulty = heuristic_block_align(&s, &t, &scoring, &params, &config);
-            (
-                clean.regions == faulty.regions,
-                clean.aggregate(),
-                faulty.aggregate(),
-                clean.wall,
-                faulty.wall,
-            )
-        }
-        "preprocess" => {
-            let base = || {
-                let mut config = PreprocessConfig::new(procs);
-                config.band = BandScheme::Balanced(1024.min(s.len().max(1)));
-                config.chunk = ChunkPlan::Fixed(1024.min(t.len().max(1)));
-                config.threshold = params.min_score;
-                config.kernel = opt_kernel(args);
-                config
-            };
-            let clean = preprocess_align(&s, &t, &scoring, &base()).unwrap();
-            let mut config = base();
-            // Crash recovery needs checkpoints; they are also what a
-            // production deployment would run with, so the chaos report
-            // includes their cost.
-            config.checkpoint = true;
-            config.dsm = config.dsm.faults(injector);
-            let faulty = preprocess_align(&s, &t, &scoring, &config).unwrap();
-            let agg = |per_node: &[genomedsm::dsm::NodeStats]| {
-                let mut a = genomedsm::dsm::NodeStats::default();
-                for st in per_node {
-                    a.merge(st);
-                }
-                a
-            };
-            (
-                clean.result == faulty.result && clean.best_score == faulty.best_score,
-                agg(&clean.per_node),
-                agg(&faulty.per_node),
-                clean.wall,
-                faulty.wall,
-            )
-        }
-        other => {
-            eprintln!("unknown strategy '{other}' (heuristic|blocked|preprocess)");
-            exit(2);
-        }
+    let run = |dsm: &dyn Fn(DsmConfig) -> DsmConfig| {
+        run_strategy(args, (&strategy, procs), (&s, &t), dsm)
     };
+    let clean = run(&|dsm| dsm);
+    let faulty = run(&|dsm| dsm.faults(injector.clone()));
+    let identical = clean.answer() == faulty.answer();
+    let clean_stats = NodeStats::aggregate(clean.per_node());
+    let faulty_stats = NodeStats::aggregate(faulty.per_node());
+    let (clean_wall, faulty_wall) = (clean.wall(), faulty.wall());
 
     println!(
         "results: {}",
@@ -656,11 +580,8 @@ fn chaos(args: &[String]) {
         faulty_stats.msgs_sent,
         faulty_stats.bytes_sent / 1024
     );
-    if faulty_stats.recoveries > 0 {
-        println!(
-            "recovery: {} node crash(es) recovered, {:.2?} total downtime",
-            faulty_stats.recoveries, faulty_stats.recovery_time
-        );
+    if crashes {
+        print_supervision(faulty.per_node());
     }
     let overhead = faulty_wall.as_secs_f64() / clean_wall.as_secs_f64().max(1e-12) - 1.0;
     println!(

@@ -36,7 +36,7 @@ pub struct WorkloadSpec {
     /// Number of DSM nodes (= OS processes in a multi-process run).
     pub procs: usize,
     /// Optional chaos plan spec (see [`FaultPlan::parse`]) injected into
-    /// the transport (link faults).
+    /// the transport: link faults only, a `crash=` is refused.
     pub plan: Option<String>,
 }
 
@@ -122,7 +122,14 @@ fn dsm_for(
     if let Some(text) = &spec.plan {
         let plan =
             FaultPlan::parse(text).map_err(|e| format!("invalid fault plan '{text}': {e}"))?;
-        config = config.faults(Arc::new(SeededFaults::new(plan, spec.procs)) as _);
+        // The report is gathered from every rank and compared byte for
+        // byte; a rank that fail-stops mid-workload has none to give.
+        if !plan.crashes.is_empty() {
+            return Err(format!(
+                "fault plan '{text}': crash= is not supported by node/launch"
+            ));
+        }
+        config = config.faults(Arc::new(SeededFaults::new(plan)) as _);
     }
     if let Some((manifest, rank, base)) = cluster {
         manifest
@@ -285,6 +292,7 @@ pub fn ephemeral_manifest(n: usize) -> Result<ClusterManifest, String> {
 /// Returns a message if a child fails to spawn, exits non-zero, or any
 /// output diverges.
 pub fn launch(exe: &Path, spec: &WorkloadSpec, session_base: u64) -> Result<LaunchOutcome, String> {
+    dsm_for(spec, None, 0)?; // a plan no rank would accept spawns none
     let manifest = ephemeral_manifest(spec.procs)?;
     let dir = std::env::temp_dir();
     let manifest_path = dir.join(format!(
@@ -422,6 +430,18 @@ mod tests {
         assert_eq!(get("wall_us"), Some("1234"));
         assert_eq!(get("datagrams_sent"), Some("7"));
         assert_eq!(get("retransmits"), Some("2"));
+    }
+
+    #[test]
+    fn a_crash_in_the_plan_is_refused_not_ignored() {
+        let spec = WorkloadSpec {
+            plan: Some("drop=0.05,crash=1@3".into()),
+            ..WorkloadSpec::quick(2)
+        };
+        let err = run_workload(&spec, None).expect_err("crash= must not run");
+        assert!(err.contains("crash= is not supported"), "{err}");
+        let err = launch(Path::new("/nonexistent"), &spec, 0).expect_err("nor spawn");
+        assert!(err.contains("crash= is not supported"), "{err}");
     }
 
     #[test]

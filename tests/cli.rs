@@ -105,3 +105,62 @@ fn missing_input_file_is_a_clean_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
+
+/// A 600 bp planted pair (seed 3): small, and the blocked strategy finds
+/// regions in it.
+fn small_pair(dir: &std::path::Path) -> PathBuf {
+    let fa = dir.join("pair.fa");
+    assert!(bin()
+        .args(["generate", "--len", "600", "--seed", "3", "--out"])
+        .arg(&fa)
+        .status()
+        .expect("generate")
+        .success());
+    fa
+}
+
+#[test]
+fn a_plan_that_crashes_every_node_is_refused_before_running() {
+    // With nobody left to adopt the dead roles the run would end with an
+    // empty answer and exit 0; the plan must be refused up front.
+    let dir = temp_dir("no_survivor");
+    let fa = small_pair(&dir);
+    let plan = "crash=0@3,crash=1@3";
+    let out = bin()
+        .arg("align")
+        .arg(&fa)
+        .args(["--strategy", "blocked", "--procs", "2"])
+        .args(["--bands", "4", "--blocks", "4", "--plan", plan])
+        .output()
+        .expect("run align");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(plan), "{stderr}");
+    assert!(stderr.contains("no survivor"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_takes_a_scheduled_crash_over_instead_of_dropping_it() {
+    // A crash in the plan must fire for every strategy — never identical
+    // traffic, "+0.0% overhead" and no word of the crash.
+    let dir = temp_dir("chaos_crash");
+    let fa = small_pair(&dir);
+    let out = bin()
+        .arg("chaos")
+        .arg(&fa)
+        .args(["--strategy", "blocked", "--procs", "3"])
+        .args(["--bands", "6", "--blocks", "6", "--plan", "crash=1@5"])
+        .output()
+        .expect("run chaos");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("BIT-IDENTICAL"), "{stdout}");
+    let supervision = stdout
+        .lines()
+        .find(|line| line.starts_with("supervision:"))
+        .unwrap_or_else(|| panic!("no supervision line:\n{stdout}"));
+    assert!(!supervision.contains(" 0 role takeover"), "{supervision}");
+    std::fs::remove_dir_all(&dir).ok();
+}
