@@ -139,8 +139,8 @@ pub fn sw_score_profile(
     threshold: i32,
 ) -> LinearSwResult {
     assert!(
-        scoring.gap_open < 0 && scoring.gap_extend < 0,
-        "gap penalties must be negative"
+        scoring.gaps_valid(),
+        "gap penalties must be negative and >= MatrixScoring::MIN_GAP"
     );
     sw_result_affine(
         s,

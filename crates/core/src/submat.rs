@@ -313,6 +313,12 @@ pub struct MatrixScoring {
 }
 
 impl MatrixScoring {
+    /// The most negative gap penalty accepted: `i32::MIN / 4`, the scalar
+    /// oracle's "minus infinity" sentinel. A penalty at or above it keeps
+    /// every sum the recurrences form — sentinel + penalty, open +
+    /// extend — above `i32::MIN`, so no score can wrap.
+    pub const MIN_GAP: i32 = i32::MIN / 4;
+
     /// The default protein scheme: BLOSUM62 with −11/−1 gaps.
     pub const fn blosum62() -> Self {
         Self {
@@ -329,6 +335,16 @@ impl MatrixScoring {
             gap_open,
             gap_extend,
         }
+    }
+
+    /// Whether both gap penalties are negative and no lower than
+    /// [`MatrixScoring::MIN_GAP`] — the one check every path that admits a
+    /// scheme from outside the program (CLI flags, a service request)
+    /// applies. `gap_open` above `gap_extend` is valid.
+    pub fn gaps_valid(&self) -> bool {
+        [self.gap_open, self.gap_extend]
+            .iter()
+            .all(|g| (Self::MIN_GAP..0).contains(g))
     }
 
     /// A stable fingerprint over the matrix contents and both gap

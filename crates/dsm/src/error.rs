@@ -44,13 +44,16 @@ pub enum DsmError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
-    /// A string field is not valid UTF-8 (only higher-level protocols
-    /// built on [`crate::codec::FrameReader::str`] carry strings; the DSM
-    /// messages themselves are all-numeric).
+    /// A string field is not valid UTF-8 (only the service protocol and
+    /// the result gather carry strings; the DSM messages themselves are
+    /// all-numeric).
     Utf8 {
         /// Length of the valid prefix.
         valid_up_to: usize,
     },
+    /// A field decoded but its value is outside what the protocol admits
+    /// (for example a gap penalty that is not negative).
+    Invalid(&'static str),
     /// A peer endpoint (daemon inbox or worker reply channel) is closed.
     Disconnected(&'static str),
     /// The cluster manifest (TOML file or environment override) is
@@ -88,6 +91,7 @@ impl fmt::Display for DsmError {
             DsmError::Utf8 { valid_up_to } => {
                 write!(f, "invalid UTF-8 in string field after {valid_up_to} bytes")
             }
+            DsmError::Invalid(what) => write!(f, "invalid field: {what}"),
             DsmError::Disconnected(what) => write!(f, "transport disconnected: {what}"),
             DsmError::Manifest(reason) => write!(f, "cluster manifest: {reason}"),
             DsmError::NodeFailed { node } => write!(f, "node {node} declared failed"),

@@ -70,7 +70,7 @@ pub mod system;
 pub mod transport;
 pub mod vec;
 
-pub use codec::{FrameReader, FrameWriter};
+pub use codec::{check_malformed, from_frame, to_frame, FrameReader, FrameWriter, Wire};
 pub use config::{DsmConfig, SupervisionConfig};
 pub use error::DsmError;
 pub use lock_order::{
@@ -86,6 +86,5 @@ pub use system::{DsmRun, DsmSystem};
 pub use transport::clock::Clock;
 pub use transport::manifest::{ClusterCtx, ClusterManifest, CLUSTER_ENV};
 pub use transport::udp::UdpTransport;
-pub use transport::wire::{decode_frame, encode_frame, Wire};
 pub use transport::{ChannelTransport, RankWiring, Transport, TransportStats};
 pub use vec::{DsmData, GlobalVec};

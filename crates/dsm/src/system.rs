@@ -9,8 +9,10 @@
 //! every rank's result through the DSM itself, so callers get the same
 //! full [`DsmRun`] either way.
 
+use crate::codec::{from_frame, to_frame, Wire};
 use crate::config::DsmConfig;
 use crate::daemon::Daemon;
+use crate::error::DsmError;
 use crate::lock_order::{LockOrderEdge, LockOrderGraph, LockOrderViolation, LOCK_ORDER_ENABLED};
 use crate::msg::{Envelope, Msg, SYSTEM_SRC};
 use crate::node::Node;
@@ -18,11 +20,10 @@ use crate::stats::NodeStats;
 use crate::transport::clock::Clock;
 use crate::transport::manifest::ClusterCtx;
 use crate::transport::udp::UdpTransport;
-use crate::transport::wire::{decode_frame, encode_frame, Wire};
 use crate::transport::{ChannelTransport, RankWiring, Transport};
 use std::sync::Arc;
 
-/// Frame tag of a result-gather blob (`(R, NodeStats)` per rank).
+/// First field of a rank's result-gather frame, `(GATHER_TAG, R, NodeStats)`.
 const GATHER_TAG: u8 = 0x47;
 
 /// Outcome of a DSM run: per-node results and statistics, plus the total
@@ -271,7 +272,7 @@ fn gather_results<R: Wire>(
     result: R,
     snapshot: NodeStats,
 ) -> Vec<(R, NodeStats)> {
-    let blob = encode_frame(GATHER_TAG, &(result, snapshot));
+    let blob = to_frame(&(GATHER_TAG, result, snapshot));
     let lens = node.alloc_vec::<u64>(nprocs);
     node.vec_set(&lens, rank, blob.len() as u64);
     node.barrier();
@@ -289,7 +290,12 @@ fn gather_results<R: Wire>(
         let len = len as usize;
         let slice = &all[off..off + len];
         off += len;
-        match decode_frame::<(R, NodeStats)>(GATHER_TAG, slice) {
+        let decoded =
+            from_frame::<(u8, R, NodeStats)>(slice).and_then(|(tag, result, stats)| match tag {
+                GATHER_TAG => Ok((result, stats)),
+                other => Err(DsmError::BadTag(other)),
+            });
+        match decoded {
             Ok(pair) => out.push(pair),
             Err(e) => panic!("rank {r}: result-gather blob corrupt: {e}"),
         }

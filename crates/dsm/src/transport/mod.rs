@@ -19,13 +19,12 @@
 //!   reliability layer against genuinely lossy I/O.
 //!
 //! The submodules carry the rest of the subsystem: [`manifest`] (peer
-//! discovery), [`wire`] (the result-gather encoding), and [`clock`]
-//! (the sanctioned real-sleep primitive for `simulate: true`).
+//! discovery) and [`clock`] (the sanctioned real-sleep primitive for
+//! `simulate: true`).
 
 pub mod clock;
 pub mod manifest;
 pub mod udp;
-pub mod wire;
 
 use crate::msg::{Envelope, ReplyEnvelope};
 use crate::stats::NodeStats;

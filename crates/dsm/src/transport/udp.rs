@@ -2,10 +2,10 @@
 //! top of genuinely lossy I/O.
 //!
 //! [`UdpTransport`] wires **one** rank of a multi-process cluster. Every
-//! remote `Envelope`/`ReplyEnvelope` is encoded through the PR 2 wire
-//! codec, wrapped in an outer checksummed datagram frame carrying
-//! `(session, from, chan, seq, fragment)` headers, and driven through a
-//! sender-side ack/retransmit machine and a receiver-side
+//! remote `Envelope`/`ReplyEnvelope` is encoded through the wire codec
+//! ([`crate::codec`]), wrapped in an outer checksummed [`Datagram`]
+//! carrying `(session, from, chan, seq, fragment)` headers, and driven
+//! through a sender-side ack/retransmit machine and a receiver-side
 //! dedup/reorder/reassembly machine, so the protocol layer above sees
 //! exactly the channel semantics it has always had: reliable, in-order
 //! delivery per `(peer, chan)` link.
@@ -21,8 +21,9 @@
 //!   retrying at `max_rto` and counts the escalation — a slow peer is
 //!   not a dead peer, and declaring death is the supervision layer's
 //!   job, not the transport's);
-//! * one **receiver**: parses datagrams ([`parse_datagram`] — every
-//!   malformation is a typed [`DsmError`] and a counter, never a panic),
+//! * one **receiver**: parses datagrams (`from_frame::<`[`Datagram`]`>` —
+//!   every malformation is a typed [`DsmError`] and a counter, never a
+//!   panic),
 //!   acknowledges, deduplicates, restores per-link order through a
 //!   bounded reorder window, reassembles fragments, and delivers into
 //!   the local inboxes.
@@ -48,7 +49,9 @@
 
 use super::manifest::ClusterCtx;
 use super::{RankWiring, Transport, TransportStats};
-use crate::codec::{decode_msg, decode_reply, FrameReader, FrameWriter};
+use crate::codec::{
+    decode_msg, decode_reply, from_frame, to_frame, FrameReader, FrameWriter, Wire,
+};
 use crate::error::DsmError;
 use crate::msg::{Envelope, Msg, ReplyEnvelope};
 use crate::net::{
@@ -134,81 +137,61 @@ pub enum Datagram {
     Ack(AckFrame),
 }
 
-/// Parses one received datagram. Pure and total: every malformed input —
-/// truncated, oversized, bit-flipped, wrong tag, trailing garbage — is a
-/// typed [`DsmError`], never a panic. The receive loop maps each error
-/// onto a [`TransportStats`] counter and drops the datagram.
-pub fn parse_datagram(frame: &[u8]) -> Result<Datagram, DsmError> {
-    let mut r = FrameReader::checked(frame)?;
-    let tag = r.u8()?;
-    match tag {
-        TPT_DATA => {
-            let session = r.u64()?;
-            let from = r.usize()?;
-            let chan = r.u8()?;
-            let seq = r.u64()?;
-            let frag_idx = r.u32()?;
-            let frag_count = r.u32()?;
-            let env_seq = r.u64()?;
-            let arrive_ns = r.u64()?;
-            let payload = r.bytes()?;
-            if frag_count == 0 || frag_idx >= frag_count {
-                return Err(DsmError::Oversize {
-                    len: frag_idx as usize,
-                    max: frag_count.saturating_sub(1) as usize,
-                });
+/// Every datagram on the wire: parsing is [`from_frame`], pure and total —
+/// every malformed input (truncated, oversized, bit-flipped, wrong tag,
+/// trailing garbage, an impossible fragment header) is a typed
+/// [`DsmError`], never a panic. The receive loop maps each error onto a
+/// [`TransportStats`] counter and drops the datagram.
+impl Wire for Datagram {
+    fn encode(&self, w: &mut FrameWriter) {
+        match self {
+            Datagram::Data(d) => {
+                w.u8(TPT_DATA);
+                d.encode(w);
             }
-            r.done(Datagram::Data(DataFrame {
-                session,
-                from,
-                chan,
-                seq,
-                frag_idx,
-                frag_count,
-                env_seq,
-                arrive_ns,
-                payload,
-            }))
+            Datagram::Ack(a) => {
+                w.u8(TPT_ACK);
+                a.encode(w);
+            }
         }
-        TPT_ACK => {
-            let session = r.u64()?;
-            let from = r.usize()?;
-            let chan = r.u8()?;
-            let seq = r.u64()?;
-            r.done(Datagram::Ack(AckFrame {
-                session,
-                from,
-                chan,
-                seq,
-            }))
+    }
+
+    fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
+        match r.u8()? {
+            TPT_DATA => {
+                let d = DataFrame::decode(r)?;
+                if d.frag_count == 0 || d.frag_idx >= d.frag_count {
+                    return Err(DsmError::Oversize {
+                        len: d.frag_idx as usize,
+                        max: d.frag_count.saturating_sub(1) as usize,
+                    });
+                }
+                Ok(Datagram::Data(d))
+            }
+            TPT_ACK => Ok(Datagram::Ack(AckFrame::decode(r)?)),
+            other => Err(DsmError::BadTag(other)),
         }
-        other => Err(DsmError::BadTag(other)),
     }
 }
 
-/// Encodes a data datagram (the exact inverse of [`parse_datagram`]).
-fn encode_data(d: &DataFrame) -> Vec<u8> {
-    let mut w = FrameWriter::new(TPT_DATA);
-    w.u64(d.session);
-    w.usize(d.from);
-    w.u8(d.chan);
-    w.u64(d.seq);
-    w.u32(d.frag_idx);
-    w.u32(d.frag_count);
-    w.u64(d.env_seq);
-    w.u64(d.arrive_ns);
-    w.bytes(&d.payload);
-    w.finish()
-}
+crate::wire_struct!(DataFrame {
+    session: u64,
+    from: usize,
+    chan: u8,
+    seq: u64,
+    frag_idx: u32,
+    frag_count: u32,
+    env_seq: u64,
+    arrive_ns: u64,
+    payload: Vec<u8>,
+});
 
-fn encode_ack(a: &AckFrame) -> Vec<u8> {
-    let mut w = FrameWriter::new(TPT_ACK);
-    w.u64(a.session);
-    w.usize(a.from);
-    w.u8(a.chan);
-    w.u64(a.seq);
-    w.finish()
-}
+crate::wire_struct!(AckFrame {
+    session: u64,
+    from: usize,
+    chan: u8,
+    seq: u64,
+});
 
 // ---------------------------------------------------------------------
 // Shared state
@@ -240,12 +223,12 @@ impl Shared {
         let Some(&addr) = self.peers.get(to) else {
             return;
         };
-        let bytes = encode_ack(&AckFrame {
+        let bytes = to_frame(&Datagram::Ack(AckFrame {
             session: self.session,
             from: self.rank,
             chan,
             seq,
-        });
+        }));
         if self.socket.send_to(&bytes, addr).is_ok() {
             self.stats().acks_sent += 1;
         }
@@ -673,7 +656,7 @@ impl Pump {
             let counter = self.next_seq.entry((peer, chan)).or_insert(0);
             let seq = *counter;
             *counter += 1;
-            let bytes = encode_data(&DataFrame {
+            let bytes = to_frame(&Datagram::Data(DataFrame {
                 session: self.shared.session,
                 from: self.shared.rank,
                 chan,
@@ -683,7 +666,7 @@ impl Pump {
                 env_seq,
                 arrive_ns,
                 payload: frag.to_vec(),
-            });
+            }));
             let rto = self.policy.rto(0);
             self.unacked.insert(
                 (peer, chan, seq),
@@ -888,7 +871,7 @@ fn handle_datagram(
     reply_local: &Sender<ReplyEnvelope>,
     pump: &Sender<PumpCmd>,
 ) {
-    let parsed = match parse_datagram(frame) {
+    let parsed = match from_frame::<Datagram>(frame) {
         Ok(p) => p,
         Err(DsmError::Checksum { .. }) => {
             shared.stats().corrupt_dropped += 1;
@@ -1027,10 +1010,17 @@ fn accept_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::check_malformed;
 
+    fn hex(frame: &[u8]) -> String {
+        frame.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Also pins the exact bytes of one data and one ack datagram: ranks
+    /// built from different trees must still understand each other.
     #[test]
     fn datagram_roundtrip() {
-        let d = DataFrame {
+        let d = Datagram::Data(DataFrame {
             session: 7,
             from: 2,
             chan: CHAN_REQ,
@@ -1040,21 +1030,26 @@ mod tests {
             env_seq: 5,
             arrive_ns: 123_456,
             payload: vec![1, 2, 3],
-        };
+        });
+        let frame = to_frame(&d);
         assert_eq!(
-            parse_datagram(&encode_data(&d)).expect("parse"),
-            Datagram::Data(d)
+            hex(&frame),
+            "40070000000000000002000000000000000063000000000000000000000001000000\
+             050000000000000040e20100000000000300000000000000010203de010000"
         );
-        let a = AckFrame {
+        assert_eq!(from_frame::<Datagram>(&frame).expect("parse"), d);
+        let a = Datagram::Ack(AckFrame {
             session: 7,
             from: 1,
             chan: CHAN_REPLY,
             seq: 42,
-        };
+        });
+        let frame = to_frame(&a);
         assert_eq!(
-            parse_datagram(&encode_ack(&a)).expect("parse"),
-            Datagram::Ack(a)
+            hex(&frame),
+            "4107000000000000000100000000000000012a0000000000000074000000"
         );
+        assert_eq!(from_frame::<Datagram>(&frame).expect("parse"), a);
     }
 
     #[test]
@@ -1070,31 +1065,29 @@ mod tests {
             arrive_ns: 0,
             payload: vec![9; 64],
         };
-        let good = encode_data(&d);
-        // Truncations at every length.
-        for cut in 0..good.len() {
-            assert!(parse_datagram(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        // Every single-byte corruption fails the checksum (or a typed
-        // structural check), never panics.
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x01;
-            let _ = parse_datagram(&bad);
-        }
+        let good = to_frame(&Datagram::Data(d.clone()));
+        check_malformed::<Datagram>(&good).unwrap();
+        let ack = Datagram::Ack(AckFrame {
+            session: 1,
+            from: 3,
+            chan: CHAN_REQ,
+            seq: 8,
+        });
+        check_malformed::<Datagram>(&to_frame(&ack)).unwrap();
         // Trailing garbage.
         let mut long = good.clone();
         long.extend_from_slice(&[0, 0, 0, 0]);
-        assert!(parse_datagram(&long).is_err());
+        assert!(from_frame::<Datagram>(&long).is_err());
         // Unknown tag with a valid checksum.
-        let w = FrameWriter::new(0x33);
+        let mut w = FrameWriter::default();
+        w.u8(0x33);
         assert!(matches!(
-            parse_datagram(&w.finish()),
+            from_frame::<Datagram>(&w.finish()),
             Err(DsmError::BadTag(0x33))
         ));
         // Fragment header inconsistency.
-        let mut zero_frags = d.clone();
+        let mut zero_frags = d;
         zero_frags.frag_count = 0;
-        assert!(parse_datagram(&encode_data(&zero_frags)).is_err());
+        assert!(from_frame::<Datagram>(&to_frame(&Datagram::Data(zero_frags))).is_err());
     }
 }

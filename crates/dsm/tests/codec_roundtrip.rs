@@ -1,10 +1,11 @@
 //! Wire-codec coverage: every `Msg` and `Reply` variant must survive
-//! encode → decode bit-exactly, decoding must never panic on arbitrary
-//! or mutated bytes (typed `DsmError` only), and frames must decode
-//! identically regardless of delivery order or duplication — the codec
-//! is stateless, which is what lets the transport layer dedup above it.
+//! encode → decode bit-exactly into the exact bytes pinned below,
+//! decoding must never panic on truncated, flipped or random bytes (typed
+//! `DsmError` only), and frames must decode identically regardless of
+//! delivery order or duplication — the codec is stateless, which is what
+//! lets the transport layer dedup above it.
 
-use genomedsm_dsm::codec::{decode_msg, decode_reply, encode_msg, encode_reply};
+use genomedsm_dsm::codec::{check_malformed, decode_msg, decode_reply, encode_msg, encode_reply};
 use genomedsm_dsm::msg::{Msg, Notice, Patch, Reply};
 
 fn notices() -> Vec<Notice> {
@@ -167,16 +168,20 @@ fn all_replies() -> Vec<Reply> {
 
 #[test]
 fn every_msg_variant_roundtrips() {
-    for m in all_msgs() {
+    assert_eq!(all_msgs().len(), MSG_GOLDEN.len());
+    for (m, want) in all_msgs().into_iter().zip(MSG_GOLDEN) {
         let frame = encode_msg(&m);
+        assert_eq!(golden(&frame), want, "frame of {m:?} changed");
         assert_eq!(decode_msg(&frame).unwrap(), m, "roundtrip failed for {m:?}");
     }
 }
 
 #[test]
 fn every_reply_variant_roundtrips() {
-    for r in all_replies() {
+    assert_eq!(all_replies().len(), REPLY_GOLDEN.len());
+    for (r, want) in all_replies().into_iter().zip(REPLY_GOLDEN) {
         let frame = encode_reply(&r);
+        assert_eq!(golden(&frame), want, "frame of {r:?} changed");
         assert_eq!(
             decode_reply(&frame).unwrap(),
             r,
@@ -209,70 +214,70 @@ fn duplicated_and_reordered_delivery_decodes_identically() {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[test]
-fn fuzz_arbitrary_bytes_never_panic() {
-    // Seeded fuzz loop: random garbage of random lengths must produce a
-    // typed error (or, vanishingly unlikely, a valid message) — never a
-    // panic or an allocation blow-up.
-    let mut rng = 0x5eed_u64;
-    for _ in 0..5_000 {
-        let len = (splitmix(&mut rng) % 64) as usize;
-        let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
-        let _ = decode_msg(&bytes);
-        let _ = decode_reply(&bytes);
-    }
-}
-
-#[test]
-fn fuzz_mutated_valid_frames_never_panic_and_single_flips_are_caught() {
-    let msgs = all_msgs();
-    let replies = all_replies();
-    let mut rng = 0xfeed_u64;
-    for i in 0..2_000 {
-        if i % 2 == 0 {
-            let m = &msgs[(splitmix(&mut rng) as usize) % msgs.len()];
-            let mut frame = encode_msg(m);
-            let idx = (splitmix(&mut rng) as usize) % frame.len();
-            let flip = (splitmix(&mut rng) as u8) | 1; // non-zero XOR
-            frame[idx] ^= flip;
-            assert!(
-                decode_msg(&frame).is_err(),
-                "single-byte corruption of {m:?} at {idx} went undetected"
-            );
-        } else {
-            let r = &replies[(splitmix(&mut rng) as usize) % replies.len()];
-            let mut frame = encode_reply(r);
-            let idx = (splitmix(&mut rng) as usize) % frame.len();
-            let flip = (splitmix(&mut rng) as u8) | 1;
-            frame[idx] ^= flip;
-            assert!(
-                decode_reply(&frame).is_err(),
-                "single-byte corruption of {r:?} at {idx} went undetected"
-            );
-        }
-    }
-}
-
-#[test]
-fn truncations_of_every_variant_are_typed_errors() {
+fn every_variant_meets_the_malformed_frame_contract() {
+    // Truncations, single-byte flips and seeded garbage: typed errors,
+    // never a panic or an allocation blow-up.
     for m in all_msgs() {
-        let frame = encode_msg(&m);
-        for cut in 0..frame.len() {
-            assert!(decode_msg(&frame[..cut]).is_err());
-        }
+        check_malformed::<Msg>(&encode_msg(&m)).unwrap_or_else(|e| panic!("{m:?}: {e}"));
     }
     for r in all_replies() {
-        let frame = encode_reply(&r);
-        for cut in 0..frame.len() {
-            assert!(decode_reply(&frame[..cut]).is_err());
-        }
+        check_malformed::<Reply>(&encode_reply(&r)).unwrap_or_else(|e| panic!("{r:?}: {e}"));
     }
 }
+
+/// A frame as lowercase hex, each run of eight or more equal bytes written
+/// `[bb*n]` so a 4 KiB page stays a short golden string.
+fn golden(frame: &[u8]) -> String {
+    let mut out = String::new();
+    let mut rest = frame;
+    while let Some(&b) = rest.first() {
+        let run = rest.iter().take_while(|&&x| x == b).count();
+        if run >= 8 {
+            out += &format!("[{b:02x}*{run}]");
+        } else {
+            out += &format!("{b:02x}").repeat(run);
+        }
+        rest = &rest[run..];
+    }
+    out
+}
+
+/// The exact frames of [`all_msgs`], in order (see [`golden`]). Frozen:
+/// a codec change that moves one byte of a request breaks peers built
+/// from an older tree.
+const MSG_GOLDEN: [&str; 17] = [
+    "002a000000000000000300000000000000090000000000000036000000",
+    "01[ff*8]0700000000000000010000000000000002[00*19]fa0f00002c01000000000000[ff*300]0d340100",
+    "01[00*32]01000000",
+    "02ffffffff[00*8][ff*8]f60b0000",
+    "0303000000010000000000000002[00*31][ff*8]070000000000000003000000000000000b080000",
+    "040000000005[00*15]09000000",
+    "050b0000000200000000000000110000000000000023000000",
+    "06060000000000000002[00*31][ff*8]0700000000000000030000000000000010080000",
+    "070400000000000000030000000000000001000000000000000200000000000000[ff*8]09080000",
+    "080c00000000000000050000000000000019000000",
+    "0909[00*8]10000000000000[07*4096]22700000",
+    "0a0a000000",
+    "0b03000000000000000e000000",
+    "0c07000000000000000100000014000000",
+    "0e070000000000000002000000130000000000000004000000000000002e000000",
+    "0d01000000000000000100000002000000000000000200000000000000040000000000000017000000",
+    "0d[00*20]0d000000",
+];
+
+/// The exact frames of [`all_replies`], in order.
+const REPLY_GOLDEN: [&str; 12] = [
+    "80030000000000000003000000000000000102038c000000",
+    "80[00*16]80000000",
+    "8181000000",
+    "82580000000000000002[00*31][ff*8]07000000000000000300000000000000de080000",
+    "83[00*16]83000000",
+    "8402[00*31][ff*8]07000000000000000300000000000000020000000000000005000000000000000100000000000000[ff*8]07[00*15]8f100000",
+    "84[00*16]0200000000000000020000000000000005000000000000008d000000",
+    "8506000000000000008b000000",
+    "860200000000000000010000000000000004000000000000000100000000000000020000000000000001000000030000000000000094000000",
+    "86[00*28]86000000",
+    "870900000000000000020000000000000002000000000000000500000000000000020000000000000011000000000000000300000000000000[ff*8][00*8]a7080000",
+    "87[00*24]87000000",
+];

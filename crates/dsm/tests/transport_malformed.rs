@@ -6,17 +6,19 @@
 
 use genomedsm_dsm::codec::encode_msg;
 use genomedsm_dsm::msg::Msg;
-use genomedsm_dsm::transport::udp::{parse_datagram, Datagram, TPT_ACK, TPT_DATA};
+use genomedsm_dsm::transport::udp::{Datagram, TPT_ACK, TPT_DATA};
 use genomedsm_dsm::{
-    ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FrameWriter, Node, CHAN_DAEMON,
+    from_frame, ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FrameWriter, Node, CHAN_DAEMON,
 };
 use proptest::prelude::*;
 use std::net::UdpSocket;
 
-/// A syntactically valid data datagram built by hand (the transport's
-/// encoder is private; the wire format is DESIGN.md §5.12's contract).
+/// A syntactically valid data datagram built by hand, field by field, so
+/// the tests check the transport against DESIGN.md §5.12's wire format
+/// rather than against its own encoder.
 fn valid_data_frame(session: u64, from: usize, chan: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut w = FrameWriter::new(TPT_DATA);
+    let mut w = FrameWriter::default();
+    w.u8(TPT_DATA);
     w.u64(session);
     w.usize(from);
     w.u8(chan);
@@ -30,7 +32,8 @@ fn valid_data_frame(session: u64, from: usize, chan: u8, seq: u64, payload: &[u8
 }
 
 fn valid_ack_frame(session: u64, from: usize, chan: u8, seq: u64) -> Vec<u8> {
-    let mut w = FrameWriter::new(TPT_ACK);
+    let mut w = FrameWriter::default();
+    w.u8(TPT_ACK);
     w.u64(session);
     w.usize(from);
     w.u8(chan);
@@ -46,7 +49,7 @@ proptest! {
     /// astronomically unlikely but would still be structurally valid.)
     #[test]
     fn parser_is_total_on_garbage(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
-        let _ = parse_datagram(&bytes);
+        let _ = from_frame::<Datagram>(&bytes);
     }
 
     /// Single bit flips anywhere in a valid frame are always rejected:
@@ -61,7 +64,7 @@ proptest! {
         let mut bad = frame.clone();
         let at = idx % bad.len();
         bad[at] ^= 1 << bit;
-        prop_assert!(parse_datagram(&bad).is_err(), "flip at {at} accepted");
+        prop_assert!(from_frame::<Datagram>(&bad).is_err(), "flip at {at} accepted");
     }
 
     /// Truncations at every prefix length are typed errors.
@@ -69,7 +72,7 @@ proptest! {
     fn truncations_never_parse(cut_seed in 0u64..10_000) {
         let frame = valid_ack_frame(3, 0, 1, 99);
         let cut = (cut_seed as usize) % frame.len();
-        prop_assert!(parse_datagram(&frame[..cut]).is_err());
+        prop_assert!(from_frame::<Datagram>(&frame[..cut]).is_err());
     }
 
     /// Frames that re-checksum correctly after appending garbage still
@@ -79,7 +82,7 @@ proptest! {
     fn oversized_frames_never_parse(extra in proptest::collection::vec(0u8..=255, 1..64)) {
         let mut frame = valid_data_frame(1, 0, 2, 5, b"xyz");
         frame.extend_from_slice(&extra);
-        prop_assert!(parse_datagram(&frame).is_err());
+        prop_assert!(from_frame::<Datagram>(&frame).is_err());
     }
 }
 
@@ -87,17 +90,23 @@ proptest! {
 fn hand_built_frames_parse_back() {
     // The hand encoder above matches the transport's real decoder — the
     // premise all the negative tests rest on.
-    match parse_datagram(&valid_data_frame(9, 2, 1, 44, b"hello")) {
+    match from_frame::<Datagram>(&valid_data_frame(9, 2, 1, 44, b"hello")) {
         Ok(Datagram::Data(d)) => {
             assert_eq!((d.session, d.from, d.chan, d.seq), (9, 2, 1, 44));
             assert_eq!(d.payload, b"hello");
         }
         other => panic!("expected Data, got {other:?}"),
     }
-    match parse_datagram(&valid_ack_frame(9, 1, 0, 7)) {
+    match from_frame::<Datagram>(&valid_ack_frame(9, 1, 0, 7)) {
         Ok(Datagram::Ack(a)) => assert_eq!((a.session, a.from, a.chan, a.seq), (9, 1, 0, 7)),
         other => panic!("expected Ack, got {other:?}"),
     }
+}
+
+fn unknown_tag_frame() -> Vec<u8> {
+    let mut w = FrameWriter::default();
+    w.u8(0x13);
+    w.finish()
 }
 
 fn fresh_manifest(n: usize) -> ClusterManifest {
@@ -162,7 +171,7 @@ fn live_socket_survives_garbage_blast() {
         valid_data_frame(SESSION, 9, 0, 0, b"badfrom"),          // rank out of range
         valid_data_frame(SESSION, 1, 7, 0, b"badchan"),          // unknown channel
         valid_ack_frame(SESSION + 2, 1, 0, 0),                   // stale ack
-        FrameWriter::new(0x13).finish(),                         // unknown tag
+        unknown_tag_frame(),                                     // unknown tag
         // Well-formed in every layer, on a link (daemon 1 → daemon 0) this
         // run never uses, so seq 0 is in order: a forged launcher
         // `Shutdown`. Delivered, it would end rank 0's daemon and hang

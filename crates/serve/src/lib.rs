@@ -6,11 +6,12 @@
 //! a distributed SIMD-SW system — see PAPERS.md). This crate is that
 //! service, built from parts the workspace already trusts:
 //!
-//! * [`proto`] — the request/response protocol: checksummed binary frames
-//!   built with the `dsm` wire codec ([`genomedsm_dsm::FrameWriter`] /
-//!   [`FrameReader`](genomedsm_dsm::FrameReader)), hex-armored one frame
-//!   per line so the transport is line-delimited and every byte is
-//!   checksum-protected. Decoding never panics.
+//! * [`proto`] — the request/response protocol: [`Request`] and
+//!   [`Response`] are frame families of the `dsm` wire codec (each a
+//!   [`genomedsm_dsm::Wire`] value behind [`genomedsm_dsm::to_frame`] /
+//!   [`genomedsm_dsm::from_frame`]), hex-armored one frame per line so the
+//!   transport is line-delimited and every byte is checksum-protected.
+//!   Decoding never panics.
 //! * [`admission`] — a bounded request queue with typed
 //!   [`Overloaded`] rejection (the server refuses,
 //!   never hangs) and **per-client weighted fair scheduling**: the next

@@ -1,8 +1,10 @@
 //! The service wire protocol: dsm-framed messages, one hex line each.
 //!
-//! Every message is a checksummed binary frame built with the `dsm`
-//! codec's [`FrameWriter`] and decoded — without ever panicking — by
-//! [`FrameReader`]. Frames are hex-armored onto a single line
+//! [`Request`] and [`Response`] are two more frame families of the `dsm`
+//! codec: each implements [`Wire`], so a message is sealed by
+//! [`to_frame`] and opened — checksum, decode, no trailing bytes, never a
+//! panic — by [`from_frame`]; [`Request::encode`] and friends are those
+//! two calls. Frames are hex-armored onto a single line
 //! ([`to_hex_line`] / [`from_hex_line`]), so the transport is plain
 //! line-delimited text while every payload byte stays under the wrapping
 //! byte-sum checksum; a corrupted or truncated line surfaces as a typed
@@ -33,7 +35,7 @@
 
 use genomedsm_batch::Hit;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_N};
-use genomedsm_dsm::{DsmError, FrameReader, FrameWriter};
+use genomedsm_dsm::{from_frame, to_frame, wire_struct, DsmError, FrameReader, FrameWriter, Wire};
 
 const REQ_HELLO: u8 = 0x40;
 const REQ_SEARCH: u8 = 0x41;
@@ -206,12 +208,27 @@ pub struct ClientLedger {
 impl Request {
     /// Encodes the request into one checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
+        to_frame(self)
+    }
+
+    /// Decodes one frame into a request.
+    ///
+    /// # Errors
+    /// Typed [`DsmError`] on any malformation — including a scoring
+    /// override whose gap penalties [`MatrixScoring::gaps_valid`] refuses;
+    /// never panics.
+    pub fn decode(frame: &[u8]) -> Result<Self, DsmError> {
+        from_frame(frame)
+    }
+}
+
+impl Wire for Request {
+    fn encode(&self, w: &mut FrameWriter) {
         match self {
             Request::Hello { client, weight } => {
-                let mut w = FrameWriter::new(REQ_HELLO);
-                w.str(client);
+                w.u8(REQ_HELLO);
+                client.encode(w);
                 w.u32(*weight);
-                w.finish()
             }
             Request::Search {
                 id,
@@ -219,77 +236,46 @@ impl Request {
                 queries,
                 scoring,
             } => {
-                let mut w = FrameWriter::new(REQ_SEARCH);
+                w.u8(REQ_SEARCH);
                 w.u64(*id);
                 w.u32(*top_k);
-                w.u64(queries.len() as u64);
-                for q in queries {
-                    w.bytes(q);
-                }
+                queries.encode(w);
                 match scoring {
                     None => w.u32(0),
                     Some(ms) => {
                         w.u32(1);
-                        w.bytes(&matrix_bytes(&ms.matrix));
-                        w.u32(ms.gap_open as u32);
-                        w.u32(ms.gap_extend as u32);
+                        (matrix_bytes(&ms.matrix), ms.gap_open, ms.gap_extend).encode(w);
                     }
                 }
-                w.finish()
             }
             Request::Reload { path } => {
-                let mut w = FrameWriter::new(REQ_RELOAD);
-                w.str(path);
-                w.finish()
+                w.u8(REQ_RELOAD);
+                path.encode(w);
             }
-            Request::Stats => FrameWriter::new(REQ_STATS).finish(),
-            Request::Shutdown => FrameWriter::new(REQ_SHUTDOWN).finish(),
+            Request::Stats => w.u8(REQ_STATS),
+            Request::Shutdown => w.u8(REQ_SHUTDOWN),
         }
     }
 
-    /// Decodes one frame into a request.
-    ///
-    /// # Errors
-    /// Typed [`DsmError`] on any malformation; never panics.
-    pub fn decode(frame: &[u8]) -> Result<Self, DsmError> {
-        let mut r = FrameReader::checked(frame)?;
-        let tag = r.u8()?;
-        match tag {
-            REQ_HELLO => {
-                let client = r.str()?;
-                let weight = r.u32()?;
-                r.done(Request::Hello { client, weight })
-            }
-            REQ_SEARCH => {
-                let id = r.u64()?;
-                let top_k = r.u32()?;
-                let n = r.len(8)?;
-                let queries = (0..n).map(|_| r.bytes()).collect::<Result<_, _>>()?;
-                let scoring = match r.u32()? {
-                    0 => None,
-                    1 => Some(read_scoring(&mut r)?),
-                    other => {
-                        return Err(DsmError::Oversize {
-                            len: other as usize,
-                            max: 1,
-                        })
-                    }
-                };
-                r.done(Request::Search {
-                    id,
-                    top_k,
-                    queries,
-                    scoring,
-                })
-            }
-            REQ_RELOAD => {
-                let path = r.str()?;
-                r.done(Request::Reload { path })
-            }
-            REQ_STATS => r.done(Request::Stats),
-            REQ_SHUTDOWN => r.done(Request::Shutdown),
-            other => Err(DsmError::BadTag(other)),
-        }
+    fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
+        Ok(match r.u8()? {
+            REQ_HELLO => Request::Hello {
+                client: Wire::decode(r)?,
+                weight: r.u32()?,
+            },
+            REQ_SEARCH => Request::Search {
+                id: r.u64()?,
+                top_k: r.u32()?,
+                queries: Wire::decode(r)?,
+                scoring: decode_scoring(r)?,
+            },
+            REQ_RELOAD => Request::Reload {
+                path: Wire::decode(r)?,
+            },
+            REQ_STATS => Request::Stats,
+            REQ_SHUTDOWN => Request::Shutdown,
+            other => return Err(DsmError::BadTag(other)),
+        })
     }
 }
 
@@ -307,8 +293,17 @@ fn matrix_bytes(m: &SubstMatrix) -> Vec<u8> {
     out
 }
 
-fn read_scoring(r: &mut FrameReader<'_>) -> Result<MatrixScoring, DsmError> {
-    let raw = r.bytes()?;
+/// A Search's scoring override: a `u32` presence flag (0 or 1, any other
+/// value a bad discriminant), then the matrix blob and both gap
+/// penalties, which must pass [`MatrixScoring::gaps_valid`] — a bad
+/// override is refused here, before any worker sees it.
+fn decode_scoring(r: &mut FrameReader<'_>) -> Result<Option<MatrixScoring>, DsmError> {
+    match r.u32()? {
+        0 => return Ok(None),
+        1 => {}
+        other => return Err(DsmError::BadTag(u8::try_from(other).unwrap_or(u8::MAX))),
+    }
+    let (raw, gap_open, gap_extend) = <(Vec<u8>, i32, i32)>::decode(r)?;
     if raw.len() != MATRIX_BYTES {
         return Err(DsmError::Oversize {
             len: raw.len(),
@@ -321,47 +316,40 @@ fn read_scoring(r: &mut FrameReader<'_>) -> Result<MatrixScoring, DsmError> {
             *cell = i16::from_le_bytes([a, b]);
         }
     }
-    let gap_open = r.u32()? as i32;
-    let gap_extend = r.u32()? as i32;
-    Ok(MatrixScoring::new(
-        SubstMatrix::from_scores(scores),
-        gap_open,
-        gap_extend,
-    ))
-}
-
-fn write_hits(w: &mut FrameWriter, hits: &[Hit]) {
-    w.u64(hits.len() as u64);
-    for h in hits {
-        w.u32(h.score as u32);
-        w.usize(h.target);
-        w.usize(h.end.0);
-        w.usize(h.end.1);
+    let ms = MatrixScoring::new(SubstMatrix::from_scores(scores), gap_open, gap_extend);
+    if !ms.gaps_valid() {
+        return Err(DsmError::Invalid(
+            "gap penalties must be negative and >= MatrixScoring::MIN_GAP",
+        ));
     }
+    Ok(Some(ms))
 }
 
-fn read_hits(r: &mut FrameReader<'_>) -> Result<Vec<Hit>, DsmError> {
-    let n = r.len(28)?;
-    (0..n)
-        .map(|_| {
-            Ok(Hit {
-                score: r.u32()? as i32,
-                target: r.usize()?,
-                end: (r.usize()?, r.usize()?),
-            })
-        })
-        .collect()
-}
+/// A [`Hit`] on the wire: `(score, target, end)`.
+type HitRow = (i32, usize, (usize, usize));
 
 impl Response {
     /// Encodes the response into one checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
+        to_frame(self)
+    }
+
+    /// Decodes one frame into a response.
+    ///
+    /// # Errors
+    /// Typed [`DsmError`] on any malformation; never panics.
+    pub fn decode(frame: &[u8]) -> Result<Self, DsmError> {
+        from_frame(frame)
+    }
+}
+
+impl Wire for Response {
+    fn encode(&self, w: &mut FrameWriter) {
         match self {
             Response::Welcome { epoch, records } => {
-                let mut w = FrameWriter::new(RSP_WELCOME);
+                w.u8(RSP_WELCOME);
                 w.u64(*epoch);
                 w.u64(*records);
-                w.finish()
             }
             Response::Hits {
                 id,
@@ -370,173 +358,113 @@ impl Response {
                 epoch,
                 hits,
             } => {
-                let mut w = FrameWriter::new(RSP_HITS);
+                w.u8(RSP_HITS);
                 w.u64(*id);
                 w.u32(*query);
-                w.u32(u32::from(*cached));
+                cached.encode(w);
                 w.u64(*epoch);
-                write_hits(&mut w, hits);
-                w.finish()
+                let rows: Vec<HitRow> = hits.iter().map(|h| (h.score, h.target, h.end)).collect();
+                rows.encode(w);
             }
             Response::Done { id, queries } => {
-                let mut w = FrameWriter::new(RSP_DONE);
+                w.u8(RSP_DONE);
                 w.u64(*id);
                 w.u32(*queries);
-                w.finish()
             }
             Response::Overloaded { id, depth, limit } => {
-                let mut w = FrameWriter::new(RSP_OVERLOADED);
+                w.u8(RSP_OVERLOADED);
                 w.u64(*id);
                 w.u64(*depth);
                 w.u64(*limit);
-                w.finish()
             }
             Response::Reloaded {
                 epoch,
                 records,
                 purged,
             } => {
-                let mut w = FrameWriter::new(RSP_RELOADED);
+                w.u8(RSP_RELOADED);
                 w.u64(*epoch);
                 w.u64(*records);
                 w.u64(*purged);
-                w.finish()
             }
             Response::StatsReply(s) => {
-                let mut w = FrameWriter::new(RSP_STATS);
-                for v in [
-                    s.epoch,
-                    s.records,
-                    s.depth,
-                    s.high_water,
-                    s.capacity,
-                    s.submitted,
-                    s.rejected,
-                    s.dispatched,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_inserts,
-                    s.cache_evicted,
-                    s.cache_stale_purged,
-                    s.protocol_errors,
-                ] {
-                    w.u64(v);
-                }
-                w.u64(s.clients.len() as u64);
-                for c in &s.clients {
-                    w.str(&c.client);
-                    w.u64(c.weight);
-                    w.u64(c.submitted);
-                    w.u64(c.rejected);
-                    w.u64(c.dispatched);
-                    w.u64(c.served_units);
-                }
-                w.finish()
+                w.u8(RSP_STATS);
+                s.encode(w);
             }
             Response::Error { id, message } => {
-                let mut w = FrameWriter::new(RSP_ERROR);
+                w.u8(RSP_ERROR);
                 w.u64(*id);
-                w.str(message);
-                w.finish()
+                message.encode(w);
             }
         }
     }
 
-    /// Decodes one frame into a response.
-    ///
-    /// # Errors
-    /// Typed [`DsmError`] on any malformation; never panics.
-    pub fn decode(frame: &[u8]) -> Result<Self, DsmError> {
-        let mut r = FrameReader::checked(frame)?;
-        let tag = r.u8()?;
-        match tag {
-            RSP_WELCOME => {
-                let epoch = r.u64()?;
-                let records = r.u64()?;
-                r.done(Response::Welcome { epoch, records })
-            }
-            RSP_HITS => {
-                let id = r.u64()?;
-                let query = r.u32()?;
-                let cached = r.u32()? != 0;
-                let epoch = r.u64()?;
-                let hits = read_hits(&mut r)?;
-                r.done(Response::Hits {
-                    id,
-                    query,
-                    cached,
-                    epoch,
-                    hits,
-                })
-            }
-            RSP_DONE => {
-                let id = r.u64()?;
-                let queries = r.u32()?;
-                r.done(Response::Done { id, queries })
-            }
-            RSP_OVERLOADED => {
-                let id = r.u64()?;
-                let depth = r.u64()?;
-                let limit = r.u64()?;
-                r.done(Response::Overloaded { id, depth, limit })
-            }
-            RSP_RELOADED => {
-                let epoch = r.u64()?;
-                let records = r.u64()?;
-                let purged = r.u64()?;
-                r.done(Response::Reloaded {
-                    epoch,
-                    records,
-                    purged,
-                })
-            }
-            RSP_STATS => {
-                let mut vals = [0u64; 14];
-                for v in &mut vals {
-                    *v = r.u64()?;
-                }
-                let n = r.len(48)?;
-                let clients = (0..n)
-                    .map(|_| {
-                        Ok(ClientLedger {
-                            client: r.str()?,
-                            weight: r.u64()?,
-                            submitted: r.u64()?,
-                            rejected: r.u64()?,
-                            dispatched: r.u64()?,
-                            served_units: r.u64()?,
-                        })
-                    })
-                    .collect::<Result<_, DsmError>>()?;
-                let [epoch, records, depth, high_water, capacity, submitted, rejected, dispatched, cache_hits, cache_misses, cache_inserts, cache_evicted, cache_stale_purged, protocol_errors] =
-                    vals;
-                r.done(Response::StatsReply(ServiceStats {
-                    epoch,
-                    records,
-                    depth,
-                    high_water,
-                    capacity,
-                    submitted,
-                    rejected,
-                    dispatched,
-                    cache_hits,
-                    cache_misses,
-                    cache_inserts,
-                    cache_evicted,
-                    cache_stale_purged,
-                    protocol_errors,
-                    clients,
-                }))
-            }
-            RSP_ERROR => {
-                let id = r.u64()?;
-                let message = r.str()?;
-                r.done(Response::Error { id, message })
-            }
-            other => Err(DsmError::BadTag(other)),
-        }
+    fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
+        Ok(match r.u8()? {
+            RSP_WELCOME => Response::Welcome {
+                epoch: r.u64()?,
+                records: r.u64()?,
+            },
+            RSP_HITS => Response::Hits {
+                id: r.u64()?,
+                query: r.u32()?,
+                cached: Wire::decode(r)?,
+                epoch: r.u64()?,
+                hits: Vec::<HitRow>::decode(r)?
+                    .into_iter()
+                    .map(|(score, target, end)| Hit { score, target, end })
+                    .collect(),
+            },
+            RSP_DONE => Response::Done {
+                id: r.u64()?,
+                queries: r.u32()?,
+            },
+            RSP_OVERLOADED => Response::Overloaded {
+                id: r.u64()?,
+                depth: r.u64()?,
+                limit: r.u64()?,
+            },
+            RSP_RELOADED => Response::Reloaded {
+                epoch: r.u64()?,
+                records: r.u64()?,
+                purged: r.u64()?,
+            },
+            RSP_STATS => Response::StatsReply(Wire::decode(r)?),
+            RSP_ERROR => Response::Error {
+                id: r.u64()?,
+                message: Wire::decode(r)?,
+            },
+            other => return Err(DsmError::BadTag(other)),
+        })
     }
 }
+
+wire_struct!(ServiceStats {
+    epoch: u64,
+    records: u64,
+    depth: u64,
+    high_water: u64,
+    capacity: u64,
+    submitted: u64,
+    rejected: u64,
+    dispatched: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_inserts: u64,
+    cache_evicted: u64,
+    cache_stale_purged: u64,
+    protocol_errors: u64,
+    clients: Vec<ClientLedger>,
+});
+
+wire_struct!(ClientLedger {
+    client: String,
+    weight: u64,
+    submitted: u64,
+    rejected: u64,
+    dispatched: u64,
+    served_units: u64,
+});
 
 /// Hex-armors a frame onto one line (lowercase, no newline).
 pub fn to_hex_line(frame: &[u8]) -> String {
@@ -592,102 +520,142 @@ fn hex_val(b: u8) -> Option<u8> {
 mod tests {
     use super::*;
 
-    fn roundtrip_req(req: Request) {
+    /// Round-trips `req` through a frame and a hex line, and holds the
+    /// frame to the codec's malformed-frame contract; returns the line.
+    fn roundtrip_req(req: Request) -> String {
         let frame = req.encode();
         assert_eq!(Request::decode(&frame).unwrap(), req);
+        genomedsm_dsm::check_malformed::<Request>(&frame).unwrap();
         let line = to_hex_line(&frame);
         assert!(!line.contains('\n'));
         assert_eq!(from_hex_line(&line).unwrap(), frame);
+        line
     }
 
-    fn roundtrip_rsp(rsp: Response) {
+    fn roundtrip_rsp(rsp: Response) -> String {
         let frame = rsp.encode();
         assert_eq!(Response::decode(&frame).unwrap(), rsp);
-        assert_eq!(from_hex_line(&to_hex_line(&frame)).unwrap(), frame);
+        genomedsm_dsm::check_malformed::<Response>(&frame).unwrap();
+        let line = to_hex_line(&frame);
+        assert_eq!(from_hex_line(&line).unwrap(), frame);
+        line
     }
+
+    /// The exact lines of the requests in [`requests_roundtrip`], in order.
+    /// Frozen: a codec change that moves one byte breaks older clients.
+    const REQUEST_GOLDEN: [&str; 5] = [
+        "400500000000000000616c6963650300000046020000",
+        "412a0000000000000005000000030000000000000004000000000000004143475400000000000000000700000000000000474154544143410000000092030000",
+        "420a000000000000002f746d702f64622e6661b6030000",
+        "4343000000",
+        "4444000000",
+    ];
+
+    /// The exact lines of the responses in [`responses_roundtrip`].
+    const RESPONSE_GOLDEN: [&str; 7] = [
+        "50010000000000000009000000000000005a000000",
+        "5107000000000000000200000001000000030000000000000002000000000000000b000000040000000000000005000000000000000600000000000000030000000000000000000000000000000000000001000000000000007e000000",
+        "520700000000000000030000005c000000",
+        "530900000000000000100000000000000010000000000000007c000000",
+        "5402000000000000000c00000000000000050000000000000067000000",
+        "5502000000000000000a0000000000000001000000000000000400000000000000100000000000000014000000000000000200000000000000130000000000000007000000000000000c000000000000000c0000000000000001000000000000000300000000000000000000000000000001000000000000000300000000000000626f6202000000000000000a0000000000000001000000000000000900000000000000280000000000000037020000",
+        "5600000000000000000c000000000000006e6f20737563682066696c65d2040000",
+    ];
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_req(Request::Hello {
-            client: "alice".into(),
-            weight: 3,
-        });
-        roundtrip_req(Request::Search {
-            id: 42,
-            top_k: 5,
-            queries: vec![b"ACGT".to_vec(), b"".to_vec(), b"GATTACA".to_vec()],
-            scoring: None,
-        });
-        roundtrip_req(Request::Reload {
-            path: "/tmp/db.fa".into(),
-        });
-        roundtrip_req(Request::Stats);
-        roundtrip_req(Request::Shutdown);
+        let lines: Vec<String> = [
+            Request::Hello {
+                client: "alice".into(),
+                weight: 3,
+            },
+            Request::Search {
+                id: 42,
+                top_k: 5,
+                queries: vec![b"ACGT".to_vec(), b"".to_vec(), b"GATTACA".to_vec()],
+                scoring: None,
+            },
+            Request::Reload {
+                path: "/tmp/db.fa".into(),
+            },
+            Request::Stats,
+            Request::Shutdown,
+        ]
+        .into_iter()
+        .map(roundtrip_req)
+        .collect();
+        assert_eq!(lines, REQUEST_GOLDEN);
     }
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_rsp(Response::Welcome {
-            epoch: 1,
-            records: 9,
-        });
-        roundtrip_rsp(Response::Hits {
-            id: 7,
-            query: 2,
-            cached: true,
-            epoch: 3,
-            hits: vec![
-                Hit {
-                    score: 11,
-                    target: 4,
-                    end: (5, 6),
-                },
-                Hit {
-                    score: 3,
-                    target: 0,
-                    end: (0, 1),
-                },
-            ],
-        });
-        roundtrip_rsp(Response::Done { id: 7, queries: 3 });
-        roundtrip_rsp(Response::Overloaded {
-            id: 9,
-            depth: 16,
-            limit: 16,
-        });
-        roundtrip_rsp(Response::Reloaded {
-            epoch: 2,
-            records: 12,
-            purged: 5,
-        });
-        roundtrip_rsp(Response::StatsReply(ServiceStats {
-            epoch: 2,
-            records: 10,
-            depth: 1,
-            high_water: 4,
-            capacity: 16,
-            submitted: 20,
-            rejected: 2,
-            dispatched: 19,
-            cache_hits: 7,
-            cache_misses: 12,
-            cache_inserts: 12,
-            cache_evicted: 1,
-            cache_stale_purged: 3,
-            protocol_errors: 0,
-            clients: vec![ClientLedger {
-                client: "bob".into(),
-                weight: 2,
-                submitted: 10,
-                rejected: 1,
-                dispatched: 9,
-                served_units: 40,
-            }],
-        }));
-        roundtrip_rsp(Response::Error {
-            id: 0,
-            message: "no such file".into(),
-        });
+        let lines: Vec<String> = [
+            Response::Welcome {
+                epoch: 1,
+                records: 9,
+            },
+            Response::Hits {
+                id: 7,
+                query: 2,
+                cached: true,
+                epoch: 3,
+                hits: vec![
+                    Hit {
+                        score: 11,
+                        target: 4,
+                        end: (5, 6),
+                    },
+                    Hit {
+                        score: 3,
+                        target: 0,
+                        end: (0, 1),
+                    },
+                ],
+            },
+            Response::Done { id: 7, queries: 3 },
+            Response::Overloaded {
+                id: 9,
+                depth: 16,
+                limit: 16,
+            },
+            Response::Reloaded {
+                epoch: 2,
+                records: 12,
+                purged: 5,
+            },
+            Response::StatsReply(ServiceStats {
+                epoch: 2,
+                records: 10,
+                depth: 1,
+                high_water: 4,
+                capacity: 16,
+                submitted: 20,
+                rejected: 2,
+                dispatched: 19,
+                cache_hits: 7,
+                cache_misses: 12,
+                cache_inserts: 12,
+                cache_evicted: 1,
+                cache_stale_purged: 3,
+                protocol_errors: 0,
+                clients: vec![ClientLedger {
+                    client: "bob".into(),
+                    weight: 2,
+                    submitted: 10,
+                    rejected: 1,
+                    dispatched: 9,
+                    served_units: 40,
+                }],
+            }),
+            Response::Error {
+                id: 0,
+                message: "no such file".into(),
+            },
+        ]
+        .into_iter()
+        .map(roundtrip_rsp)
+        .collect();
+        assert_eq!(lines, RESPONSE_GOLDEN);
     }
 
     #[test]
@@ -729,7 +697,8 @@ mod tests {
     fn truncated_matrix_payload_is_a_typed_error() {
         // Hand-build a Search frame whose matrix blob is one byte short:
         // the decoder must refuse with a typed error, never panic.
-        let mut w = FrameWriter::new(REQ_SEARCH);
+        let mut w = FrameWriter::default();
+        w.u8(REQ_SEARCH);
         w.u64(1);
         w.u32(1);
         w.u64(0);
@@ -738,13 +707,41 @@ mod tests {
         w.u32(0);
         w.u32(0);
         assert!(Request::decode(&w.finish()).is_err());
-        // And a presence flag outside {0, 1} is malformed too.
-        let mut w = FrameWriter::new(REQ_SEARCH);
+        // And a presence flag outside {0, 1} is a bad discriminant, like
+        // every other one.
+        let mut w = FrameWriter::default();
+        w.u8(REQ_SEARCH);
         w.u64(1);
         w.u32(1);
         w.u64(0);
         w.u32(7);
-        assert!(Request::decode(&w.finish()).is_err());
+        assert_eq!(Request::decode(&w.finish()), Err(DsmError::BadTag(7)));
+    }
+
+    #[test]
+    fn gap_penalties_outside_the_admitted_range_are_refused() {
+        let search = |gap_open, gap_extend| Request::Search {
+            id: 3,
+            top_k: 2,
+            queries: vec![b"WQHK".to_vec()],
+            scoring: Some(MatrixScoring::new(
+                SubstMatrix::blosum62(),
+                gap_open,
+                gap_extend,
+            )),
+        };
+        for (open, extend) in [(-11, 0), (1, -1), (-11, i32::MIN), (i32::MIN, -1)] {
+            assert!(
+                matches!(
+                    Request::decode(&search(open, extend).encode()),
+                    Err(DsmError::Invalid(_))
+                ),
+                "{open}/{extend} accepted"
+            );
+        }
+        // A cheap open with a dear extension is unusual but valid.
+        roundtrip_req(search(-1, -5));
+        roundtrip_req(search(MatrixScoring::MIN_GAP, -1));
     }
 
     #[test]

@@ -436,6 +436,58 @@ fn scoring_override_on_a_dna_server_is_a_typed_error() {
 }
 
 #[test]
+fn bad_gap_penalties_are_a_typed_error_and_leave_the_worker_alive() {
+    use genomedsm_batch::ScoreMode;
+    use genomedsm_core::submat::MatrixScoring;
+    use genomedsm_seq::fasta::{write_protein_fasta_file, ProteinRecord};
+    use genomedsm_seq::random_protein;
+
+    let db_path = tmp("bad-gaps-db.fa");
+    let records: Vec<ProteinRecord> = (0..8)
+        .map(|i| ProteinRecord {
+            id: format!("p{i}"),
+            seq: random_protein(40, 300 + i as u64),
+        })
+        .collect();
+    write_protein_fasta_file(&db_path, &records).unwrap();
+    let mut config = ServerConfig::new(tmp("bad-gaps.sock"), &db_path);
+    config.engine.mode = ScoreMode::Protein(MatrixScoring::blosum62());
+    config.workers = 1;
+    let server = Server::start(config).unwrap();
+    let socket = server.socket().to_path_buf();
+
+    // A zero extension used to kill the only worker mid-job, so neither
+    // this request nor the valid one behind it was ever answered: the
+    // exchange runs under a deadline instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = ServeClient::connect(&socket).unwrap();
+        client.hello("gaps", 1).unwrap();
+        let qs = vec![random_protein(15, 5).into_bytes()];
+        let bad = MatrixScoring {
+            gap_extend: 0,
+            ..MatrixScoring::blosum62()
+        };
+        let refused = client.search_scored(&qs, 3, Some(bad), |_| {});
+        let valid = client.search(&qs, 3, |_| {}).map(|a| a.hit_lists());
+        tx.send((refused, valid)).ok();
+    });
+    let (refused, valid) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("both requests answered");
+    assert!(
+        matches!(refused, Err(ServeError::Server(ref m)) if m.contains("gap penalties")),
+        "got {refused:?}"
+    );
+    assert_eq!(valid.unwrap().len(), 1);
+
+    let stats = server.stop();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!((stats.submitted, stats.dispatched), (1, 1));
+    std::fs::remove_file(&db_path).ok();
+}
+
+#[test]
 fn malformed_lines_are_counted_and_answered_not_fatal() {
     use std::io::{BufRead, BufReader, Write};
     let db_path = tmp("garbage-db.fa");

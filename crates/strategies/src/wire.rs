@@ -5,7 +5,8 @@
 //! implement the dsm crate's [`Wire`] codec. The alignment types live in
 //! `genomedsm-core`, which knows nothing about the DSM — the orphan rule
 //! therefore forces thin newtype wrappers here rather than impls on the
-//! core types directly.
+//! core types directly; each wrapper travels as a list of tuples, so the
+//! codec's own container impls do the framing.
 
 use genomedsm_core::nw::RegionAlignment;
 use genomedsm_core::{GlobalAlignment, LocalRegion};
@@ -20,81 +21,72 @@ pub struct WireRegions(pub Vec<LocalRegion>);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireIndexed(pub Vec<(usize, RegionAlignment)>);
 
-fn encode_region(r: &LocalRegion, w: &mut FrameWriter) {
-    w.usize(r.s_begin);
-    w.usize(r.s_end);
-    w.usize(r.t_begin);
-    w.usize(r.t_end);
-    w.u32(r.score as u32);
+/// A [`LocalRegion`] on the wire: `(s_begin, s_end, t_begin, t_end, score)`.
+type RegionRow = (usize, usize, usize, usize, i32);
+
+fn region_row(r: &LocalRegion) -> RegionRow {
+    (r.s_begin, r.s_end, r.t_begin, r.t_end, r.score)
 }
 
-fn decode_region(r: &mut FrameReader<'_>) -> Result<LocalRegion, DsmError> {
-    Ok(LocalRegion {
-        s_begin: r.usize()?,
-        s_end: r.usize()?,
-        t_begin: r.usize()?,
-        t_end: r.usize()?,
-        score: r.u32()? as i32,
-    })
+fn region_of((s_begin, s_end, t_begin, t_end, score): RegionRow) -> LocalRegion {
+    LocalRegion {
+        s_begin,
+        s_end,
+        t_begin,
+        t_end,
+        score,
+    }
 }
 
 impl Wire for WireRegions {
     fn encode(&self, w: &mut FrameWriter) {
-        w.usize(self.0.len());
-        for region in &self.0 {
-            encode_region(region, w);
-        }
+        let rows: Vec<RegionRow> = self.0.iter().map(region_row).collect();
+        rows.encode(w);
     }
     fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
-        let n = r.len(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(decode_region(r)?);
-        }
-        Ok(WireRegions(out))
+        let rows = Vec::<RegionRow>::decode(r)?;
+        Ok(WireRegions(rows.into_iter().map(region_of).collect()))
     }
 }
 
+/// One phase-2 result on the wire: queue index, region, both aligned
+/// strings, score.
+type IndexedRow = (usize, RegionRow, Vec<u8>, Vec<u8>, i32);
+
 impl Wire for WireIndexed {
     fn encode(&self, w: &mut FrameWriter) {
-        w.usize(self.0.len());
-        for (idx, ra) in &self.0 {
-            w.usize(*idx);
-            encode_region(&ra.region, w);
-            w.bytes(&ra.alignment.aligned_s);
-            w.bytes(&ra.alignment.aligned_t);
-            w.u32(ra.alignment.score as u32);
-        }
+        let rows: Vec<IndexedRow> = self
+            .0
+            .iter()
+            .map(|(idx, ra)| {
+                let a = &ra.alignment;
+                let (s, t) = (a.aligned_s.clone(), a.aligned_t.clone());
+                (*idx, region_row(&ra.region), s, t, a.score)
+            })
+            .collect();
+        rows.encode(w);
     }
     fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
-        let n = r.len(1)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = r.usize()?;
-            let region = decode_region(r)?;
-            let aligned_s = r.bytes()?;
-            let aligned_t = r.bytes()?;
-            let score = r.u32()? as i32;
-            out.push((
-                idx,
-                RegionAlignment {
-                    region,
-                    alignment: GlobalAlignment {
-                        aligned_s,
-                        aligned_t,
-                        score,
-                    },
-                },
-            ));
-        }
-        Ok(WireIndexed(out))
+        let rows = Vec::<IndexedRow>::decode(r)?;
+        let indexed = rows
+            .into_iter()
+            .map(|(idx, region, aligned_s, aligned_t, score)| {
+                let alignment = GlobalAlignment {
+                    aligned_s,
+                    aligned_t,
+                    score,
+                };
+                let region = region_of(region);
+                (idx, RegionAlignment { region, alignment })
+            });
+        Ok(WireIndexed(indexed.collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genomedsm_dsm::{decode_frame, encode_frame};
+    use genomedsm_dsm::{check_malformed, from_frame, to_frame};
 
     fn region(k: usize) -> LocalRegion {
         LocalRegion {
@@ -109,13 +101,13 @@ mod tests {
     #[test]
     fn regions_roundtrip() {
         let v = WireRegions((0..5).map(region).collect());
-        let frame = encode_frame(0x60, &v);
-        let back: WireRegions = decode_frame(0x60, &frame).expect("decode");
-        assert_eq!(back, v);
+        let frame = to_frame(&(0x60u8, v.clone()));
+        let back: (u8, WireRegions) = from_frame(&frame).expect("decode");
+        assert_eq!(back.1, v);
         let empty = WireRegions(Vec::new());
-        let frame = encode_frame(0x60, &empty);
+        let frame = to_frame(&(0x60u8, empty.clone()));
         assert_eq!(
-            decode_frame::<WireRegions>(0x60, &frame).expect("decode"),
+            from_frame::<(u8, WireRegions)>(&frame).expect("decode").1,
             empty
         );
     }
@@ -139,17 +131,15 @@ mod tests {
                 })
                 .collect(),
         );
-        let frame = encode_frame(0x61, &v);
-        let back: WireIndexed = decode_frame(0x61, &frame).expect("decode");
-        assert_eq!(back, v);
+        let frame = to_frame(&(0x61u8, v.clone()));
+        let back: (u8, WireIndexed) = from_frame(&frame).expect("decode");
+        assert_eq!(back.1, v);
+        check_malformed::<(u8, WireIndexed)>(&frame).unwrap();
     }
 
     #[test]
     fn truncated_frames_are_typed_errors() {
         let v = WireRegions(vec![region(1)]);
-        let frame = encode_frame(0x60, &v);
-        for cut in 0..frame.len() {
-            assert!(decode_frame::<WireRegions>(0x60, &frame[..cut]).is_err());
-        }
+        check_malformed::<(u8, WireRegions)>(&to_frame(&(0x60u8, v))).unwrap();
     }
 }

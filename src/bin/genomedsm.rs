@@ -180,8 +180,13 @@ fn opt_matrix_scoring(args: &[String]) -> genomedsm::core::submat::MatrixScoring
         opt_num(args, "--gap-open", -11),
         opt_num(args, "--gap-extend", -1),
     );
-    if ms.gap_open > 0 || ms.gap_extend > 0 {
-        eprintln!("--gap-open/--gap-extend are penalties: they must be <= 0");
+    if !ms.gaps_valid() {
+        eprintln!(
+            "--gap-open {} --gap-extend {}: gap penalties must lie in {}..=-1",
+            ms.gap_open,
+            ms.gap_extend,
+            MatrixScoring::MIN_GAP
+        );
         exit(2);
     }
     ms

@@ -164,3 +164,32 @@ fn chaos_takes_a_scheduled_crash_over_instead_of_dropping_it() {
     assert!(!supervision.contains(" 0 role takeover"), "{supervision}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_gap_penalty_that_is_not_negative_or_too_large_is_refused() {
+    // A zero extension used to panic a batch worker (exit 101); a huge
+    // penalty silently overflowed the oracle's scores.
+    let dir = temp_dir("bad_gaps");
+    let db = dir.join("prot.fa");
+    assert!(bin()
+        .args(["generate", "--mode", "protein", "--records", "8"])
+        .args(["--len", "40", "--seed", "9", "--out"])
+        .arg(&db)
+        .status()
+        .expect("generate")
+        .success());
+    for gaps in [["-11", "0"], ["1", "-1"], ["-2000000000", "-2000000000"]] {
+        let out = bin()
+            .args(["batch", "--mode", "protein", "--db"])
+            .arg(&db)
+            .arg("--queries")
+            .arg(&db)
+            .args(["--gap-open", gaps[0], "--gap-extend", gaps[1]])
+            .output()
+            .expect("run batch");
+        assert_eq!(out.status.code(), Some(2), "{gaps:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--gap-extend"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
