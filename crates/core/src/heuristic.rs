@@ -159,9 +159,11 @@ impl HeuristicParams {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.open_threshold > 0, "open_threshold must be positive");
-        assert!(self.close_threshold > 0, "close_threshold must be positive");
+    /// Whether both thresholds are positive — the one check every path
+    /// that admits parameters from outside the program (CLI flags) applies,
+    /// and what [`RowKernel::new`] asserts. `min_score` may be anything.
+    pub fn thresholds_valid(&self) -> bool {
+        self.open_threshold > 0 && self.close_threshold > 0
     }
 }
 
@@ -187,7 +189,10 @@ pub struct RowKernel {
 impl RowKernel {
     /// Creates a kernel, validating the parameters.
     pub fn new(scoring: Scoring, params: HeuristicParams) -> Self {
-        params.validate();
+        assert!(
+            params.thresholds_valid(),
+            "open_threshold and close_threshold must be positive: {params:?}"
+        );
         Self { scoring, params }
     }
 
@@ -254,8 +259,10 @@ impl RowKernel {
         // the envelope wide — flooding the queue with one candidate per
         // decaying path. Since the score equals the maximum during a
         // genuine rise, this reading agrees with the paper's on rises and
-        // only differs by not opening on decay.)
-        if !cell.open && cell.score >= cell.min + self.params.open_threshold {
+        // only differs by not opening on decay.) Both tests compare a
+        // difference, which a huge threshold cannot overflow: `min <= score
+        // <= max` here, all non-negative.
+        if !cell.open && cell.score - cell.min >= self.params.open_threshold {
             cell.open = true;
             cell.beg_i = i as u32;
             cell.beg_j = j as u32;
@@ -265,7 +272,7 @@ impl RowKernel {
             cell.max = cell.score;
             cell.min = cell.score;
         }
-        if cell.open && cell.score <= cell.max - self.params.close_threshold {
+        if cell.open && cell.max - cell.score >= self.params.close_threshold {
             self.close_candidate(&cell, i, j, queue);
             cell.open = false;
             // Restart the envelope so a later rise can re-open. The
@@ -607,6 +614,24 @@ mod tests {
     #[should_panic(expected = "open_threshold")]
     fn invalid_params_rejected() {
         let _ = RowKernel::new(SC, params(0, 3, 1));
+    }
+
+    #[test]
+    fn thresholds_valid_means_both_positive() {
+        assert!(params(1, 1, i32::MIN).thresholds_valid());
+        for (open, close) in [(0, 3), (-3, 3), (3, 0), (3, -1)] {
+            assert!(!params(open, close, 1).thresholds_valid(), "{open}/{close}");
+        }
+    }
+
+    #[test]
+    fn a_huge_threshold_opens_nothing_instead_of_wrapping() {
+        // `min + open` used to wrap negative and open a candidate on every
+        // cell of a release build.
+        let s = b"ACGTGCTAGCTTAGGCATCGATCGGATTACAGG";
+        assert!(heuristic_align(s, s, &SC, &params(i32::MAX, 3, 1)).is_empty());
+        let once = heuristic_align(s, s, &SC, &params(3, i32::MAX, 1));
+        assert_eq!(once.len(), 1, "flushed at the edge, never closed: {once:?}");
     }
 
     #[test]

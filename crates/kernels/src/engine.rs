@@ -41,8 +41,11 @@ use genomedsm_core::scoring::Scoring;
 /// A lane element type: one rung of the width ladder.
 ///
 /// `pub` for the same reason as [`Engine`]; implemented for `i16` and
-/// `i32` only.
-pub trait Elem: Copy + Ord + std::fmt::Debug {
+/// `i32` only. The bit operations are what the portable engine's lane
+/// masks are made of.
+pub trait Elem:
+    Copy + Ord + std::fmt::Debug + std::ops::BitAnd<Output = Self> + std::ops::Not<Output = Self>
+{
     /// The portable engine at this width.
     type Portable: Engine<T = Self>;
     /// The 128-bit engine at this width.
@@ -157,10 +160,13 @@ pub(crate) fn lane_bits<T: Elem>(lane: usize) -> u64 {
     ((1u64 << T::BYTES) - 1) << (lane * T::BYTES)
 }
 
-/// Minimal SIMD vocabulary the striped recurrence needs.
+/// Minimal SIMD vocabulary the striped recurrence and the heuristic tile
+/// ([`crate::HeuristicTile`]) need.
 ///
 /// All operations are `unsafe fn` because the x86 backends lower to
 /// `target_feature` intrinsics; the portable backend implements them safely.
+/// A *lane mask* is a vector whose lanes are all ones (true) or zero
+/// (false), as [`gt`](Engine::gt) and [`eq`](Engine::eq) make them.
 ///
 /// # Safety
 /// Every method shares one contract: the caller must ensure the engine's
@@ -212,6 +218,37 @@ pub trait Engine: Copy {
     /// # Safety
     /// The trait-level ISA contract must hold.
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise signed min.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V;
+    /// The lane mask of `a > b`.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V;
+    /// The lane mask of `a == b`.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V;
+    /// Per lane, `a` where the lane mask `m` is true and `b` where it is
+    /// false.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V;
+    /// Bitwise `a & b`.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V;
+    /// Bitwise `!a & b`.
+    ///
+    /// # Safety
+    /// The trait-level ISA contract must hold.
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V;
     /// `movemask_epi8`-style byte mask of `a > b` ([`Elem::BYTES`] bits per
     /// lane, lane `l` occupying [`lane_bits`]`(l)`). Zero iff no lane is
     /// greater.

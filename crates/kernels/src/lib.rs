@@ -3,14 +3,19 @@
 //! Every strategy in this reproduction bottoms out in the same per-cell SW
 //! recurrence; this crate lifts that inner loop onto Farrar's striped SIMD
 //! layout (the approach behind the SSW library — see PAPERS.md) and offers
-//! it three ways behind one trait:
+//! it three ways behind one trait, on each engine:
 //!
-//! | kernel               | lanes: i16 rung / i32 rung | requires             |
-//! |----------------------|----------------------------|----------------------|
-//! | `scalar`             | 1 × i32                    | nothing (the oracle) |
-//! | `striped-portable`   | 8 × i16 / 4 × i32          | nothing              |
-//! | `striped-sse2`       | 8 × i16 / 4 × i32          | SSE2 (any x86_64)    |
-//! | `striped-avx2`       | 16 × i16 / 8 × i32         | AVX2, detected at runtime |
+//! | engine       | score lanes: i16 rung / i32 rung | heuristic tile lanes | requires             |
+//! |--------------|----------------------------------|----------------------|----------------------|
+//! | `scalar`     | 1 × i32                          | (`RowKernel`, 1 cell) | nothing (the oracle) |
+//! | `portable`   | 8 × i16 / 4 × i32                | 4 × i32              | nothing              |
+//! | `sse2`       | 8 × i16 / 4 × i32                | 4 × i32              | SSE2 (any x86_64)    |
+//! | `avx2`       | 16 × i16 / 8 × i32               | 8 × i32              | AVX2, detected at runtime |
+//!
+//! The §4.1 heuristic cell, whose candidate metadata the score kernels do
+//! not carry, runs on the same engines as [`HeuristicTile`]: a tile of the
+//! recurrence one anti-diagonal at a time, bit-identical to
+//! `genomedsm_core::RowKernel` and falling back to it per tile.
 //!
 //! The crate is one skeleton with four orthogonal parameters: the scoring
 //! [`Scheme`] (linear-gap `Scoring`, affine-gap `MatrixScoring`; chosen by
@@ -43,6 +48,7 @@ mod band;
 mod batch;
 mod engine;
 mod group;
+mod heuristic;
 mod profile;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -55,6 +61,7 @@ pub use batch::{
 };
 pub use genomedsm_core::linear::LinearSwResult;
 pub use group::{score_group, GroupProfile};
+pub use heuristic::HeuristicTile;
 pub use profile::Scheme;
 
 use genomedsm_core::scoring::Scoring;

@@ -57,6 +57,42 @@ impl<T: Elem, const N: usize> Engine for Portable<T, N> {
 
     // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
     #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l].min(b[l]))
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| if a[l] > b[l] { !T::ZERO } else { T::ZERO })
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| if a[l] == b[l] { !T::ZERO } else { T::ZERO })
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| if m[l] != T::ZERO { a[l] } else { b[l] })
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] & b[l])
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| !a[l] & b[l])
+    }
+
+    // SAFETY: trivially safe — plain array arithmetic; unsafe only to match the Engine signature.
+    #[inline(always)]
     unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
         let mut mask = 0u64;
         for l in 0..N {
@@ -99,6 +135,20 @@ mod tests {
             assert_eq!(m, 0b11 | (0b11 << 4) | (0b11 << 14));
             assert_eq!(P16::gt_bytes(b, b), 0);
             assert_eq!(P32::gt_bytes([1, 0, 5, 0], [0; 4]), 0xf | (0xf << 8));
+        }
+    }
+
+    #[test]
+    fn mask_ops_pick_per_lane() {
+        unsafe {
+            let (a, b) = ([3, -1, 7, 0], [3, 5, -2, 0]);
+            let m = P32::gt(a, b);
+            assert_eq!(m, [0, 0, -1, 0]);
+            assert_eq!(P32::eq(a, b), [-1, 0, 0, -1]);
+            assert_eq!(P32::select(m, a, b), P32::max(a, b));
+            assert_eq!(P32::min(a, b), [3, -1, -2, 0]);
+            assert_eq!(P32::and(m, a), [0, 0, 7, 0]);
+            assert_eq!(P32::andnot(m, a), [3, -1, 0, 0]);
         }
     }
 

@@ -14,8 +14,9 @@
 //! half) followed by `vpalignr`, then an OR to drop the boundary value into
 //! the zeroed lane 0. The `i32` engines use plain `add`/`sub` — x86 has no
 //! saturating 32-bit forms; [`Elem::CEILING`] is what keeps them from
-//! wrapping — and SSE2 builds its `i32` max from a compare and a blend
-//! (`pmaxsd` is SSE4.1).
+//! wrapping — and SSE2 builds its `i32` max and min, and every `select`,
+//! from a compare and an and/andnot/or blend (`pmaxsd`, `pminsd` and
+//! `pblendvb` are SSE4.1); AVX2 selects with `vpblendvb`.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -71,6 +72,42 @@ impl Engine for Sse2<i16> {
 
     // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
     #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm_min_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpgt_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpeq_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm_and_si128(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm_andnot_si128(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
     unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
         _mm_movemask_epi8(_mm_cmpgt_epi16(a, b)) as u32 as u64
     }
@@ -122,8 +159,43 @@ impl Engine for Sse2<i32> {
     // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
     #[inline(always)]
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
-        let a_wins = _mm_cmpgt_epi32(a, b);
-        _mm_or_si128(_mm_and_si128(a_wins, a), _mm_andnot_si128(a_wins, b))
+        Self::select(_mm_cmpgt_epi32(a, b), a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        Self::select(_mm_cmpgt_epi32(b, a), a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpgt_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpeq_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm_and_si128(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm_andnot_si128(a, b)
     }
 
     // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
@@ -188,6 +260,42 @@ impl Engine for Avx2<i16> {
 
     // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
     #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_min_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpgt_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpeq_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm256_blendv_epi8(b, a, m)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_and_si256(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_andnot_si256(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
     unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
         _mm256_movemask_epi8(_mm256_cmpgt_epi16(a, b)) as u32 as u64
     }
@@ -243,6 +351,42 @@ impl Engine for Avx2<i32> {
     #[inline(always)]
     unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
         _mm256_max_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_min_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpgt_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpeq_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm256_blendv_epi8(b, a, m)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_and_si256(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_andnot_si256(a, b)
     }
 
     // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
@@ -304,6 +448,35 @@ mod tests {
             .iter()
             .fold(0, |m, &l| m | crate::engine::lane_bits::<E::T>(l));
         assert_eq!(m, want);
+
+        // The mask vocabulary, lane by lane: a mix of a < b, a == b, a > b.
+        let a: Vec<E::T> = (0..E::LANES)
+            .map(|i| E::T::from(i as i16 % 3 - 1))
+            .collect();
+        let b = vec![E::T::ZERO; E::LANES];
+        let (va, vb) = (E::load(a.as_ptr()), E::load(b.as_ptr()));
+        let lanes = |v: E::V| {
+            let mut out = vec![E::T::ZERO; E::LANES];
+            E::store(out.as_mut_ptr(), v);
+            out
+        };
+        let per_lane = |f: &dyn Fn(E::T, E::T) -> E::T| -> Vec<E::T> {
+            a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect()
+        };
+        let mask = |c: bool| if c { !E::T::ZERO } else { E::T::ZERO };
+        let gt = E::gt(va, vb);
+        assert_eq!(lanes(gt), per_lane(&|x, y| mask(x > y)));
+        assert_eq!(lanes(E::eq(va, vb)), per_lane(&|x, y| mask(x == y)));
+        assert_eq!(lanes(E::min(va, vb)), per_lane(&|x, y| x.min(y)));
+        assert_eq!(lanes(E::select(gt, va, vb)), per_lane(&|x, y| x.max(y)));
+        assert_eq!(
+            lanes(E::and(gt, va)),
+            per_lane(&|x, y| if x > y { x } else { y })
+        );
+        assert_eq!(
+            lanes(E::andnot(gt, va)),
+            per_lane(&|x, y| if x > y { y } else { x })
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::wavefront::{concat, span, Grid, Stage, Wavefront};
 use crate::Phase1Outcome;
 use genomedsm_core::{HCell, HeuristicParams, LocalRegion, RowKernel, Scoring};
 use genomedsm_dsm::{DsmConfig, DsmSystem, Node};
+use genomedsm_kernels::HeuristicTile;
 use std::time::Instant;
 
 /// How the matrix is cut into bands and blocks.
@@ -122,11 +123,13 @@ struct Tiles<'a> {
     t: &'a [u8],
     bands: &'a [(usize, usize)],
     blocks: &'a [(usize, usize)],
-    /// The band's column left of the current block (index 0 unused):
-    /// the `(b, k-1)` dependency.
+    /// The band's column left of the current block, one cell per row: the
+    /// `(b, k-1)` dependency.
     left_col: Vec<HCell>,
-    prev: Vec<HCell>,
-    cur: Vec<HCell>,
+    /// The inbound border and the outbound one, as plain cells.
+    top: Vec<HCell>,
+    bottom: Vec<HCell>,
+    tile: HeuristicTile,
     /// Candidate regions found so far.
     queue: Vec<LocalRegion>,
 }
@@ -146,8 +149,9 @@ impl<'a> Tiles<'a> {
             bands,
             blocks,
             left_col: Vec::new(),
-            prev: Vec::new(),
-            cur: Vec::new(),
+            top: Vec::new(),
+            bottom: Vec::new(),
+            tile: HeuristicTile::new(*kernel),
             queue: Vec::new(),
         }
     }
@@ -159,7 +163,7 @@ impl Stage for Tiles<'_> {
     fn begin(&mut self, stage: usize) {
         self.left_col.clear();
         self.left_col
-            .resize(span(self.bands[stage]) + 1, HCell::fresh());
+            .resize(span(self.bands[stage]), HCell::fresh());
     }
 
     fn unit(
@@ -178,36 +182,27 @@ impl Stage for Tiles<'_> {
         } else if width == 0 {
             // Empty block: its "bottom row" is the single border cell of
             // the band's last row, already computed by the previous block.
-            bottom.push(HCellData(self.left_col[h]));
+            bottom.push(HCellData(self.left_col[h - 1]));
         } else {
             debug_assert_eq!(top.len(), width + 1);
-            self.prev.clear();
-            self.prev.extend(top.iter().map(|c| c.0));
-            self.cur.clear();
-            self.cur.resize(width + 1, HCell::fresh());
-            for r in 1..=h {
-                let i = i0 + r - 1;
-                self.cur[0] = self.left_col[r];
-                self.kernel.process_row_segment(
-                    i,
-                    self.s[i - 1],
-                    self.t,
-                    c_lo,
-                    &self.prev,
-                    &mut self.cur,
-                    &mut self.queue,
-                );
-                self.left_col[r] = self.cur[width];
-                std::mem::swap(&mut self.prev, &mut self.cur);
-            }
-            bottom.extend(self.prev.iter().copied().map(HCellData));
+            self.top.clear();
+            self.top.extend(top.iter().map(|c| c.0));
+            self.bottom.resize(width + 1, HCell::fresh());
+            self.tile.run(
+                (self.s, self.t),
+                (i0, c_lo),
+                &self.top,
+                &mut self.left_col,
+                &mut self.bottom,
+                &mut self.queue,
+            );
+            bottom.extend(self.bottom.iter().copied().map(HCellData));
         }
         // Right edge of the matrix: flush open candidates row by row
         // (mirrors the serial driver's per-row flush).
         if k + 1 == self.blocks.len() {
-            for r in 1..=h {
-                self.kernel
-                    .flush_open(&self.left_col[r], i0 + r - 1, n, &mut self.queue);
+            for (r, cell) in self.left_col.iter().enumerate() {
+                self.kernel.flush_open(cell, i0 + r, n, &mut self.queue);
             }
         }
         // Bottom row of the matrix: flush (column n excluded, the
@@ -314,6 +309,11 @@ mod tests {
             (4, 8, 8),
             (3, 7, 5),
             (4, 16, 2),
+            // Tiles about one vector of i32 lanes (4 or 8) high and wide.
+            (2, 46, 40),
+            (2, 40, 36),
+            (3, 36, 46),
+            (2, 19, 19),
         ] {
             let out = heuristic_block_align(
                 &s,
@@ -333,8 +333,17 @@ mod tests {
     fn degenerate_grids_match_serial() {
         let (s, t) = workload(90, 12);
         let serial = heuristic_align(&s, &t, &SC, &params());
-        // More bands than rows, more blocks than columns.
-        for (nprocs, bands, blocks) in [(2, 120, 7), (2, 5, 100), (4, 100, 100)] {
+        // More bands than rows, more blocks than columns; then one-row and
+        // one-column tiles about one vector of i32 lanes long.
+        for (nprocs, bands, blocks) in [
+            (2, 120, 7),
+            (2, 5, 100),
+            (4, 100, 100),
+            (2, 90, 10),
+            (2, 90, 5),
+            (2, 12, 90),
+            (3, 5, 90),
+        ] {
             let out = heuristic_block_align(
                 &s,
                 &t,

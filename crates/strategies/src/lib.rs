@@ -11,10 +11,13 @@
 //! All of them are (grid, kernel, sink) triples run by the one driver in
 //! [`wavefront`], which also owns what a crash means: takeover and rejoin.
 //!
-//! All strategies drive the *same* [`genomedsm_core::RowKernel`] (or plain
-//! SW recurrence for `pre_process`) that the serial reference uses, so
-//! parallel and serial results are identical cell-for-cell; the
-//! integration tests assert exactly that.
+//! Every strategy computes the serial reference's cells exactly:
+//! `heuristic` drives the same [`genomedsm_core::RowKernel`] that
+//! `heuristic_align` uses, `heuristic_block` runs each tile on
+//! [`genomedsm_kernels::HeuristicTile`] (the row kernel's recurrence one
+//! anti-diagonal at a time, on SIMD lanes), and `pre_process` the plain SW
+//! recurrence on `BandScorer` or scalar. Parallel and serial results are
+//! identical cell-for-cell; the integration tests assert exactly that.
 
 #![warn(missing_docs)]
 // Index-based loops are the clearest way to write DP stencils.

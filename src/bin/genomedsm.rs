@@ -253,6 +253,16 @@ fn opt_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     }
 }
 
+/// A `--flag N` count of nodes or grid cuts: at least 1, or exit 2.
+fn opt_count(args: &[String], name: &str, default: usize) -> usize {
+    let n = opt_num(args, name, default);
+    if n == 0 {
+        eprintln!("{name} must be at least 1");
+        exit(2);
+    }
+    n
+}
+
 fn generate(args: &[String]) {
     if opt(args, "--mode").as_deref() == Some("protein") {
         return generate_protein(args);
@@ -390,6 +400,13 @@ fn run_strategy(
         close_threshold: opt_num(args, "--close", 15),
         min_score: opt_num(args, "--min-score", 50),
     };
+    if !params.thresholds_valid() {
+        eprintln!(
+            "--open {} --close {}: heuristic thresholds must be at least 1",
+            params.open_threshold, params.close_threshold
+        );
+        exit(2);
+    }
     match strategy {
         "heuristic" => {
             let mut config = HeuristicDsmConfig::new(procs);
@@ -397,8 +414,8 @@ fn run_strategy(
             Phase1::Regions(heuristic_align_dsm(s, t, &scoring, &params, &config))
         }
         "blocked" => {
-            let bands: usize = opt_num(args, "--bands", 40);
-            let blocks: usize = opt_num(args, "--blocks", 40);
+            let bands = opt_count(args, "--bands", 40);
+            let blocks = opt_count(args, "--blocks", 40);
             let mut config = BlockedConfig::new(procs, bands, blocks);
             config.dsm = dsm(config.dsm);
             Phase1::Regions(heuristic_block_align(s, t, &scoring, &params, &config))
@@ -426,7 +443,7 @@ fn run_strategy(
 fn align(args: &[String]) {
     let (s, t) = load_pair(args);
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "blocked".into());
-    let procs: usize = opt_num(args, "--procs", 8);
+    let procs = opt_count(args, "--procs", 8);
     let injector = opt(args, "--plan")
         .map(|spec| std::sync::Arc::new(SeededFaults::new(parse_plan(&spec, procs))));
     let fortify = |mut dsm: DsmConfig| {
@@ -546,7 +563,7 @@ fn chaos(args: &[String]) {
     let (s, t) = load_pair(args);
     let spec = opt(args, "--plan").unwrap_or_else(|| "paper".into());
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "preprocess".into());
-    let procs: usize = opt_num(args, "--procs", 4);
+    let procs = opt_count(args, "--procs", 4);
     let plan = parse_plan(&spec, procs);
     let crashes = !plan.crashes.is_empty();
     let injector = std::sync::Arc::new(SeededFaults::new(plan));

@@ -193,3 +193,38 @@ fn a_gap_penalty_that_is_not_negative_or_too_large_is_refused() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_threshold_or_count_below_one_is_refused_by_name() {
+    // Each of these used to reach an assert in `RowKernel::new`,
+    // `BlockedConfig::new` or `DsmConfig::new` and panic (exit 101).
+    let dir = temp_dir("bad_counts");
+    let fa = small_pair(&dir);
+    let cases: [(&str, &[&str]); 7] = [
+        ("align", &["--open", "0"]),
+        ("align", &["--open", "-3"]),
+        ("align", &["--close", "0"]),
+        ("align", &["--bands", "0"]),
+        ("align", &["--blocks", "0"]),
+        ("align", &["--procs", "0"]),
+        ("chaos", &["--strategy", "blocked", "--bands", "0"]),
+    ];
+    for (command, flags) in cases {
+        let out = bin()
+            .arg(command)
+            .arg(&fa)
+            .args(flags)
+            .args(["--alignments", "0"])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        let flag = flags.iter().rev().nth(1).expect("a flag");
+        assert!(stderr.contains(flag), "{command} {flags:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {flags:?}: nothing may run"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
