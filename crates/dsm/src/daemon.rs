@@ -1,11 +1,28 @@
 //! The per-node communication daemon.
 //!
 //! JIAJIA services remote requests with a SIGIO handler; here each node
-//! has a daemon thread that owns the node's **home pages** and its share
-//! of the **lock**, **condition-variable**, and (on node 0) **barrier**
-//! managers. Daemons never block on other daemons, so the system cannot
-//! deadlock at the protocol level: workers block only on daemon replies,
-//! and daemons answer every request in bounded time.
+//! has a daemon that owns the node's **home pages** and its share of the
+//! **lock**, **condition-variable**, and (on node 0) **barrier** managers.
+//! Daemons never block on other daemons, so the system cannot deadlock at
+//! the protocol level: workers block only on daemon replies, and daemons
+//! answer every request in bounded time.
+//!
+//! ## A step function
+//!
+//! A [`Daemon`] holds no channel. [`Daemon::step`] serves one request and
+//! appends everything it sends — control messages to other daemons and
+//! replies to workers — to an [`Outbox`], in send order. [`Daemon::run`]
+//! is the thread body around it: receive, step, flush. The model checker
+//! in `genomedsm-verify` drives the same `step` from scripted workers over
+//! its own links, so the code it checks is the code that ships.
+//!
+//! `step` refuses, and counts in [`NodeStats::malformed_dropped`], a
+//! request no peer could have sent: a rank field past `nprocs`, a worker
+//! request naming another worker than its sender (or a control message
+//! from a worker), a patch outside the page, an `AdoptPage` that is not
+//! one page, a request at the wrong manager, and the release of a lock by
+//! a node that does not hold it. One forged datagram must not take a
+//! daemon down.
 //!
 //! ## Virtual time
 //!
@@ -24,22 +41,37 @@
 //! exactly where a real cluster's would (modulo the cost model).
 
 use crate::config::{DsmConfig, SupervisionConfig};
-use crate::msg::{Envelope, Msg, Notice, Patch, Reply, ReplyEnvelope, SYSTEM_SRC};
+use crate::msg::{Envelope, Msg, Notice, Reply, ReplyEnvelope, SYSTEM_SRC};
 use crate::net::{self, FaultInjector, NetworkModel, RetransmitPolicy, CHAN_DAEMON};
 use crate::page::apply_patches;
 use crate::stats::NodeStats;
-use crossbeam::channel::{Receiver, Sender};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A queued acquirer or cv waiter: `(node, last_seq, arrival, request id)`.
+type Waiter = (usize, u64, Duration, u64);
+
+/// One send a [`Daemon::step`] asks for.
+#[derive(Debug)]
+pub enum Outgoing {
+    /// A control message for daemon `.0`'s inbox.
+    Daemon(usize, Envelope),
+    /// A reply for worker `.0`.
+    Reply(usize, ReplyEnvelope),
+}
+
+/// The sends of one or more steps, in the order they were made. Flushing
+/// it front to back keeps every link's send order.
+pub type Outbox = Vec<Outgoing>;
 
 /// Per-lock manager state.
 #[derive(Default)]
 struct LockState {
     /// Node currently holding the lock.
     holder: Option<usize>,
-    /// Waiting acquirers (FIFO): `(node, last_seq, arrival, transport seq)`.
-    waiters: VecDeque<(usize, u64, Duration, u64)>,
+    /// Waiting acquirers, FIFO.
+    waiters: VecDeque<Waiter>,
     /// Virtual time of the last release.
     free_at: Duration,
     /// Write notices attached to this lock, with their sequence numbers.
@@ -48,18 +80,65 @@ struct LockState {
     next_seq: u64,
 }
 
+impl LockState {
+    /// The grant for an acquirer whose watermark is `last_seq`.
+    fn grant(&self, last_seq: u64) -> Reply {
+        Reply::LockGranted {
+            notices: notices_since(&self.history, last_seq),
+            seq: self.next_seq,
+        }
+    }
+
+    /// Hands the free lock to the oldest waiter, if any:
+    /// `(node, departure, request id, grant)`.
+    fn grant_next(&mut self) -> Option<(usize, Duration, u64, Reply)> {
+        let (next, last_seq, req_arrive, rseq) = self.waiters.pop_front()?;
+        self.holder = Some(next);
+        Some((
+            next,
+            req_arrive.max(self.free_at),
+            rseq,
+            self.grant(last_seq),
+        ))
+    }
+}
+
 /// Per-condition-variable manager state (counting semantics: a signal
 /// wakes exactly one waiter, signals accumulate).
 #[derive(Default)]
 struct CvState {
     /// Virtual arrival times of pending (unconsumed) signals.
     pending: VecDeque<Duration>,
-    /// Waiting nodes (FIFO): `(node, last_seq, arrival, transport seq)`.
-    waiters: VecDeque<(usize, u64, Duration, u64)>,
+    /// Waiting nodes, FIFO.
+    waiters: VecDeque<Waiter>,
     /// Write notices attached to this cv, with sequence numbers.
     history: Vec<(u64, Notice)>,
     /// Next sequence number.
     next_seq: u64,
+}
+
+impl CvState {
+    /// The grant for a waiter whose watermark is `last_seq`.
+    fn grant(&self, last_seq: u64) -> Reply {
+        Reply::CvGranted {
+            notices: notices_since(&self.history, last_seq),
+            seq: self.next_seq,
+        }
+    }
+}
+
+/// History notices newer than `last_seq`, deduplicated by (page, writer)
+/// so acquirers can filter out only their own writes. The history is
+/// append-only with ascending sequence numbers, so the start is found by
+/// binary search — grants cost O(log n + new).
+fn notices_since(history: &[(u64, Notice)], last_seq: u64) -> Vec<Notice> {
+    let start = history.partition_point(|(seq, _)| *seq <= last_seq);
+    let mut seen = HashSet::new();
+    history[start..]
+        .iter()
+        .filter(|(_, n)| seen.insert((n.page, n.writer)))
+        .map(|(_, n)| *n)
+        .collect()
 }
 
 /// Barrier manager state (lives on node 0's daemon).
@@ -75,16 +154,13 @@ struct BarrierState {
     rounds: u64,
 }
 
-/// State and main loop of one daemon.
+/// The state of one daemon.
 pub struct Daemon {
     id: usize,
     nprocs: usize,
     page_size: usize,
     network: NetworkModel,
     home_migration: bool,
-    inbox: Receiver<Envelope>,
-    reply_tx: Vec<Sender<ReplyEnvelope>>,
-    daemon_tx: Vec<Sender<Envelope>>,
     /// Home pages owned by this node (created zeroed on first touch).
     home_pages: HashMap<u64, Vec<u8>>,
     locks: HashMap<u32, LockState>,
@@ -93,7 +169,7 @@ pub struct Daemon {
     /// Migration epoch this daemon has reached.
     epoch: u64,
     /// Pages announced as migrating in but not yet adopted.
-    incoming: std::collections::HashSet<u64>,
+    incoming: HashSet<u64>,
     /// Requests parked until an epoch bump or a page adoption.
     parked: Vec<Envelope>,
     /// Link fates priced into daemon → daemon control traffic (`None` =
@@ -153,17 +229,10 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Creates the daemon of node `id`. `measured` says the fabric behind
-    /// the channels is a real network, which takes the fault plan's link
-    /// fates itself; nothing is priced here then.
-    pub fn new(
-        id: usize,
-        config: &DsmConfig,
-        measured: bool,
-        inbox: Receiver<Envelope>,
-        reply_tx: Vec<Sender<ReplyEnvelope>>,
-        daemon_tx: Vec<Sender<Envelope>>,
-    ) -> Self {
+    /// Creates the daemon of node `id`. `measured` says the fabric that
+    /// will carry its sends is a real network, which takes the fault
+    /// plan's link fates itself; nothing is priced here then.
+    pub fn new(id: usize, config: &DsmConfig, measured: bool) -> Self {
         let nprocs = config.nprocs;
         Self {
             id,
@@ -171,15 +240,12 @@ impl Daemon {
             page_size: config.page_size,
             network: config.network,
             home_migration: config.home_migration,
-            inbox,
-            reply_tx,
-            daemon_tx,
             home_pages: HashMap::new(),
             locks: HashMap::new(),
             cvs: HashMap::new(),
             barrier: BarrierState::default(),
             epoch: 0,
-            incoming: std::collections::HashSet::new(),
+            incoming: HashSet::new(),
             parked: Vec::new(),
             faults: config.faults.clone().filter(|_| !measured),
             retransmit: config.retransmit,
@@ -198,11 +264,61 @@ impl Daemon {
         }
     }
 
+    /// Runs the service loop until the launcher's `Shutdown`, returning
+    /// the daemon's counters: receive a request from `inbox`,
+    /// [`step`](Daemon::step) it, and flush the outbox into `daemon_tx`
+    /// (daemon inboxes) and `reply_tx` (worker reply channels).
+    /// `Shutdown` is harness-internal: it ends the loop only when it comes
+    /// from [`SYSTEM_SRC`], which no peer can claim to be.
+    pub fn run(
+        mut self,
+        inbox: crossbeam::channel::Receiver<Envelope>,
+        reply_tx: Vec<crossbeam::channel::Sender<ReplyEnvelope>>,
+        daemon_tx: Vec<crossbeam::channel::Sender<Envelope>>,
+    ) -> NodeStats {
+        let mut out = Outbox::new();
+        while let Ok(env) = inbox.recv() {
+            if env.src == SYSTEM_SRC && matches!(env.msg, Msg::Shutdown) {
+                break;
+            }
+            self.step(env, &mut out);
+            // A closed channel means its owner panicked; the daemon keeps
+            // servicing the others so the run can tear down cleanly.
+            for send in out.drain(..) {
+                match send {
+                    Outgoing::Daemon(to, env) => {
+                        let _ = daemon_tx[to].send(env);
+                    }
+                    Outgoing::Reply(to, env) => {
+                        let _ = reply_tx[to].send(env);
+                    }
+                }
+            }
+        }
+        self.stats
+    }
+
+    /// Serves one request: the exactly-once watermark, the body checks
+    /// (see the module docs; a refused request is counted in
+    /// [`NodeStats::malformed_dropped`] and answered by nothing), then
+    /// the handler. Everything the request makes this daemon send is
+    /// appended to `out` in send order.
+    pub fn step(&mut self, env: Envelope, out: &mut Outbox) {
+        if !self.accept(&env) {
+            return;
+        }
+        if !self.well_formed(&env) {
+            self.stats.malformed_dropped += 1;
+            return;
+        }
+        self.dispatch(env, out);
+    }
+
     /// Sends a protocol message to another daemon, departing at `when`:
     /// number it, price it (as [`crate::Node`] does its requests; nobody
     /// blocks on control traffic, so the stall is nobody's), push one
     /// envelope.
-    fn send_daemon(&mut self, to: usize, when: Duration, msg: Msg) {
+    fn send_daemon(&mut self, out: &mut Outbox, to: usize, when: Duration, msg: Msg) {
         let seq = self.daemon_seq[to];
         self.daemon_seq[to] += 1;
         let src = self.nprocs + self.id;
@@ -213,12 +329,32 @@ impl Daemon {
         self.stats.retransmits += price.retransmits;
         self.stats.dups_dropped += price.dups_dropped;
         self.stats.corrupt_dropped += price.corrupt_dropped;
-        let _ = self.daemon_tx[to].send(Envelope {
-            msg,
-            arrive: price.arrive,
-            src,
-            seq,
-        });
+        let arrive = price.arrive;
+        out.push(Outgoing::Daemon(
+            to,
+            Envelope {
+                msg,
+                arrive,
+                src,
+                seq,
+            },
+        ));
+    }
+
+    /// Sends `reply` to node `to`, departing (virtually) at `when`,
+    /// stamped with the request's id `seq` (the worker matches on it).
+    fn reply(&self, out: &mut Outbox, to: usize, when: Duration, seq: u64, reply: Reply) {
+        let arrive = when + self.network.cost(self.id, to, reply.wire_size());
+        let src = self.nprocs + self.id;
+        out.push(Outgoing::Reply(
+            to,
+            ReplyEnvelope {
+                reply,
+                arrive,
+                src,
+                seq,
+            },
+        ));
     }
 
     /// Detect-only guard on the transport's contract (exactly once, in
@@ -236,68 +372,73 @@ impl Daemon {
         false
     }
 
+    /// Whether a peer could have sent `env`: every rank field names a
+    /// rank of the run, a worker request comes from the worker it names
+    /// and a control message from a daemon, page bytes fit the page, the
+    /// request reached the manager it belongs to, and a release comes
+    /// from the lock's holder.
+    fn well_formed(&self, env: &Envelope) -> bool {
+        let n = self.nprocs;
+        let worker = |from: usize| from < n && env.src == from;
+        let daemon = (n..2 * n).contains(&env.src);
+        let manages = |id: u32| id as usize % n == self.id;
+        let ranks = |notices: &[Notice]| notices.iter().all(|x| x.writer < n && x.home < n);
+        let fits = |offset: u32, len: usize| {
+            (offset as usize)
+                .checked_add(len)
+                .is_some_and(|end| end <= self.page_size)
+        };
+        match &env.msg {
+            Msg::GetPage { from, .. } => worker(*from),
+            Msg::Diff { from, patches, .. } => {
+                worker(*from) && patches.iter().all(|p| fits(p.offset, p.data.len()))
+            }
+            Msg::Acquire { lock, from, .. } => worker(*from) && manages(*lock),
+            Msg::Release {
+                lock,
+                from,
+                notices,
+            } => {
+                let held = self.locks.get(lock).and_then(|st| st.holder);
+                worker(*from) && ranks(notices) && held == Some(*from)
+            }
+            Msg::SetCv { cv, from, notices } => worker(*from) && manages(*cv) && ranks(notices),
+            Msg::WaitCv { cv, from, .. } => worker(*from) && manages(*cv),
+            Msg::Barrier { from, notices } => worker(*from) && self.id == 0 && ranks(notices),
+            Msg::MigrationNotice { epoch, .. } => daemon && *epoch >= self.epoch,
+            Msg::MigrateOut { to, .. } => daemon && *to < n,
+            Msg::AdoptPage { data, .. } => daemon && data.len() == self.page_size,
+            Msg::Heartbeat { node } | Msg::Obituary { node, .. } => worker(*node),
+            // A joiner announces itself to daemon 0, which forwards the
+            // admission to every other daemon.
+            Msg::Rejoin { node, .. } => {
+                (worker(*node) && self.id == 0) || (env.src == n && self.id != 0 && *node < n)
+            }
+            Msg::ProbeFailures { from, known, .. } => worker(*from) && known.iter().all(|&k| k < n),
+            // Only the launcher's own ends `run`; a peer's is forged.
+            Msg::Shutdown => false,
+        }
+    }
+
     /// Whether a page request must wait for migration bookkeeping.
     fn must_park(&self, page: u64, epoch: u64) -> bool {
         epoch > self.epoch || self.incoming.contains(&page)
     }
 
-    /// Re-processes parked requests that may have become serviceable,
-    /// bumping their arrival to the unblocking event's time.
-    fn drain_parked(&mut self, unblocked_at: Duration) {
+    /// Re-dispatches parked requests that may have become serviceable,
+    /// bumping their arrival to the unblocking event's time. They passed
+    /// the watermark and the body checks when they first arrived.
+    fn drain_parked(&mut self, unblocked_at: Duration, out: &mut Outbox) {
         let parked = std::mem::take(&mut self.parked);
         for mut env in parked {
             env.arrive = env.arrive.max(unblocked_at);
-            self.dispatch(env);
+            self.dispatch(env, out);
         }
     }
 
-    /// Sends `reply` to node `to`, departing (virtually) at `when`,
-    /// stamped with the request's id `seq` (the worker matches on it).
-    fn reply(&mut self, to: usize, when: Duration, seq: u64, reply: Reply) {
-        let arrive = when + self.network.cost(self.id, to, reply.wire_size());
-        // A closed reply channel means the worker panicked; the daemon
-        // keeps servicing others so the run can tear down cleanly.
-        let _ = self.reply_tx[to].send(ReplyEnvelope {
-            reply,
-            arrive,
-            src: self.nprocs + self.id,
-            seq,
-        });
-    }
-
-    /// History notices newer than `last_seq`, deduplicated by
-    /// (page, writer) so acquirers can filter out only their own writes.
-    /// The history is append-only with ascending sequence numbers, so the
-    /// start is found by binary search — grants cost O(log n + new).
-    fn notices_since(history: &[(u64, Notice)], last_seq: u64) -> Vec<Notice> {
-        let start = history.partition_point(|(seq, _)| *seq <= last_seq);
-        let mut seen = std::collections::HashSet::new();
-        history[start..]
-            .iter()
-            .filter(|(_, n)| seen.insert((n.page, n.writer)))
-            .map(|(_, n)| *n)
-            .collect()
-    }
-
-    /// Runs the service loop until the launcher's `Shutdown`, returning
-    /// the daemon's counters. `Shutdown` is harness-internal: it ends the
-    /// loop only when it comes from [`SYSTEM_SRC`], which no peer can
-    /// claim to be.
-    pub fn run(mut self) -> NodeStats {
-        while let Ok(env) = self.inbox.recv() {
-            if env.src == SYSTEM_SRC {
-                if matches!(env.msg, Msg::Shutdown) {
-                    break;
-                }
-            } else if self.accept(&env) {
-                self.dispatch(env);
-            }
-        }
-        self.stats
-    }
-
-    /// Handles one request (possibly re-injected from the parked queue).
-    fn dispatch(&mut self, env: Envelope) {
+    /// Handles one checked request (possibly re-injected from the parked
+    /// queue).
+    fn dispatch(&mut self, env: Envelope, out: &mut Outbox) {
         let Envelope {
             msg,
             arrive,
@@ -324,7 +465,7 @@ impl Daemon {
                     .entry(page)
                     .or_insert_with(|| vec![0; self.page_size])
                     .clone();
-                self.reply(from, arrive, rseq, Reply::Page { page, data });
+                self.reply(out, from, arrive, rseq, Reply::Page { page, data });
             }
             Msg::Diff {
                 page,
@@ -346,70 +487,74 @@ impl Daemon {
                     });
                     return;
                 }
-                self.apply_diff(page, &patches);
-                self.reply(from, arrive, rseq, Reply::DiffAck);
+                let home = self
+                    .home_pages
+                    .entry(page)
+                    .or_insert_with(|| vec![0; self.page_size]);
+                apply_patches(home, &patches);
+                self.reply(out, from, arrive, rseq, Reply::DiffAck);
             }
             Msg::Acquire {
                 lock,
                 from,
                 last_seq,
-            } => self.handle_acquire(lock, from, last_seq, arrive, rseq),
-            Msg::Release {
-                lock,
-                from,
-                notices,
-            } => self.handle_release(lock, from, notices, arrive),
-            Msg::SetCv { cv, notices, .. } => self.handle_setcv(cv, notices, arrive),
+            } => self.handle_acquire(lock, from, last_seq, arrive, rseq, out),
+            Msg::Release { lock, notices, .. } => self.handle_release(lock, notices, arrive, out),
+            Msg::SetCv { cv, notices, .. } => self.handle_setcv(cv, notices, arrive, out),
             Msg::WaitCv { cv, from, last_seq } => {
-                self.handle_waitcv(cv, from, last_seq, arrive, rseq)
+                self.handle_waitcv(cv, from, last_seq, arrive, rseq, out)
             }
-            Msg::Barrier { from, notices } => self.handle_barrier(from, notices, arrive, rseq),
+            Msg::Barrier { from, notices } => {
+                self.barrier.arrived.push((from, rseq));
+                self.barrier.notices.extend(notices);
+                self.barrier.latest = self.barrier.latest.max(arrive);
+                self.maybe_finish_barrier(out);
+            }
             Msg::MigrationNotice { epoch, incoming } => {
-                debug_assert!(epoch >= self.epoch);
                 self.epoch = epoch;
                 self.incoming.extend(incoming);
-                self.drain_parked(arrive);
+                self.drain_parked(arrive, out);
             }
             Msg::MigrateOut { page, to } => {
                 let data = self
                     .home_pages
                     .remove(&page)
                     .unwrap_or_else(|| vec![0; self.page_size]);
-                self.send_daemon(to, arrive, Msg::AdoptPage { page, data });
+                self.send_daemon(out, to, arrive, Msg::AdoptPage { page, data });
             }
             Msg::AdoptPage { page, data } => {
                 self.home_pages.insert(page, data);
                 self.incoming.remove(&page);
-                self.drain_parked(arrive);
+                self.drain_parked(arrive, out);
             }
-            // Only the launcher's own (see `run`) means anything.
+            // Refused by `well_formed`; only the launcher's ends `run`.
             Msg::Shutdown => {}
             Msg::Heartbeat { node } => {
-                if node < self.nprocs {
-                    self.last_heard[node] = self.last_heard[node].max(arrive);
-                }
+                self.last_heard[node] = self.last_heard[node].max(arrive);
             }
-            Msg::Obituary { node, incarnation } => self.handle_obituary(node, incarnation, arrive),
+            Msg::Obituary { node, incarnation } => {
+                self.handle_obituary(node, incarnation, arrive, out)
+            }
             Msg::Rejoin {
                 node,
                 incarnation,
                 admit_at_round,
                 stride,
-            } => self.handle_rejoin(node, incarnation, admit_at_round, stride, arrive, rseq),
+            } => {
+                let due = self.rejoin_due(admit_at_round, stride);
+                if due > self.barrier.rounds {
+                    self.pending_rejoins
+                        .push((node, incarnation, due, arrive, rseq));
+                } else {
+                    self.admit(node, incarnation, arrive, rseq, out);
+                }
+            }
             Msg::ProbeFailures {
                 from,
                 cancel_waits,
                 known,
-            } => self.handle_probe(from, cancel_waits, &known, arrive, rseq),
+            } => self.handle_probe(from, cancel_waits, &known, arrive, rseq, out),
         }
-    }
-
-    fn apply_diff(&mut self, page: u64, patches: &[Patch]) {
-        let home = self
-            .home_pages
-            .entry(page)
-            .or_insert_with(|| vec![0; self.page_size]);
-        apply_patches(home, patches);
     }
 
     fn handle_acquire(
@@ -419,113 +564,82 @@ impl Daemon {
         last_seq: u64,
         arrive: Duration,
         rseq: u64,
+        out: &mut Outbox,
     ) {
-        debug_assert_eq!(lock as usize % self.nprocs, self.id, "wrong manager");
         let st = self.locks.entry(lock).or_default();
         if st.holder.is_none() {
             st.holder = Some(from);
-            let notices = Self::notices_since(&st.history, last_seq);
-            let seq = st.next_seq;
+            let grant = st.grant(last_seq);
             let when = arrive.max(st.free_at);
-            self.reply(from, when, rseq, Reply::LockGranted { notices, seq });
+            self.reply(out, from, when, rseq, grant);
         } else {
             st.waiters.push_back((from, last_seq, arrive, rseq));
         }
     }
 
-    fn handle_release(&mut self, lock: u32, from: usize, notices: Vec<Notice>, arrive: Duration) {
+    /// Releases a lock `well_formed` checked the sender holds.
+    fn handle_release(
+        &mut self,
+        lock: u32,
+        notices: Vec<Notice>,
+        arrive: Duration,
+        out: &mut Outbox,
+    ) {
         let st = self.locks.entry(lock).or_default();
-        assert_eq!(
-            st.holder,
-            Some(from),
-            "node {from} released lock {lock} it does not hold"
-        );
         for n in notices {
             st.next_seq += 1;
             st.history.push((st.next_seq, n));
         }
         st.holder = None;
         st.free_at = st.free_at.max(arrive);
-        if let Some((next, last_seq, req_arrive, rseq)) = st.waiters.pop_front() {
-            st.holder = Some(next);
-            let granted = Self::notices_since(&st.history, last_seq);
-            let seq = st.next_seq;
-            let when = req_arrive.max(st.free_at);
-            self.reply(
-                next,
-                when,
-                rseq,
-                Reply::LockGranted {
-                    notices: granted,
-                    seq,
-                },
-            );
+        if let Some((next, when, rseq, grant)) = st.grant_next() {
+            self.reply(out, next, when, rseq, grant);
         }
     }
 
-    fn handle_setcv(&mut self, cv: u32, notices: Vec<Notice>, arrive: Duration) {
+    fn handle_setcv(&mut self, cv: u32, notices: Vec<Notice>, arrive: Duration, out: &mut Outbox) {
         let st = self.cvs.entry(cv).or_default();
         for n in notices {
             st.next_seq += 1;
             st.history.push((st.next_seq, n));
         }
         if let Some((node, last_seq, wait_arrive, rseq)) = st.waiters.pop_front() {
-            let granted = Self::notices_since(&st.history, last_seq);
-            let seq = st.next_seq;
-            let when = wait_arrive.max(arrive);
-            self.reply(
-                node,
-                when,
-                rseq,
-                Reply::CvGranted {
-                    notices: granted,
-                    seq,
-                },
-            );
+            let grant = st.grant(last_seq);
+            self.reply(out, node, wait_arrive.max(arrive), rseq, grant);
         } else {
             st.pending.push_back(arrive);
         }
     }
 
-    fn handle_waitcv(&mut self, cv: u32, from: usize, last_seq: u64, arrive: Duration, rseq: u64) {
+    fn handle_waitcv(
+        &mut self,
+        cv: u32,
+        from: usize,
+        last_seq: u64,
+        arrive: Duration,
+        rseq: u64,
+        out: &mut Outbox,
+    ) {
         let st = self.cvs.entry(cv).or_default();
         if let Some(signal_arrive) = st.pending.pop_front() {
-            let granted = Self::notices_since(&st.history, last_seq);
-            let seq = st.next_seq;
-            let when = arrive.max(signal_arrive);
-            self.reply(
-                from,
-                when,
-                rseq,
-                Reply::CvGranted {
-                    notices: granted,
-                    seq,
-                },
-            );
+            let grant = st.grant(last_seq);
+            self.reply(out, from, arrive.max(signal_arrive), rseq, grant);
         } else if let Some(&node) = self.ever_died.iter().find(|n| !self.told[from].contains(n)) {
             // The signal may have died with `node` before this wait
             // arrived: the obituary's wake-up, for a waiter it missed.
             self.told[from].insert(node);
             self.stats.waiters_woken += 1;
-            self.reply(from, arrive, rseq, Reply::NodeFailed { node });
+            self.reply(out, from, arrive, rseq, Reply::NodeFailed { node });
         } else {
             st.waiters.push_back((from, last_seq, arrive, rseq));
         }
-    }
-
-    fn handle_barrier(&mut self, from: usize, notices: Vec<Notice>, arrive: Duration, rseq: u64) {
-        assert_eq!(self.id, 0, "barrier messages go to node 0");
-        self.barrier.arrived.push((from, rseq));
-        self.barrier.notices.extend(notices);
-        self.barrier.latest = self.barrier.latest.max(arrive);
-        self.maybe_finish_barrier();
     }
 
     /// Completes the barrier round once every node has either arrived or
     /// been declared dead (the supervision layer's "barrier over the
     /// survivors" rule; with an empty dead set this is the plain
     /// all-arrived barrier).
-    fn maybe_finish_barrier(&mut self) {
+    fn maybe_finish_barrier(&mut self, out: &mut Outbox) {
         let missing_dead = self
             .dead
             .iter()
@@ -538,7 +652,7 @@ impl Daemon {
             // Deduplicate by (page, writer): a node must invalidate a page
             // another node wrote even if it wrote the page itself (its
             // cached copy misses the other writer's merged diff).
-            let dedup: std::collections::HashSet<Notice> = round.notices.into_iter().collect();
+            let dedup: HashSet<Notice> = round.notices.into_iter().collect();
             let notices: Vec<Notice> = dedup.into_iter().collect();
             self.barrier.rounds = round.rounds + 1;
             let migrations = if self.home_migration {
@@ -558,45 +672,42 @@ impl Daemon {
             let epoch = self.barrier.rounds;
             for d in 0..self.nprocs {
                 let incoming = incoming_per.remove(&d).unwrap_or_default();
-                self.send_daemon(d, round.latest, Msg::MigrationNotice { epoch, incoming });
+                self.send_daemon(
+                    out,
+                    d,
+                    round.latest,
+                    Msg::MigrationNotice { epoch, incoming },
+                );
             }
             for &(page, to) in &migrations {
                 // The old home ships the page to the new home.
                 let Some(old) = notices.iter().find(|n| n.page == page).map(|n| n.home) else {
                     unreachable!("migration of page {page} was decided from these notices")
                 };
-                self.send_daemon(old, round.latest, Msg::MigrateOut { page, to });
+                self.send_daemon(out, old, round.latest, Msg::MigrateOut { page, to });
             }
             let dead: Vec<usize> = self.dead.iter().copied().collect();
             for (node, rseq) in round.arrived {
                 self.told[node].extend(&dead);
-                self.reply(
-                    node,
-                    round.latest,
-                    rseq,
-                    Reply::BarrierDone {
-                        notices: notices.clone(),
-                        migrations: migrations.clone(),
-                        dead: dead.clone(),
-                    },
-                );
+                let done = Reply::BarrierDone {
+                    notices: notices.clone(),
+                    migrations: migrations.clone(),
+                    dead: dead.clone(),
+                };
+                self.reply(out, node, round.latest, rseq, done);
             }
             // Boundary admissions: parked rejoins whose agreed round has
             // been reached take effect now, after this round's grants
             // went out with the joiner still dead-credited. The admitted
             // joiner's next barrier arrival is exactly the new round.
-            let latest = round.latest;
-            let due: Vec<(usize, u32, u64, Duration, u64)> = {
-                let rounds = self.barrier.rounds;
-                let (due, keep) = self
-                    .pending_rejoins
-                    .drain(..)
-                    .partition(|&(_, _, at, ..)| rounds >= at);
-                self.pending_rejoins = keep;
-                due
-            };
+            let rounds = self.barrier.rounds;
+            let (due, keep): (Vec<_>, Vec<_>) = self
+                .pending_rejoins
+                .drain(..)
+                .partition(|&(_, _, at, ..)| rounds >= at);
+            self.pending_rejoins = keep;
             for (node, incarnation, _, arrive, rseq) in due {
-                self.admit(node, incarnation, arrive.max(latest), rseq);
+                self.admit(node, incarnation, arrive.max(round.latest), rseq, out);
             }
         }
     }
@@ -606,77 +717,58 @@ impl Daemon {
     /// state), removes its queued lock/cv waits, wakes every remaining cv
     /// waiter with [`Reply::NodeFailed`] so blocked survivors can unwind
     /// into recovery, and re-checks the barrier over the survivors.
-    fn handle_obituary(&mut self, node: usize, incarnation: u32, arrive: Duration) {
+    fn handle_obituary(
+        &mut self,
+        node: usize,
+        incarnation: u32,
+        arrive: Duration,
+        out: &mut Outbox,
+    ) {
         // Incarnation fence: a delayed duplicate obituary of a life that
         // has since been re-admitted must not re-kill the rank.
-        if node < self.nprocs && incarnation < self.admitted_inc[node] {
-            return;
-        }
-        if !self.dead.insert(node) {
+        if incarnation < self.admitted_inc[node] || !self.dead.insert(node) {
             return;
         }
         self.ever_died.insert(node);
         self.stats.obituaries += 1;
         self.membership_epoch += 1;
+        let mut wake = Vec::new();
         // Lease break: a lock held by the dead node is released on its
         // behalf. The notices of its *completed* release intervals are
         // already in the lock history, so the next grant replays the last
         // released state; writes of the interrupted critical section are
         // lost, which is exactly fail-stop semantics.
-        let lock_ids: Vec<u32> = self.locks.keys().copied().collect();
-        for lock in lock_ids {
-            let Some(st) = self.locks.get_mut(&lock) else {
-                unreachable!("lock id {lock} came from self.locks.keys()")
-            };
+        for st in self.locks.values_mut() {
             st.waiters.retain(|&(n, ..)| n != node);
             if st.holder == Some(node) {
                 st.holder = None;
                 st.free_at = st.free_at.max(arrive);
                 self.stats.leases_broken += 1;
-                let Some(st) = self.locks.get_mut(&lock) else {
-                    unreachable!("lock id {lock} came from self.locks.keys()")
-                };
-                if let Some((next, last_seq, req_arrive, rseq)) = st.waiters.pop_front() {
-                    st.holder = Some(next);
-                    let granted = Self::notices_since(&st.history, last_seq);
-                    let seq = st.next_seq;
-                    let when = req_arrive.max(st.free_at);
-                    self.reply(
-                        next,
-                        when,
-                        rseq,
-                        Reply::LockGranted {
-                            notices: granted,
-                            seq,
-                        },
-                    );
-                }
+                wake.extend(st.grant_next());
             }
         }
         // Wake every parked cv waiter with NodeFailed: their signal may
         // have died with the node. Pending (unconsumed) signals are kept,
         // so a survivor that re-waits loses nothing.
-        let cv_ids: Vec<u32> = self.cvs.keys().copied().collect();
-        for cv in cv_ids {
-            let Some(st) = self.cvs.get_mut(&cv) else {
-                unreachable!("cv id {cv} came from self.cvs.keys()")
-            };
+        for st in self.cvs.values_mut() {
             st.waiters.retain(|&(n, ..)| n != node);
-            let woken: Vec<(usize, u64, Duration, u64)> = std::mem::take(&mut st.waiters).into();
-            for (waiter, _last_seq, wait_arrive, rseq) in woken {
+            for (waiter, _, wait_arrive, rseq) in st.waiters.drain(..) {
                 self.stats.waiters_woken += 1;
                 self.told[waiter].insert(node);
-                self.reply(
+                wake.push((
                     waiter,
                     wait_arrive.max(arrive),
                     rseq,
                     Reply::NodeFailed { node },
-                );
+                ));
             }
+        }
+        for (to, when, rseq, reply) in wake {
+            self.reply(out, to, when, rseq, reply);
         }
         if self.id == 0 {
             self.barrier.latest = self.barrier.latest.max(arrive);
-            self.maybe_finish_barrier();
+            self.maybe_finish_barrier(out);
         }
     }
 
@@ -701,6 +793,7 @@ impl Daemon {
         known: &[usize],
         arrive: Duration,
         rseq: u64,
+        out: &mut Outbox,
     ) {
         let mut dead: Vec<usize> = self.dead.iter().copied().collect();
         let mut suspects: Vec<usize> = self
@@ -743,69 +836,52 @@ impl Daemon {
             }
         }
         self.told[from].extend(known.iter().chain(&dead));
-        self.reply(
-            from,
-            arrive,
-            rseq,
-            Reply::FailureReport {
-                dead,
-                suspects,
-                canceled,
-                epoch: self.membership_epoch,
-            },
-        );
+        let epoch = self.membership_epoch;
+        let report = Reply::FailureReport {
+            dead,
+            suspects,
+            canceled,
+            epoch,
+        };
+        self.reply(out, from, arrive, rseq, report);
     }
 
-    /// Routes a rejoin announcement. On daemon 0 — the admission
-    /// authority — the admission is *deferred* until the completed-round
-    /// count reaches `admit_at_round`: the joiner's first post-admission
-    /// barrier arrival is exactly that round, so admitting any earlier
-    /// would stall the in-flight rounds (they would wait for a live rank
-    /// that never arrives at them). An announcement that arrives *after*
-    /// its named boundary already passed (delayed or retransmitted on a
-    /// lossy transport) is just as dangerous in the other direction:
-    /// admitting it mid-workload would hand the role back while the
-    /// survivors' adoption view for the in-flight round still owns it —
-    /// two live owners. So a late announcement is re-deferred to the
-    /// next boundary multiple `admit_at_round + k·stride` strictly in
-    /// the future (the joiner's campaign driver skips the missed rounds;
-    /// see its `run_elastic`). `stride == 0` opts out (no later boundary
-    /// exists) and admits immediately. Non-zero daemons only ever see
+    /// The completed-round count at which a rejoin announcement takes
+    /// effect. On daemon 0 — the admission authority — the admission is
+    /// *deferred* until the completed-round count reaches
+    /// `admit_at_round`: the joiner's first post-admission barrier arrival
+    /// is exactly that round, so admitting any earlier would stall the
+    /// in-flight rounds (they would wait for a live rank that never
+    /// arrives at them). An announcement that arrives *after* its named
+    /// boundary already passed (delayed or retransmitted on a lossy
+    /// transport) is just as dangerous in the other direction: admitting
+    /// it mid-workload would hand the role back while the survivors'
+    /// adoption view for the in-flight round still owns it — two live
+    /// owners. So a late announcement is re-deferred to the next boundary
+    /// multiple `admit_at_round + k·stride` strictly in the future (the
+    /// joiner's campaign driver skips the missed rounds; see its
+    /// `run_elastic`). `stride == 0` opts out (no later boundary exists)
+    /// and admits immediately. Non-zero daemons only ever see
     /// announcements *forwarded by daemon 0 at the boundary*, so they
     /// admit on receipt.
-    fn handle_rejoin(
-        &mut self,
-        node: usize,
-        incarnation: u32,
-        admit_at_round: u64,
-        stride: u64,
-        arrive: Duration,
-        rseq: u64,
-    ) {
-        if self.id == 0 {
-            let rounds = self.barrier.rounds;
-            let target = if rounds < admit_at_round {
-                admit_at_round
-            } else {
-                match (rounds - admit_at_round).checked_div(stride) {
-                    // Late: next multiple of `stride` past
-                    // `admit_at_round` that is strictly in the future.
-                    // `(d/stride + 1)·stride > d` always, so the
-                    // admission lands at a real boundary the barrier
-                    // has not completed yet.
-                    Some(d) => admit_at_round + (d + 1) * stride,
-                    // `stride == 0`: no later boundary exists — admit
-                    // at whatever boundary comes next.
-                    None => rounds,
-                }
-            };
-            if rounds < target {
-                self.pending_rejoins
-                    .push((node, incarnation, target, arrive, rseq));
-                return;
+    fn rejoin_due(&self, admit_at_round: u64, stride: u64) -> u64 {
+        let rounds = self.barrier.rounds;
+        if self.id != 0 {
+            rounds
+        } else if rounds < admit_at_round {
+            admit_at_round
+        } else {
+            match (rounds - admit_at_round).checked_div(stride) {
+                // Late: next multiple of `stride` past `admit_at_round`
+                // that is strictly in the future. `(d/stride + 1)·stride
+                // > d` always, so the admission lands at a real boundary
+                // the barrier has not completed yet.
+                Some(d) => admit_at_round + (d + 1) * stride,
+                // `stride == 0`: no later boundary exists — admit at
+                // whatever boundary comes next.
+                None => rounds,
             }
         }
-        self.admit(node, incarnation, arrive, rseq);
     }
 
     /// Admits a previously-dead node back into the membership view:
@@ -819,51 +895,48 @@ impl Daemon {
     /// (the joiner resynchronizes its consistency epoch to it), the
     /// post-admission dead set, and the cumulative home-migration log so
     /// the joiner can rebuild `home_overrides` it missed while dead.
-    fn admit(&mut self, node: usize, incarnation: u32, arrive: Duration, rseq: u64) {
+    fn admit(
+        &mut self,
+        node: usize,
+        incarnation: u32,
+        arrive: Duration,
+        rseq: u64,
+        out: &mut Outbox,
+    ) {
         let was_dead = self.dead.remove(&node);
-        if node < self.nprocs {
-            self.last_heard[node] = self.last_heard[node].max(arrive);
-            self.admitted_inc[node] = self.admitted_inc[node].max(incarnation);
-            // A healed death is history: nobody unwinds a wait for it any
-            // more, nor the joiner for any death before its new life.
-            for told in &mut self.told {
-                told.insert(node);
-            }
-            self.told[node].extend(&self.ever_died);
+        self.last_heard[node] = self.last_heard[node].max(arrive);
+        self.admitted_inc[node] = self.admitted_inc[node].max(incarnation);
+        // A healed death is history: nobody unwinds a wait for it any
+        // more, nor the joiner for any death before its new life.
+        for told in &mut self.told {
+            told.insert(node);
         }
+        self.told[node].extend(&self.ever_died);
         if was_dead {
             self.membership_epoch += 1;
         }
         if self.id == 0 {
+            let round = self.barrier.rounds;
             for d in 1..self.nprocs {
-                self.send_daemon(
-                    d,
-                    arrive,
-                    Msg::Rejoin {
-                        node,
-                        incarnation,
-                        admit_at_round: self.barrier.rounds,
-                        // Forwarded announcements are already boundary
-                        // decisions; receivers admit on receipt.
-                        stride: 0,
-                    },
-                );
+                // Forwarded announcements are already boundary decisions
+                // (`stride: 0`); receivers admit on receipt.
+                let forward = Msg::Rejoin {
+                    node,
+                    incarnation,
+                    admit_at_round: round,
+                    stride: 0,
+                };
+                self.send_daemon(out, d, arrive, forward);
             }
-            self.reply(
-                node,
-                arrive,
-                rseq,
-                Reply::RejoinAck {
-                    round: self.barrier.rounds,
-                    dead: self.dead.iter().copied().collect(),
-                    migrations: self.migration_log.clone(),
-                },
-            );
+            let ack = Reply::RejoinAck {
+                round,
+                dead: self.dead.iter().copied().collect(),
+                migrations: self.migration_log.clone(),
+            };
+            self.reply(out, node, arrive, rseq, ack);
         }
     }
-}
 
-impl Daemon {
     /// The migration policy (JIAJIA's single-writer heuristic): a page
     /// written this round by exactly one node, which is not its home,
     /// migrates to that writer — its diffs become local applications.
@@ -886,5 +959,130 @@ impl Daemon {
             .collect();
         out.sort_unstable();
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::Patch;
+
+    const N: usize = 2;
+
+    fn env(src: usize, msg: Msg) -> Envelope {
+        let arrive = Duration::ZERO;
+        Envelope {
+            msg,
+            arrive,
+            src,
+            seq: 0,
+        }
+    }
+
+    fn acquire(from: usize, lock: u32) -> Envelope {
+        let last_seq = 0;
+        env(
+            from,
+            Msg::Acquire {
+                lock,
+                from,
+                last_seq,
+            },
+        )
+    }
+
+    /// Every body no peer could have sent is refused, counted in
+    /// `malformed_dropped` and answered by nothing — where the daemon used
+    /// to panic on an index or an assertion, or (an obituary for a rank
+    /// past `nprocs`) let a barrier finish one arrival short.
+    #[test]
+    fn forged_bodies_are_dropped_and_counted() {
+        let page_size = DsmConfig::new(N).page_size;
+        let page = |from| Msg::GetPage {
+            page: 0,
+            from,
+            epoch: 0,
+        };
+        let release = |from| Msg::Release {
+            lock: 0,
+            from,
+            notices: Vec::new(),
+        };
+        let overhang = Patch {
+            offset: page_size as u32 - 2,
+            data: vec![1; 4],
+        };
+        let foreign = Notice {
+            page: 0,
+            writer: 99,
+            home: 0,
+        };
+        let diff = Msg::Diff {
+            page: 0,
+            from: 0,
+            patches: vec![overhang],
+            epoch: 0,
+        };
+        let adopt = Msg::AdoptPage {
+            page: 0,
+            data: vec![0; 8],
+        };
+        let barrier = Msg::Barrier {
+            from: 0,
+            notices: Vec::new(),
+        };
+        let signal = Msg::SetCv {
+            cv: 0,
+            from: 0,
+            notices: vec![foreign],
+        };
+        let obituary = Msg::Obituary {
+            node: 99,
+            incarnation: 0,
+        };
+        // (what is wrong, daemon id, request served first, forged request)
+        let rows: Vec<(&str, usize, Option<Envelope>, Envelope)> = vec![
+            ("rank field past nprocs", 0, None, env(1, page(99))),
+            ("request naming another worker", 0, None, env(1, page(0))),
+            ("worker request from a daemon", 0, None, env(N + 1, page(1))),
+            (
+                "control message from a worker",
+                0,
+                None,
+                env(0, Msg::MigrateOut { page: 0, to: 1 }),
+            ),
+            (
+                "MigrateOut to a rank past nprocs",
+                0,
+                None,
+                env(N, Msg::MigrateOut { page: 0, to: 99 }),
+            ),
+            ("patch past the page end", 0, None, env(0, diff)),
+            ("AdoptPage shorter than a page", 0, None, env(N + 1, adopt)),
+            ("barrier at a nonzero daemon", 1, None, env(0, barrier)),
+            ("acquire at the wrong manager", 0, None, acquire(0, 1)),
+            (
+                "release by a non-holder",
+                0,
+                Some(acquire(0, 0)),
+                env(1, release(1)),
+            ),
+            ("release of a lock nobody took", 0, None, env(0, release(0))),
+            ("notice writer past nprocs", 0, None, env(0, signal)),
+            ("obituary for a rank past nprocs", 0, None, env(1, obituary)),
+            ("a peer's Shutdown", 0, None, env(N + 1, Msg::Shutdown)),
+        ];
+        for (what, id, setup, forged) in rows {
+            let mut daemon = Daemon::new(id, &DsmConfig::new(N), false);
+            let mut out = Outbox::new();
+            if let Some(first) = setup {
+                daemon.step(first, &mut out);
+            }
+            let sent = out.len();
+            assert_eq!(daemon.stats.malformed_dropped, 0, "{what}: setup refused");
+            daemon.step(forged, &mut out);
+            assert_eq!(daemon.stats.malformed_dropped, 1, "{what}: not counted");
+            assert_eq!(out.len(), sent, "{what}: answered");
+        }
     }
 }

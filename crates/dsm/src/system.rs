@@ -197,15 +197,9 @@ where
             } = wiring;
             // A direct sender to the daemon's inbox for teardown.
             let shutdown_tx = daemon_tx[rank].clone();
-            let daemon = Daemon::new(
-                rank,
-                config,
-                measured,
-                daemon_rx,
-                reply_tx,
-                daemon_tx.clone(),
-            );
-            let daemon = scope.spawn(move || daemon.run());
+            let to_daemons = daemon_tx.clone();
+            let daemon = Daemon::new(rank, config, measured);
+            let daemon = scope.spawn(move || daemon.run(daemon_rx, reply_tx, to_daemons));
             let (work, lock_order, clock) = (&work, lock_order.clone(), clock.clone());
             let worker = scope.spawn(move || {
                 let mut node = Node::new(
@@ -505,6 +499,7 @@ mod tests {
         assert!(agg.invalidations > 0, "write notices must invalidate");
         assert!(agg.msgs_sent > 0);
         assert!(agg.modeled_network > std::time::Duration::ZERO);
+        assert_eq!(agg.malformed_dropped, 0, "a clean run refuses nothing");
     }
 
     #[test]

@@ -17,6 +17,18 @@ use std::net::UdpSocket;
 /// the tests check the transport against DESIGN.md §5.12's wire format
 /// rather than against its own encoder.
 fn valid_data_frame(session: u64, from: usize, chan: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+    data_frame(session, from, chan, seq, 0, payload)
+}
+
+/// [`valid_data_frame`] carrying request id `env_seq`.
+fn data_frame(
+    session: u64,
+    from: usize,
+    chan: u8,
+    seq: u64,
+    env_seq: u64,
+    payload: &[u8],
+) -> Vec<u8> {
     let mut w = FrameWriter::default();
     w.u8(TPT_DATA);
     w.u64(session);
@@ -25,7 +37,7 @@ fn valid_data_frame(session: u64, from: usize, chan: u8, seq: u64, payload: &[u8
     w.u64(seq);
     w.u32(0); // frag_idx
     w.u32(1); // frag_count
-    w.u64(0); // env_seq
+    w.u64(env_seq);
     w.u64(0); // arrive_ns
     w.bytes(payload);
     w.finish()
@@ -161,6 +173,41 @@ fn live_socket_survives_garbage_blast() {
     let mut corrupted = valid_data_frame(SESSION, 1, 0, 0, &[1; 64]);
     let mid = corrupted.len() / 2;
     corrupted[mid] ^= 0xff;
+    // Well-formed in every layer and carrying a body no peer could send,
+    // on the same link as the forged `Shutdown` below, after it: the
+    // transport takes seq 1, 2, ... in order, and since it drops the
+    // `Shutdown` itself the daemon sees request ids 0, 1, ... . Each one
+    // used to kill rank 0's daemon (an index or an assertion) or, the
+    // obituary, finish its barriers one arrival short.
+    let forged_bodies = [
+        Msg::GetPage {
+            page: 0,
+            from: 99,
+            epoch: 0,
+        },
+        Msg::Obituary {
+            node: 99,
+            incarnation: 0,
+        },
+        Msg::MigrateOut { page: 0, to: 99 },
+        Msg::AdoptPage {
+            page: 0,
+            data: vec![0; 8],
+        },
+        Msg::Release {
+            lock: 0,
+            from: 1,
+            notices: Vec::new(),
+        },
+        Msg::Barrier {
+            from: 1,
+            notices: Vec::new(),
+        },
+    ];
+    let forged = forged_bodies
+        .iter()
+        .zip(1..)
+        .map(|(msg, seq)| data_frame(SESSION, 1, CHAN_DAEMON, seq, seq - 1, &encode_msg(msg)));
     let volleys: Vec<Vec<u8>> = vec![
         vec![0xde, 0xad, 0xbe, 0xef],
         vec![],
@@ -177,7 +224,10 @@ fn live_socket_survives_garbage_blast() {
         // `Shutdown`. Delivered, it would end rank 0's daemon and hang
         // both ranks.
         valid_data_frame(SESSION, 1, CHAN_DAEMON, 0, &encode_msg(&Msg::Shutdown)),
-    ];
+    ]
+    .into_iter()
+    .chain(forged)
+    .collect();
     for _ in 0..40 {
         for v in &volleys {
             let _ = attacker.send_to(v, target);

@@ -1,63 +1,45 @@
 //! Model-checked verification of GenomeDSM's concurrency protocols.
 //!
-//! This crate expresses the protocols that the rest of the workspace
-//! implements with real threads as **checkable state machines** for the
-//! vendored [`shuttle`] schedule-exploring checker:
+//! The vendored [`shuttle`] schedule-exploring checker runs two kinds of
+//! subject:
 //!
-//! * [`models::lock`] — the DSM lock acquire/release handoff with write
-//!   notices and per-client watermarks (scope consistency, mutual
-//!   exclusion, happens-before);
-//! * [`models::cv`] — the condition-variable signal banking that makes
-//!   `setcv`/`waitcv` immune to lost wakeups;
-//! * [`models::lease`] — the lock-lease break-on-death path and the
-//!   ledger-driven takeover (last-released state, exactly-once units);
-//! * [`models::merge`] — the batch scheduler's windowed strictly in-order
-//!   merge (liveness of the window gate, bounded buffering), plus the
-//!   rejected permit-counting design that must deadlock;
-//! * [`models::inversion`] — the page-lock / lease-table lock-order
-//!   discipline, with an AB-BA knob for the seeded regression that the
-//!   runtime lock-order graph in `genomedsm-dsm` also catches;
-//! * [`models::retransmit`] — the UDP transport's per-link
-//!   retransmit/dedup window under reordering and duplication (sender
-//!   window, reorder stash, reply cache with evict-on-ack lifetime),
-//!   plus the rejected evict-before-ack variant that must
-//!   double-execute a request;
-//! * [`models::admission`] — the serve admission gate (bounded queue +
-//!   weighted fair dispatch): no request lost or double-dispatched,
-//!   depth never exceeds capacity, plus the rejected drop-on-reject
-//!   design that must lose a request;
-//! * [`models::rejoin`] — the elastic-membership join/handback protocol
-//!   (announce → deferred boundary admission → page invalidation →
-//!   ledger catch-up → role handback): no unit owned by two live ranks,
-//!   handback only at workload boundaries, saved columns byte-identical
-//!   to a never-crashed run, plus the skipped-invalidation and
-//!   mid-round-admission variants that must be caught.
+//! * [`daemon`] — the shipped `genomedsm-dsm` daemon, stepped by scripted
+//!   workers over checker-scheduled links: lock handoff with write
+//!   notices, the counting cv, and the lease break on a fail-stop, plus
+//!   three perturbations of its links that must be caught;
+//! * [`models`] — state machines of protocols that live elsewhere:
+//!   [`models::merge`] (the batch scheduler's windowed in-order merge),
+//!   [`models::inversion`] (the page-lock / lease-table lock order),
+//!   [`models::retransmit`] (the UDP transport's retransmit/dedup window),
+//!   [`models::admission`] (the serve admission gate) and
+//!   [`models::rejoin`] (the elastic-membership join/handback), each with
+//!   the rejected variants that must fail.
 //!
-//! [`run_suite`] drives every healthy model through thousands of distinct
-//! interleavings (exhaustive where the state space allows, seeded-random
-//! elsewhere); the `genomedsm-verify` binary prints the results and
-//! additionally proves the seeded bugs are *found* and *replayable from
-//! their printed seed*.
+//! [`run_suite`] drives every healthy subject through thousands of
+//! distinct interleavings (exhaustive where the state space allows,
+//! seeded-random elsewhere); [`found_and_replayed`] proves a seeded bug is
+//! *found* and *replayable from its printed seed*. The `genomedsm-verify`
+//! binary prints both.
 
 #![warn(missing_docs)]
 
+pub mod daemon;
+
 pub mod models {
-    //! The checkable protocol models.
+    //! Models of the protocols the checker cannot run for real.
     pub mod admission;
-    pub mod cv;
     pub mod inversion;
-    pub mod lease;
-    pub mod lock;
     pub mod merge;
     pub mod rejoin;
     pub mod retransmit;
 }
 
+use daemon::{DaemonSpec, Workload};
 use models::{
-    admission::AdmissionModel, cv::CvModel, inversion::InversionModel, lease::LeaseModel,
-    lock::LockModel, merge::MergeModel, rejoin::RejoinModel, retransmit::RetransmitModel,
+    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel, rejoin::RejoinModel,
+    retransmit::RetransmitModel,
 };
-use shuttle::{Config, Report};
+use shuttle::{Config, Failure, Report, Spec};
 
 /// One suite row: a model/strategy pair and its exploration report.
 pub struct SuiteEntry {
@@ -67,26 +49,53 @@ pub struct SuiteEntry {
     pub report: Report,
 }
 
-fn exhaustive<M: shuttle::Spec>(name: &'static str, spec: M, max_schedules: u64) -> SuiteEntry {
-    let report = shuttle::check_exhaustive(
-        &spec,
-        &Config {
-            max_schedules,
-            ..Config::default()
-        },
-    );
+fn exhaustive<M: Spec>(name: &'static str, spec: M, max_schedules: u64) -> SuiteEntry {
+    let cfg = Config {
+        max_schedules,
+        ..Config::default()
+    };
+    let report = shuttle::check_exhaustive(&spec, &cfg);
     SuiteEntry { name, report }
 }
 
-fn random<M: shuttle::Spec>(name: &'static str, spec: M, iterations: u64) -> SuiteEntry {
-    let report = shuttle::check_random(
-        &spec,
-        &Config {
-            iterations,
-            ..Config::default()
-        },
-    );
+fn random<M: Spec>(name: &'static str, spec: M, iterations: u64) -> SuiteEntry {
+    let cfg = Config {
+        iterations,
+        ..Config::default()
+    };
+    let report = shuttle::check_random(&spec, &cfg);
     SuiteEntry { name, report }
+}
+
+/// Checks a seeded bug the way the binary reports it: random exploration
+/// of `spec` must fail with a reason containing `expect` and record a
+/// seed, and [`shuttle::replay_seed`] from that seed alone must reproduce
+/// the identical reason and schedule. Prints the verdict under `name`;
+/// returns the failure when all of that held.
+pub fn found_and_replayed<M: Spec>(name: &str, spec: &M, expect: &str) -> Option<Failure> {
+    let cfg = Config::default();
+    let failure = match shuttle::check_random(spec, &cfg).failure {
+        Some(f) if f.reason.contains(expect) && f.seed.is_some() => f,
+        other => {
+            println!(
+                "{name}: FAIL (`{expect}` not found: {:?})",
+                other.map(|f| f.reason)
+            );
+            return None;
+        }
+    };
+    let seed = failure.seed.unwrap_or_default();
+    println!("{name}: found `{}`", failure.reason);
+    println!("  seed {seed:#018x}, schedule {:?}", failure.schedule);
+    let replay = shuttle::replay_seed(spec, seed, &cfg).failure;
+    let same = |rf: &Failure| rf.reason == failure.reason && rf.schedule == failure.schedule;
+    if !replay.as_ref().is_some_and(same) {
+        let got = replay.map(|rf| (rf.reason, rf.schedule));
+        println!("  replay from seed: DIVERGED ({got:?})");
+        return None;
+    }
+    println!("  replay from seed: identical failure reproduced — ok");
+    Some(failure)
 }
 
 /// Run the full healthy-protocol suite.
@@ -95,165 +104,66 @@ fn random<M: shuttle::Spec>(name: &'static str, spec: M, iterations: u64) -> Sui
 /// explores well over ten thousand distinct schedules (asserted by the
 /// `explore` integration test and re-checked by the binary).
 pub fn run_suite() -> Vec<SuiteEntry> {
+    use Workload::{Lease, Locks, Signals};
+    let real = |workload| DaemonSpec(workload, None);
+    let merge = |jobs, workers, window| MergeModel {
+        jobs,
+        workers,
+        window,
+        permit_bug: false,
+    };
+    let admission = |clients, capacity, workers| AdmissionModel {
+        clients,
+        requests_each: 2,
+        capacity,
+        workers,
+        bug_drop_on_reject: false,
+    };
+    let retransmit = |msgs, dup_budget, swap_budget| RetransmitModel {
+        msgs,
+        window: 2,
+        dup_budget,
+        swap_budget,
+        bug_evict_before_ack: false,
+    };
+    let rejoin = |units| RejoinModel {
+        units,
+        bug_skip_invalidation: false,
+        bug_admit_mid_round: false,
+    };
+    let consistent = InversionModel {
+        inverted: false,
+        rounds: 2,
+    };
     vec![
+        exhaustive("daemon/locks 2x2 exhaustive", real(Locks(2, 2)), 200_000),
+        exhaustive("daemon/locks 3x1 exhaustive", real(Locks(3, 1)), 200_000),
+        random("daemon/locks 3x2 random", real(Locks(3, 2)), 6_000),
         exhaustive(
-            "lock/2x2 exhaustive",
-            LockModel {
-                clients: 2,
-                sections: 2,
-            },
-            50_000,
-        ),
-        exhaustive(
-            "lock/3x1 exhaustive",
-            LockModel {
-                clients: 3,
-                sections: 1,
-            },
-            50_000,
-        ),
-        random(
-            "lock/3x2 random",
-            LockModel {
-                clients: 3,
-                sections: 2,
-            },
-            6_000,
-        ),
-        exhaustive(
-            "cv/1p1c x3 exhaustive",
-            CvModel {
-                producers: 1,
-                consumers: 1,
-                signals_each: 3,
-            },
-            50_000,
-        ),
-        exhaustive(
-            "cv/2p2c x1 exhaustive",
-            CvModel {
-                producers: 2,
-                consumers: 2,
-                signals_each: 1,
-            },
-            50_000,
-        ),
-        random(
-            "cv/2p2c x2 random",
-            CvModel {
-                producers: 2,
-                consumers: 2,
-                signals_each: 2,
-            },
-            6_000,
-        ),
-        exhaustive(
-            "lease/2u+1s exhaustive",
-            LeaseModel {
-                victim_units: 2,
-                survivor_units: 1,
-                bug_grant_uncommitted: false,
-            },
-            50_000,
-        ),
-        random(
-            "lease/3u+2s random",
-            LeaseModel {
-                victim_units: 3,
-                survivor_units: 2,
-                bug_grant_uncommitted: false,
-            },
-            6_000,
-        ),
-        exhaustive(
-            "merge/4j2w w1 exhaustive",
-            MergeModel {
-                jobs: 4,
-                workers: 2,
-                window: 1,
-                permit_bug: false,
-            },
-            50_000,
-        ),
-        random(
-            "merge/6j3w w2 random",
-            MergeModel {
-                jobs: 6,
-                workers: 3,
-                window: 2,
-                permit_bug: false,
-            },
-            6_000,
-        ),
-        exhaustive(
-            "admission/2c2r cap1 exhaustive",
-            AdmissionModel {
-                clients: 2,
-                requests_each: 2,
-                capacity: 1,
-                workers: 1,
-                bug_drop_on_reject: false,
-            },
-            50_000,
-        ),
-        random(
-            "admission/3c2r cap2 2w random",
-            AdmissionModel {
-                clients: 3,
-                requests_each: 2,
-                capacity: 2,
-                workers: 2,
-                bug_drop_on_reject: false,
-            },
-            6_000,
-        ),
-        exhaustive(
-            "retransmit/2m w2 d1 s1 exhaustive",
-            RetransmitModel {
-                msgs: 2,
-                window: 2,
-                dup_budget: 1,
-                swap_budget: 1,
-                bug_evict_before_ack: false,
-            },
+            "daemon/cv 1p1c x3 exhaustive",
+            real(Signals(1, 1, 3)),
             200_000,
         ),
-        random(
-            "retransmit/3m w2 d2 s2 random",
-            RetransmitModel {
-                msgs: 3,
-                window: 2,
-                dup_budget: 2,
-                swap_budget: 2,
-                bug_evict_before_ack: false,
-            },
-            6_000,
-        ),
         exhaustive(
-            "inversion/consistent exhaustive",
-            InversionModel {
-                inverted: false,
-                rounds: 2,
-            },
-            50_000,
+            "daemon/cv 2p2c x1 exhaustive",
+            real(Signals(2, 2, 1)),
+            200_000,
         ),
+        random("daemon/cv 2p2c x2 random", real(Signals(2, 2, 2)), 6_000),
+        exhaustive("daemon/lease 1u+1s exhaustive", real(Lease(1, 1)), 400_000),
+        random("daemon/lease 3u+2s random", real(Lease(3, 2)), 6_000),
+        exhaustive("merge/4j2w w1 exhaustive", merge(4, 2, 1), 50_000),
+        random("merge/6j3w w2 random", merge(6, 3, 2), 6_000),
+        exhaustive("admission/2c2r cap1 exhaustive", admission(2, 1, 1), 50_000),
+        random("admission/3c2r cap2 2w random", admission(3, 2, 2), 6_000),
         exhaustive(
-            "rejoin/2u exhaustive",
-            RejoinModel {
-                units: 2,
-                bug_skip_invalidation: false,
-                bug_admit_mid_round: false,
-            },
-            50_000,
+            "retransmit/2m w2 d1 s1 exhaustive",
+            retransmit(2, 1, 1),
+            200_000,
         ),
-        random(
-            "rejoin/3u random",
-            RejoinModel {
-                units: 3,
-                bug_skip_invalidation: false,
-                bug_admit_mid_round: false,
-            },
-            6_000,
-        ),
+        random("retransmit/3m w2 d2 s2 random", retransmit(3, 2, 2), 6_000),
+        exhaustive("inversion/consistent exhaustive", consistent, 50_000),
+        exhaustive("rejoin/2u exhaustive", rejoin(2), 50_000),
+        random("rejoin/3u random", rejoin(3), 6_000),
     ]
 }

@@ -5,11 +5,12 @@
 //! fewer than 10 000 distinct schedules, or a seeded bug is not found and
 //! deterministically replayed from its printed seed.
 
+use genomedsm_verify::daemon::SEEDED;
 use genomedsm_verify::models::{
     admission::AdmissionModel, inversion::InversionModel, merge::MergeModel, rejoin::RejoinModel,
     retransmit::RetransmitModel,
 };
-use genomedsm_verify::run_suite;
+use genomedsm_verify::{found_and_replayed, run_suite};
 use shuttle::Config;
 
 fn main() {
@@ -24,13 +25,9 @@ fn main() {
     for entry in run_suite() {
         let r = &entry.report;
         distinct_total += r.distinct;
-        let result = match &r.failure {
-            None => "ok".to_string(),
-            Some(f) => {
-                failed = true;
-                format!("FAIL: {}", f.reason)
-            }
-        };
+        failed |= r.failure.is_some();
+        let result = r.failure.as_ref().map(|f| format!("FAIL: {}", f.reason));
+        let result = result.unwrap_or_else(|| "ok".to_string());
         println!(
             "{:<34} {:>9} {:>9} {:>6} {:>9}  {}",
             entry.name, r.schedules, r.distinct, r.max_depth, r.exhausted, result
@@ -44,11 +41,37 @@ fn main() {
 
     println!();
     println!("== seeded regressions (must be found and replayed) ==");
-    failed |= !check_inversion_regression();
+    let (inverted, rounds) = (true, 2);
+    let spec = InversionModel { inverted, rounds };
+    failed |= found_and_replayed("inversion/page-lock-vs-lease-table", &spec, "deadlock").is_none();
     failed |= !check_permit_regression();
-    failed |= !check_drop_on_reject_regression();
-    failed |= !check_evict_before_ack_regression();
-    failed |= !check_skipped_invalidation_regression();
+    let spec = AdmissionModel {
+        clients: 2,
+        requests_each: 2,
+        capacity: 1,
+        workers: 1,
+        bug_drop_on_reject: true,
+    };
+    failed |= found_and_replayed("admission/drop-on-reject", &spec, "request lost").is_none();
+    let spec = RetransmitModel {
+        msgs: 2,
+        window: 2,
+        dup_budget: 1,
+        swap_budget: 1,
+        bug_evict_before_ack: true,
+    };
+    failed |=
+        found_and_replayed("retransmit/evict-before-ack", &spec, "executed 2 times").is_none();
+    let spec = RejoinModel {
+        units: 2,
+        bug_skip_invalidation: true,
+        bug_admit_mid_round: false,
+    };
+    let name = "rejoin/skip-invalidation";
+    failed |= found_and_replayed(name, &spec, "saved columns diverge").is_none();
+    for (name, spec, symptom) in SEEDED {
+        failed |= found_and_replayed(name, &spec, symptom).is_none();
+    }
 
     if failed {
         std::process::exit(1);
@@ -57,218 +80,22 @@ fn main() {
     println!("verify: all models clean, all seeded bugs found and replayed");
 }
 
-/// The lock-order inversion between the page lock and the lease table:
-/// random exploration must hit the AB-BA deadlock, print its seed, and
-/// replay the identical failing schedule from that seed alone.
-fn check_inversion_regression() -> bool {
-    let spec = InversionModel {
-        inverted: true,
-        rounds: 2,
-    };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let Some(failure) = report.failure else {
-        println!("inversion/page-lock-vs-lease-table: FAIL (deadlock not found)");
-        return false;
-    };
-    let Some(seed) = failure.seed else {
-        println!("inversion/page-lock-vs-lease-table: FAIL (no seed recorded)");
-        return false;
-    };
-    println!(
-        "inversion/page-lock-vs-lease-table: found `{}`",
-        failure.reason
-    );
-    println!("  seed {seed:#018x}, schedule {:?}", failure.schedule);
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    match replay.failure {
-        Some(rf) if rf.reason == failure.reason && rf.schedule == failure.schedule => {
-            println!("  replay from seed: identical failure reproduced — ok");
-            true
-        }
-        Some(rf) => {
-            println!(
-                "  replay from seed: DIVERGED ({} / {:?})",
-                rf.reason, rf.schedule
-            );
-            false
-        }
-        None => {
-            println!("  replay from seed: FAIL (did not re-fail)");
-            false
-        }
-    }
-}
-
-/// The rejected drop-on-reject admission design (reject returns
-/// `Overloaded` without recording it) must lose a request: random
-/// exploration has to find the accounting hole, print its seed, and
-/// replay the identical failing schedule from that seed alone.
-fn check_drop_on_reject_regression() -> bool {
-    let spec = AdmissionModel {
-        clients: 2,
-        requests_each: 2,
-        capacity: 1,
-        workers: 1,
-        bug_drop_on_reject: true,
-    };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let Some(failure) = report.failure else {
-        println!("admission/drop-on-reject: FAIL (lost request not found)");
-        return false;
-    };
-    if !failure.reason.contains("request lost") {
-        println!(
-            "admission/drop-on-reject: FAIL (wrong failure: {})",
-            failure.reason
-        );
-        return false;
-    }
-    let Some(seed) = failure.seed else {
-        println!("admission/drop-on-reject: FAIL (no seed recorded)");
-        return false;
-    };
-    println!("admission/drop-on-reject: found `{}`", failure.reason);
-    println!("  seed {seed:#018x}, schedule {:?}", failure.schedule);
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    match replay.failure {
-        Some(rf) if rf.reason == failure.reason && rf.schedule == failure.schedule => {
-            println!("  replay from seed: identical failure reproduced — ok");
-            true
-        }
-        Some(rf) => {
-            println!(
-                "  replay from seed: DIVERGED ({} / {:?})",
-                rf.reason, rf.schedule
-            );
-            false
-        }
-        None => {
-            println!("  replay from seed: FAIL (did not re-fail)");
-            false
-        }
-    }
-}
-
-/// The reply cache evicted when the reply is *sent* instead of when it
-/// is acked: a retransmitted duplicate must then be re-executed, and
-/// random exploration has to find that double execution, print its seed,
-/// and replay the identical failing schedule from the seed alone.
-fn check_evict_before_ack_regression() -> bool {
-    let spec = RetransmitModel {
-        msgs: 2,
-        window: 2,
-        dup_budget: 1,
-        swap_budget: 1,
-        bug_evict_before_ack: true,
-    };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let Some(failure) = report.failure else {
-        println!("retransmit/evict-before-ack: FAIL (double execution not found)");
-        return false;
-    };
-    if !failure.reason.contains("executed 2 times") {
-        println!(
-            "retransmit/evict-before-ack: FAIL (wrong failure: {})",
-            failure.reason
-        );
-        return false;
-    }
-    let Some(seed) = failure.seed else {
-        println!("retransmit/evict-before-ack: FAIL (no seed recorded)");
-        return false;
-    };
-    println!("retransmit/evict-before-ack: found `{}`", failure.reason);
-    println!("  seed {seed:#018x}, schedule {:?}", failure.schedule);
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    match replay.failure {
-        Some(rf) if rf.reason == failure.reason && rf.schedule == failure.schedule => {
-            println!("  replay from seed: identical failure reproduced — ok");
-            true
-        }
-        Some(rf) => {
-            println!(
-                "  replay from seed: DIVERGED ({} / {:?})",
-                rf.reason, rf.schedule
-            );
-            false
-        }
-        None => {
-            println!("  replay from seed: FAIL (did not re-fail)");
-            false
-        }
-    }
-}
-
-/// The rejoin variant that hands the joiner its role back *without*
-/// invalidating its stale page cache must serve pre-crash column data:
-/// random exploration has to catch the divergence from the never-crashed
-/// run, print its seed, and replay the identical schedule from it.
-fn check_skipped_invalidation_regression() -> bool {
-    let spec = RejoinModel {
-        units: 2,
-        bug_skip_invalidation: true,
-        bug_admit_mid_round: false,
-    };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let Some(failure) = report.failure else {
-        println!("rejoin/skip-invalidation: FAIL (stale columns not found)");
-        return false;
-    };
-    if !failure.reason.contains("saved columns diverge") {
-        println!(
-            "rejoin/skip-invalidation: FAIL (wrong failure: {})",
-            failure.reason
-        );
-        return false;
-    }
-    let Some(seed) = failure.seed else {
-        println!("rejoin/skip-invalidation: FAIL (no seed recorded)");
-        return false;
-    };
-    println!("rejoin/skip-invalidation: found `{}`", failure.reason);
-    println!("  seed {seed:#018x}, schedule {:?}", failure.schedule);
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    match replay.failure {
-        Some(rf) if rf.reason == failure.reason && rf.schedule == failure.schedule => {
-            println!("  replay from seed: identical failure reproduced — ok");
-            true
-        }
-        Some(rf) => {
-            println!(
-                "  replay from seed: DIVERGED ({} / {:?})",
-                rf.reason, rf.schedule
-            );
-            false
-        }
-        None => {
-            println!("  replay from seed: FAIL (did not re-fail)");
-            false
-        }
-    }
-}
-
 /// The rejected permit-counting merge gate must deadlock.
 fn check_permit_regression() -> bool {
-    let report = shuttle::check_exhaustive(
-        &MergeModel {
-            jobs: 2,
-            workers: 2,
-            window: 1,
-            permit_bug: true,
-        },
-        &Config::default(),
-    );
-    match report.failure {
+    let permit = MergeModel {
+        jobs: 2,
+        workers: 2,
+        window: 1,
+        permit_bug: true,
+    };
+    match shuttle::check_exhaustive(&permit, &Config::default()).failure {
         Some(f) if f.reason.contains("deadlock") => {
             println!("merge/permit-counting: found `{}` — ok", f.reason);
             true
         }
-        Some(f) => {
-            println!("merge/permit-counting: FAIL (wrong failure: {})", f.reason);
-            false
-        }
-        None => {
-            println!("merge/permit-counting: FAIL (deadlock not found)");
+        other => {
+            let got = other.map(|f| f.reason);
+            println!("merge/permit-counting: FAIL (deadlock not found: {got:?})");
             false
         }
     }

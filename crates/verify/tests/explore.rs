@@ -1,6 +1,7 @@
 //! Acceptance: the suite explores at least ten thousand distinct
-//! schedules across the lock/cv, lease-break, and merge models with zero
-//! deadlocks, lost wakeups, or invariant violations.
+//! schedules across the real daemon's lock/cv and lease-break workloads
+//! and the protocol models with zero deadlocks, lost wakeups, or
+//! invariant violations.
 
 #[test]
 fn suite_is_clean_and_explores_ten_thousand_schedules() {

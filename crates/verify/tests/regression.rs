@@ -1,33 +1,26 @@
 //! Acceptance: the seeded known-bad configurations are found by the
 //! checker and replay deterministically from their recorded seed.
 
+use genomedsm_verify::daemon::{DaemonSpec, SEEDED};
+use genomedsm_verify::found_and_replayed;
 use genomedsm_verify::models::inversion::InversionModel;
-use genomedsm_verify::models::lease::LeaseModel;
 use genomedsm_verify::models::merge::MergeModel;
 use genomedsm_verify::models::rejoin::RejoinModel;
 use genomedsm_verify::models::retransmit::RetransmitModel;
 use shuttle::Config;
 
 /// The page-lock / lease-table AB-BA inversion: random exploration finds
-/// the deadlock, and replaying from nothing but the failure's seed
-/// reproduces the identical schedule and reason.
+/// the deadlock, replaying from nothing but the failure's seed
+/// reproduces the identical schedule and reason, and so does the
+/// recorded schedule on its own.
 #[test]
 fn lock_order_inversion_is_found_and_replays_from_seed() {
     let spec = InversionModel {
         inverted: true,
         rounds: 2,
     };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let failure = report.failure.expect("AB-BA inversion must deadlock");
-    assert!(failure.reason.contains("deadlock"), "{}", failure.reason);
-    let seed = failure.seed.expect("random failures record their seed");
-
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    let refailure = replay.failure.expect("seed replay must re-fail");
-    assert_eq!(refailure.reason, failure.reason);
-    assert_eq!(refailure.schedule, failure.schedule);
-
-    // And the recorded schedule itself replays without the seed.
+    let failure = found_and_replayed("inversion", &spec, "deadlock")
+        .expect("AB-BA inversion must deadlock and replay from its seed");
     let by_schedule = shuttle::replay_schedule(&spec, &failure.schedule, &Config::default());
     let sf = by_schedule.failure.expect("schedule replay must re-fail");
     assert_eq!(sf.reason, failure.reason);
@@ -74,27 +67,13 @@ fn evict_before_ack_double_executes_and_replays_from_seed() {
         swap_budget: 1,
         bug_evict_before_ack: true,
     };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let failure = report.failure.expect("early eviction must double-execute");
-    assert!(
-        failure.reason.contains("executed 2 times"),
-        "{}",
-        failure.reason
-    );
-    let seed = failure.seed.expect("random failures record their seed");
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    let refailure = replay.failure.expect("seed replay must re-fail");
-    assert_eq!(refailure.reason, failure.reason);
-    assert_eq!(refailure.schedule, failure.schedule);
-
-    let healthy = shuttle::check_random(
-        &RetransmitModel {
-            bug_evict_before_ack: false,
-            ..spec
-        },
-        &Config::default(),
-    );
-    healthy.assert_ok();
+    found_and_replayed("retransmit/evict-before-ack", &spec, "executed 2 times")
+        .expect("early eviction must double-execute and replay from its seed");
+    let healthy = RetransmitModel {
+        bug_evict_before_ack: false,
+        ..spec
+    };
+    shuttle::check_random(&healthy, &Config::default()).assert_ok();
 }
 
 /// Handing the joiner its role back without invalidating its stale page
@@ -109,52 +88,39 @@ fn skipped_invalidation_diverges_and_replays_from_seed() {
         bug_skip_invalidation: true,
         bug_admit_mid_round: false,
     };
-    let report = shuttle::check_random(&spec, &Config::default());
-    let failure = report
-        .failure
-        .expect("skipped invalidation must serve stale columns");
-    assert!(
-        failure.reason.contains("saved columns diverge"),
-        "{}",
-        failure.reason
-    );
-    let seed = failure.seed.expect("random failures record their seed");
-    let replay = shuttle::replay_seed(&spec, seed, &Config::default());
-    let refailure = replay.failure.expect("seed replay must re-fail");
-    assert_eq!(refailure.reason, failure.reason);
-    assert_eq!(refailure.schedule, failure.schedule);
-
-    // And the recorded schedule itself replays without the seed.
+    let failure = found_and_replayed("rejoin/skip-invalidation", &spec, "saved columns diverge")
+        .expect("skipped invalidation must serve stale columns and replay from its seed");
     let by_schedule = shuttle::replay_schedule(&spec, &failure.schedule, &Config::default());
     let sf = by_schedule.failure.expect("schedule replay must re-fail");
     assert_eq!(sf.reason, failure.reason);
-
-    let healthy = shuttle::check_random(
-        &RejoinModel {
-            bug_skip_invalidation: false,
-            ..spec
-        },
-        &Config::default(),
-    );
-    healthy.assert_ok();
+    let healthy = RejoinModel {
+        bug_skip_invalidation: false,
+        ..spec
+    };
+    shuttle::check_random(&healthy, &Config::default()).assert_ok();
 }
 
-/// The obituary-grants-uncommitted-state lease bug is detected.
+/// Seeded regression `i` of the real daemon is caught with its own
+/// symptom and replays from its seed; the same workload unperturbed is
+/// clean.
+fn perturbation_is_caught(i: usize) {
+    let (name, broken, symptom) = SEEDED[i];
+    found_and_replayed(name, &broken, symptom)
+        .expect("the perturbation must be caught and replay from its seed");
+    shuttle::check_random(&DaemonSpec(broken.0, None), &Config::default()).assert_ok();
+}
+
 #[test]
-fn uncommitted_lease_grant_bug_is_found() {
-    let report = shuttle::check_exhaustive(
-        &LeaseModel {
-            victim_units: 2,
-            survivor_units: 1,
-            bug_grant_uncommitted: true,
-        },
-        &Config {
-            max_schedules: 200_000,
-            ..Config::default()
-        },
-    );
-    assert!(
-        report.failure.is_some(),
-        "seeded lease bug must be detected"
-    );
+fn grant_notices_stripped_are_a_scope_violation() {
+    perturbation_is_caught(0);
+}
+
+#[test]
+fn a_signal_dropped_at_an_empty_wait_queue_deadlocks_its_waiter() {
+    perturbation_is_caught(1);
+}
+
+#[test]
+fn an_uncommitted_release_before_the_obituary_is_a_grant_of_unreleased_state() {
+    perturbation_is_caught(2);
 }
