@@ -6,25 +6,15 @@ use super::measure::{blocked, heuristic, params, percent_over, preprocess_1k, SC
 use super::Points;
 use crate::report::{Report, Table};
 use crate::{secs, speedup, workloads, HarnessArgs};
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::LocalRegion;
-use genomedsm_dsm::{DsmConfig, NodeStats};
+use genomedsm_dsm::{DsmConfig, FaultPlan, NodeStats};
 use genomedsm_strategies::{
     heuristic_campaign, preprocess_align, BlockedConfig, HeuristicDsmConfig, Phase1Outcome,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
 fn yes_no(ok: bool) -> String {
     if ok { "yes" } else { "NO" }.to_string()
-}
-
-/// `dsm` under `plan`, if any; a crash in it turns supervision on.
-fn under(dsm: DsmConfig, plan: Option<FaultPlan>) -> DsmConfig {
-    match plan {
-        Some(plan) => dsm.faults(Arc::new(SeededFaults::new(plan))),
-        None => dsm,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -79,7 +69,7 @@ pub fn chaos(args: &HarnessArgs, points: Points, report: &mut Report) {
             plan = plan.with_crash(1 % nprocs, 2);
         }
         let mut config = preprocess_1k(args, nprocs);
-        config.dsm = under(config.dsm, Some(plan));
+        config.dsm = config.dsm.faults(plan);
         let out = preprocess_align(&s, &t, &SC, &config).unwrap();
         let identical = out.result == clean.result && out.best_score == clean.best_score;
         let agg = NodeStats::aggregate(&out.per_node);
@@ -174,7 +164,7 @@ pub fn takeover(args: &HarnessArgs, points: Points, report: &mut Report) {
     if points == Points::Gate {
         let clean = run_blocked(&|dsm| dsm);
         let plan = FaultPlan::quiet(0).with_crash(1 % nprocs, 7);
-        let degraded = run_blocked(&|dsm| under(dsm, Some(plan.clone())));
+        let degraded = run_blocked(&|dsm| dsm.faults(plan.clone()));
         let agg = &degraded.agg;
         report.claim(
             "N-1 run matches fault-free output exactly (§5.8 takeover)",
@@ -223,7 +213,7 @@ pub fn takeover(args: &HarnessArgs, points: Points, report: &mut Report) {
                 plan.with_crash(victim, stagger[(victim - 1) % stagger.len()])
             });
             // The `killed=0` row is supervision with nothing to do.
-            let out = run(&|dsm| under(dsm.tolerate_failures(), (k > 0).then(|| plan.clone())));
+            let out = run(&|dsm| dsm.tolerate_failures().faults(plan.clone()));
             tab.row(&[
                 name.to_string(),
                 k.to_string(),
@@ -269,12 +259,12 @@ pub fn rejoin(args: &HarnessArgs, points: Points, report: &mut Report) {
     let stagger = [per_node_rows / 5, per_node_rows / 2];
     let downtime = 8u64;
 
-    let campaign = |plan: Option<FaultPlan>| {
+    let campaign = |plan: FaultPlan| {
         let mut config = HeuristicDsmConfig::new(nprocs);
-        config.dsm = under(config.dsm.tolerate_failures(), plan);
+        config.dsm = config.dsm.tolerate_failures().faults(plan);
         heuristic_campaign(&s, &t, &SC, &params(), &config, rounds)
     };
-    let clean = campaign(None);
+    let clean = campaign(FaultPlan::quiet(0));
 
     let mut tab = Table::new(
         &format!("Rejoin sweep: {len} bp x {len} bp, {nprocs} nodes, {rounds}-round campaign"),
@@ -299,8 +289,8 @@ pub fn rejoin(args: &HarnessArgs, points: Points, report: &mut Report) {
                 .with_rejoin(victim, downtime);
             permanent = permanent.with_crash(victim, at);
         }
-        let elastic = campaign(Some(rejoining));
-        let degraded = campaign(Some(permanent));
+        let elastic = campaign(rejoining);
+        let degraded = campaign(permanent);
         let rejoins: u64 = elastic.per_node.iter().map(|st| st.rejoins).sum();
         let exact = |w: usize| {
             elastic.rounds[w].regions == clean.rounds[w].regions

@@ -18,7 +18,7 @@
 //!
 //! The checksum is a wrapping byte sum, which is guaranteed to catch any
 //! single-byte corruption (a changed byte shifts the sum by a non-zero
-//! delta smaller than 2³²) — exactly the fault the chaos injector's
+//! delta smaller than 2³²) — exactly the fault a fault plan's
 //! `corrupt` verdict models.
 
 use crate::error::DsmError;

@@ -1,9 +1,9 @@
 //! DSM system configuration.
 
+use crate::faults::FaultPlan;
 use crate::lock_order::LockOrderMode;
-use crate::net::{FaultInjector, NetworkModel, RetransmitPolicy};
+use crate::net::{NetworkModel, RetransmitPolicy};
 use crate::transport::manifest::ClusterCtx;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Cluster supervision: failure detection, lock-lease recovery, and
@@ -64,12 +64,12 @@ pub struct DsmConfig {
     /// set to OFF"). When on, a page written in a barrier interval by
     /// exactly one node that is not its home migrates to that writer.
     pub home_migration: bool,
-    /// Deterministic network fault injector (`None` = perfect links).
-    /// In-process its link fates are priced into virtual time
+    /// The run's fault plan ([`FaultPlan::quiet`] = perfect links, no
+    /// crash). In-process its link fates are priced into virtual time
     /// ([`crate::net::loss_price`]); over sockets the UDP transport
     /// applies them to the real datagrams. Workers read its crash/rejoin
     /// schedule either way.
-    pub faults: Option<Arc<dyn FaultInjector>>,
+    pub faults: FaultPlan,
     /// Timeout/backoff policy of that price and of the UDP transport's
     /// real timers.
     pub retransmit: RetransmitPolicy,
@@ -101,7 +101,7 @@ impl DsmConfig {
             network: NetworkModel::fast_ethernet(),
             speed_factors: None,
             home_migration: false,
-            faults: None,
+            faults: FaultPlan::quiet(0),
             retransmit: RetransmitPolicy::default(),
             supervision: SupervisionConfig::default(),
             lock_order: LockOrderMode::default(),
@@ -144,21 +144,17 @@ impl DsmConfig {
         self
     }
 
-    /// Installs a deterministic fault injector on every inter-machine
-    /// link of the run. A scheduled crash is a fail-stop the survivors
-    /// take over, so a plan that crashes any rank turns supervision on —
-    /// a crash cannot be installed and ignored — and one that crashes
-    /// every rank is refused: nobody would be left to hold the answer.
-    pub fn faults(mut self, injector: Arc<dyn FaultInjector>) -> Self {
-        let crashes = |n: &usize| injector.crash_point(*n).is_some();
-        let victims = (0..self.nprocs).filter(crashes).count();
-        assert!(
-            victims < self.nprocs,
-            "the fault plan crashes all {} ranks: no survivor to take over",
-            self.nprocs
-        );
-        self.supervision.enabled |= victims > 0;
-        self.faults = Some(injector);
+    /// Runs under a deterministic fault plan on every inter-machine link.
+    /// A scheduled crash is a fail-stop the survivors take over, so a
+    /// plan that crashes any rank turns supervision on — a crash cannot
+    /// be installed and ignored — and one that does not fit the cluster
+    /// ([`FaultPlan::check`]: a node outside it, no survivor) is refused.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        if let Err(e) = plan.check(self.nprocs) {
+            panic!("{e}");
+        }
+        self.supervision.enabled |= !plan.crashes.is_empty();
+        self.faults = plan;
         self
     }
 
@@ -222,28 +218,15 @@ mod tests {
     }
 
     /// A perfect network that fail-stops the ranks below `victims`.
-    #[derive(Debug)]
-    struct Crashes {
-        victims: usize,
-    }
-
-    impl FaultInjector for Crashes {
-        fn fate(&self, _: &crate::LinkMsg) -> crate::TransmitFate {
-            crate::TransmitFate::Deliver {
-                extra_delay: Duration::ZERO,
-                duplicates: 0,
-            }
-        }
-        fn crash_point(&self, node: usize) -> Option<u64> {
-            (node < self.victims).then_some(3)
-        }
+    fn crashes(victims: usize) -> FaultPlan {
+        (0..victims).fold(FaultPlan::quiet(0), |plan, n| plan.with_crash(n, 3))
     }
 
     #[test]
     fn a_scheduled_crash_turns_supervision_on() {
-        let quiet = DsmConfig::new(3).faults(Arc::new(Crashes { victims: 0 }));
+        let quiet = DsmConfig::new(3).faults(crashes(0));
         assert!(!quiet.supervision.enabled, "no crash, no supervision");
-        let crashing = DsmConfig::new(3).faults(Arc::new(Crashes { victims: 2 }));
+        let crashing = DsmConfig::new(3).faults(crashes(2));
         assert!(crashing.supervision.enabled);
         assert_eq!(
             crashing.supervision.watchdog,
@@ -255,7 +238,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "crashes all 2 ranks")]
     fn a_plan_with_no_survivor_is_rejected() {
-        let _ = DsmConfig::new(2).faults(Arc::new(Crashes { victims: 2 }));
+        let _ = DsmConfig::new(2).faults(crashes(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 9 is outside a 4-node cluster")]
+    fn a_crash_outside_the_cluster_is_rejected() {
+        let _ = DsmConfig::new(4).faults(FaultPlan::quiet(0).with_crash(9, 3));
     }
 
     #[test]

@@ -41,12 +41,12 @@
 //! exactly where a real cluster's would (modulo the cost model).
 
 use crate::config::{DsmConfig, SupervisionConfig};
+use crate::faults::FaultPlan;
 use crate::msg::{Envelope, Msg, Notice, Reply, ReplyEnvelope, SYSTEM_SRC};
-use crate::net::{self, FaultInjector, NetworkModel, RetransmitPolicy, CHAN_DAEMON};
+use crate::net::{self, NetworkModel, RetransmitPolicy, CHAN_DAEMON};
 use crate::page::apply_patches;
 use crate::stats::NodeStats;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A queued acquirer or cv waiter: `(node, last_seq, arrival, request id)`.
@@ -172,9 +172,9 @@ pub struct Daemon {
     incoming: HashSet<u64>,
     /// Requests parked until an epoch bump or a page adoption.
     parked: Vec<Envelope>,
-    /// Link fates priced into daemon → daemon control traffic (`None` =
-    /// perfect links, or a transport that takes its losses for real).
-    faults: Option<Arc<dyn FaultInjector>>,
+    /// Link fates priced into daemon → daemon control traffic (a quiet
+    /// plan on a transport that takes its losses for real).
+    faults: FaultPlan,
     /// Timeout policy the loss price is computed with.
     retransmit: RetransmitPolicy,
     /// Detect-only guard on the transport's exactly-once contract: next
@@ -247,7 +247,11 @@ impl Daemon {
             epoch: 0,
             incoming: HashSet::new(),
             parked: Vec::new(),
-            faults: config.faults.clone().filter(|_| !measured),
+            faults: if measured {
+                FaultPlan::quiet(0)
+            } else {
+                config.faults.clone()
+            },
             retransmit: config.retransmit,
             req_next: HashMap::new(),
             daemon_seq: vec![0; nprocs],
@@ -323,7 +327,7 @@ impl Daemon {
         self.daemon_seq[to] += 1;
         let src = self.nprocs + self.id;
         let cost = self.network.cost(self.id, to, msg.wire_size());
-        let lossy = self.faults.as_deref().filter(|_| to != self.id);
+        let lossy = self.faults.fates().filter(|_| to != self.id);
         let link = (src, self.nprocs + to, CHAN_DAEMON, seq);
         let price = net::loss_price(lossy, &self.retransmit, link, cost, when);
         self.stats.retransmits += price.retransmits;

@@ -60,6 +60,7 @@ pub mod codec;
 pub mod config;
 pub mod daemon;
 pub mod error;
+pub mod faults;
 pub mod lock_order;
 pub mod msg;
 pub mod net;
@@ -73,12 +74,12 @@ pub mod vec;
 pub use codec::{check_malformed, from_frame, to_frame, FrameReader, FrameWriter, Wire};
 pub use config::{DsmConfig, SupervisionConfig};
 pub use error::DsmError;
+pub use faults::{CrashEvent, FaultPlan, LinkFaults, RejoinEvent};
 pub use lock_order::{
     LockOrderEdge, LockOrderGraph, LockOrderMode, LockOrderViolation, LOCK_ORDER_ENABLED,
 };
 pub use net::{
-    FaultInjector, LinkMsg, NetworkModel, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY,
-    CHAN_REQ,
+    LinkMsg, NetworkModel, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ,
 };
 pub use node::Node;
 pub use stats::{breakdown_many, NodeStats, StatsBreakdown};

@@ -96,10 +96,11 @@ pub const CHAN_DAEMON: u8 = 2;
 
 /// Identity of one transmission attempt of one message copy on a link.
 ///
-/// A fault injector's verdict must be a pure function of this value (plus
-/// its seed), never of wall time or thread schedule — that is what makes
-/// chaos runs reproducible: the same seed yields the same loss pattern
-/// regardless of how the host schedules the simulated nodes.
+/// A fault plan's verdict ([`crate::FaultPlan::fate`]) is a pure function
+/// of this value and the plan's seed, never of wall time or thread
+/// schedule — that is what makes chaos runs reproducible: the same seed
+/// yields the same loss pattern regardless of how the host schedules the
+/// simulated nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkMsg {
     /// Transport source id (worker index, or `nprocs + d` for daemon `d`).
@@ -121,7 +122,7 @@ pub enum TransmitFate {
     Deliver {
         /// Additional queueing delay beyond the modeled link cost. A
         /// non-zero delay on one copy while a later copy sails through is
-        /// how the injector produces (virtual-time) reordering.
+        /// how a fault plan produces (virtual-time) reordering.
         extra_delay: Duration,
         /// Extra identical copies delivered right behind this one
         /// (duplication fault).
@@ -132,33 +133,6 @@ pub enum TransmitFate {
     /// The copy arrives bit-corrupted; the receiver's checksum rejects
     /// the frame, so it behaves like a loss but is counted separately.
     Corrupt,
-}
-
-/// A deterministic network fault injector.
-///
-/// Implementations must be pure: the verdict for a given [`LinkMsg`] may
-/// depend only on the injector's own configuration (seed, rates,
-/// schedule). The DSM layer consults the injector from multiple threads.
-pub trait FaultInjector: Send + Sync + std::fmt::Debug {
-    /// Verdict for one transmission attempt.
-    fn fate(&self, link: &LinkMsg) -> TransmitFate;
-
-    /// If worker `node` is scheduled to fail-stop, the ordinal of the
-    /// work unit (strategy-defined; chunk for `pre_process`) after which
-    /// it crashes. `None` means the node is immortal.
-    fn crash_point(&self, node: usize) -> Option<u64> {
-        let _ = node;
-        None
-    }
-
-    /// If a crashed worker `node` is scheduled to rejoin the run, the
-    /// number of work units of virtual downtime before it announces
-    /// itself. `None` (the default) means the crash is permanent and the
-    /// survivors carry the dead node's roles to the end of the run.
-    fn rejoin_point(&self, node: usize) -> Option<u64> {
-        let _ = node;
-        None
-    }
 }
 
 /// Timeout/retransmission policy: the UDP transport's real timers and
@@ -233,14 +207,15 @@ pub struct LossPrice {
 /// Prices one send on an in-process link. The channel fabric loses
 /// nothing, so what a fault plan costs there is only *time*: the whole
 /// attempt schedule of a UDP-style request/ack exchange is resolved up
-/// front from the deterministic injector and the sender pushes a single
-/// envelope stamped with the result. `(from, to, chan, seq)` names the
-/// data leg as in [`LinkMsg`] (the ack leg is the reverse link), `cost`
-/// is the one-way [`NetworkModel::cost`], `depart` the virtual time of
-/// the first transmission. Callers pass no injector for loopback links
-/// and for runs whose transport takes real losses.
+/// front from the deterministic `fate` of each leg and the sender pushes
+/// a single envelope stamped with the result. `(from, to, chan, seq)`
+/// names the data leg as in [`LinkMsg`] (the ack leg is the reverse
+/// link), `cost` is the one-way [`NetworkModel::cost`], `depart` the
+/// virtual time of the first transmission. Callers pass no fate for
+/// loopback links, for runs whose transport takes real losses, and for
+/// plans whose fates are all clean ([`crate::FaultPlan::fates`]).
 pub fn loss_price(
-    injector: Option<&dyn FaultInjector>,
+    fate: Option<impl Fn(&LinkMsg) -> TransmitFate>,
     policy: &RetransmitPolicy,
     (from, to, chan, seq): (usize, usize, u8, u64),
     cost: Duration,
@@ -254,7 +229,7 @@ pub fn loss_price(
         dups_dropped: 0,
         corrupt_dropped: 0,
     };
-    let Some(injector) = injector else {
+    let Some(fate) = fate else {
         return LossPrice { copies: 1, ..price };
     };
     // Requests are acknowledged by their reply; daemon control traffic
@@ -262,7 +237,7 @@ pub fn loss_price(
     let ack_chan = if chan == CHAN_REQ { CHAN_REPLY } else { chan };
     let mut delivered = 0u64;
     for attempt in 0.. {
-        // The last attempt is delivered whatever the injector says.
+        // The last attempt is delivered whatever its fate says.
         let forced = attempt + 1 >= policy.max_attempts;
         let mut through = |from, to, chan| {
             let leg = LinkMsg {
@@ -272,7 +247,7 @@ pub fn loss_price(
                 seq,
                 attempt,
             };
-            match injector.fate(&leg) {
+            match fate(&leg) {
                 TransmitFate::Deliver {
                     extra_delay,
                     duplicates,
@@ -351,15 +326,14 @@ mod tests {
         assert_eq!(p.rto(30), Duration::from_millis(10));
     }
 
-    /// Scripted injector: `(chan, attempt)` of a leg picks its fate,
-    /// every other leg gets `rest`.
-    #[derive(Debug)]
+    /// Scripted fates: `(chan, attempt)` of a leg picks its fate, every
+    /// other leg gets `rest`.
     struct Script {
         rest: TransmitFate,
         legs: Vec<((u8, u32), TransmitFate)>,
     }
 
-    impl FaultInjector for Script {
+    impl Script {
         fn fate(&self, link: &LinkMsg) -> TransmitFate {
             let leg = (link.chan, link.attempt);
             self.legs
@@ -436,7 +410,7 @@ mod tests {
             let script = Script { rest, legs };
             assert_eq!(
                 loss_price(
-                    Some(&script),
+                    Some(|l: &LinkMsg| script.fate(l)),
                     &BLACKOUT_POLICY,
                     (0, 3, CHAN_REQ, 7),
                     cost,
@@ -453,9 +427,10 @@ mod tests {
                 "{case}"
             );
         }
-        // No injector — a perfect network, a loopback link, a fabric that
+        // No fate — a perfect network, a loopback link, a fabric that
         // takes real losses: one copy, on time.
-        let free = loss_price(None, &BLACKOUT_POLICY, (0, 3, CHAN_REQ, 7), cost, t0);
+        let unpriced = None::<fn(&LinkMsg) -> TransmitFate>;
+        let free = loss_price(unpriced, &BLACKOUT_POLICY, (0, 3, CHAN_REQ, 7), cost, t0);
         assert_eq!(
             (free.arrive, free.stall, free.copies),
             (t0 + cost, us(0), 1)
@@ -466,7 +441,7 @@ mod tests {
             legs: vec![((CHAN_DAEMON, 0), Drop)],
         };
         let control = loss_price(
-            Some(&script),
+            Some(|l: &LinkMsg| script.fate(l)),
             &BLACKOUT_POLICY,
             (2, 3, CHAN_DAEMON, 0),
             cost,
@@ -480,12 +455,15 @@ mod tests {
         // A blocking sender sits the stall out; a release-type send is
         // retransmitted by a background timer, so only the copy's stamp
         // moves. cv 1 is managed by node 1: node 0's signal is remote.
-        let blackout = Script {
-            rest: TransmitFate::Drop,
-            legs: vec![],
+        let blackout = crate::FaultPlan {
+            link: crate::LinkFaults {
+                drop: 1.0,
+                ..crate::LinkFaults::none()
+            },
+            ..crate::FaultPlan::quiet(0)
         };
         let config = crate::DsmConfig::new(2)
-            .faults(std::sync::Arc::new(blackout))
+            .faults(blackout)
             .retransmit(BLACKOUT_POLICY);
         let run = crate::DsmSystem::run(config, |node| {
             let before = node.now();

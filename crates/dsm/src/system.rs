@@ -132,8 +132,7 @@ impl DsmSystem {
             "manifest rank count must equal nprocs"
         );
         let rank = ctx.rank;
-        let mut transport = match UdpTransport::bind(ctx, config.retransmit, config.faults.clone())
-        {
+        let mut transport = match UdpTransport::bind(ctx, config.retransmit, &config.faults) {
             Ok(t) => t,
             Err(e) => panic!("cannot start UDP transport: {e}"),
         };

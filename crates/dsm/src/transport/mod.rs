@@ -81,11 +81,11 @@ pub struct TransportStats {
     /// Out-of-order datagrams dropped because the reorder window was
     /// full (recovered by retransmission).
     pub reorder_overflow_dropped: u64,
-    /// Outbound datagrams the chaos injector dropped.
+    /// Outbound datagrams the fault plan dropped.
     pub chaos_dropped: u64,
-    /// Outbound datagrams the chaos injector corrupted in flight.
+    /// Outbound datagrams the fault plan corrupted in flight.
     pub chaos_corrupted: u64,
-    /// Extra outbound copies the chaos injector duplicated.
+    /// Extra outbound copies the fault plan duplicated.
     pub chaos_duplicated: u64,
     /// Sum of send→ack round-trip times (first transmission to first
     /// acknowledgement).

@@ -30,7 +30,7 @@
 //!
 //! ## Chaos on real datagrams
 //!
-//! A [`FaultInjector`] plugs into the pump's transmit step: `Drop`
+//! A [`FaultPlan`]'s link fates plug into the pump's transmit step: `Drop`
 //! suppresses the `send_to`, `Corrupt` flips a byte of the copy on the
 //! wire (the receiver's checksum rejects it), and `Deliver { extra_delay,
 //! duplicates }` holds the copy in a delay queue / emits extra copies —
@@ -53,10 +53,9 @@ use crate::codec::{
     decode_msg, decode_reply, from_frame, to_frame, FrameReader, FrameWriter, Wire,
 };
 use crate::error::DsmError;
+use crate::faults::FaultPlan;
 use crate::msg::{Envelope, Msg, ReplyEnvelope};
-use crate::net::{
-    FaultInjector, LinkMsg, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ,
-};
+use crate::net::{LinkMsg, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -269,14 +268,14 @@ pub struct UdpTransport {
 impl UdpTransport {
     /// Binds `ctx.rank`'s socket and spawns the transport threads.
     ///
-    /// `faults` is the chaos injector applied to outbound data
-    /// datagrams. Its link fates are this transport's alone: the
+    /// `faults` is the fault plan whose link fates are applied to
+    /// outbound data datagrams. They are this transport's alone: the
     /// protocol layer above a measured fabric prices nothing, and reads
-    /// the injector only for its crash/rejoin schedule.
+    /// the plan only for its crash/rejoin schedule.
     pub fn bind(
         ctx: &ClusterCtx,
         policy: RetransmitPolicy,
-        faults: Option<Arc<dyn FaultInjector>>,
+        faults: &FaultPlan,
     ) -> Result<Self, DsmError> {
         let nprocs = ctx.manifest.len();
         let rank = ctx.rank;
@@ -340,6 +339,7 @@ impl UdpTransport {
         let mut io_threads = Vec::new();
         {
             let shared = Arc::clone(&shared);
+            let faults = faults.clone();
             io_threads.push(std::thread::spawn(move || {
                 Pump::new(shared, policy, faults).run(&pump_rx);
             }));
@@ -532,7 +532,7 @@ type FrameKey = (usize, u8, u64);
 struct Pump {
     shared: Arc<Shared>,
     policy: RetransmitPolicy,
-    faults: Option<Arc<dyn FaultInjector>>,
+    faults: FaultPlan,
     next_seq: HashMap<(usize, u8), u64>,
     unacked: HashMap<FrameKey, Pending>,
     timers: BinaryHeap<Reverse<(Instant, FrameKey)>>,
@@ -541,11 +541,7 @@ struct Pump {
 }
 
 impl Pump {
-    fn new(
-        shared: Arc<Shared>,
-        policy: RetransmitPolicy,
-        faults: Option<Arc<dyn FaultInjector>>,
-    ) -> Self {
+    fn new(shared: Arc<Shared>, policy: RetransmitPolicy, faults: FaultPlan) -> Self {
         Self {
             shared,
             policy,
@@ -692,33 +688,31 @@ impl Pump {
         }
     }
 
-    /// One transmission attempt, with the chaos injector's verdict
-    /// applied to the real datagram.
+    /// One transmission attempt, with the fault plan's verdict applied
+    /// to the real datagram.
     fn transmit(&mut self, peer: usize, chan: u8, seq: u64, attempt: u32, bytes: Vec<u8>) {
-        let fate = match &self.faults {
-            None => TransmitFate::Deliver {
-                extra_delay: Duration::ZERO,
-                duplicates: 0,
-            },
-            Some(inj) => {
-                // Map the link onto the same virtual ids the in-process
-                // injector sees, so one seeded plan produces comparable
-                // adversity on both transports.
-                let nprocs = self.shared.nprocs;
-                let (from, to) = match chan {
-                    CHAN_REQ => (self.shared.rank, nprocs + peer),
-                    CHAN_REPLY => (nprocs + self.shared.rank, peer),
-                    _ => (nprocs + self.shared.rank, nprocs + peer),
-                };
-                inj.fate(&LinkMsg {
-                    from,
-                    to,
-                    chan,
-                    seq,
-                    attempt,
-                })
-            }
+        let clean = TransmitFate::Deliver {
+            extra_delay: Duration::ZERO,
+            duplicates: 0,
         };
+        let fate = self.faults.fates().map_or(clean, |fate| {
+            // Map the link onto the same virtual ids the in-process price
+            // sees, so one seeded plan produces comparable adversity on
+            // both transports.
+            let nprocs = self.shared.nprocs;
+            let (from, to) = match chan {
+                CHAN_REQ => (self.shared.rank, nprocs + peer),
+                CHAN_REPLY => (nprocs + self.shared.rank, peer),
+                _ => (nprocs + self.shared.rank, nprocs + peer),
+            };
+            fate(&LinkMsg {
+                from,
+                to,
+                chan,
+                seq,
+                attempt,
+            })
+        });
         match fate {
             TransmitFate::Drop => {
                 self.shared.stats().chaos_dropped += 1;

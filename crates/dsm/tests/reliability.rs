@@ -1,18 +1,19 @@
 //! The protocol under fire: every synchronization and coherence pattern
 //! the strategies rely on must produce results identical to a fault-free
-//! run while the injector drops, corrupts, duplicates, and reorders
+//! run while the fault plan drops, corrupts, duplicates, and reorders
 //! messages — and the reliability counters must show the machinery
 //! actually worked.
 
-mod common;
-
-use common::TestFaults;
-use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats, RetransmitPolicy};
-use std::sync::Arc;
+use genomedsm_dsm::{DsmConfig, DsmSystem, FaultPlan, NodeStats, RetransmitPolicy};
 use std::time::Duration;
 
-fn faulty(nprocs: usize, f: TestFaults) -> DsmConfig {
-    DsmConfig::new(nprocs).faults(Arc::new(f))
+fn faulty(nprocs: usize, spec: &str) -> DsmConfig {
+    DsmConfig::new(nprocs).faults(FaultPlan::parse(spec).unwrap())
+}
+
+/// A harsh mixed plan: loss, corruption, duplication, reordering.
+fn harsh(seed: u64) -> String {
+    format!("seed={seed},drop=0.1,corrupt=0.03,dup=0.08,reorder=0.08")
 }
 
 #[test]
@@ -31,7 +32,7 @@ fn lock_counter_is_exact_under_loss_and_duplication() {
         node.barrier();
         node.vec_get(&counter, 0)
     };
-    let run = DsmSystem::run(faulty(N, TestFaults::harsh(1)), workload);
+    let run = DsmSystem::run(faulty(N, &harsh(1)), workload);
     assert_eq!(run.results, vec![N as i64 * ITERS; N]);
     let agg = NodeStats::aggregate(&run.stats);
     assert!(agg.retransmits > 0, "loss must force retransmissions");
@@ -42,7 +43,7 @@ fn lock_counter_is_exact_under_loss_and_duplication() {
 fn producer_consumer_cv_sees_no_stale_or_double_signals() {
     // The strategy-1 border protocol: a duplicated SetCv must not wake
     // the consumer twice, a lost one must be retransmitted.
-    let run = DsmSystem::run(faulty(2, TestFaults::harsh(2)), |node| {
+    let run = DsmSystem::run(faulty(2, &harsh(2)), |node| {
         let slot = node.alloc_vec::<i64>(1);
         node.barrier();
         let mut sum = 0i64;
@@ -80,15 +81,13 @@ fn barrier_coherence_matches_fault_free_run() {
         node.vec_read_range(&v, 0..256)
     };
     let clean = DsmSystem::run(DsmConfig::new(4), workload);
-    let chaotic = DsmSystem::run(faulty(4, TestFaults::harsh(3)), workload);
+    let chaotic = DsmSystem::run(faulty(4, &harsh(3)), workload);
     assert_eq!(clean.results, chaotic.results);
 }
 
 #[test]
 fn corruption_is_detected_and_counted() {
-    let mut f = TestFaults::drop_rate(4, 0.0);
-    f.corrupt = 0.15;
-    let run = DsmSystem::run(faulty(4, f), |node| {
+    let run = DsmSystem::run(faulty(4, "seed=4,corrupt=0.15"), |node| {
         let v = node.alloc_vec::<i64>(512);
         node.barrier();
         if node.id() == 0 {
@@ -117,13 +116,12 @@ fn total_blackout_is_survived_by_forced_delivery() {
     // drop = 1.0: every attempt up to the cap is lost; the transport's
     // escalation (deliver the final attempt) must keep the run live
     // rather than spinning forever.
-    let f = TestFaults::drop_rate(5, 1.0);
     let policy = RetransmitPolicy {
         initial_rto: Duration::from_millis(1),
         max_rto: Duration::from_millis(4),
         max_attempts: 4,
     };
-    let config = faulty(2, f).retransmit(policy);
+    let config = faulty(2, "seed=5,drop=1").retransmit(policy);
     let run = DsmSystem::run(config, |node| {
         let v = node.alloc_vec::<i32>(8);
         node.barrier();
@@ -147,8 +145,8 @@ fn same_seed_reproduces_results_and_worker_retransmits() {
         node.barrier();
         node.vec_read_range(&v, 0..8)
     };
-    let a = DsmSystem::run(faulty(4, TestFaults::harsh(6)), workload);
-    let b = DsmSystem::run(faulty(4, TestFaults::harsh(6)), workload);
+    let a = DsmSystem::run(faulty(4, &harsh(6)), workload);
+    let b = DsmSystem::run(faulty(4, &harsh(6)), workload);
     assert_eq!(a.results, b.results);
 }
 
@@ -169,7 +167,7 @@ fn retransmission_overhead_is_charged_to_virtual_time() {
         (0..1024).map(|i| node.vec_get(&v, i)).sum::<i64>()
     };
     let clean = DsmSystem::run(DsmConfig::new(2), workload);
-    let chaotic = DsmSystem::run(faulty(2, TestFaults::drop_rate(7, 0.3)), workload);
+    let chaotic = DsmSystem::run(faulty(2, "seed=7,drop=0.3"), workload);
     assert_eq!(clean.results, chaotic.results);
     let ct = NodeStats::aggregate(&clean.stats);
     let ft = NodeStats::aggregate(&chaotic.stats);

@@ -6,13 +6,8 @@
 //! both fault-free and under injected loss/duplication/reordering,
 //! where RTO waits are charged to the waiting operation's bucket.
 
-mod common;
-
-use common::TestFaults;
-use genomedsm_dsm::{DsmConfig, DsmSystem, NodeStats};
+use genomedsm_dsm::{DsmConfig, DsmSystem, FaultPlan, NodeStats};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Exercises all three blocked-time buckets: page fetches + diffs
 /// (communication), a contended lock counter (lock_cv), and barriers.
@@ -70,12 +65,8 @@ proptest! {
         seed in 0u64..1_000,
         drop in proptest::sample::select(vec![0.02f64, 0.08, 0.15]),
     ) {
-        let mut faults = TestFaults::drop_rate(seed, drop);
-        faults.corrupt = 0.02;
-        faults.duplicate = 0.05;
-        faults.reorder = 0.05;
-        faults.max_delay = Duration::from_millis(2);
-        let config = DsmConfig::new(nprocs).faults(Arc::new(faults));
+        let spec = format!("seed={seed},drop={drop},corrupt=0.02,dup=0.05,reorder=0.05");
+        let config = DsmConfig::new(nprocs).faults(FaultPlan::parse(&spec).unwrap());
         let run = DsmSystem::run(config, workload(iters));
         prop_assert_eq!(run.stats.len(), nprocs);
         assert_fig10_identity(&run.stats);

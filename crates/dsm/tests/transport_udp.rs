@@ -4,10 +4,9 @@
 //! standing in for processes exercises exactly the multi-process path).
 
 use genomedsm_dsm::{
-    ClusterCtx, ClusterManifest, DsmConfig, DsmRun, DsmSystem, NetworkModel, Node,
+    ClusterCtx, ClusterManifest, DsmConfig, DsmRun, DsmSystem, FaultPlan, NetworkModel, Node,
 };
 use std::net::UdpSocket;
-use std::sync::Arc;
 
 /// Reserves `n` distinct loopback ports by binding ephemeral sockets,
 /// then releasing them for the transports to rebind.
@@ -170,11 +169,9 @@ fn producer_consumer_workload(node: &mut Node) -> Vec<i64> {
 }
 
 fn chaos_config(n: usize, plan: &str) -> DsmConfig {
-    let plan = genomedsm_chaos::FaultPlan::parse(plan).expect("plan");
-    let injector = Arc::new(genomedsm_chaos::SeededFaults::new(plan));
     DsmConfig::new(n)
         .network(NetworkModel::zero())
-        .faults(injector)
+        .faults(FaultPlan::parse(plan).expect("plan"))
 }
 
 #[test]

@@ -88,13 +88,12 @@ impl Phase1Outcome {
 pub(crate) fn crashes(
     crashes: &[(usize, u64)],
     rejoins: &[(usize, u64)],
-) -> std::sync::Arc<genomedsm_chaos::SeededFaults> {
-    use genomedsm_chaos::FaultPlan;
+) -> genomedsm_dsm::FaultPlan {
+    use genomedsm_dsm::FaultPlan;
     let plan = crashes
         .iter()
         .fold(FaultPlan::quiet(0), |plan, &(n, u)| plan.with_crash(n, u));
-    let plan = rejoins
+    rejoins
         .iter()
-        .fold(plan, |plan, &(n, u)| plan.with_rejoin(n, u));
-    std::sync::Arc::new(genomedsm_chaos::SeededFaults::new(plan))
+        .fold(plan, |plan, &(n, u)| plan.with_rejoin(n, u))
 }

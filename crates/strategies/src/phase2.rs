@@ -80,7 +80,7 @@ pub fn phase2_scattered(
 }
 
 /// [`phase2_scattered`] with an explicit DSM configuration, so callers can
-/// attach a fault injector, retransmission policy, or network model (the
+/// attach a fault plan, retransmission policy, or network model (the
 /// chaos suite runs phase 2 under injected loss through this entry).
 ///
 /// With supervision enabled the run tolerates fail-stop deaths: the

@@ -5,9 +5,8 @@
 //! and stay so when the same plan also fail-stops a node mid-run (the
 //! survivors take its role over) and readmits it between workloads.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::{DsmConfig, NodeStats};
+use genomedsm_dsm::{DsmConfig, FaultPlan, NodeStats};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::preprocess::{read_saved_columns, SavedColumn};
 use genomedsm_strategies::{
@@ -15,7 +14,6 @@ use genomedsm_strategies::{
     preprocess_align, BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode,
     PreprocessConfig,
 };
-use std::sync::Arc;
 
 const SC: Scoring = Scoring::paper();
 
@@ -34,12 +32,11 @@ fn params() -> HeuristicParams {
 
 /// The ISSUE's floor: at least 5% loss on every link, plus reordering —
 /// and, with `crash`, node 1 fail-stopping after that many work units.
-fn chaos(seed: u64, crash: Option<u64>) -> Arc<SeededFaults> {
+fn chaos(seed: u64, crash: Option<u64>) -> FaultPlan {
     let plan = FaultPlan::paper_chaos(seed);
-    let plan = crash
+    crash
         .into_iter()
-        .fold(plan, |p, unit| p.with_crash(1, unit));
-    Arc::new(SeededFaults::new(plan))
+        .fold(plan, |p, unit| p.with_crash(1, unit))
 }
 
 /// Every test runs its plan without and with this crash of node 1.
@@ -77,7 +74,7 @@ fn heuristic_campaign_under_chaos_readmits_a_crashed_node() {
         .with_crash(1, 5)
         .with_rejoin(1, 2);
     let mut config = HeuristicDsmConfig::new(nprocs);
-    config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(plan)));
+    config.dsm = config.dsm.faults(plan);
     let campaign = heuristic_campaign(&s, &t, &SC, &params(), &config, 3);
     for (w, round) in campaign.rounds.iter().enumerate() {
         assert_eq!(round.regions, clean.regions, "round {w} diverged");
@@ -154,7 +151,7 @@ fn preprocess_crash_recovers_from_checkpoint_to_identical_matrix() {
     // only disturbance is the fail-stop itself.
     let mut config = pp_config(nprocs);
     let plan = FaultPlan::quiet(7).with_crash(1, 4);
-    config.dsm = config.dsm.faults(Arc::new(SeededFaults::new(plan)));
+    config.dsm = config.dsm.faults(plan);
     let crashed = preprocess_align(&s, &t, &SC, &config).unwrap();
     assert_eq!(clean.result, crashed.result, "recovery diverged");
     assert_eq!(clean.best_score, crashed.best_score);
@@ -171,7 +168,7 @@ fn preprocess_crash_under_chaos_keeps_saved_columns_bit_identical() {
     // dead owner's file free of duplicates and holes.
     let (s, t) = workload(250, 96);
     let nprocs = 2;
-    let dir = std::env::temp_dir().join("genomedsm_chaos_crash_cols");
+    let dir = std::env::temp_dir().join("genomedsm_crash_cols_under_chaos");
     let run = |sub: &str, faulty: bool| {
         let d = dir.join(sub);
         std::fs::create_dir_all(&d).unwrap();

@@ -6,16 +6,14 @@
 //! throughput after the boundary handback instead of staying degraded
 //! at N−k.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::NodeStats;
+use genomedsm_dsm::{FaultPlan, NodeStats};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, heuristic_campaign, phase2_scattered_with,
     preprocess_align, BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode,
     PreprocessConfig,
 };
-use std::sync::Arc;
 
 const SC: Scoring = Scoring::paper();
 const NPROCS: usize = 8;
@@ -43,14 +41,14 @@ fn supervise(dsm: genomedsm_dsm::DsmConfig) -> genomedsm_dsm::DsmConfig {
 
 /// Kills nodes `1..=k` at staggered work-unit counts and schedules each
 /// to rejoin after a short virtual downtime.
-fn kill_rejoin(k: usize, stagger: &[u64]) -> Arc<SeededFaults> {
+fn kill_rejoin(k: usize, stagger: &[u64]) -> FaultPlan {
     let mut plan = FaultPlan::quiet(0);
     for victim in 1..=k {
         plan = plan
             .with_crash(victim, stagger[victim - 1])
             .with_rejoin(victim, 8);
     }
-    Arc::new(SeededFaults::new(plan))
+    plan
 }
 
 #[test]
@@ -91,7 +89,7 @@ fn blocked_kill_then_rejoin_is_bit_identical_and_readmits() {
 fn preprocess_kill_then_rejoin_keeps_saved_files_bit_identical() {
     let (s, t) = workload(300, 43);
     let dir = std::env::temp_dir().join("genomedsm_rejoin_pp");
-    let run = |sub: String, plan: Option<Arc<SeededFaults>>| {
+    let run = |sub: String, plan: Option<FaultPlan>| {
         let d = dir.join(sub);
         std::fs::create_dir_all(&d).unwrap();
         let mut config = PreprocessConfig::new(NPROCS);
@@ -174,14 +172,11 @@ fn campaign_recovers_throughput_after_the_boundary_handback() {
 
     let kill_2_at_40 = FaultPlan::quiet(0).with_crash(2, 40);
     let mut elastic_cfg = HeuristicDsmConfig::new(NPROCS);
-    elastic_cfg.dsm = supervise(elastic_cfg.dsm).faults(Arc::new(SeededFaults::new(
-        kill_2_at_40.clone().with_rejoin(2, 8),
-    )));
+    elastic_cfg.dsm = supervise(elastic_cfg.dsm).faults(kill_2_at_40.clone().with_rejoin(2, 8));
     let elastic = heuristic_campaign(&s, &t, &SC, &params(), &elastic_cfg, rounds);
 
     let mut degraded_cfg = HeuristicDsmConfig::new(NPROCS);
-    degraded_cfg.dsm =
-        supervise(degraded_cfg.dsm).faults(Arc::new(SeededFaults::new(kill_2_at_40)));
+    degraded_cfg.dsm = supervise(degraded_cfg.dsm).faults(kill_2_at_40);
     let degraded = heuristic_campaign(&s, &t, &SC, &params(), &degraded_cfg, rounds);
 
     for w in 0..rounds {

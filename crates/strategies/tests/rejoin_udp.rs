@@ -6,13 +6,11 @@
 //! announcement, the deferred admission, and the `RejoinAck` all travel
 //! as real datagrams through the UDP transport's window here.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, SupervisionConfig};
+use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, FaultPlan, SupervisionConfig};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{heuristic_block_align, BlockedConfig};
 use std::net::UdpSocket;
-use std::sync::Arc;
 
 const NPROCS: usize = 4;
 const SC: Scoring = Scoring::paper();
@@ -62,11 +60,10 @@ fn four_ranks_over_udp_kill_then_rejoin_bit_identical() {
     // consults the same schedule for its own worker.
     let manifest = fresh_manifest(NPROCS);
     let plan = FaultPlan::quiet(0).with_crash(2, 5).with_rejoin(2, 8);
-    let plan = Arc::new(SeededFaults::new(plan));
     let mut handles = Vec::new();
     for rank in 0..NPROCS {
         let manifest = manifest.clone();
-        let (s, t, plan) = (s.clone(), t.clone(), Arc::clone(&plan));
+        let (s, t, plan) = (s.clone(), t.clone(), plan.clone());
         handles.push(std::thread::spawn(move || {
             let ctx = ClusterCtx::new(rank, manifest, 77).expect("ctx");
             let mut config = BlockedConfig::new(NPROCS, 16, 8);

@@ -4,16 +4,14 @@
 //! fault-free run — including the pre-process strategy's saved-column
 //! files, whose dead owners' contents are reproduced by the adopters.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::NodeStats;
+use genomedsm_dsm::{FaultPlan, NodeStats};
 use genomedsm_kernels::{KernelChoice, Rung};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, phase2_scattered_with, preprocess_align,
     BandScheme, BlockedConfig, ChunkPlan, HeuristicDsmConfig, IoMode, PreprocessConfig,
 };
-use std::sync::Arc;
 
 const SC: Scoring = Scoring::paper();
 const NPROCS: usize = 8;
@@ -41,12 +39,12 @@ fn supervise(dsm: genomedsm_dsm::DsmConfig) -> genomedsm_dsm::DsmConfig {
 
 /// Kills nodes `1..=k` at staggered work-unit counts so the deaths land
 /// mid-run, at different depths of the wavefront.
-fn kills(k: usize, stagger: &[u64]) -> Arc<SeededFaults> {
+fn kills(k: usize, stagger: &[u64]) -> FaultPlan {
     let mut plan = FaultPlan::quiet(0);
     for victim in 1..=k {
         plan = plan.with_crash(victim, stagger[victim - 1]);
     }
-    Arc::new(SeededFaults::new(plan))
+    plan
 }
 
 #[test]
@@ -169,7 +167,7 @@ fn preprocess_past_the_i16_ceiling_is_kernel_blind_clean_and_under_takeover() {
         config.kernel = kernel;
         if let Some((victim, units)) = kill {
             let plan = FaultPlan::quiet(0).with_crash(victim, units);
-            config.dsm = supervise(config.dsm).faults(Arc::new(SeededFaults::new(plan)));
+            config.dsm = supervise(config.dsm).faults(plan);
         }
         let out = preprocess_align(&s, &t, &steep, &config).unwrap();
         let files: Vec<Vec<u8>> = out

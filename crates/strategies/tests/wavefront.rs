@@ -3,11 +3,9 @@
 //! border, through a kill and a kill + rejoin — computes exactly the
 //! serial fold.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
-use genomedsm_dsm::{DsmConfig, DsmSystem, Node, SupervisionConfig};
+use genomedsm_dsm::{DsmConfig, DsmSystem, FaultPlan, Node, SupervisionConfig};
 use genomedsm_strategies::wavefront::{Grid, Stage, Wavefront};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Value of unit `(stage, k)` given the kernel-local carry and the
@@ -184,14 +182,13 @@ fn every_border_and_recovery_policy_equals_the_serial_fold() {
             continue; // nobody left to take over
         }
         let kill = FaultPlan::quiet(seed).with_crash(victim, at);
-        let faults = |plan: &FaultPlan| Arc::new(SeededFaults::new(plan.clone()));
-        let (ledger, [takeovers, _]) = on_dsm(&grid, supervised(roles).faults(faults(&kill)));
+        let (ledger, [takeovers, _]) = on_dsm(&grid, supervised(roles).faults(kill.clone()));
         assert_eq!(ledger, expect, "kill {victim}:{at}, {case}");
         assert!(
             takeovers >= 1,
             "kill {victim}:{at} never taken over, {case}"
         );
-        let rejoin = faults(&kill.with_rejoin(victim, 2));
+        let rejoin = kill.with_rejoin(victim, 2);
         let (ledger, [_, rejoins]) = on_dsm(&grid, supervised(roles).faults(rejoin));
         assert_eq!(ledger, expect, "kill + rejoin {victim}:{at}, {case}");
         assert_eq!(rejoins, 1, "victim {victim} never rejoined, {case}");

@@ -220,14 +220,15 @@ fn has_flag(args: &[String], name: &str) -> bool {
 }
 
 /// Parses a `--plan` spec for a cluster of `procs` nodes, refusing one
-/// that leaves no survivor to hold the answer.
+/// that does not fit it ([`FaultPlan::check`]: a node outside the
+/// cluster, no survivor to hold the answer).
 fn parse_plan(spec: &str, procs: usize) -> FaultPlan {
     let plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
         eprintln!("invalid --plan '{spec}': {e}");
         exit(2);
     });
-    if (0..procs).all(|n| plan.crashes.iter().any(|c| c.node == n)) {
-        eprintln!("--plan '{spec}' crashes all {procs} nodes (no survivor to take over)");
+    if let Err(e) = plan.check(procs) {
+        eprintln!("--plan '{spec}' does not fit --procs {procs}: {e}");
         exit(2);
     }
     plan
@@ -444,16 +445,12 @@ fn align(args: &[String]) {
     let (s, t) = load_pair(args);
     let strategy = opt(args, "--strategy").unwrap_or_else(|| "blocked".into());
     let procs = opt_count(args, "--procs", 8);
-    let injector = opt(args, "--plan")
-        .map(|spec| std::sync::Arc::new(SeededFaults::new(parse_plan(&spec, procs))));
+    let plan = opt(args, "--plan").map_or(FaultPlan::quiet(0), |spec| parse_plan(&spec, procs));
     let fortify = |mut dsm: DsmConfig| {
         if has_flag(args, "--tolerate-failures") {
             dsm = dsm.tolerate_failures();
         }
-        match &injector {
-            Some(injector) => dsm.faults(injector.clone()),
-            None => dsm,
-        }
+        dsm.faults(plan.clone())
     };
     let tolerate = fortify(DsmConfig::new(procs)).supervision.enabled;
 
@@ -566,7 +563,6 @@ fn chaos(args: &[String]) {
     let procs = opt_count(args, "--procs", 4);
     let plan = parse_plan(&spec, procs);
     let crashes = !plan.crashes.is_empty();
-    let injector = std::sync::Arc::new(SeededFaults::new(plan));
     eprintln!(
         "chaos run: {} bp x {} bp, strategy '{strategy}', {procs} nodes, plan '{spec}'",
         s.len(),
@@ -577,7 +573,7 @@ fn chaos(args: &[String]) {
         run_strategy(args, (&strategy, procs), (&s, &t), dsm)
     };
     let clean = run(&|dsm| dsm);
-    let faulty = run(&|dsm| dsm.faults(injector.clone()));
+    let faulty = run(&|dsm| dsm.faults(plan.clone()));
     let identical = clean.answer() == faulty.answer();
     let clean_stats = NodeStats::aggregate(clean.per_node());
     let faulty_stats = NodeStats::aggregate(faulty.per_node());

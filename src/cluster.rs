@@ -12,9 +12,8 @@
 //! per rank and therefore go to the metrics channel (stderr), never the
 //! report.
 
-use genomedsm_chaos::{FaultPlan, SeededFaults};
 use genomedsm_core::{HeuristicParams, Scoring};
-use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, NetworkModel, NodeStats};
+use genomedsm_dsm::{ClusterCtx, ClusterManifest, DsmConfig, FaultPlan, NetworkModel, NodeStats};
 use genomedsm_seq::{planted_pair, HomologyPlan};
 use genomedsm_strategies::{
     heuristic_align_dsm, heuristic_block_align, phase2_scattered_with, preprocess_align,
@@ -23,7 +22,6 @@ use genomedsm_strategies::{
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What a `node` process computes: the sequence pair and cluster shape.
@@ -129,7 +127,9 @@ fn dsm_for(
                 "fault plan '{text}': crash= is not supported by node/launch"
             ));
         }
-        config = config.faults(Arc::new(SeededFaults::new(plan)) as _);
+        plan.check(spec.procs)
+            .map_err(|e| format!("fault plan '{text}': {e}"))?;
+        config = config.faults(plan);
     }
     if let Some((manifest, rank, base)) = cluster {
         manifest

@@ -12,15 +12,14 @@
 //!   candidate heuristic, the Section-6 reverse space reduction).
 //! * [`dsm`] — the page-based software DSM substrate (scope consistency,
 //!   home-based write-invalidate multiple-writer protocol, locks,
-//!   condition variables, barriers).
+//!   condition variables, barriers) and its deterministic fault plans:
+//!   seeded per-link drop/corrupt/duplicate/reorder rates and scheduled
+//!   fail-stop node crashes and rejoins.
 //! * [`kernels`] — vectorized Smith–Waterman score kernels: Farrar
 //!   striped layout, SSE2/AVX2 with runtime ISA dispatch, scalar oracle.
 //! * [`seq`] — DNA sequence generation with planted homologous regions,
 //!   mutation models, and FASTA I/O.
 //! * [`blast`] — a BlastN-like seed-and-extend baseline.
-//! * [`chaos`] — deterministic fault injection for the DSM transport:
-//!   seeded per-link drop/corrupt/duplicate/reorder plans and scheduled
-//!   fail-stop node crashes.
 //! * [`batch`] — the multi-query batch alignment engine: database search
 //!   with inter-sequence lane packing (a different query per SIMD lane),
 //!   a work-stealing scheduler with bounded in-flight batches, and
@@ -63,7 +62,6 @@ pub mod reverse_parallel;
 
 pub use genomedsm_batch as batch;
 pub use genomedsm_blast as blast;
-pub use genomedsm_chaos as chaos;
 pub use genomedsm_core as core;
 pub use genomedsm_dotplot as dotplot;
 pub use genomedsm_dsm as dsm;
@@ -76,10 +74,10 @@ pub use genomedsm_strategies as strategies;
 /// Everything needed for the common pipeline in one import.
 pub mod prelude {
     pub use genomedsm_batch::{BatchConfig, BatchEngine, SeqDatabase};
-    pub use genomedsm_chaos::{FaultPlan, LinkFaults, SeededFaults};
     pub use genomedsm_core::{
         finalize_queue, heuristic_align, GlobalAlignment, HeuristicParams, LocalRegion, Scoring,
     };
+    pub use genomedsm_dsm::{FaultPlan, LinkFaults};
     pub use genomedsm_kernels::{kernel_for, KernelChoice, ScoreKernel};
     pub use genomedsm_seq::{planted_pair, random_dna, DnaSeq, HomologyPlan};
     pub use genomedsm_strategies::{

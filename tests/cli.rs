@@ -142,6 +142,29 @@ fn a_plan_that_crashes_every_node_is_refused_before_running() {
 }
 
 #[test]
+fn a_crash_naming_a_node_outside_the_cluster_is_refused() {
+    // Node 9 of a 4-node cluster used to crash nothing: exit 0, no
+    // supervision line, "BIT-IDENTICAL" and 0 obituaries.
+    let dir = temp_dir("crash_outside");
+    let fa = small_pair(&dir);
+    for command in ["align", "chaos"] {
+        let out = bin()
+            .arg(command)
+            .arg(&fa)
+            .args(["--strategy", "blocked", "--procs", "4"])
+            .args(["--bands", "4", "--blocks", "4", "--plan", "crash=9@3"])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("node 9"), "{command}: {stderr}");
+        assert!(stderr.contains("--procs 4"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command}: nothing may run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn chaos_takes_a_scheduled_crash_over_instead_of_dropping_it() {
     // A crash in the plan must fire for every strategy — never identical
     // traffic, "+0.0% overhead" and no word of the crash.
