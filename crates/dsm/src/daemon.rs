@@ -379,8 +379,9 @@ impl Daemon {
     /// Whether a peer could have sent `env`: every rank field names a
     /// rank of the run, a worker request comes from the worker it names
     /// and a control message from a daemon, page bytes fit the page, the
-    /// request reached the manager it belongs to, and a release comes
-    /// from the lock's holder.
+    /// request reached the manager it belongs to, a release comes from
+    /// the lock's holder, a rank arrives at a barrier round once, and a
+    /// rejoin's deferred boundary fits a `u64`.
     fn well_formed(&self, env: &Envelope) -> bool {
         let n = self.nprocs;
         let worker = |from: usize| from < n && env.src == from;
@@ -408,15 +409,34 @@ impl Daemon {
             }
             Msg::SetCv { cv, from, notices } => worker(*from) && manages(*cv) && ranks(notices),
             Msg::WaitCv { cv, from, .. } => worker(*from) && manages(*cv),
-            Msg::Barrier { from, notices } => worker(*from) && self.id == 0 && ranks(notices),
+            // A rank arrives once per round: a second arrival would count
+            // as another rank's.
+            Msg::Barrier { from, notices } => {
+                let again = self.barrier.arrived.iter().any(|&(n, _)| n == *from);
+                worker(*from) && self.id == 0 && ranks(notices) && !again
+            }
             Msg::MigrationNotice { epoch, .. } => daemon && *epoch >= self.epoch,
             Msg::MigrateOut { to, .. } => daemon && *to < n,
             Msg::AdoptPage { data, .. } => daemon && data.len() == self.page_size,
             Msg::Heartbeat { node } | Msg::Obituary { node, .. } => worker(*node),
             // A joiner announces itself to daemon 0, which forwards the
-            // admission to every other daemon.
-            Msg::Rejoin { node, .. } => {
-                (worker(*node) && self.id == 0) || (env.src == n && self.id != 0 && *node < n)
+            // admission to every other daemon. The boundary a late
+            // announcement is deferred to (`rejoin_due`) must fit a `u64`.
+            Msg::Rejoin {
+                node,
+                admit_at_round: at,
+                stride,
+                ..
+            } => {
+                let late = self.barrier.rounds.checked_sub(*at);
+                let next = late
+                    .and_then(|d| d.checked_div(*stride))
+                    .map_or(Some(0), |d| {
+                        let k = d.checked_add(1)?.checked_mul(*stride)?;
+                        at.checked_add(k)
+                    });
+                let announced = worker(*node) && self.id == 0 && next.is_some();
+                announced || (env.src == n && self.id != 0 && *node < n)
             }
             Msg::ProbeFailures { from, known, .. } => worker(*from) && known.iter().all(|&k| k < n),
             // Only the launcher's own ends `run`; a peer's is forged.
@@ -1044,47 +1064,96 @@ mod tests {
             node: 99,
             incarnation: 0,
         };
-        // (what is wrong, daemon id, request served first, forged request)
-        let rows: Vec<(&str, usize, Option<Envelope>, Envelope)> = vec![
-            ("rank field past nprocs", 0, None, env(1, page(99))),
-            ("request naming another worker", 0, None, env(1, page(0))),
-            ("worker request from a daemon", 0, None, env(N + 1, page(1))),
+        let arrive = |from| {
+            let notices = Vec::new();
+            env(from, Msg::Barrier { from, notices })
+        };
+        let overflow = Msg::Rejoin {
+            node: 1,
+            incarnation: 1,
+            admit_at_round: 1,
+            stride: u64::MAX,
+        };
+        // (what is wrong, daemon id, requests served first, forged request)
+        let rows: Vec<(&str, usize, Vec<Envelope>, Envelope)> = vec![
+            ("rank field past nprocs", 0, vec![], env(1, page(99))),
+            ("request naming another worker", 0, vec![], env(1, page(0))),
+            (
+                "worker request from a daemon",
+                0,
+                vec![],
+                env(N + 1, page(1)),
+            ),
             (
                 "control message from a worker",
                 0,
-                None,
+                vec![],
                 env(0, Msg::MigrateOut { page: 0, to: 1 }),
             ),
             (
                 "MigrateOut to a rank past nprocs",
                 0,
-                None,
+                vec![],
                 env(N, Msg::MigrateOut { page: 0, to: 99 }),
             ),
-            ("patch past the page end", 0, None, env(0, diff)),
-            ("AdoptPage shorter than a page", 0, None, env(N + 1, adopt)),
-            ("barrier at a nonzero daemon", 1, None, env(0, barrier)),
-            ("acquire at the wrong manager", 0, None, acquire(0, 1)),
+            ("patch past the page end", 0, vec![], env(0, diff)),
+            (
+                "AdoptPage shorter than a page",
+                0,
+                vec![],
+                env(N + 1, adopt),
+            ),
+            ("barrier at a nonzero daemon", 1, vec![], env(0, barrier)),
+            ("acquire at the wrong manager", 0, vec![], acquire(0, 1)),
             (
                 "release by a non-holder",
                 0,
-                Some(acquire(0, 0)),
+                vec![acquire(0, 0)],
                 env(1, release(1)),
             ),
-            ("release of a lock nobody took", 0, None, env(0, release(0))),
-            ("notice writer past nprocs", 0, None, env(0, signal)),
-            ("obituary for a rank past nprocs", 0, None, env(1, obituary)),
-            ("a peer's Shutdown", 0, None, env(N + 1, Msg::Shutdown)),
+            (
+                "release of a lock nobody took",
+                0,
+                vec![],
+                env(0, release(0)),
+            ),
+            ("notice writer past nprocs", 0, vec![], env(0, signal)),
+            (
+                "obituary for a rank past nprocs",
+                0,
+                vec![],
+                env(1, obituary),
+            ),
+            ("a peer's Shutdown", 0, vec![], env(N + 1, Msg::Shutdown)),
+            (
+                "a second arrival in one round",
+                0,
+                vec![arrive(0)],
+                arrive(0),
+            ),
+            (
+                "a rejoin deferred past u64::MAX",
+                0,
+                vec![arrive(0), arrive(1)],
+                env(1, overflow),
+            ),
         ];
         for (what, id, setup, forged) in rows {
             let mut daemon = Daemon::new(id, &DsmConfig::new(N), false);
             let mut out = Outbox::new();
-            if let Some(first) = setup {
-                daemon.step(first, &mut out);
+            // Each link's requests are numbered in order.
+            let mut next = HashMap::new();
+            let mut numbered = |mut env: Envelope| {
+                let seq = next.entry(env.src).or_insert(0);
+                (env.seq, *seq) = (*seq, *seq + 1);
+                env
+            };
+            for first in setup {
+                daemon.step(numbered(first), &mut out);
             }
             let sent = out.len();
             assert_eq!(daemon.stats.malformed_dropped, 0, "{what}: setup refused");
-            daemon.step(forged, &mut out);
+            daemon.step(numbered(forged), &mut out);
             assert_eq!(daemon.stats.malformed_dropped, 1, "{what}: not counted");
             assert_eq!(out.len(), sent, "{what}: answered");
         }

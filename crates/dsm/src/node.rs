@@ -979,7 +979,8 @@ impl Node {
     /// was dead). Everything a fresh worker process would not have is then
     /// discarded: the whole page cache (clean copies, twins, unflushed
     /// modifications — a joiner serving stale cached pages is the
-    /// protocol's canonical bug, caught by the `models::rejoin` checker),
+    /// protocol's canonical bug, which the checker's rejoin campaign
+    /// catches as a scope-consistency violation),
     /// pending and unpublished write notices, held-lock bookkeeping, and
     /// the lock/cv notice watermarks (cleared watermarks make the next
     /// acquire replay full notice history, which is conservative and

@@ -611,9 +611,9 @@ pub fn rejoin_downtime(unit_time: Duration, units: u64) -> Duration {
 ///
 /// Liveness assumes the transport's delivery bound: an announcement
 /// sent at a boundary is delivered before the campaign's final barrier
-/// tears the run down (`models::rejoin` encodes the same assumption as
-/// its final-boundary gate). Schedule rejoin points inside the
-/// campaign, not at its very end.
+/// tears the run down (the checker's rejoin campaign, in
+/// `verify::daemon`, gates its last barrier on the same assumption).
+/// Schedule rejoin points inside the campaign, not at its very end.
 ///
 /// Returns one body result per workload round; rounds a late-admitted
 /// joiner missed hold `R::default()`, the same sentinel a dead rank

@@ -5,15 +5,15 @@
 //!
 //! * [`daemon`] — the shipped `genomedsm-dsm` daemon, stepped by scripted
 //!   workers over checker-scheduled links: lock handoff with write
-//!   notices, the counting cv, and the lease break on a fail-stop, plus
-//!   three perturbations of its links that must be caught;
+//!   notices, the counting cv, the lease break on a fail-stop, and the
+//!   barrier manager's rejoin admission in a two-workload campaign, plus
+//!   five perturbations of the harness that must be caught;
 //! * [`models`] — state machines of protocols that live elsewhere:
 //!   [`models::merge`] (the batch scheduler's windowed in-order merge),
 //!   [`models::inversion`] (the page-lock / lease-table lock order),
-//!   [`models::retransmit`] (the UDP transport's retransmit/dedup window),
-//!   [`models::admission`] (the serve admission gate) and
-//!   [`models::rejoin`] (the elastic-membership join/handback), each with
-//!   the rejected variants that must fail.
+//!   [`models::retransmit`] (the UDP transport's retransmit/dedup window)
+//!   and [`models::admission`] (the serve admission gate), each with the
+//!   rejected variants that must fail.
 //!
 //! [`run_suite`] drives every healthy subject through thousands of
 //! distinct interleavings (exhaustive where the state space allows,
@@ -30,13 +30,12 @@ pub mod models {
     pub mod admission;
     pub mod inversion;
     pub mod merge;
-    pub mod rejoin;
     pub mod retransmit;
 }
 
 use daemon::{DaemonSpec, Workload};
 use models::{
-    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel, rejoin::RejoinModel,
+    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel,
     retransmit::RetransmitModel,
 };
 use shuttle::{Config, Failure, Report, Spec};
@@ -104,7 +103,7 @@ pub fn found_and_replayed<M: Spec>(name: &str, spec: &M, expect: &str) -> Option
 /// explores well over ten thousand distinct schedules (asserted by the
 /// `explore` integration test and re-checked by the binary).
 pub fn run_suite() -> Vec<SuiteEntry> {
-    use Workload::{Lease, Locks, Signals};
+    use Workload::{Lease, Locks, Rejoin, Signals};
     let real = |workload| DaemonSpec(workload, None);
     let merge = |jobs, workers, window| MergeModel {
         jobs,
@@ -125,11 +124,6 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         dup_budget,
         swap_budget,
         bug_evict_before_ack: false,
-    };
-    let rejoin = |units| RejoinModel {
-        units,
-        bug_skip_invalidation: false,
-        bug_admit_mid_round: false,
     };
     let consistent = InversionModel {
         inverted: false,
@@ -152,6 +146,8 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         random("daemon/cv 2p2c x2 random", real(Signals(2, 2, 2)), 6_000),
         exhaustive("daemon/lease 1u+1s exhaustive", real(Lease(1, 1)), 400_000),
         random("daemon/lease 3u+2s random", real(Lease(3, 2)), 6_000),
+        exhaustive("daemon/rejoin 1u exhaustive", real(Rejoin(1)), 200_000),
+        random("daemon/rejoin 2u random", real(Rejoin(2)), 6_000),
         exhaustive("merge/4j2w w1 exhaustive", merge(4, 2, 1), 50_000),
         random("merge/6j3w w2 random", merge(6, 3, 2), 6_000),
         exhaustive("admission/2c2r cap1 exhaustive", admission(2, 1, 1), 50_000),
@@ -163,7 +159,5 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         ),
         random("retransmit/3m w2 d2 s2 random", retransmit(3, 2, 2), 6_000),
         exhaustive("inversion/consistent exhaustive", consistent, 50_000),
-        exhaustive("rejoin/2u exhaustive", rejoin(2), 50_000),
-        random("rejoin/3u random", rejoin(3), 6_000),
     ]
 }

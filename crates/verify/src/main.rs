@@ -7,7 +7,7 @@
 
 use genomedsm_verify::daemon::SEEDED;
 use genomedsm_verify::models::{
-    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel, rejoin::RejoinModel,
+    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel,
     retransmit::RetransmitModel,
 };
 use genomedsm_verify::{found_and_replayed, run_suite};
@@ -62,13 +62,6 @@ fn main() {
     };
     failed |=
         found_and_replayed("retransmit/evict-before-ack", &spec, "executed 2 times").is_none();
-    let spec = RejoinModel {
-        units: 2,
-        bug_skip_invalidation: true,
-        bug_admit_mid_round: false,
-    };
-    let name = "rejoin/skip-invalidation";
-    failed |= found_and_replayed(name, &spec, "saved columns diverge").is_none();
     for (name, spec, symptom) in SEEDED {
         failed |= found_and_replayed(name, &spec, symptom).is_none();
     }

@@ -5,7 +5,6 @@ use genomedsm_verify::daemon::{DaemonSpec, SEEDED};
 use genomedsm_verify::found_and_replayed;
 use genomedsm_verify::models::inversion::InversionModel;
 use genomedsm_verify::models::merge::MergeModel;
-use genomedsm_verify::models::rejoin::RejoinModel;
 use genomedsm_verify::models::retransmit::RetransmitModel;
 use shuttle::Config;
 
@@ -76,30 +75,6 @@ fn evict_before_ack_double_executes_and_replays_from_seed() {
     shuttle::check_random(&healthy, &Config::default()).assert_ok();
 }
 
-/// Handing the joiner its role back without invalidating its stale page
-/// cache serves pre-crash column data; the checker catches the
-/// divergence from the never-crashed run and the failure replays from
-/// both its recorded seed and its recorded schedule. The full protocol
-/// on the same workload stays clean.
-#[test]
-fn skipped_invalidation_diverges_and_replays_from_seed() {
-    let spec = RejoinModel {
-        units: 2,
-        bug_skip_invalidation: true,
-        bug_admit_mid_round: false,
-    };
-    let failure = found_and_replayed("rejoin/skip-invalidation", &spec, "saved columns diverge")
-        .expect("skipped invalidation must serve stale columns and replay from its seed");
-    let by_schedule = shuttle::replay_schedule(&spec, &failure.schedule, &Config::default());
-    let sf = by_schedule.failure.expect("schedule replay must re-fail");
-    assert_eq!(sf.reason, failure.reason);
-    let healthy = RejoinModel {
-        bug_skip_invalidation: false,
-        ..spec
-    };
-    shuttle::check_random(&healthy, &Config::default()).assert_ok();
-}
-
 /// Seeded regression `i` of the real daemon is caught with its own
 /// symptom and replays from its seed; the same workload unperturbed is
 /// clean.
@@ -123,4 +98,14 @@ fn a_signal_dropped_at_an_empty_wait_queue_deadlocks_its_waiter() {
 #[test]
 fn an_uncommitted_release_before_the_obituary_is_a_grant_of_unreleased_state() {
     perturbation_is_caught(2);
+}
+
+#[test]
+fn a_joiner_keeping_its_pre_crash_page_reads_stale_state() {
+    perturbation_is_caught(3);
+}
+
+#[test]
+fn a_rejoin_admitted_on_delivery_lands_outside_a_boundary() {
+    perturbation_is_caught(4);
 }
