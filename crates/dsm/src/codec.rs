@@ -879,7 +879,7 @@ mod tests {
             from: 3,
             epoch: 7,
         };
-        assert_eq!(decode_msg(&encode_msg(&m)).unwrap(), m);
+        assert_eq!(from_frame::<Msg>(&to_frame(&m)).unwrap(), m);
     }
 
     #[test]
@@ -893,13 +893,13 @@ mod tests {
                 data: vec![1, 2, 3, 250],
             }],
         };
-        let frame = encode_msg(&m);
+        let frame = to_frame(&m);
         for i in 0..frame.len() {
             for flip in [0x01u8, 0x5a, 0xff] {
                 let mut bad = frame.clone();
                 bad[i] ^= flip;
                 assert!(
-                    decode_msg(&bad).is_err(),
+                    from_frame::<Msg>(&bad).is_err(),
                     "flip {flip:#x} at byte {i} went undetected"
                 );
             }
@@ -926,7 +926,7 @@ mod tests {
                 stride: 9,
             },
         ] {
-            assert_eq!(decode_msg(&encode_msg(&m)).unwrap(), m);
+            assert_eq!(from_frame::<Msg>(&to_frame(&m)).unwrap(), m);
         }
         for r in [
             Reply::NodeFailed { node: 4 },
@@ -947,15 +947,15 @@ mod tests {
                 dead: vec![2],
             },
         ] {
-            assert_eq!(decode_reply(&encode_reply(&r)).unwrap(), r);
+            assert_eq!(from_frame::<Reply>(&to_frame(&r)).unwrap(), r);
         }
     }
 
     #[test]
     fn truncation_is_typed() {
-        let frame = encode_reply(&Reply::DiffAck);
+        let frame = to_frame(&Reply::DiffAck);
         for cut in 0..frame.len() {
-            assert!(decode_reply(&frame[..cut]).is_err());
+            assert!(from_frame::<Reply>(&frame[..cut]).is_err());
         }
     }
 
@@ -965,7 +965,7 @@ mod tests {
         w.u8(0x7f);
         w.u64(1);
         let frame = w.finish();
-        assert_eq!(decode_msg(&frame), Err(DsmError::BadTag(0x7f)));
+        assert_eq!(from_frame::<Msg>(&frame), Err(DsmError::BadTag(0x7f)));
     }
 
     #[test]
@@ -978,7 +978,10 @@ mod tests {
         w.u64(0); // epoch
         w.u64(1 << 60); // patch count
         let frame = w.finish();
-        assert!(matches!(decode_msg(&frame), Err(DsmError::Oversize { .. })));
+        assert!(matches!(
+            from_frame::<Msg>(&frame),
+            Err(DsmError::Oversize { .. })
+        ));
         // The bound is per element type: two notices need 48 bytes, so a
         // count of 2 over 47 bytes of body is refused before allocating.
         let mut w = FrameWriter::default();
@@ -989,7 +992,7 @@ mod tests {
             w.u8(0);
         }
         assert_eq!(
-            decode_msg(&w.finish()),
+            from_frame::<Msg>(&w.finish()),
             Err(DsmError::Oversize { len: 2, max: 1 })
         );
     }
@@ -1043,7 +1046,7 @@ mod tests {
     fn malformations_are_typed_errors() {
         let frame = to_frame(&(TAG, vec![1u32, 2, 3]));
         // Wrong family: the tag is not a request's.
-        assert_eq!(decode_msg(&frame), Err(DsmError::BadTag(TAG)));
+        assert_eq!(from_frame::<Msg>(&frame), Err(DsmError::BadTag(TAG)));
         // Flipped byte: checksum.
         let mut bad = frame.clone();
         bad[3] ^= 0xff;

@@ -18,11 +18,14 @@
 //!   checksummed datagrams, and driven through an ack/retransmit/dedup
 //!   reliability layer against genuinely lossy I/O.
 //!
-//! The submodules carry the rest of the subsystem: [`manifest`] (peer
+//! The submodules carry the rest of the subsystem: [`link`] (one peer's
+//! reliability state as a clock-free step function, which the UDP
+//! transport wraps and the model checker drives), [`manifest`] (peer
 //! discovery) and [`clock`] (the sanctioned real-sleep primitive for
 //! `simulate: true`).
 
 pub mod clock;
+pub mod link;
 pub mod manifest;
 pub mod udp;
 
@@ -111,6 +114,28 @@ impl TransportStats {
     /// Mean observed round-trip time, if any round trip completed.
     pub fn mean_rtt(&self) -> Option<Duration> {
         (self.rtt_samples > 0).then(|| self.rtt_total / self.rtt_samples as u32)
+    }
+}
+
+/// Adds the counters one [`link::Link`] step moved into a rank's totals.
+impl std::ops::AddAssign for TransportStats {
+    fn add_assign(&mut self, o: Self) {
+        self.datagrams_sent += o.datagrams_sent;
+        self.datagrams_received += o.datagrams_received;
+        self.acks_sent += o.acks_sent;
+        self.retransmits += o.retransmits;
+        self.rto_escalations += o.rto_escalations;
+        self.dups_dropped += o.dups_dropped;
+        self.corrupt_dropped += o.corrupt_dropped;
+        self.malformed_dropped += o.malformed_dropped;
+        self.stale_session_dropped += o.stale_session_dropped;
+        self.reorder_stashed += o.reorder_stashed;
+        self.reorder_overflow_dropped += o.reorder_overflow_dropped;
+        self.chaos_dropped += o.chaos_dropped;
+        self.chaos_corrupted += o.chaos_corrupted;
+        self.chaos_duplicated += o.chaos_duplicated;
+        self.rtt_total += o.rtt_total;
+        self.rtt_samples += o.rtt_samples;
     }
 }
 

@@ -4,29 +4,28 @@
 //! [`UdpTransport`] wires **one** rank of a multi-process cluster. Every
 //! remote `Envelope`/`ReplyEnvelope` is encoded through the wire codec
 //! ([`crate::codec`]), wrapped in an outer checksummed [`Datagram`]
-//! carrying `(session, from, chan, seq, fragment)` headers, and driven
-//! through a sender-side ack/retransmit machine and a receiver-side
-//! dedup/reorder/reassembly machine, so the protocol layer above sees
-//! exactly the channel semantics it has always had: reliable, in-order
-//! delivery per `(peer, chan)` link.
+//! carrying `(session, from, chan, seq, fragment)` headers, and handed to
+//! its peer's [`Link`]: a clock-free step function per remote rank that
+//! holds the ack/retransmit window, the dedup/reorder/reassembly window
+//! and the session fence. The protocol layer above sees exactly the
+//! channel semantics it has always had: reliable, in-order delivery per
+//! `(peer, chan)` link. This file is the thread-and-socket wrapper around
+//! the links, the way `Daemon::run` wraps `Daemon::step`.
 //!
 //! ## Thread structure (per process)
 //!
 //! * one **forwarder** per remote peer and direction (bounded queues):
 //!   drains the channel the protocol layer sends into, encodes the
 //!   payload, and hands it to the pump;
-//! * one **pump**: assigns per-link sequence numbers, fragments large
-//!   payloads, transmits, and owns the retransmission timers
-//!   ([`RetransmitPolicy`] backoff; after `max_attempts` it keeps
-//!   retrying at `max_rto` and counts the escalation — a slow peer is
-//!   not a dead peer, and declaring death is the supervision layer's
-//!   job, not the transport's);
+//! * one **pump**: steps the links on sends and due timers against real
+//!   time and transmits what they emit;
 //! * one **receiver**: parses datagrams (`from_frame::<`[`Datagram`]`>` —
 //!   every malformation is a typed [`DsmError`] and a counter, never a
-//!   panic),
-//!   acknowledges, deduplicates, restores per-link order through a
-//!   bounded reorder window, reassembles fragments, and delivers into
-//!   the local inboxes.
+//!   panic), steps the sender's link (a rank out of range, or this rank,
+//!   has none: malformed), sends the acks at once and decodes in-order
+//!   deliveries into the local inboxes. Acks leave from the thread that
+//!   read the datagram, with no hop: when a session's last ack lands sets
+//!   which rank's linger ends first (DESIGN.md §5.12).
 //!
 //! ## Chaos on real datagrams
 //!
@@ -42,26 +41,25 @@
 //! ## Shutdown
 //!
 //! [`Transport::shutdown`] joins the forwarders (their input channels
-//! disconnect when the protocol layer drops its senders), waits for the
-//! unacked window to drain, then lingers the receiver briefly so peer
-//! retransmissions still get acknowledged instead of wedging the peer's
-//! window against its own shutdown timeout.
+//! disconnect when the protocol layer drops its senders) and stops the
+//! pump once the unacked windows drained, then lingers the receiver
+//! briefly so peer retransmissions still get acknowledged instead of
+//! wedging the peer's window against its own shutdown timeout.
 
+use super::link::{Event, Link, Outbox, Transmit};
 use super::manifest::ClusterCtx;
 use super::{RankWiring, Transport, TransportStats};
-use crate::codec::{
-    decode_msg, decode_reply, from_frame, to_frame, FrameReader, FrameWriter, Wire,
-};
+use crate::codec::{from_frame, to_frame, FrameReader, FrameWriter, Wire};
 use crate::error::DsmError;
 use crate::faults::FaultPlan;
-use crate::msg::{Envelope, Msg, ReplyEnvelope};
+use crate::msg::{Envelope, Msg, Reply, ReplyEnvelope};
 use crate::net::{LinkMsg, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Outer-frame tag of a data datagram.
@@ -69,15 +67,6 @@ pub const TPT_DATA: u8 = 0x40;
 /// Outer-frame tag of an acknowledgement datagram.
 pub const TPT_ACK: u8 = 0x41;
 
-/// Largest payload fragment per datagram: comfortably under the UDP
-/// payload ceiling (~65 507 B) with room for headers.
-const MAX_FRAG_PAYLOAD: usize = 32 * 1024;
-/// Largest reassembled payload the receiver will buffer (matches the
-/// codec's frame bound).
-const MAX_MESSAGE: usize = 1 << 28;
-/// Out-of-order datagrams parked per link before the receiver starts
-/// shedding (shed copies are recovered by retransmission).
-const REORDER_CAP: usize = 512;
 /// Capacity of each per-link forwarder queue and of the pump's command
 /// queue (the "bounded queues" of the send path).
 const QUEUE_CAP: usize = 1024;
@@ -88,7 +77,7 @@ const RECV_POLL: Duration = Duration::from_millis(10);
 const LINGER_IDLE: Duration = Duration::from_millis(250);
 /// ...or after this hard cap, whichever comes first.
 const LINGER_CAP: Duration = Duration::from_secs(3);
-/// Hard cap on waiting for the unacked window to drain at shutdown.
+/// Hard cap on waiting for the unacked windows to drain at shutdown.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
 
 /// One parsed data datagram.
@@ -201,52 +190,50 @@ struct Shared {
     peers: Vec<std::net::SocketAddr>,
     rank: usize,
     nprocs: usize,
-    session: u64,
-    /// Set once shutdown begins; receiver switches to linger mode and
-    /// the pump exits when its work is done.
+    /// Time zero of the links' clock.
+    epoch: Instant,
+    /// One link per peer, `None` at this rank: the receiver steps them on
+    /// datagrams, the pump on sends and timers.
+    links: Mutex<Vec<Option<Link>>>,
+    /// Set once the pump's windows drained (or `DRAIN_CAP` passed): the
+    /// receiver lingers, then exits.
     stop: AtomicBool,
     stats: Mutex<TransportStats>,
-    /// Unacked outbound datagrams; guarded drain signal for shutdown.
-    inflight: Mutex<usize>,
-    drained: Condvar,
 }
 
 impl Shared {
-    fn stats(&self) -> std::sync::MutexGuard<'_, TransportStats> {
+    fn stats(&self) -> MutexGuard<'_, TransportStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn send_ack(&self, to: usize, chan: u8, seq: u64) {
-        // `to` comes from a wire-derived rank; an out-of-range value
-        // means a malformed datagram and the ack is silently dropped.
-        let Some(&addr) = self.peers.get(to) else {
-            return;
-        };
-        let bytes = to_frame(&Datagram::Ack(AckFrame {
-            session: self.session,
-            from: self.rank,
-            chan,
-            seq,
-        }));
-        if self.socket.send_to(&bytes, addr).is_ok() {
-            self.stats().acks_sent += 1;
+    fn links(&self) -> MutexGuard<'_, Vec<Option<Link>>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn send_to(&self, bytes: &[u8], peer: usize) -> bool {
+        let addr = self.peers.get(peer);
+        addr.is_some_and(|&addr| self.socket.send_to(bytes, addr).is_ok())
+    }
+
+    /// Steps `peer`'s link and counts what the step moved. A datagram
+    /// naming a rank out of range, or this rank, has no link: malformed.
+    fn step_link(&self, peer: usize, event: Event) -> Option<Outbox> {
+        let now = self.epoch.elapsed();
+        let mut links = self.links();
+        let link = links.get_mut(peer).and_then(Option::as_mut);
+        let out = link.map(|link| Link::step(link, event, now));
+        drop(links);
+        let mut stats = self.stats();
+        match &out {
+            Some(out) => *stats += out.stats,
+            None => stats.malformed_dropped += 1,
         }
+        out
     }
 }
 
 enum PumpCmd {
-    Data {
-        peer: usize,
-        chan: u8,
-        env_seq: u64,
-        arrive_ns: u64,
-        payload: Vec<u8>,
-    },
-    Ack {
-        peer: usize,
-        chan: u8,
-        seq: u64,
-    },
+    Send { peer: usize, event: Event },
     Stop,
 }
 
@@ -259,10 +246,10 @@ enum PumpCmd {
 pub struct UdpTransport {
     shared: Arc<Shared>,
     wiring: Option<RankWiring>,
-    pump_tx: Sender<PumpCmd>,
+    /// Taken by the shutdown, which runs once.
+    pump_tx: Option<Sender<PumpCmd>>,
     forwarders: Vec<std::thread::JoinHandle<()>>,
     io_threads: Vec<std::thread::JoinHandle<()>>,
-    done: bool,
 }
 
 impl UdpTransport {
@@ -290,20 +277,22 @@ impl UdpTransport {
         socket
             .set_read_timeout(Some(RECV_POLL))
             .map_err(|e| DsmError::Manifest(format!("cannot set socket timeout: {e}")))?;
+        let links = (0..nprocs)
+            .map(|peer| (peer != rank).then(|| Link::new(ctx.session, rank, policy)))
+            .collect();
         let shared = Arc::new(Shared {
             socket,
             peers: ctx.manifest.nodes.clone(),
             rank,
             nprocs,
-            session: ctx.session,
+            epoch: Instant::now(),
+            links: Mutex::new(links),
             stop: AtomicBool::new(false),
             stats: Mutex::new(TransportStats::default()),
-            inflight: Mutex::new(0),
-            drained: Condvar::new(),
         });
 
-        // Local inboxes: delivered-to by the receiver thread and by
-        // same-rank sends, consumed by this rank's daemon and worker.
+        // Local inboxes: delivered-to by the receiver and by same-rank sends,
+        // consumed by this rank's daemon and worker.
         let (daemon_inbox_tx, daemon_rx) = unbounded::<Envelope>();
         let (reply_local_tx, reply_rx) = unbounded::<ReplyEnvelope>();
 
@@ -326,31 +315,42 @@ impl UdpTransport {
             daemon_tx.push(etx);
             let ptx = pump_tx.clone();
             forwarders.push(std::thread::spawn(move || {
-                forward_envelopes(rank, peer, &erx, &ptx);
+                // The logical channel is recovered from the envelope
+                // source: the local worker (`src == rank`) sends requests,
+                // the local daemon (`src == nprocs + rank`) sends
+                // daemon-to-daemon control.
+                forward(peer, &erx, &ptx, |env: Envelope| {
+                    let chan = if env.src == rank {
+                        CHAN_REQ
+                    } else {
+                        CHAN_DAEMON
+                    };
+                    (chan, env.seq, env.arrive, to_frame(&env.msg))
+                });
             }));
             let (rtx, rrx) = bounded::<ReplyEnvelope>(QUEUE_CAP);
             reply_tx.push(rtx);
             let ptx = pump_tx.clone();
             forwarders.push(std::thread::spawn(move || {
-                forward_replies(peer, &rrx, &ptx);
+                forward(peer, &rrx, &ptx, |env: ReplyEnvelope| {
+                    (CHAN_REPLY, env.seq, env.arrive, to_frame(&env.reply))
+                });
             }));
         }
 
-        let mut io_threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            let faults = faults.clone();
-            io_threads.push(std::thread::spawn(move || {
-                Pump::new(shared, policy, faults).run(&pump_rx);
-            }));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            let ptx = pump_tx.clone();
-            io_threads.push(std::thread::spawn(move || {
-                recv_loop(&shared, &daemon_inbox_tx, &reply_local_tx, &ptx);
-            }));
-        }
+        let mut pump = Pump {
+            shared: Arc::clone(&shared),
+            faults: faults.clone(),
+            delayed: BinaryHeap::new(),
+            tie: 0,
+        };
+        let recv_shared = Arc::clone(&shared);
+        let io_threads = vec![
+            std::thread::spawn(move || pump.run(&pump_rx)),
+            std::thread::spawn(move || {
+                recv_loop(&recv_shared, &daemon_inbox_tx, &reply_local_tx);
+            }),
+        ];
 
         Ok(Self {
             shared,
@@ -360,10 +360,9 @@ impl UdpTransport {
                 daemon_rx,
                 reply_rx,
             }),
-            pump_tx,
+            pump_tx: Some(pump_tx),
             forwarders,
             io_threads,
-            done: false,
         })
     }
 
@@ -396,40 +395,20 @@ impl Transport for UdpTransport {
     }
 
     fn shutdown(&mut self) {
-        if self.done {
+        let Some(pump_tx) = self.pump_tx.take() else {
             return;
-        }
-        self.done = true;
+        };
         // 1. Forwarders exit when the protocol layer's senders are gone
         //    (the caller drops the wiring before shutting down) and all
         //    queued messages reached the pump.
         for handle in self.forwarders.drain(..) {
             let _ = handle.join();
         }
-        // 2. Wait for every outbound datagram to be acknowledged, with
-        //    a hard cap (a vanished peer must not wedge teardown).
-        let deadline = Instant::now() + DRAIN_CAP;
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *inflight > 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            inflight = self
-                .shared
-                .drained
-                .wait_timeout(inflight, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        drop(inflight);
-        // 3. Stop the pump; linger the receiver (it keeps re-acking peer
+        // 2. The pump waits for every outbound datagram to be acknowledged,
+        //    with a hard cap (a vanished peer must not wedge teardown), then
+        //    exits; the receiver lingers (it keeps re-acking peer
         //    retransmissions until the wire goes quiet).
-        self.shared.stop.store(true, Ordering::SeqCst);
-        let _ = self.pump_tx.send(PumpCmd::Stop);
+        let _ = pump_tx.send(PumpCmd::Stop);
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
@@ -442,255 +421,112 @@ impl Drop for UdpTransport {
     }
 }
 
-/// Drains one rank's outbound envelopes toward `peer`. The logical
-/// channel is recovered from the envelope source: the local worker
-/// (`src == rank`) sends requests, the local daemon (`src == nprocs +
-/// rank`) sends daemon-to-daemon control.
-fn forward_envelopes(rank: usize, peer: usize, rx: &Receiver<Envelope>, pump: &Sender<PumpCmd>) {
+/// Drains one rank's outbound envelopes or replies toward `peer`, each
+/// split by `frame` into `(chan, env_seq, arrive, payload)`.
+fn forward<T>(
+    peer: usize,
+    rx: &Receiver<T>,
+    pump: &Sender<PumpCmd>,
+    frame: impl Fn(T) -> (u8, u64, Duration, Vec<u8>),
+) {
     while let Ok(env) = rx.recv() {
-        let chan = if env.src == rank {
-            CHAN_REQ
-        } else {
-            CHAN_DAEMON
+        let (chan, env_seq, arrive, payload) = frame(env);
+        let arrive_ns = arrive.as_nanos() as u64;
+        let event = Event::Send {
+            chan,
+            env_seq,
+            arrive_ns,
+            payload,
         };
-        let payload = crate::codec::encode_msg(&env.msg);
-        if pump
-            .send(PumpCmd::Data {
-                peer,
-                chan,
-                env_seq: env.seq,
-                arrive_ns: env.arrive.as_nanos() as u64,
-                payload,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// Drains the local daemon's replies toward worker `peer`.
-fn forward_replies(peer: usize, rx: &Receiver<ReplyEnvelope>, pump: &Sender<PumpCmd>) {
-    while let Ok(env) = rx.recv() {
-        let payload = crate::codec::encode_reply(&env.reply);
-        if pump
-            .send(PumpCmd::Data {
-                peer,
-                chan: CHAN_REPLY,
-                env_seq: env.seq,
-                arrive_ns: env.arrive.as_nanos() as u64,
-                payload,
-            })
-            .is_err()
-        {
+        if pump.send(PumpCmd::Send { peer, event }).is_err() {
             return;
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Pump: sequencing, fragmentation, transmission, retransmission
+// Pump: the links against real time, the fault plan at the transmit site
 // ---------------------------------------------------------------------
 
-struct Pending {
-    bytes: Vec<u8>,
-    peer: usize,
-    chan: u8,
-    attempt: u32,
-    due: Instant,
-    first_sent: Instant,
-}
-
-/// A chaos-delayed (or duplicated) copy waiting to hit the wire.
-struct Delayed {
-    due: Instant,
-    tie: u64,
-    peer: usize,
-    bytes: Vec<u8>,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.tie) == (other.due, other.tie)
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.tie).cmp(&(other.due, other.tie))
-    }
-}
-
-/// Identifies one in-flight frame: (peer, channel, sequence number).
-type FrameKey = (usize, u8, u64);
+/// A chaos-delayed (or duplicated) copy waiting to hit the wire: `(due,
+/// tie, peer, bytes)`, the tie unique so the bytes are never compared.
+type Delayed = Reverse<(Duration, u64, usize, Vec<u8>)>;
 
 struct Pump {
     shared: Arc<Shared>,
-    policy: RetransmitPolicy,
     faults: FaultPlan,
-    next_seq: HashMap<(usize, u8), u64>,
-    unacked: HashMap<FrameKey, Pending>,
-    timers: BinaryHeap<Reverse<(Instant, FrameKey)>>,
-    delayed: BinaryHeap<Reverse<Delayed>>,
+    delayed: BinaryHeap<Delayed>,
     tie: u64,
 }
 
 impl Pump {
-    fn new(shared: Arc<Shared>, policy: RetransmitPolicy, faults: FaultPlan) -> Self {
-        Self {
-            shared,
-            policy,
-            faults,
-            next_seq: HashMap::new(),
-            unacked: HashMap::new(),
-            timers: BinaryHeap::new(),
-            delayed: BinaryHeap::new(),
-            tie: 0,
-        }
-    }
-
-    fn run(mut self, rx: &Receiver<PumpCmd>) {
+    fn run(&mut self, rx: &Receiver<PumpCmd>) {
+        // Set by `Stop`: draining until this time.
+        let mut drain_until = None;
         loop {
-            let now = Instant::now();
+            let now = self.shared.epoch.elapsed();
             self.fire_due(now);
-            let wait = self.next_deadline(now).unwrap_or(Duration::from_millis(50));
+            if drain_until.is_some_and(|end| now >= end || self.drained()) {
+                // Chaos-delayed copies further out are abandoned: their
+                // data was acked or the run is over.
+                break;
+            }
+            let wait = self
+                .next_deadline()
+                .map_or(Duration::from_millis(50), |due| {
+                    due.saturating_sub(now).max(Duration::from_micros(100))
+                });
             match rx.recv_timeout(wait) {
-                Ok(PumpCmd::Data {
-                    peer,
-                    chan,
-                    env_seq,
-                    arrive_ns,
-                    payload,
-                }) => self.send_new(peer, chan, env_seq, arrive_ns, payload),
-                Ok(PumpCmd::Ack { peer, chan, seq }) => self.on_ack(peer, chan, seq),
-                Ok(PumpCmd::Stop) | Err(RecvTimeoutError::Disconnected) => {
-                    // Flush chaos-delayed copies that are already due;
-                    // anything further out is abandoned (its data was
-                    // acked or the run is over).
-                    self.fire_due(Instant::now());
-                    return;
-                }
+                Ok(PumpCmd::Send { peer, event }) => self.step(peer, event),
+                Ok(PumpCmd::Stop) => drain_until = Some(now + DRAIN_CAP),
                 Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
+        self.shared.stop.store(true, Ordering::SeqCst);
     }
 
-    fn next_deadline(&self, now: Instant) -> Option<Duration> {
-        let timer = self.timers.peek().map(|Reverse((due, _))| *due);
-        let delayed = self.delayed.peek().map(|Reverse(d)| d.due);
-        let due = match (timer, delayed) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        Some(
-            due.saturating_duration_since(now)
-                .max(Duration::from_micros(100)),
-        )
+    fn drained(&self) -> bool {
+        let links = self.shared.links();
+        links.iter().flatten().all(|l| l.unacked() == 0)
     }
 
-    fn fire_due(&mut self, now: Instant) {
-        while let Some(Reverse(d)) = self.delayed.peek() {
-            if d.due > now {
-                break;
-            }
-            let Some(Reverse(d)) = self.delayed.pop() else {
-                break;
-            };
-            if self
-                .shared
-                .socket
-                .send_to(&d.bytes, self.shared.peers[d.peer])
-                .is_ok()
-            {
+    fn next_deadline(&self) -> Option<Duration> {
+        let links = self.shared.links();
+        let timers = links.iter().flatten().filter_map(Link::next_deadline);
+        let delayed = self.delayed.peek().map(|Reverse((due, ..))| *due);
+        timers.chain(delayed).min()
+    }
+
+    fn fire_due(&mut self, now: Duration) {
+        while let Some(top) = self.delayed.peek_mut().filter(|top| top.0 .0 <= now) {
+            let Reverse((_, _, peer, bytes)) = PeekMut::pop(top);
+            if self.shared.send_to(&bytes, peer) {
                 self.shared.stats().datagrams_sent += 1;
             }
         }
-        while let Some(Reverse((due, key))) = self.timers.peek().copied() {
-            if due > now {
-                break;
-            }
-            self.timers.pop();
-            let Some(pending) = self.unacked.get_mut(&key) else {
-                continue; // acked; stale timer entry
-            };
-            if pending.due != due {
-                continue; // superseded by a later retransmission timer
-            }
-            pending.attempt += 1;
-            let attempt = pending.attempt;
-            let rto = if attempt >= self.policy.max_attempts {
-                self.shared.stats().rto_escalations += 1;
-                self.policy.max_rto
-            } else {
-                self.policy.rto(attempt)
-            };
-            pending.due = now + rto;
-            let bytes = pending.bytes.clone();
-            let (peer, chan) = (pending.peer, pending.chan);
-            self.timers.push(Reverse((now + rto, key)));
-            self.shared.stats().retransmits += 1;
-            self.transmit(peer, chan, key.2, attempt, bytes);
+        let deadline = |l: &Option<Link>| l.as_ref().and_then(Link::next_deadline);
+        let due: Vec<usize> = (self.shared.links().iter().enumerate())
+            .filter(|(_, l)| deadline(l).is_some_and(|d| d <= now))
+            .map(|(peer, _)| peer)
+            .collect();
+        for peer in due {
+            self.step(peer, Event::Tick);
         }
     }
 
-    fn send_new(&mut self, peer: usize, chan: u8, env_seq: u64, arrive_ns: u64, payload: Vec<u8>) {
-        let frags: Vec<&[u8]> = if payload.is_empty() {
-            vec![&[]]
-        } else {
-            payload.chunks(MAX_FRAG_PAYLOAD).collect()
-        };
-        let frag_count = frags.len() as u32;
-        let now = Instant::now();
-        for (idx, frag) in frags.into_iter().enumerate() {
-            let counter = self.next_seq.entry((peer, chan)).or_insert(0);
-            let seq = *counter;
-            *counter += 1;
-            let bytes = to_frame(&Datagram::Data(DataFrame {
-                session: self.shared.session,
-                from: self.shared.rank,
-                chan,
-                seq,
-                frag_idx: idx as u32,
-                frag_count,
-                env_seq,
-                arrive_ns,
-                payload: frag.to_vec(),
-            }));
-            let rto = self.policy.rto(0);
-            self.unacked.insert(
-                (peer, chan, seq),
-                Pending {
-                    bytes: bytes.clone(),
-                    peer,
-                    chan,
-                    attempt: 0,
-                    due: now + rto,
-                    first_sent: now,
-                },
-            );
-            self.timers.push(Reverse((now + rto, (peer, chan, seq))));
-            {
-                let mut inflight = self
-                    .shared
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                *inflight += 1;
-            }
-            self.transmit(peer, chan, seq, 0, bytes);
+    /// Steps `peer`'s link on a send or a timer and transmits what it emits.
+    fn step(&mut self, peer: usize, event: Event) {
+        let out = self.shared.step_link(peer, event).unwrap_or_default();
+        let now = self.shared.epoch.elapsed();
+        for t in out.transmit {
+            self.transmit(peer, t, now);
         }
     }
 
     /// One transmission attempt, with the fault plan's verdict applied
     /// to the real datagram.
-    fn transmit(&mut self, peer: usize, chan: u8, seq: u64, attempt: u32, bytes: Vec<u8>) {
+    fn transmit(&mut self, peer: usize, t: Transmit, now: Duration) {
         let clean = TransmitFate::Deliver {
             extra_delay: Duration::ZERO,
             duplicates: 0,
@@ -699,34 +535,27 @@ impl Pump {
             // Map the link onto the same virtual ids the in-process price
             // sees, so one seeded plan produces comparable adversity on
             // both transports.
-            let nprocs = self.shared.nprocs;
-            let (from, to) = match chan {
-                CHAN_REQ => (self.shared.rank, nprocs + peer),
-                CHAN_REPLY => (nprocs + self.shared.rank, peer),
-                _ => (nprocs + self.shared.rank, nprocs + peer),
+            let (nprocs, rank) = (self.shared.nprocs, self.shared.rank);
+            let (from, to) = match t.chan {
+                CHAN_REQ => (rank, nprocs + peer),
+                CHAN_REPLY => (nprocs + rank, peer),
+                _ => (nprocs + rank, nprocs + peer),
             };
             fate(&LinkMsg {
                 from,
                 to,
-                chan,
-                seq,
-                attempt,
+                chan: t.chan,
+                seq: t.seq,
+                attempt: t.attempt,
             })
         });
+        let mut bytes = t.bytes;
         match fate {
-            TransmitFate::Drop => {
-                self.shared.stats().chaos_dropped += 1;
-            }
+            TransmitFate::Drop => self.shared.stats().chaos_dropped += 1,
             TransmitFate::Corrupt => {
-                let mut copy = bytes;
-                let mid = copy.len() / 2;
-                copy[mid] ^= 0xff;
-                if self
-                    .shared
-                    .socket
-                    .send_to(&copy, self.shared.peers[peer])
-                    .is_ok()
-                {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xff;
+                if self.shared.send_to(&bytes, peer) {
                     let mut stats = self.shared.stats();
                     stats.datagrams_sent += 1;
                     stats.chaos_corrupted += 1;
@@ -736,114 +565,51 @@ impl Pump {
                 extra_delay,
                 duplicates,
             } => {
-                if extra_delay.is_zero() {
-                    if self
-                        .shared
-                        .socket
-                        .send_to(&bytes, self.shared.peers[peer])
-                        .is_ok()
-                    {
-                        self.shared.stats().datagrams_sent += 1;
+                // The copy itself, then each duplicate 200 µs behind it.
+                for extra in 0..=u32::from(duplicates) {
+                    let due = now + extra_delay + Duration::from_micros(200) * extra;
+                    if due == now {
+                        if self.shared.send_to(&bytes, peer) {
+                            self.shared.stats().datagrams_sent += 1;
+                        }
+                        continue;
                     }
-                } else {
+                    self.shared.stats().chaos_duplicated += u64::from(extra > 0);
                     self.tie += 1;
-                    self.delayed.push(Reverse(Delayed {
-                        due: Instant::now() + extra_delay,
-                        tie: self.tie,
-                        peer,
-                        bytes: bytes.clone(),
-                    }));
-                }
-                for extra in 0..duplicates {
-                    self.tie += 1;
-                    self.shared.stats().chaos_duplicated += 1;
-                    self.delayed.push(Reverse(Delayed {
-                        due: Instant::now()
-                            + extra_delay
-                            + Duration::from_micros(200) * (extra as u32 + 1),
-                        tie: self.tie,
-                        peer,
-                        bytes: bytes.clone(),
-                    }));
+                    let copy = (due, self.tie, peer, bytes.clone());
+                    self.delayed.push(Reverse(copy));
                 }
             }
         }
     }
-
-    fn on_ack(&mut self, peer: usize, chan: u8, seq: u64) {
-        let Some(pending) = self.unacked.remove(&(peer, chan, seq)) else {
-            return; // duplicate ack
-        };
-        // Karn's rule: only un-retransmitted datagrams yield RTT samples
-        // (a retransmitted one's ack is ambiguous).
-        if pending.attempt == 0 {
-            let rtt = pending.first_sent.elapsed();
-            let mut stats = self.shared.stats();
-            stats.rtt_total += rtt;
-            stats.rtt_samples += 1;
-        }
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *inflight -= 1;
-        if *inflight == 0 {
-            self.shared.drained.notify_all();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Receiver: parse, ack, dedup, reorder, reassemble, deliver
+// Receiver: parse, step the sender's link, ack, deliver
 // ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct LinkRecv {
-    /// Next transport sequence number to deliver.
-    expected: u64,
-    /// Out-of-order datagrams parked until the gap fills.
-    stash: BTreeMap<u64, DataFrame>,
-    /// Reassembly buffer of the in-progress logical message.
-    partial: Vec<u8>,
-    /// Fragments accumulated so far.
-    partial_frags: u32,
-}
 
 fn recv_loop(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     daemon_inbox: &Sender<Envelope>,
     reply_local: &Sender<ReplyEnvelope>,
-    pump: &Sender<PumpCmd>,
 ) {
-    let mut links: HashMap<(usize, u8), LinkRecv> = HashMap::new();
     let mut buf = vec![0u8; 65536];
     let mut stop_seen: Option<Instant> = None;
     let mut last_activity = Instant::now();
     loop {
-        match shared.socket.recv_from(&mut buf) {
-            Ok((n, _src)) => {
-                last_activity = Instant::now();
-                // `n` is bounded by the buffer the kernel filled, but
-                // decode paths stay index-free: a too-large count drops
-                // the datagram instead of panicking.
-                let Some(datagram) = buf.get(..n) else {
-                    continue;
-                };
-                handle_datagram(
-                    shared,
-                    datagram,
-                    &mut links,
-                    daemon_inbox,
-                    reply_local,
-                    pump,
-                );
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                // Transient socket error (e.g. ICMP-induced); keep going.
+        // A socket error (a timeout, or a transient ICMP-induced one) is
+        // just another poll.
+        if let Ok((n, _src)) = shared.socket.recv_from(&mut buf) {
+            last_activity = Instant::now();
+            // `n` is bounded by the buffer the kernel filled, but decode
+            // paths stay index-free: a too-large count is malformed.
+            match buf.get(..n).map(from_frame::<Datagram>) {
+                Some(Ok(datagram)) => {
+                    shared.stats().datagrams_received += 1;
+                    handle_datagram(shared, datagram, daemon_inbox, reply_local);
+                }
+                Some(Err(DsmError::Checksum { .. })) => shared.stats().corrupt_dropped += 1,
+                _ => shared.stats().malformed_dropped += 1,
             }
         }
         if shared.stop.load(Ordering::SeqCst) {
@@ -857,147 +623,57 @@ fn recv_loop(
     }
 }
 
+/// Steps the sender's link on one datagram, sends the acks it asks for
+/// and delivers what it completed into the local inboxes.
 fn handle_datagram(
-    shared: &Arc<Shared>,
-    frame: &[u8],
-    links: &mut HashMap<(usize, u8), LinkRecv>,
+    shared: &Shared,
+    datagram: Datagram,
     daemon_inbox: &Sender<Envelope>,
     reply_local: &Sender<ReplyEnvelope>,
-    pump: &Sender<PumpCmd>,
 ) {
-    let parsed = match from_frame::<Datagram>(frame) {
-        Ok(p) => p,
-        Err(DsmError::Checksum { .. }) => {
-            shared.stats().corrupt_dropped += 1;
-            return;
-        }
-        Err(_) => {
-            shared.stats().malformed_dropped += 1;
-            return;
-        }
+    let peer = match &datagram {
+        Datagram::Data(d) => d.from,
+        Datagram::Ack(a) => a.from,
     };
-    shared.stats().datagrams_received += 1;
-    match parsed {
-        Datagram::Ack(ack) => {
-            if ack.session != shared.session {
-                shared.stats().stale_session_dropped += 1;
-                return;
-            }
-            let _ = pump.send(PumpCmd::Ack {
-                peer: ack.from,
-                chan: ack.chan,
-                seq: ack.seq,
-            });
-        }
-        Datagram::Data(data) => {
-            if data.session != shared.session {
-                // A retransmission from an earlier run on this manifest
-                // (or a datagram from a run we haven't joined yet).
-                // Dropped *unacknowledged*: if the sender is a live later
-                // run, it must keep retransmitting until we join it.
-                shared.stats().stale_session_dropped += 1;
-                return;
-            }
-            if data.from >= shared.nprocs
-                || data.from == shared.rank
-                || !matches!(data.chan, CHAN_REQ | CHAN_REPLY | CHAN_DAEMON)
-            {
-                shared.stats().malformed_dropped += 1;
-                return;
-            }
-            let link = links.entry((data.from, data.chan)).or_default();
-            if data.seq < link.expected {
-                // Duplicate of an already-delivered datagram: the ack
-                // was lost; re-ack so the sender's window drains.
-                shared.stats().dups_dropped += 1;
-                shared.send_ack(data.from, data.chan, data.seq);
-                return;
-            }
-            if data.seq > link.expected {
-                if link.stash.len() < REORDER_CAP {
-                    shared.send_ack(data.from, data.chan, data.seq);
-                    if link.stash.insert(data.seq, data).is_none() {
-                        shared.stats().reorder_stashed += 1;
-                    } else {
-                        shared.stats().dups_dropped += 1;
-                    }
-                } else {
-                    // Window full: shed without acking; the sender's
-                    // retransmission redelivers once the gap fills.
-                    shared.stats().reorder_overflow_dropped += 1;
-                }
-                return;
-            }
-            shared.send_ack(data.from, data.chan, data.seq);
-            accept_in_order(shared, link, data, daemon_inbox, reply_local);
-            // The gap may have closed: drain consecutive stashed seqs.
-            while let Some(next) = link.stash.remove(&link.expected) {
-                accept_in_order(shared, link, next, daemon_inbox, reply_local);
-            }
+    let event = Event::Datagram(datagram);
+    let out = shared.step_link(peer, event).unwrap_or_default();
+    for ack in out.acks {
+        if shared.send_to(&ack, peer) {
+            shared.stats().acks_sent += 1;
         }
     }
-}
-
-/// Consumes the next-in-order datagram of a link: advances the window,
-/// accumulates fragments, and on message completion decodes and
-/// delivers into the local inboxes.
-fn accept_in_order(
-    shared: &Arc<Shared>,
-    link: &mut LinkRecv,
-    data: DataFrame,
-    daemon_inbox: &Sender<Envelope>,
-    reply_local: &Sender<ReplyEnvelope>,
-) {
-    link.expected = data.seq + 1;
-    if data.frag_idx != link.partial_frags || link.partial.len() + data.payload.len() > MAX_MESSAGE
-    {
-        // A fragment stream that restarts or overflows is only possible
-        // with a buggy/malicious sender; typed drop, never a panic.
-        shared.stats().malformed_dropped += 1;
-        link.partial.clear();
-        link.partial_frags = 0;
-        if data.frag_idx != 0 {
-            return;
-        }
-    }
-    link.partial.extend_from_slice(&data.payload);
-    link.partial_frags += 1;
-    if link.partial_frags < data.frag_count {
-        return; // more fragments coming
-    }
-    let payload = std::mem::take(&mut link.partial);
-    link.partial_frags = 0;
-    let arrive = Duration::from_nanos(data.arrive_ns);
-    match data.chan {
-        CHAN_REPLY => match decode_reply(&payload) {
-            Ok(reply) => {
-                let _ = reply_local.send(ReplyEnvelope {
+    let n = shared.nprocs;
+    for (chan, seq, arrive_ns, payload) in out.deliver {
+        let arrive = Duration::from_nanos(arrive_ns);
+        let src = if chan == CHAN_REQ { peer } else { n + peer };
+        let delivered = match chan {
+            CHAN_REPLY => from_frame::<Reply>(&payload).ok().map(|reply| {
+                let env = ReplyEnvelope {
                     reply,
                     arrive,
-                    src: shared.nprocs + data.from,
-                    seq: data.env_seq,
-                });
-            }
-            Err(_) => shared.stats().malformed_dropped += 1,
-        },
-        _ => match decode_msg(&payload) {
-            // Harness-internal: a launcher ends its own daemon in-process;
-            // from the wire it could only be forged.
-            Ok(Msg::Shutdown) | Err(_) => shared.stats().malformed_dropped += 1,
-            Ok(msg) => {
-                let src = if data.chan == CHAN_REQ {
-                    data.from
-                } else {
-                    shared.nprocs + data.from
-                };
-                let _ = daemon_inbox.send(Envelope {
-                    msg,
-                    arrive,
                     src,
-                    seq: data.env_seq,
-                });
-            }
-        },
+                    seq,
+                };
+                let _ = reply_local.send(env);
+            }),
+            // A launcher ends its own daemon in-process; a `Shutdown` from
+            // the wire could only be forged.
+            _ => from_frame::<Msg>(&payload)
+                .ok()
+                .filter(|msg| !matches!(msg, Msg::Shutdown))
+                .map(|msg| {
+                    let env = Envelope {
+                        msg,
+                        arrive,
+                        src,
+                        seq,
+                    };
+                    let _ = daemon_inbox.send(env);
+                }),
+        };
+        if delivered.is_none() {
+            shared.stats().malformed_dropped += 1;
+        }
     }
 }
 

@@ -5,13 +5,15 @@
 //! socket being blasted mid-run.
 
 use genomedsm_dsm::codec::encode_msg;
-use genomedsm_dsm::msg::Msg;
+use genomedsm_dsm::msg::{Envelope, Msg};
 use genomedsm_dsm::transport::udp::{Datagram, TPT_ACK, TPT_DATA};
 use genomedsm_dsm::{
-    from_frame, ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FrameWriter, Node, CHAN_DAEMON,
+    from_frame, ClusterCtx, ClusterManifest, DsmConfig, DsmSystem, FaultPlan, FrameWriter, Node,
+    RetransmitPolicy, Transport, TransportStats, UdpTransport, CHAN_DAEMON, CHAN_REQ,
 };
 use proptest::prelude::*;
 use std::net::UdpSocket;
+use std::time::{Duration, Instant};
 
 /// A syntactically valid data datagram built by hand, field by field, so
 /// the tests check the transport against DESIGN.md §5.12's wire format
@@ -255,4 +257,68 @@ fn live_socket_survives_garbage_blast() {
         s0.corrupt_dropped > 0,
         "corrupted frame was not counted: {s0:?}"
     );
+}
+
+/// Polls `t`'s counters until `done` holds; panics after five seconds.
+fn await_stats(t: &UdpTransport, done: impl Fn(&TransportStats) -> bool) -> TransportStats {
+    let start = Instant::now();
+    loop {
+        let stats = t.stats();
+        if done(&stats) {
+            return stats;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "stuck at {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// An ack naming a rank out of range, this rank itself, or an unknown
+/// channel is malformed exactly as a data datagram with that header is:
+/// each one counts once in `malformed_dropped` and reaches no window, so
+/// the frame it names stays unacked and keeps being retransmitted.
+#[test]
+fn bad_header_acks_are_malformed_and_reach_no_window() {
+    const SESSION: u64 = 5;
+    // Rank 1 is this test's socket; rank 0 is a real transport.
+    let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+    let mut manifest = fresh_manifest(1);
+    manifest.nodes.push(peer.local_addr().expect("peer addr"));
+    let ctx = ClusterCtx::new(0, manifest, SESSION).expect("ctx");
+    let policy = RetransmitPolicy::default();
+    let mut t = UdpTransport::bind(&ctx, policy, &FaultPlan::quiet(0)).expect("bind rank 0");
+    let wiring = t.wiring(0);
+    let msg = Msg::Heartbeat { node: 0 };
+    let (arrive, src, seq) = (Duration::ZERO, 0, 0);
+    let env = Envelope {
+        msg,
+        arrive,
+        src,
+        seq,
+    };
+    wiring.daemon_tx[1].send(env).expect("send");
+    let mut buf = [0u8; 2048];
+    let (n, rank0) = peer.recv_from(&mut buf).expect("rank 0 transmits");
+    match from_frame::<Datagram>(&buf[..n]) {
+        Ok(Datagram::Data(d)) => assert_eq!((d.chan, d.seq), (CHAN_REQ, 0)),
+        other => panic!("expected data, got {other:?}"),
+    }
+    let bad = [(9, CHAN_REQ), (0, CHAN_REQ), (1, 7)];
+    for (from, chan) in bad {
+        let ack = valid_ack_frame(SESSION, from, chan, 0);
+        peer.send_to(&ack, rank0).expect("send ack");
+    }
+    let stats = await_stats(&t, |s| s.malformed_dropped >= 3);
+    let retransmits = stats.retransmits;
+    await_stats(&t, |s| s.retransmits > retransmits);
+    // The real ack drains the window, so the shutdown does not wait.
+    let ack = valid_ack_frame(SESSION, 1, CHAN_REQ, 0);
+    peer.send_to(&ack, rank0).expect("send the real ack");
+    await_stats(&t, |s| s.datagrams_received == 4);
+    drop(wiring);
+    t.shutdown();
+    let stats = t.stats();
+    assert_eq!(stats.malformed_dropped, 3, "{stats:?}");
 }

@@ -3,16 +3,18 @@
 //! The vendored [`shuttle`] schedule-exploring checker runs two kinds of
 //! subject:
 //!
-//! * [`daemon`] — the shipped `genomedsm-dsm` daemon, stepped by scripted
-//!   workers over checker-scheduled links: lock handoff with write
-//!   notices, the counting cv, the lease break on a fail-stop, and the
-//!   barrier manager's rejoin admission in a two-workload campaign, plus
-//!   five perturbations of the harness that must be caught;
+//! * shipped code, stepped by scripted peers over checker-scheduled
+//!   links: [`daemon`] runs the `genomedsm-dsm` daemon (lock handoff with
+//!   write notices, the counting cv, the lease break on a fail-stop, and
+//!   the barrier manager's rejoin admission in a two-workload campaign),
+//!   and [`link`] runs two of the UDP transport's `Link`s (ack,
+//!   retransmit, reorder, dedup and fragmentation under loss, and session
+//!   turnover); both with perturbations of the harness that must be
+//!   caught;
 //! * [`models`] — state machines of protocols that live elsewhere:
 //!   [`models::merge`] (the batch scheduler's windowed in-order merge),
-//!   [`models::inversion`] (the page-lock / lease-table lock order),
-//!   [`models::retransmit`] (the UDP transport's retransmit/dedup window)
-//!   and [`models::admission`] (the serve admission gate), each with the
+//!   [`models::inversion`] (the page-lock / lease-table lock order) and
+//!   [`models::admission`] (the serve admission gate), each with the
 //!   rejected variants that must fail.
 //!
 //! [`run_suite`] drives every healthy subject through thousands of
@@ -24,20 +26,19 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
+pub mod link;
 
 pub mod models {
     //! Models of the protocols the checker cannot run for real.
     pub mod admission;
     pub mod inversion;
     pub mod merge;
-    pub mod retransmit;
 }
 
 use daemon::{DaemonSpec, Workload};
-use models::{
-    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel,
-    retransmit::RetransmitModel,
-};
+use link::Workload::{Exchange, Turnover};
+use link::{Budget, LinkSpec};
+use models::{admission::AdmissionModel, inversion::InversionModel, merge::MergeModel};
 use shuttle::{Config, Failure, Report, Spec};
 
 /// One suite row: a model/strategy pair and its exploration report.
@@ -118,12 +119,14 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         workers,
         bug_drop_on_reject: false,
     };
-    let retransmit = |msgs, dup_budget, swap_budget| RetransmitModel {
-        msgs,
-        window: 2,
-        dup_budget,
-        swap_budget,
-        bug_evict_before_ack: false,
+    let link = |traffic, fires, drops, dups, swaps| {
+        let budget = Budget {
+            fires,
+            drops,
+            dups,
+            swaps,
+        };
+        LinkSpec(traffic, budget, None)
     };
     let consistent = InversionModel {
         inverted: false,
@@ -153,11 +156,20 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         exhaustive("admission/2c2r cap1 exhaustive", admission(2, 1, 1), 50_000),
         random("admission/3c2r cap2 2w random", admission(3, 2, 2), 6_000),
         exhaustive(
-            "retransmit/2m w2 d1 s1 exhaustive",
-            retransmit(2, 1, 1),
-            200_000,
+            "link/exchange d1s1 exhaustive",
+            link(Exchange, 0, 1, 0, 1),
+            50_000,
         ),
-        random("retransmit/3m w2 d2 s2 random", retransmit(3, 2, 2), 6_000),
+        exhaustive(
+            "link/turnover d1 exhaustive",
+            link(Turnover, 0, 1, 0, 0),
+            50_000,
+        ),
+        random(
+            "link/exchange f2d2u1s1 random",
+            link(Exchange, 2, 2, 1, 1),
+            6_000,
+        ),
         exhaustive("inversion/consistent exhaustive", consistent, 50_000),
     ]
 }

@@ -5,12 +5,10 @@
 //! fewer than 10 000 distinct schedules, or a seeded bug is not found and
 //! deterministically replayed from its printed seed.
 
-use genomedsm_verify::daemon::SEEDED;
 use genomedsm_verify::models::{
     admission::AdmissionModel, inversion::InversionModel, merge::MergeModel,
-    retransmit::RetransmitModel,
 };
-use genomedsm_verify::{found_and_replayed, run_suite};
+use genomedsm_verify::{daemon, found_and_replayed, link, run_suite};
 use shuttle::Config;
 
 fn main() {
@@ -53,16 +51,9 @@ fn main() {
         bug_drop_on_reject: true,
     };
     failed |= found_and_replayed("admission/drop-on-reject", &spec, "request lost").is_none();
-    let spec = RetransmitModel {
-        msgs: 2,
-        window: 2,
-        dup_budget: 1,
-        swap_budget: 1,
-        bug_evict_before_ack: true,
-    };
-    failed |=
-        found_and_replayed("retransmit/evict-before-ack", &spec, "executed 2 times").is_none();
-    for (name, spec, symptom) in SEEDED {
+    let (name, spec, symptom) = link::SEEDED;
+    failed |= found_and_replayed(name, &spec, symptom).is_none();
+    for (name, spec, symptom) in daemon::SEEDED {
         failed |= found_and_replayed(name, &spec, symptom).is_none();
     }
 

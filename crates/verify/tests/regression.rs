@@ -3,9 +3,9 @@
 
 use genomedsm_verify::daemon::{DaemonSpec, SEEDED};
 use genomedsm_verify::found_and_replayed;
+use genomedsm_verify::link::{self, LinkSpec};
 use genomedsm_verify::models::inversion::InversionModel;
 use genomedsm_verify::models::merge::MergeModel;
-use genomedsm_verify::models::retransmit::RetransmitModel;
 use shuttle::Config;
 
 /// The page-lock / lease-table AB-BA inversion: random exploration finds
@@ -53,26 +53,18 @@ fn permit_counting_merge_gate_deadlocks_but_window_gate_does_not() {
     correct.assert_ok();
 }
 
-/// Evicting the cached reply before the sender's ack double-executes a
-/// retransmitted request; the evict-on-ack lifetime on the same
-/// adversarial workload stays exactly-once. The failure replays from
-/// its recorded seed.
+/// A window that evicts a frame on a forged ack, before the real one,
+/// never retransmits a lost copy: the message is never delivered. The
+/// failure replays from its seed, and the same workload with the real
+/// acks alone is clean.
 #[test]
-fn evict_before_ack_double_executes_and_replays_from_seed() {
-    let spec = RetransmitModel {
-        msgs: 2,
-        window: 2,
-        dup_budget: 1,
-        swap_budget: 1,
-        bug_evict_before_ack: true,
-    };
-    found_and_replayed("retransmit/evict-before-ack", &spec, "executed 2 times")
-        .expect("early eviction must double-execute and replay from its seed");
-    let healthy = RetransmitModel {
-        bug_evict_before_ack: false,
-        ..spec
-    };
-    shuttle::check_random(&healthy, &Config::default()).assert_ok();
+fn evict_before_ack_loses_a_message_and_replays_from_seed() {
+    let (name, broken, symptom) = link::SEEDED;
+    found_and_replayed(name, &broken, symptom)
+        .expect("early eviction must lose a message and replay from its seed");
+    let LinkSpec(workload, budget, _) = broken;
+    let healthy = LinkSpec(workload, budget, None);
+    shuttle::check_exhaustive(&healthy, &Config::default()).assert_ok();
 }
 
 /// Seeded regression `i` of the real daemon is caught with its own
