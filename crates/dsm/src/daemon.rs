@@ -9,11 +9,14 @@
 //!
 //! ## A step function
 //!
-//! A [`Daemon`] holds no channel. [`Daemon::step`] serves one request and
-//! appends everything it sends — control messages to other daemons and
-//! replies to workers — to an [`Outbox`], in send order. [`Daemon::run`]
-//! is the thread body around it: receive, step, flush. The model checker
-//! in `genomedsm-verify` drives the same `step` from scripted workers over
+//! A [`Daemon`] holds no channel and takes no lock. [`Daemon::step`]
+//! serves one request and appends everything it sends — control messages
+//! to other daemons and replies to workers — to an [`Outbox`], in send
+//! order. It has two callers in a run. [`Daemon::run`] is the thread body
+//! that serves peers: receive, lock, step, flush. An in-process worker
+//! steps its own daemon inline for every message addressed to it, under
+//! the same lock (see [`crate::node`]). The model checker in
+//! `genomedsm-verify` drives the same `step` from scripted workers over
 //! its own links, so the code it checks is the code that ships.
 //!
 //! `step` refuses, and counts in [`NodeStats::malformed_dropped`], a
@@ -183,7 +186,7 @@ pub struct Daemon {
     /// Next request id per outbound daemon link.
     daemon_seq: Vec<u64>,
     /// What this daemon adds to its machine's [`NodeStats`], returned by
-    /// [`Daemon::run`].
+    /// [`Daemon::run`] (inline steps count here too).
     stats: NodeStats,
     /// Supervision layer configuration (failure detection + recovery).
     supervision: SupervisionConfig,
@@ -269,13 +272,18 @@ impl Daemon {
     }
 
     /// Runs the service loop until the launcher's `Shutdown`, returning
-    /// the daemon's counters: receive a request from `inbox`,
-    /// [`step`](Daemon::step) it, and flush the outbox into `daemon_tx`
-    /// (daemon inboxes) and `reply_tx` (worker reply channels).
+    /// the daemon's counters: receive a request from `inbox`, lock the
+    /// daemon, [`step`](Daemon::step) it, and flush the outbox into
+    /// `daemon_tx` (daemon inboxes) and `reply_tx` (worker reply channels)
+    /// before unlocking. The daemon is shared because an in-process worker
+    /// steps its own daemon inline (see [`crate::node`]); flushing under
+    /// the lock keeps every daemon link in the order `step` numbered it.
+    /// A poisoned lock means the worker panicked inside a step, and the
+    /// daemon panics too rather than serve from half-updated state.
     /// `Shutdown` is harness-internal: it ends the loop only when it comes
     /// from [`SYSTEM_SRC`], which no peer can claim to be.
     pub fn run(
-        mut self,
+        daemon: std::sync::Arc<std::sync::Mutex<Self>>,
         inbox: crossbeam::channel::Receiver<Envelope>,
         reply_tx: Vec<crossbeam::channel::Sender<ReplyEnvelope>>,
         daemon_tx: Vec<crossbeam::channel::Sender<Envelope>>,
@@ -285,21 +293,16 @@ impl Daemon {
             if env.src == SYSTEM_SRC && matches!(env.msg, Msg::Shutdown) {
                 break;
             }
-            self.step(env, &mut out);
-            // A closed channel means its owner panicked; the daemon keeps
-            // servicing the others so the run can tear down cleanly.
-            for send in out.drain(..) {
-                match send {
-                    Outgoing::Daemon(to, env) => {
-                        let _ = daemon_tx[to].send(env);
-                    }
-                    Outgoing::Reply(to, env) => {
-                        let _ = reply_tx[to].send(env);
-                    }
-                }
-            }
+            let Ok(mut this) = daemon.lock() else {
+                panic!("a daemon's worker panicked inside an inline step");
+            };
+            this.step(env, &mut out);
+            crate::transport::flush(&mut out, &daemon_tx, &reply_tx);
         }
-        self.stats
+        let Ok(mut this) = daemon.lock() else {
+            panic!("a daemon's worker panicked inside an inline step");
+        };
+        std::mem::take(&mut this.stats)
     }
 
     /// Serves one request: the exactly-once watermark, the body checks
@@ -308,7 +311,7 @@ impl Daemon {
     /// the handler. Everything the request makes this daemon send is
     /// appended to `out` in send order.
     pub fn step(&mut self, env: Envelope, out: &mut Outbox) {
-        if !self.accept(&env) {
+        if !self.in_order(&env) {
             return;
         }
         if !self.well_formed(&env) {
@@ -365,7 +368,7 @@ impl Daemon {
     /// order per link): a request id below the source's watermark is
     /// counted and dropped, never answered; a gap trips the debug
     /// assertion. Returns true when the message must be dispatched.
-    fn accept(&mut self, env: &Envelope) -> bool {
+    fn in_order(&mut self, env: &Envelope) -> bool {
         let next = self.req_next.entry(env.src).or_insert(0);
         if env.seq >= *next {
             debug_assert_eq!(env.seq, *next, "per-link sends are in order");

@@ -25,8 +25,23 @@
 //!
 //! Real kernels still run and produce real results; only *time* is
 //! modeled.
+//!
+//! ## The own daemon
+//!
+//! A node's daemon serves the pages, locks and cvs it is home for. On the
+//! in-process fabric the worker steps its own daemon inline for every
+//! message addressed to itself, blocking or not, under the mutex it
+//! shares with the daemon's thread ([`crate::daemon::Daemon::run`]), and
+//! flushes the daemon's outbox before unlocking; a reply to itself is
+//! then in its reply channel before it waits. Only messages to peers
+//! cross a channel to another thread. The envelope is built exactly as
+//! for a peer — same request id, same modeled cost, unpriced on the
+//! loopback link — so the inline path moves no virtual time. On the
+//! socket transport the worker has no handle and sends to its own inbox
+//! like any other.
 
 use crate::config::{DsmConfig, SupervisionConfig};
+use crate::daemon::{Daemon, Outbox};
 use crate::error::DsmError;
 use crate::faults::FaultPlan;
 use crate::lock_order::LockOrderGraph;
@@ -35,10 +50,11 @@ use crate::net::{self, NetworkModel, RetransmitPolicy, CHAN_REQ};
 use crate::page::CachedPage;
 use crate::stats::NodeStats;
 use crate::transport::clock::Clock;
+use crate::transport::flush;
 use crate::vec::{DsmData, GlobalAddr, GlobalVec};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How pages of an allocation are assigned to home nodes.
@@ -59,6 +75,48 @@ enum Bucket {
     Barrier,
 }
 
+/// A worker's ends of the fabric.
+pub(crate) struct NodeWiring {
+    /// Every daemon's inbox.
+    pub(crate) daemon_tx: Vec<Sender<Envelope>>,
+    /// This worker's reply channel.
+    pub(crate) reply_rx: Receiver<ReplyEnvelope>,
+    /// This rank's daemon, which the worker steps inline; `None` on the
+    /// socket transport, where a message to it crosses the inbox.
+    pub(crate) own: Option<OwnDaemon>,
+}
+
+/// A worker's handle on its own daemon, shared with the daemon's thread.
+pub(crate) struct OwnDaemon {
+    daemon: Arc<Mutex<Daemon>>,
+    /// Every worker's reply channel, for what a step answers.
+    reply_tx: Vec<Sender<ReplyEnvelope>>,
+    /// What a step sent, emptied by every flush.
+    out: Outbox,
+}
+
+impl OwnDaemon {
+    pub(crate) fn new(daemon: Arc<Mutex<Daemon>>, reply_tx: Vec<Sender<ReplyEnvelope>>) -> Self {
+        let out = Outbox::new();
+        Self {
+            daemon,
+            reply_tx,
+            out,
+        }
+    }
+
+    /// Steps the daemon on `env` and flushes what it sent, both under its
+    /// lock, exactly as its thread does: `step` numbers daemon-to-daemon
+    /// envelopes, and a flush after unlocking could overtake the thread's.
+    fn step(&mut self, env: Envelope, daemon_tx: &[Sender<Envelope>]) {
+        let Ok(mut daemon) = self.daemon.lock() else {
+            panic!("daemon {} panicked inside a step", env.src);
+        };
+        daemon.step(env, &mut self.out);
+        flush(&mut self.out, daemon_tx, &self.reply_tx);
+    }
+}
+
 /// One cluster node as seen by the application closure.
 pub struct Node {
     id: usize,
@@ -69,6 +127,8 @@ pub struct Node {
     network: NetworkModel,
     daemon_tx: Vec<Sender<Envelope>>,
     reply_rx: Receiver<ReplyEnvelope>,
+    /// This rank's daemon, stepped inline for every message to it.
+    own: Option<OwnDaemon>,
     cache: HashMap<u64, CachedPage>,
     cache_order: VecDeque<u64>,
     modified: HashSet<u64>,
@@ -139,11 +199,15 @@ impl Node {
         id: usize,
         config: &DsmConfig,
         measured: bool,
-        daemon_tx: Vec<Sender<Envelope>>,
-        reply_rx: Receiver<ReplyEnvelope>,
+        wiring: NodeWiring,
         lock_order: Option<Arc<LockOrderGraph>>,
         clock: Clock,
     ) -> Self {
+        let NodeWiring {
+            daemon_tx,
+            reply_rx,
+            own,
+        } = wiring;
         Self {
             id,
             nprocs: config.nprocs,
@@ -153,6 +217,7 @@ impl Node {
             network: config.network,
             daemon_tx,
             reply_rx,
+            own,
             cache: HashMap::new(),
             cache_order: VecDeque::new(),
             modified: HashSet::new(),
@@ -291,7 +356,9 @@ impl Node {
     // ------------------------------------------------------------------
 
     /// Sends a request to daemon `to` over the exactly-once fabric:
-    /// number it, price it, push one envelope. A fault plan costs an
+    /// number it, price it, push one envelope — into this node's own
+    /// daemon by an inline step when `to` is this node and it holds the
+    /// handle, into `to`'s inbox otherwise. A fault plan costs an
     /// in-process run only time ([`net::loss_price`]): the one copy
     /// pushed is stamped with the first delivered copy's arrival, a
     /// blocking request (`bucket` set) sits out the stall on this node's
@@ -329,7 +396,9 @@ impl Node {
             src: self.id,
             seq,
         };
-        if self.daemon_tx[to].send(envelope).is_err() {
+        if let Some(own) = self.own.as_mut().filter(|_| to == self.id) {
+            own.step(envelope, &self.daemon_tx);
+        } else if self.daemon_tx[to].send(envelope).is_err() {
             // Daemons outlive every worker in DsmSystem::run; a closed
             // inbox means the daemon thread itself panicked.
             panic!("daemon {to} closed its inbox mid-run");

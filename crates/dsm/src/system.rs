@@ -3,11 +3,14 @@
 //! [`DsmSystem::run`] plays the role of JIAJIA's launcher: it starts one
 //! daemon thread and one worker thread per node, runs the SPMD closure on
 //! every worker, joins everything, and returns each node's result plus its
-//! statistics. [`DsmSystem::run_wire`] is the transport-generic variant:
-//! with [`DsmConfig::cluster`] set it runs this process as ONE rank of a
-//! multi-process cluster over the UDP socket transport and all-gathers
-//! every rank's result through the DSM itself, so callers get the same
-//! full [`DsmRun`] either way.
+//! statistics. Each node's [`Daemon`] is built once and shared, behind a
+//! mutex, by its thread (which serves the peers) and its own worker (which
+//! steps it inline for every message addressed to itself, so a home-local
+//! request costs no thread hop). [`DsmSystem::run_wire`] is the
+//! transport-generic variant: with [`DsmConfig::cluster`] set it runs this
+//! process as ONE rank of a multi-process cluster over the UDP socket
+//! transport and all-gathers every rank's result through the DSM itself,
+//! so callers get the same full [`DsmRun`] either way.
 
 use crate::codec::{from_frame, to_frame, Wire};
 use crate::config::DsmConfig;
@@ -15,13 +18,13 @@ use crate::daemon::Daemon;
 use crate::error::DsmError;
 use crate::lock_order::{LockOrderEdge, LockOrderGraph, LockOrderViolation, LOCK_ORDER_ENABLED};
 use crate::msg::{Envelope, Msg, SYSTEM_SRC};
-use crate::node::Node;
+use crate::node::{Node, NodeWiring, OwnDaemon};
 use crate::stats::NodeStats;
 use crate::transport::clock::Clock;
 use crate::transport::manifest::ClusterCtx;
 use crate::transport::udp::UdpTransport;
 use crate::transport::{ChannelTransport, RankWiring, Transport};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// First field of a rank's result-gather frame, `(GATHER_TAG, R, NodeStats)`.
 const GATHER_TAG: u8 = 0x47;
@@ -160,9 +163,11 @@ impl DsmSystem {
 /// thread executing `work`; joins the workers, ends the daemons with the
 /// launcher's `Shutdown`, and shuts the transport down. `measured` says
 /// what the launcher built: a real network (waits are charged as measured
-/// wall time, sends are not priced) or the in-process fabric (virtual
-/// time). In the returned run `results` holds each rank's `work` output
-/// and `stats` each rank's daemon counters.
+/// wall time, sends are not priced, and the worker reaches its own daemon
+/// through the inbox like any other) or the in-process fabric (virtual
+/// time, and the worker steps its own daemon inline). In the returned run
+/// `results` holds each rank's `work` output and `stats` each rank's
+/// daemon counters.
 ///
 /// # Panics
 /// Propagates the first worker panic after tearing down the daemons.
@@ -197,13 +202,19 @@ where
             // A direct sender to the daemon's inbox for teardown.
             let shutdown_tx = daemon_tx[rank].clone();
             let to_daemons = daemon_tx.clone();
-            let daemon = Daemon::new(rank, config, measured);
-            let daemon = scope.spawn(move || daemon.run(daemon_rx, reply_tx, to_daemons));
+            let daemon = Arc::new(Mutex::new(Daemon::new(rank, config, measured)));
+            // The worker steps its own daemon inline; over a real network
+            // its own messages keep crossing the inbox (DESIGN.md §5.12).
+            let own = (!measured).then(|| OwnDaemon::new(daemon.clone(), reply_tx.clone()));
+            let daemon = scope.spawn(move || Daemon::run(daemon, daemon_rx, reply_tx, to_daemons));
             let (work, lock_order, clock) = (&work, lock_order.clone(), clock.clone());
             let worker = scope.spawn(move || {
-                let mut node = Node::new(
-                    rank, config, measured, daemon_tx, reply_rx, lock_order, clock,
-                );
+                let wiring = NodeWiring {
+                    daemon_tx,
+                    reply_rx,
+                    own,
+                };
+                let mut node = Node::new(rank, config, measured, wiring, lock_order, clock);
                 work(&mut node)
             });
             spawned.push((worker, shutdown_tx, daemon));

@@ -29,6 +29,7 @@ pub mod link;
 pub mod manifest;
 pub mod udp;
 
+use crate::daemon::{Outbox, Outgoing};
 use crate::msg::{Envelope, ReplyEnvelope};
 use crate::stats::NodeStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -51,6 +52,29 @@ pub struct RankWiring {
     pub daemon_rx: Receiver<Envelope>,
     /// This rank's worker reply channel.
     pub reply_rx: Receiver<ReplyEnvelope>,
+}
+
+/// Sends a daemon's outbox front to back over a rank's channel endpoints:
+/// control messages into `daemon_tx[to]`, replies into `reply_tx[to]`.
+/// Both callers of [`Daemon::step`](crate::daemon::Daemon::step) flush
+/// through here while still holding the daemon: its thread, and its own
+/// worker stepping it inline. A closed channel means its owner panicked;
+/// the rest are still served, so the run can tear down cleanly.
+pub(crate) fn flush(
+    out: &mut Outbox,
+    daemon_tx: &[Sender<Envelope>],
+    reply_tx: &[Sender<ReplyEnvelope>],
+) {
+    for send in out.drain(..) {
+        match send {
+            Outgoing::Daemon(to, env) => {
+                let _ = daemon_tx[to].send(env);
+            }
+            Outgoing::Reply(to, env) => {
+                let _ = reply_tx[to].send(env);
+            }
+        }
+    }
 }
 
 /// Counters of one rank's transport (all zero for channel transports).

@@ -254,6 +254,18 @@ fn opt_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     }
 }
 
+/// `--min-score N`: the least score a reported alignment or threshold hit
+/// has. At least 1, or exit 2 — every cell of a local alignment scores 0
+/// or more, so a bound of 0 would report the whole matrix.
+fn opt_min_score(args: &[String]) -> i32 {
+    let n: i32 = opt_num(args, "--min-score", 50);
+    if n < 1 {
+        eprintln!("--min-score {n}: must be at least 1");
+        exit(2);
+    }
+    n
+}
+
 /// A `--flag N` count of nodes or grid cuts: at least 1, or exit 2.
 fn opt_count(args: &[String], name: &str, default: usize) -> usize {
     let n = opt_num(args, name, default);
@@ -399,7 +411,7 @@ fn run_strategy(
     let params = HeuristicParams {
         open_threshold: opt_num(args, "--open", 15),
         close_threshold: opt_num(args, "--close", 15),
-        min_score: opt_num(args, "--min-score", 50),
+        min_score: opt_min_score(args),
     };
     if !params.thresholds_valid() {
         eprintln!(
@@ -453,6 +465,7 @@ fn align(args: &[String]) {
         dsm.faults(plan.clone())
     };
     let tolerate = fortify(DsmConfig::new(procs)).supervision.enabled;
+    let show: usize = opt_num(args, "--alignments", 3);
 
     eprintln!(
         "aligning {} bp x {} bp with strategy '{strategy}' on {procs} simulated nodes...",
@@ -506,7 +519,6 @@ fn align(args: &[String]) {
         println!("dot plot written to {svg_path}");
     }
 
-    let show: usize = opt_num(args, "--alignments", 3);
     if show > 0 && !regions.is_empty() {
         let p2_config = fortify(DsmConfig::new(procs).network(NetworkModel::paper_cluster()));
         let scoring = Scoring::paper();
@@ -1038,7 +1050,7 @@ fn launch(args: &[String]) {
 
 fn exact(args: &[String]) {
     let (s, t) = load_pair(args);
-    let min_score: i32 = opt_num(args, "--min-score", 50);
+    let min_score = opt_min_score(args);
     let threads: usize = opt_num(args, "--threads", 4);
     eprintln!(
         "exact Section-6 recovery over {} bp x {} bp (min score {min_score})...",

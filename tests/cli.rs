@@ -220,10 +220,11 @@ fn a_gap_penalty_that_is_not_negative_or_too_large_is_refused() {
 #[test]
 fn a_threshold_or_count_below_one_is_refused_by_name() {
     // Each of these used to reach an assert in `RowKernel::new`,
-    // `BlockedConfig::new` or `DsmConfig::new` and panic (exit 101).
+    // `BlockedConfig::new`, `DsmConfig::new` or `sw_ends_over` and panic
+    // (exit 101), or ran phase 1 and printed its regions first.
     let dir = temp_dir("bad_counts");
     let fa = small_pair(&dir);
-    let cases: [(&str, &[&str]); 7] = [
+    let cases: [(&str, &[&str]); 11] = [
         ("align", &["--open", "0"]),
         ("align", &["--open", "-3"]),
         ("align", &["--close", "0"]),
@@ -231,6 +232,10 @@ fn a_threshold_or_count_below_one_is_refused_by_name() {
         ("align", &["--blocks", "0"]),
         ("align", &["--procs", "0"]),
         ("chaos", &["--strategy", "blocked", "--bands", "0"]),
+        ("align", &["--min-score", "0"]),
+        ("exact", &["--min-score", "0"]),
+        ("align", &["--alignments", "x"]),
+        ("align", &["--alignments", "-1"]),
     ];
     for (command, flags) in cases {
         let out = bin()
