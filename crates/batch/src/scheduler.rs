@@ -19,9 +19,16 @@
 //!   actually waits for. Windowing cannot: the job the merger waits for
 //!   has index `merged`, which is *always* inside the window.)
 //! * **In-order merge.** Workers send `(index, result)` over a channel;
-//!   the caller's thread buffers out-of-order arrivals and fires the
-//!   callback at the exact cursor, then publishes the new `merged` count
-//!   to wake window-blocked workers.
+//!   the caller's thread feeds a [`MergeCursor`], which buffers
+//!   out-of-order arrivals and fires the callback at the exact cursor,
+//!   then publishes the new `merged` count to wake window-blocked workers.
+//!
+//! The decisions name no lock: [`pop_or_steal`] over the deques, the
+//! [`in_window`] gate and the [`MergeCursor`] are what `genomedsm-verify`
+//! steps under every interleaving of workers and the merger; `run_jobs`
+//! only adds the threads, the channel and the condvar. A panic in a job
+//! or in the merge callback abandons the run, so `run_jobs` panics
+//! rather than leaving window-blocked workers waiting.
 //!
 //! Liveness argument: let `e` be the lowest unmerged index. `e` is inside
 //! the window by construction. If `e` is running, its worker finishes and
@@ -34,7 +41,7 @@
 //! after `e`'s predecessors merge, `e = merged` unblocks whoever holds it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 
 /// How work is spread and how far execution may run ahead of the merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,17 +71,56 @@ impl SchedulerConfig {
     }
 }
 
-/// The merge cursor workers gate on, advanced only by the merger.
-struct MergeFront {
-    merged: Mutex<usize>,
-    advanced: Condvar,
+/// The window gate: a worker may start job `idx` only while it is fewer
+/// than `window` jobs past `merged`, the merge count last published to it.
+pub fn in_window(idx: usize, merged: usize, window: usize) -> bool {
+    idx < merged + window
+}
+
+/// The in-order merge cursor, with no lock in it: buffers out-of-order
+/// results and releases the run at the cursor. [`run_jobs`] keeps one on
+/// the merging thread and publishes [`merged`](Self::merged) to the
+/// workers' [`in_window`] gate; the `genomedsm-verify` checker steps one
+/// directly.
+pub struct MergeCursor<R> {
+    merged: usize,
+    pending: BTreeMap<usize, R>,
+}
+
+impl<R> Default for MergeCursor<R> {
+    fn default() -> Self {
+        Self {
+            merged: 0,
+            pending: BTreeMap::new(),
+        }
+    }
+}
+
+impl<R> MergeCursor<R> {
+    /// Results handed to the merge callback so far.
+    pub fn merged(&self) -> usize {
+        self.merged
+    }
+
+    /// Buffers `result` of job `idx`, then hands `merge` every buffered
+    /// result at the cursor, advancing past each. Returns whether the
+    /// cursor moved.
+    pub fn accept(&mut self, idx: usize, result: R, mut merge: impl FnMut(usize, R)) -> bool {
+        self.pending.insert(idx, result);
+        let start = self.merged;
+        while let Some(result) = self.pending.remove(&self.merged) {
+            merge(self.merged, result);
+            self.merged += 1;
+        }
+        self.merged != start
+    }
 }
 
 /// Pops the worker's own front, else steals the lowest-indexed front.
-fn pop_or_steal<J>(deques: &[Mutex<VecDeque<(usize, J)>>], me: usize) -> Option<(usize, J)> {
+pub fn pop_or_steal<J>(deques: &[Mutex<VecDeque<(usize, J)>>], me: usize) -> Option<(usize, J)> {
     if let Some(job) = deques[me]
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .pop_front()
     {
         return Some(job);
@@ -87,11 +133,7 @@ fn pop_or_steal<J>(deques: &[Mutex<VecDeque<(usize, J)>>], me: usize) -> Option<
             if v == me {
                 continue;
             }
-            if let Some(&(idx, _)) = d
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .front()
-            {
+            if let Some(&(idx, _)) = d.lock().unwrap_or_else(PoisonError::into_inner).front() {
                 if best.is_none_or(|(_, b)| idx < b) {
                     best = Some((v, idx));
                 }
@@ -100,12 +142,36 @@ fn pop_or_steal<J>(deques: &[Mutex<VecDeque<(usize, J)>>], me: usize) -> Option<
         let (victim, want) = best?;
         let mut d = deques[victim]
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         // The front may have been taken between scan and steal; re-check
         // and re-scan on a mismatch rather than stealing blind.
         match d.front() {
             Some(&(idx, _)) if idx == want => return d.pop_front(),
             _ => continue,
+        }
+    }
+}
+
+/// What the merger publishes to window-blocked workers.
+#[derive(Default)]
+struct Front {
+    /// `(merged, abandoned)`: the merge count, and whether a thread of
+    /// the run panicked.
+    seen: Mutex<(usize, bool)>,
+    advanced: Condvar,
+}
+
+/// Abandons the run when its thread unwinds, so window-blocked workers
+/// exit instead of waiting for a cursor that will not move: their
+/// senders drop, the merger's `recv` fails, and `run_jobs` panics rather
+/// than hangs. One per thread; nothing per job.
+struct AbandonOnUnwind<'a>(&'a Front);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.seen.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
+            self.0.advanced.notify_all();
         }
     }
 }
@@ -141,32 +207,31 @@ where
     for (idx, job) in jobs.into_iter().enumerate() {
         deques[idx % workers]
             .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .push_back((idx, job));
     }
-    let front = MergeFront {
-        merged: Mutex::new(0),
-        advanced: Condvar::new(),
-    };
+    let front = Front::default();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|scope| {
+        let _abandon = AbandonOnUnwind(&front);
         for me in 0..workers {
             let tx = tx.clone();
             let deques = &deques;
             let front = &front;
             let exec = &exec;
             scope.spawn(move || {
+                let _abandon = AbandonOnUnwind(front);
                 while let Some((idx, job)) = pop_or_steal(deques, me) {
                     {
-                        let mut merged = front
-                            .merged
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        while idx >= *merged + window {
-                            merged = front
+                        let mut seen = front.seen.lock().unwrap_or_else(PoisonError::into_inner);
+                        while !seen.1 && !in_window(idx, seen.0, window) {
+                            seen = front
                                 .advanced
-                                .wait(merged)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                                .wait(seen)
+                                .unwrap_or_else(PoisonError::into_inner);
+                        }
+                        if seen.1 {
+                            return;
                         }
                     }
                     let result = exec(idx, job);
@@ -177,28 +242,17 @@ where
             });
         }
         drop(tx);
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut cursor = 0usize;
-        while cursor < total {
+        let mut cursor = MergeCursor::default();
+        while cursor.merged() < total {
             let (idx, result) = match rx.recv() {
                 Ok(pair) => pair,
                 // Workers only drop their senders after draining the
-                // deques, so a closed channel with jobs outstanding means
-                // a worker panicked mid-job.
+                // deques, or once the run is abandoned, so a closed
+                // channel with jobs outstanding means a thread panicked.
                 Err(_) => panic!("a worker exited before its jobs completed"),
             };
-            pending.insert(idx, result);
-            let mut moved = false;
-            while let Some(result) = pending.remove(&cursor) {
-                merge(cursor, result);
-                cursor += 1;
-                moved = true;
-            }
-            if moved {
-                *front
-                    .merged
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = cursor;
+            if cursor.accept(idx, result, &mut merge) {
+                front.seen.lock().unwrap_or_else(PoisonError::into_inner).0 = cursor.merged();
                 front.advanced.notify_all();
             }
         }
@@ -293,6 +347,32 @@ mod tests {
             },
         );
         assert_eq!(out.len(), 40);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_run_for_a_window_narrower_than_the_jobs_left() {
+        // Job 0 panics while the other worker is blocked on the window;
+        // run_jobs must panic, not wait forever on the merge.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                run_jobs(
+                    (0..64).collect(),
+                    &cfg(2, 2),
+                    |_, j: usize| {
+                        if j == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            panic!("job 0 fails");
+                        }
+                        j
+                    },
+                    |_, _| {},
+                );
+            });
+            done.send(run.is_err()).ok();
+        });
+        let panicked = finished.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(panicked, Ok(true), "run_jobs hung or returned normally");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! silently dropping: when the queue is at capacity, `submit` returns a
 //! typed [`Overloaded`] immediately (the caller turns it into an
 //! `Overloaded` response), and once a request is accepted it is
-//! dispatched exactly once — the `genomedsm-verify` admission model
-//! proves *accepted ⇒ eventually dispatched, exactly once* and catches
-//! the known-bad variant that drops a request on reject.
+//! dispatched exactly once. The decision is [`AdmissionGate`], which
+//! names no lock; `genomedsm-verify` steps it under every interleaving of
+//! clients, workers and a closer, and checks that the depth stays within
+//! capacity, that each accepted request is dispatched once and in
+//! client FIFO order, that nothing offered is lost, and that the fair
+//! pick never passes over a client with a smaller ratio.
 //!
 //! Dispatch order is **weighted fair** across clients: among clients
 //! with pending requests, pick the one with the smallest
@@ -24,7 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Typed rejection: the bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +47,7 @@ impl fmt::Display for Overloaded {
 impl std::error::Error for Overloaded {}
 
 /// One client's ledger row.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClientStats {
     /// Client name.
     pub client: String,
@@ -80,32 +83,120 @@ pub struct AdmissionStats {
 }
 
 struct ClientState<T> {
-    weight: u64,
+    row: ClientStats,
     pending: VecDeque<(u64, T)>,
-    submitted: u64,
-    rejected: u64,
-    dispatched: u64,
-    served_units: u64,
 }
 
-struct QueueInner<T> {
+/// The admission decision, with no lock in it: the bounded queue, the
+/// per-client ledger and the weighted fair pick. [`AdmissionQueue`] holds
+/// one behind a `Mutex` and wakes waiting workers with a `Condvar`; the
+/// `genomedsm-verify` checker steps one directly.
+pub struct AdmissionGate<T> {
+    capacity: usize,
     clients: HashMap<String, ClientState<T>>,
     depth: usize,
     high_water: usize,
-    submitted: u64,
-    rejected: u64,
-    dispatched: u64,
     closed: bool,
 }
 
-/// The bounded, weighted-fair request queue.
+impl<T> AdmissionGate<T> {
+    /// A gate admitting at most `capacity` requests (minimum 1).
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            capacity: capacity.max(1),
+            clients: HashMap::new(),
+            depth: 0,
+            high_water: 0,
+            closed: false,
+        }
+    }
+
+    /// Admits or refuses a request from `client` (with scheduling
+    /// `weight`, clamped to ≥ 1, and `units` of work for the fairness
+    /// ledger), recording the outcome in the client's ledger.
+    ///
+    /// # Errors
+    /// [`Overloaded`] when the queue is at capacity; the request is
+    /// **not** enqueued. Also refused (as `Overloaded` at zero capacity)
+    /// after [`close`](Self::close).
+    pub fn submit(
+        &mut self,
+        client: &str,
+        weight: u64,
+        units: u64,
+        item: T,
+    ) -> Result<(), Overloaded> {
+        let state = self
+            .clients
+            .entry(client.to_string())
+            .or_insert_with(|| ClientState {
+                row: ClientStats {
+                    client: client.to_string(),
+                    ..ClientStats::default()
+                },
+                pending: VecDeque::new(),
+            });
+        state.row.weight = weight.max(1);
+        if self.closed || self.depth >= self.capacity {
+            state.row.rejected += 1;
+            let (depth, limit) = if self.closed {
+                (0, 0)
+            } else {
+                (self.depth, self.capacity)
+            };
+            return Err(Overloaded { depth, limit });
+        }
+        state.pending.push_back((units, item));
+        state.row.submitted += 1;
+        self.depth += 1;
+        self.high_water = self.high_water.max(self.depth);
+        Ok(())
+    }
+
+    /// Dispatches the next request under the weighted fair policy and
+    /// charges its units to the client's ledger in the same step. `None`
+    /// when nothing is queued.
+    pub fn pick(&mut self) -> Option<(String, T)> {
+        let name = fair_pick(&self.clients)?;
+        let state = self.clients.get_mut(&name)?;
+        let (units, item) = state.pending.pop_front()?;
+        state.row.dispatched += 1;
+        state.row.served_units += units;
+        self.depth -= 1;
+        Some((name, item))
+    }
+
+    /// Refuses every later submission; queued requests still drain
+    /// through [`pick`](Self::pick).
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// A snapshot of the counters and the per-client ledger.
+    pub fn snapshot(&self) -> AdmissionStats {
+        let mut clients: Vec<ClientStats> = self.clients.values().map(|s| s.row.clone()).collect();
+        clients.sort_by(|a, b| a.client.cmp(&b.client));
+        let total = |count: fn(&ClientStats) -> u64| clients.iter().map(count).sum();
+        AdmissionStats {
+            depth: self.depth as u64,
+            high_water: self.high_water as u64,
+            capacity: self.capacity as u64,
+            submitted: total(|c| c.submitted),
+            rejected: total(|c| c.rejected),
+            dispatched: total(|c| c.dispatched),
+            clients,
+        }
+    }
+}
+
+/// The bounded, weighted-fair request queue: an [`AdmissionGate`] that
+/// workers can block on.
 ///
 /// `T` is the request payload; each entry also carries a work-unit count
 /// used for the fairness ledger (the service uses the request's query
 /// count).
 pub struct AdmissionQueue<T> {
-    capacity: usize,
-    inner: Mutex<QueueInner<T>>,
+    gate: Mutex<AdmissionGate<T>>,
     ready: Condvar,
 }
 
@@ -113,72 +204,26 @@ impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `capacity` requests (minimum 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
-            inner: Mutex::new(QueueInner {
-                clients: HashMap::new(),
-                depth: 0,
-                high_water: 0,
-                submitted: 0,
-                rejected: 0,
-                dispatched: 0,
-                closed: false,
-            }),
+            gate: Mutex::new(AdmissionGate::new(capacity)),
             ready: Condvar::new(),
         }
     }
 
-    /// The admission limit.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn lock(&self) -> MutexGuard<'_, AdmissionGate<T>> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Offers a request from `client` (with scheduling `weight`, clamped
-    /// to ≥ 1, and `units` of work for the fairness ledger).
+    /// The admission limit.
+    pub fn capacity(&self) -> usize {
+        self.lock().capacity
+    }
+
+    /// Offers a request; see [`AdmissionGate::submit`].
     ///
     /// # Errors
-    /// [`Overloaded`] when the queue is at capacity — recorded in the
-    /// client's ledger; the request is **not** enqueued. Also refused
-    /// (as `Overloaded` at zero capacity) after [`close`](Self::close).
+    /// [`Overloaded`] when the queue is full or closed.
     pub fn submit(&self, client: &str, weight: u64, units: u64, item: T) -> Result<(), Overloaded> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let state = inner
-            .clients
-            .entry(client.to_string())
-            .or_insert_with(|| ClientState {
-                weight: weight.max(1),
-                pending: VecDeque::new(),
-                submitted: 0,
-                rejected: 0,
-                dispatched: 0,
-                served_units: 0,
-            });
-        state.weight = weight.max(1);
-        if inner.closed {
-            inner.rejected += 1;
-            if let Some(s) = inner.clients.get_mut(client) {
-                s.rejected += 1;
-            }
-            return Err(Overloaded { depth: 0, limit: 0 });
-        }
-        if inner.depth >= self.capacity {
-            let depth = inner.depth;
-            inner.rejected += 1;
-            if let Some(s) = inner.clients.get_mut(client) {
-                s.rejected += 1;
-            }
-            return Err(Overloaded {
-                depth,
-                limit: self.capacity,
-            });
-        }
-        if let Some(s) = inner.clients.get_mut(client) {
-            s.pending.push_back((units, item));
-            s.submitted += 1;
-        }
-        inner.depth += 1;
-        inner.high_water = inner.high_water.max(inner.depth);
-        inner.submitted += 1;
-        drop(inner);
+        self.lock().submit(client, weight, units, item)?;
         self.ready.notify_one();
         Ok(())
     }
@@ -186,25 +231,17 @@ impl<T> AdmissionQueue<T> {
     /// Blocks for the next request under the weighted fair policy.
     /// Returns `None` once the queue is closed **and** drained.
     pub fn next(&self) -> Option<(String, T)> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut gate = self.lock();
         loop {
-            if let Some(pick) = fair_pick(&inner.clients) {
-                if let Some(s) = inner.clients.get_mut(&pick) {
-                    if let Some((units, item)) = s.pending.pop_front() {
-                        s.dispatched += 1;
-                        s.served_units += units;
-                        inner.depth -= 1;
-                        inner.dispatched += 1;
-                        return Some((pick, item));
-                    }
-                }
+            if let Some(picked) = gate.pick() {
+                return Some(picked);
             }
-            if inner.closed {
+            if gate.closed {
                 return None;
             }
-            inner = self
+            gate = self
                 .ready
-                .wait(inner)
+                .wait(gate)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -213,37 +250,13 @@ impl<T> AdmissionQueue<T> {
     /// [`next`](Self::next); new submissions are refused; blocked workers
     /// wake up.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.closed = true;
-        drop(inner);
+        self.lock().close();
         self.ready.notify_all();
     }
 
     /// A snapshot of the counters and the per-client ledger.
     pub fn stats(&self) -> AdmissionStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut clients: Vec<ClientStats> = inner
-            .clients
-            .iter()
-            .map(|(name, s)| ClientStats {
-                client: name.clone(),
-                weight: s.weight,
-                submitted: s.submitted,
-                rejected: s.rejected,
-                dispatched: s.dispatched,
-                served_units: s.served_units,
-            })
-            .collect();
-        clients.sort_by(|a, b| a.client.cmp(&b.client));
-        AdmissionStats {
-            depth: inner.depth as u64,
-            high_water: inner.high_water as u64,
-            capacity: self.capacity as u64,
-            submitted: inner.submitted,
-            rejected: inner.rejected,
-            dispatched: inner.dispatched,
-            clients,
-        }
+        self.lock().snapshot()
     }
 }
 
@@ -251,26 +264,27 @@ impl<T> AdmissionQueue<T> {
 /// `served_units / weight` (exact integer cross-multiplication), breaking
 /// ties by lexicographic client name. Deterministic given the ledger.
 fn fair_pick<T>(clients: &HashMap<String, ClientState<T>>) -> Option<String> {
-    let mut best: Option<(&String, &ClientState<T>)> = None;
-    for (name, s) in clients {
-        if s.pending.is_empty() {
-            continue;
-        }
+    let mut best: Option<&ClientStats> = None;
+    for row in clients
+        .values()
+        .filter(|s| !s.pending.is_empty())
+        .map(|s| &s.row)
+    {
         best = Some(match best {
-            None => (name, s),
-            Some((bn, bs)) => {
-                // s.served/s.weight < bs.served/bs.weight, exactly.
-                let lhs = s.served_units as u128 * bs.weight as u128;
-                let rhs = bs.served_units as u128 * s.weight as u128;
-                if lhs < rhs || (lhs == rhs && name < bn) {
-                    (name, s)
+            None => row,
+            Some(b) => {
+                // row.served/row.weight < b.served/b.weight, exactly.
+                let lhs = row.served_units as u128 * b.weight as u128;
+                let rhs = b.served_units as u128 * row.weight as u128;
+                if lhs < rhs || (lhs == rhs && row.client < b.client) {
+                    row
                 } else {
-                    (bn, bs)
+                    b
                 }
             }
         });
     }
-    best.map(|(name, _)| name.clone())
+    best.map(|row| row.client.clone())
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!   [`Overloaded`] rejection (the server refuses,
 //!   never hangs) and **per-client weighted fair scheduling**: the next
 //!   request dispatched is the one whose client has the smallest
-//!   served-units/weight ratio. The `genomedsm-verify` model of this gate
-//!   proves no request is lost or double-dispatched.
+//!   served-units/weight ratio. `genomedsm-verify` steps the shipped
+//!   decision, [`AdmissionGate`], and checks that no request is lost or
+//!   double-dispatched.
 //! * [`cache`] — a result cache keyed by *(query digest, top-k, db
 //!   epoch)*. The engine is deterministic, so a hit is bit-identical to
 //!   recomputation by construction — and the property tests check it
@@ -44,7 +45,7 @@ pub mod epoch;
 pub mod proto;
 pub mod server;
 
-pub use admission::{AdmissionQueue, AdmissionStats, ClientStats, Overloaded};
+pub use admission::{AdmissionGate, AdmissionQueue, AdmissionStats, ClientStats, Overloaded};
 pub use cache::{CacheStats, QueryKey, ResultCache};
 pub use client::{QueryHits, SearchSummary, ServeClient};
 pub use epoch::{DbSnapshot, EpochDb};

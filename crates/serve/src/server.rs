@@ -26,6 +26,9 @@
 //!   channel, so a slow client blocks only its own writer — never a
 //!   worker, never another client (the chaos e2e test injects exactly
 //!   this).
+//! * The **listener** joins the reader threads of ended connections on
+//!   each accept, so the server holds thread resources only for live
+//!   connections, not for every connection it ever accepted.
 //!
 //! Shutdown never sleeps or spins: a flag plus a self-connection to the
 //! listener plus socket read timeouts wake every blocked thread.
@@ -295,11 +298,18 @@ fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
             Ok(stream) => {
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || connection_loop(&conn_shared, stream));
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                // Join the connections that have ended: an unjoined thread
+                // keeps its resources, so the server would grow with every
+                // connection it ever accepted.
+                let mut conns = shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+                conns.push(handle);
+                let (ended, live): (Vec<_>, Vec<_>) =
+                    conns.drain(..).partition(JoinHandle::is_finished);
+                *conns = live;
+                drop(conns);
+                for h in ended {
+                    let _ = h.join();
+                }
             }
             Err(_) => break,
         }
@@ -560,4 +570,34 @@ fn serve_job(shared: &Arc<Shared>, job: SearchJob) {
             queries: job.queries.len() as u32,
         })
         .ok();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeClient;
+    use genomedsm_batch::SeqDatabase;
+    use genomedsm_seq::fasta::FastaRecord;
+
+    #[test]
+    fn ended_connections_are_joined_on_accept() {
+        let dir = std::env::temp_dir();
+        let socket = dir.join(format!("gdsm-conns-{}.sock", std::process::id()));
+        let record = FastaRecord {
+            id: "r0".into(),
+            seq: genomedsm_seq::random_dna(40, 1),
+        };
+        let db = EpochDb::new(
+            SeqDatabase::from_records(vec![record]),
+            dir.join("unused.fa"),
+        );
+        let server = Server::start_with(ServerConfig::new(&socket, "unused.fa"), db).unwrap();
+        for _ in 0..100 {
+            let mut client = ServeClient::connect(&socket).unwrap();
+            client.stats().unwrap();
+        }
+        let retained = server.shared.conns.lock().unwrap().len();
+        assert!(retained <= 10, "{retained} connection handles retained");
+        server.stop();
+    }
 }

@@ -1,21 +1,24 @@
 //! Model-checked verification of GenomeDSM's concurrency protocols.
 //!
-//! The vendored [`shuttle`] schedule-exploring checker runs two kinds of
-//! subject:
+//! The vendored [`shuttle`] schedule-exploring checker runs shipped code,
+//! stepped by scripted peers, with perturbations of the harness that must
+//! be caught:
 //!
-//! * shipped code, stepped by scripted peers over checker-scheduled
-//!   links: [`daemon`] runs the `genomedsm-dsm` daemon (lock handoff with
-//!   write notices, the counting cv, the lease break on a fail-stop, and
-//!   the barrier manager's rejoin admission in a two-workload campaign),
-//!   and [`link`] runs two of the UDP transport's `Link`s (ack,
-//!   retransmit, reorder, dedup and fragmentation under loss, and session
-//!   turnover); both with perturbations of the harness that must be
-//!   caught;
-//! * [`models`] — state machines of protocols that live elsewhere:
-//!   [`models::merge`] (the batch scheduler's windowed in-order merge),
-//!   [`models::inversion`] (the page-lock / lease-table lock order) and
-//!   [`models::admission`] (the serve admission gate), each with the
-//!   rejected variants that must fail.
+//! * [`daemon`] runs the `genomedsm-dsm` daemon (lock handoff with write
+//!   notices, the counting cv, the lease break on a fail-stop, and the
+//!   barrier manager's rejoin admission in a two-workload campaign) over
+//!   checker-scheduled links;
+//! * [`link`] runs two of the UDP transport's `Link`s (ack, retransmit,
+//!   reorder, dedup and fragmentation under loss, and session turnover);
+//! * [`admission`] runs the serve admission gate (capacity, FIFO, the
+//!   weighted fair pick, close and drain) under clients, workers and a
+//!   closer;
+//! * [`merge`] runs the batch scheduler's work stealing, window gate and
+//!   in-order merge cursor under workers and a merger.
+//!
+//! One model remains, of a discipline rather than a component:
+//! [`models::inversion`] (the page-lock / lease-table lock order) with the
+//! inverted variant that must deadlock.
 //!
 //! [`run_suite`] drives every healthy subject through thousands of
 //! distinct interleavings (exhaustive where the state space allows,
@@ -25,20 +28,22 @@
 
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod daemon;
 pub mod link;
+pub mod merge;
 
 pub mod models {
     //! Models of the protocols the checker cannot run for real.
-    pub mod admission;
     pub mod inversion;
-    pub mod merge;
 }
 
+use admission::AdmissionSpec;
 use daemon::{DaemonSpec, Workload};
 use link::Workload::{Exchange, Turnover};
 use link::{Budget, LinkSpec};
-use models::{admission::AdmissionModel, inversion::InversionModel, merge::MergeModel};
+use merge::MergeSpec;
+use models::inversion::InversionModel;
 use shuttle::{Config, Failure, Report, Spec};
 
 /// One suite row: a model/strategy pair and its exploration report.
@@ -106,18 +111,18 @@ pub fn found_and_replayed<M: Spec>(name: &str, spec: &M, expect: &str) -> Option
 pub fn run_suite() -> Vec<SuiteEntry> {
     use Workload::{Lease, Locks, Rejoin, Signals};
     let real = |workload| DaemonSpec(workload, None);
-    let merge = |jobs, workers, window| MergeModel {
+    let merge = |jobs, workers, window| MergeSpec {
         jobs,
         workers,
         window,
-        permit_bug: false,
+        broken: None,
     };
-    let admission = |clients, capacity, workers| AdmissionModel {
+    let admission = |clients, capacity, workers| AdmissionSpec {
         clients,
-        requests_each: 2,
+        requests: 2,
         capacity,
         workers,
-        bug_drop_on_reject: false,
+        broken: None,
     };
     let link = |traffic, fires, drops, dups, swaps| {
         let budget = Budget {
@@ -153,7 +158,7 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         random("daemon/rejoin 2u random", real(Rejoin(2)), 6_000),
         exhaustive("merge/4j2w w1 exhaustive", merge(4, 2, 1), 50_000),
         random("merge/6j3w w2 random", merge(6, 3, 2), 6_000),
-        exhaustive("admission/2c2r cap1 exhaustive", admission(2, 1, 1), 50_000),
+        exhaustive("admission/2c2r cap2 exhaustive", admission(2, 2, 1), 50_000),
         random("admission/3c2r cap2 2w random", admission(3, 2, 2), 6_000),
         exhaustive(
             "link/exchange d1s1 exhaustive",

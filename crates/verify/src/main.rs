@@ -5,11 +5,8 @@
 //! fewer than 10 000 distinct schedules, or a seeded bug is not found and
 //! deterministically replayed from its printed seed.
 
-use genomedsm_verify::models::{
-    admission::AdmissionModel, inversion::InversionModel, merge::MergeModel,
-};
-use genomedsm_verify::{daemon, found_and_replayed, link, run_suite};
-use shuttle::Config;
+use genomedsm_verify::models::inversion::InversionModel;
+use genomedsm_verify::{admission, daemon, found_and_replayed, link, merge, run_suite};
 
 fn main() {
     let mut failed = false;
@@ -42,15 +39,10 @@ fn main() {
     let (inverted, rounds) = (true, 2);
     let spec = InversionModel { inverted, rounds };
     failed |= found_and_replayed("inversion/page-lock-vs-lease-table", &spec, "deadlock").is_none();
-    failed |= !check_permit_regression();
-    let spec = AdmissionModel {
-        clients: 2,
-        requests_each: 2,
-        capacity: 1,
-        workers: 1,
-        bug_drop_on_reject: true,
-    };
-    failed |= found_and_replayed("admission/drop-on-reject", &spec, "request lost").is_none();
+    let (name, spec, symptom) = admission::SEEDED;
+    failed |= found_and_replayed(name, &spec, symptom).is_none();
+    let (name, spec, symptom) = merge::SEEDED;
+    failed |= found_and_replayed(name, &spec, symptom).is_none();
     let (name, spec, symptom) = link::SEEDED;
     failed |= found_and_replayed(name, &spec, symptom).is_none();
     for (name, spec, symptom) in daemon::SEEDED {
@@ -62,25 +54,4 @@ fn main() {
     }
     println!();
     println!("verify: all models clean, all seeded bugs found and replayed");
-}
-
-/// The rejected permit-counting merge gate must deadlock.
-fn check_permit_regression() -> bool {
-    let permit = MergeModel {
-        jobs: 2,
-        workers: 2,
-        window: 1,
-        permit_bug: true,
-    };
-    match shuttle::check_exhaustive(&permit, &Config::default()).failure {
-        Some(f) if f.reason.contains("deadlock") => {
-            println!("merge/permit-counting: found `{}` — ok", f.reason);
-            true
-        }
-        other => {
-            let got = other.map(|f| f.reason);
-            println!("merge/permit-counting: FAIL (deadlock not found: {got:?})");
-            false
-        }
-    }
 }

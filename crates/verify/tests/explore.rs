@@ -1,6 +1,6 @@
 //! Acceptance: the suite explores at least ten thousand distinct
-//! schedules across the real daemon's lock/cv and lease-break workloads
-//! and the protocol models with zero deadlocks, lost wakeups, or
+//! schedules across the shipped daemon, link, admission gate and batch
+//! merge and the lock-order model with zero deadlocks, lost wakeups, or
 //! invariant violations.
 
 #[test]

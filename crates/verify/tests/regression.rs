@@ -1,11 +1,12 @@
 //! Acceptance: the seeded known-bad configurations are found by the
 //! checker and replay deterministically from their recorded seed.
 
+use genomedsm_verify::admission::{self, AdmissionSpec};
 use genomedsm_verify::daemon::{DaemonSpec, SEEDED};
 use genomedsm_verify::found_and_replayed;
 use genomedsm_verify::link::{self, LinkSpec};
+use genomedsm_verify::merge::{self, MergeSpec};
 use genomedsm_verify::models::inversion::InversionModel;
-use genomedsm_verify::models::merge::MergeModel;
 use shuttle::Config;
 
 /// The page-lock / lease-table AB-BA inversion: random exploration finds
@@ -25,32 +26,39 @@ fn lock_order_inversion_is_found_and_replays_from_seed() {
     assert_eq!(sf.reason, failure.reason);
 }
 
-/// The rejected permit-counting window gate deadlocks; the correct
-/// window gate on the same workload does not.
+/// A client that treats a request as refused when the real gate is full,
+/// without offering it, loses the request to the gate's ledger. The
+/// failure replays from its seed, and the same workload offering every
+/// request is clean.
 #[test]
-fn permit_counting_merge_gate_deadlocks_but_window_gate_does_not() {
-    let buggy = shuttle::check_exhaustive(
-        &MergeModel {
-            jobs: 2,
-            workers: 2,
-            window: 1,
-            permit_bug: true,
-        },
-        &Config::default(),
-    );
-    let f = buggy.failure.expect("permit gate must deadlock");
-    assert!(f.reason.contains("deadlock"), "{}", f.reason);
+fn drop_on_reject_loses_a_request_and_replays_from_seed() {
+    let (name, broken, symptom) = admission::SEEDED;
+    found_and_replayed(name, &broken, symptom)
+        .expect("dropping unoffered requests must be caught and replay from its seed");
+    let healthy = AdmissionSpec {
+        broken: None,
+        ..broken
+    };
+    let report = shuttle::check_exhaustive(&healthy, &Config::default());
+    report.assert_ok();
+    assert!(report.exhausted);
+}
 
-    let correct = shuttle::check_exhaustive(
-        &MergeModel {
-            jobs: 2,
-            workers: 2,
-            window: 1,
-            permit_bug: false,
-        },
-        &Config::default(),
-    );
-    correct.assert_ok();
+/// A cursor published to the workers one merge late never lets the last
+/// window-gated job start: the run deadlocks. The failure replays from
+/// its seed, and the same workload publishing on time is clean.
+#[test]
+fn a_cursor_published_one_merge_late_deadlocks_and_replays_from_seed() {
+    let (name, broken, symptom) = merge::SEEDED;
+    found_and_replayed(name, &broken, symptom)
+        .expect("a late cursor must deadlock and replay from its seed");
+    let healthy = MergeSpec {
+        broken: None,
+        ..broken
+    };
+    let report = shuttle::check_exhaustive(&healthy, &Config::default());
+    report.assert_ok();
+    assert!(report.exhausted);
 }
 
 /// A window that evicts a frame on a forged ack, before the real one,
