@@ -5,13 +5,18 @@
 //! *(lane group × target slab)* job: one [`GroupProfile`] is built per
 //! job and re-scored against a contiguous slab of records, so the profile
 //! build (the launch overhead the per-pair path pays per record) amortizes
-//! over the whole slab. The profile picks the group's lane layout from its
-//! occupancy — a full group packs a query per lane, the lone query of a
-//! one-query request is striped over all of them — without the plan or
-//! the job grid changing. Jobs flow through the work-stealing scheduler;
-//! per-job partial top-ks merge in fixed job order, and the strict total
-//! order on [`Hit`]s makes the final top-k independent of worker count
-//! and interleaving.
+//! over the whole slab. The planner cuts groups [`group_lanes`] wide — a
+//! query per `i8` lane where the scheme's parameters fit one, which is
+//! twice the `i16` lane count — but still admits each query a priori at
+//! `i16`, so the profile's `i16` re-run of a record whose `i8` pass
+//! saturated is always exact. The profile picks the group's lane layout
+//! and width from its occupancy — a full group packs a query per `i8`
+//! lane, a group of at most one `i16` vector packs at `i16`, the lone
+//! query of a one-query request is striped over all lanes — without the
+//! plan or the job grid changing. Jobs flow through the work-stealing
+//! scheduler; per-job partial top-ks merge in fixed job order, and the
+//! strict total order on [`Hit`]s makes the final top-k independent of
+//! worker count and interleaving.
 //!
 //! [`score_pairs`] is the drop-in for loops of single-pair kernel calls
 //! (BlastN refinement windows, phase-2 style pair lists): pairs sharing an
@@ -28,7 +33,7 @@ use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    effective_lanes, score_batch, score_group, GroupProfile, Isa, KernelChoice, Scheme,
+    group_lanes, score_batch, score_group, GroupProfile, Isa, KernelChoice, Scheme,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -97,6 +102,11 @@ pub struct BatchStats {
     /// Lane groups whose jobs ran striped (each query over all lanes)
     /// rather than packed, as their [`GroupProfile`] chose.
     pub striped_groups: usize,
+    /// Lane groups whose jobs ran packed on `i8` lanes.
+    pub narrow_groups: usize,
+    /// (group, record) passes of those groups re-run at `i16` because the
+    /// `i8` pass saturated on the record.
+    pub reruns: u64,
     /// Queries that ran on the scalar oracle instead of in a lane group.
     pub scalar_queries: usize,
     /// Scheduler jobs executed.
@@ -129,6 +139,10 @@ struct JobOutput {
     partials: Vec<(usize, TopK)>,
     /// Whether the job's group profile chose the striped layout.
     striped: bool,
+    /// Whether it ran on `i8` lanes.
+    narrow: bool,
+    /// Records of the slab it re-scored at `i16`.
+    reruns: u64,
 }
 
 /// The multi-query database search engine.
@@ -142,6 +156,16 @@ impl BatchEngine {
     /// An engine with the given configuration.
     pub fn new(config: BatchConfig) -> Self {
         Self { config }
+    }
+
+    /// The most queries one lane group holds for this engine's kernel and
+    /// scheme on this host ([`group_lanes`]): the width the planner cuts
+    /// groups at.
+    pub fn group_width(&self) -> usize {
+        match &self.config.mode {
+            ScoreMode::Dna => group_lanes(self.config.kernel, &self.config.scoring),
+            ScoreMode::Protein(ms) => group_lanes(self.config.kernel, ms),
+        }
     }
 
     /// Scores every query against every database record, returning the
@@ -206,8 +230,7 @@ impl BatchEngine {
             }
             return stats;
         }
-        let lanes = effective_lanes(cfg.kernel);
-        let plan = plan_lane_groups(queries, lanes, scheme);
+        let plan = plan_lane_groups(queries, group_lanes(cfg.kernel, scheme), scheme);
         stats.lane_groups = plan.groups.len();
         stats.scalar_queries = plan.scalar.len();
         stats.padding_rows = plan.padding_rows;
@@ -242,10 +265,12 @@ impl BatchEngine {
                 for (q, tk) in out.partials {
                     best[q].merge(tk);
                 }
+                stats.reruns += out.reruns;
                 if (j + 1) % slabs == 0 {
                     // The layout depends on the group alone, so its last
                     // job speaks for all of them.
                     stats.striped_groups += usize::from(out.striped);
+                    stats.narrow_groups += usize::from(out.narrow);
                     for &q in &units[j / slabs] {
                         let done = std::mem::replace(&mut best[q], TopK::new(0));
                         finalized[q] = Some(done.into_sorted());
@@ -330,27 +355,33 @@ fn exec_job<S: Scheme>(
     } else {
         None
     };
-    let striped = group.as_ref().is_some_and(GroupProfile::is_striped);
-    match group {
-        Some(mut group) => {
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, r) in score_group(&mut group, target, 0).into_iter().enumerate() {
-                    offer(&mut partials[lane].1, t, &r);
-                }
+    let Some(mut group) = group else {
+        // Scalar spill — or a group the kernel rejected (cannot happen
+        // for planner-admitted groups, but fall back rather than trust).
+        for (t, target) in db.slab(job.targets.clone()) {
+            for (lane, &q) in job.queries.iter().enumerate() {
+                let r = scheme.oracle(queries[q], target, 0);
+                offer(&mut partials[lane].1, t, &r);
             }
         }
-        None => {
-            // Scalar spill — or a group the kernel rejected (cannot happen
-            // for planner-admitted groups, but fall back rather than trust).
-            for (t, target) in db.slab(job.targets.clone()) {
-                for (lane, &q) in job.queries.iter().enumerate() {
-                    let r = scheme.oracle(queries[q], target, 0);
-                    offer(&mut partials[lane].1, t, &r);
-                }
-            }
+        return JobOutput {
+            partials,
+            striped: false,
+            narrow: false,
+            reruns: 0,
+        };
+    };
+    for (t, target) in db.slab(job.targets.clone()) {
+        for (lane, r) in score_group(&mut group, target, 0).into_iter().enumerate() {
+            offer(&mut partials[lane].1, t, &r);
         }
     }
-    JobOutput { partials, striped }
+    JobOutput {
+        partials,
+        striped: group.is_striped(),
+        narrow: group.is_narrow(),
+        reruns: group.reruns(),
+    }
 }
 
 /// Offers one pair result to a collector (shared with the prefiltered
@@ -594,8 +625,14 @@ mod tests {
     fn few_queries_and_a_tail_keep_the_job_grid_and_the_answers() {
         use genomedsm_seq::{random_protein, ProteinRecord};
         // Equal lengths, so which groups stripe is known: a lone query
-        // does, a group one short of full does not.
-        let lanes = effective_lanes(KernelChoice::Simd);
+        // does, a group one short of full does not. Both schemes fit `i8`
+        // lanes, so a group wider than one `i16` vector runs narrow.
+        let lanes = group_lanes(KernelChoice::Simd, &SC);
+        assert_eq!(
+            lanes,
+            group_lanes(KernelChoice::Simd, &MatrixScoring::blosum62())
+        );
+        let i16_lanes = genomedsm_kernels::effective_lanes(KernelChoice::Simd);
         let dna: Vec<Vec<u8>> = (0..=lanes)
             .map(|i| random_dna(48, 300 + i as u64).into_bytes())
             .collect();
@@ -649,7 +686,62 @@ mod tests {
                     if let Some(striped) = striped {
                         assert_eq!(stats.striped_groups, striped, "{n} queries");
                     }
+                    let narrow = (0..n)
+                        .step_by(lanes)
+                        .filter(|&first| (n - first).min(lanes) > i16_lanes)
+                        .count();
+                    // Random sequences score far below the 8-bit ceiling.
+                    assert_eq!((stats.narrow_groups, stats.reruns), (narrow, 0));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn saturating_members_of_narrow_groups_match_the_oracle_for_any_worker_count() {
+        use genomedsm_seq::{random_protein, ProteinRecord};
+        // 37 queries: a full 8-bit group and a tail. Every third one is cut
+        // whole from a database record, so against that record it scores
+        // far past the i8 ceiling and its half group re-runs at i16; the
+        // others are random and stay far under.
+        let dna_db = test_db(12, 400, 5);
+        let protein_db = SeqDatabase::from_protein_records(
+            (0..12)
+                .map(|i| ProteinRecord {
+                    id: format!("p{i}"),
+                    seq: random_protein(200 + i * 17, 60 + i as u64),
+                })
+                .collect(),
+        );
+        let blosum = ScoreMode::Protein(MatrixScoring::blosum62());
+        for (db, mode) in [(&dna_db, ScoreMode::Dna), (&protein_db, blosum)] {
+            let queries: Vec<Vec<u8>> = (0..37)
+                .map(|i| match (i % 3, mode) {
+                    (0, _) => db.seq(i % db.len())[10..140 + i].to_vec(),
+                    (_, ScoreMode::Dna) => random_dna(60 + 3 * i, 700 + i as u64).into_bytes(),
+                    (_, ScoreMode::Protein(_)) => {
+                        random_protein(60 + 3 * i, 800 + i as u64).into_bytes()
+                    }
+                })
+                .collect();
+            let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+            let want = oracle_search_mode(db, &refs, &mode, &SC, 3);
+            for workers in [1usize, 2, 4] {
+                let engine = BatchEngine::new(BatchConfig {
+                    kernel: KernelChoice::Simd,
+                    mode,
+                    top_k: 3,
+                    scheduler: SchedulerConfig { workers, window: 2 },
+                    slab: 5,
+                    ..BatchConfig::default()
+                });
+                let got = engine.search(db, &refs);
+                assert_eq!(got.hits, want, "{mode:?}, {workers} workers");
+                let stats = got.stats;
+                assert!(
+                    stats.narrow_groups > 0 && stats.reruns > 0,
+                    "{mode:?}: {stats:?}"
+                );
             }
         }
     }

@@ -5,9 +5,11 @@
 //! launches — profile builds, state allocation, and one mostly-idle SIMD
 //! register file per pair. This crate turns the workload sideways, the way
 //! DSA and SWIPE do (see PAPERS.md): pack a **different query into every
-//! i16 lane**, score the whole pack against each database record, and keep
-//! per-query top-k hits. A lane group too small to fill the vector — the
-//! whole of a one-query search — is striped over all lanes instead
+//! lane** — an 8-bit lane where the scheme fits one, 32 per AVX2 vector,
+//! with a record re-scored at i16 only where a query's 8-bit score
+//! saturates — score the whole pack against each database record, and
+//! keep per-query top-k hits. A lane group too small to fill the vector —
+//! the whole of a one-query search — is striped over all lanes instead
 //! (`genomedsm_kernels::GroupProfile` decides, per group).
 //!
 //! Four layers, bottom up:
@@ -15,7 +17,7 @@
 //! * [`db`] — [`SeqDatabase`]: multi-record FASTA loading into one
 //!   length-sorted arena with per-record metadata.
 //! * [`planner`] — [`plan_lane_groups`]: greedy length-binning of queries
-//!   into lane groups sized to the active ISA width (provably minimal
+//!   into lane groups sized to the active ISA and lane width (provably minimal
 //!   padding for chunked groups).
 //! * [`scheduler`] — [`run_jobs`]: FIFO work stealing with windowed
 //!   backpressure and a strictly in-order merge, so results are

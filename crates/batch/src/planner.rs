@@ -12,7 +12,10 @@
 //!
 //! Queries outside the i16 envelope ([`fits_i16_query`]) cannot be packed
 //! exactly and are spilled to the scalar list; the engine runs them through
-//! the scalar oracle so results stay bit-exact.
+//! the scalar oracle so results stay bit-exact. The engine cuts groups
+//! `genomedsm_kernels::group_lanes` wide — a query per `i8` lane — and the
+//! i16 admission is what makes a group's `i16` re-run of a saturated
+//! record exact.
 
 use genomedsm_kernels::{fits_i16_query, Scheme};
 

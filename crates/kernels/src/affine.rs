@@ -39,11 +39,13 @@
 //! [`sw_score_profile`] (score, row-major-first end point tie-break,
 //! threshold hit count) whenever no `H` it writes exceeds the lane
 //! width's ceiling — known beforehand for what [`crate::fits_i16_query`]
-//! admits (the batch path), checked afterwards by the per-pair ladder,
-//! which re-runs on `i32` lanes what saturated `i16` (see
-//! [`crate::engine`]). `E`/`F` values that saturate toward `i16::MIN`
-//! need no check: they are already dominated by the `H + go` re-open
-//! branch (`>= -28 000`) everywhere they are consumed.
+//! admits (the batch path at `i16`), checked afterwards by the per-pair
+//! ladder, which re-runs on `i32` lanes what saturated `i16`, and by
+//! [`crate::GroupProfile`], which re-runs on `i16` lanes the records whose
+//! packed `i8` pass saturated (see [`crate::engine`]). `E`/`F` values that
+//! saturate toward the type's minimum need no check: they are already
+//! dominated by the `H + go` re-open branch (`>= -28 000`, or `>= -120`
+//! for a scheme the `i8` rung takes) everywhere they are consumed.
 
 use crate::batch::PackedState;
 use crate::engine::{Elem, Engine, StripedState};
@@ -69,20 +71,29 @@ impl Scheme for MatrixScoring {
     }
 
     fn column_cap(&self) -> Option<i32> {
-        // Both penalties negative and bounded; open at least as costly as
-        // extend (signed `gap_open <= gap_extend`) — the affine lazy-F loop's
+        // Both penalties negative; open at least as costly as extend
+        // (signed `gap_open <= gap_extend`) — the affine lazy-F loop's
         // "extension dominates re-opening" argument requires it, and every
         // standard protein scheme satisfies it.
-        let gaps_ok = self.gap_extend < 0
-            && self.gap_open <= self.gap_extend
-            && self.gap_open >= -I16_PARAM_CEILING;
-        // Matrix entries must stay clear of the padding sentinel and offer a
-        // positive score somewhere (otherwise every result is the zero result
-        // and the scalar oracle is free anyway).
+        let gaps_ok = self.gap_extend < 0 && self.gap_open <= self.gap_extend;
+        // Every parameter must stay clear of the padding sentinel, and the
+        // matrix offer a positive score somewhere (otherwise every result is
+        // the zero result and the scalar oracle is free anyway).
         let maxs = i32::from(self.matrix.max_score());
-        let mins = i32::from(self.matrix.min_score());
-        (gaps_ok && (1..=I16_PARAM_CEILING).contains(&maxs) && mins >= -I16_PARAM_CEILING)
-            .then_some(maxs)
+        (gaps_ok && maxs > 0 && self.param_bound() <= I16_PARAM_CEILING).then_some(maxs)
+    }
+
+    fn param_bound(&self) -> u32 {
+        [
+            self.gap_open,
+            self.gap_extend,
+            i32::from(self.matrix.max_score()),
+            i32::from(self.matrix.min_score()),
+        ]
+        .map(i32::unsigned_abs)
+        .into_iter()
+        .max()
+        .unwrap_or(0)
     }
 
     fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult {
@@ -116,11 +127,11 @@ impl Scheme for MatrixScoring {
 
     // SAFETY: same contract as `packed_affine_column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn packed_column<E: Engine<T = i16>>(
-        gap: &mut AffineGap<i16>,
-        st: &mut PackedState,
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut AffineGap<E::T>,
+        st: &mut PackedState<E::T>,
         rows: usize,
-        row: &[i16],
+        row: &[E::T],
     ) {
         packed_affine_column::<E>(st, &mut gap.pe, rows, row, gap.go, gap.ge)
     }
@@ -218,21 +229,21 @@ unsafe fn affine_column<E: Engine>(
 /// enabled and `st`/`pe`/`prof_row` packed for `E::LANES` lanes with at
 /// least `rows` rows.
 #[inline(always)]
-unsafe fn packed_affine_column<E: Engine<T = i16>>(
-    st: &mut PackedState,
-    pe: &mut [i16],
+unsafe fn packed_affine_column<E: Engine>(
+    st: &mut PackedState<E::T>,
+    pe: &mut [E::T],
     rows: usize,
-    prof_row: &[i16],
-    go: i16,
-    ge: i16,
+    prof_row: &[E::T],
+    go: E::T,
+    ge: E::T,
 ) {
     let l = E::LANES;
-    let vzero = E::splat(0);
+    let vzero = E::splat(E::T::ZERO);
     let vgo = E::splat(go);
     let vge = E::splat(ge);
     let mut diag = vzero; // H[i-1][j-1]
     let mut up_h = vzero; // H[i-1][j]
-    let mut vf = E::splat(i16::NEG_INF); // F[i-1][j]
+    let mut vf = E::splat(E::T::NEG_INF); // F[i-1][j]
     for i in 0..rows {
         let off = i * l;
         let left = E::load(st.ph.as_ptr().add(off)); // H[i][j-1]

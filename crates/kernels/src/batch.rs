@@ -1,4 +1,5 @@
-//! Inter-sequence batch kernel: a **different query per i16 lane**.
+//! Inter-sequence batch kernel: a **different query per lane**, at `i8`
+//! or `i16`.
 //!
 //! The striped kernel ([`crate::engine`]) spends all its lanes on one
 //! query; profitable for long pairs, wasteful for database search where
@@ -16,6 +17,15 @@
 //! computes sequentially anyway. No striping, no lazy-F loop — every
 //! instruction is useful work.
 //!
+//! The one code path is generic over the lane element: [`PackedProfile`]
+//! and its pass are `PackedProfile<S, T>` with `T = i16` the default, and
+//! the `i8` instance packs twice the queries per vector. Independence
+//! makes exactness a per-lane property: a lane whose best score is within
+//! `T`'s ceiling is exact, whatever its neighbours did
+//! ([`crate::engine`]'s saturation argument), which is what lets
+//! [`crate::GroupProfile`] run `i8` first and re-score at `i16` only what
+//! saturated.
+//!
 //! Exactness contract: each lane's result is bit-identical to the
 //! scheme's scalar oracle ([`Scheme::oracle`]) on that (query, target)
 //! pair — same best score, same row-major-first end-point tie-break,
@@ -23,16 +33,17 @@
 //! ([`fits_i16_query`]) transparently fall back to the scalar oracle in
 //! [`score_batch`].
 
-use crate::engine::{dispatch, hit_floor, Elem, Engine, Pass};
-use crate::group::{score_group, GroupProfile};
+use crate::engine::{dispatch, hit_floor, lane_bits, lanes_of, Elem, Engine, Pass};
+use crate::group::{group_width, score_group, GroupProfile};
 use crate::profile::Scheme;
 use crate::{fits_i16_query, Isa, KernelChoice};
 use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::scoring::Scoring;
 
-/// A batch of up to `lanes` queries packed one-per-lane for a fixed ISA
-/// under scheme `S` (linear-gap [`Scoring`] unless named otherwise;
-/// [`crate::PackedAffineProfile`] is the protein instance).
+/// A batch of queries packed one-per-lane for a fixed ISA under scheme `S`
+/// (linear-gap [`Scoring`] unless named otherwise;
+/// [`crate::PackedAffineProfile`] is the protein instance) at lane width
+/// `T` (`i16` unless named otherwise).
 ///
 /// The profile precomputes, for each target symbol `c`, the row-major
 /// vector sequence `prof[c][i * lanes + l] = subst(q_l[i], c)` (the
@@ -40,27 +51,31 @@ use genomedsm_core::scoring::Scoring;
 /// so the inner loop is one saturating add per row. Rows are built lazily
 /// per observed symbol. A profile is built **once per lane group** and
 /// reused across every database record it is scored against — that
-/// amortization is the batch engine's main launch-overhead win.
-pub struct PackedProfile<S = Scoring> {
+/// amortization is the batch engine's main launch-overhead win — and so
+/// is the DP state of its passes, re-zeroed per record.
+pub struct PackedProfile<S: Scheme = Scoring, T: Elem = i16> {
     isa: Isa,
-    /// Vector width in i16 lanes.
+    /// Vector width in `T` lanes.
     lanes: usize,
     /// Rows per column: the longest packed query's length.
     rows: usize,
     /// Per-lane query lengths (`lens.len()` = number of packed queries).
     lens: Vec<usize>,
-    /// Per-row byte-granularity live-lane mask (2 bits per live lane),
-    /// matching the `movemask_epi8` convention of `Engine::gt_bytes`:
-    /// lane `l` is live at row `i` iff `i < lens[l]`.
+    /// Per-row byte-granularity live-lane mask ([`lane_bits`] per live
+    /// lane), matching the `movemask_epi8` convention of
+    /// `Engine::gt_bytes`: lane `l` is live at row `i` iff `i < lens[l]`.
     valid: Vec<u64>,
     /// Lazily built profile rows, one per target symbol.
-    sym_rows: Vec<Option<Box<[i16]>>>,
+    sym_rows: Vec<Option<Box<[T]>>>,
     seqs: Vec<Box<[u8]>>,
     scheme: S,
+    /// The last pass's state and gap buffers, kept for the next one.
+    spare: Option<(PackedState<T>, S::Gap<T>)>,
 }
 
 impl<S: Scheme> PackedProfile<S> {
-    /// Packs `queries` (at most `isa.lanes()` of them) for `isa`.
+    /// Packs `queries` (at most `isa.lanes()` of them) for `isa` on `i16`
+    /// lanes.
     ///
     /// Returns `None` when the pack is not exactly representable: the ISA
     /// is unavailable on this CPU, too many queries, or the scoring
@@ -68,10 +83,18 @@ impl<S: Scheme> PackedProfile<S> {
     /// need a never-fails path use [`score_batch`], which routes
     /// rejected queries to the scalar oracle instead.
     pub fn new(queries: &[&[u8]], scheme: &S, isa: Isa) -> Option<Self> {
-        if !admits(queries, scheme, isa) {
-            return None;
-        }
-        let lanes = isa.lanes();
+        admits(queries, scheme, isa, isa.lanes()).then(|| Self::pack(queries, scheme, isa))
+    }
+}
+
+impl<S: Scheme, T: Elem> PackedProfile<S, T> {
+    /// Packs `queries` for `isa` on lanes of `T`. The caller has checked
+    /// that there is a lane per query and that every parameter of
+    /// `scheme` is representable at `T`; results are exact for every lane
+    /// whose best score is within `T`'s ceiling.
+    pub(crate) fn pack(queries: &[&[u8]], scheme: &S, isa: Isa) -> Self {
+        let lanes = lanes_of::<T>(isa);
+        debug_assert!(queries.len() <= lanes);
         let lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
         let rows = lens.iter().copied().max().unwrap_or(0);
         let mut valid = Vec::with_capacity(rows);
@@ -79,12 +102,12 @@ impl<S: Scheme> PackedProfile<S> {
             let mut mask = 0u64;
             for (l, &len) in lens.iter().enumerate() {
                 if i < len {
-                    mask |= 0b11 << (2 * l);
+                    mask |= lane_bits::<T>(l);
                 }
             }
             valid.push(mask);
         }
-        Some(Self {
+        Self {
             isa,
             lanes,
             rows,
@@ -93,7 +116,8 @@ impl<S: Scheme> PackedProfile<S> {
             sym_rows: vec![None; 256],
             seqs: queries.iter().map(|&q| q.into()).collect(),
             scheme: *scheme,
-        })
+            spare: None,
+        }
     }
 
     /// Number of queries packed into this profile.
@@ -106,14 +130,24 @@ impl<S: Scheme> PackedProfile<S> {
         self.isa
     }
 
+    /// The packed queries, in lane order.
+    pub(crate) fn queries(&self) -> Vec<&[u8]> {
+        self.seqs.iter().map(|q| &q[..]).collect()
+    }
+
+    /// The scheme the rows are scored under.
+    pub(crate) fn scheme(&self) -> &S {
+        &self.scheme
+    }
+
     /// The profile row for target symbol `c` (`rows * lanes` values).
-    fn row(&mut self, c: u8) -> &[i16] {
+    fn row(&mut self, c: u8) -> &[T] {
         let slot = &mut self.sym_rows[c as usize];
         if slot.is_none() {
-            let mut row = vec![i16::NEG_INF; self.rows * self.lanes];
+            let mut row = vec![T::NEG_INF; self.rows * self.lanes];
             for (l, q) in self.seqs.iter().enumerate() {
                 for (i, &qc) in q.iter().enumerate() {
-                    row[i * self.lanes + l] = self.scheme.subst(qc, c);
+                    row[i * self.lanes + l] = T::from_i32(i32::from(self.scheme.subst(qc, c)));
                 }
             }
             *slot = Some(row.into_boxed_slice());
@@ -126,7 +160,7 @@ impl<S: Scheme> PackedProfile<S> {
     /// reproduces the oracle's row-major-first tie-break — `first_j` holds
     /// each row's first column reaching its max, and the lowest such row
     /// wins.
-    fn reduce(&self, st: &PackedState) -> Vec<LinearSwResult> {
+    fn reduce(&self, st: &PackedState<T>) -> Vec<LinearSwResult> {
         self.lens
             .iter()
             .enumerate()
@@ -138,7 +172,7 @@ impl<S: Scheme> PackedProfile<S> {
                 };
                 for i in 0..len {
                     let idx = i * self.lanes + l;
-                    let v = i32::from(st.vmax[idx]);
+                    let v = st.vmax[idx].to_i32();
                     if v > best.best_score {
                         best.best_score = v;
                         best.best_end = (i + 1, st.first_j[idx] as usize + 1);
@@ -150,25 +184,26 @@ impl<S: Scheme> PackedProfile<S> {
     }
 }
 
-/// Whether `queries` can share one lane group on `isa`, in either layout:
-/// the ISA runs here, there is a lane per query, and every query passes
-/// [`fits_i16_query`].
-pub(crate) fn admits<S: Scheme>(queries: &[&[u8]], scheme: &S, isa: Isa) -> bool {
+/// Whether `queries` can share one lane group of at most `width` members
+/// on `isa`, in any layout: the ISA runs here, the group is not too wide,
+/// and every query passes [`fits_i16_query`] (which makes the `i16`
+/// re-run of an `i8` pass exact).
+pub(crate) fn admits<S: Scheme>(queries: &[&[u8]], scheme: &S, isa: Isa, width: usize) -> bool {
     isa.available()
-        && queries.len() <= isa.lanes()
+        && queries.len() <= width
         && queries.iter().all(|q| fits_i16_query(q.len(), scheme))
 }
 
 /// Mutable per-scan state: two column buffers plus the per-element
 /// running-max bookkeeping that reproduces the oracle's tie-break (an
 /// affine scheme's `E` buffer rides alongside in its [`Scheme::Gap`]).
-pub struct PackedState {
+pub struct PackedState<T = i16> {
     /// Previous column's `H` (`rows * lanes`, row-major).
-    pub(crate) ph: Vec<i16>,
+    pub(crate) ph: Vec<T>,
     /// Current column's `H`.
-    pub(crate) ch: Vec<i16>,
+    pub(crate) ch: Vec<T>,
     /// Running per-element maximum over all columns seen so far.
-    pub(crate) vmax: Vec<i16>,
+    pub(crate) vmax: Vec<T>,
     /// Column (0-based) of the first strict improvement that set each
     /// element's current `vmax`.
     pub(crate) first_j: Vec<u64>,
@@ -176,16 +211,25 @@ pub struct PackedState {
     pub(crate) hits: Vec<u64>,
 }
 
-impl PackedState {
+impl<T: Elem> PackedState<T> {
     pub(crate) fn new(rows: usize, lanes: usize) -> Self {
         let n = rows * lanes;
         Self {
-            ph: vec![0; n],
-            ch: vec![0; n],
-            vmax: vec![0; n],
+            ph: vec![T::ZERO; n],
+            ch: vec![T::ZERO; n],
+            vmax: vec![T::ZERO; n],
             first_j: vec![0; n],
             hits: vec![0; lanes],
         }
+    }
+
+    /// Returns the state to what `new` builds, without reallocating.
+    /// `ch` is overwritten whole by every column and `first_j` is read
+    /// only where `vmax` rose during the pass, so neither is cleared.
+    fn reset(&mut self) {
+        self.ph.fill(T::ZERO);
+        self.vmax.fill(T::ZERO);
+        self.hits.fill(0);
     }
 
     #[inline(always)]
@@ -207,14 +251,14 @@ impl PackedState {
 /// `prof_row` must be packed for `E::LANES` lanes with at least `rows`
 /// rows.
 #[inline(always)]
-pub(crate) unsafe fn packed_column<E: Engine<T = i16>>(
-    st: &mut PackedState,
+pub(crate) unsafe fn packed_column<E: Engine>(
+    st: &mut PackedState<E::T>,
     rows: usize,
-    prof_row: &[i16],
-    gap: i16,
+    prof_row: &[E::T],
+    gap: E::T,
 ) {
     let l = E::LANES;
-    let vzero = E::splat(0);
+    let vzero = E::splat(E::T::ZERO);
     let vgap = E::splat(gap);
     let mut diag = vzero; // H[i-1][j-1]
     let mut up = vzero; // H[i-1][j]
@@ -240,13 +284,14 @@ pub(crate) unsafe fn packed_column<E: Engine<T = i16>>(
 /// Same contract as [`packed_column`]; `valid` must cover every packed
 /// row of `st`.
 #[inline(always)]
-pub(crate) unsafe fn packed_stats<E: Engine<T = i16>>(
-    st: &mut PackedState,
+pub(crate) unsafe fn packed_stats<E: Engine>(
+    st: &mut PackedState<E::T>,
     valid: &[u64],
-    thr_minus_1: Option<i16>,
+    thr_minus_1: Option<E::T>,
     j0: usize,
 ) {
     let l = E::LANES;
+    let lane_width = E::T::BYTES;
     let vthr = thr_minus_1.map(|x| E::splat(x));
     for (i, &vmask) in valid.iter().enumerate() {
         let off = i * l;
@@ -254,9 +299,9 @@ pub(crate) unsafe fn packed_stats<E: Engine<T = i16>>(
         if let Some(vt) = vthr {
             let mut bits = E::gt_bytes(vh, vt) & vmask;
             while bits != 0 {
-                let lane = bits.trailing_zeros() as usize / 2;
+                let lane = bits.trailing_zeros() as usize / lane_width;
                 st.hits[lane] += 1;
-                bits &= !(0b11u64 << (lane * 2));
+                bits &= !lane_bits::<E::T>(lane);
             }
         }
         let vm = E::load(st.vmax.as_ptr().add(off));
@@ -265,35 +310,45 @@ pub(crate) unsafe fn packed_stats<E: Engine<T = i16>>(
             E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
             let mut bits = improved;
             while bits != 0 {
-                let lane = bits.trailing_zeros() as usize / 2;
+                let lane = bits.trailing_zeros() as usize / lane_width;
                 st.first_j[off + lane] = j0 as u64;
-                bits &= !(0b11u64 << (lane * 2));
+                bits &= !lane_bits::<E::T>(lane);
             }
         }
     }
 }
 
-/// Full batch pass of every query packed in `prof` over `t`: one
-/// oracle-exact result per query.
-struct PackedScore<'a, S> {
-    prof: &'a mut PackedProfile<S>,
+/// Full batch pass of every query packed in `prof` over `t`: one result
+/// per query, oracle-exact for each whose best score is within `T`'s
+/// ceiling (every one, for an `i16` pack admitted by [`fits_i16_query`]).
+struct PackedScore<'a, S: Scheme, T: Elem> {
+    prof: &'a mut PackedProfile<S, T>,
     t: &'a [u8],
     threshold: i32,
 }
 
-impl<S: Scheme> Pass for PackedScore<'_, S> {
-    type T = i16;
+impl<S: Scheme, T: Elem> Pass for PackedScore<'_, S, T> {
+    type T = T;
     type Out = Vec<LinearSwResult>;
 
     // SAFETY: the caller enables E's ISA; the assert pins the lane width
     // every buffer below is packed for.
     #[inline(always)]
-    unsafe fn run<E: Engine<T = i16>>(self) -> Vec<LinearSwResult> {
+    unsafe fn run<E: Engine<T = T>>(self) -> Vec<LinearSwResult> {
         let Self { prof, t, threshold } = self;
         assert_eq!(E::LANES, prof.lanes);
-        let rows = prof.rows;
-        let mut st = PackedState::new(rows, prof.lanes);
-        let mut gap = prof.scheme.gap_state(rows * prof.lanes);
+        let (rows, cells) = (prof.rows, prof.rows * prof.lanes);
+        let (mut st, mut gap) = match prof.spare.take() {
+            Some((mut st, mut gap)) => {
+                st.reset();
+                prof.scheme.reset_gap(&mut gap, cells);
+                (st, gap)
+            }
+            None => (
+                PackedState::new(rows, prof.lanes),
+                prof.scheme.gap_state(cells),
+            ),
+        };
         let thr = hit_floor(threshold);
         for (j0, &c) in t.iter().enumerate() {
             let row = prof.row(c);
@@ -301,7 +356,9 @@ impl<S: Scheme> Pass for PackedScore<'_, S> {
             packed_stats::<E>(&mut st, &prof.valid, thr, j0);
             st.flip();
         }
-        prof.reduce(&st)
+        let out = prof.reduce(&st);
+        prof.spare = Some((st, gap));
+        out
     }
 }
 
@@ -309,20 +366,39 @@ impl<S: Scheme> Pass for PackedScore<'_, S> {
 /// [`LinearSwResult`] per query in pack order.
 ///
 /// The profile is reusable: scoring mutates only its lazy symbol-row
-/// cache, so one profile can scan an entire database of targets.
+/// cache and its spare pass state, so one profile can scan an entire
+/// database of targets.
 pub fn score_batch_packed<S: Scheme>(
     prof: &mut PackedProfile<S>,
+    t: &[u8],
+    threshold: i32,
+) -> Vec<LinearSwResult> {
+    score_packed(prof, t, threshold)
+}
+
+/// [`score_batch_packed`] at any lane width: exact for each query whose
+/// best score is within `T`'s ceiling.
+pub(crate) fn score_packed<S: Scheme, T: Elem>(
+    prof: &mut PackedProfile<S, T>,
     t: &[u8],
     threshold: i32,
 ) -> Vec<LinearSwResult> {
     dispatch(prof.isa, PackedScore { prof, t, threshold })
 }
 
-/// Number of queries one kernel invocation carries for `choice` on this
-/// host: the i16 lane width for the SIMD paths, 1 for the scalar oracle.
-/// Batch planners size their lane groups with this.
+/// Number of `i16` lanes one kernel invocation carries for `choice` on
+/// this host, 1 for the scalar oracle. A lane group may hold up to twice
+/// as many queries ([`group_lanes`]).
 pub fn effective_lanes(choice: KernelChoice) -> usize {
     choice.isa().map_or(1, Isa::lanes)
+}
+
+/// The most queries one lane group holds for `choice` under `scheme` on
+/// this host: a query per `i8` lane where every parameter of `scheme`
+/// fits one, a query per `i16` lane otherwise, 1 for the scalar oracle.
+/// Batch planners size their lane groups with this.
+pub fn group_lanes<S: Scheme>(choice: KernelChoice, scheme: &S) -> usize {
+    choice.isa().map_or(1, |isa| group_width(isa, scheme))
 }
 
 /// Scores many queries against one shared target, a lane group at a
@@ -330,13 +406,13 @@ pub fn effective_lanes(choice: KernelChoice) -> usize {
 /// either scheme. Results are in query order and bit-identical to the
 /// scheme's scalar oracle per pair.
 ///
-/// Queries are grouped [`effective_lanes`]`(choice)` at a time in the
+/// Queries are grouped [`group_lanes`]`(choice, scheme)` at a time in the
 /// given order (pre-sort by length to minimize padding) and each group
 /// runs in the layout [`GroupProfile`] picks for it — a full group packed
-/// one query per lane, a lone query striped over all of them; queries
-/// outside the i16 envelope — and every query under
-/// `KernelChoice::Scalar` or when no real SIMD is available under `Auto`
-/// — run on the scalar oracle instead.
+/// one query per `i8` lane, re-scored at `i16` where that saturates, a
+/// lone query striped over all lanes; queries outside the i16 envelope —
+/// and every query under `KernelChoice::Scalar` or when no real SIMD is
+/// available under `Auto` — run on the scalar oracle instead.
 pub fn score_batch<S: Scheme>(
     choice: KernelChoice,
     queries: &[&[u8]],
@@ -358,7 +434,7 @@ pub fn score_batch<S: Scheme>(
     };
     let (packable, scalar): (Vec<usize>, Vec<usize>) =
         (0..queries.len()).partition(|&i| fits_i16_query(queries[i].len(), scheme));
-    for members in packable.chunks(isa.lanes()) {
+    for members in packable.chunks(group_width(isa, scheme)) {
         let qs: Vec<&[u8]> = members.iter().map(|&i| queries[i]).collect();
         let mut group = GroupProfile::new(&qs, scheme, isa).expect("members passed fits_i16_query");
         for (&i, r) in members.iter().zip(score_group(&mut group, t, threshold)) {

@@ -17,14 +17,15 @@
 //!
 //! # Exactness and the width ladder
 //!
-//! Lane width is the engine's element type ([`Elem`]): `i16` (saturating
-//! arithmetic, twice the lanes) or `i32`. A pass is bit-exact against the
-//! scheme's oracle (score, end point with the same row-major-first
-//! tie-break, threshold hit count) whenever every value that entered it and
-//! every `H` it wrote is at most [`Elem::CEILING`], and that is checked
-//! *after* the pass, from the values themselves: `H` is a `max` over its
-//! candidates, so a saturating add that clipped leaves `i16::MAX` in the
-//! `H` it fed and in the running maximum the statistics pass keeps anyway.
+//! Lane width is the engine's element type ([`Elem`]): `i8` and `i16`
+//! (saturating arithmetic; four and two times the `i32` lane count) or
+//! `i32`. A pass is bit-exact against the scheme's oracle (score, end
+//! point with the same row-major-first tie-break, threshold hit count)
+//! whenever every value that entered it and every `H` it wrote is at most
+//! [`Elem::CEILING`], and that is checked *after* the pass, from the
+//! values themselves: `H` is a `max` over its candidates, so a saturating
+//! add that clipped leaves the type's maximum in the `H` it fed and in the
+//! running maximum the statistics pass keeps anyway.
 //! No `H` above the ceiling therefore means no add ever clipped. (Values
 //! that saturate *low* — the `NEG_INF` chains of `F`, an affine `E` — are
 //! negative before and after clipping and lose to `0` or to the
@@ -32,6 +33,14 @@
 //! ([`crate::BandScorer`] per wavefront unit, [`crate::StripedKernel`] per
 //! pair) run `i16` first and re-run at `i32` what failed the check; only
 //! the widest rung is admitted a priori, from `min(m, n) · column_cap`.
+//!
+//! The `i8` rung exists in the packed (query-per-lane) layout only, where
+//! the lanes are independent alignments and the same argument holds per
+//! lane: a lane whose best score is within the 8-bit ceiling is exact.
+//! [`crate::GroupProfile`] runs a group of up to twice the `i16` lane count
+//! on `i8` lanes and re-scores at `i16` the records whose pass saturated;
+//! the batch planner admits every member at `i16` a priori, so that re-run
+//! is always exact.
 
 use crate::profile::{Scheme, StripedProfile};
 use crate::Isa;
@@ -40,8 +49,8 @@ use genomedsm_core::scoring::Scoring;
 
 /// A lane element type: one rung of the width ladder.
 ///
-/// `pub` for the same reason as [`Engine`]; implemented for `i16` and
-/// `i32` only. The bit operations are what the portable engine's lane
+/// `pub` for the same reason as [`Engine`]; implemented for `i8`, `i16`
+/// and `i32` only. The bit operations are what the portable engine's lane
 /// masks are made of.
 pub trait Elem:
     Copy + Ord + std::fmt::Debug + std::ops::BitAnd<Output = Self> + std::ops::Not<Output = Self>
@@ -63,27 +72,59 @@ pub trait Elem:
     /// Sentinel for padding lanes (`q >= m`) and "no value" boundaries:
     /// low enough that adding any cell value to it stays negative, and far
     /// enough above the type's minimum that the gap chains subtracted from
-    /// it neither wrap (`i32`) nor matter once they saturate (`i16`).
+    /// it neither wrap (`i32`) nor matter once they saturate (`i16`; `i8`
+    /// has no room to spare and sits at the minimum itself).
     const NEG_INF: Self;
     /// Highest cell value a pass at this width is exact for. Below
-    /// `i16::MAX` by a margin nothing depends on; far enough below
-    /// `i32::MAX` that `i32` lanes, which have no saturating instructions,
-    /// cannot wrap: a lazy-`F` chain dies within `CEILING / gap` steps of
-    /// its origin, so nothing ever falls below `NEG_INF - CEILING -` a
-    /// penalty or two.
+    /// `i8::MAX` and `i16::MAX` by a margin nothing depends on; far enough
+    /// below `i32::MAX` that `i32` lanes, which have no saturating
+    /// instructions, cannot wrap: a lazy-`F` chain dies within
+    /// `CEILING / gap` steps of its origin, so nothing ever falls below
+    /// `NEG_INF - CEILING -` a penalty or two.
     const CEILING: i32;
 
     /// `x` at this width; `x` must be representable (a penalty or profile
-    /// score within `I16_PARAM_CEILING`, or a border value the caller
-    /// checked against [`CEILING`](Self::CEILING)).
+    /// score within `I16_PARAM_CEILING` — within `CEILING` at `i8` — or a
+    /// border value the caller checked against [`CEILING`](Self::CEILING)).
     fn from_i32(x: i32) -> Self;
     /// Widens back to the oracle's cell type.
     fn to_i32(self) -> i32;
-    /// Lane addition as the engines do it: saturating for `i16`, plain for
-    /// `i32` (whose head-room is `CEILING`'s job).
+    /// Lane addition as the engines do it: saturating for `i8` and `i16`,
+    /// plain for `i32` (whose head-room is `CEILING`'s job).
     fn add(self, other: Self) -> Self;
     /// Lane subtraction, likewise.
     fn sub(self, other: Self) -> Self;
+}
+
+impl Elem for i8 {
+    type Portable = crate::scalar::Portable<i8, 16>;
+    #[cfg(target_arch = "x86_64")]
+    type Sse2 = crate::x86::Sse2<i8>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx2 = crate::x86::Avx2<i8>;
+
+    const BYTES: usize = 1;
+    const ZERO: i8 = 0;
+    const NEG_INF: i8 = i8::MIN;
+    const CEILING: i32 = 120;
+
+    #[inline(always)]
+    fn from_i32(x: i32) -> i8 {
+        debug_assert!(i8::try_from(x).is_ok(), "{x} does not fit an i8 lane");
+        x as i8
+    }
+    #[inline(always)]
+    fn to_i32(self) -> i32 {
+        i32::from(self)
+    }
+    #[inline(always)]
+    fn add(self, other: i8) -> i8 {
+        self.saturating_add(other)
+    }
+    #[inline(always)]
+    fn sub(self, other: i8) -> i8 {
+        self.saturating_sub(other)
+    }
 }
 
 impl Elem for i16 {
@@ -203,7 +244,7 @@ pub trait Engine: Copy {
     /// `LANES` consecutive `T` writes.
     unsafe fn store(dst: *mut Self::T, v: Self::V);
     /// Lane-wise [`Elem::add`]: saturating where the width has the
-    /// instruction (`i16`), plain otherwise.
+    /// instruction (`i8`, `i16`), plain otherwise.
     ///
     /// # Safety
     /// The trait-level ISA contract must hold.

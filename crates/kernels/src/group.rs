@@ -1,18 +1,28 @@
-//! The lane-group profile: up to `LANES` queries prepared once and scored
-//! against target after target, in whichever lane layout keeps the vector
-//! busier for *this* group.
+//! The lane-group profile: up to twice `LANES` queries prepared once and
+//! scored against target after target, in whichever lane layout and lane
+//! width keeps the vector busier for *this* group.
 //!
 //! The packed layout ([`PackedProfile`], DSA-style) costs `max |q|` vector
 //! rows per target column however many lanes are live, so a group of one —
 //! the one-query request — pays the full vector for a sixteenth of the
 //! work. The striped layout (SSW-style) spreads each query over all lanes
 //! and costs `Σ ⌈|q| / LANES⌉` rows per column, each somewhat dearer (the
-//! lane rotation and the lazy-F loop). [`GroupProfile::new`] compares the
-//! two row counts and builds the cheaper layout; both are bit-identical to
-//! [`Scheme::oracle`], so the choice is invisible in the results
-//! (DESIGN.md §5.5).
+//! lane rotation and the lazy-F loop). For a group of at most `LANES`
+//! members [`GroupProfile::new`] compares the two row counts and builds
+//! the cheaper layout at `i16`.
+//!
+//! A wider group — up to twice `LANES`, when every parameter of the
+//! scheme fits an `i8` lane — is packed one query per `i8` lane: one pass
+//! where two `i16` groups would take two. A record whose `i8` pass leaves
+//! some member's best score above the 8-bit ceiling is re-scored at `i16`
+//! by the half group holding that member; the halves are built on first
+//! need and kept for the group's remaining records. Every member passed
+//! [`crate::fits_i16_query`], so the re-run is exact, and a member within
+//! the ceiling was exact already (lanes are independent alignments). All
+//! of it is bit-identical to [`Scheme::oracle`], so the choice is
+//! invisible in the results (DESIGN.md §5.5).
 
-use crate::batch::{admits, score_batch_packed, PackedProfile};
+use crate::batch::{admits, score_packed, PackedProfile};
 use crate::engine::{dispatch, lanes_of, Elem, StripedScore, StripedState};
 use crate::profile::{Scheme, StripedProfile};
 use crate::Isa;
@@ -31,6 +41,21 @@ fn stripes_win(lens: &[usize], lanes: usize) -> bool {
     let longest = lens.iter().copied().max().unwrap_or(0);
     let striped_rows: usize = lens.iter().map(|len| len.div_ceil(lanes)).sum();
     !lens.contains(&0) && STRIPED_ROW_COST * striped_rows < longest
+}
+
+/// The most members a group under `scheme` may have on `isa`: a query
+/// per `i8` lane when every parameter of the scheme fits one, a query per
+/// `i16` lane otherwise. Within the 8-bit ceiling, the padding sentinel
+/// (`i8::MIN`) stays below every real value and the `H + gap_open`
+/// re-open branch above everything that saturated low.
+pub(crate) fn group_width<S: Scheme>(isa: Isa, scheme: &S) -> usize {
+    let fits_i8 =
+        scheme.column_cap().is_some() && scheme.param_bound() <= <i8 as Elem>::CEILING as u32;
+    if fits_i8 {
+        lanes_of::<i8>(isa)
+    } else {
+        isa.lanes()
+    }
 }
 
 /// Queries striped one after the other over all lanes of element type `T`:
@@ -79,40 +104,106 @@ impl<S: Scheme, T: Elem> StripedGroup<S, T> {
     }
 }
 
-/// A lane group of up to `isa.lanes()` queries under scheme `S`, built
-/// **once** and reused across every target it is scored against with
+/// A lane group of up to [`crate::group_lanes`] queries under scheme `S`,
+/// built **once** and reused across every target it is scored against with
 /// [`score_group`] — the constructor every batch caller uses. Which lane
-/// layout it holds is decided here, from the query lengths and the lane
-/// width alone.
+/// layout and width it holds is decided here, from the query lengths, the
+/// scheme's parameters and the lane count alone.
 pub struct GroupProfile<S: Scheme = Scoring>(Layout<S>);
 
 enum Layout<S: Scheme> {
     Packed(PackedProfile<S>),
     Striped(StripedGroup<S>),
+    Narrow(NarrowGroup<S>),
+}
+
+/// More than `isa.lanes()` queries packed one per `i8` lane, and the
+/// `i16` half groups that re-score a record the `i8` pass saturated on.
+struct NarrowGroup<S: Scheme> {
+    prof: PackedProfile<S, i8>,
+    /// Empty until a record first saturates; then `isa.lanes()` members
+    /// each, in lane order.
+    halves: Vec<GroupProfile<S>>,
+    /// Records re-scored at `i16` so far.
+    reruns: u64,
+}
+
+impl<S: Scheme> NarrowGroup<S> {
+    fn score(&mut self, t: &[u8], threshold: i32) -> Vec<LinearSwResult> {
+        let saturated = |r: &LinearSwResult| r.best_score > <i8 as Elem>::CEILING;
+        let mut out = score_packed(&mut self.prof, t, threshold);
+        if !out.iter().any(saturated) {
+            return out;
+        }
+        self.reruns += 1;
+        let (isa, lanes) = (self.prof.isa(), self.prof.isa().lanes());
+        if self.halves.is_empty() {
+            let scheme = *self.prof.scheme();
+            self.halves = self
+                .prof
+                .queries()
+                .chunks(lanes)
+                .map(|half| {
+                    GroupProfile::new(half, &scheme, isa).expect("a narrow group's halves fit i16")
+                })
+                .collect();
+        }
+        for (half, slots) in self.halves.iter_mut().zip(out.chunks_mut(lanes)) {
+            if slots.iter().any(saturated) {
+                slots.clone_from_slice(&score_group(half, t, threshold));
+            }
+        }
+        out
+    }
 }
 
 impl<S: Scheme> GroupProfile<S> {
-    /// Prepares `queries` (at most `isa.lanes()` of them) for `isa`.
+    /// Prepares `queries` (at most [`crate::group_lanes`] of them) for
+    /// `isa`: at most `isa.lanes()` striped or packed at `i16`, more
+    /// packed at `i8`.
     ///
-    /// Returns `None` exactly when [`PackedProfile::new`] would: the ISA
+    /// Returns `None` when the group is not exactly representable: the ISA
     /// is unavailable on this CPU, too many queries, or the scoring
-    /// scheme / a query length fails [`crate::fits_i16_query`]. Callers that
-    /// need a never-fails path use [`crate::score_batch`].
+    /// scheme / a query length fails [`crate::fits_i16_query`]. Callers
+    /// that need a never-fails path use [`crate::score_batch`].
     pub fn new(queries: &[&[u8]], scheme: &S, isa: Isa) -> Option<Self> {
+        if !admits(queries, scheme, isa, group_width(isa, scheme)) {
+            return None;
+        }
         let lens: Vec<usize> = queries.iter().map(|q| q.len()).collect();
-        let layout = if stripes_win(&lens, isa.lanes()) {
-            admits(queries, scheme, isa)
-                .then(|| Layout::Striped(StripedGroup::new(queries, scheme, isa)))
+        let layout = if queries.len() > isa.lanes() {
+            Layout::Narrow(NarrowGroup {
+                prof: PackedProfile::pack(queries, scheme, isa),
+                halves: Vec::new(),
+                reruns: 0,
+            })
+        } else if stripes_win(&lens, isa.lanes()) {
+            Layout::Striped(StripedGroup::new(queries, scheme, isa))
         } else {
-            PackedProfile::new(queries, scheme, isa).map(Layout::Packed)
+            Layout::Packed(PackedProfile::pack(queries, scheme, isa))
         };
-        layout.map(Self)
+        Some(Self(layout))
     }
 
     /// Whether the group runs striped (each query over all lanes) rather
     /// than packed (a query per lane).
     pub fn is_striped(&self) -> bool {
         matches!(self.0, Layout::Striped(_))
+    }
+
+    /// Whether the group runs packed on `i8` lanes, re-scoring at `i16`
+    /// what saturates.
+    pub fn is_narrow(&self) -> bool {
+        matches!(self.0, Layout::Narrow(_))
+    }
+
+    /// Records this group re-scored at `i16` so far, because its `i8` pass
+    /// saturated on them (always 0 for an `i16` group).
+    pub fn reruns(&self) -> u64 {
+        match &self.0 {
+            Layout::Narrow(narrow) => narrow.reruns,
+            Layout::Packed(_) | Layout::Striped(_) => 0,
+        }
     }
 }
 
@@ -127,7 +218,8 @@ pub fn score_group<S: Scheme>(
     threshold: i32,
 ) -> Vec<LinearSwResult> {
     match &mut group.0 {
-        Layout::Packed(prof) => score_batch_packed(prof, t, threshold),
+        Layout::Packed(prof) => score_packed(prof, t, threshold),
         Layout::Striped(striped) => striped.score(t, threshold),
+        Layout::Narrow(narrow) => narrow.score(t, threshold),
     }
 }

@@ -36,8 +36,11 @@
 //! nothing saturated, and re-run on `i32` lanes the pair — or the one
 //! wavefront unit — that did; the scalar oracle is left with degenerate
 //! schemes and what even `i32` could not hold. Only the batch path still
-//! admits a priori (see [`fits_i16_query`]). Callers never trade
-//! correctness for speed.
+//! admits a priori (see [`fits_i16_query`]), and it runs a rung below
+//! that: a [`GroupProfile`] of up to twice the `i16` lane count packs a
+//! query per `i8` lane and re-scores at `i16` the records its 8-bit pass
+//! saturated on ([`group_lanes`]). Callers never trade correctness for
+//! speed.
 //!
 //! Selection is by [`KernelChoice`] (`scalar | simd | auto`): `auto` picks
 //! the fastest exact kernel for the host, `simd` forces the striped path
@@ -56,7 +59,7 @@ mod x86;
 
 pub use band::BandScorer;
 pub use batch::{
-    effective_lanes, score_batch, score_batch_packed,
+    effective_lanes, group_lanes, score_batch, score_batch_packed,
     score_batch_packed as score_batch_packed_affine, PackedProfile,
 };
 pub use genomedsm_core::linear::LinearSwResult;

@@ -23,7 +23,7 @@ use genomedsm_core::scoring::Scoring;
 
 /// Largest magnitude accepted for any scoring parameter, with margin
 /// above the i16 padding sentinel ([`Elem::NEG_INF`]).
-pub(crate) const I16_PARAM_CEILING: i32 = 28_000;
+pub(crate) const I16_PARAM_CEILING: u32 = 28_000;
 
 /// A scoring scheme the kernel skeleton can run: everything that differs
 /// between linear-gap DNA ([`Scoring`]) and affine-gap protein
@@ -42,9 +42,14 @@ pub trait Scheme: Copy + Send + Sync {
 
     /// The largest score one alignment column can add, or `None` when the
     /// parameters are outside what the vector kernels handle exactly at
-    /// any lane width (degenerate or huge values are routed to
+    /// `i16` and `i32` (degenerate or huge values are routed to
     /// [`oracle`](Self::oracle) rather than reasoned about).
     fn column_cap(&self) -> Option<i32>;
+
+    /// The largest magnitude among the penalties and substitution scores:
+    /// what a lane must hold besides the cells. The `i8` rung takes a
+    /// scheme only when this is within its ceiling.
+    fn param_bound(&self) -> u32;
 
     /// The scalar i32 reference every kernel must equal bit for bit, and
     /// the fallback for what no rung of the width ladder holds.
@@ -74,19 +79,20 @@ pub trait Scheme: Copy + Send + Sync {
         row: &[E::T],
     );
 
-    /// One target column of the packed (query-per-lane) layout, which
-    /// exists at `i16` only: batch admission is a priori
-    /// ([`fits_i16_query`](crate::fits_i16_query)).
+    /// One target column of the packed (query-per-lane) layout under a
+    /// zero top row, at `i8` or `i16`: batch admission at `i16` is a
+    /// priori ([`fits_i16_query`](crate::fits_i16_query)), and an `i8`
+    /// pass is checked afterwards per lane.
     ///
     /// # Safety
     /// The engine's ISA must be enabled in the calling context, and `st`,
     /// `gap` and `row` must be packed for `E::LANES` lanes with at least
     /// `rows` rows.
-    unsafe fn packed_column<E: Engine<T = i16>>(
-        gap: &mut Self::Gap<i16>,
-        st: &mut PackedState,
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut Self::Gap<E::T>,
+        st: &mut PackedState<E::T>,
         rows: usize,
-        row: &[i16],
+        row: &[E::T],
     );
 }
 
@@ -102,11 +108,18 @@ impl Scheme for Scoring {
 
     fn column_cap(&self) -> Option<i32> {
         let params_ok = self.gap < 0
-            && self.gap >= -I16_PARAM_CEILING
-            && (1..=I16_PARAM_CEILING).contains(&self.matches)
+            && self.matches > 0
             && self.mismatch <= self.matches
-            && self.mismatch >= -I16_PARAM_CEILING;
+            && self.param_bound() <= I16_PARAM_CEILING;
         params_ok.then_some(self.matches)
+    }
+
+    fn param_bound(&self) -> u32 {
+        [self.matches, self.mismatch, self.gap]
+            .map(i32::unsigned_abs)
+            .into_iter()
+            .max()
+            .unwrap_or(0)
     }
 
     fn oracle(&self, s: &[u8], t: &[u8], threshold: i32) -> LinearSwResult {
@@ -126,11 +139,11 @@ impl Scheme for Scoring {
 
     // SAFETY: same contract as the linear `packed_column`, which the caller upholds.
     #[inline(always)]
-    unsafe fn packed_column<E: Engine<T = i16>>(
-        gap: &mut i16,
-        st: &mut PackedState,
+    unsafe fn packed_column<E: Engine>(
+        gap: &mut E::T,
+        st: &mut PackedState<E::T>,
         rows: usize,
-        row: &[i16],
+        row: &[E::T],
     ) {
         packed_column::<E>(st, rows, row, *gap)
     }

@@ -3,9 +3,9 @@
 //! This serves two purposes: it is the fallback on targets without
 //! `std::arch::x86_64`, and it exercises the exact same striped control flow
 //! as the SIMD engines in tests, so layout bugs cannot hide behind an ISA
-//! check. A 128-bit vector's worth of lanes (eight `i16`, four `i32`) keeps
-//! the striped geometry (padding, rotation, lazy-F wrap) identical to
-//! SSE2's at either width.
+//! check. A 128-bit vector's worth of lanes (sixteen `i8`, eight `i16`,
+//! four `i32`) keeps the geometry (padding, rotation, lazy-F wrap, lane
+//! masks) identical to SSE2's at every width.
 
 use crate::engine::{lane_bits, Elem, Engine};
 use std::marker::PhantomData;
@@ -114,6 +114,7 @@ impl<T: Elem, const N: usize> Engine for Portable<T, N> {
 mod tests {
     use super::*;
 
+    type P8 = <i8 as Elem>::Portable;
     type P16 = <i16 as Elem>::Portable;
     type P32 = <i32 as Elem>::Portable;
 
@@ -159,6 +160,15 @@ mod tests {
             let hi = P16::splat(i16::MAX);
             assert_eq!(P16::subs(lo, P16::splat(100))[0], i16::MIN);
             assert_eq!(P16::adds(hi, P16::splat(100))[0], i16::MAX);
+            assert_eq!(P8::adds(P8::splat(100), P8::splat(100)), [i8::MAX; 16]);
+            assert_eq!(
+                P8::subs(P8::splat(i8::NEG_INF), P8::splat(5)),
+                [i8::MIN; 16]
+            );
+            // One mask bit per byte lane.
+            let mut a = [0i8; 16];
+            a[15] = 1;
+            assert_eq!(P8::gt_bytes(a, [0; 16]), 1 << 15);
         }
     }
 

@@ -1,7 +1,7 @@
 //! SSE2 and AVX2 backends via `std::arch::x86_64` (no external crates).
 //!
 //! Each engine implements the [`Engine`] vocabulary with raw intrinsics at
-//! both lane widths (`Sse2<i16>`, `Sse2<i32>`, …), and each ISA exposes one
+//! every lane width (`Sse2<i8>`, `Sse2<i16>`, `Sse2<i32>`, …), and each ISA exposes one
 //! `#[target_feature]` shell that runs any [`Pass`] on the engine of the
 //! pass's width; the `#[inline(always)]` generic bodies monomorphize
 //! *inside* the shell, so the whole recurrence compiles with the wide
@@ -14,9 +14,10 @@
 //! half) followed by `vpalignr`, then an OR to drop the boundary value into
 //! the zeroed lane 0. The `i32` engines use plain `add`/`sub` — x86 has no
 //! saturating 32-bit forms; [`Elem::CEILING`] is what keeps them from
-//! wrapping — and SSE2 builds its `i32` max and min, and every `select`,
-//! from a compare and an and/andnot/or blend (`pmaxsd`, `pminsd` and
-//! `pblendvb` are SSE4.1); AVX2 selects with `vpblendvb`.
+//! wrapping — and SSE2 builds its `i8` and `i32` max and min, and every
+//! `select`, from a compare and an and/andnot/or blend (`pmaxsb`, `pmaxsd`,
+//! their `min` twins and `pblendvb` are SSE4.1); AVX2 selects with
+//! `vpblendvb`.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -25,9 +26,101 @@ use std::marker::PhantomData;
 
 use crate::engine::{Elem, Engine, Pass};
 
-/// 128-bit engine: 8 × i16 or 4 × i32 lanes.
+/// 128-bit engine: 16 × i8, 8 × i16 or 4 × i32 lanes.
 #[derive(Debug, Clone, Copy)]
 pub struct Sse2<T>(PhantomData<T>);
+
+impl Engine for Sse2<i8> {
+    type T = i8;
+    const LANES: usize = 16;
+    type V = __m128i;
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i8) -> Self::V {
+        _mm_set1_epi8(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i8) -> Self::V {
+        _mm_loadu_si128(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i8, v: Self::V) {
+        _mm_storeu_si128(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm_adds_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm_subs_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        Self::select(_mm_cmpgt_epi8(a, b), a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        Self::select(_mm_cmpgt_epi8(b, a), a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpgt_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm_cmpeq_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm_and_si128(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm_andnot_si128(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        _mm_movemask_epi8(_mm_cmpgt_epi8(a, b)) as u32 as u64
+    }
+
+    // SAFETY: caller upholds the Engine contract — SSE2 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i8) -> Self::V {
+        // As at i16, one lane being one byte.
+        let shifted = _mm_slli_si128::<1>(v);
+        _mm_or_si128(shifted, _mm_cvtsi32_si128(i32::from(first as u8)))
+    }
+}
 
 impl Engine for Sse2<i16> {
     type T = i16;
@@ -213,9 +306,106 @@ impl Engine for Sse2<i32> {
     }
 }
 
-/// 256-bit engine: 16 × i16 or 8 × i32 lanes.
+/// 256-bit engine: 32 × i8, 16 × i16 or 8 × i32 lanes.
 #[derive(Debug, Clone, Copy)]
 pub struct Avx2<T>(PhantomData<T>);
+
+impl Engine for Avx2<i8> {
+    type T = i8;
+    const LANES: usize = 32;
+    type V = __m256i;
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i8) -> Self::V {
+        _mm256_set1_epi8(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i8) -> Self::V {
+        _mm256_loadu_si256(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i8, v: Self::V) {
+        _mm256_storeu_si256(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_adds_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_subs_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_max_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_min_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpgt_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_cmpeq_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm256_blendv_epi8(b, a, m)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_and_si256(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm256_andnot_si256(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        _mm256_movemask_epi8(_mm256_cmpgt_epi8(a, b)) as u32 as u64
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX2 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i8) -> Self::V {
+        // As at i16, one lane being one byte.
+        let carry = _mm256_permute2x128_si256::<0x08>(v, v);
+        let shifted = _mm256_alignr_epi8::<15>(v, carry);
+        let boundary = _mm256_set_m128i(
+            _mm_setzero_si128(),
+            _mm_cvtsi32_si128(i32::from(first as u8)),
+        );
+        _mm256_or_si256(shifted, boundary)
+    }
+}
 
 impl Engine for Avx2<i16> {
     type T = i16;
@@ -426,12 +616,10 @@ mod tests {
 
     /// `E::shift_in` and `E::gt_bytes` on `E::LANES` distinct values must
     /// agree with the portable engine of the same width.
-    unsafe fn agrees_with_portable<E: Engine>()
-    where
-        E::T: From<i16>,
-    {
-        let src: Vec<E::T> = (0..E::LANES).map(|i| E::T::from(100 + i as i16)).collect();
-        let first = E::T::from(-3);
+    unsafe fn agrees_with_portable<E: Engine>() {
+        let val = |x: usize| E::T::from_i32(x as i32);
+        let src: Vec<E::T> = (0..E::LANES).map(|i| val(70 + i)).collect();
+        let first = E::T::from_i32(-3);
         let mut out = vec![E::T::ZERO; E::LANES];
         E::store(out.as_mut_ptr(), E::shift_in(E::load(src.as_ptr()), first));
         let mut want = vec![first];
@@ -441,7 +629,7 @@ mod tests {
         let mut a = vec![E::T::ZERO; E::LANES];
         let live = [0, E::LANES / 2 + 1, E::LANES - 1];
         for l in live {
-            a[l] = E::T::from(1 + l as i16);
+            a[l] = val(1 + l);
         }
         let m = E::gt_bytes(E::load(a.as_ptr()), E::splat(E::T::ZERO));
         let want = live
@@ -451,7 +639,7 @@ mod tests {
 
         // The mask vocabulary, lane by lane: a mix of a < b, a == b, a > b.
         let a: Vec<E::T> = (0..E::LANES)
-            .map(|i| E::T::from(i as i16 % 3 - 1))
+            .map(|i| E::T::from_i32(i as i32 % 3 - 1))
             .collect();
         let b = vec![E::T::ZERO; E::LANES];
         let (va, vb) = (E::load(a.as_ptr()), E::load(b.as_ptr()));
@@ -480,11 +668,12 @@ mod tests {
     }
 
     #[test]
-    fn sse2_matches_portable_semantics_at_both_widths() {
+    fn sse2_matches_portable_semantics_at_every_width() {
         if !is_x86_feature_detected!("sse2") {
             return;
         }
         unsafe {
+            agrees_with_portable::<Sse2<i8>>();
             agrees_with_portable::<Sse2<i16>>();
             agrees_with_portable::<Sse2<i32>>();
             // SSE2 has no pmaxsd: the compare-and-blend must pick per lane.
@@ -495,15 +684,25 @@ mod tests {
             let mut out = [0i32; 4];
             Sse2::<i32>::store(out.as_mut_ptr(), max);
             assert_eq!(out, [5, 9, 7, 0]);
+            // Nor pmaxsb/pminsb: the same blend, signed, and saturating adds.
+            let (a, b) = (_mm_set1_epi8(-128), _mm_set1_epi8(127));
+            let mut out = [0i8; 16];
+            Sse2::<i8>::store(out.as_mut_ptr(), Sse2::<i8>::max(a, b));
+            assert_eq!(out, [127; 16]);
+            Sse2::<i8>::store(out.as_mut_ptr(), Sse2::<i8>::min(a, b));
+            assert_eq!(out, [-128; 16]);
+            Sse2::<i8>::store(out.as_mut_ptr(), Sse2::<i8>::adds(b, b));
+            assert_eq!(out, [127; 16]);
         }
     }
 
     #[test]
-    fn avx2_shift_in_crosses_the_128_bit_boundary_at_both_widths() {
+    fn avx2_shift_in_crosses_the_128_bit_boundary_at_every_width() {
         if !is_x86_feature_detected!("avx2") {
             return;
         }
         unsafe {
+            agrees_with_portable::<Avx2<i8>>();
             agrees_with_portable::<Avx2<i16>>();
             agrees_with_portable::<Avx2<i32>>();
         }

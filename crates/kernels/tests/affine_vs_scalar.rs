@@ -14,18 +14,19 @@
 //! demands the linear-gap kernels' answer under the equivalent `Scoring`
 //! (linear gap is the degenerate affine gap, through both layouts on
 //! every ISA). The group-size axis runs every lane group from one query
-//! to a full vector on every ISA, in whichever layout its `GroupProfile`
-//! picks.
+//! to the widest group on every ISA, in whichever layout and width its
+//! `GroupProfile` picks — the `i8` rung with the records it must re-run
+//! at `i16`.
 
 mod common;
 
-use common::{check_ladder, sweep_group_sizes};
+use common::{check_ladder, sweep_group_sizes, I8_CEILING};
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
 use genomedsm_core::sw_score_profile;
 use genomedsm_kernels::{
-    available_kernels, fits_i16_affine, fits_i16_affine_query, kernel_for, score_batch,
-    score_batch_packed, Isa, KernelChoice, PackedProfile, Rung,
+    available_kernels, effective_lanes, fits_i16_affine, fits_i16_affine_query, group_lanes,
+    kernel_for, score_batch, score_batch_packed, Isa, KernelChoice, PackedProfile, Rung,
 };
 use proptest::prelude::*;
 
@@ -318,39 +319,119 @@ fn invalid_schemes_are_rejected_by_admission() {
     assert_eq!(check_pair(b"AAAA", b"AAAA", &ms, 1), Rung::Scalar);
 }
 
+/// Two `i16` vectors' worth of ragged lengths: enough for the widest group
+/// on every ISA.
+const RAGGED: [usize; 32] = [
+    40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6, 31, 4, 19, 11, 36, 7, 24, 15, 2, 28,
+    10, 35, 13, 22, 1, 18,
+];
+
+/// `lens` as queries cut from `protein`, member `i` at offset `step * i`.
+fn cut<'a>(protein: &'a [u8], lens: &[usize], step: usize) -> Vec<&'a [u8]> {
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| &protein[step * i..step * i + len])
+        .collect()
+}
+
 #[test]
 fn every_group_size_matches_the_oracle_in_either_layout() {
     // One protein the long target also contains, so lanes score real
     // matches; the same profile then meets a target shorter than most
     // queries and an empty one.
-    let protein = genomedsm_seq::random_protein(60, 1).into_bytes();
+    let protein = genomedsm_seq::random_protein(80, 1).into_bytes();
     let targets: [&[u8]; 3] = [&protein[5..50], &protein[20..24], b""];
-    let pool_of = |lens: &[usize; 16]| -> Vec<&[u8]> {
-        lens.iter()
-            .enumerate()
-            .map(|(i, &len)| &protein[i..i + len])
-            .collect()
-    };
-    let ragged = [40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6];
-    let mut short_first = ragged;
+    let mut short_first = RAGGED;
     short_first.swap(0, 8); // a lone 5-residue query: one stripe, mostly padding
-    let mut with_empty = ragged;
+    let mut with_empty = RAGGED;
     with_empty[1] = 0;
     let pam = MatrixScoring::new(SubstMatrix::pam250(), -10, -2);
-    for lens in [[24; 16], ragged, short_first, with_empty] {
+    for lens in [[24; 32], RAGGED, short_first, with_empty] {
         for (ms, thr) in [(MatrixScoring::blosum62(), 0), (pam, 5)] {
-            let seen = sweep_group_sizes(&pool_of(&lens), &targets, &ms, thr);
-            assert!(seen.striped > 0 && seen.packed > 0, "{lens:?}: {seen:?}");
+            let seen = sweep_group_sizes(&cut(&protein, &lens, 1), &targets, &ms, thr);
+            assert!(
+                seen.striped > 0 && seen.packed > 0 && seen.narrow > 0,
+                "{lens:?}: {seen:?}"
+            );
         }
     }
     // BLOSUM62 x 100 (best entry 1100) puts the 33- and 37-residue members
     // past the envelope: groups holding one are refused, and score_batch
-    // spills only them.
+    // spills only them. No parameter fits an i8 lane, so no group runs
+    // narrow.
+    let steep = scaled_blosum62(100, -1100, -100);
+    assert!(fits_i16_affine_query(29, &steep) && !fits_i16_affine_query(30, &steep));
+    assert_eq!(
+        group_lanes(KernelChoice::Simd, &steep),
+        effective_lanes(KernelChoice::Simd)
+    );
+    let seen = sweep_group_sizes(&cut(&protein, &RAGGED, 1), &targets, &steep, 900);
+    assert_eq!(seen.narrow, 0);
+}
+
+/// BLOSUM62 with every entry multiplied by `k`, under the given gaps.
+fn scaled_blosum62(k: i16, gap_open: i32, gap_extend: i32) -> MatrixScoring {
     let mut scaled = *MatrixScoring::blosum62().matrix.table();
     for v in scaled.iter_mut().flatten() {
-        *v *= 100;
+        *v *= k;
     }
-    let steep = MatrixScoring::new(SubstMatrix::from_scores(scaled), -1100, -100);
-    assert!(fits_i16_affine_query(29, &steep) && !fits_i16_affine_query(30, &steep));
-    sweep_group_sizes(&pool_of(&ragged), &targets, &steep, 900);
+    MatrixScoring::new(SubstMatrix::from_scores(scaled), gap_open, gap_extend)
+}
+
+#[test]
+fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
+    let protein = genomedsm_seq::random_protein(400, 2).into_bytes();
+    let targets: [&[u8]; 3] = [&protein, &protein[200..230], b""];
+    // Under the +1/-1 matrix a member cut whole from the target scores its
+    // own length: the RAGGED members stay under the 8-bit ceiling, and one
+    // lands exactly on it (answered on i8 lanes) or one past it (its half
+    // group re-runs the record at i16), in the first or the second half.
+    let unit = linear_as_affine(&Scoring::paper());
+    for ms in [unit, MatrixScoring::blosum62()] {
+        assert_eq!(
+            group_lanes(KernelChoice::Simd, &ms),
+            2 * effective_lanes(KernelChoice::Simd)
+        );
+    }
+    for (at, len) in [(3, 120), (3, 121), (20, 120), (20, 121), (31, 150)] {
+        let mut lens = RAGGED;
+        lens[at] = len;
+        let pool = cut(&protein, &lens, 7);
+        assert_eq!(
+            sw_score_profile(pool[at], &protein, &unit, 0).best_score,
+            len as i32
+        );
+        for thr in [0, 120, 121] {
+            let seen = sweep_group_sizes(&pool, &targets, &unit, thr);
+            assert!(seen.narrow > 0, "{seen:?}");
+            // Every narrow group holds lane 3; lanes 20 and 31 only the
+            // widest AVX2 groups do.
+            if at == 3 {
+                assert_eq!(seen.reruns > 0, len as i32 > I8_CEILING, "{len}: {seen:?}");
+            }
+        }
+        // BLOSUM62 with gap_open != gap_extend: the long member scores far
+        // past the ceiling against itself.
+        let seen = sweep_group_sizes(&pool, &targets, &MatrixScoring::blosum62(), 0);
+        assert!(seen.narrow > 0, "{seen:?}");
+    }
+    // BLOSUM62 x 10 under -110/-10 still fits i8 lanes, but a single W/W
+    // pair nearly reaches the ceiling, so nearly every record re-runs; and
+    // a 291-residue member is past the i16 envelope, so groups holding it
+    // are refused and score_batch spills it alone.
+    let sharp = scaled_blosum62(10, -110, -10);
+    assert!(fits_i16_affine_query(290, &sharp) && !fits_i16_affine_query(291, &sharp));
+    assert_eq!(
+        group_lanes(KernelChoice::Simd, &sharp),
+        2 * effective_lanes(KernelChoice::Simd)
+    );
+    for at in [12, 24] {
+        let mut lens = RAGGED;
+        lens[at] = 291;
+        let pool = cut(&protein, &lens, 2);
+        for thr in [0, 150] {
+            let seen = sweep_group_sizes(&pool, &targets, &sharp, thr);
+            assert!(seen.narrow > 0 && seen.reruns > 0, "{seen:?}");
+        }
+    }
 }

@@ -5,16 +5,19 @@
 //! shapes: empty queries, one-character queries, queries too long for
 //! the i16 envelope (which must spill to the scalar path), and ragged
 //! mixes of all of the above sharing one pack. The group-size axis runs
-//! every lane group from one query to a full vector on every ISA, so both
-//! layouts a [`GroupProfile`] can pick are held to the same oracle, and
-//! one test pins the rule that picks.
+//! every lane group from one query to the widest group on every ISA, so
+//! every layout and width a [`GroupProfile`] can pick is held to the same
+//! oracle — the `i8` rung with the records it must re-run at `i16` — and
+//! one test pins the rule that picks the layout.
 
 mod common;
 
-use common::sweep_group_sizes;
+use common::{sweep_group_sizes, I8_CEILING};
 use genomedsm_core::linear::sw_score_linear;
 use genomedsm_core::Scoring;
-use genomedsm_kernels::{fits_i16_query, score_batch, GroupProfile, Isa, KernelChoice};
+use genomedsm_kernels::{
+    effective_lanes, fits_i16_query, group_lanes, score_batch, GroupProfile, Isa, KernelChoice,
+};
 use genomedsm_seq::random_dna;
 use proptest::prelude::*;
 
@@ -147,7 +150,7 @@ fn empty_target_and_empty_query_list() {
     }
 }
 
-/// A pool of 16 queries with the given lengths, cut from one sequence the
+/// A pool of queries with the given lengths, cut from one sequence the
 /// long target also contains, so lanes score real matches.
 fn pool_of(lens: &[usize], genome: &[u8]) -> Vec<Vec<u8>> {
     lens.iter()
@@ -162,11 +165,16 @@ fn pool_of(lens: &[usize], genome: &[u8]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-const RAGGED: [usize; 16] = [40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6];
+/// Two `i16` vectors' worth of ragged lengths: enough for the widest group
+/// on every ISA.
+const RAGGED: [usize; 32] = [
+    40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6, 31, 4, 19, 11, 36, 7, 24, 15, 2, 28,
+    10, 35, 13, 22, 1, 18,
+];
 
 #[test]
 fn every_group_size_matches_the_oracle_in_either_layout() {
-    let genome = random_dna(60, 1).into_bytes();
+    let genome = random_dna(80, 1).into_bytes();
     // The same profile meets a long target, one shorter than most queries,
     // and an empty one, in that order.
     let targets: [&[u8]; 3] = [&genome[5..50], &genome[20..24], b""];
@@ -174,21 +182,94 @@ fn every_group_size_matches_the_oracle_in_either_layout() {
     short_first.swap(0, 8); // a lone 5-base query: one stripe, mostly padding
     let mut with_empty = RAGGED;
     with_empty[1] = 0;
-    for lens in [[24; 16], RAGGED, short_first, with_empty] {
+    for lens in [[24; 32], RAGGED, short_first, with_empty] {
         let pool = pool_of(&lens, &genome);
         let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
         for thr in [0, 3] {
             let seen = sweep_group_sizes(&refs, &targets, &SC, thr);
-            assert!(seen.striped > 0 && seen.packed > 0, "{lens:?}: {seen:?}");
+            assert!(
+                seen.striped > 0 && seen.packed > 0 && seen.narrow > 0,
+                "{lens:?}: {seen:?}"
+            );
+            assert_eq!(
+                seen.reruns, 0,
+                "{lens:?}: nothing here passes the i8 ceiling"
+            );
         }
     }
     // match = 1000 puts the 33- and 37-base members past the envelope:
     // groups holding one are refused, and score_batch spills only them.
+    // No parameter fits an i8 lane, so no group runs narrow.
     let steep = Scoring::new(1000, -1000, -2000);
     assert!(fits_i16_query(32, &steep) && !fits_i16_query(33, &steep));
+    assert_eq!(
+        group_lanes(KernelChoice::Simd, &steep),
+        effective_lanes(KernelChoice::Simd)
+    );
     let pool = pool_of(&RAGGED, &genome);
     let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
-    sweep_group_sizes(&refs, &targets, &steep, 1500);
+    let seen = sweep_group_sizes(&refs, &targets, &steep, 1500);
+    assert_eq!(seen.narrow, 0);
+}
+
+#[test]
+fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
+    // Members cut whole from the genome score their own length against it:
+    // every RAGGED member stays under the 8-bit ceiling, and one member
+    // lands exactly on it (answered on i8 lanes) or one past it (its half
+    // group re-runs the record at i16), in the first or the second half.
+    let genome = random_dna(400, 2).into_bytes();
+    let targets: [&[u8]; 3] = [&genome, &genome[200..230], b""];
+    assert_eq!(
+        group_lanes(KernelChoice::Simd, &SC),
+        2 * effective_lanes(KernelChoice::Simd)
+    );
+    for (at, len) in [(3, 120), (3, 121), (20, 120), (20, 121), (31, 150)] {
+        let mut lens = RAGGED;
+        lens[at] = len;
+        let pool: Vec<&[u8]> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| &genome[7 * i..7 * i + l])
+            .collect();
+        assert_eq!(
+            sw_score_linear(pool[at], &genome, &SC, 0).best_score,
+            len as i32
+        );
+        // Hits counted at, just under and just past the ceiling.
+        for thr in [0, 120, 121] {
+            let seen = sweep_group_sizes(&pool, &targets, &SC, thr);
+            assert!(seen.narrow > 0, "{seen:?}");
+            // Every narrow group holds lane 3; lanes 20 and 31 only the
+            // widest AVX2 groups do.
+            if at == 3 {
+                assert_eq!(seen.reruns > 0, len as i32 > I8_CEILING, "{len}: {seen:?}");
+            }
+        }
+    }
+    // match = 100 still fits i8 lanes, but two matches in a row pass the
+    // ceiling, so nearly every record re-runs; and a 321-base member is
+    // past the i16 envelope, so groups holding it are refused and
+    // score_batch spills it alone.
+    let sharp = Scoring::new(100, -100, -110);
+    assert!(fits_i16_query(320, &sharp) && !fits_i16_query(321, &sharp));
+    assert_eq!(
+        group_lanes(KernelChoice::Simd, &sharp),
+        2 * effective_lanes(KernelChoice::Simd)
+    );
+    for at in [12, 24] {
+        let mut lens = RAGGED;
+        lens[at] = 321;
+        let pool: Vec<&[u8]> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| &genome[2 * i..2 * i + l])
+            .collect();
+        for thr in [0, 150] {
+            let seen = sweep_group_sizes(&pool, &targets, &sharp, thr);
+            assert!(seen.narrow > 0 && seen.reruns > 0, "{seen:?}");
+        }
+    }
 }
 
 #[test]

@@ -1,16 +1,22 @@
 //! The axes shared by the linear and affine differential suites. Lane
 //! width: one pair through the per-pair ladder on every runnable ISA,
 //! asserting the oracle's answer *and* the rung that produced it. Group
-//! size: every prefix of a query pool as one lane group, on every runnable
-//! ISA, each lane against the scheme's oracle.
+//! size and group width: every prefix of a query pool as one lane group,
+//! up to the widest group the scheme allows, on every runnable ISA, each
+//! lane against the scheme's oracle and each record against the rung
+//! (`i8`, or `i8` re-run at `i16`) its scores call for.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
 use genomedsm_kernels::{
-    fits_i16_query, score_batch, score_group, GroupProfile, Isa, KernelChoice, LinearSwResult,
-    Rung, Scheme, StripedKernel,
+    effective_lanes, fits_i16_query, group_lanes, score_batch, score_group, GroupProfile, Isa,
+    KernelChoice, LinearSwResult, Rung, Scheme, StripedKernel,
 };
+
+/// The highest score an `i8` lane answers for itself; a record on which
+/// some member of an `i8` group scores more is re-run at `i16`.
+pub const I8_CEILING: i32 = 120;
 
 /// The striped kernel of every ISA this host runs.
 pub fn engines() -> Vec<StripedKernel> {
@@ -53,18 +59,25 @@ pub fn check_ladder<S: Scheme>(
     (oracle, want)
 }
 
-/// How many groups of a sweep ran in each layout.
+/// How many groups of a sweep ran in each layout and width, and how many
+/// of the narrow groups' records were re-run at `i16`.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Layouts {
     pub striped: usize,
     pub packed: usize,
+    pub narrow: usize,
+    pub reruns: u64,
 }
 
-/// Builds `pool[..g]` as one [`GroupProfile`] for every `g` up to the lane
-/// count of every ISA this host runs, and scores it against each target in
-/// turn — the same profile, so state left over from one target would show
-/// in the next. A group is refused only when a member is past the i16
-/// envelope; `score_batch` must then spill exactly that member.
+/// Builds `pool[..g]` as one [`GroupProfile`] for every `g` up to the
+/// widest group `scheme` allows on every ISA this host runs — twice the
+/// `i16` lane count where the scheme fits `i8` lanes — and scores it
+/// against each target in turn: the same profile, so state left over from
+/// one target would show in the next. A group wider than one `i16` vector
+/// must run on `i8` lanes and re-run a record at `i16` exactly when some
+/// member's oracle score passes [`I8_CEILING`]. A group is refused only
+/// when a member is past the i16 envelope; `score_batch` must then spill
+/// exactly that member.
 pub fn sweep_group_sizes<S: Scheme>(
     pool: &[&[u8]],
     targets: &[&[u8]],
@@ -72,8 +85,10 @@ pub fn sweep_group_sizes<S: Scheme>(
     threshold: i32,
 ) -> Layouts {
     let mut seen = Layouts::default();
+    let widening =
+        group_lanes(KernelChoice::Simd, scheme) / effective_lanes(KernelChoice::Simd).max(1);
     for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
-        for g in 1..=isa.lanes().min(pool.len()) {
+        for g in 1..=(widening * isa.lanes()).min(pool.len()) {
             let qs = &pool[..g];
             let Some(mut group) = GroupProfile::new(qs, scheme, isa) else {
                 assert!(
@@ -89,25 +104,42 @@ pub fn sweep_group_sizes<S: Scheme>(
                 }
                 continue;
             };
-            if group.is_striped() {
+            let narrow = g > isa.lanes();
+            assert_eq!(group.is_narrow(), narrow, "{} g={g}", isa.name());
+            if narrow {
+                seen.narrow += 1;
+            } else if group.is_striped() {
                 seen.striped += 1;
             } else {
                 seen.packed += 1;
             }
             for t in targets {
+                let before = group.reruns();
                 let got = score_group(&mut group, t, threshold);
                 assert_eq!(got.len(), g);
+                let mut saturates = false;
                 for (lane, (q, r)) in qs.iter().zip(got).enumerate() {
+                    let want = scheme.oracle(q, t, threshold);
+                    saturates |= want.best_score > I8_CEILING;
                     assert_eq!(
                         r,
-                        scheme.oracle(q, t, threshold),
-                        "{} g={g} lane {lane} striped={} (|q|={} |t|={} thr={threshold})",
+                        want,
+                        "{} g={g} lane {lane} striped={} narrow={narrow} (|q|={} |t|={} thr={threshold})",
                         isa.name(),
                         group.is_striped(),
                         q.len(),
                         t.len()
                     );
                 }
+                let reran = group.reruns() - before;
+                assert_eq!(
+                    reran,
+                    u64::from(narrow && saturates),
+                    "{} g={g} |t|={}: the record's rung",
+                    isa.name(),
+                    t.len()
+                );
+                seen.reruns += reran;
             }
         }
     }

@@ -628,7 +628,7 @@ fn chaos(args: &[String]) {
 fn batch_config(args: &[String], default_top_k: usize) -> BatchConfig {
     BatchConfig {
         kernel: opt_kernel(args),
-        top_k: opt_num(args, "--top-k", default_top_k),
+        top_k: opt_count(args, "--top-k", default_top_k),
         mode: opt_mode(args),
         scheduler: genomedsm::batch::SchedulerConfig {
             workers: opt_num(args, "--workers", 0),
@@ -662,6 +662,7 @@ fn batch(args: &[String]) {
         exit(1);
     });
     let (db, refs) = (&inputs.db, inputs.query_refs());
+    let engine = BatchEngine::new(config);
     eprintln!(
         "batch search ({}): {} queries ({} bp) x {} records ({} bp), kernel '{}', \
          {} lanes...",
@@ -674,13 +675,12 @@ fn batch(args: &[String]) {
         db.len(),
         db.total_bases(),
         config.kernel,
-        genomedsm::kernels::effective_lanes(config.kernel),
+        engine.group_width(),
     );
     if has_flag(args, "--prefilter") {
         prefiltered_batch(args, &config, db, &refs);
         return;
     }
-    let engine = BatchEngine::new(config);
     let t0 = std::time::Instant::now();
     // Streaming: each query prints the moment its top-k is final.
     let out = genomedsm::batch::execute(&engine, db, &refs, |q, hits| {
@@ -698,11 +698,13 @@ fn batch(args: &[String]) {
     let elapsed = t0.elapsed();
     println!(
         "\n{} cells in {elapsed:.2?}: {:.3} aggregate GCUPS \
-         ({} lane groups, {} striped, {} scalar spill, {} jobs)",
+         ({} lane groups, {} striped, {} i8, {} i16 re-run(s), {} scalar spill, {} jobs)",
         out.stats.cells,
         out.stats.cells as f64 / elapsed.as_secs_f64().max(1e-9) / 1e9,
         out.stats.lane_groups,
         out.stats.striped_groups,
+        out.stats.narrow_groups,
+        out.stats.reruns,
         out.stats.scalar_queries,
         out.stats.jobs
     );

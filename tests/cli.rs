@@ -256,3 +256,26 @@ fn a_threshold_or_count_below_one_is_refused_by_name() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn batch_refuses_a_top_k_of_zero_by_name() {
+    // `--top-k 0` used to run the whole search and print "0 hit(s)" for
+    // every query, exit 0; `serve` reads a request's 0 as "the default".
+    let dir = temp_dir("bad_top_k");
+    let fa = small_pair(&dir);
+    for mode in ["dna", "protein"] {
+        let out = bin()
+            .args(["batch", "--mode", mode, "--db"])
+            .arg(&fa)
+            .arg("--queries")
+            .arg(&fa)
+            .args(["--top-k", "0"])
+            .output()
+            .expect("run batch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode}: {stderr}");
+        assert!(stderr.contains("--top-k"), "{mode}: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode}: nothing may run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
