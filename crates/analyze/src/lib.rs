@@ -4,7 +4,7 @@
 //! A token-surface scanner ([`lexer`]) separates code from comments and
 //! literals (the build is hermetic, so there is no `syn`). On top of it
 //! sit a brace-aware, item-aware parse ([`parse`]) of every protocol
-//! crate, an intra-crate call graph ([`callgraph`]), and five passes
+//! crate, an intra-crate call graph ([`callgraph`]), and four passes
 //! that prove properties over *all* source — including paths no test
 //! schedule has visited:
 //!
@@ -13,9 +13,6 @@
 //!   [`PROTOCOL_CRATES`] no `unwrap()`/`expect()`, no
 //!   `Ordering::Relaxed`, no `thread::sleep`, no
 //!   `todo!`/`unimplemented!`/`dbg!`, all outside test code;
-//! * [`lockorder`] — static may-hold-while-acquiring graph over every
-//!   DSM lock site, cycle detection, and the superset cross-check
-//!   against the runtime `dsm::lock_order` edge dump;
 //! * [`blocking`] — calls that can block (`recv`, `join`, `wait`, …)
 //!   reachable while a std `Mutex` guard is held;
 //! * [`wire`] — every `Msg`/`Reply`/`Request`/`Response` variant and
@@ -35,7 +32,6 @@ pub mod blocking;
 pub mod callgraph;
 pub mod hygiene;
 pub mod lexer;
-pub mod lockorder;
 pub mod panics;
 pub mod parse;
 pub mod wire;
@@ -59,9 +55,9 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Stable analysis slug (`lock-order`, `blocking-while-locked`,
-    /// `wire-exhaustiveness`, `panic-surface`, `lock-order-crosscheck`)
-    /// or hygiene rule slug (`safety-comment`, `no-unwrap`, …).
+    /// Stable analysis slug (`blocking-while-locked`,
+    /// `wire-exhaustiveness`, `panic-surface`) or hygiene rule slug
+    /// (`safety-comment`, `no-unwrap`, …).
     pub analysis: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -116,10 +112,8 @@ impl Model {
     /// Walks the workspace at `root` once: the root package's `src/` and
     /// every `crates/*/src` go through the [`hygiene`] rules (vendored
     /// shims, `tests/` and `benches/` are out of their scope), and the
-    /// `src/` and `tests/` of each [`SCOPE_CRATES`] member, plus
-    /// `crates/analyze/tests/` (its cross-check harness contains DSM
-    /// lock sites the runtime graph will witness), are parsed for the
-    /// structural analyses.
+    /// `src/` and `tests/` of each [`SCOPE_CRATES`] member are parsed for
+    /// the structural analyses.
     ///
     /// # Errors
     /// Propagates I/O errors from walking or reading the tree.
@@ -145,8 +139,6 @@ impl Model {
             }
             if SCOPE_CRATES.contains(&name.as_str()) {
                 structural.extend(src);
-            }
-            if SCOPE_CRATES.contains(&name.as_str()) || name == "analyze" {
                 structural.extend(read_sources(root, &dir.join("tests"), &name)?);
             }
         }
@@ -158,7 +150,6 @@ impl Model {
     /// Runs every analysis and returns the sorted findings.
     pub fn analyze(&self) -> Vec<Finding> {
         let mut findings = self.hygiene.clone();
-        findings.extend(lockorder::findings(self));
         findings.extend(blocking::findings(self));
         findings.extend(wire::findings(self));
         findings.extend(panics::findings(self));

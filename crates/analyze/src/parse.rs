@@ -6,9 +6,7 @@
 //! top of that surface this module recovers the structure the analyses
 //! need: `fn` items with their body spans and owning `impl`/`trait`
 //! type, `#[cfg(test)]` attribution, call sites (plain, method,
-//! qualified, macro — with turbofish), DSM lock/unlock events (a
-//! `.lock(arg)` call with an argument is the DSM primitive; the argless
-//! `.lock()` is a std `Mutex`), and syntactic indexing sites.
+//! qualified, macro — with turbofish), and syntactic indexing sites.
 //!
 //! The parse is deliberately not a full grammar: brace/paren/bracket
 //! balancing over masked code is exact for the constructs above, and
@@ -52,25 +50,13 @@ pub struct CallSite {
     /// What is being called.
     pub callee: Callee,
     /// Argument text (whitespace-stripped) — captured only for the
-    /// names the analyses inspect (`lock`, `unlock`, `drop`, `join`,
+    /// names the analyses inspect (`lock`, `drop`, `join`,
     /// the condvar `wait` family); empty otherwise.
     pub args: String,
     /// Number of top-level arguments at the call site (closure pipes
     /// skipped). Name resolution filters candidates by arity — an
     /// in-crate call always passes exactly the declared parameters.
     pub args_n: usize,
-}
-
-/// A DSM lock-primitive event (`.lock(arg)` / `.unlock(arg)`).
-#[derive(Debug, Clone)]
-pub struct LockEvent {
-    /// Byte offset of the `lock`/`unlock` word.
-    pub at: usize,
-    /// `true` for `lock`, `false` for `unlock`.
-    pub acquire: bool,
-    /// Normalized (whitespace-stripped) argument text — the lock's
-    /// static identity.
-    pub identity: String,
 }
 
 /// One `fn` item.
@@ -92,8 +78,6 @@ pub struct FnItem {
     pub body: Option<Range<usize>>,
     /// Call sites attributed to this fn (innermost-body attribution).
     pub calls: Vec<CallSite>,
-    /// DSM lock/unlock events in this fn.
-    pub locks: Vec<LockEvent>,
     /// Byte offsets of syntactic indexing (`expr[`).
     pub indexing: Vec<usize>,
 }
@@ -345,15 +329,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 /// Names whose argument text the analyses need.
-const CAPTURE_ARGS: &[&str] = &[
-    "lock",
-    "unlock",
-    "drop",
-    "join",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-];
+const CAPTURE_ARGS: &[&str] = &["lock", "drop", "join", "wait", "wait_timeout", "wait_while"];
 
 /// Parses one file. `crate_name` is the short crate directory name;
 /// `is_test_file` marks integration-test context (everything cfg-test).
@@ -444,7 +420,6 @@ pub fn parse_file(path: PathBuf, crate_name: &str, is_test_file: bool, src: &str
             sig: at..j,
             body,
             calls: Vec::new(),
-            locks: Vec::new(),
             indexing: Vec::new(),
         });
     }
@@ -569,22 +544,7 @@ pub fn parse_file(path: PathBuf, crate_name: &str, is_test_file: bool, src: &str
                     Callee::Plain(word)
                 }
             };
-            // DSM lock primitives: `.lock(arg)` / `.unlock(arg)` with a
-            // non-empty argument (the argless form is a std Mutex).
-            let lock_event = match &callee {
-                Callee::Method(m) if (m == "lock" || m == "unlock") && !args.is_empty() => {
-                    Some(LockEvent {
-                        at: start,
-                        acquire: m == "lock",
-                        identity: args.clone(),
-                    })
-                }
-                _ => None,
-            };
             if let Some(fi) = file.fn_at(start) {
-                if let Some(ev) = lock_event {
-                    file.fns[fi].locks.push(ev);
-                }
                 file.fns[fi].calls.push(CallSite {
                     at: start,
                     callee,
@@ -660,16 +620,11 @@ mod tests {
         assert!(calls.contains(&Callee::Plain("go".into())));
         assert!(calls.contains(&Callee::Method("array".into())));
         assert!(calls.contains(&Callee::Macro("vec".into())));
-        assert_eq!(f.fns[0].locks.len(), 2);
-        assert!(f.fns[0].locks[0].acquire);
-        assert_eq!(f.fns[0].locks[0].identity, "PAGE");
-        assert!(!f.fns[0].locks[1].acquire);
     }
 
     #[test]
-    fn std_mutex_lock_is_not_a_dsm_lock() {
+    fn argless_lock_is_captured_with_empty_args() {
         let f = parse("fn f(&self) { let g = self.inner.lock(); g.touch(); }\n");
-        assert!(f.fns[0].locks.is_empty());
         assert!(f.fns[0]
             .calls
             .iter()

@@ -18,19 +18,6 @@ fn analyze_fixture(fixture: &str, as_path: &str, crate_name: &str) -> Vec<Findin
 }
 
 #[test]
-fn lock_cycle_fixture_is_caught() {
-    let f = analyze_fixture("lock_cycle.rs", "crates/dsm/src/lock_cycle.rs", "dsm");
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].analysis, "lock-order");
-    assert!(f[0].message.contains("cycle"), "{}", f[0].message);
-    assert!(
-        f[0].message.contains("PAGE_LOCK") && f[0].message.contains("LEASE_TABLE"),
-        "{}",
-        f[0].message
-    );
-}
-
-#[test]
 fn block_under_lock_fixture_is_caught() {
     let f = analyze_fixture(
         "block_under_lock.rs",

@@ -1,7 +1,6 @@
 //! DSM system configuration.
 
 use crate::faults::FaultPlan;
-use crate::lock_order::LockOrderMode;
 use crate::net::{NetworkModel, RetransmitPolicy};
 use crate::transport::manifest::ClusterCtx;
 use std::time::Duration;
@@ -76,11 +75,6 @@ pub struct DsmConfig {
     /// Cluster supervision layer (failure detection + recovery). Disabled
     /// by default.
     pub supervision: SupervisionConfig,
-    /// What the runtime lock-order graph does on an inversion, when it is
-    /// active at all (debug builds or the `lock-order` feature); see
-    /// [`crate::lock_order::LOCK_ORDER_ENABLED`]. Defaults to
-    /// [`LockOrderMode::Panic`].
-    pub lock_order: LockOrderMode,
     /// When set, [`crate::DsmSystem::run_wire`] runs this process as ONE
     /// rank of a multi-process cluster over the UDP socket transport
     /// instead of spawning all ranks as threads. `None` (the default)
@@ -104,7 +98,6 @@ impl DsmConfig {
             faults: FaultPlan::quiet(0),
             retransmit: RetransmitPolicy::default(),
             supervision: SupervisionConfig::default(),
-            lock_order: LockOrderMode::default(),
             cluster: None,
         }
     }
@@ -176,13 +169,6 @@ impl DsmConfig {
     /// Overrides the supervision layer configuration.
     pub fn supervise(mut self, supervision: SupervisionConfig) -> Self {
         self.supervision = supervision;
-        self
-    }
-
-    /// Overrides the lock-order graph's reaction to an inversion
-    /// (panic by default; record to inspect violations after the run).
-    pub fn lock_order(mut self, mode: LockOrderMode) -> Self {
-        self.lock_order = mode;
         self
     }
 

@@ -61,7 +61,6 @@ pub mod config;
 pub mod daemon;
 pub mod error;
 pub mod faults;
-pub mod lock_order;
 pub mod msg;
 pub mod net;
 pub mod node;
@@ -75,9 +74,6 @@ pub use codec::{check_malformed, from_frame, to_frame, FrameReader, FrameWriter,
 pub use config::{DsmConfig, SupervisionConfig};
 pub use error::DsmError;
 pub use faults::{CrashEvent, FaultPlan, LinkFaults, RejoinEvent};
-pub use lock_order::{
-    LockOrderEdge, LockOrderGraph, LockOrderMode, LockOrderViolation, LOCK_ORDER_ENABLED,
-};
 pub use net::{
     LinkMsg, NetworkModel, RetransmitPolicy, TransmitFate, CHAN_DAEMON, CHAN_REPLY, CHAN_REQ,
 };

@@ -44,7 +44,6 @@ use crate::config::{DsmConfig, SupervisionConfig};
 use crate::daemon::{Daemon, Outbox};
 use crate::error::DsmError;
 use crate::faults::FaultPlan;
-use crate::lock_order::LockOrderGraph;
 use crate::msg::{Envelope, Msg, Notice, Reply, ReplyEnvelope};
 use crate::net::{self, NetworkModel, RetransmitPolicy, CHAN_REQ};
 use crate::page::CachedPage;
@@ -54,6 +53,7 @@ use crate::transport::flush;
 use crate::vec::{DsmData, GlobalAddr, GlobalVec};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::panic::Location;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -137,11 +137,10 @@ pub struct Node {
     notices_since_barrier: Vec<Notice>,
     lock_seq: HashMap<u32, u64>,
     cv_seq: HashMap<u32, u64>,
-    /// Currently held locks, each with the source location of its
-    /// acquisition (feeds the runtime lock-order graph).
-    held_locks: HashMap<u32, &'static std::panic::Location<'static>>,
-    /// Per-run acquisition-order graph (None when tracking is disabled).
-    lock_order: Option<Arc<LockOrderGraph>>,
+    /// The one lock this worker holds, with the site that acquired it.
+    /// A worker holds at most one DSM lock, so no two workers can wait on
+    /// each other's locks (DESIGN.md §5.10).
+    held_lock: Option<(u32, &'static Location<'static>)>,
     alloc_next_page: u64,
     home_map: Vec<(u64, HomeAssign)>, // (first page of range, assignment)
     stats: NodeStats,
@@ -200,7 +199,6 @@ impl Node {
         config: &DsmConfig,
         measured: bool,
         wiring: NodeWiring,
-        lock_order: Option<Arc<LockOrderGraph>>,
         clock: Clock,
     ) -> Self {
         let NodeWiring {
@@ -225,8 +223,7 @@ impl Node {
             notices_since_barrier: Vec::new(),
             lock_seq: HashMap::new(),
             cv_seq: HashMap::new(),
-            held_locks: HashMap::new(),
-            lock_order,
+            held_lock: None,
             alloc_next_page: 0,
             home_map: Vec::new(),
             stats: NodeStats::default(),
@@ -709,25 +706,25 @@ impl Node {
     /// Acquires a global lock. The grant carries write notices, which
     /// invalidate the acquirer's stale copies (scope consistency).
     ///
-    /// In debug builds (or with the `lock-order` feature) the acquisition
-    /// is checked against the run's lock-order graph *before* blocking,
-    /// so an AB-BA inversion is reported deterministically instead of
-    /// deadlocking under an unlucky interleaving.
+    /// # Panics
+    /// If this worker already holds a lock, the same one or another, in
+    /// every build: a worker holds at most one DSM lock, which makes a
+    /// lock-order inversion impossible. The message names both locks and
+    /// both call sites.
     #[track_caller]
     pub fn lock(&mut self, lock: u32) {
         if self.failed {
             return;
         }
-        let site = std::panic::Location::caller();
-        if let Some(graph) = &self.lock_order {
-            let held: Vec<_> = self.held_locks.iter().map(|(&l, &s)| (l, s)).collect();
-            graph.on_acquire(&held, lock, site);
+        let site = Location::caller();
+        if let Some((held, held_site)) = self.held_lock {
+            panic!(
+                "node {} acquired lock {lock} at {site} while holding lock {held} \
+                 (acquired at {held_site}): a worker holds at most one DSM lock",
+                self.id
+            );
         }
-        assert!(
-            self.held_locks.insert(lock, site).is_none(),
-            "node {} re-acquired lock {lock} it already holds",
-            self.id
-        );
+        self.held_lock = Some((lock, site));
         let manager = lock as usize % self.nprocs;
         let last_seq = self.lock_seq.get(&lock).copied().unwrap_or(0);
         let seq = self.send(
@@ -755,7 +752,7 @@ impl Node {
             return;
         }
         assert!(
-            self.held_locks.remove(&lock).is_some(),
+            self.held_lock.take_if(|(held, _)| *held == lock).is_some(),
             "node {} released lock {lock} it does not hold",
             self.id
         );
@@ -1095,7 +1092,7 @@ impl Node {
         self.notices_since_barrier.clear();
         self.lock_seq.clear();
         self.cv_seq.clear();
-        self.held_locks.clear();
+        self.held_lock = None;
         self.failed = false;
         // The joiner has trivially "processed" its own death: without
         // this, its first post-rejoin cancel-probe would find its own

@@ -16,7 +16,6 @@ use crate::codec::{from_frame, to_frame, Wire};
 use crate::config::DsmConfig;
 use crate::daemon::Daemon;
 use crate::error::DsmError;
-use crate::lock_order::{LockOrderEdge, LockOrderGraph, LockOrderViolation, LOCK_ORDER_ENABLED};
 use crate::msg::{Envelope, Msg, SYSTEM_SRC};
 use crate::node::{Node, NodeWiring, OwnDaemon};
 use crate::stats::NodeStats;
@@ -39,31 +38,6 @@ pub struct DsmRun<R> {
     pub stats: Vec<NodeStats>,
     /// Wall time from spawn to last join.
     pub wall: std::time::Duration,
-    /// Lock-order inversions observed by the runtime graph. Only
-    /// populated when tracking is active (debug builds or the
-    /// `lock-order` feature) *and* the config selected
-    /// [`crate::LockOrderMode::Record`]; in the default panic mode a
-    /// violation aborts the run instead.
-    pub lock_order_violations: Vec<LockOrderViolation>,
-    /// Every acquisition edge the runtime lock-order graph recorded,
-    /// deterministically sorted. Empty when tracking is inactive. The
-    /// `genomedsm-analyze` cross-check consumes these (via
-    /// [`crate::lock_order::LockOrderEdge::wire_format`]) to prove the
-    /// static lock-order graph is a superset of runtime behavior.
-    pub lock_order_edges: Vec<LockOrderEdge>,
-}
-
-impl<R> DsmRun<R> {
-    /// The same run with other per-node vectors.
-    fn with<T>(self, results: Vec<T>, stats: Vec<NodeStats>) -> DsmRun<T> {
-        DsmRun {
-            results,
-            stats,
-            wall: self.wall,
-            lock_order_violations: self.lock_order_violations,
-            lock_order_edges: self.lock_order_edges,
-        }
-    }
 }
 
 /// The DSM system entry point.
@@ -94,7 +68,11 @@ impl DsmSystem {
         for (s, daemon) in stats.iter_mut().zip(&run.stats) {
             s.merge(daemon);
         }
-        run.with(results, stats)
+        DsmRun {
+            results,
+            stats,
+            wall: run.wall,
+        }
     }
 
     /// Transport-generic run: like [`DsmSystem::run`] when
@@ -154,7 +132,11 @@ impl DsmSystem {
         // final table).
         stats[rank].merge(&run.stats[0]);
         transport.stats().fold_into(&mut stats[rank]);
-        run.with(results, stats)
+        DsmRun {
+            results,
+            stats,
+            wall: run.wall,
+        }
     }
 }
 
@@ -183,9 +165,6 @@ where
     W: Fn(&mut Node) -> T + Sync,
 {
     let wirings: Vec<(usize, RankWiring)> = ranks.map(|r| (r, transport.wiring(r))).collect();
-    // One acquisition-order graph for the whole run, shared by every
-    // worker; compiled out of the hot path in plain release builds.
-    let lock_order = LOCK_ORDER_ENABLED.then(|| Arc::new(LockOrderGraph::new(config.lock_order)));
     // One cancellable sleep source for the run (`network.simulate`).
     let clock = Clock::new();
 
@@ -207,14 +186,14 @@ where
             // its own messages keep crossing the inbox (DESIGN.md §5.12).
             let own = (!measured).then(|| OwnDaemon::new(daemon.clone(), reply_tx.clone()));
             let daemon = scope.spawn(move || Daemon::run(daemon, daemon_rx, reply_tx, to_daemons));
-            let (work, lock_order, clock) = (&work, lock_order.clone(), clock.clone());
+            let (work, clock) = (&work, clock.clone());
             let worker = scope.spawn(move || {
                 let wiring = NodeWiring {
                     daemon_tx,
                     reply_rx,
                     own,
                 };
-                let mut node = Node::new(rank, config, measured, wiring, lock_order, clock);
+                let mut node = Node::new(rank, config, measured, wiring, clock);
                 work(&mut node)
             });
             spawned.push((worker, shutdown_tx, daemon));
@@ -257,11 +236,6 @@ where
         results,
         stats,
         wall: t0.elapsed(),
-        lock_order_violations: lock_order
-            .as_ref()
-            .map(|g| g.violations())
-            .unwrap_or_default(),
-        lock_order_edges: lock_order.map(|g| g.edges()).unwrap_or_default(),
     }
 }
 
@@ -534,15 +508,6 @@ mod tests {
     fn results_are_indexed_by_node_id() {
         let run = DsmSystem::run(DsmConfig::new(8), |node| node.id());
         assert_eq!(run.results, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "re-acquired")]
-    fn double_lock_panics() {
-        let _ = DsmSystem::run(DsmConfig::new(1), |node| {
-            node.lock(0);
-            node.lock(0);
-        });
     }
 
     #[test]

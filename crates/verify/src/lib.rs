@@ -16,9 +16,8 @@
 //! * [`merge`] runs the batch scheduler's work stealing, window gate and
 //!   in-order merge cursor under workers and a merger.
 //!
-//! One model remains, of a discipline rather than a component:
-//! [`models::inversion`] (the page-lock / lease-table lock order) with the
-//! inverted variant that must deadlock.
+//! Every subject is shipped code. Lock order needs no subject: a worker
+//! holds at most one DSM lock (`Node::lock` refuses a second).
 //!
 //! [`run_suite`] drives every healthy subject through thousands of
 //! distinct interleavings (exhaustive where the state space allows,
@@ -33,17 +32,11 @@ pub mod daemon;
 pub mod link;
 pub mod merge;
 
-pub mod models {
-    //! Models of the protocols the checker cannot run for real.
-    pub mod inversion;
-}
-
 use admission::AdmissionSpec;
 use daemon::{DaemonSpec, Workload};
 use link::Workload::{Exchange, Turnover};
 use link::{Budget, LinkSpec};
 use merge::MergeSpec;
-use models::inversion::InversionModel;
 use shuttle::{Config, Failure, Report, Spec};
 
 /// One suite row: a model/strategy pair and its exploration report.
@@ -133,10 +126,6 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         };
         LinkSpec(traffic, budget, None)
     };
-    let consistent = InversionModel {
-        inverted: false,
-        rounds: 2,
-    };
     vec![
         exhaustive("daemon/locks 2x2 exhaustive", real(Locks(2, 2)), 200_000),
         exhaustive("daemon/locks 3x1 exhaustive", real(Locks(3, 1)), 200_000),
@@ -175,6 +164,5 @@ pub fn run_suite() -> Vec<SuiteEntry> {
             link(Exchange, 2, 2, 1, 1),
             6_000,
         ),
-        exhaustive("inversion/consistent exhaustive", consistent, 50_000),
     ]
 }

@@ -1,7 +1,6 @@
 //! Acceptance: the suite explores at least ten thousand distinct
 //! schedules across the shipped daemon, link, admission gate and batch
-//! merge and the lock-order model with zero deadlocks, lost wakeups, or
-//! invariant violations.
+//! merge with zero deadlocks, lost wakeups, or invariant violations.
 
 #[test]
 fn suite_is_clean_and_explores_ten_thousand_schedules() {

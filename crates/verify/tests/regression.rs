@@ -6,25 +6,7 @@ use genomedsm_verify::daemon::{DaemonSpec, SEEDED};
 use genomedsm_verify::found_and_replayed;
 use genomedsm_verify::link::{self, LinkSpec};
 use genomedsm_verify::merge::{self, MergeSpec};
-use genomedsm_verify::models::inversion::InversionModel;
 use shuttle::Config;
-
-/// The page-lock / lease-table AB-BA inversion: random exploration finds
-/// the deadlock, replaying from nothing but the failure's seed
-/// reproduces the identical schedule and reason, and so does the
-/// recorded schedule on its own.
-#[test]
-fn lock_order_inversion_is_found_and_replays_from_seed() {
-    let spec = InversionModel {
-        inverted: true,
-        rounds: 2,
-    };
-    let failure = found_and_replayed("inversion", &spec, "deadlock")
-        .expect("AB-BA inversion must deadlock and replay from its seed");
-    let by_schedule = shuttle::replay_schedule(&spec, &failure.schedule, &Config::default());
-    let sf = by_schedule.failure.expect("schedule replay must re-fail");
-    assert_eq!(sf.reason, failure.reason);
-}
 
 /// A client that treats a request as refused when the real gate is full,
 /// without offering it, loses the request to the gate's ledger. The

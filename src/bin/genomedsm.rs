@@ -266,7 +266,8 @@ fn opt_min_score(args: &[String]) -> i32 {
     n
 }
 
-/// A `--flag N` count of nodes or grid cuts: at least 1, or exit 2.
+/// A `--flag N` count (nodes, grid cuts, records, residues, hits): at
+/// least 1, or exit 2.
 fn opt_count(args: &[String], name: &str, default: usize) -> usize {
     let n = opt_num(args, name, default);
     if n == 0 {
@@ -280,7 +281,7 @@ fn generate(args: &[String]) {
     if opt(args, "--mode").as_deref() == Some("protein") {
         return generate_protein(args);
     }
-    let len: usize = opt_num(args, "--len", 50_000);
+    let len = opt_count(args, "--len", 50_000);
     let seed: u64 = opt_num(args, "--seed", 42);
     let out = opt(args, "--out").unwrap_or_else(|| "pair.fa".into());
     let (s, t, truth) = planted_pair(len, len, &HomologyPlan::paper_density(len), seed);
@@ -309,14 +310,18 @@ fn generate(args: &[String]) {
 fn generate_protein(args: &[String]) {
     use genomedsm::seq::fasta::{write_protein_fasta_file, ProteinRecord};
     use genomedsm::seq::random_protein;
-    let n: usize = opt_num(args, "--records", 8);
-    let len: usize = opt_num(args, "--len", 300);
+    let n = opt_count(args, "--records", 8);
+    let len = opt_count(args, "--len", 300);
     let seed: u64 = opt_num(args, "--seed", 42);
     let out = opt(args, "--out").unwrap_or_else(|| "proteins.fa".into());
     let records: Vec<ProteinRecord> = (0..n)
-        .map(|i| ProteinRecord {
-            id: format!("p{i} len={} seed={seed}", len / 2 + (i * 31) % len.max(1)),
-            seq: random_protein(len / 2 + (i * 31) % len.max(1), seed + i as u64),
+        .map(|i| {
+            // Spread over len/2 .. len/2 + len, and never empty.
+            let len = (len / 2).max(1) + (i * 31) % len;
+            ProteinRecord {
+                id: format!("p{i} len={len} seed={seed}"),
+                seq: random_protein(len, seed + i as u64),
+            }
         })
         .collect();
     let total: usize = records.iter().map(|r| r.seq.len()).sum();
@@ -828,6 +833,10 @@ fn client(args: &[String]) {
         eprintln!("client needs --socket PATH (a running `genomedsm serve`)\n{USAGE}");
         exit(2);
     });
+    // Before connecting: a refused flag needs no server. (The wire's 0
+    // means "the server's default"; the command line spells that by
+    // leaving the flag out.)
+    let top_k = opt_count(args, "--top-k", 5);
     let mut client = genomedsm::serve::ServeClient::connect(&socket).unwrap_or_else(|e| {
         eprintln!("cannot connect: {e}");
         exit(1);
@@ -856,7 +865,6 @@ fn client(args: &[String]) {
             eprintln!("cannot load queries: {e}");
             exit(1);
         });
-        let top_k: usize = opt_num(args, "--top-k", 5);
         let t0 = std::time::Instant::now();
         let result = client.search_scored(&queries, top_k, scoring, |qh| {
             println!(
@@ -1010,7 +1018,7 @@ fn node(args: &[String]) {
 }
 
 fn launch(args: &[String]) {
-    let ranks: usize = opt_num(args, "--ranks", 4);
+    let ranks = opt_count(args, "--ranks", 4);
     let cluster = opt(args, "--cluster").unwrap_or_else(|| "loopback".into());
     if cluster != "loopback" {
         eprintln!("launch only supports --cluster loopback (ephemeral local ports)");

@@ -258,6 +258,67 @@ fn a_threshold_or_count_below_one_is_refused_by_name() {
 }
 
 #[test]
+fn a_zero_count_is_refused_before_anything_is_written_or_spawned() {
+    // `launch --ranks 0` used to panic in `DsmConfig::new` (exit 101);
+    // `generate` with a zero count wrote a FASTA the loaders refuse, exit
+    // 0; `client --top-k 0` asked the server for its default top-k.
+    let dir = temp_dir("zero_counts");
+    let out = dir.join("never.fa");
+    let socket = dir.join("no.sock");
+    let out_s = out.to_str().expect("utf-8 path");
+    let socket_s = socket.to_str().expect("utf-8 path");
+    std::fs::remove_file(&out).ok();
+    let cases: [&[&str]; 5] = [
+        &["generate", "--out", out_s, "--len", "0"],
+        &[
+            "generate", "--out", out_s, "--mode", "protein", "--len", "0",
+        ],
+        &[
+            "generate",
+            "--out",
+            out_s,
+            "--mode",
+            "protein",
+            "--records",
+            "0",
+        ],
+        &["launch", "--ranks", "0"],
+        &[
+            "client",
+            "--socket",
+            socket_s,
+            "--queries",
+            out_s,
+            "--top-k",
+            "0",
+        ],
+    ];
+    for args in cases {
+        let run = bin().args(args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args.iter().rev().nth(1).expect("a flag");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(!out.exists(), "{args:?}: nothing may be written");
+    }
+    // One residue is the least: every record of a one-residue protein
+    // file is one residue long, not empty.
+    let run = bin()
+        .args(["generate", "--mode", "protein", "--len", "1", "--out"])
+        .arg(&out)
+        .output()
+        .expect("run generate");
+    assert!(run.status.success());
+    let text = std::fs::read_to_string(&out).expect("written");
+    assert!(text
+        .lines()
+        .filter(|l| !l.starts_with('>'))
+        .all(|l| l.len() == 1));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn batch_refuses_a_top_k_of_zero_by_name() {
     // `--top-k 0` used to run the whole search and print "0 hit(s)" for
     // every query, exit 0; `serve` reads a request's 0 as "the default".
