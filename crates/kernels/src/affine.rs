@@ -47,7 +47,7 @@
 //! dominated by the `H + go` re-open branch (`>= -28 000`, or `>= -120`
 //! for a scheme the `i8` rung takes) everywhere they are consumed.
 
-use crate::batch::PackedState;
+use crate::batch::{PackedState, RowStats};
 use crate::engine::{Elem, Engine, StripedState};
 use crate::profile::{Scheme, I16_PARAM_CEILING};
 use genomedsm_core::linear::LinearSwResult;
@@ -132,8 +132,9 @@ impl Scheme for MatrixScoring {
         st: &mut PackedState<E::T>,
         rows: usize,
         row: &[E::T],
+        stats: &mut RowStats<'_, E>,
     ) {
-        packed_affine_column::<E>(st, &mut gap.pe, rows, row, gap.go, gap.ge)
+        packed_affine_column::<E>(st, gap, rows, row, stats)
     }
 }
 
@@ -226,38 +227,36 @@ unsafe fn affine_column<E: Engine>(
 ///
 /// # Safety
 /// Same contract as the linear `packed_column`: the engine's ISA must be
-/// enabled and `st`/`pe`/`prof_row` packed for `E::LANES` lanes with at
-/// least `rows` rows.
+/// enabled and `st`/`gap.pe`/`prof_row` packed for `E::LANES` lanes with
+/// at least `rows` rows.
 #[inline(always)]
 unsafe fn packed_affine_column<E: Engine>(
     st: &mut PackedState<E::T>,
-    pe: &mut [E::T],
+    gap: &mut AffineGap<E::T>,
     rows: usize,
     prof_row: &[E::T],
-    go: E::T,
-    ge: E::T,
+    stats: &mut RowStats<'_, E>,
 ) {
     let l = E::LANES;
     let vzero = E::splat(E::T::ZERO);
-    let vgo = E::splat(go);
-    let vge = E::splat(ge);
+    let vgo = E::splat(gap.go);
+    let vge = E::splat(gap.ge);
+    let pe = gap.pe.as_mut_ptr();
     let mut diag = vzero; // H[i-1][j-1]
     let mut up_h = vzero; // H[i-1][j]
     let mut vf = E::splat(E::T::NEG_INF); // F[i-1][j]
     for i in 0..rows {
         let off = i * l;
         let left = E::load(st.ph.as_ptr().add(off)); // H[i][j-1]
-        let ve = E::load(pe.as_ptr().add(off)); // E[i][j]
+        let ve = E::load(pe.add(off)); // E[i][j]
         vf = E::max(E::subs(vf, vge), E::subs(up_h, vgo)); // F[i][j]
         let mut vh = E::adds(diag, E::load(prof_row.as_ptr().add(off)));
         vh = E::max(vh, ve);
         vh = E::max(vh, vf);
         vh = E::max(vh, vzero);
         E::store(st.ch.as_mut_ptr().add(off), vh);
-        E::store(
-            pe.as_mut_ptr().add(off),
-            E::max(E::subs(ve, vge), E::subs(vh, vgo)),
-        );
+        stats.row(st, i, vh);
+        E::store(pe.add(off), E::max(E::subs(ve, vge), E::subs(vh, vgo)));
         diag = left;
         up_h = vh;
     }

@@ -33,7 +33,7 @@
 //! ([`fits_i16_query`]) transparently fall back to the scalar oracle in
 //! [`score_batch`].
 
-use crate::engine::{dispatch, hit_floor, lane_bits, lanes_of, Elem, Engine, Pass};
+use crate::engine::{assert_columns, dispatch, hit_floor, lane_bits, lanes_of, Elem, Engine, Pass};
 use crate::group::{group_width, score_group, GroupProfile};
 use crate::profile::Scheme;
 use crate::{fits_i16_query, Isa, KernelChoice};
@@ -140,8 +140,9 @@ impl<S: Scheme, T: Elem> PackedProfile<S, T> {
         &self.scheme
     }
 
-    /// The profile row for target symbol `c` (`rows * lanes` values).
-    fn row(&mut self, c: u8) -> &[T] {
+    /// The profile row for target symbol `c` (`rows * lanes` values),
+    /// with the per-row live-lane masks.
+    fn row(&mut self, c: u8) -> (&[T], &[u64]) {
         let slot = &mut self.sym_rows[c as usize];
         if slot.is_none() {
             let mut row = vec![T::NEG_INF; self.rows * self.lanes];
@@ -152,33 +153,26 @@ impl<S: Scheme, T: Elem> PackedProfile<S, T> {
             }
             *slot = Some(row.into_boxed_slice());
         }
-        slot.as_deref().unwrap()
+        (slot.as_deref().unwrap(), &self.valid)
     }
 
     /// Final reduction of a finished pass, one result per packed query:
-    /// scanning each lane's live rows in query order with a strict `>`
-    /// reproduces the oracle's row-major-first tie-break — `first_j` holds
-    /// each row's first column reaching its max, and the lowest such row
-    /// wins.
+    /// each lane's best cell as the pass recorded it (`0` at `(0, 0)`
+    /// when no cell scored).
     fn reduce(&self, st: &PackedState<T>) -> Vec<LinearSwResult> {
-        self.lens
-            .iter()
-            .enumerate()
-            .map(|(l, &len)| {
-                let mut best = LinearSwResult {
-                    best_score: 0,
-                    best_end: (0, 0),
+        (0..self.lens.len())
+            .map(|l| {
+                let best_score = st.best[l].to_i32();
+                let (i, j) = st.end[l];
+                LinearSwResult {
+                    best_score,
+                    best_end: if best_score > 0 {
+                        (i as usize + 1, j as usize + 1)
+                    } else {
+                        (0, 0)
+                    },
                     hits: st.hits[l],
-                };
-                for i in 0..len {
-                    let idx = i * self.lanes + l;
-                    let v = st.vmax[idx].to_i32();
-                    if v > best.best_score {
-                        best.best_score = v;
-                        best.best_end = (i + 1, st.first_j[idx] as usize + 1);
-                    }
                 }
-                best
             })
             .collect()
     }
@@ -194,41 +188,46 @@ pub(crate) fn admits<S: Scheme>(queries: &[&[u8]], scheme: &S, isa: Isa, width: 
         && queries.iter().all(|q| fits_i16_query(q.len(), scheme))
 }
 
-/// Mutable per-scan state: two column buffers plus the per-element
-/// running-max bookkeeping that reproduces the oracle's tie-break (an
-/// affine scheme's `E` buffer rides alongside in its [`Scheme::Gap`]).
+/// Mutable per-scan state: two column buffers plus each lane's best cell
+/// so far (an affine scheme's `E` buffer rides alongside in its
+/// [`Scheme::Gap`]).
 pub struct PackedState<T = i16> {
     /// Previous column's `H` (`rows * lanes`, row-major).
     pub(crate) ph: Vec<T>,
     /// Current column's `H`.
     pub(crate) ch: Vec<T>,
-    /// Running per-element maximum over all columns seen so far.
-    pub(crate) vmax: Vec<T>,
-    /// Column (0-based) of the first strict improvement that set each
-    /// element's current `vmax`.
-    pub(crate) first_j: Vec<u64>,
+    /// Per lane, the best `H` scored so far.
+    pub(crate) best: Vec<T>,
+    /// Per lane, the 0-based `(row, column)` of the row-major-first cell
+    /// holding `best`; `u32`, so a pass refuses a target of 2³² columns or
+    /// more ([`assert_columns`]).
+    pub(crate) end: Vec<(u32, u32)>,
+    /// Per row, the [`lane_bits`] of the lanes whose `end` is in that row
+    /// (lanes with a positive `best` only).
+    pub(crate) ends_in_row: Vec<u64>,
     /// Per-lane threshold hits.
     pub(crate) hits: Vec<u64>,
 }
 
 impl<T: Elem> PackedState<T> {
     pub(crate) fn new(rows: usize, lanes: usize) -> Self {
-        let n = rows * lanes;
         Self {
-            ph: vec![T::ZERO; n],
-            ch: vec![T::ZERO; n],
-            vmax: vec![T::ZERO; n],
-            first_j: vec![0; n],
+            ph: vec![T::ZERO; rows * lanes],
+            ch: vec![T::ZERO; rows * lanes],
+            best: vec![T::ZERO; lanes],
+            end: vec![(0, 0); lanes],
+            ends_in_row: vec![0; rows],
             hits: vec![0; lanes],
         }
     }
 
     /// Returns the state to what `new` builds, without reallocating.
-    /// `ch` is overwritten whole by every column and `first_j` is read
-    /// only where `vmax` rose during the pass, so neither is cleared.
+    /// `ch` is overwritten whole by every column and `end` is read only
+    /// where `best` rose during the pass, so neither is cleared.
     fn reset(&mut self) {
         self.ph.fill(T::ZERO);
-        self.vmax.fill(T::ZERO);
+        self.best.fill(T::ZERO);
+        self.ends_in_row.fill(0);
         self.hits.fill(0);
     }
 
@@ -238,7 +237,8 @@ impl<T: Elem> PackedState<T> {
     }
 }
 
-/// Computes one target column into `st.ch` from `st.ph`.
+/// Computes one target column into `st.ch` from `st.ph`, folding each
+/// row into the pass's statistics as it is written.
 ///
 /// Per row `i` (lane-wise): `H[i][j] = max(0, H[i-1][j-1] + subst,
 /// H[i-1][j] - gap, H[i][j-1] - gap)`. The top border (`i = -1`) is the
@@ -256,6 +256,7 @@ pub(crate) unsafe fn packed_column<E: Engine>(
     rows: usize,
     prof_row: &[E::T],
     gap: E::T,
+    stats: &mut RowStats<'_, E>,
 ) {
     let l = E::LANES;
     let vzero = E::splat(E::T::ZERO);
@@ -270,33 +271,71 @@ pub(crate) unsafe fn packed_column<E: Engine>(
         vh = E::max(vh, E::subs(up, vgap));
         vh = E::max(vh, vzero);
         E::store(st.ch.as_mut_ptr().add(off), vh);
+        stats.row(st, i, vh);
         diag = left;
         up = vh;
     }
 }
 
-/// Post-column statistics: per-lane threshold hits over live elements
-/// and the running per-element max plus the column of its first strict
-/// improvement (the data the final reduction needs for the oracle's
-/// row-major-first tie-break).
+/// One column's statistics, folded in row by row as the column is
+/// written: per-lane threshold hits over live elements and each lane's
+/// best cell, kept as the oracle's row-major-first tie-break picks it.
 ///
-/// # Safety
-/// Same contract as [`packed_column`]; `valid` must cover every packed
-/// row of `st`.
-#[inline(always)]
-pub(crate) unsafe fn packed_stats<E: Engine>(
-    st: &mut PackedState<E::T>,
-    valid: &[u64],
-    thr_minus_1: Option<E::T>,
-    j0: usize,
-) {
-    let l = E::LANES;
-    let lane_width = E::T::BYTES;
-    let vthr = thr_minus_1.map(|x| E::splat(x));
-    for (i, &vmask) in valid.iter().enumerate() {
-        let off = i * l;
-        let vh = E::load(st.ch.as_ptr().add(off));
-        if let Some(vt) = vthr {
+/// A cell can only displace the lane's best if it scores more, or as much
+/// from a lower row than the best's (a cell of an earlier column in the
+/// same or a lower row came first in row-major order). Two vector
+/// compares per row against the best before this column find those
+/// candidates; the rare ones are settled lane by lane against the current
+/// best. Padding rows hold live values less gap penalties, so the live
+/// masks only keep them out of the records.
+///
+/// `pub` only because [`Scheme::packed_column`] names it.
+pub struct RowStats<'a, E: Engine> {
+    /// Per row, the live lanes' [`lane_bits`].
+    valid: &'a [u64],
+    thr_minus_1: Option<E::V>,
+    /// The lane's best before this column, and that less one.
+    best: E::V,
+    below_best: E::V,
+    /// Lanes whose best is positive and ends in a row below the current
+    /// one: a tie there wins.
+    ties_win: u64,
+    j0: u32,
+}
+
+impl<'a, E: Engine> RowStats<'a, E> {
+    /// The statistics of column `j0`.
+    ///
+    /// # Safety
+    /// `E`'s ISA must be enabled in the calling context.
+    #[inline(always)]
+    pub(crate) unsafe fn new(
+        st: &PackedState<E::T>,
+        valid: &'a [u64],
+        thr_minus_1: Option<E::T>,
+        j0: usize,
+    ) -> Self {
+        let best = E::load(st.best.as_ptr());
+        Self {
+            valid,
+            thr_minus_1: thr_minus_1.map(|x| E::splat(x)),
+            best,
+            below_best: E::subs(best, E::splat(E::T::from_i32(1))),
+            ties_win: E::gt_bytes(best, E::splat(E::T::ZERO)),
+            j0: j0 as u32,
+        }
+    }
+
+    /// Folds in row `i` of the column, whose `H` is `vh`.
+    ///
+    /// # Safety
+    /// `E`'s ISA must be enabled in the calling context, and `i` a row of
+    /// `st` and of the masks.
+    #[inline(always)]
+    pub(crate) unsafe fn row(&mut self, st: &mut PackedState<E::T>, i: usize, vh: E::V) {
+        let lane_width = E::T::BYTES;
+        let vmask = self.valid[i];
+        if let Some(vt) = self.thr_minus_1 {
             let mut bits = E::gt_bytes(vh, vt) & vmask;
             while bits != 0 {
                 let lane = bits.trailing_zeros() as usize / lane_width;
@@ -304,15 +343,23 @@ pub(crate) unsafe fn packed_stats<E: Engine>(
                 bits &= !lane_bits::<E::T>(lane);
             }
         }
-        let vm = E::load(st.vmax.as_ptr().add(off));
-        let improved = E::gt_bytes(vh, vm) & vmask;
-        if improved != 0 {
-            E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
-            let mut bits = improved;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize / lane_width;
-                st.first_j[off + lane] = j0 as u64;
-                bits &= !lane_bits::<E::T>(lane);
+        self.ties_win &= !st.ends_in_row[i];
+        let above = E::gt_bytes(vh, self.best);
+        let reach = E::gt_bytes(vh, self.below_best);
+        let mut bits = (above | (reach & self.ties_win)) & vmask;
+        while bits != 0 {
+            let lane = bits.trailing_zeros() as usize / lane_width;
+            bits &= !lane_bits::<E::T>(lane);
+            let (v, best) = (st.ch[i * E::LANES + lane], st.best[lane]);
+            let row = i as u32;
+            if v > best || (v == best && row < st.end[lane].0) {
+                if best > E::T::ZERO {
+                    st.ends_in_row[st.end[lane].0 as usize] &= !lane_bits::<E::T>(lane);
+                }
+                st.ends_in_row[i] |= lane_bits::<E::T>(lane);
+                st.best[lane] = v;
+                st.end[lane] = (row, self.j0);
+                self.ties_win &= !lane_bits::<E::T>(lane);
             }
         }
     }
@@ -337,6 +384,7 @@ impl<S: Scheme, T: Elem> Pass for PackedScore<'_, S, T> {
     unsafe fn run<E: Engine<T = T>>(self) -> Vec<LinearSwResult> {
         let Self { prof, t, threshold } = self;
         assert_eq!(E::LANES, prof.lanes);
+        assert_columns(t.len());
         let (rows, cells) = (prof.rows, prof.rows * prof.lanes);
         let (mut st, mut gap) = match prof.spare.take() {
             Some((mut st, mut gap)) => {
@@ -351,9 +399,9 @@ impl<S: Scheme, T: Elem> Pass for PackedScore<'_, S, T> {
         };
         let thr = hit_floor(threshold);
         for (j0, &c) in t.iter().enumerate() {
-            let row = prof.row(c);
-            S::packed_column::<E>(&mut gap, &mut st, rows, row);
-            packed_stats::<E>(&mut st, &prof.valid, thr, j0);
+            let (row, valid) = prof.row(c);
+            let mut stats = RowStats::new(&st, valid, thr, j0);
+            S::packed_column::<E>(&mut gap, &mut st, rows, row, &mut stats);
             st.flip();
         }
         let out = prof.reduce(&st);
@@ -551,6 +599,15 @@ mod tests {
             score_batch_packed(&mut prof, t, 1),
             oracle_each(&queries, t, 1)
         );
+    }
+
+    #[test]
+    fn avx512_groups_pack_64_queries() {
+        if Isa::Avx512.available() {
+            assert_eq!(group_lanes(KernelChoice::Simd, &Scoring::paper()), 64);
+            assert_eq!(group_width(Isa::Avx512, &Scoring::paper()), 64);
+            assert_eq!(effective_lanes(KernelChoice::Simd), 32);
+        }
     }
 
     #[test]

@@ -63,6 +63,9 @@ pub trait Elem:
     /// The 256-bit engine at this width.
     #[cfg(target_arch = "x86_64")]
     type Avx2: Engine<T = Self>;
+    /// The 512-bit engine at this width.
+    #[cfg(target_arch = "x86_64")]
+    type Avx512: Engine<T = Self>;
 
     /// Bytes per element, which is also the bits per lane of an
     /// [`Engine::gt_bytes`] mask.
@@ -102,6 +105,8 @@ impl Elem for i8 {
     type Sse2 = crate::x86::Sse2<i8>;
     #[cfg(target_arch = "x86_64")]
     type Avx2 = crate::x86::Avx2<i8>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx512 = crate::x86::Avx512<i8>;
 
     const BYTES: usize = 1;
     const ZERO: i8 = 0;
@@ -133,6 +138,8 @@ impl Elem for i16 {
     type Sse2 = crate::x86::Sse2<i16>;
     #[cfg(target_arch = "x86_64")]
     type Avx2 = crate::x86::Avx2<i16>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx512 = crate::x86::Avx512<i16>;
 
     const BYTES: usize = 2;
     const ZERO: i16 = 0;
@@ -164,6 +171,8 @@ impl Elem for i32 {
     type Sse2 = crate::x86::Sse2<i32>;
     #[cfg(target_arch = "x86_64")]
     type Avx2 = crate::x86::Avx2<i32>;
+    #[cfg(target_arch = "x86_64")]
+    type Avx512 = crate::x86::Avx512<i32>;
 
     const BYTES: usize = 4;
     const ZERO: i32 = 0;
@@ -340,8 +349,14 @@ pub(crate) fn dispatch<P: Pass>(isa: Isa, pass: P) -> P::Out {
         // SAFETY: as above — available() detected AVX2.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { crate::x86::run_avx2(pass) },
+        // SAFETY: as above — available() detected every feature the
+        // shell enables.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { crate::x86::run_avx512(pass) },
         #[cfg(not(target_arch = "x86_64"))]
-        Isa::Sse2 | Isa::Avx2 => unreachable!("Isa::available is false off x86_64"),
+        Isa::Sse2 | Isa::Avx2 | Isa::Avx512 => {
+            unreachable!("Isa::available is false off x86_64")
+        }
     }
 }
 
@@ -354,6 +369,18 @@ pub(crate) fn hit_floor<T: Elem>(threshold: i32) -> Option<T> {
     (1..=T::CEILING)
         .contains(&threshold)
         .then(|| T::from_i32(threshold - 1))
+}
+
+/// Refuses a target of `columns` columns unless every 0-based column
+/// index fits the `u32` a pass records end points in (`first_j`, a packed
+/// lane's `end`): a record of 2³² columns or more is an error, not a
+/// silently wrapped end point.
+#[track_caller]
+pub(crate) fn assert_columns(columns: usize) {
+    assert!(
+        u32::try_from(columns).is_ok(),
+        "a target of {columns} columns: end points are recorded as u32 column indices"
+    );
 }
 
 /// Mutable per-alignment state shared by all engines (plain buffers of the
@@ -372,7 +399,8 @@ pub struct StripedState<T> {
     pub vmax: Vec<T>,
     /// Column index (0-based) of the first strict improvement that set the
     /// current `vmax` value for each element; tracked only in argmax mode.
-    pub first_j: Vec<u64>,
+    /// A `u32`, so a pass refuses a wider target ([`assert_columns`]).
+    pub first_j: Vec<u32>,
     /// Accumulated threshold hits over live elements.
     pub hits: u64,
     scratch: Vec<T>,
@@ -527,7 +555,7 @@ pub(crate) unsafe fn stats<E: Engine>(
                 let mut bits = improved;
                 while bits != 0 {
                     let lane = (bits.trailing_zeros() / lane_width) as usize;
-                    st.first_j[off + lane] = j0 as u64;
+                    st.first_j[off + lane] = j0 as u32;
                     bits &= !lane_bits::<E::T>(lane);
                 }
             }
@@ -595,6 +623,7 @@ impl<S: Scheme, T: Elem> Pass for StripedScore<'_, S, T> {
             threshold,
         } = self;
         assert_eq!(E::LANES, st.lanes);
+        assert_columns(t.len());
         let thr = hit_floor(threshold);
         let mut out = Vec::with_capacity(profs.len());
         for prof in profs {
@@ -684,5 +713,23 @@ impl<T: Elem> Pass for BandAdvance<'_, '_, T> {
             }
             st.flip();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assert_columns;
+
+    #[test]
+    fn a_pass_takes_every_record_whose_column_indices_fit_a_u32() {
+        assert_columns(0);
+        assert_columns(u32::MAX as usize);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "recorded as u32 column indices")]
+    fn a_pass_refuses_a_record_of_2_pow_32_columns() {
+        assert_columns(u32::MAX as usize + 1);
     }
 }

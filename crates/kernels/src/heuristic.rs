@@ -337,7 +337,7 @@ impl Pass for TilePass<'_> {
 }
 
 /// The most `i32` lanes any engine has.
-const PUSH_LANES: usize = 8;
+const PUSH_LANES: usize = 16;
 
 /// Splatted parameters of a tile pass.
 struct Consts<E: Engine<T = i32>> {

@@ -5,12 +5,13 @@
 //! layout (the approach behind the SSW library — see PAPERS.md) and offers
 //! it three ways behind one trait, on each engine:
 //!
-//! | engine       | score lanes: i16 rung / i32 rung | heuristic tile lanes | requires             |
-//! |--------------|----------------------------------|----------------------|----------------------|
-//! | `scalar`     | 1 × i32                          | (`RowKernel`, 1 cell) | nothing (the oracle) |
-//! | `portable`   | 8 × i16 / 4 × i32                | 4 × i32              | nothing              |
-//! | `sse2`       | 8 × i16 / 4 × i32                | 4 × i32              | SSE2 (any x86_64)    |
-//! | `avx2`       | 16 × i16 / 8 × i32               | 8 × i32              | AVX2, detected at runtime |
+//! | engine       | lanes: i8 (packed only) / i16 / i32 | heuristic tile lanes | requires             |
+//! |--------------|-------------------------------------|----------------------|----------------------|
+//! | `scalar`     | 1 × i32                             | (`RowKernel`, 1 cell) | nothing (the oracle) |
+//! | `portable`   | 16 / 8 / 4                          | 4 × i32              | nothing              |
+//! | `sse2`       | 16 / 8 / 4                          | 4 × i32              | SSE2 (any x86_64)    |
+//! | `avx2`       | 32 / 16 / 8                         | 8 × i32              | AVX2, detected at runtime |
+//! | `avx512`     | 64 / 32 / 16                        | 16 × i32             | AVX-512 F, BW, VL, DQ and VBMI, detected at runtime |
 //!
 //! The §4.1 heuristic cell, whose candidate metadata the score kernels do
 //! not carry, runs on the same engines as [`HeuristicTile`]: a tile of the
@@ -83,17 +84,22 @@ pub enum Isa {
     Sse2,
     /// 256-bit `std::arch::x86_64` engine.
     Avx2,
+    /// 512-bit `std::arch::x86_64` engine (AVX-512 F, BW, VL, DQ and
+    /// VBMI).
+    Avx512,
 }
 
 impl Isa {
-    /// All ISAs, strongest last.
-    pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Sse2, Isa::Avx2];
+    /// All ISAs, strongest last (the order [`Isa::best_available`]
+    /// searches from the end).
+    pub const ALL: [Isa; 4] = [Isa::Portable, Isa::Sse2, Isa::Avx2, Isa::Avx512];
 
     /// i16 lanes per vector (the i32 rung has half as many).
     pub const fn lanes(self) -> usize {
         match self {
             Isa::Portable | Isa::Sse2 => 8,
             Isa::Avx2 => 16,
+            Isa::Avx512 => 32,
         }
     }
 
@@ -103,6 +109,7 @@ impl Isa {
             Isa::Portable => "striped-portable",
             Isa::Sse2 => "striped-sse2",
             Isa::Avx2 => "striped-avx2",
+            Isa::Avx512 => "striped-avx512",
         }
     }
 
@@ -114,20 +121,26 @@ impl Isa {
             Isa::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            // Every feature `x86::run_avx512` enables.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vbmi")
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            Isa::Sse2 | Isa::Avx2 => false,
+            Isa::Sse2 | Isa::Avx2 | Isa::Avx512 => false,
         }
     }
 
     /// The widest engine the running CPU supports.
     pub fn best_available() -> Isa {
-        if Isa::Avx2.available() {
-            Isa::Avx2
-        } else if Isa::Sse2.available() {
-            Isa::Sse2
-        } else {
-            Isa::Portable
-        }
+        Isa::ALL
+            .into_iter()
+            .rfind(|isa| isa.available())
+            .unwrap_or(Isa::Portable)
     }
 }
 
@@ -437,12 +450,14 @@ static SCALAR: ScalarKernel = ScalarKernel;
 static PORTABLE: StripedKernel = StripedKernel { isa: Isa::Portable };
 static SSE2: StripedKernel = StripedKernel { isa: Isa::Sse2 };
 static AVX2: StripedKernel = StripedKernel { isa: Isa::Avx2 };
+static AVX512: StripedKernel = StripedKernel { isa: Isa::Avx512 };
 
 fn striped_static(isa: Isa) -> &'static StripedKernel {
     match isa {
         Isa::Portable => &PORTABLE,
         Isa::Sse2 => &SSE2,
         Isa::Avx2 => &AVX2,
+        Isa::Avx512 => &AVX512,
     }
 }
 

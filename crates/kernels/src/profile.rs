@@ -16,7 +16,7 @@
 //! linear-gap DNA and affine-gap protein scoring — comes from the
 //! [`Scheme`] the profile is built over.
 
-use crate::batch::{packed_column, PackedState};
+use crate::batch::{packed_column, PackedState, RowStats};
 use crate::engine::{column, lane_bits, Elem, Engine, StripedState};
 use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
 use genomedsm_core::scoring::Scoring;
@@ -93,6 +93,7 @@ pub trait Scheme: Copy + Send + Sync {
         st: &mut PackedState<E::T>,
         rows: usize,
         row: &[E::T],
+        stats: &mut RowStats<'_, E>,
     );
 }
 
@@ -144,8 +145,9 @@ impl Scheme for Scoring {
         st: &mut PackedState<E::T>,
         rows: usize,
         row: &[E::T],
+        stats: &mut RowStats<'_, E>,
     ) {
-        packed_column::<E>(st, rows, row, *gap)
+        packed_column::<E>(st, rows, row, *gap, stats)
     }
 }
 

@@ -1,4 +1,4 @@
-//! SSE2 and AVX2 backends via `std::arch::x86_64` (no external crates).
+//! SSE2, AVX2 and AVX-512 backends via `std::arch::x86_64` (no external crates).
 //!
 //! Each engine implements the [`Engine`] vocabulary with raw intrinsics at
 //! every lane width (`Sse2<i8>`, `Sse2<i16>`, `Sse2<i32>`, …), and each ISA exposes one
@@ -18,6 +18,16 @@
 //! `select`, from a compare and an and/andnot/or blend (`pmaxsb`, `pmaxsd`,
 //! their `min` twins and `pblendvb` are SSE4.1); AVX2 selects with
 //! `vpblendvb`.
+//!
+//! AVX-512 compares into mask registers (`__mmask*`, one bit per lane),
+//! while the trait's lane masks are vectors: `gt`/`eq` widen the compare
+//! mask with `vpmovm2*`, `select` narrows it back with `vpmov*2m` into a
+//! masked blend, and the compiler folds each round trip into the mask
+//! register itself. `gt_bytes` keeps the `movemask_epi8` layout
+//! ([`crate::engine::lane_bits`]) by narrowing the widened mask at byte
+//! granularity. Its `shift_in` crosses all four 128-bit lanes in one
+//! instruction: `vpermb`/`vpermw` (VBMI/BW) under a mask that keeps the
+//! broadcast boundary in lane 0, and `valignd` at `i32`.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -595,6 +605,317 @@ impl Engine for Avx2<i32> {
     }
 }
 
+/// Lane `l` of a `vpermb` / `vpermw` index takes lane `l − 1`; lane 0 is
+/// masked off and receives the boundary instead.
+const DOWN_ONE_I8: [u8; 64] = {
+    let mut idx = [0u8; 64];
+    let mut l = 1;
+    while l < 64 {
+        idx[l] = (l - 1) as u8;
+        l += 1;
+    }
+    idx
+};
+
+/// [`DOWN_ONE_I8`] for 16-bit lanes.
+const DOWN_ONE_I16: [u16; 32] = {
+    let mut idx = [0u16; 32];
+    let mut l = 1;
+    while l < 32 {
+        idx[l] = (l - 1) as u16;
+        l += 1;
+    }
+    idx
+};
+
+/// Every lane but lane 0.
+const ABOVE_LANE_0: u64 = !1;
+
+/// 512-bit engine: 64 × i8, 32 × i16 or 16 × i32 lanes.
+#[derive(Debug, Clone, Copy)]
+pub struct Avx512<T>(PhantomData<T>);
+
+impl Engine for Avx512<i8> {
+    type T = i8;
+    const LANES: usize = 64;
+    type V = __m512i;
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i8) -> Self::V {
+        _mm512_set1_epi8(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i8) -> Self::V {
+        _mm512_loadu_si512(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i8s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i8, v: Self::V) {
+        _mm512_storeu_si512(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_adds_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_subs_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_max_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_min_epi8(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm512_mask_blend_epi8(_mm512_movepi8_mask(m), b, a)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_and_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_andnot_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        // One mask bit per byte lane already.
+        _mm512_cmpgt_epi8_mask(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i8) -> Self::V {
+        // vpermb moves bytes across all four 128-bit lanes; lane 0 keeps
+        // the broadcast boundary.
+        let idx = _mm512_loadu_si512(DOWN_ONE_I8.as_ptr().cast());
+        _mm512_mask_permutexvar_epi8(_mm512_set1_epi8(first), ABOVE_LANE_0, idx, v)
+    }
+}
+
+impl Engine for Avx512<i16> {
+    type T = i16;
+    const LANES: usize = 32;
+    type V = __m512i;
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i16) -> Self::V {
+        _mm512_set1_epi16(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i16s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i16) -> Self::V {
+        _mm512_loadu_si512(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i16s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i16, v: Self::V) {
+        _mm512_storeu_si512(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_adds_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_subs_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_max_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_min_epi16(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm512_mask_blend_epi16(_mm512_movepi16_mask(m), b, a)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_and_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_andnot_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        // One bit per lane in the compare mask; two per lane in lane_bits,
+        // so widen it through a vector of whole-lane masks.
+        _mm512_movepi8_mask(Self::gt(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i16) -> Self::V {
+        // As at i8, with vpermw.
+        let idx = _mm512_loadu_si512(DOWN_ONE_I16.as_ptr().cast());
+        _mm512_mask_permutexvar_epi16(_mm512_set1_epi16(first), ABOVE_LANE_0 as u32, idx, v)
+    }
+}
+
+impl Engine for Avx512<i32> {
+    type T = i32;
+    const LANES: usize = 16;
+    type V = __m512i;
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn splat(x: i32) -> Self::V {
+        _mm512_set1_epi32(x)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn load(src: *const i32) -> Self::V {
+        _mm512_loadu_si512(src.cast())
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled and the pointer is valid for LANES i32s (unaligned ok).
+    #[inline(always)]
+    unsafe fn store(dst: *mut i32, v: Self::V) {
+        _mm512_storeu_si512(dst.cast(), v)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn adds(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_add_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn subs(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_sub_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn max(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_max_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn min(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_min_epi32(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi32(_mm512_cmpgt_epi32_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn eq(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_movm_epi32(_mm512_cmpeq_epi32_mask(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn select(m: Self::V, a: Self::V, b: Self::V) -> Self::V {
+        _mm512_mask_blend_epi32(_mm512_movepi32_mask(m), b, a)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn and(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_and_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn andnot(a: Self::V, b: Self::V) -> Self::V {
+        _mm512_andnot_si512(a, b)
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn gt_bytes(a: Self::V, b: Self::V) -> u64 {
+        // As at i16, four bits per lane.
+        _mm512_movepi8_mask(Self::gt(a, b))
+    }
+
+    // SAFETY: caller upholds the Engine contract — AVX-512 is enabled.
+    #[inline(always)]
+    unsafe fn shift_in(v: Self::V, first: i32) -> Self::V {
+        // valignd over [splat(first), v] by 15 lanes: lane 0 is the
+        // boundary's top lane, lane l ≥ 1 is v's lane l − 1.
+        _mm512_alignr_epi32::<15>(v, _mm512_set1_epi32(first))
+    }
+}
+
 /// # Safety
 /// Caller must have verified SSE2 is available (always true on x86_64, but
 /// kept symmetric with AVX2).
@@ -610,6 +931,14 @@ pub(crate) unsafe fn run_avx2<P: Pass>(pass: P) -> P::Out {
     pass.run::<<P::T as Elem>::Avx2>()
 }
 
+/// # Safety
+/// Caller must have verified every feature enabled here via
+/// `is_x86_feature_detected!` ([`crate::Isa::available`] does).
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq,avx512vbmi")]
+pub(crate) unsafe fn run_avx512<P: Pass>(pass: P) -> P::Out {
+    pass.run::<<P::T as Elem>::Avx512>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,24 +947,28 @@ mod tests {
     /// agree with the portable engine of the same width.
     unsafe fn agrees_with_portable<E: Engine>() {
         let val = |x: usize| E::T::from_i32(x as i32);
-        let src: Vec<E::T> = (0..E::LANES).map(|i| val(70 + i)).collect();
+        let src: Vec<E::T> = (0..E::LANES).map(|i| val(70 - i)).collect();
         let first = E::T::from_i32(-3);
         let mut out = vec![E::T::ZERO; E::LANES];
         E::store(out.as_mut_ptr(), E::shift_in(E::load(src.as_ptr()), first));
         let mut want = vec![first];
         want.extend_from_slice(&src[..E::LANES - 1]);
-        assert_eq!(out, want, "every lane must receive the one below it");
+        assert_eq!(
+            out, want,
+            "every lane must receive the one below it, across every 128-bit boundary"
+        );
 
-        let mut a = vec![E::T::ZERO; E::LANES];
-        let live = [0, E::LANES / 2 + 1, E::LANES - 1];
-        for l in live {
+        // Each lane alone sets exactly its `Elem::BYTES` bits, and all of
+        // them set `LANES * BYTES` — every bit of the u64 at 512 bits.
+        let zero = E::splat(E::T::ZERO);
+        for l in 0..E::LANES {
+            let mut a = vec![E::T::ZERO; E::LANES];
             a[l] = val(1 + l);
+            let m = E::gt_bytes(E::load(a.as_ptr()), zero);
+            assert_eq!(m, crate::engine::lane_bits::<E::T>(l), "lane {l}");
         }
-        let m = E::gt_bytes(E::load(a.as_ptr()), E::splat(E::T::ZERO));
-        let want = live
-            .iter()
-            .fold(0, |m, &l| m | crate::engine::lane_bits::<E::T>(l));
-        assert_eq!(m, want);
+        let all = E::gt_bytes(E::load(src.as_ptr()), zero);
+        assert_eq!(all.count_ones() as usize, E::LANES * E::T::BYTES);
 
         // The mask vocabulary, lane by lane: a mix of a < b, a == b, a > b.
         let a: Vec<E::T> = (0..E::LANES)
@@ -693,6 +1026,29 @@ mod tests {
             assert_eq!(out, [-128; 16]);
             Sse2::<i8>::store(out.as_mut_ptr(), Sse2::<i8>::adds(b, b));
             assert_eq!(out, [127; 16]);
+        }
+    }
+
+    #[test]
+    fn avx512_matches_portable_semantics_at_every_width() {
+        // The engine needs every feature its shell enables (AVX-512 BW
+        // among them); elsewhere there is nothing to run it on.
+        if !crate::Isa::Avx512.available() {
+            return;
+        }
+        unsafe {
+            agrees_with_portable::<Avx512<i8>>();
+            agrees_with_portable::<Avx512<i16>>();
+            agrees_with_portable::<Avx512<i32>>();
+            // Saturation at both ends, and the signed byte compares.
+            let (lo, hi) = (Avx512::<i8>::splat(-128), Avx512::<i8>::splat(127));
+            let mut out = [0i8; 64];
+            Avx512::<i8>::store(out.as_mut_ptr(), Avx512::<i8>::adds(hi, hi));
+            assert_eq!(out, [127; 64]);
+            Avx512::<i8>::store(out.as_mut_ptr(), Avx512::<i8>::subs(lo, hi));
+            assert_eq!(out, [-128; 64]);
+            Avx512::<i8>::store(out.as_mut_ptr(), Avx512::<i8>::max(lo, hi));
+            assert_eq!(out, [127; 64]);
         }
     }
 

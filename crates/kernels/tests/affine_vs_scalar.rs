@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{check_ladder, sweep_group_sizes, I8_CEILING};
+use common::{check_ladder, sweep_group_sizes, I8_CEILING, RAGGED};
 use genomedsm_core::scoring::Scoring;
 use genomedsm_core::submat::{MatrixScoring, SubstMatrix, AA_ALPHABET, AA_N};
 use genomedsm_core::sw_score_profile;
@@ -319,13 +319,6 @@ fn invalid_schemes_are_rejected_by_admission() {
     assert_eq!(check_pair(b"AAAA", b"AAAA", &ms, 1), Rung::Scalar);
 }
 
-/// Two `i16` vectors' worth of ragged lengths: enough for the widest group
-/// on every ISA.
-const RAGGED: [usize; 32] = [
-    40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6, 31, 4, 19, 11, 36, 7, 24, 15, 2, 28,
-    10, 35, 13, 22, 1, 18,
-];
-
 /// `lens` as queries cut from `protein`, member `i` at offset `step * i`.
 fn cut<'a>(protein: &'a [u8], lens: &[usize], step: usize) -> Vec<&'a [u8]> {
     lens.iter()
@@ -339,14 +332,14 @@ fn every_group_size_matches_the_oracle_in_either_layout() {
     // One protein the long target also contains, so lanes score real
     // matches; the same profile then meets a target shorter than most
     // queries and an empty one.
-    let protein = genomedsm_seq::random_protein(80, 1).into_bytes();
+    let protein = genomedsm_seq::random_protein(180, 1).into_bytes();
     let targets: [&[u8]; 3] = [&protein[5..50], &protein[20..24], b""];
     let mut short_first = RAGGED;
     short_first.swap(0, 8); // a lone 5-residue query: one stripe, mostly padding
     let mut with_empty = RAGGED;
     with_empty[1] = 0;
     let pam = MatrixScoring::new(SubstMatrix::pam250(), -10, -2);
-    for lens in [[24; 32], RAGGED, short_first, with_empty] {
+    for lens in [[24; 129], RAGGED, short_first, with_empty] {
         for (ms, thr) in [(MatrixScoring::blosum62(), 0), (pam, 5)] {
             let seen = sweep_group_sizes(&cut(&protein, &lens, 1), &targets, &ms, thr);
             assert!(
@@ -380,7 +373,7 @@ fn scaled_blosum62(k: i16, gap_open: i32, gap_extend: i32) -> MatrixScoring {
 
 #[test]
 fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
-    let protein = genomedsm_seq::random_protein(400, 2).into_bytes();
+    let protein = genomedsm_seq::random_protein(600, 2).into_bytes();
     let targets: [&[u8]; 3] = [&protein, &protein[200..230], b""];
     // Under the +1/-1 matrix a member cut whole from the target scores its
     // own length: the RAGGED members stay under the 8-bit ceiling, and one
@@ -393,10 +386,18 @@ fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
             2 * effective_lanes(KernelChoice::Simd)
         );
     }
-    for (at, len) in [(3, 120), (3, 121), (20, 120), (20, 121), (31, 150)] {
+    for (at, len) in [
+        (3, 120),
+        (3, 121),
+        (20, 120),
+        (20, 121),
+        (31, 150),
+        (40, 121),
+        (63, 150),
+    ] {
         let mut lens = RAGGED;
         lens[at] = len;
-        let pool = cut(&protein, &lens, 7);
+        let pool = cut(&protein, &lens, 3);
         assert_eq!(
             sw_score_profile(pool[at], &protein, &unit, 0).best_score,
             len as i32
@@ -405,8 +406,10 @@ fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
             let seen = sweep_group_sizes(&pool, &targets, &unit, thr);
             assert!(seen.narrow > 0, "{seen:?}");
             // Every narrow group holds lane 3; lanes 20 and 31 only the
-            // widest AVX2 groups do.
-            if at == 3 {
+            // widest AVX2 groups and the AVX-512 ones do, lanes 40 and 63
+            // only the AVX-512 ones (their second 32-lane half re-runs).
+            // Where some narrow group holds the member, its record re-runs.
+            if at < group_lanes(KernelChoice::Simd, &unit) {
                 assert_eq!(seen.reruns > 0, len as i32 > I8_CEILING, "{len}: {seen:?}");
             }
         }

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{sweep_group_sizes, I8_CEILING};
+use common::{sweep_group_sizes, I8_CEILING, RAGGED};
 use genomedsm_core::linear::sw_score_linear;
 use genomedsm_core::Scoring;
 use genomedsm_kernels::{
@@ -165,16 +165,9 @@ fn pool_of(lens: &[usize], genome: &[u8]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Two `i16` vectors' worth of ragged lengths: enough for the widest group
-/// on every ISA.
-const RAGGED: [usize; 32] = [
-    40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6, 31, 4, 19, 11, 36, 7, 24, 15, 2, 28,
-    10, 35, 13, 22, 1, 18,
-];
-
 #[test]
 fn every_group_size_matches_the_oracle_in_either_layout() {
-    let genome = random_dna(80, 1).into_bytes();
+    let genome = random_dna(180, 1).into_bytes();
     // The same profile meets a long target, one shorter than most queries,
     // and an empty one, in that order.
     let targets: [&[u8]; 3] = [&genome[5..50], &genome[20..24], b""];
@@ -182,7 +175,7 @@ fn every_group_size_matches_the_oracle_in_either_layout() {
     short_first.swap(0, 8); // a lone 5-base query: one stripe, mostly padding
     let mut with_empty = RAGGED;
     with_empty[1] = 0;
-    for lens in [[24; 32], RAGGED, short_first, with_empty] {
+    for lens in [[24; 129], RAGGED, short_first, with_empty] {
         let pool = pool_of(&lens, &genome);
         let refs: Vec<&[u8]> = pool.iter().map(Vec::as_slice).collect();
         for thr in [0, 3] {
@@ -218,19 +211,27 @@ fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
     // every RAGGED member stays under the 8-bit ceiling, and one member
     // lands exactly on it (answered on i8 lanes) or one past it (its half
     // group re-runs the record at i16), in the first or the second half.
-    let genome = random_dna(400, 2).into_bytes();
+    let genome = random_dna(600, 2).into_bytes();
     let targets: [&[u8]; 3] = [&genome, &genome[200..230], b""];
     assert_eq!(
         group_lanes(KernelChoice::Simd, &SC),
         2 * effective_lanes(KernelChoice::Simd)
     );
-    for (at, len) in [(3, 120), (3, 121), (20, 120), (20, 121), (31, 150)] {
+    for (at, len) in [
+        (3, 120),
+        (3, 121),
+        (20, 120),
+        (20, 121),
+        (31, 150),
+        (40, 121),
+        (63, 150),
+    ] {
         let mut lens = RAGGED;
         lens[at] = len;
         let pool: Vec<&[u8]> = lens
             .iter()
             .enumerate()
-            .map(|(i, &l)| &genome[7 * i..7 * i + l])
+            .map(|(i, &l)| &genome[3 * i..3 * i + l])
             .collect();
         assert_eq!(
             sw_score_linear(pool[at], &genome, &SC, 0).best_score,
@@ -241,8 +242,10 @@ fn narrow_groups_re_run_at_i16_exactly_the_records_past_the_i8_ceiling() {
             let seen = sweep_group_sizes(&pool, &targets, &SC, thr);
             assert!(seen.narrow > 0, "{seen:?}");
             // Every narrow group holds lane 3; lanes 20 and 31 only the
-            // widest AVX2 groups do.
-            if at == 3 {
+            // widest AVX2 groups and the AVX-512 ones do, lanes 40 and 63
+            // only the AVX-512 ones (their second 32-lane half re-runs).
+            // Where some narrow group holds the member, its record re-runs.
+            if at < group_lanes(KernelChoice::Simd, &SC) {
                 assert_eq!(seen.reruns > 0, len as i32 > I8_CEILING, "{len}: {seen:?}");
             }
         }

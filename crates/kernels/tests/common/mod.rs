@@ -18,6 +18,28 @@ use genomedsm_kernels::{
 /// some member of an `i8` group scores more is re-run at `i16`.
 pub const I8_CEILING: i32 = 120;
 
+/// Ragged query lengths for the group-size sweeps: 32 picked by hand,
+/// then the same lengths again in a stride-7 order. 129 of them fill two
+/// of the widest groups (64 members on `i8` lanes, on AVX-512) and leave
+/// one query over.
+pub const RAGGED: [usize; 129] = {
+    const PICKED: [usize; 32] = [
+        40, 3, 17, 1, 29, 8, 33, 12, 5, 21, 2, 37, 9, 26, 14, 6, 31, 4, 19, 11, 36, 7, 24, 15, 2,
+        28, 10, 35, 13, 22, 1, 18,
+    ];
+    let mut lens = [0; 129];
+    let mut i = 0;
+    while i < 129 {
+        lens[i] = if i < 32 {
+            PICKED[i]
+        } else {
+            PICKED[(7 * i + 3) % 32]
+        };
+        i += 1;
+    }
+    lens
+};
+
 /// The striped kernel of every ISA this host runs.
 pub fn engines() -> Vec<StripedKernel> {
     Isa::ALL
@@ -77,7 +99,8 @@ pub struct Layouts {
 /// must run on `i8` lanes and re-run a record at `i16` exactly when some
 /// member's oracle score passes [`I8_CEILING`]. A group is refused only
 /// when a member is past the i16 envelope; `score_batch` must then spill
-/// exactly that member.
+/// exactly that member. Last, the whole pool goes through `score_batch`:
+/// full groups and a tail, each query against the oracle.
 pub fn sweep_group_sizes<S: Scheme>(
     pool: &[&[u8]],
     targets: &[&[u8]],
@@ -141,6 +164,17 @@ pub fn sweep_group_sizes<S: Scheme>(
                 );
                 seen.reruns += reran;
             }
+        }
+    }
+    for t in targets {
+        let got = score_batch(KernelChoice::Simd, pool, t, scheme, threshold);
+        for (i, (q, r)) in pool.iter().zip(got).enumerate() {
+            assert_eq!(
+                r,
+                scheme.oracle(q, t, threshold),
+                "pool member {i} of {}",
+                pool.len()
+            );
         }
     }
     seen

@@ -966,7 +966,7 @@ fn client(args: &[String]) {
 /// Shared workload flags of `node` and `launch`.
 fn workload_spec(args: &[String], procs: usize) -> genomedsm::cluster::WorkloadSpec {
     let mut spec = genomedsm::cluster::WorkloadSpec::quick(procs);
-    spec.len = opt_num(args, "--len", spec.len);
+    spec.len = opt_count(args, "--len", spec.len);
     spec.seed = opt_num(args, "--seed", spec.seed);
     spec.plan = opt(args, "--plan");
     spec

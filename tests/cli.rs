@@ -319,6 +319,33 @@ fn a_zero_count_is_refused_before_anything_is_written_or_spawned() {
 }
 
 #[test]
+fn a_zero_workload_length_is_refused_before_any_rank_starts() {
+    // `launch --len 0` used to run every rank over an empty pair, print
+    // "BIT-IDENTICAL" over zero regions and exit 0; `node --len 0` ran its
+    // rank the same way.
+    let runs = [
+        bin()
+            .args(["launch", "--ranks", "2", "--len", "0"])
+            .output(),
+        bin()
+            .args(["node", "--rank", "0", "--len", "0"])
+            .env("GENOMEDSM_CLUSTER", "127.0.0.1:0")
+            .output(),
+    ];
+    for run in runs {
+        let run = run.expect("run");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("--len"), "{stderr}");
+        assert!(run.stdout.is_empty(), "no rank may report: {stderr}");
+        assert!(
+            !stderr.contains("launching") && !stderr.contains("finished"),
+            "no rank may start: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn batch_refuses_a_top_k_of_zero_by_name() {
     // `--top-k 0` used to run the whole search and print "0 hit(s)" for
     // every query, exit 0; `serve` reads a request's 0 as "the default".
