@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod codec;
 pub mod config;
 pub mod daemon;

@@ -320,6 +320,22 @@ pub enum Reply {
 }
 
 impl Msg {
+    /// Whether the sender blocks for a [`Reply`]: every worker request
+    /// but the release-type ones (`Release`, `SetCv`), the liveness
+    /// traffic (`Heartbeat`, `Obituary`) and daemon control messages.
+    pub fn awaits_reply(&self) -> bool {
+        matches!(
+            self,
+            Msg::GetPage { .. }
+                | Msg::Diff { .. }
+                | Msg::Acquire { .. }
+                | Msg::WaitCv { .. }
+                | Msg::Barrier { .. }
+                | Msg::Rejoin { .. }
+                | Msg::ProbeFailures { .. }
+        )
+    }
+
     /// Wire-size estimate used by the network cost model.
     pub fn wire_size(&self) -> usize {
         const HDR: usize = 32; // UDP + protocol header estimate

@@ -187,6 +187,8 @@ fn empty_allocation_is_harmless() {
     let run = DsmSystem::run(config(2), |node| {
         let v = node.alloc_vec::<i32>(0);
         node.barrier();
+        node.flush_vec(&v);
+        node.invalidate_vec(&v);
         node.vec_read_range(&v, 0..0).len()
     });
     assert_eq!(run.results, vec![0, 0]);

@@ -36,7 +36,7 @@ struct Lanes<T: Elem> {
 impl<T: Elem> Lanes<T> {
     fn new(band_s: &[u8], scoring: &Scoring, isa: Isa) -> Self {
         let prof = StripedProfile::new(band_s, scoring, lanes_of::<T>(isa));
-        let st = StripedState::new(prof.p, prof.lanes, true);
+        let st = StripedState::new(prof.p, prof.lanes);
         Self { st, prof }
     }
 

@@ -398,8 +398,9 @@ pub struct StripedState<T> {
     /// Running per-element maximum over all columns seen so far.
     pub vmax: Vec<T>,
     /// Column index (0-based) of the first strict improvement that set the
-    /// current `vmax` value for each element; tracked only in argmax mode.
-    /// A `u32`, so a pass refuses a wider target ([`assert_columns`]).
+    /// current `vmax` value for each element, which [`StripedState::reset`]
+    /// adds for a full pass's end point; a band's state has none. A `u32`,
+    /// so a pass refuses a wider target ([`assert_columns`]).
     pub first_j: Vec<u32>,
     /// Accumulated threshold hits over live elements.
     pub hits: u64,
@@ -407,7 +408,7 @@ pub struct StripedState<T> {
 }
 
 impl<T: Elem> StripedState<T> {
-    pub fn new(p: usize, lanes: usize, track_argmax: bool) -> Self {
+    pub fn new(p: usize, lanes: usize) -> Self {
         let n = p * lanes;
         Self {
             p,
@@ -415,16 +416,16 @@ impl<T: Elem> StripedState<T> {
             ph: vec![T::ZERO; n],
             ch: vec![T::ZERO; n],
             vmax: vec![T::ZERO; n],
-            first_j: if track_argmax { vec![0; n] } else { Vec::new() },
+            first_j: Vec::new(),
             hits: 0,
             scratch: vec![T::ZERO; n],
         }
     }
 
-    /// Returns an argmax-tracking state to what `new(p, lanes, true)`
-    /// builds, for a fresh pass of a `p`-stripe query: the buffers are
-    /// re-zeroed in place, so a state built for a group's longest query
-    /// serves every member and every target without reallocating.
+    /// Readies the state for a fresh full pass of a `p`-stripe query,
+    /// with a zeroed `first_j` for its end point: the buffers are re-zeroed
+    /// in place, so a state built for a group's longest query serves every
+    /// member and every target without reallocating.
     pub fn reset(&mut self, p: usize) {
         let n = p * self.lanes;
         self.p = p;
@@ -519,9 +520,10 @@ pub(crate) unsafe fn column<E: Engine>(
     }
 }
 
-/// Post-column statistics pass over `st.ch`: threshold hits (live lanes
-/// only) and, in argmax mode, the running per-element max plus the column
-/// of its first strict improvement.
+/// Post-column statistics pass over `st.ch`, column `j0`: threshold hits
+/// (live lanes only), the running per-element max and, in a state that
+/// keeps `first_j` (a full pass's), the column of its first strict
+/// improvement.
 ///
 /// # Safety
 /// Same contract as [`column`]; additionally `valid` must cover all `p`
@@ -531,7 +533,6 @@ pub(crate) unsafe fn stats<E: Engine>(
     st: &mut StripedState<E::T>,
     valid: &[u64],
     thr_minus_1: Option<E::T>,
-    track_argmax: bool,
     j0: usize,
 ) {
     let p = st.p;
@@ -545,19 +546,19 @@ pub(crate) unsafe fn stats<E: Engine>(
             let m = E::gt_bytes(vh, vt) & vmask;
             st.hits += u64::from(m.count_ones() / lane_width);
         }
-        if track_argmax {
-            let vm = E::load(st.vmax.as_ptr().add(off));
-            let improved = E::gt_bytes(vh, vm);
-            if improved != 0 {
-                E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
-                // Rare scalar fixup: record the first column each element's
-                // running max changed in (strict `>` keeps the earliest).
-                let mut bits = improved;
-                while bits != 0 {
-                    let lane = (bits.trailing_zeros() / lane_width) as usize;
-                    st.first_j[off + lane] = j0 as u32;
-                    bits &= !lane_bits::<E::T>(lane);
-                }
+        let vm = E::load(st.vmax.as_ptr().add(off));
+        let mut improved = E::gt_bytes(vh, vm);
+        if improved != 0 {
+            E::store(st.vmax.as_mut_ptr().add(off), E::max(vm, vh));
+            if st.first_j.is_empty() {
+                continue;
+            }
+            // Rare scalar fixup: record the first column each element's
+            // running max changed in (strict `>` keeps the earliest).
+            while improved != 0 {
+                let lane = (improved.trailing_zeros() / lane_width) as usize;
+                st.first_j[off + lane] = j0 as u32;
+                improved &= !lane_bits::<E::T>(lane);
             }
         }
     }
@@ -633,7 +634,7 @@ impl<S: Scheme, T: Elem> Pass for StripedScore<'_, S, T> {
             for (j0, &c) in t.iter().enumerate() {
                 let row = prof.row(c);
                 S::striped_column::<E>(gap, st, row);
-                stats::<E>(st, &prof.valid, thr, true, j0);
+                stats::<E>(st, &prof.valid, thr, j0);
                 st.flip();
             }
             out.push(prof.reduce(st));
@@ -700,7 +701,7 @@ impl<T: Elem> Pass for BandAdvance<'_, '_, T> {
             let f0 = T::from_i32(top[jj + 1]).sub(gap);
             column::<E>(st, row, gap, diag0, f0);
             let hits_before = st.hits;
-            stats::<E>(st, &prof.valid, thr_minus_1, true, 0);
+            stats::<E>(st, &prof.valid, thr_minus_1, jj);
             unit.col_hits.push(st.hits - hits_before);
             unit.bottom.push(extract::<E>(st, m - 1).to_i32());
             if let Some(every) = unit.save_every {

@@ -84,7 +84,7 @@ impl<S: Scheme, T: Elem> StripedGroup<S, T> {
         Self {
             isa,
             profs,
-            st: StripedState::new(p, lanes, true),
+            st: StripedState::new(p, lanes),
             gap: scheme.gap_state(p * lanes),
         }
     }

@@ -1,42 +1,43 @@
-//! The shipped DSM daemon under the model checker.
+//! The shipped DSM worker and daemon under the model checker.
 //!
-//! [`DaemonSpec`] runs real [`Daemon`]s against scripted workers that
-//! exchange real [`Msg`] and [`Reply`] values with them. Each `(worker,
-//! daemon)` link is a FIFO queue and a checker process whose step hands
-//! its head to [`Daemon::step`]; the outbox is routed into the workers'
-//! reply queues; a control message from one daemon to another is stepped
-//! at once, as no check depends on when it lands. Daemon 0 manages the
-//! lock, the cv and the barrier; the page is homed on the last daemon.
+//! [`DaemonSpec`] runs real [`Client`]s against real [`Daemon`]s. Each
+//! scripted process makes a worker's API calls on its client, puts the
+//! requests it queues on its `(worker, daemon)` links — FIFO queues whose
+//! checker process hands the head to [`Daemon::step`] — and feeds the
+//! routed replies back through [`Client::reply`]. A control message from
+//! one daemon to another is stepped at once: no check depends on when it
+//! lands. Daemon 0 manages the lock, the cv and the barrier; the page, a
+//! byte per unit, is homed on the last daemon.
 //!
-//! A critical section is the worker side of the lock protocol: acquire,
-//! invalidate on a foreign notice, fetch unless cached, mark the unit's
-//! byte, flush the diff and await its ack, release with the notice.
-//! Checked: mutual exclusion; scope consistency (the page on entry holds
-//! exactly the released units — after a crash possibly also the unit the
-//! dead holder flushed unreleased: the home keeps flushed diffs, and a
-//! re-run unit rewrites its byte); happens-before against the last
-//! release; no lost or phantom cv wakeup; and, once the reaper has
-//! fail-stopped worker 0, no grant to the dead or counting a notice no
-//! live worker released, and every unit released exactly once.
+//! A locker's unit is `lock`, a read of the page, a write of the unit's
+//! byte and `unlock`. Checked on the bytes the client returns: mutual
+//! exclusion; scope consistency (the page on entry holds exactly the
+//! released units — after a crash possibly also the unit the dead holder
+//! flushed unreleased, which a re-run rewrites); happens-before against
+//! the last release; no lost or phantom cv wakeup; and, once the reaper
+//! has fail-stopped worker 0, no grant to the dead or counting a notice
+//! no live worker released, and every unit released exactly once.
 //!
 //! The rejoin campaign runs the barrier manager and rejoin admission:
 //! two members share two roles over two workloads of `BUDGET` barrier
-//! rounds, padded as `run_elastic` pads. The reaper may fail-stop worker
-//! 0 in the first; worker 1 reads `BarrierDone.dead` and adopts past the
-//! ledger cursor; worker 0 announces its return for the next boundary,
-//! which the scheduler delivers early, on time or late, and re-enters
-//! where its `RejoinAck` says. Checked: an ack leaves only beside the
-//! grants of the boundary round it names; no round completes without a
-//! live, admitted rank; the joiner catches up on complete ledgers; every
-//! page read holds every earlier workload; the crashed rank is readmitted.
+//! rounds, padded as `run_elastic` pads. A member's unit — read, check,
+//! write, `flush_vec` — is one step, the home serving it at once. The
+//! reaper may fail-stop worker 0 in the first workload; worker 1 reads
+//! `barrier`'s dead set and adopts past the ledger cursor; worker 0
+//! `rejoin`s for the next boundary, delivered early, on time or late.
+//! Checked: an ack leaves only beside the grants of the round it names;
+//! no round completes without a live, admitted rank; the joiner catches
+//! up on complete ledgers; every page read holds every earlier workload;
+//! the crashed rank is readmitted.
 //!
 //! A [`Perturbation`] breaks a run at the harness's delivery, outbox,
-//! reaper or joiner — never inside the daemon — and must be caught
-//! ([`SEEDED`]).
+//! reaper or link — never inside the client or the daemon — and must be
+//! caught ([`SEEDED`]).
 
+use genomedsm_dsm::client::Client;
 use genomedsm_dsm::daemon::{Daemon, Outbox, Outgoing};
-use genomedsm_dsm::msg::{Envelope, Msg, Notice, Patch, Reply};
-use genomedsm_dsm::DsmConfig;
+use genomedsm_dsm::msg::{Envelope, Msg, Notice, Reply};
+use genomedsm_dsm::{DsmConfig, GlobalVec};
 use shuttle::check::Procs;
 use shuttle::{Ctx, Process, Spec, VectorClock};
 use std::collections::VecDeque;
@@ -75,7 +76,8 @@ pub enum Workload {
     Rejoin(usize),
 }
 
-/// A deliberate break, applied by the harness; the daemon runs unmodified.
+/// A deliberate break, applied by the harness; client and daemon run
+/// unmodified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Perturbation {
     /// Every `LockGranted` reaches its worker without its notices.
@@ -85,14 +87,15 @@ pub enum Perturbation {
     /// The reaper sends the dying holder's uncommitted `Release` ahead of
     /// its obituary.
     ReleaseUncommitted,
-    /// The joiner keeps its pre-crash page on `RejoinAck`.
+    /// The link answers the joiner's first page fetch after its ack with
+    /// the page it held before the crash.
     KeepCache,
     /// The link rewrites the joiner's `Rejoin` to `stride: 0` at the
     /// current round: the single-shot opt-out, used mid-campaign.
     AdmitOnDelivery,
 }
 
-/// Real daemons under a [`Workload`], perturbed or not.
+/// Real clients and daemons under a [`Workload`], perturbed or not.
 #[derive(Debug, Clone, Copy)]
 pub struct DaemonSpec(
     /// What the workers run.
@@ -137,13 +140,18 @@ fn slot(units: usize, wl: usize, role: usize, u: usize) -> usize {
     (wl * 2 + role) * units + u
 }
 
-/// The daemons, the links, the workers' reply queues, and what the checks
-/// track.
+/// The clients, the daemons, the links, the workers' reply queues, and
+/// what the checks track.
 #[derive(Default)]
 pub struct World {
     n: usize,
     home: usize,
     broken: Option<Perturbation>,
+    /// Worker `w`'s protocol state, driven by its scripted process (and,
+    /// for the victim, fail-stopped by the reaper).
+    clients: Vec<Client>,
+    /// The page's unit bytes, as every client allocated them.
+    units: Option<GlobalVec<u8>>,
     daemons: Vec<Daemon>,
     /// Per daemon, the join of the clocks of all it was delivered.
     clocks: Vec<VectorClock>,
@@ -160,6 +168,8 @@ pub struct World {
     /// The unit the victim was inside when the reaper fired.
     interrupted: Option<usize>,
     crashed: bool,
+    /// The page the victim held when the reaper fired ([`KeepCache`]).
+    kept: Option<Vec<u8>>,
     /// The lock manager processed the obituary.
     buried: bool,
     /// `setcv`s and `waitcv`s delivered and cv grants emitted; the wait
@@ -183,29 +193,21 @@ impl World {
         link.push_back((msg, clock.clone()));
     }
 
-    /// Sends `msg` from worker `from` to the home, delivers it at once and
-    /// returns its reply.
-    fn call(&mut self, from: usize, msg: Msg, ctx: &mut Ctx) -> Option<Reply> {
-        self.send(from, self.home, msg, ctx.clock());
-        self.deliver(from * self.n + self.home, ctx);
-        let (reply, clock) = self.replies[from].pop_back()?;
-        ctx.acquire(&clock);
-        Some(reply)
-    }
-
-    /// Worker `from`'s diff marking `unit`'s byte.
-    fn diff(from: usize, unit: usize) -> Msg {
-        let (page, epoch, offset, data) = (PAGE, 0, unit as u32, vec![1]);
-        let patches = vec![Patch { offset, data }];
-        Msg::Diff {
-            page,
-            from,
-            patches,
-            epoch,
+    /// Worker `me` reads the page's unit bytes through its client and
+    /// marks `unit`'s byte; returns what it read, or `None` when the read
+    /// faulted and queued a fetch.
+    fn touch(&mut self, me: usize, unit: usize) -> Option<Vec<u8>> {
+        let (units, client) = (self.units?, &mut self.clients[me]);
+        let mut page = vec![0; units.len()];
+        if client.read_bytes(units.base, &mut page) < page.len() {
+            return None;
         }
+        client.write_bytes(units.addr_of(unit), &[1]);
+        Some(page)
     }
 
-    /// Worker `from`'s release, with its critical section's write notice.
+    /// Worker `from`'s release, with its critical section's write notice:
+    /// what [`ReleaseUncommitted`] forges.
     fn release_of(&self, from: usize) -> Msg {
         let (page, writer, home) = (PAGE, from, self.home);
         let notices = vec![Notice { page, writer, home }];
@@ -231,16 +233,30 @@ impl World {
         !self.crashed && self.campaign.is_none_or(left)
     }
 
-    /// Fail-stops the victim: its obituary joins its link to the lock
-    /// manager behind everything it already sent.
-    fn reap(&mut self, ctx: &Ctx) {
+    /// Fail-stops the victim's client. Its obituary to the lock manager
+    /// joins its link behind everything it already sent; the others are
+    /// stepped at once: those daemons manage nothing the run uses and
+    /// refuse no request of the dead, so no check depends on when they
+    /// land.
+    fn reap(&mut self, ctx: &mut Ctx) {
         (self.crashed, self.interrupted) = (true, self.inside[VICTIM].take());
+        if self.broken == Some(KeepCache) {
+            self.kept = self.clients[VICTIM].cached(PAGE).map(<[u8]>::to_vec);
+        }
         if self.interrupted.is_some() && self.broken == Some(ReleaseUncommitted) {
             let release = self.release_of(VICTIM);
             self.send(VICTIM, 0, release, ctx.clock());
         }
-        let (node, incarnation) = (VICTIM, 0);
-        self.send(VICTIM, 0, Msg::Obituary { node, incarnation }, ctx.clock());
+        self.clients[VICTIM].fail_stop();
+        while let Some((to, msg)) = self.clients[VICTIM].next_request() {
+            let link = &mut self.links[VICTIM * self.n + to].0;
+            if to == 0 {
+                link.push_back((msg, ctx.clock().clone()));
+            } else {
+                link.push_front((msg, ctx.clock().clone()));
+                self.deliver(VICTIM * self.n + to, ctx);
+            }
+        }
     }
 
     /// Hands the head of `link` to its daemon.
@@ -254,9 +270,14 @@ impl World {
             Msg::SetCv { .. } if self.broken == Some(DropSignal) && self.waits == self.wakes => {
                 return ctx.trace("setcv dropped at an empty wait queue");
             }
+            Msg::GetPage { page, .. } if src == VICTIM && self.admitted && self.kept.is_some() => {
+                let (page, data) = (*page, self.kept.take().unwrap_or_default());
+                let reply = Reply::Page { page, data };
+                return self.replies[src].push_back((reply, clock));
+            }
             Msg::SetCv { .. } => self.sets += 1,
             Msg::WaitCv { .. } => self.waits += 1,
-            Msg::Obituary { .. } => self.buried = true,
+            Msg::Obituary { .. } => self.buried |= dst == 0,
             Msg::Rejoin {
                 admit_at_round,
                 stride,
@@ -351,25 +372,33 @@ enum Role {
     Adopter,
     Producer,
     Consumer,
+    /// A rejoin campaign member: per workload its units, then the
+    /// workload's barriers.
+    Member,
 }
 
-/// A scripted worker: the worker side of the protocol, one message per
-/// step.
+/// A scripted process: the API calls of a role, made on worker `me`'s
+/// real client. A step feeds one reply or starts one unit (a member's
+/// feeds one and starts the next), then puts the first request the
+/// client queued on its link.
 #[derive(Default)]
-struct Worker {
+struct Script {
     me: usize,
     role: Role,
-    /// Units (lockers), or signals or waits, still to run.
+    /// Units (lockers, members), or signals or waits, still to run.
     todo: VecDeque<usize>,
-    /// A request is out; the next step consumes its reply.
+    /// A sent request awaits its reply.
     awaiting: bool,
-    /// The cached page; `None` = invalid.
-    cache: Option<Vec<u8>>,
-    lock_seq: u64,
-    cv_seq: u64,
+    /// The unit whose page access is still to make: a locker's once it
+    /// has called `lock`, a member's once started.
+    unit: Option<usize>,
+    /// Members: the barrier rounds completed, as grants and ack said.
+    round: u64,
+    /// Worker 0 has announced its return.
+    announced: bool,
 }
 
-impl Worker {
+impl Script {
     fn boxed(me: usize, role: Role, todo: std::ops::Range<usize>) -> Box<dyn Process<World>> {
         let todo = todo.collect();
         Box::new(Self {
@@ -380,184 +409,9 @@ impl Worker {
         })
     }
 
-    /// Sends `msg` to daemon `to`, then awaits the reply if it has one.
-    fn send(&mut self, w: &mut World, ctx: &Ctx, to: usize, msg: Msg) {
-        self.awaiting = !matches!(msg, Msg::SetCv { .. } | Msg::Release { .. });
-        w.send(self.me, to, msg, ctx.clock());
-    }
-
-    /// Starts the next operation with its request.
-    fn start(&mut self, w: &mut World, ctx: &Ctx) {
-        let (from, lock, cv) = (self.me, LOCK, CV);
-        let msg = match self.role {
-            Role::Adopter => {
-                // A takeover resumes from the ledger cursor.
-                let cursor = w.cursor(self.todo.len(), 0);
-                self.todo.retain(|&u| u >= cursor);
-                self.role = Role::Locker;
-                return;
-            }
-            Role::Reaper => return w.reap(ctx),
-            Role::Producer => {
-                self.todo.pop_front();
-                let notices = Vec::new();
-                Msg::SetCv { cv, from, notices }
-            }
-            Role::Consumer => {
-                let last_seq = self.cv_seq;
-                Msg::WaitCv { cv, from, last_seq }
-            }
-            _ => {
-                let last_seq = self.lock_seq;
-                Msg::Acquire {
-                    lock,
-                    from,
-                    last_seq,
-                }
-            }
-        };
-        self.send(w, ctx, 0, msg);
-    }
-
-    /// Consumes one reply.
-    fn receive(&mut self, reply: Reply, w: &mut World, ctx: &Ctx) {
-        let me = self.me;
-        match reply {
-            Reply::LockGranted { notices, seq } => {
-                let live = u64::from(w.released.iter().sum::<u32>());
-                let unreleased =
-                    (seq > live).then(|| format!("granted unreleased state: {seq} > {live}"));
-                let other = w.inside.iter().position(Option::is_some);
-                let both = other.map(|o| format!("mutual exclusion violated: workers {o}, {me}"));
-                let early = !ctx.clock().dominates(&w.last_release);
-                let early = early.then(|| format!("happens-before violated: worker {me} early"));
-                w.violations
-                    .extend(unreleased.into_iter().chain(both).chain(early));
-                self.lock_seq = seq;
-                if notices.iter().any(|n| n.writer != me) {
-                    self.cache = None;
-                }
-                w.inside[me] = self.todo.front().copied();
-                match self.cache.take() {
-                    Some(page) => self.write(page, w, ctx),
-                    None => {
-                        let (home, page, from, epoch) = (w.home, PAGE, me, 0);
-                        self.send(w, ctx, home, Msg::GetPage { page, from, epoch });
-                    }
-                }
-            }
-            Reply::Page { data, .. } => self.write(data, w, ctx),
-            Reply::DiffAck => self.release(w, ctx),
-            Reply::CvGranted { seq, .. } => {
-                (self.cv_seq, self.awaiting) = (seq, false);
-                self.todo.pop_front();
-            }
-            other => w.violations.push(format!("worker {me} got {other:?}")),
-        }
-    }
-
-    /// Inside the critical section with `page` in hand: check what it
-    /// shows, mark this unit, flush the diff home.
-    fn write(&mut self, mut page: Vec<u8>, w: &mut World, ctx: &Ctx) {
-        let unit = self.todo[0];
-        let wrong = (0..w.released.len()).find(|&k| {
-            let seen = page[k] != 0;
-            seen != (w.released[k] > 0) && !(seen && w.interrupted == Some(k))
-        });
-        let me = self.me;
-        let stale = wrong.map(|k| format!("scope consistency violated: worker {me}, unit {k}"));
-        w.violations.extend(stale);
-        page[unit] = 1;
-        self.cache = Some(page);
-        let home = w.home;
-        self.send(w, ctx, home, World::diff(me, unit));
-    }
-
-    /// Leaves the critical section: release with the write notice and,
-    /// victim or adopter, commit the unit to the ledger.
-    fn release(&mut self, w: &mut World, ctx: &Ctx) {
-        let unit = self.todo[0];
-        self.todo.pop_front();
-        w.inside[self.me] = None;
-        w.released[unit] += 1;
-        w.last_release = ctx.clock().clone();
-        let release = w.release_of(self.me);
-        self.send(w, ctx, 0, release);
-    }
-}
-
-impl Process<World> for Worker {
-    fn ready(&self, w: &World) -> bool {
-        match self.role {
-            Role::Victim if w.crashed => false,
-            Role::Adopter => w.crashed,
-            Role::Reaper => w.exposed(),
-            _ if self.awaiting => !w.replies[self.me].is_empty(),
-            _ => !self.todo.is_empty(),
-        }
-    }
-
-    fn done(&self, w: &World) -> bool {
-        match self.role {
-            // A dead victim's units are the adopter's; without a crash
-            // there is nothing to adopt.
-            Role::Victim if w.crashed => true,
-            Role::Reaper => !w.exposed(),
-            Role::Adopter => !w.crashed,
-            _ => !self.awaiting && self.todo.is_empty(),
-        }
-    }
-
-    fn step(&mut self, w: &mut World, ctx: &mut Ctx) {
-        if !self.awaiting {
-            self.start(w, ctx);
-        } else if let Some((reply, clock)) = w.replies[self.me].pop_front() {
-            ctx.acquire(&clock);
-            self.receive(reply, w, ctx);
-        }
-        ctx.trace(format!(
-            "{:?} {}: {:?} to do",
-            self.role, self.me, self.todo
-        ));
-    }
-}
-
-/// A member of the rejoin campaign, running role `me`: per workload its
-/// units, each one step against the home (fetch unless cached, check the
-/// page, write the unit's byte, flush the diff, await the ack), then the
-/// workload's barriers.
-#[derive(Default)]
-struct Member {
-    me: usize,
-    units: usize,
-    /// Barrier rounds completed, as this member's grants and ack said.
-    round: u64,
-    /// Units (slots) to run before the next barrier.
-    todo: VecDeque<usize>,
-    /// A barrier or the announcement is out.
-    awaiting: bool,
-    /// A unit was written since the last barrier.
-    wrote: bool,
-    /// The cached page; `None` = invalid.
-    cache: Option<Vec<u8>>,
-    /// Worker 0 has announced its return.
-    announced: bool,
-}
-
-impl Member {
-    fn boxed(me: usize, units: usize) -> Box<dyn Process<World>> {
-        let mut member = Self {
-            me,
-            units,
-            ..Self::default()
-        };
-        member.queue(me, 0);
-        Box::new(member)
-    }
-
-    /// Queues `role`'s units of the current workload from `first` on.
-    fn queue(&mut self, role: usize, first: usize) {
-        let (units, wl) = (self.units, (self.round / BUDGET) as usize);
+    /// Queues `role`'s `units` of the current workload from `first` on.
+    fn queue(&mut self, units: usize, role: usize, first: usize) {
+        let wl = (self.round / BUDGET) as usize;
         self.todo = (first..units).map(|u| slot(units, wl, role, u)).collect();
     }
 
@@ -573,115 +427,207 @@ impl Member {
         last && w.crashed && !w.announced
     }
 
-    /// Runs one unit; the home serves its requests in this step.
-    fn run(&mut self, unit: usize, w: &mut World, ctx: &mut Ctx) {
-        let (from, page, epoch) = (self.me, PAGE, 0);
-        let page_in_hand = match self.cache.take() {
-            Some(data) => Some(Reply::Page { page, data }),
-            None => w.call(from, Msg::GetPage { page, from, epoch }, ctx),
-        };
-        let Some(Reply::Page { mut data, .. }) = page_in_hand else {
-            return w.violations.push(format!("worker {from}: no page"));
-        };
-        // Every unit of an earlier workload was released before the
-        // boundary that opened this one.
-        let stale = (0..unit - unit % (2 * self.units)).find(|&k| data[k] == 0);
-        let stale = stale.map(|k| format!("scope consistency violated: worker {from}, unit {k}"));
-        w.violations.extend(stale);
-        data[unit] = 1;
-        self.cache = Some(data);
-        match w.call(from, World::diff(from, unit), ctx) {
-            Some(Reply::DiffAck) => (w.released[unit], self.wrote) = (w.released[unit] + 1, true),
-            other => w.violations.push(format!("worker {from} got {other:?}")),
+    /// Nothing queued and no unit under way.
+    fn idle(&self, w: &World) -> bool {
+        !(self.awaiting || self.unit.is_some() || w.clients[self.me].has_requests())
+    }
+
+    /// Starts the next unit with its first API call.
+    fn start(&mut self, w: &mut World) {
+        let me = self.me;
+        match self.role {
+            Role::Adopter => {
+                // A takeover reads the ledger past its stale cache and
+                // resumes from the cursor.
+                if let Some(units) = w.units {
+                    w.clients[me].invalidate_vec(&units);
+                }
+                let cursor = w.cursor(self.todo.len(), 0);
+                self.todo.retain(|&u| u >= cursor);
+                self.role = Role::Locker;
+            }
+            Role::Producer => {
+                self.todo.pop_front();
+                w.clients[me].setcv(CV);
+            }
+            Role::Consumer => {
+                self.todo.pop_front();
+                w.clients[me].waitcv(CV);
+            }
+            Role::Member if self.fallen(w) => {
+                self.announced = true;
+                w.clients[me].rejoin((self.round / BUDGET + 1) * BUDGET, BUDGET);
+            }
+            Role::Member if self.round >= FINAL || self.gated(w) => {}
+            Role::Member => match self.todo.pop_front() {
+                Some(unit) => self.unit = Some(unit),
+                None => w.clients[me].barrier(),
+            },
+            _ => {
+                self.unit = self.todo.front().copied();
+                if self.unit.is_some() {
+                    w.clients[me].lock(LOCK);
+                }
+            }
         }
     }
 
-    /// Arrives at the barrier with the write notice, if it wrote.
-    fn arrive(&mut self, w: &mut World, ctx: &Ctx) {
-        let (page, writer, home) = (PAGE, self.me, w.home);
-        let notice = std::mem::take(&mut self.wrote).then_some(Notice { page, writer, home });
-        let (from, notices) = (self.me, notice.into_iter().collect());
-        self.awaiting = true;
-        w.send(from, 0, Msg::Barrier { from, notices }, ctx.clock());
-    }
-
-    /// Worker 0 after its fail-stop: announces its return for the next
-    /// boundary, re-deferred by `BUDGET` if late; the ack requeues its work.
-    fn announce(&mut self, w: &mut World, ctx: &Ctx) {
-        (self.announced, self.awaiting) = (true, true);
-        let (node, incarnation, stride) = (self.me, 1, BUDGET);
-        let admit_at_round = (self.round / BUDGET + 1) * BUDGET;
-        let rejoin = Msg::Rejoin {
-            node,
-            incarnation,
-            admit_at_round,
-            stride,
+    /// Makes the unit's page access once nothing is queued: check what
+    /// the page shows, mark the unit, then a locker's `unlock` or a
+    /// member's `flush_vec`. False when no access is left to make.
+    fn call(&mut self, w: &mut World) -> bool {
+        let (me, Some(unit)) = (self.me, self.unit) else {
+            return false;
         };
-        w.send(node, 0, rejoin, ctx.clock());
+        let Some(page) = w.touch(me, unit) else {
+            return true;
+        };
+        let member = self.role == Role::Member;
+        let stale = if member {
+            // Every unit of an earlier workload was released before the
+            // boundary that opened this one.
+            let units = w.campaign.unwrap_or_default();
+            (0..unit - unit % (2 * units)).find(|&k| page[k] == 0)
+        } else {
+            (0..page.len()).find(|&k| {
+                let seen = page[k] != 0;
+                seen != (w.released[k] > 0) && !(seen && w.interrupted == Some(k))
+            })
+        };
+        let stale = stale.map(|k| format!("scope consistency violated: worker {me}, unit {k}"));
+        w.violations.extend(stale);
+        self.unit = None;
+        match w.units.filter(|_| member) {
+            Some(units) => {
+                w.clients[me].flush_vec(&units);
+                w.released[unit] += 1;
+            }
+            None => w.clients[me].unlock(LOCK),
+        }
+        true
     }
 
-    fn receive(&mut self, reply: Reply, w: &mut World) {
-        let (me, units) = (self.me, self.units);
+    /// Puts `msg` on the link to daemon `to`: a locker's release commits
+    /// its unit to the ledger, and a member's request to the home is
+    /// served at once. Returns whether its reply is already fed.
+    fn put(&mut self, w: &mut World, ctx: &mut Ctx, to: usize, msg: Msg) -> bool {
+        if matches!(msg, Msg::Release { .. }) {
+            let unit = self.todo.pop_front().unwrap_or_default();
+            w.inside[self.me] = None;
+            w.released[unit] += 1;
+            w.last_release = ctx.clock().clone();
+        }
+        self.awaiting = msg.awaits_reply();
+        w.send(self.me, to, msg, ctx.clock());
+        if self.role != Role::Member || to != w.home {
+            return false;
+        }
+        w.deliver(self.me * w.n + to, ctx);
+        self.feed(w, ctx);
+        true
+    }
+
+    /// Feeds the oldest reply to the client, checking it on the way.
+    fn feed(&mut self, w: &mut World, ctx: &mut Ctx) {
+        let Some((reply, clock)) = w.replies[self.me].pop_front() else {
+            return w.violations.push(format!("worker {}: no reply", self.me));
+        };
+        ctx.acquire(&clock);
         self.awaiting = false;
-        match reply {
-            Reply::BarrierDone { notices, dead, .. } => {
-                if notices.iter().any(|n| n.writer != me) {
-                    self.cache = None;
-                }
+        let (me, units) = (self.me, w.campaign.unwrap_or_default());
+        // A barrier grant or an ack moves a member to its next units: a
+        // takeover sweep's, if the grant names the victim dead.
+        let mut next = None;
+        match &reply {
+            Reply::LockGranted { seq, .. } => {
+                let live = u64::from(w.released.iter().sum::<u32>());
+                let unreleased =
+                    (*seq > live).then(|| format!("granted unreleased state: {seq} > {live}"));
+                let other = w.inside.iter().position(Option::is_some);
+                let both = other.map(|o| format!("mutual exclusion violated: workers {o}, {me}"));
+                let early = !ctx.clock().dominates(&w.last_release);
+                let early = early.then(|| format!("happens-before violated: worker {me} early"));
+                w.violations
+                    .extend(unreleased.into_iter().chain(both).chain(early));
+                w.inside[me] = self.todo.front().copied();
+            }
+            Reply::BarrierDone { dead, .. } => {
                 self.round += 1;
-                if self.round.is_multiple_of(BUDGET) {
-                    self.queue(me, 0);
-                } else if me != VICTIM && dead.contains(&VICTIM) {
-                    // The takeover sweep resumes from the ledger cursor,
-                    // read past the stale cache.
-                    self.cache = None;
-                    self.queue(VICTIM, w.cursor(units, (self.round / BUDGET) as usize));
-                }
+                next = Some(me != VICTIM && dead.contains(&VICTIM));
             }
             Reply::RejoinAck { round, .. } => {
                 let caught_up = (round.div_ceil(BUDGET) as usize).min(WORKLOADS);
                 let behind = (0..caught_up).find(|&wl| w.cursor(units, wl) < units);
                 let behind = behind.map(|wl| format!("joiner caught up early on workload {wl}"));
                 w.violations.extend(behind);
-                // A fresh worker process holds no page and no notice.
-                if w.broken != Some(KeepCache) {
-                    self.cache = None;
-                }
-                (self.wrote, self.round) = (false, round.next_multiple_of(BUDGET));
-                self.queue(me, 0);
+                self.round = round.next_multiple_of(BUDGET);
+                next = Some(false);
             }
-            other => w.violations.push(format!("worker {me} got {other:?}")),
+            _ => {}
+        }
+        w.clients[me].reply(reply);
+        match next {
+            Some(_) if self.round.is_multiple_of(BUDGET) => self.queue(units, me, 0),
+            Some(true) => {
+                // The takeover sweep resumes from the ledger cursor, read
+                // past the stale cache.
+                if let Some(v) = w.units {
+                    w.clients[me].invalidate_vec(&v);
+                }
+                let wl = (self.round / BUDGET) as usize;
+                self.queue(units, VICTIM, w.cursor(units, wl));
+            }
+            _ => {}
         }
     }
 }
 
-impl Process<World> for Member {
+impl Process<World> for Script {
     fn ready(&self, w: &World) -> bool {
-        let idle = !self.awaiting && !self.gated(w);
-        self.fallen(w) || idle || self.awaiting && !w.replies[self.me].is_empty()
-    }
-
-    fn done(&self, _w: &World) -> bool {
-        self.round >= FINAL
-    }
-
-    /// One reply consumed and the next request sent, as a worker thread
-    /// goes on from a grant.
-    fn step(&mut self, w: &mut World, ctx: &mut Ctx) {
-        if self.fallen(w) {
-            self.announce(w, ctx);
-        } else if let Some((reply, clock)) = w.replies[self.me].pop_front() {
-            ctx.acquire(&clock);
-            self.receive(reply, w);
+        match self.role {
+            Role::Victim if w.crashed => false,
+            Role::Adopter => w.crashed,
+            Role::Reaper => w.exposed(),
+            _ if self.awaiting => !w.replies[self.me].is_empty(),
+            Role::Member => self.fallen(w) || !self.gated(w),
+            _ => !(self.idle(w) && self.todo.is_empty()),
         }
-        if !(self.awaiting || self.round >= FINAL || self.gated(w)) {
-            match self.todo.pop_front() {
-                Some(unit) => self.run(unit, w, ctx),
-                None => self.arrive(w, ctx),
+    }
+
+    fn done(&self, w: &World) -> bool {
+        match self.role {
+            // A dead victim's units are the adopter's; without a crash
+            // there is nothing to adopt.
+            Role::Victim if w.crashed => true,
+            Role::Reaper => !w.exposed(),
+            Role::Adopter => !w.crashed,
+            Role::Member => self.round >= FINAL,
+            _ => self.idle(w) && self.todo.is_empty(),
+        }
+    }
+
+    fn step(&mut self, w: &mut World, ctx: &mut Ctx) {
+        if self.role == Role::Reaper {
+            return w.reap(ctx);
+        }
+        let fed = self.awaiting;
+        if fed {
+            self.feed(w, ctx);
+        }
+        if (!fed || self.role == Role::Member) && self.idle(w) {
+            self.start(w);
+        }
+        loop {
+            if let Some((to, msg)) = w.clients[self.me].next_request() {
+                if !self.put(w, ctx, to, msg) {
+                    break;
+                }
+            } else if !self.call(w) {
+                break;
             }
         }
-        let (me, round, todo) = (self.me, self.round, &self.todo);
-        ctx.trace(format!("member {me} round {round}: {todo:?} to do"));
+        let (role, me, round, todo) = (self.role, self.me, self.round, &self.todo);
+        ctx.trace(format!("{role:?} {me} round {round}: {todo:?} to do"));
     }
 }
 
@@ -712,43 +658,51 @@ impl Spec for DaemonSpec {
             Locks(clients, sections) => {
                 for c in 0..clients {
                     let units = c * sections..(c + 1) * sections;
-                    procs.push(Worker::boxed(c, Role::Locker, units));
+                    procs.push(Script::boxed(c, Role::Locker, units));
                 }
                 (clients * sections, None)
             }
             Signals(producers, consumers, each) => {
                 let waits = producers * each / consumers;
                 for p in 0..producers {
-                    procs.push(Worker::boxed(p, Role::Producer, 0..each));
+                    procs.push(Script::boxed(p, Role::Producer, 0..each));
                 }
                 for c in producers..producers + consumers {
-                    procs.push(Worker::boxed(c, Role::Consumer, 0..waits));
+                    procs.push(Script::boxed(c, Role::Consumer, 0..waits));
                 }
                 (0, None)
             }
             Lease(victim, survivor) => {
-                procs.push(Worker::boxed(VICTIM, Role::Victim, 0..victim));
-                procs.push(Worker::boxed(1, Role::Locker, victim..victim + survivor));
-                procs.push(Worker::boxed(2, Role::Adopter, 0..victim));
+                procs.push(Script::boxed(VICTIM, Role::Victim, 0..victim));
+                procs.push(Script::boxed(1, Role::Locker, victim..victim + survivor));
+                procs.push(Script::boxed(2, Role::Adopter, 0..victim));
                 (victim + survivor, None)
             }
             Rejoin(units) => {
-                procs.push(Member::boxed(VICTIM, units));
-                procs.push(Member::boxed(1, units));
+                for m in 0..2 {
+                    let todo = slot(units, 0, m, 0)..slot(units, 0, m, units);
+                    procs.push(Script::boxed(m, Role::Member, todo));
+                }
                 (WORKLOADS * 2 * units, Some(units))
             }
         };
         let n = procs.len();
         if matches!(self.0, Lease(..) | Rejoin(..)) {
-            procs.push(Worker::boxed(n, Role::Reaper, 0..0));
+            procs.push(Script::boxed(n, Role::Reaper, 0..0));
         }
         procs.extend((0..n * n).map(|l| Box::new(Link(l)) as Box<dyn Process<World>>));
         let config = DsmConfig::new(n).page_size(PAGE_SIZE);
+        let mut clients: Vec<Client> = (0..n).map(|w| Client::new(w, &config)).collect();
+        // Collective: every client computes the same address.
+        let page = clients.iter_mut().map(|c| c.alloc(units, Some(n - 1)));
+        let page = page.map(|base| GlobalVec::new(base, units)).last();
         let zero = VectorClock::new(procs.len());
         let world = World {
             n,
             home: n - 1,
             broken: self.1,
+            clients,
+            units: page,
             daemons: (0..n).map(|d| Daemon::new(d, &config, false)).collect(),
             clocks: vec![zero.clone(); n],
             links: vec![(VecDeque::new(), 0); n * n],

@@ -4,10 +4,11 @@
 //! stepped by scripted peers, with perturbations of the harness that must
 //! be caught:
 //!
-//! * [`daemon`] runs the `genomedsm-dsm` daemon (lock handoff with write
-//!   notices, the counting cv, the lease break on a fail-stop, and the
-//!   barrier manager's rejoin admission in a two-workload campaign) over
-//!   checker-scheduled links;
+//! * [`daemon`] runs both sides of the `genomedsm-dsm` protocol: real
+//!   worker `Client`s, driven by scripts of API calls, against real
+//!   daemons (lock handoff with write notices, the counting cv, the lease
+//!   break on a fail-stop, and the barrier manager's rejoin admission in
+//!   a two-workload campaign) over checker-scheduled links;
 //! * [`link`] runs two of the UDP transport's `Link`s (ack, retransmit,
 //!   reorder, dedup and fragmentation under loss, and session turnover);
 //! * [`admission`] runs the serve admission gate (capacity, FIFO, the
