@@ -161,7 +161,7 @@ impl SeqDatabase {
     }
 
     /// Iterates `(database index, sequence)` over a slab of records.
-    pub fn slab(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &[u8])> {
+    pub fn slab(&self, range: Range<usize>) -> impl DoubleEndedIterator<Item = (usize, &[u8])> {
         range.map(move |i| (i, self.seq(i)))
     }
 }

@@ -371,7 +371,10 @@ fn exec_job<S: Scheme>(
             reruns: 0,
         };
     };
-    for (t, target) in db.slab(job.targets.clone()) {
+    // Longest record first (the slab is length-sorted), so the state a
+    // packed group carries along a target is allocated once, at its full
+    // length; the top-k sets do not depend on the order.
+    for (t, target) in db.slab(job.targets.clone()).rev() {
         for (lane, r) in score_group(&mut group, target, 0).into_iter().enumerate() {
             offer(&mut partials[lane].1, t, &r);
         }

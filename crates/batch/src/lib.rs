@@ -79,6 +79,11 @@ pub enum BatchError {
         /// The offending file.
         path: PathBuf,
     },
+    /// A query file contained no records.
+    EmptyQueries {
+        /// The offending file.
+        path: PathBuf,
+    },
     /// An invalid configuration value.
     BadConfig(String),
 }
@@ -93,6 +98,9 @@ impl fmt::Display for BatchError {
             BatchError::EmptyDatabase { path } => {
                 write!(f, "{}: database has no records", path.display())
             }
+            BatchError::EmptyQueries { path } => {
+                write!(f, "{}: query file has no records", path.display())
+            }
             BatchError::BadConfig(what) => write!(f, "bad config: {what}"),
         }
     }
@@ -103,7 +111,9 @@ impl std::error::Error for BatchError {
         match self {
             BatchError::Io { source, .. } => Some(source),
             BatchError::Fasta { source, .. } => Some(source),
-            BatchError::EmptyDatabase { .. } | BatchError::BadConfig(_) => None,
+            BatchError::EmptyDatabase { .. }
+            | BatchError::EmptyQueries { .. }
+            | BatchError::BadConfig(_) => None,
         }
     }
 }
@@ -128,7 +138,7 @@ pub fn load_query_file(path: impl AsRef<std::path::Path>) -> Result<Vec<Vec<u8>>
             source,
         })?;
     if records.is_empty() {
-        return Err(BatchError::EmptyDatabase {
+        return Err(BatchError::EmptyQueries {
             path: path.to_path_buf(),
         });
     }
@@ -148,7 +158,7 @@ pub fn load_protein_query_file(
         }
     })?;
     if records.is_empty() {
-        return Err(BatchError::EmptyDatabase {
+        return Err(BatchError::EmptyQueries {
             path: path.to_path_buf(),
         });
     }

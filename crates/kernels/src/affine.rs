@@ -47,19 +47,24 @@
 //! dominated by the `H + go` re-open branch (`>= -28 000`, or `>= -120`
 //! for a scheme the `i8` rung takes) everywhere they are consumed.
 
-use crate::batch::{PackedState, RowStats};
+use crate::batch::{refill, PackedState, Strip};
 use crate::engine::{Elem, Engine, StripedState};
 use crate::profile::{Scheme, I16_PARAM_CEILING};
 use genomedsm_core::linear::LinearSwResult;
 use genomedsm_core::submat::MatrixScoring;
 use genomedsm_core::sw_score_profile;
 
-/// Gap state of one affine pass: both penalties as positive lane values and
-/// the per-element `E` column, written one target column ahead.
+/// Gap state of one affine pass: both penalties as positive lane values,
+/// the per-element `E` column, written one target column ahead, and a
+/// packed pass's `F` edge.
 pub struct AffineGap<T> {
     go: T,
     ge: T,
     pe: Vec<T>,
+    /// Per target column, `F` of the row above the current strip
+    /// (`columns * lanes`; packed passes only): `NEG_INF` before the
+    /// first strip, then each strip's last row.
+    fe: Vec<T>,
 }
 
 impl Scheme for MatrixScoring {
@@ -107,12 +112,17 @@ impl Scheme for MatrixScoring {
             go: T::from_i32(-self.gap_open),
             ge: T::from_i32(-self.gap_extend),
             pe: vec![T::from_i32(self.gap_open); cells],
+            fe: Vec::new(),
         }
     }
 
     fn reset_gap<T: Elem>(&self, gap: &mut AffineGap<T>, cells: usize) {
         gap.pe.clear();
         gap.pe.resize(cells, T::from_i32(self.gap_open));
+    }
+
+    fn reset_edge<T: Elem>(&self, gap: &mut AffineGap<T>, cells: usize) {
+        refill(&mut gap.fe, cells, T::NEG_INF);
     }
 
     // SAFETY: same contract as `affine_column`, which the caller upholds.
@@ -130,11 +140,11 @@ impl Scheme for MatrixScoring {
     unsafe fn packed_column<E: Engine>(
         gap: &mut AffineGap<E::T>,
         st: &mut PackedState<E::T>,
-        rows: usize,
+        j: usize,
         row: &[E::T],
-        stats: &mut RowStats<'_, E>,
+        strip: &mut Strip<'_, E>,
     ) {
-        packed_affine_column::<E>(st, gap, rows, row, stats)
+        packed_affine_column::<E>(st, gap, j, row, strip)
     }
 }
 
@@ -220,32 +230,38 @@ unsafe fn affine_column<E: Engine>(
     }
 }
 
-/// One target column of the packed affine recurrence. Lanes are
-/// independent alignments, so `F` is exact on the way down the rows: the
-/// first row's `F` is `max(NEG_INF + ge, 0 + go) = go`, precisely the
-/// open-from-the-zero-row value.
+/// Column `j` of one strip of the packed affine recurrence. Lanes are
+/// independent alignments, so `F` is exact on the way down the rows,
+/// entering from the carried `F` and `H` edges: over the first strip
+/// `max(NEG_INF + ge, 0 + go) = go`, precisely the open-from-the-zero-row
+/// value.
 ///
 /// # Safety
 /// Same contract as the linear `packed_column`: the engine's ISA must be
-/// enabled and `st`/`gap.pe`/`prof_row` packed for `E::LANES` lanes with
-/// at least `rows` rows.
+/// enabled, `st`/`gap.pe`/`prof_row` packed for `E::LANES` lanes with the
+/// strip's rows, and both edges hold more than `j` columns.
 #[inline(always)]
 unsafe fn packed_affine_column<E: Engine>(
     st: &mut PackedState<E::T>,
     gap: &mut AffineGap<E::T>,
-    rows: usize,
+    j: usize,
     prof_row: &[E::T],
-    stats: &mut RowStats<'_, E>,
+    strip: &mut Strip<'_, E>,
 ) {
     let l = E::LANES;
     let vzero = E::splat(E::T::ZERO);
     let vgo = E::splat(gap.go);
     let vge = E::splat(gap.ge);
     let pe = gap.pe.as_mut_ptr();
-    let mut diag = vzero; // H[i-1][j-1]
-    let mut up_h = vzero; // H[i-1][j]
-    let mut vf = E::splat(E::T::NEG_INF); // F[i-1][j]
-    for i in 0..rows {
+    let (edge, fedge) = (
+        st.edge.as_mut_ptr().add(j * l),
+        gap.fe.as_mut_ptr().add(j * l),
+    );
+    let mut diag = strip.corner; // H[i-1][j-1]
+    let mut up_h = E::load(edge); // H[i-1][j]
+    let mut vf = E::load(fedge); // F[i-1][j]
+    strip.corner = up_h;
+    for i in 0..strip.rows() {
         let off = i * l;
         let left = E::load(st.ph.as_ptr().add(off)); // H[i][j-1]
         let ve = E::load(pe.add(off)); // E[i][j]
@@ -255,11 +271,13 @@ unsafe fn packed_affine_column<E: Engine>(
         vh = E::max(vh, vf);
         vh = E::max(vh, vzero);
         E::store(st.ch.as_mut_ptr().add(off), vh);
-        stats.row(st, i, vh);
+        strip.row(st, i, vh);
         E::store(pe.add(off), E::max(E::subs(ve, vge), E::subs(vh, vgo)));
         diag = left;
         up_h = vh;
     }
+    E::store(edge, up_h);
+    E::store(fedge, vf);
 }
 
 #[cfg(test)]

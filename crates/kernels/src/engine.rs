@@ -53,7 +53,12 @@ use genomedsm_core::scoring::Scoring;
 /// and `i32` only. The bit operations are what the portable engine's lane
 /// masks are made of.
 pub trait Elem:
-    Copy + Ord + std::fmt::Debug + std::ops::BitAnd<Output = Self> + std::ops::Not<Output = Self>
+    Copy
+    + Default
+    + Ord
+    + std::fmt::Debug
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::Not<Output = Self>
 {
     /// The portable engine at this width.
     type Portable: Engine<T = Self>;

@@ -34,6 +34,15 @@ use genomedsm_core::scoring::Scoring;
 /// (DESIGN.md §5.5 has the table).
 const STRIPED_ROW_COST: usize = 3;
 
+/// Query rows per horizontal strip of a packed pass
+/// ([`crate::batch::Strip`]): small enough that a 64-lane `i8` strip's
+/// column buffers, `E` strip and live profile slices stay in the 48 KB
+/// L1d, tall enough that each column's edge traffic and settle are spread
+/// over many rows. Measured, like κ, on a 2-core AVX-512 VM: 8 to 32
+/// rows are within a few percent of each other, 16 the fastest, and 64
+/// or more lose the gain (DESIGN.md §5.5 has the table).
+pub(crate) const PACKED_STRIP_ROWS: usize = 16;
+
 /// The layout rule: striped iff its vector rows, weighted by κ, undercut
 /// the packed layout's `max |q|`. A group with an empty member stays
 /// packed, where a fully masked lane already yields the zero result.

@@ -16,7 +16,7 @@
 //! linear-gap DNA and affine-gap protein scoring — comes from the
 //! [`Scheme`] the profile is built over.
 
-use crate::batch::{packed_column, PackedState, RowStats};
+use crate::batch::{packed_column, PackedState, Strip};
 use crate::engine::{column, lane_bits, Elem, Engine, StripedState};
 use genomedsm_core::linear::{sw_score_linear, LinearSwResult};
 use genomedsm_core::scoring::Scoring;
@@ -66,6 +66,12 @@ pub trait Scheme: Copy + Send + Sync {
         *gap = self.gap_state(cells);
     }
 
+    /// Readies the gap values a packed pass carries from strip to strip
+    /// over `cells` edge elements (`columns * lanes`) to the row above the
+    /// first strip. Nothing for linear gaps, whose edge is `H` alone; the
+    /// `F` edge, at `NEG_INF`, for affine.
+    fn reset_edge<T: Elem>(&self, _gap: &mut Self::Gap<T>, _cells: usize) {}
+
     /// One target column of the striped layout under a zero top row:
     /// `st.ch` from `st.ph` and the profile row.
     ///
@@ -79,21 +85,22 @@ pub trait Scheme: Copy + Send + Sync {
         row: &[E::T],
     );
 
-    /// One target column of the packed (query-per-lane) layout under a
-    /// zero top row, at `i8` or `i16`: batch admission at `i16` is a
+    /// Target column `j` of one strip of the packed (query-per-lane)
+    /// layout under the edge carried from the strip above (the zero row,
+    /// for the first), at `i8` or `i16`: batch admission at `i16` is a
     /// priori ([`fits_i16_query`](crate::fits_i16_query)), and an `i8`
     /// pass is checked afterwards per lane.
     ///
     /// # Safety
-    /// The engine's ISA must be enabled in the calling context, and `st`,
-    /// `gap` and `row` must be packed for `E::LANES` lanes with at least
-    /// `rows` rows.
+    /// The engine's ISA must be enabled in the calling context, `st`,
+    /// `gap` and `row` must be packed for `E::LANES` lanes with the
+    /// strip's rows, and the edges hold more than `j` columns.
     unsafe fn packed_column<E: Engine>(
         gap: &mut Self::Gap<E::T>,
         st: &mut PackedState<E::T>,
-        rows: usize,
+        j: usize,
         row: &[E::T],
-        stats: &mut RowStats<'_, E>,
+        strip: &mut Strip<'_, E>,
     );
 }
 
@@ -143,11 +150,11 @@ impl Scheme for Scoring {
     unsafe fn packed_column<E: Engine>(
         gap: &mut E::T,
         st: &mut PackedState<E::T>,
-        rows: usize,
+        j: usize,
         row: &[E::T],
-        stats: &mut RowStats<'_, E>,
+        strip: &mut Strip<'_, E>,
     ) {
-        packed_column::<E>(st, rows, row, *gap, stats)
+        packed_column::<E>(st, j, row, *gap, strip)
     }
 }
 

@@ -367,3 +367,30 @@ fn batch_refuses_a_top_k_of_zero_by_name() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn batch_names_an_empty_query_file_as_the_query_file() {
+    // An empty query file used to be reported as "database has no
+    // records", sending the user to the wrong file.
+    let dir = temp_dir("empty_queries");
+    let fa = small_pair(&dir);
+    let empty = dir.join("empty.fa");
+    std::fs::write(&empty, "").expect("write empty query file");
+    for mode in ["dna", "protein"] {
+        let out = bin()
+            .args(["batch", "--mode", mode, "--db"])
+            .arg(&fa)
+            .arg("--queries")
+            .arg(&empty)
+            .output()
+            .expect("run batch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode}: {stderr}");
+        assert!(
+            stderr.contains("query file has no records"),
+            "{mode}: {stderr}"
+        );
+        assert!(!stderr.contains("database"), "{mode}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
