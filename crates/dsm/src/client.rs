@@ -631,10 +631,12 @@ mod tests {
 
     /// Worker 0's diff setting byte 0 of `page` to 7.
     fn diff(page: u64) -> Msg {
-        let patches = vec![Patch {
+        let patches = [Patch {
             offset: 0,
             data: vec![7],
-        }];
+        }]
+        .into_iter()
+        .collect();
         let (from, epoch) = (0, 0);
         Msg::Diff {
             page,

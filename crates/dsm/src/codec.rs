@@ -22,7 +22,7 @@
 //! `corrupt` verdict models.
 
 use crate::error::DsmError;
-use crate::msg::{Msg, Notice, Patch, Reply};
+use crate::msg::{Msg, Notice, Patches, Reply};
 use crate::stats::NodeStats;
 use std::time::Duration;
 
@@ -181,8 +181,13 @@ impl<'a> FrameReader<'a> {
     /// # Errors
     /// Typed [`DsmError`] on truncation or an implausible length.
     pub fn bytes(&mut self) -> Result<Vec<u8>, DsmError> {
+        Ok(self.byte_slice()?.to_vec())
+    }
+
+    /// A length-prefixed byte string, borrowed from the frame.
+    fn byte_slice(&mut self) -> Result<&'a [u8], DsmError> {
         let n = self.len(1)?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 }
 
@@ -548,10 +553,36 @@ wire_struct!(Notice {
     home: usize,
 });
 
-wire_struct!(Patch {
-    offset: u32,
-    data: Vec<u8>,
-});
+/// A diff travels as a list of `(offset: u32, data: bytes)` runs, the
+/// frame a `Vec` of [`crate::msg::Patch`] records would be, and decodes
+/// straight into the flat run table and byte buffer.
+impl Wire for Patches {
+    const MIN_WIRE: usize = 8;
+    fn encode(&self, w: &mut FrameWriter) {
+        w.usize(self.len());
+        for (offset, data) in self.runs() {
+            w.u32(offset);
+            w.bytes(data);
+        }
+    }
+    fn decode(r: &mut FrameReader<'_>) -> Result<Self, DsmError> {
+        // A run is at least its offset and its length field.
+        const RUN_MIN_WIRE: usize = 12;
+        let n = r.len(RUN_MIN_WIRE)?;
+        let mut patches = Patches::default();
+        patches.reserve(n, r.remaining() - n * RUN_MIN_WIRE);
+        for _ in 0..n {
+            let offset = r.u32()?;
+            let data = r.byte_slice()?;
+            let len = u32::try_from(data.len()).map_err(|_| DsmError::Oversize {
+                len: data.len(),
+                max: u32::MAX as usize,
+            })?;
+            patches.push_run(offset, len, data);
+        }
+        Ok(patches)
+    }
+}
 
 impl Wire for Msg {
     fn encode(&self, w: &mut FrameWriter) {
@@ -863,6 +894,7 @@ pub fn decode_reply(frame: &[u8]) -> Result<Reply, DsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Patch;
 
     const TAG: u8 = 0x77;
 
@@ -888,10 +920,12 @@ mod tests {
             page: 9,
             from: 1,
             epoch: 0,
-            patches: vec![Patch {
+            patches: [Patch {
                 offset: 4,
                 data: vec![1, 2, 3, 250],
-            }],
+            }]
+            .into_iter()
+            .collect(),
         };
         let frame = to_frame(&m);
         for i in 0..frame.len() {

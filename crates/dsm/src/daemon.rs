@@ -399,7 +399,7 @@ impl Daemon {
         match &env.msg {
             Msg::GetPage { from, .. } => worker(*from),
             Msg::Diff { from, patches, .. } => {
-                worker(*from) && patches.iter().all(|p| fits(p.offset, p.data.len()))
+                worker(*from) && patches.runs().all(|(at, data)| fits(at, data.len()))
             }
             Msg::Acquire { lock, from, .. } => worker(*from) && manages(*lock),
             Msg::Release {
@@ -1047,7 +1047,7 @@ mod tests {
         let diff = Msg::Diff {
             page: 0,
             from: 0,
-            patches: vec![overhang],
+            patches: [overhang].into_iter().collect(),
             epoch: 0,
         };
         let adopt = Msg::AdoptPage {

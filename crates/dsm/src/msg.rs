@@ -20,7 +20,8 @@ pub struct Notice {
 }
 
 /// One contiguous patch of a diff: byte offset within the page plus the
-/// new bytes.
+/// new bytes. A diff travels as [`Patches`]; this is the form one run is
+/// built from or read back as.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patch {
     /// Byte offset within the page.
@@ -29,10 +30,71 @@ pub struct Patch {
     pub data: Vec<u8>,
 }
 
-impl Patch {
-    /// Wire-size estimate of this patch (offset + length headers + data).
+/// A page diff as one flat value: a table of `(offset, len)` runs and one
+/// buffer holding every run's new bytes back to back, so a diff of any
+/// number of runs is two allocations.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Patches {
+    table: Vec<(u32, u32)>,
+    bytes: Vec<u8>,
+}
+
+impl Patches {
+    /// Appends a run: `data` replaces the page bytes at `offset`.
+    pub fn push(&mut self, offset: u32, data: &[u8]) {
+        let Ok(len) = u32::try_from(data.len()) else {
+            panic!("a run of {} bytes is longer than any page", data.len());
+        };
+        self.push_run(offset, len, data);
+    }
+
+    /// [`Patches::push`] for a caller that has checked `len == data.len()`.
+    pub(crate) fn push_run(&mut self, offset: u32, len: u32, data: &[u8]) {
+        debug_assert_eq!(len as usize, data.len());
+        self.table.push((offset, len));
+        self.bytes.extend_from_slice(data);
+    }
+
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether the diff has no runs.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// The runs in order, each as its offset and new bytes.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        let mut rest = self.bytes.as_slice();
+        self.table.iter().map(move |&(offset, len)| {
+            let (data, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (offset, data)
+        })
+    }
+
+    /// Wire-size estimate: each run's offset and length headers plus its
+    /// data, `Σ(8 + len)`.
     pub fn wire_size(&self) -> usize {
-        8 + self.data.len()
+        8 * self.table.len() + self.bytes.len()
+    }
+
+    /// Reserves room for `runs` more runs and `bytes` more data bytes.
+    pub(crate) fn reserve(&mut self, runs: usize, bytes: usize) {
+        self.table.reserve(runs);
+        self.bytes.reserve(bytes);
+    }
+}
+
+impl FromIterator<Patch> for Patches {
+    fn from_iter<I: IntoIterator<Item = Patch>>(iter: I) -> Self {
+        let mut patches = Patches::default();
+        for p in iter {
+            patches.push(p.offset, &p.data);
+        }
+        patches
     }
 }
 
@@ -95,7 +157,7 @@ pub enum Msg {
         /// Writing node.
         from: usize,
         /// The modified ranges.
-        patches: Vec<Patch>,
+        patches: Patches,
         /// The writer's migration epoch.
         epoch: u64,
     },
@@ -341,7 +403,7 @@ impl Msg {
         const HDR: usize = 32; // UDP + protocol header estimate
         match self {
             Msg::GetPage { .. } => HDR,
-            Msg::Diff { patches, .. } => HDR + patches.iter().map(Patch::wire_size).sum::<usize>(),
+            Msg::Diff { patches, .. } => HDR + patches.wire_size(),
             Msg::Acquire { .. } => HDR,
             Msg::Release { notices, .. } => HDR + notices.len() * 12,
             Msg::SetCv { notices, .. } => HDR + notices.len() * 12,
@@ -401,10 +463,12 @@ mod tests {
             page: 0,
             from: 0,
             epoch: 0,
-            patches: vec![Patch {
+            patches: [Patch {
                 offset: 0,
                 data: vec![0; 100],
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }
         .wire_size();
         assert!(diff > small + 100);

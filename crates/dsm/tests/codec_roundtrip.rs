@@ -6,7 +6,8 @@
 //! lets the transport layer dedup above it.
 
 use genomedsm_dsm::codec::{check_malformed, decode_msg, decode_reply, encode_msg, encode_reply};
-use genomedsm_dsm::msg::{Msg, Notice, Patch, Reply};
+use genomedsm_dsm::msg::{Msg, Notice, Patch, Patches, Reply};
+use genomedsm_dsm::{DsmError, FrameWriter};
 
 fn notices() -> Vec<Notice> {
     vec![
@@ -34,7 +35,7 @@ fn all_msgs() -> Vec<Msg> {
         Msg::Diff {
             page: u64::MAX,
             from: 7,
-            patches: vec![
+            patches: [
                 Patch {
                     offset: 0,
                     data: vec![],
@@ -43,13 +44,15 @@ fn all_msgs() -> Vec<Msg> {
                     offset: 4090,
                     data: vec![0xff; 300],
                 },
-            ],
+            ]
+            .into_iter()
+            .collect(),
             epoch: 1,
         },
         Msg::Diff {
             page: 0,
             from: 0,
-            patches: vec![],
+            patches: [].into_iter().collect(),
             epoch: 0,
         },
         Msg::Acquire {
@@ -224,6 +227,53 @@ fn every_variant_meets_the_malformed_frame_contract() {
     for r in all_replies() {
         check_malformed::<Reply>(&encode_reply(&r)).unwrap_or_else(|e| panic!("{r:?}: {e}"));
     }
+}
+
+#[test]
+fn a_diff_whose_last_run_overruns_the_frame_is_refused() {
+    // Two runs fit the count's guard (12 bytes each at least), but the
+    // second claims 100 data bytes and only 5 follow.
+    let mut w = FrameWriter::default();
+    w.u8(1); // Msg::Diff
+    w.u64(3); // page
+    w.u64(1); // from
+    w.u64(0); // epoch
+    w.u64(2); // run count
+    w.u32(0);
+    w.bytes(&[1, 2, 3]);
+    w.u32(64);
+    w.u64(100);
+    for b in 0..5 {
+        w.u8(b);
+    }
+    let err = decode_msg(&w.finish()).expect_err("an overrunning run decodes");
+    assert!(
+        matches!(err, DsmError::Truncated { .. } | DsmError::Oversize { .. }),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn a_thousand_run_diff_roundtrips() {
+    let patches: Patches = (0..1_000u32)
+        .map(|i| Patch {
+            offset: i * 4,
+            data: vec![i as u8; 1 + i as usize % 3],
+        })
+        .collect();
+    let data: usize = patches.runs().map(|(_, d)| d.len()).sum();
+    let m = Msg::Diff {
+        page: 77,
+        from: 2,
+        patches,
+        epoch: 5,
+    };
+    let frame = encode_msg(&m);
+    // Tag, page, from, epoch, count; each run an offset, a length and its
+    // bytes; the checksum.
+    assert_eq!(frame.len(), 1 + 4 * 8 + 1_000 * 12 + data + 4);
+    assert_eq!(decode_msg(&frame).unwrap(), m);
+    assert_eq!(m.wire_size(), 32 + 1_000 * 8 + data);
 }
 
 /// A frame as lowercase hex, each run of eight or more equal bytes written

@@ -332,6 +332,8 @@ fn generate_protein(args: &[String]) {
     println!("wrote {out}: {n} protein records, {total} residues total");
 }
 
+/// The two sequences of the positional FASTA files: one file with two
+/// records, or two files with one each. Any other count exits 2.
 fn load_pair(args: &[String]) -> (Vec<u8>, Vec<u8>) {
     // Positional arguments: everything that is neither an option flag nor
     // the value that follows one.
@@ -347,7 +349,6 @@ fn load_pair(args: &[String]) -> (Vec<u8>, Vec<u8>) {
             i += 1;
         }
     }
-    files.truncate(2);
     let mut seqs: Vec<Vec<u8>> = Vec::new();
     for f in &files {
         match read_fasta_file(f) {
@@ -362,11 +363,13 @@ fn load_pair(args: &[String]) -> (Vec<u8>, Vec<u8>) {
             }
         }
     }
-    if seqs.len() < 2 {
-        eprintln!("need two sequences (one file with two records, or two files)");
+    if seqs.len() != 2 {
+        eprintln!(
+            "need two sequences (one file with two records, or two files), got {}",
+            seqs.len()
+        );
         exit(2);
     }
-    seqs.truncate(2);
     let t = seqs.pop().expect("two");
     let s = seqs.pop().expect("one");
     (s, t)

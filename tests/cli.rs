@@ -106,6 +106,35 @@ fn missing_input_file_is_a_clean_error() {
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
 
+#[test]
+fn a_pair_command_refuses_more_than_two_sequences() {
+    // A third record or a third file is refused, never dropped: the
+    // answer would be about two sequences the user did not single out.
+    let dir = temp_dir("three_seqs");
+    let record = |name: &str, seq: &str| format!(">{name}\n{seq}\n");
+    let three = dir.join("three.fa");
+    let body = record("a", "ACGTACGTAC") + &record("b", "ACGTTCGTAC") + &record("c", "TTGTACG");
+    std::fs::write(&three, body).expect("write three.fa");
+    let one: Vec<PathBuf> = ["x", "y", "z"]
+        .iter()
+        .map(|name| {
+            let path = dir.join(format!("{name}.fa"));
+            std::fs::write(&path, record(name, "ACGTACGTAC")).expect("write one record");
+            path
+        })
+        .collect();
+    for command in ["align", "score", "exact"] {
+        for files in [vec![three.clone()], one.clone()] {
+            let out = bin().arg(command).args(&files).output().expect("run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {files:?}: {stderr}");
+            assert!(stderr.contains("got 3"), "{command}: {stderr}");
+            assert!(out.stdout.is_empty(), "{command}: nothing may run");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A 600 bp planted pair (seed 3): small, and the blocked strategy finds
 /// regions in it.
 fn small_pair(dir: &std::path::Path) -> PathBuf {
