@@ -72,10 +72,6 @@ pub struct Client {
     /// Bumped by every [`Client::rejoin`], carried in the announcement so
     /// daemons can tell apart distinct lives of the same rank.
     pub(crate) incarnation: u32,
-    /// The latest failure report's membership epoch (the highest seen)
-    /// and suspects.
-    pub(crate) membership_epoch: u64,
-    pub(crate) suspects: Vec<usize>,
     /// The death that ended the last cv wait, until taken.
     pub(crate) failure: Option<usize>,
     /// Requests not yet sent, in order: `(daemon, request)`.
@@ -144,16 +140,9 @@ impl Client {
                     self.push_wait(cv);
                 }
             }
-            Reply::FailureReport {
-                dead,
-                suspects,
-                canceled,
-                epoch,
-            } => {
+            Reply::FailureReport { dead, canceled } => {
                 self.known_dead.extend(dead.iter().copied());
                 self.known_ever_dead.extend(dead.iter().copied());
-                self.membership_epoch = self.membership_epoch.max(epoch);
-                self.suspects = suspects;
                 if canceled {
                     let Some(&node) = dead.first() else {
                         unreachable!("a canceling FailureReport names the dead node")
@@ -502,14 +491,13 @@ impl Client {
         id as usize % self.nprocs
     }
 
-    /// Fail-stops this worker: drops what it has not sent and what it
-    /// suspects, queues its obituary to every daemon, and makes every
-    /// further call inert.
+    /// Fail-stops this worker: drops what it has not sent, queues its
+    /// obituary to every daemon, and makes every further call inert.
     pub fn fail_stop(&mut self) {
         if self.failed {
             return;
         }
-        (self.queue, self.suspects) = Default::default();
+        self.queue.clear();
         let (node, incarnation) = (self.id, self.incarnation);
         for d in 0..self.nprocs {
             self.push(d, Msg::Obituary { node, incarnation });
@@ -559,42 +547,18 @@ impl Client {
         self.known_dead.iter().copied().collect()
     }
 
-    /// Queues a liveness heartbeat to this worker's own daemon.
-    pub(crate) fn heartbeat(&mut self) {
-        if self.failed {
+    /// Queues the stall watchdog's failure-detector query of the awaited
+    /// cv's manager: that probe cancels the wait if the manager knows of
+    /// a death this worker never processed (its `known` list is that
+    /// history, so a rank that died and was re-admitted cannot re-cancel
+    /// later waits). The report's deaths join the dead sets.
+    pub(crate) fn probe(&mut self) {
+        let Some(cv) = self.waiting_cv.filter(|_| !self.failed) else {
             return;
-        }
-        self.stats.heartbeats += 1;
-        let node = self.id;
-        self.push(node, Msg::Heartbeat { node });
-    }
-
-    /// Queues a failure-detector query of this worker's own daemon, or,
-    /// for the stall watchdog, of the awaited cv's manager: that probe
-    /// cancels the wait if the manager knows of a death this worker never
-    /// processed (its `known` list is that history, so a rank that died
-    /// and was re-admitted cannot re-cancel later waits). The report's
-    /// deaths join the dead sets.
-    pub(crate) fn probe(&mut self, stall: bool) {
-        let (to, known) = match (stall, self.waiting_cv) {
-            (false, _) => (self.id, Vec::new()),
-            (true, Some(cv)) => (
-                self.manager(cv),
-                self.known_ever_dead.iter().copied().collect(),
-            ),
-            (true, None) => return,
         };
-        if !self.failed {
-            let (from, cancel_waits) = (self.id, stall);
-            self.push(
-                to,
-                Msg::ProbeFailures {
-                    from,
-                    cancel_waits,
-                    known,
-                },
-            );
-        }
+        let from = self.id;
+        let known = self.known_ever_dead.iter().copied().collect();
+        self.push(self.manager(cv), Msg::ProbeFailures { from, known });
     }
 }
 

@@ -519,7 +519,6 @@ wire_struct!(NodeStats {
     dups_dropped: u64,
     corrupt_dropped: u64,
     recovery_time: Duration,
-    heartbeats: u64,
     takeovers: u64,
     rejoins: u64,
     leases_broken: u64,
@@ -542,7 +541,7 @@ const MSG_MIGRATION_NOTICE: u8 = 7;
 const MSG_MIGRATE_OUT: u8 = 8;
 const MSG_ADOPT_PAGE: u8 = 9;
 const MSG_SHUTDOWN: u8 = 10;
-const MSG_HEARTBEAT: u8 = 11;
+// 11 was a liveness heartbeat; retired, never reused.
 const MSG_OBITUARY: u8 = 12;
 const MSG_PROBE_FAILURES: u8 = 13;
 const MSG_REJOIN: u8 = 14;
@@ -658,10 +657,6 @@ impl Wire for Msg {
                 w.bytes(data);
             }
             Msg::Shutdown => w.u8(MSG_SHUTDOWN),
-            Msg::Heartbeat { node } => {
-                w.u8(MSG_HEARTBEAT);
-                w.usize(*node);
-            }
             Msg::Obituary { node, incarnation } => {
                 w.u8(MSG_OBITUARY);
                 w.usize(*node);
@@ -679,14 +674,9 @@ impl Wire for Msg {
                 w.u64(*admit_at_round);
                 w.u64(*stride);
             }
-            Msg::ProbeFailures {
-                from,
-                cancel_waits,
-                known,
-            } => {
+            Msg::ProbeFailures { from, known } => {
                 w.u8(MSG_PROBE_FAILURES);
                 w.usize(*from);
-                cancel_waits.encode(w);
                 known.encode(w);
             }
         }
@@ -742,7 +732,6 @@ impl Wire for Msg {
                 data: r.bytes()?,
             },
             MSG_SHUTDOWN => Msg::Shutdown,
-            MSG_HEARTBEAT => Msg::Heartbeat { node: r.usize()? },
             MSG_OBITUARY => Msg::Obituary {
                 node: r.usize()?,
                 incarnation: r.u32()?,
@@ -755,7 +744,6 @@ impl Wire for Msg {
             },
             MSG_PROBE_FAILURES => Msg::ProbeFailures {
                 from: r.usize()?,
-                cancel_waits: Wire::decode(r)?,
                 known: Wire::decode(r)?,
             },
             other => return Err(DsmError::BadTag(other)),
@@ -819,17 +807,10 @@ impl Wire for Reply {
                 w.u8(REPLY_NODE_FAILED);
                 w.usize(*node);
             }
-            Reply::FailureReport {
-                dead,
-                suspects,
-                canceled,
-                epoch,
-            } => {
+            Reply::FailureReport { dead, canceled } => {
                 w.u8(REPLY_FAILURE_REPORT);
                 dead.encode(w);
-                suspects.encode(w);
                 canceled.encode(w);
-                w.u64(*epoch);
             }
             Reply::RejoinAck {
                 round,
@@ -867,9 +848,7 @@ impl Wire for Reply {
             REPLY_NODE_FAILED => Reply::NodeFailed { node: r.usize()? },
             REPLY_FAILURE_REPORT => Reply::FailureReport {
                 dead: Wire::decode(r)?,
-                suspects: Wire::decode(r)?,
                 canceled: Wire::decode(r)?,
-                epoch: r.u64()?,
             },
             REPLY_REJOIN_ACK => Reply::RejoinAck {
                 round: r.u64()?,
@@ -943,14 +922,12 @@ mod tests {
     #[test]
     fn supervision_frames_roundtrip() {
         for m in [
-            Msg::Heartbeat { node: 5 },
             Msg::Obituary {
                 node: 2,
                 incarnation: 0,
             },
             Msg::ProbeFailures {
                 from: 7,
-                cancel_waits: true,
                 known: vec![1, 3],
             },
             Msg::Rejoin {
@@ -966,9 +943,7 @@ mod tests {
             Reply::NodeFailed { node: 4 },
             Reply::FailureReport {
                 dead: vec![1, 6],
-                suspects: vec![3],
                 canceled: false,
-                epoch: 9,
             },
             Reply::RejoinAck {
                 round: 12,

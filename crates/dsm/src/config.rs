@@ -8,19 +8,18 @@ use std::time::Duration;
 /// Cluster supervision: failure detection, lock-lease recovery, and
 /// waiter wake-up (ISSUE 3).
 ///
-/// When enabled, workers piggyback heartbeats on their daemon traffic, a
-/// fail-stopped node's obituary breaks its lock leases and wakes blocked
-/// cv waiters with [`crate::DsmError::NodeFailed`], barriers complete over
-/// the surviving nodes, and a host-time stall watchdog probes for
-/// failures when a waiter makes no progress. When disabled (the default)
-/// none of these paths run, so a fault-free run pays nothing.
+/// When enabled, a fail-stopped node's obituary breaks its lock leases and
+/// wakes blocked cv waiters with [`crate::DsmError::NodeFailed`], barriers
+/// complete over the surviving nodes, and a host-time stall watchdog
+/// probes for failures when a waiter makes no progress. When disabled
+/// (the default) none of these paths run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Master switch for the supervision layer.
     pub enabled: bool,
-    /// Virtual-time detection latency: how long after a node's last
-    /// heartbeat the failure detector declares it suspect. Obituaries are
-    /// stamped `death time + detect_after` to model the timeout firing.
+    /// Virtual-time detection latency: a fail-stopping worker's obituaries
+    /// are stamped `detect_after` after its death, to model every
+    /// manager's timeout detector firing.
     pub detect_after: Duration,
     /// Host-time stall watchdog: a blocked cv waiter that sees no reply
     /// for this long sends a `ProbeFailures` to its manager (lost-signal

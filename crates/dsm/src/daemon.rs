@@ -43,7 +43,7 @@
 //! The reply's network cost is added on top, so the worker's clock lands
 //! exactly where a real cluster's would (modulo the cost model).
 
-use crate::config::{DsmConfig, SupervisionConfig};
+use crate::config::DsmConfig;
 use crate::faults::FaultPlan;
 use crate::msg::{Envelope, Msg, Notice, Reply, ReplyEnvelope, SYSTEM_SRC};
 use crate::net::{self, NetworkModel, RetransmitPolicy, CHAN_DAEMON};
@@ -188,8 +188,6 @@ pub struct Daemon {
     /// What this daemon adds to its machine's [`NodeStats`], returned by
     /// [`Daemon::run`] (inline steps count here too).
     stats: NodeStats,
-    /// Supervision layer configuration (failure detection + recovery).
-    supervision: SupervisionConfig,
     /// Nodes this daemon has seen obituaries for (the failure detector's
     /// confirmed-dead set; ordered so reports are deterministic).
     dead: BTreeSet<usize>,
@@ -206,13 +204,6 @@ pub struct Daemon {
     /// once: an obituary wakes only the waiters parked at that moment, and
     /// a later one would otherwise sit out a whole stall watchdog period.
     told: Vec<BTreeSet<usize>>,
-    /// Heartbeat gossip table: virtual time each node was last heard
-    /// from (heartbeats plus any request traffic).
-    last_heard: Vec<Duration>,
-    /// Membership epoch: bumped on every processed obituary and every
-    /// admitted rejoin, and gossiped in [`Reply::FailureReport`] so
-    /// probers observe view changes, not just the current dead set.
-    membership_epoch: u64,
     /// Cumulative home-migration decisions of the whole run (daemon 0
     /// only — it decides every migration). Shipped in
     /// [`Reply::RejoinAck`] so a joiner can rebuild `home_overrides` it
@@ -259,12 +250,9 @@ impl Daemon {
             req_next: HashMap::new(),
             daemon_seq: vec![0; nprocs],
             stats: NodeStats::default(),
-            supervision: config.supervision,
             dead: BTreeSet::new(),
             ever_died: BTreeSet::new(),
             told: vec![BTreeSet::new(); nprocs],
-            last_heard: vec![Duration::ZERO; nprocs],
-            membership_epoch: 0,
             migration_log: Vec::new(),
             pending_rejoins: Vec::new(),
             admitted_inc: vec![0; nprocs],
@@ -421,7 +409,7 @@ impl Daemon {
             Msg::MigrationNotice { epoch, .. } => daemon && *epoch >= self.epoch,
             Msg::MigrateOut { to, .. } => daemon && *to < n,
             Msg::AdoptPage { data, .. } => daemon && data.len() == self.page_size,
-            Msg::Heartbeat { node } | Msg::Obituary { node, .. } => worker(*node),
+            Msg::Obituary { node, .. } => worker(*node),
             // A joiner announces itself to daemon 0, which forwards the
             // admission to every other daemon. The boundary a late
             // announcement is deferred to (`rejoin_due`) must fit a `u64`.
@@ -472,10 +460,6 @@ impl Daemon {
             src,
             seq: rseq,
         } = env;
-        if self.supervision.enabled && src < self.nprocs {
-            // Heartbeat gossip piggybacks on every worker request.
-            self.last_heard[src] = self.last_heard[src].max(arrive);
-        }
         match msg {
             Msg::GetPage { page, from, epoch } => {
                 if self.must_park(page, epoch) {
@@ -556,9 +540,6 @@ impl Daemon {
             }
             // Refused by `well_formed`; only the launcher's ends `run`.
             Msg::Shutdown => {}
-            Msg::Heartbeat { node } => {
-                self.last_heard[node] = self.last_heard[node].max(arrive);
-            }
             Msg::Obituary { node, incarnation } => {
                 self.handle_obituary(node, incarnation, arrive, out)
             }
@@ -576,11 +557,9 @@ impl Daemon {
                     self.admit(node, incarnation, arrive, rseq, out);
                 }
             }
-            Msg::ProbeFailures {
-                from,
-                cancel_waits,
-                known,
-            } => self.handle_probe(from, cancel_waits, &known, arrive, rseq, out),
+            Msg::ProbeFailures { from, known } => {
+                self.handle_probe(from, &known, arrive, rseq, out)
+            }
         }
     }
 
@@ -758,7 +737,6 @@ impl Daemon {
         }
         self.ever_died.insert(node);
         self.stats.obituaries += 1;
-        self.membership_epoch += 1;
         let mut wake = Vec::new();
         // Lease break: a lock held by the dead node is released on its
         // behalf. The notices of its *completed* release intervals are
@@ -799,43 +777,27 @@ impl Daemon {
         }
     }
 
-    /// Answers a failure-detector query. Suspicion state: confirmed-dead
-    /// nodes (obituaries) plus nodes whose last heartbeat is older than
-    /// `detect_after` relative to the probe. If `cancel_waits` is set and
-    /// the death *history* contains a rank the prober has not listed in
-    /// `known`, the prober's parked cv waits on this daemon are cancelled
-    /// so it can unwind into recovery instead of re-blocking. The check
-    /// runs over `ever_died`, not the current dead set: an admitted rejoin
-    /// clears `dead`, but a waiter parked on the joiner's pre-crash chunks
-    /// still has to unwind and adopt — the joiner produces nothing until
-    /// the handback barrier. Deaths the prober has *ever* seen never
-    /// cancel: a survivor that adopted the dead node's work may
-    /// legitimately block again on the same cvs, and once the handback
-    /// barrier clears its current view the history entry must not
-    /// re-cancel it in later workloads.
+    /// Answers the stall watchdog's probe with the confirmed-dead nodes
+    /// (obituaries). If the death *history* contains a rank the prober
+    /// has not listed in `known`, the prober's parked cv waits on this
+    /// daemon are cancelled so it can unwind into recovery instead of
+    /// re-blocking. The check runs over `ever_died`, not the current dead
+    /// set: an admitted rejoin clears `dead`, but a waiter parked on the
+    /// joiner's pre-crash chunks still has to unwind and adopt — the
+    /// joiner produces nothing until the handback barrier. Deaths the
+    /// prober has *ever* seen never cancel: a survivor that adopted the
+    /// dead node's work may legitimately block again on the same cvs, and
+    /// once the handback barrier clears its current view the history
+    /// entry must not re-cancel it in later workloads.
     fn handle_probe(
         &mut self,
         from: usize,
-        cancel_waits: bool,
         known: &[usize],
         arrive: Duration,
         rseq: u64,
         out: &mut Outbox,
     ) {
         let mut dead: Vec<usize> = self.dead.iter().copied().collect();
-        let mut suspects: Vec<usize> = self
-            .last_heard
-            .iter()
-            .enumerate()
-            .filter(|&(n, &heard)| {
-                n != from
-                    && !self.dead.contains(&n)
-                    && heard > Duration::ZERO
-                    && heard + self.supervision.detect_after < arrive
-            })
-            .map(|(n, _)| n)
-            .collect();
-        suspects.sort_unstable();
         let mut canceled = false;
         let unseen: Vec<usize> = self
             .ever_died
@@ -843,7 +805,7 @@ impl Daemon {
             .copied()
             .filter(|n| !known.contains(n))
             .collect();
-        if cancel_waits && !unseen.is_empty() {
+        if !unseen.is_empty() {
             for st in self.cvs.values_mut() {
                 let before = st.waiters.len();
                 st.waiters.retain(|&(n, ..)| n != from);
@@ -863,13 +825,7 @@ impl Daemon {
             }
         }
         self.told[from].extend(known.iter().chain(&dead));
-        let epoch = self.membership_epoch;
-        let report = Reply::FailureReport {
-            dead,
-            suspects,
-            canceled,
-            epoch,
-        };
+        let report = Reply::FailureReport { dead, canceled };
         self.reply(out, from, arrive, rseq, report);
     }
 
@@ -912,13 +868,10 @@ impl Daemon {
     }
 
     /// Admits a previously-dead node back into the membership view:
-    /// remove it from the dead set, refresh its heartbeat entry (so the
-    /// stall watchdog does not keep reporting the joiner as suspect
-    /// until its first post-rejoin heartbeat), record the admitted
-    /// incarnation (fencing stale obituaries of the previous life), and
-    /// bump the membership epoch. Daemon 0 additionally forwards the
-    /// announcement to every other daemon and answers the joiner with a
-    /// [`Reply::RejoinAck`] carrying the authoritative barrier round
+    /// remove it from the dead set and record the admitted incarnation
+    /// (fencing stale obituaries of the previous life). Daemon 0
+    /// additionally forwards the announcement to every other daemon and
+    /// answers the joiner with a [`Reply::RejoinAck`] carrying the authoritative barrier round
     /// (the joiner resynchronizes its consistency epoch to it), the
     /// post-admission dead set, and the cumulative home-migration log so
     /// the joiner can rebuild `home_overrides` it missed while dead.
@@ -930,8 +883,7 @@ impl Daemon {
         rseq: u64,
         out: &mut Outbox,
     ) {
-        let was_dead = self.dead.remove(&node);
-        self.last_heard[node] = self.last_heard[node].max(arrive);
+        self.dead.remove(&node);
         self.admitted_inc[node] = self.admitted_inc[node].max(incarnation);
         // A healed death is history: nobody unwinds a wait for it any
         // more, nor the joiner for any death before its new life.
@@ -939,9 +891,6 @@ impl Daemon {
             told.insert(node);
         }
         self.told[node].extend(&self.ever_died);
-        if was_dead {
-            self.membership_epoch += 1;
-        }
         if self.id == 0 {
             let round = self.barrier.rounds;
             for d in 1..self.nprocs {
@@ -1159,6 +1108,66 @@ mod tests {
             daemon.step(numbered(forged), &mut out);
             assert_eq!(daemon.stats.malformed_dropped, 1, "{what}: not counted");
             assert_eq!(out.len(), sent, "{what}: answered");
+        }
+    }
+
+    /// The stall watchdog's probe cancels a parked wait only for a death
+    /// the prober does not list as known. The death history counts, not
+    /// the dead set: rank 2 died and was admitted back, so every `told`
+    /// set lists it and rank 1's wait parks — yet a probe that does not
+    /// know of the death still cancels it.
+    #[test]
+    fn a_probe_cancels_a_wait_only_for_a_death_it_does_not_know() {
+        for (known, canceled) in [(vec![], true), (vec![2], false)] {
+            let mut daemon = Daemon::new(0, &DsmConfig::new(3), false);
+            let mut out = Outbox::new();
+            let mut next = HashMap::new();
+            let mut step = |daemon: &mut Daemon, src: usize, msg, out: &mut Outbox| {
+                let seq = next.entry(src).or_insert(0);
+                let arrive = Duration::ZERO;
+                daemon.step(
+                    Envelope {
+                        msg,
+                        arrive,
+                        src,
+                        seq: *seq,
+                    },
+                    out,
+                );
+                *seq += 1;
+            };
+            let (node, incarnation) = (2, 0);
+            step(
+                &mut daemon,
+                2,
+                Msg::Obituary { node, incarnation },
+                &mut out,
+            );
+            let rejoin = Msg::Rejoin {
+                node,
+                incarnation: 1,
+                admit_at_round: 0,
+                stride: 0,
+            };
+            step(&mut daemon, 2, rejoin, &mut out);
+            assert!(daemon.told.iter().all(|told| told.contains(&2)));
+            let (cv, from, last_seq) = (0, 1, 0);
+            step(&mut daemon, 1, Msg::WaitCv { cv, from, last_seq }, &mut out);
+            out.clear();
+            step(&mut daemon, 1, Msg::ProbeFailures { from, known }, &mut out);
+            let dead = if canceled { vec![2] } else { vec![] };
+            let report = Reply::FailureReport { dead, canceled };
+            assert!(
+                matches!(&out[..], [Outgoing::Reply(1, env)] if env.reply == report),
+                "{out:?}"
+            );
+            // A canceled wait is gone, so the signal is banked; a kept
+            // wait takes it.
+            out.clear();
+            let (from, notices) = (0, Vec::new());
+            step(&mut daemon, 0, Msg::SetCv { cv, from, notices }, &mut out);
+            assert_eq!(daemon.cvs[&cv].pending.len(), usize::from(canceled));
+            assert_eq!(out.len(), usize::from(!canceled), "{out:?}");
         }
     }
 }

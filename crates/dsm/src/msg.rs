@@ -231,13 +231,6 @@ pub enum Msg {
     },
     /// Stop the daemon (end of the run).
     Shutdown,
-    /// Liveness heartbeat (worker → its local daemon, piggybacked on the
-    /// work loop at unit boundaries). Updates the daemon's `last_heard`
-    /// gossip table entry for `node`.
-    Heartbeat {
-        /// The node asserting liveness.
-        node: usize,
-    },
     /// Authoritative death notice for `node`, broadcast to every daemon by
     /// a fail-stopping worker (cooperative fail-stop) — the simulation
     /// analogue of every manager's timeout detector firing. The receiving
@@ -260,11 +253,9 @@ pub enum Msg {
     /// the joiner and the survivors agree on by construction): admitting
     /// mid-workload would make in-flight rounds wait for a rank that
     /// arrives at a different round, deadlocking the barrier. At the
-    /// boundary, daemon 0 removes `node` from its dead set, refreshes its
-    /// heartbeat gossip entry (a stale `last_heard` must not make the
-    /// joiner instantly suspect again), bumps its membership epoch,
-    /// forwards the announcement to every other daemon (which admit on
-    /// receipt), and answers the joiner with [`Reply::RejoinAck`].
+    /// boundary, daemon 0 removes `node` from its dead set, forwards the
+    /// announcement to every other daemon (which admit on receipt), and
+    /// answers the joiner with [`Reply::RejoinAck`].
     Rejoin {
         /// The node rejoining the cluster.
         node: usize,
@@ -285,18 +276,15 @@ pub enum Msg {
         /// "no later boundary exists" and admits immediately when late.
         stride: u64,
     },
-    /// Explicit failure-detector query (stall watchdog, or a survivor
-    /// refreshing its dead-set). The daemon answers with
-    /// [`Reply::FailureReport`]; if `cancel_waits` is set and dead nodes
-    /// *not already in `known`* exist, the prober's parked cv waits on
-    /// this daemon are cancelled so it can unwind into recovery. Deaths
-    /// the prober lists in `known` never cancel — a survivor that has
-    /// already adopted the dead node's work may legitimately block again.
+    /// The stall watchdog's query of the awaited cv's manager. The daemon
+    /// answers with [`Reply::FailureReport`]; if a node that ever died is
+    /// *not already in `known`*, the prober's parked cv waits on this
+    /// daemon are cancelled so it can unwind into recovery. Deaths the
+    /// prober lists in `known` never cancel — a survivor that has already
+    /// adopted the dead node's work may legitimately block again.
     ProbeFailures {
         /// The probing node.
         from: usize,
-        /// Cancel the prober's parked cv waits when *new* failures exist.
-        cancel_waits: bool,
         /// Deaths the prober already recovered from (sorted).
         known: Vec<usize>,
     },
@@ -349,18 +337,11 @@ pub enum Reply {
     /// Failure-detector state (ProbeFailures response).
     FailureReport {
         /// Nodes this daemon has seen obituaries for (sorted; confirmed
-        /// dead — recovery acts on these).
+        /// dead — recovery acts on these), plus, when `canceled`, every
+        /// death the prober did not list as known.
         dead: Vec<usize>,
-        /// Nodes whose last heartbeat is stale beyond `detect_after`
-        /// (sorted; advisory suspicion — may include slow-but-alive
-        /// nodes, so recovery never acts on suspicion alone).
-        suspects: Vec<usize>,
         /// Whether the prober's parked cv waits were cancelled.
         canceled: bool,
-        /// This daemon's membership epoch: bumped on every obituary and
-        /// every admitted rejoin, so heartbeat gossip carries view
-        /// changes, not just deaths.
-        epoch: u64,
     },
     /// Admission grant for a rejoining node ([`Msg::Rejoin`] response from
     /// daemon 0). Resynchronizes the joiner with everything it missed
@@ -383,8 +364,8 @@ pub enum Reply {
 
 impl Msg {
     /// Whether the sender blocks for a [`Reply`]: every worker request
-    /// but the release-type ones (`Release`, `SetCv`), the liveness
-    /// traffic (`Heartbeat`, `Obituary`) and daemon control messages.
+    /// but the release-type ones (`Release`, `SetCv`), the death notice
+    /// (`Obituary`) and daemon control messages.
     pub fn awaits_reply(&self) -> bool {
         matches!(
             self,
@@ -413,7 +394,6 @@ impl Msg {
             Msg::MigrateOut { .. } => HDR,
             Msg::AdoptPage { data, .. } => HDR + data.len(),
             Msg::Shutdown => HDR,
-            Msg::Heartbeat { .. } => HDR,
             Msg::Obituary { .. } => HDR,
             Msg::Rejoin { .. } => HDR,
             Msg::ProbeFailures { known, .. } => HDR + known.len() * 4,
@@ -437,9 +417,7 @@ impl Reply {
                 dead,
             } => HDR + notices.len() * 12 + migrations.len() * 12 + dead.len() * 4,
             Reply::NodeFailed { .. } => HDR,
-            Reply::FailureReport { dead, suspects, .. } => {
-                HDR + dead.len() * 4 + suspects.len() * 4
-            }
+            Reply::FailureReport { dead, .. } => HDR + dead.len() * 4,
             Reply::RejoinAck {
                 dead, migrations, ..
             } => HDR + dead.len() * 4 + migrations.len() * 12,

@@ -328,7 +328,7 @@ impl Node {
                 Ok(env) => env,
                 Err(RecvTimeoutError::Timeout) => {
                     if probe.is_none() {
-                        self.client.probe(true);
+                        self.client.probe();
                         if let Some((to, msg)) = self.client.next_request() {
                             probe = Some(self.send(to, msg, Bucket::LockCv));
                         }
@@ -651,46 +651,9 @@ impl Node {
         self.client.epoch
     }
 
-    /// Latest membership epoch (bumped on every obituary and admitted
-    /// rejoin) any failure report carried, probes' and watchdog's alike.
-    pub fn membership_epoch(&self) -> u64 {
-        self.client.membership_epoch
-    }
-
-    /// Sends a liveness heartbeat to the local daemon (piggybacked
-    /// gossip; free on the loopback link). No-op when supervision is
-    /// disabled.
-    pub fn heartbeat(&mut self) {
-        if self.supervision.enabled {
-            self.client.heartbeat();
-            self.drive(Bucket::Communication);
-        }
-    }
-
-    /// Queries the local daemon's failure detector, folding confirmed
-    /// deaths into this node's dead-set. Returns the full known dead set
-    /// (sorted).
-    pub fn probe_failures(&mut self) -> Vec<usize> {
-        if self.client.failed {
-            return Vec::new();
-        }
-        self.client.probe(false);
-        self.drive(Bucket::LockCv);
-        self.client.known_dead()
-    }
-
     /// The nodes this worker knows to be dead (sorted).
     pub fn known_dead(&self) -> Vec<usize> {
         self.client.known_dead()
-    }
-
-    /// Queries the local daemon's failure detector and returns its
-    /// *suspicion* state: nodes whose last heartbeat is stale beyond
-    /// `detect_after`. Advisory only — suspicion may include
-    /// slow-but-alive nodes, so recovery never acts on it alone.
-    pub fn probe_suspects(&mut self) -> Vec<usize> {
-        self.probe_failures();
-        self.client.suspects.clone()
     }
 
     /// Records that this node adopted and re-executed one dead node's

@@ -66,8 +66,6 @@ pub struct NodeStats {
     /// separately; within Fig. 10 it is part of the derived computation
     /// remainder.
     pub recovery_time: Duration,
-    /// Heartbeats sent to the local daemon (supervision layer).
-    pub heartbeats: u64,
     /// Dead-node work units this node adopted and re-executed.
     pub takeovers: u64,
     /// Times this node rejoined the run after a fail-stop (elastic
@@ -125,7 +123,6 @@ impl NodeStats {
         self.dups_dropped += other.dups_dropped;
         self.corrupt_dropped += other.corrupt_dropped;
         self.recovery_time += other.recovery_time;
-        self.heartbeats += other.heartbeats;
         self.takeovers += other.takeovers;
         self.rejoins += other.rejoins;
         self.leases_broken += other.leases_broken;

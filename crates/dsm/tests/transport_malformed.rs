@@ -290,7 +290,10 @@ fn bad_header_acks_are_malformed_and_reach_no_window() {
     let policy = RetransmitPolicy::default();
     let mut t = UdpTransport::bind(&ctx, policy, &FaultPlan::quiet(0)).expect("bind rank 0");
     let wiring = t.wiring(0);
-    let msg = Msg::Heartbeat { node: 0 };
+    let msg = Msg::Obituary {
+        node: 0,
+        incarnation: 0,
+    };
     let (arrive, src, seq) = (Duration::ZERO, 0, 0);
     let env = Envelope {
         msg,

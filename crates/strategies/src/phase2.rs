@@ -246,7 +246,7 @@ mod tests {
         let plain = phase2_scattered(&s, &t, &regions, &SC, 4).unwrap();
         let out = phase2_scattered_with(&s, &t, &regions, &SC, &tolerant_config(4)).unwrap();
         assert_eq!(out.alignments, plain.alignments);
-        // Heartbeats and barriers only — still zero lock/cv time.
+        // Barriers only — still zero lock/cv time.
         for st in &out.per_node {
             assert_eq!(st.lock_cv, Duration::ZERO);
         }

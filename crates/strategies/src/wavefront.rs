@@ -172,15 +172,9 @@ struct Worker {
 
 impl Worker {
     /// Counts a completed unit; true when the plan crashes the worker.
-    fn tick(&mut self, node: &mut Node) -> bool {
+    fn tick(&mut self) -> bool {
         self.units += 1;
-        if self.crash_at == Some(self.units) {
-            return true;
-        }
-        if self.units.is_multiple_of(64) {
-            node.heartbeat();
-        }
-        false
+        self.crash_at == Some(self.units)
     }
 }
 
@@ -214,7 +208,7 @@ where
             outbound.clear();
             let cells = kernel.unit(node, stage, k, &inbound, &mut outbound);
             node.advance(costs::cells(worker.cell_cost, cells));
-            if worker.tick(node) {
+            if worker.tick() {
                 node.fail_stop();
                 return Err(DsmError::Disconnected("injected fail-stop"));
             }

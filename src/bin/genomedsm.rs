@@ -26,6 +26,9 @@
 //! genomedsm launch [--ranks N] [--cluster loopback] [--len N]
 //!                  [--seed N] [--session N] [--plan SPEC]
 //!
+//! Every subcommand refuses (exit 2) a flag it does not read, and a flag
+//! that takes a value but is given none.
+//!
 //! align options:
 //!   --strategy heuristic|blocked|preprocess   (default blocked)
 //!   --procs N          simulated cluster nodes (default 8)
@@ -37,7 +40,7 @@
 //!   --svg FILE         write a dot plot of the similar regions
 //!   --alignments N     print the N best phase-2 alignments (default 3)
 //!   --tolerate-failures  enable the cluster supervision layer
-//!                      (heartbeats, lock-lease recovery, work takeover)
+//!                      (lock-lease recovery, work takeover)
 //!   --plan SPEC        run under a fault plan (the `chaos` syntax below):
 //!                      `crash=NODE@UNIT` fail-stops NODE after UNIT work
 //!                      units and the survivors take its role over (this
@@ -219,6 +222,32 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Refuses (exit 2) a flag `command` does not read — `known` lists the
+/// ones it does, space-separated — and a valued flag given without its
+/// value. Each subcommand calls it once it has read its flags, before
+/// any work.
+fn check_flags(args: &[String], command: &str, known: &str) {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(flag) = rest.next() {
+        if !flag.starts_with("--") {
+            continue; // a positional argument
+        }
+        if !known.split_whitespace().any(|k| k == flag) {
+            eprintln!("{command}: unknown flag {flag}\n{USAGE}");
+            exit(2);
+        }
+        if !BOOL_FLAGS.contains(&flag) && rest.next().is_none_or(|v| v.starts_with("--")) {
+            eprintln!("{command}: {flag} needs a value");
+            exit(2);
+        }
+    }
+}
+
+/// The flags `align` and `chaos` share: the cluster and fault plan they
+/// read, and the strategy options [`run_strategy`] reads.
+const STRATEGY_FLAGS: &str = "--strategy --procs --plan --open --close --min-score --bands \
+                              --blocks --kernel";
+
 /// Parses a `--plan` spec for a cluster of `procs` nodes, refusing one
 /// that does not fit it ([`FaultPlan::check`]: a node outside the
 /// cluster, no survivor to hold the answer).
@@ -239,8 +268,8 @@ fn print_supervision(per_node: &[NodeStats]) {
     let agg = NodeStats::aggregate(per_node);
     println!(
         "supervision: {} obituaries, {} lease(s) broken, {} role takeover(s), \
-         {} waiter(s) woken, {} heartbeats",
-        agg.obituaries, agg.leases_broken, agg.takeovers, agg.waiters_woken, agg.heartbeats
+         {} waiter(s) woken",
+        agg.obituaries, agg.leases_broken, agg.takeovers, agg.waiters_woken
     );
 }
 
@@ -284,6 +313,7 @@ fn generate(args: &[String]) {
     let len = opt_count(args, "--len", 50_000);
     let seed: u64 = opt_num(args, "--seed", 42);
     let out = opt(args, "--out").unwrap_or_else(|| "pair.fa".into());
+    check_flags(args, "generate", "--mode --len --seed --out");
     let (s, t, truth) = planted_pair(len, len, &HomologyPlan::paper_density(len), seed);
     let records = vec![
         FastaRecord {
@@ -314,6 +344,7 @@ fn generate_protein(args: &[String]) {
     let len = opt_count(args, "--len", 300);
     let seed: u64 = opt_num(args, "--seed", 42);
     let out = opt(args, "--out").unwrap_or_else(|| "proteins.fa".into());
+    check_flags(args, "generate", "--mode --records --len --seed --out");
     let records: Vec<ProteinRecord> = (0..n)
         .map(|i| {
             // Spread over len/2 .. len/2 + len, and never empty.
@@ -407,10 +438,12 @@ impl Phase1 {
     }
 }
 
-/// Builds the `strategy` the command line describes for `procs` nodes and
-/// runs it on a cluster configured by `dsm`.
+/// Builds the `strategy` the command line describes for `procs` nodes,
+/// checks the flags against `command`'s `known` list, and runs it on a
+/// cluster configured by `dsm`.
 fn run_strategy(
     args: &[String],
+    (command, known): (&str, &str),
     (strategy, procs): (&str, usize),
     (s, t): (&[u8], &[u8]),
     dsm: &dyn Fn(DsmConfig) -> DsmConfig,
@@ -428,6 +461,10 @@ fn run_strategy(
         );
         exit(2);
     }
+    let bands = opt_count(args, "--bands", 40);
+    let blocks = opt_count(args, "--blocks", 40);
+    let kernel = opt_kernel(args);
+    check_flags(args, command, known);
     match strategy {
         "heuristic" => {
             let mut config = HeuristicDsmConfig::new(procs);
@@ -435,8 +472,6 @@ fn run_strategy(
             Phase1::Regions(heuristic_align_dsm(s, t, &scoring, &params, &config))
         }
         "blocked" => {
-            let bands = opt_count(args, "--bands", 40);
-            let blocks = opt_count(args, "--blocks", 40);
             let mut config = BlockedConfig::new(procs, bands, blocks);
             config.dsm = dsm(config.dsm);
             Phase1::Regions(heuristic_block_align(s, t, &scoring, &params, &config))
@@ -446,7 +481,7 @@ fn run_strategy(
             config.band = BandScheme::Balanced(1024.min(s.len().max(1)));
             config.chunk = ChunkPlan::Fixed(1024.min(t.len().max(1)));
             config.threshold = params.min_score;
-            config.kernel = opt_kernel(args);
+            config.kernel = kernel;
             config.dsm = dsm(config.dsm);
             let out = preprocess_align(s, t, &scoring, &config).unwrap_or_else(|e| {
                 eprintln!("preprocess failed: {e}");
@@ -480,7 +515,14 @@ fn align(args: &[String]) {
         s.len(),
         t.len()
     );
-    let out = match run_strategy(args, (&strategy, procs), (&s, &t), &fortify) {
+    let flags = format!("{STRATEGY_FLAGS} --tolerate-failures --alignments --svg");
+    let out = match run_strategy(
+        args,
+        ("align", &flags),
+        (&strategy, procs),
+        (&s, &t),
+        &fortify,
+    ) {
         Phase1::Regions(out) => out,
         Phase1::Scoreboard(out) => {
             println!(
@@ -552,6 +594,7 @@ fn score(args: &[String]) {
     let (s, t) = load_pair(args);
     let threshold: i32 = opt_num(args, "--threshold", 50);
     let choice = opt_kernel(args);
+    check_flags(args, "score", "--threshold --kernel");
     let kernel = kernel_for(choice);
     eprintln!(
         "exact SW score of {} bp x {} bp on the '{}' kernel (threshold {threshold})...",
@@ -590,7 +633,13 @@ fn chaos(args: &[String]) {
     );
 
     let run = |dsm: &dyn Fn(DsmConfig) -> DsmConfig| {
-        run_strategy(args, (&strategy, procs), (&s, &t), dsm)
+        run_strategy(
+            args,
+            ("chaos", STRATEGY_FLAGS),
+            (&strategy, procs),
+            (&s, &t),
+            dsm,
+        )
     };
     let clean = run(&|dsm| dsm);
     let faulty = run(&|dsm| dsm.faults(plan.clone()));
@@ -632,6 +681,9 @@ fn chaos(args: &[String]) {
     }
 }
 
+/// The flags [`batch_config`] reads.
+const ENGINE_FLAGS: &str = "--kernel --top-k --mode --workers --matrix --gap-open --gap-extend";
+
 /// Parses the engine knobs shared by `batch` and `serve`.
 fn batch_config(args: &[String], default_top_k: usize) -> BatchConfig {
     BatchConfig {
@@ -656,6 +708,8 @@ fn batch(args: &[String]) {
         exit(2);
     });
     let config = batch_config(args, 5);
+    let flags = format!("--db --queries --prefilter --check {ENGINE_FLAGS}");
+    check_flags(args, "batch", &flags);
     // The shared engine-core path: the same load + execute + oracle steps
     // the server and the bench harness run. Protein mode parses the
     // amino-acid alphabet (no DNA ambiguity folding).
@@ -808,6 +862,8 @@ fn serve(args: &[String]) {
     config.cache_capacity = opt_num(args, "--cache", 1024);
     config.workers = opt_num(args, "--service-workers", 2);
     config.engine = batch_config(args, 5);
+    let flags = format!("--db --socket --queue --cache --service-workers {ENGINE_FLAGS}");
+    check_flags(args, "serve", &flags);
     let server = genomedsm::serve::Server::start(config).unwrap_or_else(|e| {
         eprintln!("cannot start server: {e}");
         exit(1);
@@ -840,6 +896,9 @@ fn client(args: &[String]) {
     // means "the server's default"; the command line spells that by
     // leaving the flag out.)
     let top_k = opt_count(args, "--top-k", 5);
+    let flags = "--socket --name --weight --queries --top-k --mode --matrix --gap-open \
+                 --gap-extend --reload --stats --shutdown";
+    check_flags(args, "client", flags);
     let mut client = genomedsm::serve::ServeClient::connect(&socket).unwrap_or_else(|e| {
         eprintln!("cannot connect: {e}");
         exit(1);
@@ -966,6 +1025,9 @@ fn client(args: &[String]) {
     }
 }
 
+/// The flags [`workload_spec`] reads.
+const WORKLOAD_FLAGS: &str = "--len --seed --plan";
+
 /// Shared workload flags of `node` and `launch`.
 fn workload_spec(args: &[String], procs: usize) -> genomedsm::cluster::WorkloadSpec {
     let mut spec = genomedsm::cluster::WorkloadSpec::quick(procs);
@@ -1002,6 +1064,8 @@ fn node(args: &[String]) {
     });
     let session: u64 = opt_num(args, "--session", 0);
     let spec = workload_spec(args, opt_num(args, "--procs", manifest.len()));
+    let flags = format!("--rank --cluster --session --procs {WORKLOAD_FLAGS}");
+    check_flags(args, "node", &flags);
     if let Err(e) = manifest.expect_ranks(spec.procs) {
         eprintln!("{e}");
         exit(2);
@@ -1029,6 +1093,8 @@ fn launch(args: &[String]) {
     }
     let session: u64 = opt_num(args, "--session", 100);
     let spec = workload_spec(args, ranks);
+    let flags = format!("--ranks --cluster --session {WORKLOAD_FLAGS}");
+    check_flags(args, "launch", &flags);
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("cannot locate own executable: {e}");
         exit(1);
@@ -1065,6 +1131,7 @@ fn exact(args: &[String]) {
     let (s, t) = load_pair(args);
     let min_score = opt_min_score(args);
     let threads: usize = opt_num(args, "--threads", 4);
+    check_flags(args, "exact", "--min-score --threads");
     eprintln!(
         "exact Section-6 recovery over {} bp x {} bp (min score {min_score})...",
         s.len(),

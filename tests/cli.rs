@@ -423,3 +423,37 @@ fn batch_names_an_empty_query_file_as_the_query_file() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_flag_the_command_does_not_read_or_a_flag_without_its_value_is_refused() {
+    // Each of these used to run with the flag silently dropped and exit 0:
+    // `--procz 4` on the default 8 nodes, `--treshold 5` at threshold 50,
+    // and a trailing `--procs` at its default.
+    let dir = temp_dir("unknown_flags");
+    let fa = small_pair(&dir);
+    let cases: [(&str, &[&str], &str); 3] = [
+        ("align", &["--procz", "4"], "unknown flag --procz"),
+        ("score", &["--treshold", "5"], "unknown flag --treshold"),
+        (
+            "align",
+            &["--alignments", "0", "--procs"],
+            "--procs needs a value",
+        ),
+    ];
+    for (command, flags, said) in cases {
+        let out = bin()
+            .arg(command)
+            .arg(&fa)
+            .args(flags)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        assert!(stderr.contains(said), "{command} {flags:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {flags:?}: nothing may run"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
