@@ -50,7 +50,7 @@ pub struct Client {
     /// each other's locks (DESIGN.md §5.10).
     held_lock: Option<(u32, &'static Location<'static>)>,
     /// The cv whose wait is out.
-    pub(crate) waiting_cv: Option<u32>,
+    waiting_cv: Option<u32>,
     alloc_next_page: u64,
     /// Per allocation, its first page and its one home; `None` puts page
     /// `p` on node `p mod nprocs` (JIAJIA's default NUMA distribution).
@@ -60,12 +60,11 @@ pub struct Client {
     pub(crate) epoch: u64,
     /// Pages whose home moved away from the static map (home migration).
     home_overrides: HashMap<u64, usize>,
-    /// Nodes this worker knows to be dead (from `NodeFailed` wake-ups,
-    /// failure reports, and barrier grants).
+    /// Nodes this worker knows to be dead (from `NodeFailed` wake-ups
+    /// and barrier grants).
     known_dead: BTreeSet<usize>,
-    /// Every death this worker has *ever* learned of, never cleared: the
-    /// `known` list of its stall probes, so the detector's death history
-    /// cancels a wait only for a death it has not processed.
+    /// Every death this worker has *ever* learned of, never cleared: a
+    /// `NodeFailed` naming one of them parks the wait again.
     known_ever_dead: BTreeSet<usize>,
     /// Set by [`Client::fail_stop`]: every further call is inert.
     pub(crate) failed: bool,
@@ -135,19 +134,9 @@ impl Client {
                     (self.waiting_cv, self.failure) = (None, Some(node));
                 } else if let Some(cv) = self.waiting_cv {
                     // A death this worker unwound for already, told again
-                    // by a manager that could not know: the wait stands
-                    // (what a probe's `known` list buys), so park it again.
+                    // by a manager that could not know: the wait stands,
+                    // so park it again.
                     self.push_wait(cv);
-                }
-            }
-            Reply::FailureReport { dead, canceled } => {
-                self.known_dead.extend(dead.iter().copied());
-                self.known_ever_dead.extend(dead.iter().copied());
-                if canceled {
-                    let Some(&node) = dead.first() else {
-                        unreachable!("a canceling FailureReport names the dead node")
-                    };
-                    (self.waiting_cv, self.failure) = (None, Some(node));
                 }
             }
             Reply::BarrierDone {
@@ -524,9 +513,9 @@ impl Client {
         self.cv_seq.clear();
         self.held_lock = None;
         self.failed = false;
-        // The joiner has trivially "processed" its own death: without
-        // this, its first post-rejoin cancel-probe would find its own
-        // rank in the detector's death history and cancel its waits.
+        // The joiner has trivially "processed" its own death: a manager
+        // the forwarded admission has not reached yet may still report
+        // it, and that must not fail the joiner's wait.
         self.known_ever_dead.insert(self.id);
         self.incarnation += 1;
         self.stats.rejoins += 1;
@@ -545,20 +534,6 @@ impl Client {
     /// The nodes this worker knows to be dead (sorted).
     pub(crate) fn known_dead(&self) -> Vec<usize> {
         self.known_dead.iter().copied().collect()
-    }
-
-    /// Queues the stall watchdog's failure-detector query of the awaited
-    /// cv's manager: that probe cancels the wait if the manager knows of
-    /// a death this worker never processed (its `known` list is that
-    /// history, so a rank that died and was re-admitted cannot re-cancel
-    /// later waits). The report's deaths join the dead sets.
-    pub(crate) fn probe(&mut self) {
-        let Some(cv) = self.waiting_cv.filter(|_| !self.failed) else {
-            return;
-        };
-        let from = self.id;
-        let known = self.known_ever_dead.iter().copied().collect();
-        self.push(self.manager(cv), Msg::ProbeFailures { from, known });
     }
 }
 
@@ -789,5 +764,27 @@ mod tests {
         assert_eq!(c.read_bytes(base, &mut out), 0);
         let (page, epoch) = (0, 2);
         sends(&mut c, Msg::GetPage { page, from, epoch });
+    }
+
+    /// A cv manager the forwarded admission has not reached yet may report
+    /// the joiner's own death to it; the joiner's wait stands.
+    #[test]
+    fn a_joiner_told_of_its_own_death_waits_on() {
+        let (mut c, _) = client(4, 1);
+        c.fail_stop();
+        while c.next_request().is_some() {}
+        c.rejoin(0, 0);
+        assert!(c.next_request().is_some(), "the announcement");
+        c.reply(Reply::RejoinAck {
+            round: 0,
+            dead: Vec::new(),
+            migrations: Vec::new(),
+        });
+        c.waitcv(1);
+        let (cv, from, last_seq) = (1, 0, 0);
+        sends(&mut c, Msg::WaitCv { cv, from, last_seq });
+        c.reply(Reply::NodeFailed { node: 0 });
+        assert_eq!(c.failure, None);
+        sends(&mut c, Msg::WaitCv { cv, from, last_seq });
     }
 }

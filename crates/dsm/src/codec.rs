@@ -541,9 +541,9 @@ const MSG_MIGRATION_NOTICE: u8 = 7;
 const MSG_MIGRATE_OUT: u8 = 8;
 const MSG_ADOPT_PAGE: u8 = 9;
 const MSG_SHUTDOWN: u8 = 10;
-// 11 was a liveness heartbeat; retired, never reused.
+// 11 was a liveness heartbeat and 13 a stalled wait's probe of its cv
+// manager; both are retired, never reused.
 const MSG_OBITUARY: u8 = 12;
-const MSG_PROBE_FAILURES: u8 = 13;
 const MSG_REJOIN: u8 = 14;
 
 wire_struct!(Notice {
@@ -674,11 +674,6 @@ impl Wire for Msg {
                 w.u64(*admit_at_round);
                 w.u64(*stride);
             }
-            Msg::ProbeFailures { from, known } => {
-                w.u8(MSG_PROBE_FAILURES);
-                w.usize(*from);
-                known.encode(w);
-            }
         }
     }
 
@@ -742,10 +737,6 @@ impl Wire for Msg {
                 admit_at_round: r.u64()?,
                 stride: r.u64()?,
             },
-            MSG_PROBE_FAILURES => Msg::ProbeFailures {
-                from: r.usize()?,
-                known: Wire::decode(r)?,
-            },
             other => return Err(DsmError::BadTag(other)),
         })
     }
@@ -771,7 +762,7 @@ const REPLY_LOCK_GRANTED: u8 = 0x82;
 const REPLY_CV_GRANTED: u8 = 0x83;
 const REPLY_BARRIER_DONE: u8 = 0x84;
 const REPLY_NODE_FAILED: u8 = 0x85;
-const REPLY_FAILURE_REPORT: u8 = 0x86;
+// 0x86 was the report answering tag 13's probe; retired, never reused.
 const REPLY_REJOIN_ACK: u8 = 0x87;
 
 impl Wire for Reply {
@@ -807,11 +798,6 @@ impl Wire for Reply {
                 w.u8(REPLY_NODE_FAILED);
                 w.usize(*node);
             }
-            Reply::FailureReport { dead, canceled } => {
-                w.u8(REPLY_FAILURE_REPORT);
-                dead.encode(w);
-                canceled.encode(w);
-            }
             Reply::RejoinAck {
                 round,
                 dead,
@@ -846,10 +832,6 @@ impl Wire for Reply {
                 dead: Wire::decode(r)?,
             },
             REPLY_NODE_FAILED => Reply::NodeFailed { node: r.usize()? },
-            REPLY_FAILURE_REPORT => Reply::FailureReport {
-                dead: Wire::decode(r)?,
-                canceled: Wire::decode(r)?,
-            },
             REPLY_REJOIN_ACK => Reply::RejoinAck {
                 round: r.u64()?,
                 dead: Wire::decode(r)?,
@@ -926,10 +908,6 @@ mod tests {
                 node: 2,
                 incarnation: 0,
             },
-            Msg::ProbeFailures {
-                from: 7,
-                known: vec![1, 3],
-            },
             Msg::Rejoin {
                 node: 3,
                 incarnation: 2,
@@ -941,10 +919,6 @@ mod tests {
         }
         for r in [
             Reply::NodeFailed { node: 4 },
-            Reply::FailureReport {
-                dead: vec![1, 6],
-                canceled: false,
-            },
             Reply::RejoinAck {
                 round: 12,
                 dead: vec![5],
@@ -970,11 +944,20 @@ mod tests {
 
     #[test]
     fn bad_tag_is_typed() {
-        let mut w = FrameWriter::default();
-        w.u8(0x7f);
-        w.u64(1);
-        let frame = w.finish();
-        assert_eq!(from_frame::<Msg>(&frame), Err(DsmError::BadTag(0x7f)));
+        let frame = |tag| {
+            let mut w = FrameWriter::default();
+            w.u8(tag);
+            w.u64(1);
+            w.finish()
+        };
+        // 11 and 13 (requests) and 0x86 (a reply) are retired tags.
+        for tag in [0x7f, 11, 13] {
+            assert_eq!(from_frame::<Msg>(&frame(tag)), Err(DsmError::BadTag(tag)));
+        }
+        assert_eq!(
+            from_frame::<Reply>(&frame(0x86)),
+            Err(DsmError::BadTag(0x86))
+        );
     }
 
     #[test]

@@ -9,10 +9,12 @@ use std::time::Duration;
 /// waiter wake-up (ISSUE 3).
 ///
 /// When enabled, a fail-stopped node's obituary breaks its lock leases and
-/// wakes blocked cv waiters with [`crate::DsmError::NodeFailed`], barriers
-/// complete over the surviving nodes, and a host-time stall watchdog
-/// probes for failures when a waiter makes no progress. When disabled
-/// (the default) none of these paths run.
+/// wakes blocked cv waiters with [`crate::DsmError::NodeFailed`], a cv
+/// manager answers a later wait with a death it has not reported to that
+/// waiter, and barriers complete over the surviving nodes. No host-time
+/// timer backs these up: the model checker's wake campaign
+/// (`genomedsm-verify`) finds no schedule that strands a waiter without
+/// one. When disabled (the default) none of these paths run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Master switch for the supervision layer.
@@ -21,10 +23,6 @@ pub struct SupervisionConfig {
     /// are stamped `detect_after` after its death, to model every
     /// manager's timeout detector firing.
     pub detect_after: Duration,
-    /// Host-time stall watchdog: a blocked cv waiter that sees no reply
-    /// for this long sends a `ProbeFailures` to its manager (lost-signal
-    /// / live-lock backstop).
-    pub watchdog: Duration,
 }
 
 impl Default for SupervisionConfig {
@@ -32,7 +30,6 @@ impl Default for SupervisionConfig {
         Self {
             enabled: false,
             detect_after: Duration::from_millis(100),
-            watchdog: Duration::from_secs(5),
         }
     }
 }
@@ -214,8 +211,8 @@ mod tests {
         let crashing = DsmConfig::new(3).faults(crashes(2));
         assert!(crashing.supervision.enabled);
         assert_eq!(
-            crashing.supervision.watchdog,
-            SupervisionConfig::default().watchdog,
+            crashing.supervision.detect_after,
+            SupervisionConfig::default().detect_after,
             "only the switch moves"
         );
     }

@@ -191,18 +191,11 @@ pub struct Daemon {
     /// Nodes this daemon has seen obituaries for (the failure detector's
     /// confirmed-dead set; ordered so reports are deterministic).
     dead: BTreeSet<usize>,
-    /// Every node that has *ever* fail-stopped, regardless of later
-    /// re-admission. Wait cancellation is driven by this history, not by
-    /// the current dead set: a consumer that parks *after* a producer's
-    /// rejoin was admitted would otherwise never learn about the death
-    /// (its chunks stop at the crash point — the joiner idles until the
-    /// handback barrier) and block forever.
-    ever_died: BTreeSet<usize>,
     /// Per worker, the deaths this daemon has reported to it (`NodeFailed`,
-    /// `FailureReport`, `BarrierDone.dead`) or heard it list as known. A
-    /// `WaitCv` that would park is answered with a death not in here at
-    /// once: an obituary wakes only the waiters parked at that moment, and
-    /// a later one would otherwise sit out a whole stall watchdog period.
+    /// `BarrierDone.dead`) and every rank admitted back. A `WaitCv` that
+    /// would park is answered with a death not in here at once: an
+    /// obituary wakes only the waiters parked at that moment, and a later
+    /// one would otherwise park for good.
     told: Vec<BTreeSet<usize>>,
     /// Cumulative home-migration decisions of the whole run (daemon 0
     /// only — it decides every migration). Shipped in
@@ -251,7 +244,6 @@ impl Daemon {
             daemon_seq: vec![0; nprocs],
             stats: NodeStats::default(),
             dead: BTreeSet::new(),
-            ever_died: BTreeSet::new(),
             told: vec![BTreeSet::new(); nprocs],
             migration_log: Vec::new(),
             pending_rejoins: Vec::new(),
@@ -429,7 +421,6 @@ impl Daemon {
                 let announced = worker(*node) && self.id == 0 && next.is_some();
                 announced || (env.src == n && self.id != 0 && *node < n)
             }
-            Msg::ProbeFailures { from, known, .. } => worker(*from) && known.iter().all(|&k| k < n),
             // Only the launcher's own ends `run`; a peer's is forged.
             Msg::Shutdown => false,
         }
@@ -557,9 +548,6 @@ impl Daemon {
                     self.admit(node, incarnation, arrive, rseq, out);
                 }
             }
-            Msg::ProbeFailures { from, known } => {
-                self.handle_probe(from, &known, arrive, rseq, out)
-            }
         }
     }
 
@@ -630,7 +618,7 @@ impl Daemon {
         if let Some(signal_arrive) = st.pending.pop_front() {
             let grant = st.grant(last_seq);
             self.reply(out, from, arrive.max(signal_arrive), rseq, grant);
-        } else if let Some(&node) = self.ever_died.iter().find(|n| !self.told[from].contains(n)) {
+        } else if let Some(&node) = self.dead.iter().find(|n| !self.told[from].contains(n)) {
             // The signal may have died with `node` before this wait
             // arrived: the obituary's wake-up, for a waiter it missed.
             self.told[from].insert(node);
@@ -735,7 +723,6 @@ impl Daemon {
         if incarnation < self.admitted_inc[node] || !self.dead.insert(node) {
             return;
         }
-        self.ever_died.insert(node);
         self.stats.obituaries += 1;
         let mut wake = Vec::new();
         // Lease break: a lock held by the dead node is released on its
@@ -775,58 +762,6 @@ impl Daemon {
             self.barrier.latest = self.barrier.latest.max(arrive);
             self.maybe_finish_barrier(out);
         }
-    }
-
-    /// Answers the stall watchdog's probe with the confirmed-dead nodes
-    /// (obituaries). If the death *history* contains a rank the prober
-    /// has not listed in `known`, the prober's parked cv waits on this
-    /// daemon are cancelled so it can unwind into recovery instead of
-    /// re-blocking. The check runs over `ever_died`, not the current dead
-    /// set: an admitted rejoin clears `dead`, but a waiter parked on the
-    /// joiner's pre-crash chunks still has to unwind and adopt — the
-    /// joiner produces nothing until the handback barrier. Deaths the
-    /// prober has *ever* seen never cancel: a survivor that adopted the
-    /// dead node's work may legitimately block again on the same cvs, and
-    /// once the handback barrier clears its current view the history
-    /// entry must not re-cancel it in later workloads.
-    fn handle_probe(
-        &mut self,
-        from: usize,
-        known: &[usize],
-        arrive: Duration,
-        rseq: u64,
-        out: &mut Outbox,
-    ) {
-        let mut dead: Vec<usize> = self.dead.iter().copied().collect();
-        let mut canceled = false;
-        let unseen: Vec<usize> = self
-            .ever_died
-            .iter()
-            .copied()
-            .filter(|n| !known.contains(n))
-            .collect();
-        if !unseen.is_empty() {
-            for st in self.cvs.values_mut() {
-                let before = st.waiters.len();
-                st.waiters.retain(|&(n, ..)| n != from);
-                canceled |= st.waiters.len() != before;
-            }
-            if canceled {
-                // The canceling report must name the historic deaths so
-                // the waiter can blame one and fold them into its view —
-                // even if they have since been re-admitted, their role is
-                // adopted until the handback barrier.
-                for n in unseen {
-                    if !dead.contains(&n) {
-                        dead.push(n);
-                    }
-                }
-                dead.sort_unstable();
-            }
-        }
-        self.told[from].extend(known.iter().chain(&dead));
-        let report = Reply::FailureReport { dead, canceled };
-        self.reply(out, from, arrive, rseq, report);
     }
 
     /// The completed-round count at which a rejoin announcement takes
@@ -890,7 +825,7 @@ impl Daemon {
         for told in &mut self.told {
             told.insert(node);
         }
-        self.told[node].extend(&self.ever_died);
+        self.told[node].extend(&self.dead);
         if self.id == 0 {
             let round = self.barrier.rounds;
             for d in 1..self.nprocs {
@@ -1108,66 +1043,6 @@ mod tests {
             daemon.step(numbered(forged), &mut out);
             assert_eq!(daemon.stats.malformed_dropped, 1, "{what}: not counted");
             assert_eq!(out.len(), sent, "{what}: answered");
-        }
-    }
-
-    /// The stall watchdog's probe cancels a parked wait only for a death
-    /// the prober does not list as known. The death history counts, not
-    /// the dead set: rank 2 died and was admitted back, so every `told`
-    /// set lists it and rank 1's wait parks — yet a probe that does not
-    /// know of the death still cancels it.
-    #[test]
-    fn a_probe_cancels_a_wait_only_for_a_death_it_does_not_know() {
-        for (known, canceled) in [(vec![], true), (vec![2], false)] {
-            let mut daemon = Daemon::new(0, &DsmConfig::new(3), false);
-            let mut out = Outbox::new();
-            let mut next = HashMap::new();
-            let mut step = |daemon: &mut Daemon, src: usize, msg, out: &mut Outbox| {
-                let seq = next.entry(src).or_insert(0);
-                let arrive = Duration::ZERO;
-                daemon.step(
-                    Envelope {
-                        msg,
-                        arrive,
-                        src,
-                        seq: *seq,
-                    },
-                    out,
-                );
-                *seq += 1;
-            };
-            let (node, incarnation) = (2, 0);
-            step(
-                &mut daemon,
-                2,
-                Msg::Obituary { node, incarnation },
-                &mut out,
-            );
-            let rejoin = Msg::Rejoin {
-                node,
-                incarnation: 1,
-                admit_at_round: 0,
-                stride: 0,
-            };
-            step(&mut daemon, 2, rejoin, &mut out);
-            assert!(daemon.told.iter().all(|told| told.contains(&2)));
-            let (cv, from, last_seq) = (0, 1, 0);
-            step(&mut daemon, 1, Msg::WaitCv { cv, from, last_seq }, &mut out);
-            out.clear();
-            step(&mut daemon, 1, Msg::ProbeFailures { from, known }, &mut out);
-            let dead = if canceled { vec![2] } else { vec![] };
-            let report = Reply::FailureReport { dead, canceled };
-            assert!(
-                matches!(&out[..], [Outgoing::Reply(1, env)] if env.reply == report),
-                "{out:?}"
-            );
-            // A canceled wait is gone, so the signal is banked; a kept
-            // wait takes it.
-            out.clear();
-            let (from, notices) = (0, Vec::new());
-            step(&mut daemon, 0, Msg::SetCv { cv, from, notices }, &mut out);
-            assert_eq!(daemon.cvs[&cv].pending.len(), usize::from(canceled));
-            assert_eq!(out.len(), usize::from(!canceled), "{out:?}");
         }
     }
 }

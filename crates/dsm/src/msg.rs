@@ -276,18 +276,6 @@ pub enum Msg {
         /// "no later boundary exists" and admits immediately when late.
         stride: u64,
     },
-    /// The stall watchdog's query of the awaited cv's manager. The daemon
-    /// answers with [`Reply::FailureReport`]; if a node that ever died is
-    /// *not already in `known`*, the prober's parked cv waits on this
-    /// daemon are cancelled so it can unwind into recovery. Deaths the
-    /// prober lists in `known` never cancel — a survivor that has already
-    /// adopted the dead node's work may legitimately block again.
-    ProbeFailures {
-        /// The probing node.
-        from: usize,
-        /// Deaths the prober already recovered from (sorted).
-        known: Vec<usize>,
-    },
 }
 
 /// Replies delivered to a worker's reply channel.
@@ -334,15 +322,6 @@ pub enum Reply {
         /// The dead node that triggered the wake-up.
         node: usize,
     },
-    /// Failure-detector state (ProbeFailures response).
-    FailureReport {
-        /// Nodes this daemon has seen obituaries for (sorted; confirmed
-        /// dead — recovery acts on these), plus, when `canceled`, every
-        /// death the prober did not list as known.
-        dead: Vec<usize>,
-        /// Whether the prober's parked cv waits were cancelled.
-        canceled: bool,
-    },
     /// Admission grant for a rejoining node ([`Msg::Rejoin`] response from
     /// daemon 0). Resynchronizes the joiner with everything it missed
     /// while dead.
@@ -375,7 +354,6 @@ impl Msg {
                 | Msg::WaitCv { .. }
                 | Msg::Barrier { .. }
                 | Msg::Rejoin { .. }
-                | Msg::ProbeFailures { .. }
         )
     }
 
@@ -396,7 +374,6 @@ impl Msg {
             Msg::Shutdown => HDR,
             Msg::Obituary { .. } => HDR,
             Msg::Rejoin { .. } => HDR,
-            Msg::ProbeFailures { known, .. } => HDR + known.len() * 4,
         }
     }
 }
@@ -417,7 +394,6 @@ impl Reply {
                 dead,
             } => HDR + notices.len() * 12 + migrations.len() * 12 + dead.len() * 4,
             Reply::NodeFailed { .. } => HDR,
-            Reply::FailureReport { dead, .. } => HDR + dead.len() * 4,
             Reply::RejoinAck {
                 dead, migrations, ..
             } => HDR + dead.len() * 4 + migrations.len() * 12,

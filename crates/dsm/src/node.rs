@@ -13,7 +13,7 @@
 //! sends them in order, and hands every reply back to the client, which
 //! may queue more ([`crate::client`]). The node keeps what a process has
 //! and a protocol does not: request numbering, loss pricing, the reply
-//! channel, the stall watchdog and time.
+//! channel and time.
 //!
 //! ## Virtual time
 //!
@@ -49,7 +49,7 @@ use crate::stats::NodeStats;
 use crate::transport::clock::Clock;
 use crate::transport::flush;
 use crate::vec::{DsmData, GlobalAddr, GlobalVec};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -306,64 +306,23 @@ impl Node {
 
     /// Receives the reply for request `seq` of daemon `to`, moving the
     /// virtual clock to its arrival and charging the wait to `bucket`.
-    /// Replies are matched on their `(src, seq)` stamp; the only unmatched
-    /// ones the fabric can hand us answer a watchdog probe whose wait was
-    /// granted first, and are skipped. A cv wait under supervision runs
-    /// the host-time stall watchdog: after `watchdog` with no reply the
-    /// client probes the cv's manager; a report that cancels the wait
-    /// answers it, any other goes to the client and the wait goes on.
+    /// A worker has one request outstanding, so the reply must carry its
+    /// `(src, seq)` stamp; any other is a fabric fault.
     fn recv_matching(&mut self, to: usize, seq: u64, bucket: Bucket) -> Reply {
         let t0 = self.real_start();
-        let watched = self.supervision.enabled && self.client.waiting_cv.is_some();
-        let mut probe: Option<u64> = None;
-        loop {
-            let env = if watched {
-                self.reply_rx.recv_timeout(self.supervision.watchdog)
-            } else {
-                self.reply_rx
-                    .recv()
-                    .map_err(|_| RecvTimeoutError::Disconnected)
-            };
-            let env = match env {
-                Ok(env) => env,
-                Err(RecvTimeoutError::Timeout) => {
-                    if probe.is_none() {
-                        self.client.probe();
-                        if let Some((to, msg)) = self.client.next_request() {
-                            probe = Some(self.send(to, msg, Bucket::LockCv));
-                        }
-                    }
-                    continue;
-                }
-                // Every daemon holds a clone of our reply sender for the
-                // whole run; disconnection means they all panicked.
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("node {}: reply channel closed mid-run", self.id())
-                }
-            };
-            let from_to = env.src == self.nprocs() + to;
-            if from_to && env.seq == seq {
-                self.wait_until(env.arrive, bucket, t0);
-                return env.reply;
-            }
-            if from_to && probe == Some(env.seq) {
-                // Mid-wait probe reply: in measured mode the whole wait
-                // is charged once when the grant lands (t0 spans it), so
-                // only advance the virtual clock here.
-                if self.measured {
-                    self.vclock = self.vclock.max(env.arrive);
-                } else {
-                    self.wait_until(env.arrive, Bucket::LockCv, None);
-                }
-                if matches!(env.reply, Reply::FailureReport { canceled: true, .. }) {
-                    return env.reply;
-                }
-                self.client.reply(env.reply);
-                probe = None;
-                continue;
-            }
-            self.client.stats.dups_dropped += 1;
-        }
+        // Every daemon holds a clone of our reply sender for the whole
+        // run; disconnection means they all panicked.
+        let Ok(env) = self.reply_rx.recv() else {
+            panic!("node {}: reply channel closed mid-run", self.id())
+        };
+        assert_eq!(
+            (env.src, env.seq),
+            (self.nprocs() + to, seq),
+            "node {}: a reply (src, seq) that answers no outstanding request",
+            self.id()
+        );
+        self.wait_until(env.arrive, bucket, t0);
+        env.reply
     }
 
     fn charge(&mut self, bucket: Bucket, dt: Duration) {
@@ -530,11 +489,9 @@ impl Node {
 
     /// Waits on a condition variable, surfacing a
     /// [`DsmError::NodeFailed`] instead of blocking forever when a node
-    /// is declared dead while this node waits. Under supervision the
-    /// stall watchdog also runs (see `recv_matching`), so a lost signal
-    /// or live-lock resolves into the same recovery path. Only a death
-    /// this worker has not unwound for yet is an error; a known one just
-    /// parks the wait again.
+    /// is declared dead while this node waits. Only a death this worker
+    /// has not unwound for yet is an error; a known one just parks the
+    /// wait again.
     pub fn try_waitcv(&mut self, cv: u32) -> Result<(), DsmError> {
         self.client.waitcv(cv);
         self.drive(Bucket::LockCv);

@@ -24,7 +24,6 @@ fn supervised(nprocs: usize) -> DsmConfig {
     DsmConfig::new(nprocs).supervise(SupervisionConfig {
         enabled: true,
         detect_after: Duration::from_millis(40),
-        watchdog: Duration::from_millis(400),
     })
 }
 

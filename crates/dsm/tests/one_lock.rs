@@ -13,7 +13,6 @@ fn panic_of(script: fn(&mut Node)) -> Option<String> {
     let config = DsmConfig::new(2).supervise(SupervisionConfig {
         enabled: true,
         detect_after: Duration::from_millis(40),
-        watchdog: Duration::from_millis(400),
     });
     let run = catch_unwind(AssertUnwindSafe(|| {
         DsmSystem::run(config, |node| {

@@ -6,7 +6,6 @@ use genomedsm_dsm::{
     DsmConfig, DsmError, DsmSystem, FaultPlan, GlobalVec, NetworkModel, Node, NodeStats,
     SupervisionConfig,
 };
-use std::time::Duration;
 
 fn config(n: usize) -> DsmConfig {
     DsmConfig::new(n).network(NetworkModel::zero())
@@ -369,11 +368,9 @@ fn interleaved_traffic_survives_a_crash_mid_run() {
     const P: usize = 4;
     const DEAD: usize = 1;
     const AT: u64 = ITERS / 2;
-    // A watchdog longer than the test: obituaries alone must wake every
-    // wait on the dead rank, so no probe reply can arrive unmatched.
+    // Obituaries alone must wake every wait on the dead rank.
     let supervision = SupervisionConfig {
         enabled: true,
-        watchdog: Duration::from_secs(60),
         ..SupervisionConfig::default()
     };
     let plan = FaultPlan::parse(&format!("crash={DEAD}@{AT}")).expect("plan");

@@ -13,7 +13,6 @@ fn supervised(nprocs: usize) -> DsmConfig {
     DsmConfig::new(nprocs).supervise(SupervisionConfig {
         enabled: true,
         detect_after: Duration::from_millis(100),
-        watchdog: Duration::from_millis(500),
     })
 }
 
@@ -68,7 +67,7 @@ fn blocked_cv_waiter_is_woken_with_typed_node_failed() {
     // after the wait is registered. The waiter must unwind with
     // DsmError::NodeFailed, not hang. The flag + sleep order the WaitCv
     // frame ahead of the obituary at cv 7's manager so the obituary
-    // wake-up path (not the slower probe watchdog) is exercised.
+    // wakes a parked wait.
     let parked = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&parked);
     let run = DsmSystem::run(supervised(2), move |node| {
@@ -133,27 +132,16 @@ fn pending_signals_survive_a_node_failed_wakeup() {
     assert_eq!(run.results, vec![2, 1, 0]);
 }
 
-/// Supervision whose stall watchdog outlasts any test: what still ends
-/// ends on the obituary, not on the backstop.
-fn supervised_without_backstop(nprocs: usize) -> DsmConfig {
-    DsmConfig::new(nprocs).supervise(SupervisionConfig {
-        enabled: true,
-        detect_after: Duration::from_millis(100),
-        watchdog: Duration::from_secs(60),
-    })
-}
-
 #[test]
 fn a_wait_that_arrives_after_the_obituary_fails_at_once() {
     // Node 1 dies while node 0 is busy elsewhere, so the obituary finds
     // nobody parked on cv 7. The wait that reaches the manager afterwards
-    // must learn of the death from the manager itself — not sit out a
-    // watchdog period (here: a minute) until its own probe cancels it.
+    // must learn of the death from the manager itself — not park for good.
     // The flag orders the two frames in the manager's one FIFO inbox: the
     // obituary is enqueued before the store, the wait after the load.
     let died = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&died);
-    let run = DsmSystem::run(supervised_without_backstop(2), move |node| {
+    let run = DsmSystem::run(supervised(2), move |node| {
         node.barrier();
         if node.id() == 1 {
             node.fail_stop();
@@ -186,7 +174,7 @@ fn a_death_the_waiter_knows_of_does_not_fail_its_wait() {
     // manager's `NodeFailed` names a death node 0 has unwound for
     // already, so the wait must stand until node 1's signal — an adopter
     // blocking on a live producer must not be failed again.
-    let run = DsmSystem::run(supervised_without_backstop(3), |node| {
+    let run = DsmSystem::run(supervised(3), |node| {
         node.barrier();
         if node.id() == 2 {
             node.fail_stop();

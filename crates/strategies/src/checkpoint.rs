@@ -925,7 +925,6 @@ mod tests {
         let cfg = DsmConfig::new(2).supervise(genomedsm_dsm::SupervisionConfig {
             enabled: true,
             detect_after: std::time::Duration::from_millis(100),
-            watchdog: std::time::Duration::from_millis(500),
         });
         let run = DsmSystem::run(cfg, |node| {
             let ledger = Ledger::<i64>::new(node, 2, 2, 2);
@@ -1006,7 +1005,6 @@ mod tests {
         let cfg = DsmConfig::new(3).supervise(genomedsm_dsm::SupervisionConfig {
             enabled: true,
             detect_after: std::time::Duration::from_millis(50),
-            watchdog: std::time::Duration::from_millis(400),
         });
         let run = DsmSystem::run(cfg, |node| {
             let ledger = Ledger::<i32>::new(node, 3, 6, 1);
@@ -1245,7 +1243,6 @@ mod tests {
             .supervise(genomedsm_dsm::SupervisionConfig {
                 enabled: true,
                 detect_after: std::time::Duration::from_millis(50),
-                watchdog: std::time::Duration::from_millis(400),
             })
             .faults(crate::crashes(&[(2, 1)], &[(2, 4)]));
         let run = DsmSystem::run(cfg, |node| {
@@ -1294,7 +1291,6 @@ mod tests {
             .supervise(genomedsm_dsm::SupervisionConfig {
                 enabled: true,
                 detect_after: std::time::Duration::from_millis(50),
-                watchdog: std::time::Duration::from_millis(400),
             })
             .faults(crate::crashes(&[(2, 1)], &[]));
         let run = DsmSystem::run(cfg, |node| {

@@ -236,7 +236,6 @@ mod tests {
             .supervise(genomedsm_dsm::SupervisionConfig {
                 enabled: true,
                 detect_after: std::time::Duration::from_millis(40),
-                watchdog: std::time::Duration::from_millis(400),
             })
     }
 

@@ -1084,7 +1084,6 @@ mod tests {
         c.dsm = c.dsm.supervise(genomedsm_dsm::SupervisionConfig {
             enabled: true,
             detect_after: std::time::Duration::from_millis(40),
-            watchdog: std::time::Duration::from_millis(400),
         });
         c
     }

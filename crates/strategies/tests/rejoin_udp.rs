@@ -41,7 +41,6 @@ fn supervise(dsm: DsmConfig) -> DsmConfig {
     dsm.supervise(SupervisionConfig {
         enabled: true,
         detect_after: std::time::Duration::from_millis(40),
-        watchdog: std::time::Duration::from_millis(1_000),
     })
 }
 

@@ -33,7 +33,6 @@ fn supervise(dsm: genomedsm_dsm::DsmConfig) -> genomedsm_dsm::DsmConfig {
     dsm.supervise(genomedsm_dsm::SupervisionConfig {
         enabled: true,
         detect_after: std::time::Duration::from_millis(40),
-        watchdog: std::time::Duration::from_millis(400),
     })
 }
 

@@ -122,7 +122,6 @@ fn supervised(nprocs: usize) -> DsmConfig {
     DsmConfig::new(nprocs).supervise(SupervisionConfig {
         enabled: true,
         detect_after: Duration::from_millis(30),
-        watchdog: Duration::from_millis(300),
     })
 }
 

@@ -30,6 +30,18 @@
 //! up on complete ledgers; every page read holds every earlier workload;
 //! the crashed rank is readmitted.
 //!
+//! The wake campaign runs the same boundaries with a cv in place of the
+//! units, managed by daemon 1 so that a death reaches the waiter through
+//! the cv manager and through a barrier grant independently. In each
+//! workload worker 0 signals and worker 1 waits as often: the first
+//! workload's calls come before its two barrier rounds, the second's
+//! between an opening barrier (`run_elastic`'s membership refresh) and a
+//! closing one. The reaper may fail-stop worker 0 between any two of its
+//! calls in the first workload; worker 1 stops waiting (adopts) on a
+//! `NodeFailed` or when the opening barrier names worker 0 dead; worker
+//! 0 `rejoin`s for the boundary. There is no host-time timer: a waiter
+//! nothing wakes is a deadlock.
+//!
 //! A [`Perturbation`] breaks a run at the harness's delivery, outbox,
 //! reaper or link — never inside the client or the daemon — and must be
 //! caught ([`SEEDED`]).
@@ -40,14 +52,18 @@ use genomedsm_dsm::msg::{Envelope, Msg, Notice, Reply};
 use genomedsm_dsm::{DsmConfig, GlobalVec};
 use shuttle::check::Procs;
 use shuttle::{Ctx, Process, Spec, VectorClock};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
-use Perturbation::{AdmitOnDelivery, DropSignal, KeepCache, ReleaseUncommitted, StripNotices};
-use Workload::{Lease, Locks, Rejoin, Signals};
+use Perturbation::{
+    AdmitOnDelivery, DropSignal, DropWake, KeepCache, ReleaseUncommitted, StripNotices,
+};
+use Workload::{Lease, Locks, Rejoin, Signals, Wake};
 
 /// The lock and the cv, both managed by daemon 0.
 const LOCK: u32 = 0;
 const CV: u32 = 0;
+/// The wake campaign's cv, managed by daemon 1: not the barrier manager.
+const WAKE_CV: u32 = 1;
 /// The shared page, one byte per unit, at the smallest size the DSM allows.
 const PAGE: u64 = 0;
 const PAGE_SIZE: usize = 64;
@@ -74,6 +90,8 @@ pub enum Workload {
     Lease(usize, usize),
     /// `units` per role and workload: the rejoin campaign.
     Rejoin(usize),
+    /// `signals` per workload: the wake campaign.
+    Wake(usize),
 }
 
 /// A deliberate break, applied by the harness; client and daemon run
@@ -93,6 +111,8 @@ pub enum Perturbation {
     /// The link rewrites the joiner's `Rejoin` to `stride: 0` at the
     /// current round: the single-shot opt-out, used mid-campaign.
     AdmitOnDelivery,
+    /// The first `NodeFailed` a daemon sends is dropped.
+    DropWake,
 }
 
 /// Real clients and daemons under a [`Workload`], perturbed or not.
@@ -106,7 +126,7 @@ pub struct DaemonSpec(
 
 /// The seeded regressions: each perturbation's report row, the smallest
 /// workload that exercises it, and the symptom the checker must report.
-pub const SEEDED: [(&str, DaemonSpec, &str); 5] = [
+pub const SEEDED: [(&str, DaemonSpec, &str); 6] = [
     (
         "daemon/strip-notices",
         DaemonSpec(Locks(2, 2), Some(StripNotices)),
@@ -131,6 +151,11 @@ pub const SEEDED: [(&str, DaemonSpec, &str); 5] = [
         "daemon/admit-on-delivery",
         DaemonSpec(Rejoin(2), Some(AdmitOnDelivery)),
         "outside a workload boundary",
+    ),
+    (
+        "daemon/drop-wake",
+        DaemonSpec(Wake(1), Some(DropWake)),
+        "deadlock",
     ),
 ];
 
@@ -160,6 +185,8 @@ pub struct World {
     /// leaves no gap.
     links: Vec<(VecDeque<(Msg, VectorClock)>, u64)>,
     replies: Vec<VecDeque<(Reply, VectorClock)>>,
+    /// Per worker, a sent request awaits its reply.
+    awaiting: Vec<bool>,
     /// The unit each worker's critical section writes, while inside.
     inside: Vec<Option<usize>>,
     /// Per unit, the releases live workers sent (one notice each).
@@ -177,17 +204,29 @@ pub struct World {
     sets: u64,
     waits: u64,
     wakes: u64,
-    /// The rejoin campaign's units per role and workload.
+    /// The rejoin campaign's units per role and workload (0 in the wake
+    /// campaign, whose members signal and wait `signals` times instead).
     campaign: Option<usize>,
+    signals: usize,
     /// Barrier rounds daemon 0 completed, whether the joiner's `Rejoin`
     /// reached it, and whether it sent the joiner its `RejoinAck`.
     rounds: u64,
     announced: bool,
     admitted: bool,
     violations: Vec<String>,
+    /// The wake campaign's situations this run reached.
+    reached: BTreeSet<String>,
 }
 
 impl World {
+    /// The situations of the wake campaign this run reached: the
+    /// victim's fail-stop after each count of signals sent, each way a
+    /// `NodeFailed` leaves the cv manager, a wait after a barrier named
+    /// the victim dead, and a wait parked after the victim's readmission.
+    pub fn reached(&self) -> &BTreeSet<String> {
+        &self.reached
+    }
+
     fn send(&mut self, src: usize, dst: usize, msg: Msg, clock: &VectorClock) {
         let link = &mut self.links[src * self.n + dst].0;
         link.push_back((msg, clock.clone()));
@@ -227,19 +266,26 @@ impl World {
     }
 
     /// Whether the reaper may still fire: in the rejoin campaign, only
-    /// while worker 0 has units of the first workload left.
+    /// while worker 0 has units of the first workload left; in the wake
+    /// campaign, in the first workload between two of its calls.
     fn exposed(&self) -> bool {
-        let left = |units| self.cursor(units, 0) < units;
+        let left = |units| match self.signals {
+            0 => self.cursor(units, 0) < units,
+            _ => self.rounds < BUDGET && !self.awaiting[VICTIM],
+        };
         !self.crashed && self.campaign.is_none_or(left)
     }
 
-    /// Fail-stops the victim's client. Its obituary to the lock manager
-    /// joins its link behind everything it already sent; the others are
-    /// stepped at once: those daemons manage nothing the run uses and
-    /// refuse no request of the dead, so no check depends on when they
-    /// land.
+    /// Fail-stops the victim's client. Its obituary to a manager (daemon
+    /// 0, and the wake campaign's daemon 1) joins its link behind
+    /// everything it already sent; the others are stepped at once: those
+    /// daemons manage nothing the run uses and refuse no request of the
+    /// dead, so no check depends on when they land.
     fn reap(&mut self, ctx: &mut Ctx) {
         (self.crashed, self.interrupted) = (true, self.inside[VICTIM].take());
+        // A wake campaign's signal reaches the manager as it is sent.
+        let sent = format!("fail-stop with {} signal(s) sent", self.sets);
+        self.reached.insert(sent);
         if self.broken == Some(KeepCache) {
             self.kept = self.clients[VICTIM].cached(PAGE).map(<[u8]>::to_vec);
         }
@@ -250,7 +296,7 @@ impl World {
         self.clients[VICTIM].fail_stop();
         while let Some((to, msg)) = self.clients[VICTIM].next_request() {
             let link = &mut self.links[VICTIM * self.n + to].0;
-            if to == 0 {
+            if to == 0 || self.signals > 0 {
                 link.push_back((msg, ctx.clock().clone()));
             } else {
                 link.push_front((msg, ctx.clock().clone()));
@@ -266,6 +312,7 @@ impl World {
             return;
         };
         ctx.trace(format!("{src} -> daemon {dst}: {msg:?}"));
+        let wait = matches!(msg, Msg::WaitCv { .. });
         match &mut msg {
             Msg::SetCv { .. } if self.broken == Some(DropSignal) && self.waits == self.wakes => {
                 return ctx.trace("setcv dropped at an empty wait queue");
@@ -300,7 +347,12 @@ impl World {
             seq,
         };
         self.clocks[dst].join(&clock);
+        let answered = self.replies[src].len();
         self.step_daemon(dst, env);
+        if wait && self.admitted && self.replies[src].len() == answered {
+            let parked = "a wait parks after the victim's readmission";
+            self.reached.insert(parked.into());
+        }
     }
 
     /// Steps daemon `dst` on `env`, then every daemon its control messages
@@ -310,6 +362,10 @@ impl World {
     fn step_daemon(&mut self, dst: usize, env: Envelope) {
         let mut inbox = VecDeque::from([(dst, env)]);
         while let Some((d, env)) = inbox.pop_front() {
+            let woke = match env.msg {
+                Msg::Obituary { .. } => "an obituary wakes a parked wait",
+                _ => "a wait after the obituary fails at once",
+            };
             let mut out = Outbox::new();
             self.daemons[d].step(env, &mut out);
             let clock = self.clocks[d].clone();
@@ -333,6 +389,12 @@ impl World {
                         }
                     }
                     Reply::CvGranted { .. } => self.wakes += 1,
+                    Reply::NodeFailed { .. } => {
+                        if self.broken.take_if(|b| *b == DropWake).is_some() {
+                            continue;
+                        }
+                        self.reached.insert(woke.into());
+                    }
                     Reply::BarrierDone { .. } => granted.push(to),
                     Reply::RejoinAck { round, .. } => {
                         let (round, grants) = (*round, granted.len());
@@ -387,8 +449,6 @@ struct Script {
     role: Role,
     /// Units (lockers, members), or signals or waits, still to run.
     todo: VecDeque<usize>,
-    /// A sent request awaits its reply.
-    awaiting: bool,
     /// The unit whose page access is still to make: a locker's once it
     /// has called `lock`, a member's once started.
     unit: Option<usize>,
@@ -396,6 +456,8 @@ struct Script {
     round: u64,
     /// Worker 0 has announced its return.
     announced: bool,
+    /// A barrier grant has named worker 0 dead to this member.
+    told: bool,
 }
 
 impl Script {
@@ -429,7 +491,7 @@ impl Script {
 
     /// Nothing queued and no unit under way.
     fn idle(&self, w: &World) -> bool {
-        !(self.awaiting || self.unit.is_some() || w.clients[self.me].has_requests())
+        !(w.awaiting[self.me] || self.unit.is_some() || w.clients[self.me].has_requests())
     }
 
     /// Starts the next unit with its first API call.
@@ -460,6 +522,14 @@ impl Script {
             }
             Role::Member if self.round >= FINAL || self.gated(w) => {}
             Role::Member => match self.todo.pop_front() {
+                Some(_) if w.signals > 0 && me == VICTIM => w.clients[me].setcv(WAKE_CV),
+                Some(_) if w.signals > 0 => {
+                    if self.told {
+                        let told = "a wait after a barrier named the victim dead";
+                        w.reached.insert(told.into());
+                    }
+                    w.clients[me].waitcv(WAKE_CV);
+                }
                 Some(unit) => self.unit = Some(unit),
                 None => w.clients[me].barrier(),
             },
@@ -508,8 +578,11 @@ impl Script {
     }
 
     /// Puts `msg` on the link to daemon `to`: a locker's release commits
-    /// its unit to the ledger, and a member's request to the home is
-    /// served at once. Returns whether its reply is already fed.
+    /// its unit to the ledger, and a member's request is served at once,
+    /// its reply fed if there is one — in the rejoin campaign a request
+    /// to the home, in the wake campaign one with nothing ahead of it on
+    /// its link (a call is over when the daemon has served it: `setcv`
+    /// awaits nothing, the rest a reply). Returns whether a reply was fed.
     fn put(&mut self, w: &mut World, ctx: &mut Ctx, to: usize, msg: Msg) -> bool {
         if matches!(msg, Msg::Release { .. }) {
             let unit = self.todo.pop_front().unwrap_or_default();
@@ -517,14 +590,20 @@ impl Script {
             w.released[unit] += 1;
             w.last_release = ctx.clock().clone();
         }
-        self.awaiting = msg.awaits_reply();
+        w.awaiting[self.me] = msg.awaits_reply();
         w.send(self.me, to, msg, ctx.clock());
-        if self.role != Role::Member || to != w.home {
+        let link = self.me * w.n + to;
+        let ahead = w.links[link].0.len() > 1;
+        let at_once = if w.signals > 0 { !ahead } else { to == w.home };
+        if self.role != Role::Member || !at_once {
             return false;
         }
-        w.deliver(self.me * w.n + to, ctx);
-        self.feed(w, ctx);
-        true
+        w.deliver(link, ctx);
+        let answered = !w.replies[self.me].is_empty();
+        if answered {
+            self.feed(w, ctx);
+        }
+        answered
     }
 
     /// Feeds the oldest reply to the client, checking it on the way.
@@ -533,7 +612,7 @@ impl Script {
             return w.violations.push(format!("worker {}: no reply", self.me));
         };
         ctx.acquire(&clock);
-        self.awaiting = false;
+        w.awaiting[self.me] = false;
         let (me, units) = (self.me, w.campaign.unwrap_or_default());
         // A barrier grant or an ack moves a member to its next units: a
         // takeover sweep's, if the grant names the victim dead.
@@ -565,8 +644,21 @@ impl Script {
             }
             _ => {}
         }
+        let failed = matches!(reply, Reply::NodeFailed { .. });
         w.clients[me].reply(reply);
+        // A `NodeFailed` the client does not park again ends the wait:
+        // the waiter adopts the rest of the workload.
+        if failed && !w.clients[me].has_requests() {
+            self.todo.clear();
+        }
         match next {
+            // The second workload's body follows its opening barrier; a
+            // grant that names the victim dead there is adopted too.
+            Some(adopt) if w.signals > 0 => {
+                self.told |= adopt;
+                let open = self.round + 1 == FINAL && !adopt;
+                self.todo = (0..w.signals).filter(|_| open).collect();
+            }
             Some(_) if self.round.is_multiple_of(BUDGET) => self.queue(units, me, 0),
             Some(true) => {
                 // The takeover sweep resumes from the ledger cursor, read
@@ -588,7 +680,7 @@ impl Process<World> for Script {
             Role::Victim if w.crashed => false,
             Role::Adopter => w.crashed,
             Role::Reaper => w.exposed(),
-            _ if self.awaiting => !w.replies[self.me].is_empty(),
+            _ if w.awaiting[self.me] => !w.replies[self.me].is_empty(),
             Role::Member => self.fallen(w) || !self.gated(w),
             _ => !(self.idle(w) && self.todo.is_empty()),
         }
@@ -610,7 +702,7 @@ impl Process<World> for Script {
         if self.role == Role::Reaper {
             return w.reap(ctx);
         }
-        let fed = self.awaiting;
+        let fed = w.awaiting[self.me];
         if fed {
             self.feed(w, ctx);
         }
@@ -654,13 +746,13 @@ impl Spec for DaemonSpec {
 
     fn build(&self) -> (World, Procs<World>) {
         let mut procs = Vec::new();
-        let (units, campaign) = match self.0 {
+        let (units, campaign, signals) = match self.0 {
             Locks(clients, sections) => {
                 for c in 0..clients {
                     let units = c * sections..(c + 1) * sections;
                     procs.push(Script::boxed(c, Role::Locker, units));
                 }
-                (clients * sections, None)
+                (clients * sections, None, 0)
             }
             Signals(producers, consumers, each) => {
                 let waits = producers * each / consumers;
@@ -670,24 +762,30 @@ impl Spec for DaemonSpec {
                 for c in producers..producers + consumers {
                     procs.push(Script::boxed(c, Role::Consumer, 0..waits));
                 }
-                (0, None)
+                (0, None, 0)
             }
             Lease(victim, survivor) => {
                 procs.push(Script::boxed(VICTIM, Role::Victim, 0..victim));
                 procs.push(Script::boxed(1, Role::Locker, victim..victim + survivor));
                 procs.push(Script::boxed(2, Role::Adopter, 0..victim));
-                (victim + survivor, None)
+                (victim + survivor, None, 0)
             }
             Rejoin(units) => {
                 for m in 0..2 {
                     let todo = slot(units, 0, m, 0)..slot(units, 0, m, units);
                     procs.push(Script::boxed(m, Role::Member, todo));
                 }
-                (WORKLOADS * 2 * units, Some(units))
+                (WORKLOADS * 2 * units, Some(units), 0)
+            }
+            Wake(signals) => {
+                for m in 0..2 {
+                    procs.push(Script::boxed(m, Role::Member, 0..signals));
+                }
+                (0, Some(0), signals)
             }
         };
         let n = procs.len();
-        if matches!(self.0, Lease(..) | Rejoin(..)) {
+        if matches!(self.0, Lease(..) | Rejoin(..) | Wake(..)) {
             procs.push(Script::boxed(n, Role::Reaper, 0..0));
         }
         procs.extend((0..n * n).map(|l| Box::new(Link(l)) as Box<dyn Process<World>>));
@@ -707,10 +805,12 @@ impl Spec for DaemonSpec {
             clocks: vec![zero.clone(); n],
             links: vec![(VecDeque::new(), 0); n * n],
             replies: vec![VecDeque::new(); n],
+            awaiting: vec![false; n],
             inside: vec![None; n],
             released: vec![0; units],
             last_release: zero,
             campaign,
+            signals,
             ..World::default()
         };
         (world, procs)

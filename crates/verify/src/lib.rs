@@ -7,8 +7,9 @@
 //! * [`daemon`] runs both sides of the `genomedsm-dsm` protocol: real
 //!   worker `Client`s, driven by scripts of API calls, against real
 //!   daemons (lock handoff with write notices, the counting cv, the lease
-//!   break on a fail-stop, and the barrier manager's rejoin admission in
-//!   a two-workload campaign) over checker-scheduled links;
+//!   break on a fail-stop, the barrier manager's rejoin admission in a
+//!   two-workload campaign, and the same campaign over a cv whose waiter
+//!   only a death notice can wake) over checker-scheduled links;
 //! * [`link`] runs two of the UDP transport's `Link`s (ack, retransmit,
 //!   reorder, dedup and fragmentation under loss, and session turnover);
 //! * [`admission`] runs the serve admission gate (capacity, FIFO, the
@@ -103,7 +104,7 @@ pub fn found_and_replayed<M: Spec>(name: &str, spec: &M, expect: &str) -> Option
 /// explores well over ten thousand distinct schedules (asserted by the
 /// `explore` integration test and re-checked by the binary).
 pub fn run_suite() -> Vec<SuiteEntry> {
-    use Workload::{Lease, Locks, Rejoin, Signals};
+    use Workload::{Lease, Locks, Rejoin, Signals, Wake};
     let real = |workload| DaemonSpec(workload, None);
     let merge = |jobs, workers, window| MergeSpec {
         jobs,
@@ -146,6 +147,8 @@ pub fn run_suite() -> Vec<SuiteEntry> {
         random("daemon/lease 3u+2s random", real(Lease(3, 2)), 6_000),
         exhaustive("daemon/rejoin 1u exhaustive", real(Rejoin(1)), 200_000),
         random("daemon/rejoin 2u random", real(Rejoin(2)), 6_000),
+        exhaustive("daemon/wake 1s exhaustive", real(Wake(1)), 200_000),
+        exhaustive("daemon/wake 2s exhaustive", real(Wake(2)), 200_000),
         exhaustive("merge/4j2w w1 exhaustive", merge(4, 2, 1), 50_000),
         random("merge/6j3w w2 random", merge(6, 3, 2), 6_000),
         exhaustive("admission/2c2r cap2 exhaustive", admission(2, 2, 1), 50_000),

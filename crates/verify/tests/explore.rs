@@ -52,3 +52,55 @@ fn a_campaign_the_reaper_never_interrupts_ends_clean() {
         "the campaign ran to its end"
     );
 }
+
+/// The wake rows reach every situation they are there for: the victim's
+/// fail-stop before and after each signal, an obituary that wakes a
+/// parked wait and one that reaches the cv manager before the wait, a
+/// wait by a worker a barrier named the victim dead to, and a wait parked
+/// after the victim's readmission.
+#[test]
+fn the_wake_rows_reach_every_situation() {
+    use genomedsm_verify::daemon::{DaemonSpec, Workload, World};
+    use shuttle::check::Procs;
+    use shuttle::{Config, Spec};
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    /// A campaign that collects what each of its runs reached.
+    struct Reach(DaemonSpec, RefCell<BTreeSet<String>>);
+    impl Spec for Reach {
+        type S = World;
+        fn build(&self) -> (World, Procs<World>) {
+            self.0.build()
+        }
+        fn invariant(&self, w: &World) -> Result<(), String> {
+            self.0.invariant(w)
+        }
+        fn terminal(&self, w: &World) -> Result<(), String> {
+            self.1.borrow_mut().extend(w.reached().iter().cloned());
+            self.0.terminal(w)
+        }
+    }
+
+    for signals in [1, 2] {
+        let spec = DaemonSpec(Workload::Wake(signals), None);
+        let reach = Reach(spec, RefCell::default());
+        let cfg = Config {
+            max_schedules: 200_000,
+            ..Config::default()
+        };
+        let report = shuttle::check_exhaustive(&reach, &cfg);
+        report.assert_ok();
+        assert!(report.exhausted, "wake {signals}s not exhausted");
+        let mut want: BTreeSet<String> = [
+            "an obituary wakes a parked wait",
+            "a wait after the obituary fails at once",
+            "a wait after a barrier named the victim dead",
+            "a wait parks after the victim's readmission",
+        ]
+        .map(String::from)
+        .into();
+        want.extend((0..=signals).map(|k| format!("fail-stop with {k} signal(s) sent")));
+        assert_eq!(*reach.1.borrow(), want, "wake {signals}s");
+    }
+}

@@ -91,3 +91,8 @@ fn a_joiner_keeping_its_pre_crash_page_reads_stale_state() {
 fn a_rejoin_admitted_on_delivery_lands_outside_a_boundary() {
     perturbation_is_caught(4);
 }
+
+#[test]
+fn a_dropped_wake_up_strands_its_waiter() {
+    perturbation_is_caught(5);
+}

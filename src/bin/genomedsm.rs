@@ -283,13 +283,15 @@ fn opt_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     }
 }
 
-/// `--min-score N`: the least score a reported alignment or threshold hit
-/// has. At least 1, or exit 2 — every cell of a local alignment scores 0
-/// or more, so a bound of 0 would report the whole matrix.
-fn opt_min_score(args: &[String]) -> i32 {
-    let n: i32 = opt_num(args, "--min-score", 50);
+/// `--min-score N` or `--threshold N` (`name`): the least score a
+/// reported alignment or threshold hit has. At least 1, or exit 2 —
+/// every cell of a local alignment scores 0 or more, so a bound of 0
+/// would report the whole matrix, and the score kernels count no hit
+/// below 1.
+fn opt_min_score(args: &[String], name: &str) -> i32 {
+    let n: i32 = opt_num(args, name, 50);
     if n < 1 {
-        eprintln!("--min-score {n}: must be at least 1");
+        eprintln!("{name} {n}: must be at least 1");
         exit(2);
     }
     n
@@ -452,7 +454,7 @@ fn run_strategy(
     let params = HeuristicParams {
         open_threshold: opt_num(args, "--open", 15),
         close_threshold: opt_num(args, "--close", 15),
-        min_score: opt_min_score(args),
+        min_score: opt_min_score(args, "--min-score"),
     };
     if !params.thresholds_valid() {
         eprintln!(
@@ -592,7 +594,7 @@ fn align(args: &[String]) {
 
 fn score(args: &[String]) {
     let (s, t) = load_pair(args);
-    let threshold: i32 = opt_num(args, "--threshold", 50);
+    let threshold = opt_min_score(args, "--threshold");
     let choice = opt_kernel(args);
     check_flags(args, "score", "--threshold --kernel");
     let kernel = kernel_for(choice);
@@ -1129,7 +1131,7 @@ fn launch(args: &[String]) {
 
 fn exact(args: &[String]) {
     let (s, t) = load_pair(args);
-    let min_score = opt_min_score(args);
+    let min_score = opt_min_score(args, "--min-score");
     let threads: usize = opt_num(args, "--threads", 4);
     check_flags(args, "exact", "--min-score --threads");
     eprintln!(

@@ -250,10 +250,13 @@ fn a_gap_penalty_that_is_not_negative_or_too_large_is_refused() {
 fn a_threshold_or_count_below_one_is_refused_by_name() {
     // Each of these used to reach an assert in `RowKernel::new`,
     // `BlockedConfig::new`, `DsmConfig::new` or `sw_ends_over` and panic
-    // (exit 101), or ran phase 1 and printed its regions first.
+    // (exit 101), or ran phase 1 and printed its regions first; `score`
+    // printed a hit count of 0 for a threshold every cell meets. The
+    // bound is refused before the flag check that would refuse the
+    // `--alignments` every row adds.
     let dir = temp_dir("bad_counts");
     let fa = small_pair(&dir);
-    let cases: [(&str, &[&str]); 11] = [
+    let cases: [(&str, &[&str]); 13] = [
         ("align", &["--open", "0"]),
         ("align", &["--open", "-3"]),
         ("align", &["--close", "0"]),
@@ -263,6 +266,8 @@ fn a_threshold_or_count_below_one_is_refused_by_name() {
         ("chaos", &["--strategy", "blocked", "--bands", "0"]),
         ("align", &["--min-score", "0"]),
         ("exact", &["--min-score", "0"]),
+        ("score", &["--threshold", "0"]),
+        ("score", &["--threshold", "-5"]),
         ("align", &["--alignments", "x"]),
         ("align", &["--alignments", "-1"]),
     ];
